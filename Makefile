@@ -1,6 +1,6 @@
 # Developer entrypoints. `make verify` is the tier-1 gate CI enforces.
 
-.PHONY: build test lint lint-baseline race verify faultinject bench bench-compare obs chaos scale query
+.PHONY: build test lint lint-baseline race verify faultinject bench bench-compare benchmark loc obs chaos scale query
 
 build:
 	go build ./...
@@ -39,6 +39,16 @@ bench:
 # fail if any hot path exceeds its allocs/op budget. Part of verify.
 bench-compare:
 	./scripts/bench-compare.sh
+
+# The repo's one end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# two sets of every workload, failing when they disagree.
+benchmark:
+	go run ./benchmark -selfcheck
+
+# Non-test and test Go lines per top-level directory (benchmark/ and
+# testdata/ excluded): "least code" is a tracked number.
+loc:
+	./scripts/loc.sh
 
 # Scale gate: simulate and analyze sharded spill-to-disk campaigns at
 # 1x and 10x CENIC scale, recording events/sec, wall-clock, capture

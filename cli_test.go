@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netfail/internal/store"
 )
 
 // buildCommands compiles the binaries once into a shared temp dir.
@@ -73,6 +75,23 @@ func TestCLIEndToEnd(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(svgDir, f)); err != nil {
 			t.Errorf("missing SVG %s", f)
 		}
+	}
+
+	// -store on the flat directory: the driver writes the indexed
+	// store whichever way the campaign is carried.
+	storeDir := filepath.Join(t.TempDir(), "store")
+	out, err = exec.Command(filepath.Join(bin, "netfail-analyze"),
+		"-data", campaign, "-table", "4", "-store", storeDir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("netfail-analyze -store on a flat campaign: %v\n%s", err, out)
+	}
+	st, err := store.Open(storeDir)
+	if err != nil {
+		t.Fatalf("store written from a flat campaign: %v", err)
+	}
+	if man := st.Manifest(); man.Seed != 5 || len(man.Messages) == 0 || man.Failures.Records == 0 {
+		t.Errorf("store manifest from a flat campaign: seed %d, %d message segments, %d failures",
+			man.Seed, len(man.Messages), man.Failures.Records)
 	}
 
 	// Listener replay over loopback UDP: bind an ephemeral port and

@@ -50,14 +50,9 @@ import (
 	"netfail"
 	"netfail/internal/config"
 	"netfail/internal/core"
-	"netfail/internal/listener"
 	"netfail/internal/netsim"
 	"netfail/internal/obs"
 	"netfail/internal/report"
-	"netfail/internal/salvage"
-	"netfail/internal/syslog"
-	"netfail/internal/tickets"
-	"netfail/internal/topo"
 	"netfail/internal/trace"
 )
 
@@ -81,12 +76,11 @@ func main() {
 		progress  = config.ProgressFlag(flag.CommandLine)
 	)
 	flag.Parse()
-	lenientMode, err := strictF.Lenient()
+	lenient, err := strictF.Lenient()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netfail-analyze:", err)
 		os.Exit(2)
 	}
-	lenient := &lenientMode
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -107,11 +101,19 @@ func main() {
 		})
 	}
 
+	opts := []netfail.Option{netfail.WithMultiLink(*multi), netfail.WithParallelism(*par)}
+	if *storeDir != "" {
+		opts = append(opts, netfail.WithStoreDir(*storeDir))
+	}
+	var study *netfail.Study
 	salvaged := false
 	if *seed != 0 {
-		err = runSeed(ctx, *seed, *days, *table, *figure, *svgDir, *export, *multi, *md, *par, *storeDir)
+		study, err = runSeed(ctx, *seed, *days, opts)
 	} else {
-		salvaged, err = run(ctx, *data, *table, *figure, *svgDir, *export, *multi, *md, *lenient, *par, *storeDir)
+		study, salvaged, err = runDir(ctx, *data, lenient, opts)
+	}
+	if err == nil {
+		err = render(ctx, study, *table, *figure, *svgDir, *export, *md)
 	}
 	// The observability artifacts describe whatever ran, so they are
 	// written even when the pipeline was canceled midway.
@@ -156,77 +158,45 @@ func writeChrome(tracer *obs.Tracer, path string) error {
 
 // runSeed simulates and analyzes entirely in memory via the public
 // pipeline (the context already carries any observability consumers).
-func runSeed(ctx context.Context, seed int64, days, table int, figure, svgDir, exportDir string, multi, md bool, parallelism int, storeDir string) error {
+func runSeed(ctx context.Context, seed int64, days int, opts []netfail.Option) (*netfail.Study, error) {
 	cfg := netsim.Config{Seed: seed}
 	if days > 0 {
 		cfg.Start = netsim.StudyStart
 		cfg.End = netsim.StudyStart.Add(time.Duration(days) * 24 * time.Hour)
 	}
-	opts := []netfail.Option{netfail.WithMultiLink(multi), netfail.WithParallelism(parallelism)}
-	if storeDir != "" {
-		opts = append(opts, netfail.WithStoreDir(storeDir))
-	}
-	study, err := netfail.Run(ctx, cfg, opts...)
-	if err != nil {
-		return err
-	}
-	return render(ctx, study.Analysis, study.Campaign.Archive, study.Campaign.Counts,
-		table, figure, svgDir, exportDir, md)
+	return netfail.Run(ctx, cfg, opts...)
 }
 
-func run(ctx context.Context, dir string, table int, figure, svgDir, exportDir string, multi, md, lenient bool, parallelism int, storeDir string) (salvaged bool, err error) {
-	var (
-		a              *core.Analysis
-		campaignCounts netsim.Counts
-		archive        *config.Archive
-		reports        []salvageEntry
-	)
-	if netfail.IsCaptureCampaign(dir) {
-		// Sharded spill capture: stream the shards back through the
-		// library pipeline instead of loading flat log files.
-		opts := []netfail.Option{netfail.WithMultiLink(multi), netfail.WithParallelism(parallelism)}
-		if storeDir != "" {
-			opts = append(opts, netfail.WithStoreDir(storeDir))
-		}
-		study, caps, cerr := netfail.AnalyzeCaptureDir(ctx, dir, lenient, opts...)
-		if cerr != nil {
-			return false, cerr
-		}
-		a, campaignCounts, archive = study.Analysis, study.Campaign.Counts, study.Campaign.Archive
-		for _, c := range caps {
-			if !lenient {
-				// Strict mode only surfaces intact-but-unparseable
-				// lines, mirroring the flat loader's warning (frame
-				// damage already aborted above) — not an exit-3 salvage.
-				if c.Report.Skipped > 0 {
-					fmt.Fprintf(os.Stderr, "netfail-analyze: %s: %d records skipped\n", c.Name, c.Report.Skipped)
-				}
-				continue
-			}
-			reports = append(reports, salvageEntry{c.Name, c.Report})
-		}
-	} else {
-		if storeDir != "" {
-			return false, fmt.Errorf("-store needs the library pipeline: use -seed mode or a sharded capture campaign (netfail-sim -spill)")
-		}
-		a, campaignCounts, archive, reports, err = loadAndAnalyze(ctx, dir, multi, lenient, parallelism)
-		if err != nil {
-			return false, err
-		}
+// runDir analyzes a campaign directory, flat or spilled, and prints
+// its salvage accounting: every component in lenient mode (a skipped
+// record there makes the run a salvaged one, exit 3), and in strict
+// mode only the intact-but-unparseable syslog lines, which are
+// tolerated in both modes — damage that can be localized has already
+// aborted the run.
+func runDir(ctx context.Context, dir string, lenient bool, opts []netfail.Option) (study *netfail.Study, salvaged bool, err error) {
+	study, reports, err := netfail.AnalyzeCaptureDir(ctx, dir, lenient, opts...)
+	if err != nil {
+		return nil, false, err
 	}
 	for _, r := range reports {
-		fmt.Fprintf(os.Stderr, "netfail-analyze: salvage %s: %s\n", r.name, r.rep)
-		obs.AddSalvage(obs.RegistryFrom(ctx), "salvage."+r.name, r.rep)
-		if !r.rep.Clean() {
+		if !lenient {
+			fmt.Fprintf(os.Stderr, "netfail-analyze: %s: %d records skipped\n", r.Name, r.Report.Skipped)
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "netfail-analyze: salvage %s: %s\n", r.Name, r.Report)
+		obs.AddSalvage(obs.RegistryFrom(ctx), "salvage."+r.Name, r.Report)
+		if !r.Report.Clean() {
 			salvaged = true
 		}
 	}
-	return salvaged, render(ctx, a, archive, campaignCounts, table, figure, svgDir, exportDir, md)
+	return study, salvaged, nil
 }
 
 // render prints the requested tables/figures.
-func render(ctx context.Context, a *core.Analysis, archive *config.Archive, campaignCounts netsim.Counts, table int, figure, svgDir, exportDir string, md bool) error {
+func render(ctx context.Context, study *netfail.Study, table int, figure, svgDir, exportDir string, md bool) error {
 	w := os.Stdout
+	a := study.Analysis
+	configFiles, lspUpdates := study.Campaign.Archive.FileCount(), study.Campaign.Counts.LSPUpdates
 	if exportDir != "" {
 		if err := exportTransitions(a, exportDir); err != nil {
 			return err
@@ -242,15 +212,15 @@ func render(ctx context.Context, a *core.Analysis, archive *config.Archive, camp
 		}
 	}
 	if md {
-		return report.Markdown(w, a, archive.FileCount(), campaignCounts.LSPUpdates)
+		return report.Markdown(w, a, configFiles, lspUpdates)
 	}
 
 	if table == 0 && figure == "" {
 		// Everything, through the sectioned (and span-traced) renderer.
-		return report.FullReport(ctx, w, a, archive.FileCount(), campaignCounts.LSPUpdates, a.In.Parallelism)
+		return study.ReportContext(ctx, w)
 	}
 	if table != 0 {
-		return renderTable(w, a, archive, campaignCounts, table)
+		return renderTable(w, a, configFiles, lspUpdates, table)
 	}
 	switch figure {
 	case "1a", "1b", "1c", "1":
@@ -264,10 +234,10 @@ func render(ctx context.Context, a *core.Analysis, archive *config.Archive, camp
 	}
 }
 
-func renderTable(w *os.File, a *core.Analysis, archive *config.Archive, counts netsim.Counts, n int) error {
+func renderTable(w *os.File, a *core.Analysis, configFiles, lspUpdates, n int) error {
 	switch n {
 	case 1:
-		return report.RenderTable1(w, a.Table1(archive.FileCount(), counts.LSPUpdates))
+		return report.RenderTable1(w, a.Table1(configFiles, lspUpdates))
 	case 2:
 		return report.RenderTable2(w, a.Table2())
 	case 3:
@@ -310,173 +280,4 @@ func exportTransitions(a *core.Analysis, dir string) error {
 		return err
 	}
 	return write("ip-reach-transitions.log", a.IPReach)
-}
-
-// salvageEntry names one capture file's salvage report.
-type salvageEntry struct {
-	name string
-	rep  *salvage.Report
-}
-
-// loadAndAnalyze reads every capture artifact and runs the pipeline.
-// In lenient mode malformed records are skipped and accounted in the
-// returned per-file salvage reports; in strict mode the first
-// malformed record aborts with a line-accurate error.
-func loadAndAnalyze(ctx context.Context, dir string, multi, lenient bool, parallelism int) (*core.Analysis, netsim.Counts, *config.Archive, []salvageEntry, error) {
-	fail := func(err error) (*core.Analysis, netsim.Counts, *config.Archive, []salvageEntry, error) {
-		return nil, netsim.Counts{}, nil, nil, err
-	}
-	var reports []salvageEntry
-
-	lctx, loadDone := obs.Stage(ctx, "load")
-	mf, err := os.Open(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	var manifest *netsim.Manifest
-	if lenient {
-		var rep *salvage.Report
-		manifest, rep, err = netsim.ReadManifestLenient(mf)
-		if err == nil {
-			reports = append(reports, salvageEntry{"manifest.json", rep})
-		}
-	} else {
-		manifest, err = netsim.ReadManifest(mf)
-	}
-	mf.Close()
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-
-	archive, err := config.LoadDir(filepath.Join(dir, "configs"))
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	mined, err := config.Mine(archive)
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-
-	sf, err := os.Open(filepath.Join(dir, "syslog.log"))
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	msgs, syslogRep, err := syslog.ReadLogLenient(sf, manifest.Start)
-	sf.Close()
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	if lenient {
-		reports = append(reports, salvageEntry{"syslog.log", syslogRep})
-	} else if syslogRep.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "netfail-analyze: %d unparseable syslog lines skipped\n", syslogRep.Skipped)
-	}
-
-	lf, err := os.Open(filepath.Join(dir, "lsps.log"))
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	var lsps []netsim.CapturedLSP
-	if lenient {
-		var rep *salvage.Report
-		lsps, rep, err = netsim.ReadLSPLogLenient(lf)
-		if err == nil {
-			reports = append(reports, salvageEntry{"lsps.log", rep})
-		}
-	} else {
-		lsps, err = netsim.ReadLSPLog(lf)
-	}
-	lf.Close()
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	obs.Add(lctx, "drops.salvage.records", int64(salvageSkips(reports)))
-	loadDone()
-
-	sctx, listenDone := obs.Stage(ctx, "listen")
-	l := listener.New(mined.Network)
-	decodeFailures := 0
-	for i, c := range lsps {
-		if i%1024 == 0 {
-			if cerr := sctx.Err(); cerr != nil {
-				listenDone()
-				return fail(cerr)
-			}
-		}
-		if err := l.Process(c.Time, c.Data); err != nil {
-			if !lenient {
-				listenDone()
-				return fail(fmt.Errorf("LSP capture: record %d at %s: %w", i, c.Time.UTC().Format(time.RFC3339), err))
-			}
-			// Salvaged-but-corrupt payloads land in the listener's
-			// decode-error accounting instead of aborting.
-			decodeFailures++
-		}
-	}
-	res := l.Results()
-	obs.Add(sctx, "listener.lsps", int64(res.LSPCount))
-	obs.Add(sctx, "drops.listener.decode_errors", int64(res.DecodeErrors+decodeFailures))
-	listenDone()
-	if lenient && decodeFailures > 0 {
-		reports = append(reports, salvageEntry{"lsps.log payloads", &salvage.Report{
-			Kept:    len(lsps) - decodeFailures,
-			Skipped: decodeFailures,
-			Reasons: map[string]int{"undecodable LSP payload": decodeFailures},
-		}})
-	}
-
-	tf, err := os.Open(filepath.Join(dir, "tickets.json"))
-	if err != nil {
-		return fail(err)
-	}
-	corpus, err := tickets.ReadJSON(tf)
-	tf.Close()
-	if err != nil {
-		return fail(err)
-	}
-
-	cf, err := os.Open(filepath.Join(dir, "customers.json"))
-	if err != nil {
-		return fail(err)
-	}
-	customers, err := topo.ReadCustomersJSON(cf)
-	cf.Close()
-	if err != nil {
-		return fail(err)
-	}
-
-	a, err := core.Analyze(ctx, core.Input{
-		Network:          mined.Network,
-		Customers:        customers,
-		Syslog:           msgs,
-		ISTransitions:    res.ISTransitions,
-		IPTransitions:    res.IPTransitions,
-		Start:            manifest.Start,
-		End:              manifest.End,
-		ListenerOffline:  manifest.Offline(),
-		Tickets:          tickets.NewIndex(corpus),
-		IncludeMultiLink: multi,
-		Parallelism:      parallelism,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	return a, manifest.Counts, archive, reports, nil
-}
-
-// salvageSkips totals the records dropped across the salvage reports.
-func salvageSkips(reports []salvageEntry) int {
-	n := 0
-	for _, r := range reports {
-		n += r.rep.Skipped
-	}
-	return n
 }

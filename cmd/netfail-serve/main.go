@@ -33,7 +33,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -47,19 +47,15 @@ import (
 	"syscall"
 	"time"
 
+	"netfail"
 	"netfail/internal/api"
 	"netfail/internal/clock"
 	"netfail/internal/config"
-	"netfail/internal/core"
-	"netfail/internal/listener"
 	"netfail/internal/netsim"
 	"netfail/internal/obs"
-	"netfail/internal/report"
 	"netfail/internal/serve"
 	"netfail/internal/store"
 	"netfail/internal/syslog"
-	"netfail/internal/tickets"
-	"netfail/internal/topo"
 )
 
 func main() {
@@ -179,23 +175,16 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 
 // ---- replay mode ----------------------------------------------------
 
-// campaignHandler applies ingested records to live analysis state:
-// syslog lines are parsed against a rolling RFC 3164 reference, LSPs
-// flow through the passive listener. Per-source FIFO order is all it
-// assumes — exactly what the supervisor guarantees, including across
-// a kill/recover boundary.
+// campaignHandler pushes ingested records into the analysis driver —
+// the same one the batch pipelines run — so the served report is the
+// batch report: syslog lines are parsed against the driver's rolling
+// RFC 3164 reference, LSPs flow through its passive listener.
+// Per-source FIFO order is all it assumes — exactly what the
+// supervisor guarantees, including across a kill/recover boundary.
 type campaignHandler struct {
-	mu        sync.Mutex
-	l         *listener.Listener
-	tok       *syslog.Tokenizer
-	msgs      []*syslog.Message
-	badSyslog int
-	rolling   time.Time
-	reg       *obs.Registry
-}
-
-func newCampaignHandler(network *topo.Network, start time.Time, reg *obs.Registry) *campaignHandler {
-	return &campaignHandler{l: listener.New(network), tok: syslog.NewTokenizer(), rolling: start, reg: reg}
+	mu  sync.Mutex
+	d   *netfail.Driver
+	reg *obs.Registry
 }
 
 func (h *campaignHandler) Apply(rec serve.Record) error {
@@ -203,31 +192,24 @@ func (h *campaignHandler) Apply(rec serve.Record) error {
 	defer h.mu.Unlock()
 	switch rec.Source {
 	case "syslog":
-		m := new(syslog.Message)
-		if err := h.tok.ParseBytes(rec.Data, h.rolling, m); err != nil {
-			h.badSyslog++
+		err := h.d.Syslog(rec.Data)
+		if err != nil {
 			h.reg.Counter("drops.serve.syslog_parse").Add(1)
-			return err
 		}
-		if m.Timestamp.After(h.rolling) {
-			h.rolling = m.Timestamp
-		}
-		h.msgs = append(h.msgs, m)
-		return nil
+		return err
 	case "isis":
-		if err := h.l.Process(rec.Time, rec.Data); err != nil {
+		err := h.d.LSP(rec.Time, rec.Data)
+		if err != nil {
 			h.reg.Counter("drops.serve.decode_errors").Add(1)
-			return err
 		}
-		return nil
+		return err
 	default:
 		return fmt.Errorf("unknown source %q", rec.Source)
 	}
 }
 
-// fileSource replays a fixed record list, resuming at start — after
-// recovery the daemon sets start to the recovered per-source count,
-// so nothing is re-sent and nothing is skipped.
+// fileSource replays a fixed record list, resuming at start, which
+// ingest sets to the recovered per-source count.
 type fileSource struct {
 	name  string
 	recs  []serve.Record
@@ -246,66 +228,63 @@ func (s *fileSource) Run(ctx context.Context, emit func(serve.Record) error) err
 	return nil
 }
 
-func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, reportPath, debugAddr, storeDir string) error {
-	mf, err := os.Open(filepath.Join(dir, "manifest.json"))
+// ingest supervises the sources into a driver over study until they
+// are exhausted or ctx ends. A replay source resumes after the records
+// recovery already replayed through the handler, so nothing is re-sent
+// and nothing is skipped.
+func ingest(ctx context.Context, cfg serve.Config, reg *obs.Registry, study *netfail.Study, debugAddr, storeDir string,
+	sources ...serve.Source) (*netfail.Driver, error) {
+	d, err := netfail.NewDriver(study, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	manifest, err := netsim.ReadManifest(mf)
-	mf.Close()
+	sup, rcv, err := serve.New(cfg, &campaignHandler{d: d, reg: reg}, sources...)
 	if err != nil {
-		return err
-	}
-	archive, err := config.LoadDir(filepath.Join(dir, "configs"))
-	if err != nil {
-		return err
-	}
-	mined, err := config.Mine(archive)
-	if err != nil {
-		return err
-	}
-
-	syslogSrc, err := loadSyslogSource(filepath.Join(dir, "syslog.log"), manifest.Start)
-	if err != nil {
-		return err
-	}
-	isisSrc, err := loadISISSource(filepath.Join(dir, "lsps.log"))
-	if err != nil {
-		return err
-	}
-
-	h := newCampaignHandler(mined.Network, manifest.Start, reg)
-	sup, rcv, err := serve.New(cfg, h, syslogSrc, isisSrc)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if rcv.Records > 0 {
 		fmt.Printf("recovered %d durable records (syslog %d, isis %d); %s\n",
 			rcv.Records, rcv.PerSource["syslog"], rcv.PerSource["isis"], rcv.Report)
 	}
-	syslogSrc.start = rcv.PerSource["syslog"]
-	isisSrc.start = rcv.PerSource["isis"]
-
+	for _, src := range sources {
+		if replay, ok := src.(*fileSource); ok {
+			replay.start = rcv.PerSource[replay.name]
+		}
+	}
 	stopDebug, err := serveDebug(debugAddr, storeDir, reg, sup)
+	if err != nil {
+		return nil, err
+	}
+	defer stopDebug()
+	return d, sup.Run(ctx)
+}
+
+func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, reportPath, debugAddr, storeDir string) error {
+	study, _, err := netfail.ReadCampaignDir(ctx, dir, false)
 	if err != nil {
 		return err
 	}
-	defer stopDebug()
-	if err := sup.Run(ctx); err != nil {
+	syslogSrc, err := loadSyslogSource(filepath.Join(dir, netfail.SyslogLogName), study.Campaign.Config.Start)
+	if err != nil {
+		return err
+	}
+	isisSrc, err := loadISISSource(filepath.Join(dir, netfail.LSPLogName))
+	if err != nil {
+		return err
+	}
+	d, err := ingest(ctx, cfg, reg, study, debugAddr, storeDir, syslogSrc, isisSrc)
+	if err != nil {
 		return err
 	}
 	if ctx.Err() != nil {
 		fmt.Println("drained and checkpointed; restart to resume the replay")
 		return nil
 	}
-
-	res := h.l.Results()
-	fmt.Printf("served: %d syslog messages (%d unparseable), %d LSPs, %d IS transitions\n",
-		len(h.msgs), h.badSyslog, res.LSPCount, len(res.ISTransitions))
+	fmt.Println("served:", d.Summary())
 	if reportPath == "" {
 		return nil
 	}
-	return writeReport(ctx, dir, reportPath, manifest, archive, mined, h)
+	return writeReport(ctx, d, reportPath)
 }
 
 // loadSyslogSource reads the raw syslog archive lines; parsing
@@ -318,19 +297,10 @@ func loadSyslogSource(path string, start time.Time) (*fileSource, error) {
 	}
 	defer f.Close()
 	src := &fileSource{name: "syslog"}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		src.recs = append(src.recs, serve.Record{
-			Time: start,
-			Data: append([]byte(nil), line...),
-		})
-	}
-	return src, sc.Err()
+	return src, syslog.ScanLog(f, func(_ int, line []byte) error {
+		src.recs = append(src.recs, serve.Record{Time: start, Data: bytes.Clone(line)})
+		return nil
+	})
 }
 
 // loadISISSource reads the LSP capture; each record keeps its capture
@@ -352,53 +322,19 @@ func loadISISSource(path string) (*fileSource, error) {
 	return src, nil
 }
 
-// writeReport runs the comparison pipeline over the served state and
+// writeReport asks the driver for the study over everything served and
 // writes the full report — the artifact the chaos gate compares
 // byte-for-byte between an uninterrupted and a killed-and-resumed run.
-func writeReport(ctx context.Context, dir, path string, manifest *netsim.Manifest,
-	archive *config.Archive, mined *config.Mined, h *campaignHandler) error {
-	tf, err := os.Open(filepath.Join(dir, "tickets.json"))
+func writeReport(ctx context.Context, d *netfail.Driver, path string) error {
+	study, err := d.Finish(ctx)
 	if err != nil {
 		return err
 	}
-	corpus, err := tickets.ReadJSON(tf)
-	tf.Close()
-	if err != nil {
+	var report bytes.Buffer
+	if err := study.ReportContext(ctx, &report); err != nil {
 		return err
 	}
-	cf, err := os.Open(filepath.Join(dir, "customers.json"))
-	if err != nil {
-		return err
-	}
-	customers, err := topo.ReadCustomersJSON(cf)
-	cf.Close()
-	if err != nil {
-		return err
-	}
-	res := h.l.Results()
-	a, err := core.Analyze(ctx, core.Input{
-		Network:         mined.Network,
-		Customers:       customers,
-		Syslog:          h.msgs,
-		ISTransitions:   res.ISTransitions,
-		IPTransitions:   res.IPTransitions,
-		Start:           manifest.Start,
-		End:             manifest.End,
-		ListenerOffline: manifest.Offline(),
-		Tickets:         tickets.NewIndex(corpus),
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.FullReport(ctx, f, a, archive.FileCount(), manifest.Counts.LSPUpdates, a.In.Parallelism); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, report.Bytes(), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
@@ -464,34 +400,21 @@ func runLive(ctx context.Context, cfg serve.Config, reg *obs.Registry, listenSys
 	if err != nil {
 		return err
 	}
-	clk := cfg.Clock
-	h := newCampaignHandler(mined.Network, clk.Now(), reg)
 	var sources []serve.Source
 	if listenSyslog != "" {
-		sources = append(sources, &udpSource{name: "syslog", addr: listenSyslog, clk: clk})
+		sources = append(sources, &udpSource{name: "syslog", addr: listenSyslog, clk: cfg.Clock})
 	}
 	if listenISIS != "" {
-		sources = append(sources, &udpSource{name: "isis", addr: listenISIS, clk: clk})
-	}
-	sup, rcv, err := serve.New(cfg, h, sources...)
-	if err != nil {
-		return err
-	}
-	if rcv.Records > 0 {
-		fmt.Printf("recovered %d durable records; %s\n", rcv.Records, rcv.Report)
+		sources = append(sources, &udpSource{name: "isis", addr: listenISIS, clk: cfg.Clock})
 	}
 	fmt.Printf("serving: %d routers, %d links in namespace\n",
 		len(mined.Network.Routers), len(mined.Network.Links))
-	stopDebug, err := serveDebug(debugAddr, storeDir, reg, sup)
+	// A study with no campaign window: nothing will be compared, so
+	// the driver counts syslog messages instead of retaining them.
+	d, err := ingest(ctx, cfg, reg, &netfail.Study{Mined: mined}, debugAddr, storeDir, sources...)
 	if err != nil {
 		return err
 	}
-	defer stopDebug()
-	if err := sup.Run(ctx); err != nil {
-		return err
-	}
-	res := h.l.Results()
-	fmt.Printf("stopped: %d syslog messages (%d unparseable), %d LSPs, %d IS transitions, %d decode errors\n",
-		len(h.msgs), h.badSyslog, res.LSPCount, len(res.ISTransitions), res.DecodeErrors)
+	fmt.Println("stopped:", d.Summary())
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -33,7 +34,6 @@ import (
 	"netfail/internal/config"
 	"netfail/internal/netsim"
 	"netfail/internal/syslog"
-	"netfail/internal/tickets"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
 )
@@ -132,20 +132,33 @@ func runSpill(ctx context.Context, cfg netsim.Config, out string, shards int, op
 		return err
 	}
 	fmt.Printf("spilled campaign written to %s (capture in %s)\n", out, filepath.Join(out, netfail.CaptureDirName))
+	printSummary(camp, 1+shards)
+	return nil
+}
+
+// printSummary describes the campaign just written: a spilled one by
+// its shard count, a flat one (shards 0) by its ticket count.
+func printSummary(camp *netfail.Campaign, shards int) {
 	fmt.Printf("  period:            %s - %s\n",
 		camp.Config.Start.Format("2006-01-02"), camp.Config.End.Format("2006-01-02"))
 	coreN, cpeN := camp.Network.CountRouters()
 	coreL, cpeL := camp.Network.CountLinks()
-	fmt.Printf("  shards:            %d\n", 1+shards)
+	if shards > 0 {
+		fmt.Printf("  shards:            %d\n", shards)
+	}
 	fmt.Printf("  routers:           %d core, %d cpe\n", coreN, cpeN)
 	fmt.Printf("  links:             %d core, %d cpe\n", coreL, cpeL)
 	fmt.Printf("  config files:      %d\n", camp.Archive.FileCount())
 	fmt.Printf("  ground truth:      %d failures\n", camp.Counts.GroundTruthFailures)
 	fmt.Printf("  syslog received:   %d of %d sent\n", camp.Counts.SyslogReceived, camp.Counts.SyslogSent)
 	fmt.Printf("  IS-IS updates:     %d (%d content-bearing)\n", camp.Counts.LSPUpdates, camp.Counts.ContentLSPs)
-	return nil
+	if shards == 0 {
+		fmt.Printf("  tickets:           %d\n", netfail.GenerateTickets(camp).Len())
+	}
 }
 
+// run writes a flat campaign directory: the metadata every campaign
+// carries, plus the two event logs (and the -truth/-dot extras).
 func run(ctx context.Context, cfg netsim.Config, out string, exportTruth, exportDOT bool, opts []netfail.Option) error {
 	camp, err := netfail.Simulate(ctx, cfg, opts...)
 	if err != nil {
@@ -154,50 +167,12 @@ func run(ctx context.Context, cfg netsim.Config, out string, exportTruth, export
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-
-	writeFile := func(name string, fn func(*os.File) error) error {
-		f, err := os.Create(filepath.Join(out, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", name, err)
-		}
-		return f.Close()
-	}
-
-	if err := writeFile("syslog.log", func(f *os.File) error {
-		return syslog.WriteLog(f, camp.Syslog)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile("lsps.log", func(f *os.File) error {
-		return netsim.WriteLSPLog(f, camp.LSPLog)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile("manifest.json", func(f *os.File) error {
-		return camp.WriteManifest(f)
-	}); err != nil {
-		return err
-	}
-	corpus := tickets.Generate(cfg.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
-	if err := writeFile("tickets.json", func(f *os.File) error {
-		return tickets.WriteJSON(f, corpus)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile("customers.json", func(f *os.File) error {
-		return topo.WriteCustomersJSON(f, camp.Network.Customers)
-	}); err != nil {
-		return err
-	}
-	if err := camp.Archive.SaveDir(filepath.Join(out, "configs")); err != nil {
-		return err
+	files := []netfail.CampaignFile{
+		{Name: netfail.SyslogLogName, Write: func(w io.Writer) error { return syslog.WriteLog(w, camp.Syslog) }},
+		{Name: netfail.LSPLogName, Write: func(w io.Writer) error { return netsim.WriteLSPLog(w, camp.LSPLog) }},
 	}
 	if exportTruth {
-		if err := writeFile("truth.log", func(f *os.File) error {
+		files = append(files, netfail.CampaignFile{Name: "truth.log", Write: func(w io.Writer) error {
 			var ts []trace.Transition
 			for _, g := range camp.GroundTruth {
 				ts = append(ts,
@@ -205,31 +180,18 @@ func run(ctx context.Context, cfg netsim.Config, out string, exportTruth, export
 					trace.Transition{Time: g.End, Link: g.Link, Dir: trace.Up, Kind: trace.KindISReach, Reporter: "truth"})
 			}
 			trace.SortTransitions(ts)
-			return trace.WriteTransitions(f, ts)
-		}); err != nil {
-			return err
-		}
+			return trace.WriteTransitions(w, ts)
+		}})
 	}
-
 	if exportDOT {
-		if err := writeFile("topology.dot", func(f *os.File) error {
-			return topo.WriteDOT(f, camp.Network)
-		}); err != nil {
-			return err
-		}
+		files = append(files, netfail.CampaignFile{Name: "topology.dot", Write: func(w io.Writer) error {
+			return topo.WriteDOT(w, camp.Network)
+		}})
 	}
-
+	if err := netfail.WriteCampaignMeta(out, camp, files...); err != nil {
+		return err
+	}
 	fmt.Printf("campaign written to %s\n", out)
-	fmt.Printf("  period:            %s - %s\n",
-		camp.Config.Start.Format("2006-01-02"), camp.Config.End.Format("2006-01-02"))
-	coreN, cpeN := camp.Network.CountRouters()
-	coreL, cpeL := camp.Network.CountLinks()
-	fmt.Printf("  routers:           %d core, %d cpe\n", coreN, cpeN)
-	fmt.Printf("  links:             %d core, %d cpe\n", coreL, cpeL)
-	fmt.Printf("  config files:      %d\n", camp.Archive.FileCount())
-	fmt.Printf("  ground truth:      %d failures\n", camp.Counts.GroundTruthFailures)
-	fmt.Printf("  syslog received:   %d of %d sent\n", camp.Counts.SyslogReceived, camp.Counts.SyslogSent)
-	fmt.Printf("  IS-IS updates:     %d (%d content-bearing)\n", camp.Counts.LSPUpdates, camp.Counts.ContentLSPs)
-	fmt.Printf("  tickets:           %d\n", len(corpus))
+	printSummary(camp, 0)
 	return nil
 }

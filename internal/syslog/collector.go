@@ -232,30 +232,39 @@ func ReadLog(r io.Reader, ref time.Time) (messages []*Message, badLines int, err
 func ReadLogLenient(r io.Reader, ref time.Time) ([]*Message, *salvage.Report, error) {
 	var messages []*Message
 	rep := &salvage.Report{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	// One tokenizer per archive: messages come out with interned
 	// (canonical, shared) strings instead of per-line copies, and the
 	// scanner's byte buffer is never converted to a throwaway string.
 	tok := NewTokenizer()
 	rolling := ref
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := ScanLog(r, func(lineNo int, line []byte) error {
 		m := new(Message)
 		if perr := tok.ParseBytes(line, rolling, m); perr != nil {
 			rep.Skip(lineNo, "unparseable line")
-			continue
+			return nil
 		}
 		if m.Timestamp.After(rolling) {
 			rolling = m.Timestamp
 		}
 		messages = append(messages, m)
 		rep.Kept++
+		return nil
+	})
+	return messages, rep, err
+}
+
+// ScanLog calls fn with every non-empty line of a log written by
+// WriteLog and its 1-based line number, stopping at fn's first error.
+// The line is only valid during the call.
+func ScanLog(r io.Reader, fn func(lineNo int, line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if line := sc.Bytes(); len(line) > 0 {
+			if err := fn(lineNo, line); err != nil {
+				return err
+			}
+		}
 	}
-	return messages, rep, sc.Err()
+	return sc.Err()
 }

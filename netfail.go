@@ -39,7 +39,6 @@ package netfail
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -181,17 +180,26 @@ func WithProgress(fn ProgressFunc) Option { return func(o *options) { o.progress
 // package's Go API.
 func WithStoreDir(dir string) Option { return func(o *options) { o.storeDir = dir } }
 
-// resolve folds opts and instruments ctx with any attached
-// observability consumers.
-func resolve(ctx context.Context, opts []Option) (context.Context, options) {
-	var o options
+// fold applies opts in order.
+func fold(opts []Option) (o options) {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	return o
+}
+
+// resolve folds opts and instruments ctx with any attached
+// observability consumers.
+func resolve(ctx context.Context, opts []Option) (context.Context, options) {
+	o := fold(opts)
+	return o.instrument(ctx), o
+}
+
+// instrument attaches o's observability consumers to ctx.
+func (o options) instrument(ctx context.Context) context.Context {
 	ctx = obs.WithTracer(ctx, o.tracer)
 	ctx = obs.WithRegistry(ctx, o.metrics)
-	ctx = obs.WithProgress(ctx, o.progress)
-	return ctx, o
+	return obs.WithProgress(ctx, o.progress)
 }
 
 // Study bundles the artifacts of one end-to-end run.
@@ -223,39 +231,17 @@ func MineConfigs(camp *Campaign) (*config.Mined, error) {
 	return config.Mine(camp.Archive)
 }
 
-// listenCancelStride bounds how many capture records replay between
-// cancellation checks: captures run to millions of records, and one
-// record decodes in well under a microsecond, so 1024 keeps cancel
-// latency around a millisecond while keeping the check off the per-
-// record fast path.
-const listenCancelStride = 1024
-
 // Listen replays a campaign's LSP capture through the passive IS-IS
 // listener, resolving against the given (typically mined) network.
-// Cancellation is checked every few thousand records; a processing
+// Cancellation is checked every cancelStride records; a processing
 // error identifies the failing record by index and capture timestamp.
 func Listen(ctx context.Context, net *topo.Network, camp *Campaign) (*ListenerResult, error) {
-	ctx, done := obs.Stage(ctx, "listen")
-	defer done()
-	l := listener.New(net)
-	for i, c := range camp.LSPLog {
-		if i%listenCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := l.Process(c.Time, c.Data); err != nil {
-			return nil, fmt.Errorf("netfail: replaying LSP capture: record %d at %s: %w",
-				i, c.Time.UTC().Format(time.RFC3339), err)
-		}
+	// A driver with no campaign window: it can listen, not compare.
+	d, err := NewDriver(&Study{Mined: &config.Mined{Network: net}}, false)
+	if err != nil {
+		return nil, err
 	}
-	res := l.Results()
-	obs.Add(ctx, "listener.lsps", int64(res.LSPCount))
-	obs.Add(ctx, "drops.listener.decode_errors", int64(res.DecodeErrors))
-	obs.Add(ctx, "listener.stale", int64(res.StaleLSPs))
-	obs.Add(ctx, "transitions.listener.is", int64(len(res.ISTransitions)))
-	obs.Add(ctx, "transitions.listener.ip", int64(len(res.IPTransitions)))
-	return res, nil
+	return d.listen(ctx, memoryShards(camp))
 }
 
 // GenerateTickets builds the trouble-ticket corpus from a campaign's
@@ -269,74 +255,30 @@ func GenerateTickets(camp *Campaign) *tickets.Index {
 // generate tickets, analyze. Cancel ctx to stop at the next stage or
 // shard boundary with ctx's error.
 func Run(ctx context.Context, cfg SimulationConfig, opts ...Option) (*Study, error) {
-	ctx, o := resolve(ctx, opts)
-	camp, err := netsim.Run(ctx, cfg)
+	camp, err := Simulate(ctx, cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return analyze(ctx, camp, o)
+	return Analyze(ctx, camp, opts...)
 }
 
-// Analyze runs the analysis pipeline over an existing campaign:
-// mine configs, listen, generate tickets, compare.
+// Analyze runs the analysis pipeline over an existing campaign: mine
+// its config archive, generate tickets, and hand the in-RAM captures to
+// the driver.
 func Analyze(ctx context.Context, camp *Campaign, opts ...Option) (*Study, error) {
-	ctx, o := resolve(ctx, opts)
-	return analyze(ctx, camp, o)
-}
-
-// analyze is the shared mine → listen → tickets → compare tail.
-func analyze(ctx context.Context, camp *Campaign, o options) (*Study, error) {
-	ao := o.ao
-	mctx, mdone := obs.Stage(ctx, "mine")
-	mined, err := MineConfigs(camp)
-	obs.Add(mctx, "mine.config_files", int64(camp.Archive.FileCount()))
-	mdone()
+	ctx, _ = resolve(ctx, opts)
+	mined, err := mine(ctx, camp.Archive)
 	if err != nil {
-		return nil, fmt.Errorf("netfail: mining configs: %w", err)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := Listen(ctx, mined.Network, camp)
+	d, err := NewDriver(&Study{Campaign: camp, Mined: mined, Tickets: GenerateTickets(camp)}, false, opts...)
 	if err != nil {
 		return nil, err
 	}
-	tix := GenerateTickets(camp)
-	analysis, err := core.Analyze(ctx, core.Input{
-		Network:          mined.Network,
-		Customers:        camp.Network.Customers,
-		Syslog:           camp.Syslog,
-		ISTransitions:    res.ISTransitions,
-		IPTransitions:    res.IPTransitions,
-		Start:            camp.Config.Start,
-		End:              camp.Config.End,
-		ListenerOffline:  camp.ListenerOffline,
-		Tickets:          tix,
-		Window:           ao.Window,
-		FlapGap:          ao.FlapGap,
-		MergeWindow:      ao.MergeWindow,
-		IncludeMultiLink: ao.IncludeMultiLink,
-		Parallelism:      ao.Parallelism,
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("netfail: %w", err)
-	}
-	study := &Study{
-		Campaign: camp,
-		Mined:    mined,
-		Listener: res,
-		Tickets:  tix,
-		Analysis: analysis,
-	}
-	if o.storeDir != "" {
-		if err := writeStudyStore(ctx, o.storeDir, study); err != nil {
-			return nil, err
-		}
-	}
-	return study, nil
+	return d.run(ctx, memoryShards(camp))
 }
 
 // Report renders every table and figure of the paper's evaluation

@@ -1,25 +1,31 @@
 package netfail
 
 import (
-	"context"
 	"bytes"
-	"os"
-	"path/filepath"
+	"context"
+	"io"
 	"testing"
 
-	"netfail/internal/config"
-	"netfail/internal/core"
-	"netfail/internal/listener"
 	"netfail/internal/netsim"
 	"netfail/internal/syslog"
-	"netfail/internal/tickets"
-	"netfail/internal/topo"
 )
 
+// writeFlatCampaign writes camp as the flat campaign directory
+// netfail-sim writes: the shared metadata plus the two event logs.
+func writeFlatCampaign(t testing.TB, dir string, camp *Campaign) {
+	t.Helper()
+	if err := WriteCampaignMeta(dir, camp,
+		CampaignFile{SyslogLogName, func(w io.Writer) error { return syslog.WriteLog(w, camp.Syslog) }},
+		CampaignFile{LSPLogName, func(w io.Writer) error { return netsim.WriteLSPLog(w, camp.LSPLog) }},
+	); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFilePipelineMatchesInMemory saves a campaign to disk in the
-// netfail-sim formats, reloads everything, re-runs the analysis, and
-// checks the results equal the in-memory pipeline: the serialization
-// layer must be lossless where it matters.
+// netfail-sim formats, analyzes the directory, and checks the results
+// equal the in-memory pipeline: the serialization layer must be
+// lossless where it matters.
 func TestFilePipelineMatchesInMemory(t *testing.T) {
 	camp, err := Simulate(context.Background(), smallConfig(21))
 	if err != nil {
@@ -31,100 +37,15 @@ func TestFilePipelineMatchesInMemory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// Save, mirroring cmd/netfail-sim.
-	write := func(name string, fn func(*os.File) error) {
-		t.Helper()
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("syslog.log", func(f *os.File) error { return syslog.WriteLog(f, camp.Syslog) })
-	write("lsps.log", func(f *os.File) error { return netsim.WriteLSPLog(f, camp.LSPLog) })
-	write("manifest.json", func(f *os.File) error { return camp.WriteManifest(f) })
-	corpus := tickets.Generate(camp.Config.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
-	write("tickets.json", func(f *os.File) error { return tickets.WriteJSON(f, corpus) })
-	write("customers.json", func(f *os.File) error {
-		return topo.WriteCustomersJSON(f, camp.Network.Customers)
-	})
-	if err := camp.Archive.SaveDir(filepath.Join(dir, "configs")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reload, mirroring cmd/netfail-analyze.
-	open := func(name string) *os.File {
-		t.Helper()
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	mf := open("manifest.json")
-	manifest, err := netsim.ReadManifest(mf)
-	mf.Close()
+	writeFlatCampaign(t, dir, camp)
+	study, reports, err := AnalyzeCaptureDir(context.Background(), dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	archive, err := config.LoadDir(filepath.Join(dir, "configs"))
-	if err != nil {
-		t.Fatal(err)
+	if len(reports) != 0 {
+		t.Fatalf("strict analysis of a clean directory skipped records: %+v", reports)
 	}
-	mined, err := config.Mine(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf := open("syslog.log")
-	msgs, bad, err := syslog.ReadLog(sf, manifest.Start)
-	sf.Close()
-	if err != nil || bad != 0 {
-		t.Fatalf("syslog reload: err=%v bad=%d", err, bad)
-	}
-	lf := open("lsps.log")
-	lsps, err := netsim.ReadLSPLog(lf)
-	lf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := listener.New(mined.Network)
-	for _, c := range lsps {
-		if err := l.Process(c.Time, c.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := l.Results()
-	tf := open("tickets.json")
-	corpus2, err := tickets.ReadJSON(tf)
-	tf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := open("customers.json")
-	customers, err := topo.ReadCustomersJSON(cf)
-	cf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDisk, err := core.Analyze(context.Background(), core.Input{
-		Network:         mined.Network,
-		Customers:       customers,
-		Syslog:          msgs,
-		ISTransitions:   res.ISTransitions,
-		IPTransitions:   res.IPTransitions,
-		Start:           manifest.Start,
-		End:             manifest.End,
-		ListenerOffline: manifest.Offline(),
-		Tickets:         tickets.NewIndex(corpus2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromDisk := study.Analysis
 
 	// Compare headline results.
 	a, b := inMem.Analysis.Table4(), fromDisk.Table4()

@@ -1,0 +1,43 @@
+#!/bin/sh
+# loc.sh: Go lines of code per top-level directory, non-test and test,
+# leaving out benchmark/ (frozen by BENCHMARK.json) and testdata/
+# (lint fixtures). "Least code" is a tracked number (ROADMAP): the
+# totals are what a PR's CHANGES.md line quotes before and after.
+# Informational; nothing gates on it.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+# count PATTERN DIR [-maxdepth N]: lines in DIR's *.go files whose name
+# does (test) or does not (nontest) end in _test.go.
+count() {
+    kind=$1
+    dir=$2
+    shift 2
+    if [ "$kind" = test ]; then
+        set -- "$@" -name '*_test.go'
+    else
+        set -- "$@" -name '*.go' ! -name '*_test.go'
+    fi
+    find "$dir" "$@" ! -path '*/testdata/*' -print0 | xargs -0 cat 2>/dev/null | wc -l | tr -d ' '
+}
+
+printf '%-12s %8s %8s\n' dir non-test test
+total_n=0
+total_t=0
+for dir in . cmd examples internal; do
+    depth=""
+    name=$dir
+    if [ "$dir" = . ]; then
+        depth="-maxdepth 1"
+        name="(root)"
+    fi
+    # shellcheck disable=SC2086
+    n=$(count nontest "$dir" $depth)
+    # shellcheck disable=SC2086
+    t=$(count test "$dir" $depth)
+    printf '%-12s %8d %8d\n' "$name" "$n" "$t"
+    total_n=$((total_n + n))
+    total_t=$((total_t + t))
+done
+printf '%-12s %8d %8d\n' total "$total_n" "$total_t"

@@ -45,4 +45,7 @@ if [ "$short" = 0 ]; then
     ./scripts/chaos.sh
 fi
 
+echo "==> lines of Go (informational)"
+./scripts/loc.sh
+
 echo "verify: OK"

@@ -1,26 +1,10 @@
 package netfail
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"time"
 
-	"netfail/internal/capture"
-	"netfail/internal/config"
-	"netfail/internal/core"
-	"netfail/internal/listener"
 	"netfail/internal/netsim"
-	"netfail/internal/obs"
-	"netfail/internal/pool"
-	"netfail/internal/salvage"
-	"netfail/internal/store"
-	"netfail/internal/syslog"
-	"netfail/internal/tickets"
 	"netfail/internal/topo"
 )
 
@@ -33,35 +17,14 @@ type FabricSpec = topo.FabricSpec
 // leaves, ~300 links per domain) for the given domain count.
 func DefaultFabricSpec(domains int) FabricSpec { return topo.DefaultFabricSpec(domains) }
 
-// CaptureDirName is the subdirectory of a campaign directory holding
-// the sharded spill capture (shard segments plus capture manifest).
-const CaptureDirName = "capture"
-
-// IsCaptureCampaign reports whether a campaign directory carries a
-// sharded spill capture instead of flat syslog.log/lsps.log files.
-func IsCaptureCampaign(dir string) bool {
-	return capture.IsCaptureDir(filepath.Join(dir, CaptureDirName))
-}
-
-// CaptureSalvage names one capture component's salvage report, as
-// returned by AnalyzeCaptureDir.
-type CaptureSalvage struct {
-	// Name identifies the component, e.g. "capture/shard-0000/syslog.seg".
-	Name string
-	// Report accounts the records kept and skipped.
-	Report *salvage.Report
-}
-
 // SimulateToCapture runs a measurement campaign that spills its
 // observation streams to disk instead of accumulating them in RAM,
 // writing a complete campaign directory:
 //
 //	dir/
 //	  capture/            sharded segments + capture manifest
-//	  manifest.json       campaign metadata (window, counts, outages)
-//	  configs/            router configuration archive
-//	  tickets.json        trouble-ticket corpus
-//	  customers.json      customer sites
+//	  manifest.json, configs/, tickets.json, customers.json
+//	                      as WriteCampaignMeta writes them
 //
 // With fabric.Domains == 0 the campaign is the single CENIC-scale
 // backbone from cfg, captured as one shard — event for event the same
@@ -87,383 +50,8 @@ func SimulateToCapture(ctx context.Context, cfg SimulationConfig, fabric FabricS
 	if err != nil {
 		return nil, err
 	}
-	if err := writeCampaignMeta(dir, camp); err != nil {
+	if err := WriteCampaignMeta(dir, camp); err != nil {
 		return nil, err
 	}
 	return camp, nil
-}
-
-// writeCampaignMeta writes the flat campaign artifacts (everything a
-// netfail-sim directory holds except the event logs, which live in
-// the capture shards).
-func writeCampaignMeta(dir string, camp *Campaign) error {
-	writeFile := func(name string, fn func(*os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", name, err)
-		}
-		return f.Close()
-	}
-	if err := writeFile("manifest.json", func(f *os.File) error {
-		return camp.WriteManifest(f)
-	}); err != nil {
-		return err
-	}
-	corpus := tickets.Generate(camp.Config.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
-	if err := writeFile("tickets.json", func(f *os.File) error {
-		return tickets.WriteJSON(f, corpus)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile("customers.json", func(f *os.File) error {
-		return topo.WriteCustomersJSON(f, camp.Network.Customers)
-	}); err != nil {
-		return err
-	}
-	return camp.Archive.SaveDir(filepath.Join(dir, "configs"))
-}
-
-// AnalyzeCaptureDir runs the full analysis pipeline over a spilled
-// campaign directory written by SimulateToCapture (or netfail-sim
-// -spill): mine the config archive, stream every shard's syslog
-// segment through per-shard extraction, replay the LSP segments
-// through the passive IS-IS listener, and run the comparison.
-//
-// Shards are consumed in manifest order — the campaign's fixed domain
-// order — and each shard's extraction merges by concatenation
-// (domains are link-disjoint, and no downstream stage re-sorts
-// transitions), so the report is byte-identical at every
-// WithParallelism setting, and a single-shard capture reproduces the
-// in-RAM pipeline's report byte for byte. Peak residency is one
-// shard's messages, never the campaign's.
-//
-// In lenient mode damaged capture records are skipped and accounted
-// in the returned salvage entries; in strict mode the first damaged
-// frame aborts with a record- and offset-accurate error. Unparseable
-// (but intact) syslog lines are skipped and accounted in both modes,
-// mirroring the flat-file loader.
-func AnalyzeCaptureDir(ctx context.Context, dir string, lenient bool, opts ...Option) (*Study, []CaptureSalvage, error) {
-	ctx, o := resolve(ctx, opts)
-	fail := func(err error) (*Study, []CaptureSalvage, error) { return nil, nil, err }
-	var reports []CaptureSalvage
-
-	_, loadDone := obs.Stage(ctx, "load")
-	manifest, rep, err := readCampaignManifest(dir, lenient)
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	if lenient {
-		reports = append(reports, CaptureSalvage{"manifest.json", rep})
-	}
-
-	capDir := filepath.Join(dir, CaptureDirName)
-	var cm *capture.Manifest
-	if lenient {
-		data, rerr := os.ReadFile(filepath.Join(capDir, "manifest.json"))
-		if rerr != nil {
-			loadDone()
-			return fail(rerr)
-		}
-		var crep *salvage.Report
-		cm, crep, err = capture.ReadManifestLenient(bytes.NewReader(data))
-		if err == nil {
-			reports = append(reports, CaptureSalvage{"capture/manifest.json", crep})
-		}
-	} else {
-		cm, err = capture.ReadManifestDir(capDir)
-	}
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-
-	archive, err := config.LoadDir(filepath.Join(dir, "configs"))
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	mined, err := config.Mine(archive)
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-
-	corpus, customers, err := readCampaignSideFiles(dir)
-	if err != nil {
-		loadDone()
-		return fail(err)
-	}
-	loadDone()
-
-	mergeWindow := o.ao.MergeWindow
-	if mergeWindow == 0 {
-		mergeWindow = 60 * time.Second
-	}
-	workers := pool.Resolve(o.ao.Parallelism)
-
-	var sw *store.Writer
-	if o.storeDir != "" {
-		if sw, err = store.NewWriter(o.storeDir); err != nil {
-			return fail(err)
-		}
-		sw.SetSeed(manifest.Seed)
-	}
-
-	ectx, extractDone := obs.Stage(ctx, "extract")
-	merged := &core.SyslogTraces{}
-	ext := core.NewExtractor(mined.Network)
-	tok := syslog.NewTokenizer()
-	var shardTraces core.SyslogTraces
-	var msgCount int64
-	for _, sh := range cm.Shards {
-		if err := ectx.Err(); err != nil {
-			extractDone()
-			return fail(err)
-		}
-		msgs, shardReports, err := readShardSyslog(capDir, sh.Name, tok, manifest.Start, lenient, sw)
-		reports = append(reports, shardReports...)
-		if err != nil {
-			extractDone()
-			return fail(err)
-		}
-		msgCount += int64(len(msgs))
-		shardTraces = core.SyslogTraces{}
-		ext.ExtractInto(ectx, msgs, mergeWindow, workers, &shardTraces)
-		if err := ectx.Err(); err != nil {
-			extractDone()
-			return fail(err)
-		}
-		merged.Merge(&shardTraces)
-	}
-	obs.Add(ectx, "syslog.messages", msgCount)
-	obs.Add(ectx, "syslog.nonlink", int64(merged.NonLink))
-	obs.Add(ectx, "drops.syslog.unresolved", int64(merged.Unresolved))
-	extractDone()
-
-	sctx, listenDone := obs.Stage(ctx, "listen")
-	l := listener.New(mined.Network)
-	decodeFailures := 0
-	lspRecords := 0
-	for _, sh := range cm.Shards {
-		n, fails, shardReports, err := replayShardLSPs(sctx, capDir, sh.Name, l, lenient)
-		reports = append(reports, shardReports...)
-		if err != nil {
-			listenDone()
-			return fail(err)
-		}
-		lspRecords += n
-		decodeFailures += fails
-	}
-	res := l.Results()
-	obs.Add(sctx, "listener.lsps", int64(res.LSPCount))
-	obs.Add(sctx, "drops.listener.decode_errors", int64(res.DecodeErrors+decodeFailures))
-	listenDone()
-	if lenient && decodeFailures > 0 {
-		reports = append(reports, CaptureSalvage{"capture LSP payloads", &salvage.Report{
-			Kept:    lspRecords - decodeFailures,
-			Skipped: decodeFailures,
-			Reasons: map[string]int{"undecodable LSP payload": decodeFailures},
-		}})
-	}
-
-	tix := tickets.NewIndex(corpus)
-	analysis, err := core.Analyze(ctx, core.Input{
-		Network:          mined.Network,
-		Customers:        customers,
-		Traces:           merged,
-		ISTransitions:    res.ISTransitions,
-		IPTransitions:    res.IPTransitions,
-		Start:            manifest.Start,
-		End:              manifest.End,
-		ListenerOffline:  manifest.Offline(),
-		Tickets:          tix,
-		Window:           o.ao.Window,
-		FlapGap:          o.ao.FlapGap,
-		MergeWindow:      o.ao.MergeWindow,
-		IncludeMultiLink: o.ao.IncludeMultiLink,
-		Parallelism:      o.ao.Parallelism,
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return fail(err)
-		}
-		return fail(fmt.Errorf("netfail: %w", err))
-	}
-	study := &Study{
-		Campaign: &Campaign{
-			Config: SimulationConfig{
-				Seed:  manifest.Seed,
-				Start: manifest.Start,
-				End:   manifest.End,
-			},
-			Network:         mined.Network,
-			Archive:         archive,
-			ListenerOffline: manifest.Offline(),
-			Counts:          manifest.Counts,
-		},
-		Mined:    mined,
-		Listener: res,
-		Tickets:  tix,
-		Analysis: analysis,
-	}
-	if sw != nil {
-		wctx, storeDone := obs.Stage(ctx, "store")
-		if err := sw.WriteAnalysis(analysis, archive.FileCount(), manifest.Counts.LSPUpdates); err != nil {
-			storeDone()
-			return fail(err)
-		}
-		if err := sw.Finish(); err != nil {
-			storeDone()
-			return fail(fmt.Errorf("netfail: writing store: %w", err))
-		}
-		obs.Add(wctx, "store.messages", msgCount)
-		storeDone()
-	}
-	return study, reports, nil
-}
-
-// readCampaignManifest loads the flat campaign manifest, leniently
-// when asked.
-func readCampaignManifest(dir string, lenient bool) (*netsim.Manifest, *salvage.Report, error) {
-	f, err := os.Open(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	if lenient {
-		return netsim.ReadManifestLenient(f)
-	}
-	m, err := netsim.ReadManifest(f)
-	return m, nil, err
-}
-
-// readCampaignSideFiles loads the ticket corpus and customer sites.
-func readCampaignSideFiles(dir string) ([]tickets.Ticket, []*topo.Customer, error) {
-	tf, err := os.Open(filepath.Join(dir, "tickets.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	corpus, err := tickets.ReadJSON(tf)
-	tf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	cf, err := os.Open(filepath.Join(dir, "customers.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	customers, err := topo.ReadCustomersJSON(cf)
-	cf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return corpus, customers, nil
-}
-
-// readShardSyslog streams one shard's syslog segment back into parsed
-// messages. Frame damage is governed by the segment reader's
-// strict/lenient mode; unparseable (but CRC-intact) lines are skipped
-// and accounted in both modes, mirroring the flat loader's tolerance
-// for malformed syslog lines. With a store writer attached, every
-// parsed line is copied into a fresh store message segment — one per
-// shard, since timestamps restart at each shard boundary.
-func readShardSyslog(capDir, shard string, tok *syslog.Tokenizer, ref time.Time, lenient bool, sw *store.Writer) ([]*syslog.Message, []CaptureSalvage, error) {
-	path := filepath.Join(capDir, shard, capture.SyslogSegment)
-	sr, err := openSegment(path, lenient)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sr.Close()
-	if sw != nil {
-		if err := sw.StartMessageSegment(); err != nil {
-			return nil, nil, err
-		}
-	}
-	var msgs []*syslog.Message
-	parseSkips := 0
-	for {
-		tsMs, rec, nerr := sr.Next()
-		if errors.Is(nerr, io.EOF) {
-			break
-		}
-		if nerr != nil {
-			return nil, nil, nerr
-		}
-		m := &syslog.Message{}
-		if perr := tok.ParseBytes(rec, ref, m); perr != nil {
-			parseSkips++
-			continue
-		}
-		if sw != nil {
-			if serr := sw.AppendMessage(tsMs, m.Hostname, rec); serr != nil {
-				return nil, nil, serr
-			}
-		}
-		msgs = append(msgs, m)
-	}
-	var reports []CaptureSalvage
-	name := filepath.Join(CaptureDirName, shard, capture.SyslogSegment)
-	if lenient {
-		reports = append(reports, CaptureSalvage{name, sr.Report()})
-	}
-	if parseSkips > 0 {
-		reports = append(reports, CaptureSalvage{name + " lines", &salvage.Report{
-			Kept:    len(msgs),
-			Skipped: parseSkips,
-			Reasons: map[string]int{"unparseable syslog line": parseSkips},
-		}})
-	}
-	return msgs, reports, nil
-}
-
-// replayShardLSPs streams one shard's LSP segment through the
-// listener, checking cancellation every listenCancelStride records.
-// Decode failures abort in strict mode and are counted in lenient.
-func replayShardLSPs(ctx context.Context, capDir, shard string, l *listener.Listener, lenient bool) (records, decodeFailures int, reports []CaptureSalvage, err error) {
-	path := filepath.Join(capDir, shard, capture.LSPSegment)
-	sr, err := openSegment(path, lenient)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	defer sr.Close()
-	for {
-		if records%listenCancelStride == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return records, decodeFailures, reports, cerr
-			}
-		}
-		tsMs, rec, nerr := sr.Next()
-		if errors.Is(nerr, io.EOF) {
-			break
-		}
-		if nerr != nil {
-			return records, decodeFailures, reports, nerr
-		}
-		records++
-		if perr := l.Process(time.UnixMilli(tsMs).UTC(), rec); perr != nil {
-			if !lenient {
-				return records, decodeFailures, reports, fmt.Errorf(
-					"netfail: replaying %s: record %d: %w", path, records-1, perr)
-			}
-			decodeFailures++
-		}
-	}
-	if lenient {
-		reports = append(reports, CaptureSalvage{
-			filepath.Join(CaptureDirName, shard, capture.LSPSegment), sr.Report(),
-		})
-	}
-	return records, decodeFailures, reports, nil
-}
-
-func openSegment(path string, lenient bool) (*capture.SegmentReader, error) {
-	if lenient {
-		return capture.OpenSegmentLenient(path)
-	}
-	return capture.OpenSegment(path)
 }

@@ -3,24 +3,43 @@ package netfail
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"netfail/internal/capture"
 )
 
+// longConfig is a small network observed for 240 days: long enough
+// that a year-less RFC 3164 stamp resolved against the campaign start
+// instead of a rolling reference lands in the wrong year.
+func longConfig(seed int64) SimulationConfig {
+	cfg := smallConfig(seed)
+	cfg.End = cfg.Start.Add(240 * 24 * time.Hour)
+	return cfg
+}
+
 // TestSpillReportByteIdenticalToInRAM is the tentpole pin: a
 // single-shard spill capture of a campaign, analyzed back off disk,
 // must produce a report byte-identical to the in-RAM pipeline — at
-// every Parallelism setting on both sides.
+// every Parallelism setting on both sides, for a campaign of weeks and
+// for one of more than six months.
 func TestSpillReportByteIdenticalToInRAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign simulation in -short mode")
 	}
+	for _, cfg := range []SimulationConfig{smallConfig(7), longConfig(7)} {
+		t.Run(fmt.Sprintf("%.0f days", cfg.End.Sub(cfg.Start).Hours()/24), func(t *testing.T) {
+			spillMatchesInRAM(t, cfg)
+		})
+	}
+}
+
+func spillMatchesInRAM(t *testing.T, cfg SimulationConfig) {
 	ctx := context.Background()
-	cfg := smallConfig(7)
 
 	ram, err := Run(ctx, cfg, WithParallelism(1))
 	if err != nil {

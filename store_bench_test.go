@@ -71,19 +71,20 @@ func benchCaptureSetup(b *testing.B) (campDir, storeDir, link string) {
 	return benchCapture.campDir, benchCapture.storeDir, benchCapture.link
 }
 
-// BenchmarkStoreBuild measures writing the store from a finished
-// study — the one-time cost a run pays for every later query being a
-// segment seek instead of a pipeline re-run.
+// BenchmarkStoreBuild measures an analysis with the store attached:
+// the driver writes message segments as it reads the campaign and the
+// failures, transitions and tables once the comparison is done, so the
+// store's one-time cost is this minus BenchmarkAnalyzeMonth.
 func BenchmarkStoreBuild(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
-	st, err := Run(ctx, benchMonthConfig(1))
+	camp, err := Simulate(ctx, benchMonthConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeStudyStore(ctx, filepath.Join(b.TempDir(), "store"), st); err != nil {
+		if _, err := Analyze(ctx, camp, WithStoreDir(filepath.Join(b.TempDir(), "store"))); err != nil {
 			b.Fatal(err)
 		}
 	}

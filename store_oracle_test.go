@@ -370,10 +370,11 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestStoreFromCaptureMatchesInRAM pins the second build path: a
-// store written by AnalyzeCaptureDir (streaming, sharded, possibly
-// parallel) must answer every query identically to the store the
-// in-RAM pipeline writes for the same campaign.
+// TestStoreFromCaptureMatchesInRAM pins the other build paths: a store
+// written by AnalyzeCaptureDir — from a sharded capture (streaming,
+// possibly parallel) or from a flat syslog.log/lsps.log directory —
+// must answer every query identically to the store the in-RAM pipeline
+// writes for the same campaign.
 func TestStoreFromCaptureMatchesInRAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign simulation in -short mode")
@@ -382,57 +383,60 @@ func TestStoreFromCaptureMatchesInRAM(t *testing.T) {
 	cfg := smallConfig(3)
 
 	ramStore := t.TempDir()
-	if _, err := Run(ctx, cfg, WithStoreDir(ramStore)); err != nil {
+	st, err := Run(ctx, cfg, WithStoreDir(ramStore))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	campDir := t.TempDir()
-	if _, err := SimulateToCapture(ctx, cfg, FabricSpec{}, campDir); err != nil {
-		t.Fatal(err)
-	}
-	capStore := t.TempDir() + "/store"
-	if _, _, err := AnalyzeCaptureDir(ctx, campDir, false, WithStoreDir(capStore), WithParallelism(2)); err != nil {
-		t.Fatal(err)
-	}
-
 	ram, err := store.Open(ramStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := store.Open(capStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	rf, err := ram.Failures(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := cap.Failures(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareJSON(t, "capture-path failures", cf, rf)
-
 	rt, err := ram.Transitions(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := cap.Transitions(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareJSON(t, "capture-path transitions", ct, rt)
-
 	rm, err := ram.Messages(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := cap.Messages(ctx)
-	if err != nil {
+
+	capDir, flatDir := t.TempDir(), t.TempDir()
+	if _, err := SimulateToCapture(ctx, cfg, FabricSpec{}, capDir); err != nil {
 		t.Fatal(err)
 	}
-	compareJSON(t, "capture-path messages", cm, rm)
+	writeFlatCampaign(t, flatDir, st.Campaign)
 
-	compareJSON(t, "capture-path tables", *cap.Tables(), *ram.Tables())
+	for _, src := range []struct{ name, dir string }{{"capture", capDir}, {"flat", flatDir}} {
+		dirStore := t.TempDir() + "/store"
+		if _, _, err := AnalyzeCaptureDir(ctx, src.dir, false, WithStoreDir(dirStore), WithParallelism(2)); err != nil {
+			t.Fatal(err)
+		}
+		cap, err := store.Open(dirStore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := cap.Failures(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareJSON(t, src.name+"-path failures", cf, rf)
+
+		ct, err := cap.Transitions(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareJSON(t, src.name+"-path transitions", ct, rt)
+
+		cm, err := cap.Messages(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareJSON(t, src.name+"-path messages", cm, rm)
+
+		compareJSON(t, src.name+"-path tables", *cap.Tables(), *ram.Tables())
+	}
 }
