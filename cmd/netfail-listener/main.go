@@ -110,7 +110,7 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 	// backoff.Default schedule (the same one syslog.Collector walks),
 	// give up loudly only when the budget is spent.
 	retry := backoff.Default.New()
-	for limit == 0 || l.Results().LSPCount < limit {
+	for limit == 0 || l.LSPCount() < limit {
 		n, from, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			var nerr net.Error
@@ -128,9 +128,7 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 			continue
 		}
 		retry.Reset()
-		// Copy: Process retains no reference, but the decode reads
-		// beyond this iteration via the LSP database.
-		pkt := append([]byte(nil), buf[:n]...)
+		pkt := buf[:n]
 
 		// Database synchronization: a CSNP describes the sender's
 		// database; answer with a PSNP requesting what we lack
@@ -159,14 +157,13 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 			fmt.Fprintf(os.Stderr, "decode error: %v\n", err)
 			continue
 		}
-		res := l.Results()
-		reg.Gauge("listener.lsps").Set(int64(res.LSPCount))
-		reg.Gauge("transitions.listener.is").Set(int64(len(res.ISTransitions)))
-		for _, tr := range res.ISTransitions[emitted:] {
+		reg.Gauge("listener.lsps").Set(int64(l.LSPCount()))
+		for _, tr := range l.ISTransitionsSince(emitted) {
 			fmt.Printf("%s %-4s %s (reported by %s)\n",
 				tr.Time.Format("15:04:05.000"), tr.Dir, tr.Link, tr.Reporter)
+			emitted++
 		}
-		emitted = len(res.ISTransitions)
+		reg.Gauge("transitions.listener.is").Set(int64(emitted))
 	}
 	res := l.Results()
 	fmt.Printf("done: %d LSPs, %d IS transitions, %d IP transitions, %d stale, %d decode errors\n",

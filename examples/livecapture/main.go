@@ -78,7 +78,7 @@ func main() {
 				return
 			}
 			reg.Counter("listener.datagrams").Add(1)
-			if err := lsp.Process(clk.Now(), append([]byte(nil), buf[:n]...)); err != nil {
+			if err := lsp.Process(clk.Now(), buf[:n]); err != nil {
 				reg.Counter("drops.listener.decode_errors").Add(1)
 				fmt.Println("listener:", err)
 			}

@@ -56,23 +56,3 @@ func TestLSPDecodeReuseAllocBudget(t *testing.T) {
 		t.Errorf("warm DecodeFromBytes allocates %.1f times per LSP, budget is 0", avg)
 	}
 }
-
-// TestNeighborKeyAllocBudget pins the listener's per-install diff
-// keys: once interned, Key, PlainKey, and IPPrefix.Key are built on
-// the stack and resolved by a lock-free map probe — zero allocations.
-func TestNeighborKeyAllocBudget(t *testing.T) {
-	l := benchLSP()
-	n := l.Neighbors[0]
-	n.SetLinkIDs(7, 9)
-	p := l.Prefixes[0]
-	// Warm the intern table: two sightings promote the snapshot.
-	for i := 0; i < 4; i++ {
-		_, _, _ = n.Key(), n.PlainKey(), p.Key()
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		_, _, _ = n.Key(), n.PlainKey(), p.Key()
-	})
-	if avg != 0 {
-		t.Errorf("warm Key/PlainKey/IPPrefix.Key allocate %.1f times per batch, budget is 0", avg)
-	}
-}

@@ -254,27 +254,42 @@ func FuzzLSPDecodeMatchesReference(f *testing.F) {
 	})
 }
 
-// TestKeysMatchFmtReference pins the hand-rolled key renderings to the
-// fmt originals they replaced, over the full value space.
-func TestKeysMatchFmtReference(t *testing.T) {
-	neighbor := func(sys [6]byte, pn uint8, local, remote uint32, withLinks bool) bool {
-		n := ISNeighbor{System: topo.SystemID(sys), Pseudonode: pn}
-		plain := fmt.Sprintf("%s.%02x", n.System, n.Pseudonode)
-		key := plain
-		if withLinks {
-			n.SetLinkIDs(local, remote)
-			key = fmt.Sprintf("%s.%02x#%08x", n.System, n.Pseudonode, local)
+// TestAdvKeysMatchStringReference pins the integer advertisement keys
+// to the string renderings they replaced: over a value space small
+// enough to collide, two entries share an AdvKey exactly when they
+// shared a string key, and a neighbor never shares one with a prefix.
+func TestAdvKeysMatchStringReference(t *testing.T) {
+	neighborString := func(n ISNeighbor) string {
+		if local, _, ok := n.LinkIDs(); ok {
+			return fmt.Sprintf("%s.%02x#%08x", n.System, n.Pseudonode, local)
 		}
-		return n.Key() == key && n.PlainKey() == plain
+		return fmt.Sprintf("%s.%02x", n.System, n.Pseudonode)
 	}
-	if err := quick.Check(neighbor, nil); err != nil {
+	type nbr struct {
+		Sys, Pseudonode uint8
+		Local, Remote   uint8
+		WithLinks       bool
+	}
+	mk := func(v nbr) ISNeighbor {
+		n := ISNeighbor{System: topo.SystemID{5: v.Sys % 3}, Pseudonode: v.Pseudonode % 2}
+		if v.WithLinks {
+			n.SetLinkIDs(uint32(v.Local%3), uint32(v.Remote))
+		}
+		return n
+	}
+	neighbors := func(a, b nbr) bool {
+		x, y := mk(a), mk(b)
+		return (x.AdvKey() == y.AdvKey()) == (neighborString(x) == neighborString(y))
+	}
+	if err := quick.Check(neighbors, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
-	prefix := func(addr uint32, length uint8) bool {
-		p := IPPrefix{Addr: addr, Length: length % 33}
-		return p.Key() == fmt.Sprintf("%s/%d", topo.FormatIPv4(p.Addr), p.Length) && p.Key() == p.String()
+	prefixes := func(addrA, addrB, lenA, lenB uint8, a nbr) bool {
+		p := IPPrefix{Addr: uint32(addrA % 3), Length: lenA % 33, Metric: uint32(addrB)}
+		q := IPPrefix{Addr: uint32(addrB % 3), Length: lenB % 33}
+		return (p.AdvKey() == q.AdvKey()) == (p.String() == q.String()) && p.AdvKey() != mk(a).AdvKey()
 	}
-	if err := quick.Check(prefix, nil); err != nil {
+	if err := quick.Check(prefixes, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // number. It is safe for concurrent use.
 type Database struct {
 	mu   sync.RWMutex
-	lsps map[LSPID]*storedLSP // guarded by mu
+	lsps map[LSPID]storedLSP // guarded by mu
 }
 
 type storedLSP struct {
@@ -21,7 +21,7 @@ type storedLSP struct {
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	return &Database{lsps: make(map[LSPID]*storedLSP)}
+	return &Database{lsps: make(map[LSPID]storedLSP)}
 }
 
 // Install stores the LSP if it is newer than the stored copy (higher
@@ -35,7 +35,7 @@ func (db *Database) Install(lsp *LSP, now time.Time) bool {
 	if ok && !newer(lsp, cur.lsp) {
 		return false
 	}
-	db.lsps[lsp.ID] = &storedLSP{lsp: lsp, received: now}
+	db.lsps[lsp.ID] = storedLSP{lsp: lsp, received: now}
 	return true
 }
 
@@ -49,7 +49,9 @@ func newer(candidate, stored *LSP) bool {
 	return candidate.Lifetime == 0 && stored.Lifetime != 0
 }
 
-// Get returns the stored LSP for the ID, or nil.
+// Get returns the stored LSP for the ID, or nil: the database's own
+// copy, read-only. An owner that recycles displaced LSPs (the listener)
+// overwrites it once a newer LSP for the ID is installed.
 func (db *Database) Get(id LSPID) *LSP {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

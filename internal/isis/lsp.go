@@ -246,26 +246,6 @@ func (l *LSP) DecodeFromBytes(data []byte) error {
 	return cur.err
 }
 
-// NeighborKeys returns the set of advertised IS-reachability neighbor
-// identities, the quantity whose change signals an adjacency
-// transition.
-func (l *LSP) NeighborKeys() map[string]bool {
-	set := make(map[string]bool, len(l.Neighbors))
-	for _, n := range l.Neighbors {
-		set[n.Key()] = true
-	}
-	return set
-}
-
-// PrefixKeys returns the set of advertised IP-reachability prefixes.
-func (l *LSP) PrefixKeys() map[string]bool {
-	set := make(map[string]bool, len(l.Prefixes))
-	for _, p := range l.Prefixes {
-		set[p.Key()] = true
-	}
-	return set
-}
-
 // NewLSP builds a minimal valid LSP for the given router state.
 func NewLSP(sys topo.SystemID, seq uint32, hostname string, neighbors []ISNeighbor, prefixes []IPPrefix) *LSP {
 	return &LSP{

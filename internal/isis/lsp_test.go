@@ -160,15 +160,20 @@ func TestLSPUnknownTLVPreserved(t *testing.T) {
 	}
 }
 
-func TestLSPKeySets(t *testing.T) {
+func TestLSPAdvKeys(t *testing.T) {
 	l := sampleLSP()
-	nk := l.NeighborKeys()
-	if len(nk) != 2 {
-		t.Errorf("neighbor keys = %v", nk)
+	keys := make(map[AdvKey]bool)
+	for i := range l.Neighbors {
+		keys[l.Neighbors[i].AdvKey()] = true
 	}
-	pk := l.PrefixKeys()
-	if len(pk) != 3 || !pk["137.164.0.0/31"] {
-		t.Errorf("prefix keys = %v", pk)
+	if len(keys) != 2 {
+		t.Errorf("neighbor keys = %v", keys)
+	}
+	for _, p := range l.Prefixes {
+		keys[p.AdvKey()] = true
+	}
+	if len(keys) != 5 || !keys[IPPrefix{Addr: 137<<24 | 164<<16, Length: 31}.AdvKey()] {
+		t.Errorf("neighbor and prefix keys = %v", keys)
 	}
 }
 

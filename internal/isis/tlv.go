@@ -4,37 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"netfail/internal/intern"
 	"netfail/internal/topo"
 )
 
-// symbols interns the decode vocabulary — hostnames, neighbor keys,
-// prefix keys. A campaign's LSP stream repeats the same few hundred
-// symbols millions of times; interning makes every warm sighting a
-// lock-free map probe instead of an allocation, and the canonical
-// strings double as cheap map keys in the listener's diff sets. The
-// limit bounds the table against corrupted captures: past it, unseen
-// symbols degrade to plain allocation instead of growing the table.
+// symbols interns the dynamic hostnames. A campaign's LSP stream
+// repeats the same few hundred names millions of times; interning makes
+// every warm sighting a lock-free map probe instead of an allocation.
+// The limit bounds the table against corrupted captures: past it,
+// unseen names degrade to plain allocation instead of growing the table.
 var symbols = intern.Table{Limit: 1 << 16}
-
-const hexDigits = "0123456789abcdef"
-
-// appendSystemID appends the canonical lowercase "xxxx.xxxx.xxxx"
-// rendering of a system ID, byte-identical to topo.SystemID.String
-// without the fmt machinery.
-//
-//netfail:hotpath
-func appendSystemID(dst []byte, s topo.SystemID) []byte {
-	for i := 0; i < len(s); i++ {
-		if i == 2 || i == 4 {
-			dst = append(dst, '.')
-		}
-		dst = append(dst, hexDigits[s[i]>>4], hexDigits[s[i]&0xf])
-	}
-	return dst
-}
 
 // TLVType identifies a type/length/value field inside a PDU.
 type TLVType uint8
@@ -141,40 +121,38 @@ type ISNeighbor struct {
 	SubTLVs    []RawTLV
 }
 
-// Key returns the neighbor identity the listener diffs between
-// successive LSPs. When the entry carries link identifiers the key
-// includes them, so parallel adjacencies become distinguishable.
-// Keys are built on the stack ("sysid.pn" plus an optional "#local")
-// and interned, so the warm path allocates nothing.
+// AdvKey is the identity of one advertised item, metric aside: what
+// the listener diffs between successive LSPs. Neighbors and prefixes
+// share the one comparable type, so a fragment's content is a flat
+// list of keys and no rendering is involved.
+type AdvKey struct {
+	System     topo.SystemID
+	Pseudonode uint8 // of an AdvPrefix, the prefix length
+	Kind       AdvKind
+	Value      uint32 // AdvLinkID: the local identifier; AdvPrefix: the address
+}
+
+// AdvKind says what an AdvKey names: a TLV 22 neighbor without or with
+// RFC 5307 link identifiers — which keep parallel adjacencies apart —
+// or a TLV 135 prefix.
+type AdvKind uint8
+
+const (
+	AdvNeighbor AdvKind = iota
+	AdvLinkID
+	AdvPrefix
+)
+
+// AdvKey returns the neighbor's identity, with the local link
+// identifier when the entry carries one.
 //
 //netfail:hotpath
-func (n ISNeighbor) Key() string {
-	var buf [32]byte
-	b := n.appendPlainKey(buf[:0])
+func (n ISNeighbor) AdvKey() AdvKey {
+	k := AdvKey{System: n.System, Pseudonode: n.Pseudonode}
 	if local, _, ok := n.LinkIDs(); ok {
-		b = append(b, '#')
-		for shift := 28; shift >= 0; shift -= 4 {
-			b = append(b, hexDigits[(local>>uint(shift))&0xf])
-		}
+		k.Kind, k.Value = AdvLinkID, local
 	}
-	return symbols.Intern(b)
-}
-
-// PlainKey returns the identity without link identifiers.
-//
-//netfail:hotpath
-func (n ISNeighbor) PlainKey() string {
-	var buf [32]byte
-	return symbols.Intern(n.appendPlainKey(buf[:0]))
-}
-
-// appendPlainKey appends "xxxx.xxxx.xxxx.pn" (system ID plus the
-// two-hex-digit pseudonode octet).
-//
-//netfail:hotpath
-func (n *ISNeighbor) appendPlainKey(dst []byte) []byte {
-	dst = appendSystemID(dst, n.System)
-	return append(dst, '.', hexDigits[n.Pseudonode>>4], hexDigits[n.Pseudonode&0xf])
+	return k
 }
 
 // SetLinkIDs attaches the RFC 5307 link local/remote identifiers.
@@ -300,23 +278,9 @@ func (p IPPrefix) String() string {
 	return fmt.Sprintf("%s/%d", topo.FormatIPv4(p.Addr), p.Length)
 }
 
-// Key returns the prefix identity without the metric: the same
-// "a.b.c.d/len" rendering as String, built on the stack and interned
-// so the listener's per-install diff sets allocate nothing warm.
-//
-//netfail:hotpath
-func (p IPPrefix) Key() string {
-	var buf [20]byte // "255.255.255.255/32" is 18 bytes
-	b := strconv.AppendUint(buf[:0], uint64(p.Addr>>24), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(p.Addr>>16&0xff), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(p.Addr>>8&0xff), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(p.Addr&0xff), 10)
-	b = append(b, '/')
-	b = strconv.AppendUint(b, uint64(p.Length), 10)
-	return symbols.Intern(b)
+// AdvKey returns the prefix identity without the metric.
+func (p IPPrefix) AdvKey() AdvKey {
+	return AdvKey{Pseudonode: p.Length, Kind: AdvPrefix, Value: p.Addr}
 }
 
 func appendExtIPReach(b []byte, prefixes []IPPrefix) []byte {

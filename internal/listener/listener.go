@@ -1,9 +1,11 @@
 // Package listener implements the passive IS-IS listener (the role
-// PyRT played in the paper, §3.2): it consumes the LSP capture,
-// maintains each router's advertised adjacency and IP-reachability
-// sets, and emits link state transitions when successive LSPs from a
-// router differ. System IDs are resolved onto the common link
-// namespace via the mined configuration topology, and the dynamic
+// PyRT played in the paper, §3.2): it consumes the LSP capture, keeps
+// each router's advertised neighbors and prefixes as isis.AdvKeys,
+// fragment by fragment, and emits link state transitions when an LSP
+// changes them. A refresh costs one comparison of two key lists;
+// otherwise only the links the difference names are examined. System
+// IDs are resolved onto the common link namespace via the mined
+// configuration topology, once per originator, and the dynamic
 // hostname TLV builds the OSI-ID-to-hostname map.
 //
 // Two transition streams are produced, one per TLV: Extended IS
@@ -27,22 +29,18 @@ import (
 type Listener struct {
 	net *topo.Network
 	db  *isis.Database
+	// spare is what the next PDU decodes into: an accepted LSP goes to
+	// the database and the copy it displaces becomes the spare.
+	spare *isis.LSP
 
-	// Per-fragment advertised content (ISO 10589 §7.3.7: a
-	// router's advertisement set is the union over its fragments)
-	// and the per-originator aggregate the diffing reads.
-	fragAdv map[isis.LSPID]map[string]int
-	adv     map[topo.SystemID]map[string]int
-	heard   map[topo.SystemID]bool
+	origins map[topo.SystemID]*origin
+	links   map[topo.LinkID]*linkState // read by resolve only
 
-	// Derived per-link state.
-	adjUp map[topo.LinkID]bool
-	ipUp  map[topo.LinkID]bool
-	// multiCount tracks advertised-entry counts for multi-link
-	// adjacencies, only to account for skipped changes.
-	multiCount map[topo.AdjacencyKey]int
-
-	hostnames map[topo.SystemID]string
+	// keys is scratch for the keys of the LSP in hand. was and is are
+	// its fragment's old and new keys less what the lists share at
+	// either end: the originator's count of a key moved by the key's
+	// occurrences in is minus those in was.
+	keys, was, is []isis.AdvKey
 
 	isTransitions []trace.Transition
 	ipTransitions []trace.Transition
@@ -56,126 +54,230 @@ type Listener struct {
 	multiLinkSkips int
 }
 
+// origin is what the listener knows of one system ID, whether it has
+// originated an LSP or is so far only the far end of a link.
+type origin struct {
+	sys      topo.SystemID
+	router   *topo.Router // nil when the topology has no such system
+	hostname string
+	heard    bool // set by the first accepted LSP, which resolves ifaces
+	// frags holds each fragment's keys as last advertised, in LSP
+	// order; the router advertises their union (ISO 10589 §7.3.7).
+	frags  []fragment
+	ifaces []ifaceRef
+}
+
+type fragment struct {
+	pseudonode, number uint8
+	keys               []isis.AdvKey
+}
+
+// ifaceRef is one of an originator's interfaces resolved onto the
+// link namespace, with the keys under which the originator advertises
+// the link: the peer as a plain neighbor, the peer with the link's /31
+// as RFC 5307 link identifier (the simulator's circuit ID), the /31.
+type ifaceRef struct {
+	link            *topo.Link
+	state           *linkState
+	peer            *origin
+	plain, ext, pfx isis.AdvKey
+	multi           bool // the link shares its adjacency with a parallel one
+}
+
+// linkState is a link's derived state per TLV: 0 until it is baselined
+// or moved, so that its first change always emits, then stateOf.
+type linkState struct{ adj, ip int8 }
+
+func stateOf(up bool) int8 {
+	if up {
+		return 1
+	}
+	return -1
+}
+
 // New creates a listener resolving against the given (typically
 // mined) topology.
 func New(net *topo.Network) *Listener {
 	return &Listener{
-		net:        net,
-		db:         isis.NewDatabase(),
-		fragAdv:    make(map[isis.LSPID]map[string]int),
-		adv:        make(map[topo.SystemID]map[string]int),
-		heard:      make(map[topo.SystemID]bool),
-		adjUp:      make(map[topo.LinkID]bool),
-		ipUp:       make(map[topo.LinkID]bool),
-		multiCount: make(map[topo.AdjacencyKey]int),
-		hostnames:  make(map[topo.SystemID]string),
+		net:     net,
+		db:      isis.NewDatabase(),
+		spare:   new(isis.LSP),
+		origins: make(map[topo.SystemID]*origin),
+		links:   make(map[topo.LinkID]*linkState),
 	}
 }
 
 // Process ingests one captured PDU (wire bytes) received at the
-// given time. Non-LSP PDUs (hellos, CSNPs, PSNPs — all present on a
-// live circuit) are counted and skipped; decode failures are counted
-// and returned; stale LSPs (not newer than the database copy) are
-// counted and ignored.
+// given time and keeps no reference to data. Non-LSP PDUs (hellos,
+// CSNPs, PSNPs — all present on a live circuit) are counted and
+// skipped; decode failures are counted and returned; stale LSPs (not
+// newer than the database copy) are counted and ignored.
+//
+//netfail:hotpath
 func (l *Listener) Process(at time.Time, data []byte) error {
 	if typ, err := isis.PeekType(data); err == nil && typ != isis.TypeLSPL2 {
 		l.otherPDUs++
 		return nil
 	}
-	var lsp isis.LSP
+	lsp := l.spare
 	if err := lsp.DecodeFromBytes(data); err != nil {
 		l.decodeErrors++
 		return fmt.Errorf("listener: %w", err)
 	}
 	l.lspCount++
-	if !l.db.Install(&lsp, at) {
+	displaced := l.db.Get(lsp.ID)
+	if !l.db.Install(lsp, at) {
 		l.staleLSPs++
 		return nil
 	}
-	orig := lsp.ID.System
-	if lsp.Hostname != "" {
-		l.hostnames[orig] = lsp.Hostname
+	if displaced == nil {
+		displaced = new(isis.LSP)
 	}
-	router, known := l.net.RouterByID(orig)
-	if !known {
+	l.spare = displaced
+
+	o := l.origin(lsp.ID.System)
+	if lsp.Hostname != "" {
+		o.hostname = lsp.Hostname
+	}
+	if o.router == nil {
 		l.unknownOrig++
 		return nil
 	}
-
-	// This fragment's advertised content: neighbor keys and prefix
-	// keys share one namespace (dotted system IDs cannot collide
-	// with dotted-quad prefixes).
-	newFrag := make(map[string]int, len(lsp.Neighbors)+len(lsp.Prefixes))
-	for _, n := range lsp.Neighbors {
-		newFrag[n.Key()]++
-	}
-	for pfx := range lsp.PrefixKeys() {
-		newFrag[pfx]++
+	first := !o.heard
+	if first {
+		l.resolve(o)
+		o.heard = true
 	}
 
-	// Snapshot the originator's aggregate, then apply the fragment
-	// delta: union semantics across fragments.
-	agg := l.adv[orig]
-	if agg == nil {
-		agg = make(map[string]int)
-		l.adv[orig] = agg
+	keys := l.keys[:0]
+	for i := range lsp.Neighbors {
+		keys = append(keys, lsp.Neighbors[i].AdvKey())
 	}
-	prev := make(map[string]int, len(agg))
-	for k, v := range agg {
-		prev[k] = v
+	for _, p := range lsp.Prefixes {
+		keys = append(keys, p.AdvKey())
 	}
-	for k, v := range l.fragAdv[lsp.ID] {
-		agg[k] -= v
-		if agg[k] <= 0 {
-			delete(agg, k)
-		}
+	// Counting is additive, so what the old and the new list share at
+	// either end cancels, and a refresh cancels altogether.
+	f := o.fragment(lsp.ID.Pseudonode, lsp.ID.Fragment)
+	was, is := f.keys, keys
+	for len(was) > 0 && len(is) > 0 && was[0] == is[0] {
+		was, is = was[1:], is[1:]
 	}
-	for k, v := range newFrag {
-		agg[k] += v
+	for len(was) > 0 && len(is) > 0 && was[len(was)-1] == is[len(is)-1] {
+		was, is = was[:len(was)-1], is[:len(is)-1]
 	}
-	l.fragAdv[lsp.ID] = newFrag
-	first := !l.heard[orig]
-	l.heard[orig] = true
-
-	for _, ifc := range router.Interfaces {
-		link, ok := l.net.LinkByID(ifc.Link)
-		if !ok {
-			continue
-		}
+	l.keys, l.was, l.is = keys, was, is
+	if len(was)+len(is) == 0 && !first {
+		return nil
+	}
+	// The fragment's old list, which was points into, is the next scratch.
+	f.keys, l.keys = keys, f.keys
+	for i := range o.ifaces {
 		if first {
-			l.baselineLink(link)
+			baselineLink(o, &o.ifaces[i])
 		} else {
-			l.diffLink(at, router.Name, link, prev, agg)
+			l.diffLink(at, o, &o.ifaces[i])
 		}
 	}
 	return nil
 }
 
-// baselineLink establishes initial state for a link once both ends
-// have been heard: up if either end currently advertises it.
-func (l *Listener) baselineLink(link *topo.Link) {
-	ra := l.net.Routers[link.A.Host]
-	rb := l.net.Routers[link.B.Host]
-	if ra == nil || rb == nil || !l.heard[ra.SystemID] || !l.heard[rb.SystemID] {
+// origin returns the record for a system ID, new on first sight.
+func (l *Listener) origin(sys topo.SystemID) *origin {
+	o := l.origins[sys]
+	if o == nil {
+		router, _ := l.net.RouterByID(sys)
+		o = &origin{sys: sys, router: router}
+		l.origins[sys] = o
+	}
+	return o
+}
+
+// resolve maps the originator's interfaces onto links, in interface
+// order, leaving out those the topology cannot place.
+func (l *Listener) resolve(o *origin) {
+	for _, ifc := range o.router.Interfaces {
+		link, ok := l.net.LinkByID(ifc.Link)
+		if !ok {
+			continue
+		}
+		far, _ := link.Other(o.router.Name)
+		peer := l.net.Routers[far.Host]
+		if peer == nil {
+			continue
+		}
+		state := l.links[link.ID]
+		if state == nil {
+			state = new(linkState)
+			l.links[link.ID] = state
+		}
+		o.ifaces = append(o.ifaces, ifaceRef{
+			link: link, state: state, peer: l.origin(peer.SystemID),
+			plain: isis.AdvKey{System: peer.SystemID, Kind: isis.AdvNeighbor},
+			ext:   isis.AdvKey{System: peer.SystemID, Kind: isis.AdvLinkID, Value: link.Subnet},
+			pfx:   isis.IPPrefix{Addr: link.Subnet, Length: 31}.AdvKey(),
+			multi: l.net.IsMultiLink(link.ID),
+		})
+	}
+}
+
+// fragment returns the originator's stored fragment, new on first sight.
+//
+//netfail:hotpath
+func (o *origin) fragment(pseudonode, number uint8) *fragment {
+	for i := range o.frags {
+		if f := &o.frags[i]; f.pseudonode == pseudonode && f.number == number {
+			return f
+		}
+	}
+	o.frags = append(o.frags, fragment{pseudonode: pseudonode, number: number})
+	return &o.frags[len(o.frags)-1]
+}
+
+// occurrences counts key in keys.
+//
+//netfail:hotpath
+func occurrences(keys []isis.AdvKey, key isis.AdvKey) (n int32) {
+	for _, k := range keys {
+		if k == key {
+			n++
+		}
+	}
+	return n
+}
+
+// count returns how often the originator's fragments list key. A
+// neighbor's count is compared from one LSP to the next, a prefix's
+// only ever tested against zero.
+//
+//netfail:hotpath
+func (o *origin) count(key isis.AdvKey) (n int32) {
+	for i := range o.frags {
+		n += occurrences(o.frags[i].keys, key)
+	}
+	return n
+}
+
+// baselineLink establishes initial state for one of o's links once
+// the far end has been heard too: up if either end currently
+// advertises it.
+func baselineLink(o *origin, r *ifaceRef) {
+	if !r.peer.heard {
 		return
 	}
-	plainAdv := l.adv[ra.SystemID][neighborKey(rb.SystemID)] > 0 ||
-		l.adv[rb.SystemID][neighborKey(ra.SystemID)] > 0
-	idAdv := l.adv[ra.SystemID][linkIDKey(rb.SystemID, link.Subnet)] > 0 ||
-		l.adv[rb.SystemID][linkIDKey(ra.SystemID, link.Subnet)] > 0
+	back, backExt := r.plain, r.ext // the same keys as the far end holds them, naming o
+	back.System, backExt.System = o.sys, o.sys
+	plainAdv := o.count(r.plain) > 0 || r.peer.count(back) > 0
+	idAdv := o.count(r.ext) > 0 || r.peer.count(backExt) > 0
 	switch {
-	case !l.net.IsMultiLink(link.ID):
-		l.adjUp[link.ID] = plainAdv || idAdv
+	case !r.multi:
+		r.state.adj = stateOf(plainAdv || idAdv)
 	case idAdv:
 		// RFC 5307 link identifiers give even parallel links
 		// per-link baseline state.
-		l.adjUp[link.ID] = true
-	default:
-		l.multiCount[link.Adjacency] = l.adv[ra.SystemID][neighborKey(rb.SystemID)] +
-			l.adv[rb.SystemID][neighborKey(ra.SystemID)]
+		r.state.adj = stateOf(true)
 	}
-	pfx := prefixKey(link.Subnet)
-	l.ipUp[link.ID] = l.adv[ra.SystemID][pfx] > 0 || l.adv[rb.SystemID][pfx] > 0
+	r.state.ip = stateOf(o.count(r.pfx) > 0 || r.peer.count(r.pfx) > 0)
 }
 
 // diffLink applies one originator's advertisement changes to a link,
@@ -184,90 +286,56 @@ func (l *Listener) baselineLink(link *topo.Link) {
 // an "up" transition when it is re-advertised. The second endpoint's
 // matching withdrawal or re-advertisement changes nothing because the
 // link is already in that state.
-func (l *Listener) diffLink(at time.Time, reporter string, link *topo.Link, prev, cur map[string]int) {
-	ra := l.net.Routers[link.A.Host]
-	rb := l.net.Routers[link.B.Host]
-	if ra == nil || rb == nil || !l.heard[ra.SystemID] || !l.heard[rb.SystemID] {
+//
+//netfail:hotpath
+func (l *Listener) diffLink(at time.Time, o *origin, r *ifaceRef) {
+	dExt := occurrences(l.is, r.ext) - occurrences(l.was, r.ext)
+	dPlain := occurrences(l.is, r.plain) - occurrences(l.was, r.plain)
+	dPfx := occurrences(l.is, r.pfx) - occurrences(l.was, r.pfx)
+	if (dExt == 0 && dPlain == 0 && dPfx == 0) || !r.peer.heard {
 		return
 	}
-	peer := ra
-	if reporter == ra.Name {
-		peer = rb
-	}
-	key := neighborKey(peer.SystemID)
-	// RFC 5307 link identifiers, when advertised, name the circuit
-	// and make parallel adjacencies attributable to physical links.
-	extKey := linkIDKey(peer.SystemID, link.Subnet)
-
+	curExt, curPlain, curPfx := o.count(r.ext), o.count(r.plain), o.count(r.pfx)
+	prevExt, prevPlain, prevPfx := curExt-dExt, curPlain-dPlain, curPfx-dPfx
 	switch {
-	case prev[extKey] > 0 || cur[extKey] > 0:
-		prevHas, newHas := prev[extKey] > 0, cur[extKey] > 0
-		switch {
-		case prevHas && !newHas:
-			l.setState(at, reporter, link, l.adjUp, false, trace.KindISReach, &l.isTransitions)
-		case !prevHas && newHas:
-			l.setState(at, reporter, link, l.adjUp, true, trace.KindISReach, &l.isTransitions)
-		}
-	case l.net.IsMultiLink(link.ID):
+	case prevExt > 0 || curExt > 0:
+		// Link identifiers, when advertised, name the circuit and make
+		// parallel adjacencies attributable to physical links.
+		l.setState(at, o, r, &r.state.adj, prevExt > 0, curExt > 0, trace.KindISReach, &l.isTransitions)
+	case r.multi:
 		// Parallel links share one adjacency: without link-ID
 		// sub-TLVs the change cannot be attributed to a physical
 		// link (§3.4). Count and skip.
-		if prev[key] != cur[key] {
+		if dPlain != 0 {
 			l.multiLinkSkips++
-			l.multiCount[link.Adjacency] += cur[key] - prev[key]
 		}
 	default:
-		prevHas, newHas := prev[key] > 0, cur[key] > 0
-		switch {
-		case prevHas && !newHas:
-			l.setState(at, reporter, link, l.adjUp, false, trace.KindISReach, &l.isTransitions)
-		case !prevHas && newHas:
-			l.setState(at, reporter, link, l.adjUp, true, trace.KindISReach, &l.isTransitions)
-		}
+		l.setState(at, o, r, &r.state.adj, prevPlain > 0, curPlain > 0, trace.KindISReach, &l.isTransitions)
 	}
-
-	pfx := prefixKey(link.Subnet)
-	prevHas, newHas := prev[pfx] > 0, cur[pfx] > 0
-	switch {
-	case prevHas && !newHas:
-		l.setState(at, reporter, link, l.ipUp, false, trace.KindIPReach, &l.ipTransitions)
-	case !prevHas && newHas:
-		l.setState(at, reporter, link, l.ipUp, true, trace.KindIPReach, &l.ipTransitions)
-	}
+	l.setState(at, o, r, &r.state.ip, prevPfx > 0, curPfx > 0, trace.KindIPReach, &l.ipTransitions)
 }
 
-// setState moves a link's derived state, emitting a transition if it
+// setState moves a link's derived state when the originator started
+// or stopped advertising it, emitting a transition if the state
 // actually changed.
-func (l *Listener) setState(at time.Time, reporter string, link *topo.Link, states map[topo.LinkID]bool, up bool, kind trace.Kind, out *[]trace.Transition) {
-	if prev, seen := states[link.ID]; seen && prev == up {
+//
+//netfail:hotpath
+func (l *Listener) setState(at time.Time, o *origin, r *ifaceRef, state *int8, prevHas, newHas bool, kind trace.Kind, out *[]trace.Transition) {
+	if prevHas == newHas || *state == stateOf(newHas) {
 		return
 	}
-	states[link.ID] = up
+	*state = stateOf(newHas)
 	dir := trace.Down
-	if up {
+	if newHas {
 		dir = trace.Up
 	}
 	*out = append(*out, trace.Transition{
 		Time:     at,
-		Link:     link.ID,
+		Link:     r.link.ID,
 		Dir:      dir,
 		Kind:     kind,
-		Reporter: reporter,
+		Reporter: o.router.Name,
 	})
-}
-
-func neighborKey(id topo.SystemID) string {
-	return fmt.Sprintf("%s.%02x", id, 0)
-}
-
-// linkIDKey matches isis.ISNeighbor.Key for entries carrying RFC 5307
-// link identifiers (the simulator uses the link's /31 as circuit ID).
-func linkIDKey(id topo.SystemID, circuit uint32) string {
-	return fmt.Sprintf("%s.%02x#%08x", id, 0, circuit)
-}
-
-func prefixKey(subnet uint32) string {
-	return fmt.Sprintf("%s/31", topo.FormatIPv4(subnet))
 }
 
 // Result is the listener's complete output.
@@ -291,11 +359,14 @@ type Result struct {
 
 // Results returns a snapshot of the listener's output. Every field is
 // a defensive copy — the hostname map included, so mutating a result
-// cannot corrupt the listener's OSI-ID resolution.
+// cannot corrupt the listener's OSI-ID resolution. A loop that runs
+// per PDU reads LSPCount and ISTransitionsSince instead.
 func (l *Listener) Results() *Result {
-	hostnames := make(map[topo.SystemID]string, len(l.hostnames))
-	for id, h := range l.hostnames {
-		hostnames[id] = h
+	hostnames := make(map[topo.SystemID]string, len(l.origins))
+	for id, o := range l.origins {
+		if o.hostname != "" {
+			hostnames[id] = o.hostname
+		}
 	}
 	return &Result{
 		ISTransitions:      append([]trace.Transition(nil), l.isTransitions...),
@@ -310,12 +381,25 @@ func (l *Listener) Results() *Result {
 	}
 }
 
+// LSPCount returns the number of LSPs successfully processed so far.
+func (l *Listener) LSPCount() int { return l.lspCount }
+
+// ISTransitionsSince returns the IS-reachability transitions emitted
+// after the first n, uncopied: read-only, and valid until the next
+// Process.
+func (l *Listener) ISTransitionsSince(n int) []trace.Transition { return l.isTransitions[n:] }
+
 // Hostname resolves a system ID to the hostname learned from TLV 137.
 func (l *Listener) Hostname(id topo.SystemID) (string, bool) {
-	h, ok := l.hostnames[id]
-	return h, ok
+	o := l.origins[id]
+	if o == nil || o.hostname == "" {
+		return "", false
+	}
+	return o.hostname, true
 }
 
 // Database exposes the listener's link-state database, e.g. to run
-// SPF over the captured routing state.
+// SPF over the captured routing state. The listener recycles its LSPs:
+// a pointer read from the database is good until the next Process,
+// which may decode a newer LSP for that ID into the same memory.
 func (l *Listener) Database() *isis.Database { return l.db }

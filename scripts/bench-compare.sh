@@ -17,6 +17,12 @@
 #                          20 allocs/op  warm one-day/one-link store
 #                                        query: two segment opens plus
 #                                        result slices
+#   BenchmarkListenerReplay
+#                        5000 allocs/op  a month's LSPs through a fresh
+#                                        listener (4526 measured): one
+#                                        record per router, link and
+#                                        stored LSP plus transition
+#                                        growth, nothing per LSP
 #
 # verify.sh runs this as part of tier-1; `make bench-compare` runs it
 # alone. BENCHTIME trades precision for speed (default 10x).
@@ -28,7 +34,7 @@ BENCHTIME="${BENCHTIME:-10x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkSyslogExtract$' -benchmem -benchtime "$BENCHTIME" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkSyslogExtract$|BenchmarkListenerReplay$' -benchmem -benchtime "$BENCHTIME" . | tee "$raw"
 go test -run '^$' -bench 'BenchmarkLSPDecode$|BenchmarkParseLinkEvent$' -benchmem -benchtime "$BENCHTIME" \
     ./internal/isis ./internal/syslog | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkAppend$' -benchmem -benchtime "$BENCHTIME" ./internal/checkpoint | tee -a "$raw"
@@ -44,5 +50,6 @@ go run ./cmd/netfail-bench -o /dev/null \
     -max-allocs BenchmarkSegmentAppend=0 \
     -max-allocs BenchmarkSegmentRead=16 \
     -max-allocs BenchmarkStoreWindowQueryWarm=20 \
+    -max-allocs BenchmarkListenerReplay=5000 \
     < "$raw"
 echo "bench-compare: alloc pins hold" >&2
