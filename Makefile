@@ -1,6 +1,6 @@
 # Developer entrypoints. `make verify` is the tier-1 gate CI enforces.
 
-.PHONY: build test lint lint-baseline race verify faultinject bench bench-compare benchmark loc obs chaos scale query
+.PHONY: build test lint lint-baseline race verify faultinject fuzz bench bench-compare benchmark loc obs chaos scale query
 
 build:
 	go build ./...
@@ -28,6 +28,12 @@ race:
 # re-assert the paper's qualitative findings on the salvaged data.
 faultinject:
 	go test -short -run 'Corrupt' -v . ./internal/faultinject
+
+# Fuzz gate: run every Fuzz* target under the fuzzing engine for
+# FUZZTIME each (default 5s); `go test` alone only replays their seeds.
+# Part of verify.
+fuzz:
+	./scripts/fuzz.sh
 
 # Benchmark trajectory: run the Benchmark* suites with -benchmem and
 # emit BENCH_<PR>.json (see scripts/bench.sh for the PR/BENCHTIME/PKGS

@@ -250,11 +250,7 @@ func captureShards(d *Driver, dir string) ([]shard, error) {
 // the first bad frame aborts in strict, is resynced past and accounted
 // in lenient.
 func (d *Driver) segment(dir, name string, push func(n int, tsMs int64, rec []byte) error) error {
-	open := capture.OpenSegment
-	if d.lenient {
-		open = capture.OpenSegmentLenient
-	}
-	sr, err := open(filepath.Join(dir, name))
+	sr, err := capture.OpenSegmentAt(filepath.Join(dir, name), capture.IndexEntry{}, d.lenient)
 	if err != nil {
 		return err
 	}

@@ -24,16 +24,10 @@
 //	    lsps.idx             sparse time index over lsps.seg
 //	  shard-0001/ ...
 //
-// A segment is the magic "NFSEG1\n" followed by frames:
-//
-//	sync[2]=0xA5,0x5A | len u32le | crc u32le | payload
-//
-// where payload is a millisecond unix timestamp (i64le) followed by
-// the record bytes, and crc is CRC-32 (IEEE) over the payload. The
-// framing deliberately mirrors the checkpoint WAL: the sync marker
-// gives the lenient reader a resynchronization point after torn or
-// bit-rotted regions, and the length prefix is bounded by maxFrameLen
-// so a corrupted length cannot trigger a giant allocation.
+// A segment is the magic "NFSEG1\n" followed by one frame
+// (internal/frame: sync marker, bounded length, CRC-32) per record,
+// whose payload is a millisecond unix timestamp (i64le) followed by
+// the record bytes.
 //
 // Records are ordered by timestamp within each shard (the spill
 // writer's contract); readers stay zero-copy — Next returns a view
@@ -45,9 +39,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"netfail/internal/frame"
 )
 
 const (
@@ -58,14 +53,8 @@ const (
 	// FormatName identifies the capture format in the manifest.
 	FormatName = "NFCAP1"
 
-	sync0, sync1 = 0xA5, 0x5A
-	// frameOverhead is sync + len + crc.
-	frameOverhead = 2 + 4 + 4
 	// tsLen is the payload's leading timestamp.
 	tsLen = 8
-	// maxFrameLen bounds a frame's payload so a corrupted length
-	// field cannot make a reader allocate gigabytes.
-	maxFrameLen = 64 << 20
 
 	// indexEvery is the sparse-index stride: one entry per this many
 	// records. 512 keeps the index ~0.004% of segment size while
@@ -82,27 +71,17 @@ const (
 	LSPIndex      = "lsps.idx"
 )
 
-// appendFrame appends one record's frame to dst, growing it as
-// needed — the append-style encoder every segment write runs through
-// one reused buffer, so a warm writer allocates nothing per record.
+// appendRecord appends one record's frame to dst — the encoder every
+// segment write runs through one reused buffer, so a warm writer
+// allocates nothing per record.
 //
 //netfail:hotpath
-func appendFrame(dst []byte, tsMs int64, rec []byte) []byte {
-	payloadLen := tsLen + len(rec)
+func appendRecord(dst []byte, tsMs int64, rec []byte) []byte {
 	start := len(dst)
-	if need := start + frameOverhead + payloadLen; cap(dst) < need {
-		grown := make([]byte, start, need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:start+frameOverhead+payloadLen]
-	dst[start] = sync0
-	dst[start+1] = sync1
-	binary.LittleEndian.PutUint32(dst[start+2:], uint32(payloadLen))
-	payload := dst[start+frameOverhead:]
-	binary.LittleEndian.PutUint64(payload, uint64(tsMs))
-	copy(payload[tsLen:], rec)
-	binary.LittleEndian.PutUint32(dst[start+6:], crc32.ChecksumIEEE(payload))
+	dst = frame.Begin(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(tsMs))
+	dst = append(dst, rec...)
+	frame.End(dst, start)
 	return dst
 }
 
@@ -159,7 +138,7 @@ func (s *segmentWriter) append(tsMs int64, rec []byte) error {
 			return fmt.Errorf("capture: index: %w", err)
 		}
 	}
-	s.frame = appendFrame(s.frame[:0], tsMs, rec)
+	s.frame = appendRecord(s.frame[:0], tsMs, rec)
 	if _, err := s.w.Write(s.frame); err != nil {
 		return fmt.Errorf("capture: segment: %w", err)
 	}

@@ -2,11 +2,14 @@ package capture
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"netfail/internal/frame"
 )
 
 // writeShard builds one healthy shard with n syslog and m LSP records
@@ -129,7 +132,7 @@ func TestSparseIndexSeek(t *testing.T) {
 	dir := writeShard(t, 3*indexEvery+17, 0)
 	seg := filepath.Join(dir, "shard-0000", SyslogSegment)
 
-	idx, err := LoadIndex(filepath.Join(dir, "shard-0000", SyslogIndex))
+	idx, _, err := LoadIndex(filepath.Join(dir, "shard-0000", SyslogIndex), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestSparseIndexSeek(t *testing.T) {
 	if e.Record != 2*indexEvery {
 		t.Fatalf("Locate landed on record %d, want %d", e.Record, 2*indexEvery)
 	}
-	sr, err := OpenSegmentAt(seg, e.Offset, e.Record)
+	sr, err := OpenSegmentAt(seg, e, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestStrictReaderFailsRecordAccurate(t *testing.T) {
 
 	// Locate record 4's frame by walking the healthy stream.
 	off := int64(len(segHeader))
-	sr, err := NewSegmentReader(bytes.NewReader(data), "walk")
+	sr, err := newSegmentReader(bytes.NewReader(data), "walk", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +204,13 @@ func TestStrictReaderFailsRecordAccurate(t *testing.T) {
 		if _, rec, err := sr.Next(); err != nil {
 			t.Fatal(err)
 		} else {
-			off += int64(frameOverhead + tsLen + len(rec))
+			off += int64(frame.Overhead + tsLen + len(rec))
 		}
 	}
 
 	// Flip a byte inside record 4's payload.
-	data[off+frameOverhead+tsLen+2] ^= 0x10
-	sr2, err := NewSegmentReader(bytes.NewReader(data), "damaged")
+	data[off+frame.Overhead+tsLen+2] ^= 0x10
+	sr2, err := newSegmentReader(bytes.NewReader(data), "damaged", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +228,7 @@ func TestStrictReaderFailsRecordAccurate(t *testing.T) {
 	}
 
 	// The lenient reader salvages everything but the damaged record.
-	lr, err := NewSegmentReaderLenient(bytes.NewReader(data), "damaged")
+	lr, err := newSegmentReader(bytes.NewReader(data), "damaged", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,21 +254,21 @@ func TestLenientReaderResyncsAfterGarbage(t *testing.T) {
 	}
 	// Find record 2's frame start and inject garbage there.
 	off := int64(len(segHeader))
-	sr, _ := NewSegmentReader(bytes.NewReader(data), "walk")
+	sr, _ := newSegmentReader(bytes.NewReader(data), "walk", false)
 	for i := 0; i < 2; i++ {
 		_, rec, err := sr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		off += int64(frameOverhead + tsLen + len(rec))
+		off += int64(frame.Overhead + tsLen + len(rec))
 	}
 	garbage := []byte("@@@ not a frame @@@")
 	spliced := append(append(append([]byte(nil), data[:off]...), garbage...), data[off:]...)
 
-	if _, err := NewSegmentReader(bytes.NewReader(spliced), "s"); err != nil {
+	if _, err := newSegmentReader(bytes.NewReader(spliced), "s", false); err != nil {
 		t.Fatal(err)
 	}
-	strict, _ := NewSegmentReader(bytes.NewReader(spliced), "s")
+	strict, _ := newSegmentReader(bytes.NewReader(spliced), "s", false)
 	n := 0
 	for {
 		_, _, err := strict.Next()
@@ -281,7 +284,7 @@ func TestLenientReaderResyncsAfterGarbage(t *testing.T) {
 		t.Fatalf("strict read %d records before failing, want 2", n)
 	}
 
-	lr, _ := NewSegmentReaderLenient(bytes.NewReader(spliced), "s")
+	lr, _ := newSegmentReader(bytes.NewReader(spliced), "s", true)
 	_, recs := readAll(t, lr)
 	if len(recs) != 6 {
 		t.Fatalf("lenient salvaged %d records, want all 6", len(recs))
@@ -303,7 +306,7 @@ func TestTruncatedFinalFrame(t *testing.T) {
 	}
 	torn := data[:len(data)-7]
 
-	strict, _ := NewSegmentReader(bytes.NewReader(torn), "torn")
+	strict, _ := newSegmentReader(bytes.NewReader(torn), "torn", false)
 	var gotErr error
 	n := 0
 	for {
@@ -318,12 +321,12 @@ func TestTruncatedFinalFrame(t *testing.T) {
 		t.Fatalf("strict kept %d records, err %v; want 4 and a truncation error", n, gotErr)
 	}
 
-	lr, _ := NewSegmentReaderLenient(bytes.NewReader(torn), "torn")
+	lr, _ := newSegmentReader(bytes.NewReader(torn), "torn", true)
 	_, recs := readAll(t, lr)
 	if len(recs) != 4 {
 		t.Fatalf("lenient kept %d records, want 4", len(recs))
 	}
-	if rep := lr.Report(); rep.Reasons["truncated final frame"] != 1 {
+	if rep := lr.Report(); rep.Reasons["truncated frame payload"] != 1 {
 		t.Errorf("salvage report: %s", rep)
 	}
 }
@@ -341,10 +344,10 @@ func TestTornIndexWrite(t *testing.T) {
 	}
 	torn := data[:len(data)-5]
 
-	if _, err := ReadIndex(bytes.NewReader(torn)); err == nil {
+	if _, _, err := ReadIndex(bytes.NewReader(torn), false); err == nil {
 		t.Fatal("strict index reader accepted a torn entry")
 	}
-	idx, rep, err := ReadIndexLenient(bytes.NewReader(torn))
+	idx, rep, err := ReadIndex(bytes.NewReader(torn), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +370,7 @@ func TestTornIndexWrite(t *testing.T) {
 }
 
 func TestLoadIndexMissingIsAdvisory(t *testing.T) {
-	if _, err := LoadIndex(filepath.Join(t.TempDir(), "nope.idx")); err != ErrNoIndex {
+	if _, _, err := LoadIndex(filepath.Join(t.TempDir(), "nope.idx"), false); err != ErrNoIndex {
 		t.Fatalf("missing index: %v, want ErrNoIndex", err)
 	}
 }
@@ -395,6 +398,77 @@ func TestManifestLenientGarbage(t *testing.T) {
 	}
 	if _, err := ReadManifest(bytes.NewReader([]byte(`{"format":"WRONG","shards":[]}`))); err == nil {
 		t.Error("wrong format tag should fail")
+	}
+}
+
+// TestLengthFlipCostsOneRecord is the segment's row of
+// internal/frame's damage table. At the parent a flipped length bit
+// made the reader trust the length: 567 of these 1,000 records kept,
+// two skips reported.
+func TestLengthFlipCostsOneRecord(t *testing.T) {
+	data := corpusSegment(1000)
+	frameLen := len(appendRecord(nil, 0, []byte("record payload bytes")))
+	data[len(segHeader)+9*frameLen+3] ^= 0x40 // record 10, bit 14 of len
+	lr, err := newSegmentReader(bytes.NewReader(data), "flip", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := readAll(t, lr)
+	if rep := lr.Report(); len(ts) != 999 || rep.Skipped != 1 || ts[9] != 1010 {
+		t.Errorf("kept %d records (%s), want 999 with record 10 the one lost", len(ts), rep)
+	}
+}
+
+// TestGoldenBytes pins the NFSEG1 and NFIDX1 formats to bytes written
+// at the commit before internal/frame existed: today's writer must
+// produce them and today's reader must decode them.
+func TestGoldenBytes(t *testing.T) {
+	wantSeg, _ := hex.DecodeString("4e46534547310a" +
+		"a55a1000000018043034" + "e803000000000000" + "6c696e65206f6e65" +
+		"a55a08000000befb55c8" + "e903000000000000" +
+		"a55a0b0000002469509f" + "fbffffffffffffff" + "a55aff")
+	wantIdx, _ := hex.DecodeString("4e46494458310a" + "e803000000000000" + "0700000000000000" + "00000000")
+	ts := []int64{1000, 1001, -5}
+	recs := [][]byte{[]byte("line one"), nil, {0xA5, 0x5A, 0xFF}}
+
+	dir := t.TempDir()
+	sw, err := newSegmentWriter(dir, "a.seg", "a.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ts {
+		if err := sw.append(ts[i], recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "a.seg")); err != nil || !bytes.Equal(got, wantSeg) {
+		t.Errorf("segment bytes\n got %x\nwant %x (%v)", got, wantSeg, err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "a.idx")); err != nil || !bytes.Equal(got, wantIdx) {
+		t.Errorf("index bytes\n got %x\nwant %x (%v)", got, wantIdx, err)
+	}
+
+	for _, lenient := range []bool{false, true} {
+		sr, err := newSegmentReader(bytes.NewReader(wantSeg), "golden", lenient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTs, gotRecs := readAll(t, sr)
+		if rep := sr.Report(); !rep.Clean() || rep.Kept != 3 || len(gotTs) != 3 {
+			t.Fatalf("lenient=%v: %d records, %s", lenient, len(gotTs), rep)
+		}
+		for i := range ts {
+			if gotTs[i] != ts[i] || !bytes.Equal(gotRecs[i], recs[i]) {
+				t.Errorf("lenient=%v: record %d = %d %q", lenient, i, gotTs[i], gotRecs[i])
+			}
+		}
+		idx, rep, err := ReadIndex(bytes.NewReader(wantIdx), lenient)
+		if err != nil || !rep.Clean() || len(idx) != 1 || idx[0] != (IndexEntry{TsMs: 1000, Offset: 7}) {
+			t.Errorf("lenient=%v: index %+v, %s, %v", lenient, idx, rep, err)
+		}
 	}
 }
 
@@ -435,7 +509,7 @@ func BenchmarkSegmentAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	rec := bytes.Repeat([]byte{0x42}, 120)
-	b.SetBytes(int64(frameOverhead + tsLen + len(rec)))
+	b.SetBytes(int64(frame.Overhead + tsLen + len(rec)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -453,18 +527,18 @@ func BenchmarkSegmentRead(b *testing.B) {
 	var buf bytes.Buffer
 	buf.WriteString(segHeader)
 	rec := bytes.Repeat([]byte{0x42}, 120)
-	var frame []byte
+	var fb []byte
 	const n = 4096
 	for i := 0; i < n; i++ {
-		frame = appendFrame(frame[:0], int64(i), rec)
-		buf.Write(frame)
+		fb = appendRecord(fb[:0], int64(i), rec)
+		buf.Write(fb)
 	}
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := NewSegmentReader(bytes.NewReader(data), "bench")
+		sr, err := newSegmentReader(bytes.NewReader(data), "bench", false)
 		if err != nil {
 			b.Fatal(err)
 		}

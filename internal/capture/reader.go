@@ -5,96 +5,67 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"netfail/internal/frame"
 	"netfail/internal/salvage"
 )
 
-// SegmentReader streams one segment's frames. Next returns each
-// record's timestamp and bytes; the byte slice is a view into a
-// reused internal buffer, valid only until the next call — consumers
+// SegmentReader streams one segment's records. Next returns each
+// record's timestamp and bytes; the byte slice is a view into the
+// frame reader's window, valid only until the next call — consumers
 // (the syslog Tokenizer, the LSP decoder) copy or intern everything
 // they retain, which is what keeps the read path zero-copy.
 //
-// The strict reader (OpenSegment / NewSegmentReader) aborts on the
-// first damaged frame with a record- and offset-accurate error. The
-// lenient reader (OpenSegmentLenient / NewSegmentReaderLenient) skips
-// damaged regions — resynchronizing on the next sync marker — and
-// accounts every skip in its salvage report instead of aborting.
+// A strict reader aborts on the first damaged frame with a record- and
+// offset-accurate error; a lenient one skips damaged regions and
+// accounts every skip in its salvage report (see internal/frame).
 type SegmentReader struct {
-	br      *bufio.Reader
-	c       io.Closer
-	name    string
-	buf     []byte
-	record  int64 // records returned so far
-	off     int64 // byte offset of the next unconsumed byte
-	lenient bool
-	rep     *salvage.Report
+	fr *frame.Reader
+	c  io.Closer
 }
 
-// NewSegmentReader wraps r as a strict frame stream. name labels
-// errors (typically the file path).
-func NewSegmentReader(r io.Reader, name string) (*SegmentReader, error) {
-	return newSegmentReader(r, name, false)
-}
-
-// NewSegmentReaderLenient wraps r as a lenient frame stream; the
-// salvage accounting accumulates in Report.
-func NewSegmentReaderLenient(r io.Reader, name string) (*SegmentReader, error) {
-	return newSegmentReader(r, name, true)
-}
-
+// newSegmentReader wraps r, positioned at the segment magic, as a
+// frame stream. name labels errors (typically the file path).
 func newSegmentReader(r io.Reader, name string, lenient bool) (*SegmentReader, error) {
-	sr := &SegmentReader{
-		br:      bufio.NewReaderSize(r, 256<<10),
-		name:    name,
-		lenient: lenient,
-		rep:     &salvage.Report{},
+	sr := &SegmentReader{fr: frame.NewReader(r, name, tsLen, lenient, nil)}
+	if err := sr.fr.Header(segHeader); err != nil {
+		return nil, fmt.Errorf("capture: %w", err)
 	}
-	hdr := make([]byte, len(segHeader))
-	if _, err := io.ReadFull(sr.br, hdr); err != nil || string(hdr) != segHeader {
-		if lenient {
-			// A missing header means this is not (or no longer) a
-			// segment; salvage nothing rather than misparse garbage.
-			sr.rep.Skip(1, "bad segment header")
-			sr.br = bufio.NewReader(bytes0)
-			return sr, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("capture: %s: bad segment header: %v", name, err)
-		}
-		return nil, fmt.Errorf("capture: %s: bad segment header", name)
-	}
-	sr.off = int64(len(segHeader))
 	return sr, nil
 }
 
-// bytes0 is the empty stream a lenient reader degrades to when the
-// header itself is damaged.
-var bytes0 = emptyReader{}
-
-type emptyReader struct{}
-
-func (emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
-
-// OpenSegment opens path as a strict frame stream.
+// OpenSegment opens path as a strict frame stream from its first
+// record: OpenSegmentAt(path, IndexEntry{}, false).
 func OpenSegment(path string) (*SegmentReader, error) {
-	return openSegment(path, false)
+	return OpenSegmentAt(path, IndexEntry{}, false)
 }
 
-// OpenSegmentLenient opens path as a lenient frame stream.
-func OpenSegmentLenient(path string) (*SegmentReader, error) {
-	return openSegment(path, true)
-}
-
-func openSegment(path string, lenient bool) (*SegmentReader, error) {
+// OpenSegmentAt opens path at a frame boundary taken from the
+// segment's sparse index and reads from that record to the end; the
+// zero IndexEntry is the start of the segment, behind its verified
+// magic. Lenient, an entry pointing into a damaged region simply
+// resynchronizes on the next intact frame.
+func OpenSegmentAt(path string, e IndexEntry, lenient bool) (*SegmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	sr, err := newSegmentReader(f, path, lenient)
+	var sr *SegmentReader
+	switch {
+	case e == IndexEntry{}:
+		sr, err = newSegmentReader(f, path, lenient)
+	case e.Offset < int64(len(segHeader)):
+		err = fmt.Errorf("capture: %s: seek offset %d inside header", path, e.Offset)
+	default:
+		if _, err = f.Seek(e.Offset, io.SeekStart); err != nil {
+			err = fmt.Errorf("capture: %s: %w", path, err)
+			break
+		}
+		sr = &SegmentReader{fr: frame.NewReader(f, path, tsLen, lenient, nil)}
+		sr.fr.StartAt(e.Offset, e.Record)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -103,53 +74,9 @@ func openSegment(path string, lenient bool) (*SegmentReader, error) {
 	return sr, nil
 }
 
-// OpenSegmentAt opens path and positions the reader at a frame
-// boundary previously obtained from the segment's sparse index:
-// offset is the frame's byte offset, record its ordinal. Reading
-// proceeds from that record to the end of the segment.
-func OpenSegmentAt(path string, offset int64, record int64) (*SegmentReader, error) {
-	return openSegmentAt(path, offset, record, false)
-}
-
-// OpenSegmentAtLenient is OpenSegmentAt in salvage mode: damage after
-// the seek point is skipped and accounted instead of aborting. An
-// index entry pointing into a damaged region simply resynchronizes on
-// the next sync marker.
-func OpenSegmentAtLenient(path string, offset int64, record int64) (*SegmentReader, error) {
-	return openSegmentAt(path, offset, record, true)
-}
-
-func openSegmentAt(path string, offset int64, record int64, lenient bool) (*SegmentReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("capture: %w", err)
-	}
-	if offset < int64(len(segHeader)) {
-		f.Close()
-		return nil, fmt.Errorf("capture: %s: seek offset %d inside header", path, offset)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("capture: %s: %w", path, err)
-	}
-	sr := &SegmentReader{
-		br:      bufio.NewReaderSize(f, 256<<10),
-		c:       f,
-		name:    path,
-		off:     offset,
-		record:  record,
-		lenient: lenient,
-		rep:     &salvage.Report{},
-	}
-	return sr, nil
-}
-
-// Report returns the lenient reader's salvage accounting (empty and
-// clean for a strict reader that has not errored).
-func (sr *SegmentReader) Report() *salvage.Report { return sr.rep }
-
-// Records returns how many records Next has returned so far.
-func (sr *SegmentReader) Records() int64 { return sr.record }
+// Report returns the reader's salvage accounting: records kept, and
+// for a lenient reader the damaged regions skipped.
+func (sr *SegmentReader) Report() *salvage.Report { return sr.fr.Report() }
 
 // Close closes the underlying file when the reader owns one.
 func (sr *SegmentReader) Close() error {
@@ -160,119 +87,18 @@ func (sr *SegmentReader) Close() error {
 }
 
 // Next returns the next record. At the end of the segment it returns
-// io.EOF. The returned slice aliases the reader's internal buffer.
+// io.EOF. The returned slice aliases the reader's window.
 //
 //netfail:hotpath
 func (sr *SegmentReader) Next() (tsMs int64, rec []byte, err error) {
-	for {
-		frameStart := sr.off
-		hdr, err := sr.br.Peek(frameOverhead)
-		if len(hdr) == 0 && err != nil {
-			return 0, nil, io.EOF
-		}
-		if len(hdr) < frameOverhead {
-			if sr.lenient {
-				sr.rep.Skip(int(sr.record+1), "truncated final frame")
-				sr.discard(len(hdr))
-				return 0, nil, io.EOF
-			}
-			return 0, nil, sr.corrupt(frameStart, "truncated frame header")
-		}
-		if hdr[0] != sync0 || hdr[1] != sync1 {
-			if sr.lenient {
-				sr.resync("bad sync marker")
-				continue
-			}
-			return 0, nil, sr.corrupt(frameStart, "bad sync marker")
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(hdr[2:]))
-		if payloadLen < tsLen || payloadLen > maxFrameLen {
-			if sr.lenient {
-				sr.resync("implausible frame length")
-				continue
-			}
-			return 0, nil, sr.corrupt(frameStart, "implausible frame length")
-		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[6:])
-		sr.discard(frameOverhead)
-		if cap(sr.buf) < payloadLen {
-			sr.buf = make([]byte, payloadLen)
-		}
-		payload := sr.buf[:payloadLen]
-		n, rerr := readFull(sr.br, payload)
-		sr.off += int64(n)
-		if rerr != nil {
-			if sr.lenient {
-				sr.rep.Skip(int(sr.record+1), "truncated final frame")
-				return 0, nil, io.EOF
-			}
-			return 0, nil, sr.corrupt(frameStart, "truncated frame payload")
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			if sr.lenient {
-				// The frame boundary itself was intact (sync and
-				// length checked out), so the stream stays aligned;
-				// skip just this record.
-				sr.rep.Skip(int(sr.record+1), "crc mismatch")
-				continue
-			}
-			return 0, nil, sr.corrupt(frameStart, "crc mismatch")
-		}
-		sr.record++
-		sr.rep.Kept++
-		return int64(binary.LittleEndian.Uint64(payload)), payload[tsLen:], nil
+	payload, err := sr.fr.Next()
+	if err == io.EOF {
+		return 0, nil, io.EOF
 	}
-}
-
-// readFull is io.ReadFull over the concrete *bufio.Reader, keeping
-// the per-record read free of the io.Reader boxing.
-//
-//netfail:hotpath
-func readFull(br *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := br.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
+	if err != nil {
+		return 0, nil, fmt.Errorf("capture: %w", err)
 	}
-	return n, nil
-}
-
-// corrupt builds the strict reader's record- and offset-accurate
-// error: the record ordinal is the one that failed (1-based), the
-// offset is where its frame starts.
-func (sr *SegmentReader) corrupt(frameStart int64, reason string) error {
-	return fmt.Errorf("capture: %s: record %d at offset %d: %s", sr.name, sr.record+1, frameStart, reason)
-}
-
-// resync accounts a damaged region and scans forward for the next
-// sync marker so the lenient reader can realign. The skipped bytes —
-// however many — count as one skipped record.
-func (sr *SegmentReader) resync(reason string) {
-	sr.rep.Skip(int(sr.record+1), reason)
-	// Move off the current (bad) position first.
-	sr.discard(1)
-	for {
-		win, err := sr.br.Peek(2)
-		if len(win) < 2 {
-			// Ran off the end while scanning; drain what's left.
-			sr.discard(len(win))
-			return
-		}
-		_ = err
-		if win[0] == sync0 && win[1] == sync1 {
-			return
-		}
-		sr.discard(1)
-	}
-}
-
-// discard consumes n buffered bytes, tracking the offset.
-func (sr *SegmentReader) discard(n int) {
-	d, _ := sr.br.Discard(n)
-	sr.off += int64(d)
+	return int64(binary.LittleEndian.Uint64(payload)), payload[tsLen:], nil
 }
 
 // IndexEntry is one sparse-index record: the timestamp, byte offset,
@@ -283,27 +109,17 @@ type IndexEntry struct {
 	Record int64
 }
 
-// ReadIndex parses a sparse index strictly.
-func ReadIndex(r io.Reader) ([]IndexEntry, error) {
-	out, _, err := readIndex(r, true)
-	return out, err
-}
-
-// ReadIndexLenient parses a sparse index in salvage mode: a torn
-// trailing entry (the crash-mid-write case) or a damaged header is
-// accounted and skipped. Entries after the first damage are dropped —
-// a sparse index is advisory, and the segment remains fully readable
-// without it.
-func ReadIndexLenient(r io.Reader) ([]IndexEntry, *salvage.Report, error) {
-	return readIndex(r, false)
-}
-
-func readIndex(r io.Reader, strict bool) ([]IndexEntry, *salvage.Report, error) {
+// ReadIndex parses a sparse index. Strict, any damage is an error;
+// lenient, a torn trailing entry (the crash-mid-write case) or a
+// damaged header is accounted and skipped, and entries after the first
+// damage are dropped — a sparse index is advisory, and the segment
+// remains fully readable without it.
+func ReadIndex(r io.Reader, lenient bool) ([]IndexEntry, *salvage.Report, error) {
 	rep := &salvage.Report{}
 	br := bufio.NewReader(r)
 	hdr := make([]byte, len(idxHeader))
 	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != idxHeader {
-		if strict {
+		if !lenient {
 			return nil, nil, fmt.Errorf("capture: index: bad header")
 		}
 		rep.Skip(1, "bad index header")
@@ -318,7 +134,7 @@ func readIndex(r io.Reader, strict bool) ([]IndexEntry, *salvage.Report, error) 
 			return out, rep, nil
 		}
 		if err != nil {
-			if strict {
+			if !lenient {
 				return nil, nil, fmt.Errorf("capture: index: entry %d: torn entry (%d of %d bytes)", len(out)+1, n, idxEntryLen)
 			}
 			rep.Skip(len(out)+1, "torn index entry")
@@ -333,7 +149,7 @@ func readIndex(r io.Reader, strict bool) ([]IndexEntry, *salvage.Report, error) 
 		// violation means the index bytes are rotten even though the
 		// entry length worked out.
 		if e.Record <= prevRecord || e.Offset < int64(len(segHeader)) {
-			if strict {
+			if !lenient {
 				return nil, nil, fmt.Errorf("capture: index: entry %d: implausible entry (record %d, offset %d)", len(out)+1, e.Record, e.Offset)
 			}
 			rep.Skip(len(out)+1, "implausible index entry")
@@ -370,14 +186,14 @@ var ErrNoIndex = errors.New("capture: no index")
 
 // LoadIndex reads a segment's index file, mapping a missing file to
 // ErrNoIndex (the index is advisory; the segment alone is complete).
-func LoadIndex(path string) ([]IndexEntry, error) {
+func LoadIndex(path string, lenient bool) ([]IndexEntry, *salvage.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, ErrNoIndex
+			return nil, nil, ErrNoIndex
 		}
-		return nil, fmt.Errorf("capture: %w", err)
+		return nil, nil, fmt.Errorf("capture: %w", err)
 	}
 	defer f.Close()
-	return ReadIndex(f)
+	return ReadIndex(f, lenient)
 }

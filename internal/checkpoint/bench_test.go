@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"fmt"
 	"testing"
+
+	"netfail/internal/frame"
 )
 
 // BenchmarkAppend measures the kernel-durable append path — the
@@ -14,7 +16,7 @@ func BenchmarkAppend(b *testing.B) {
 	}
 	defer st.Close()
 	data := []byte("benchmark record payload: sixty-four bytes of syslog-ish text..")
-	b.SetBytes(int64(len(data) + frameOverhead + 8))
+	b.SetBytes(int64(len(data) + frame.Overhead + seqLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Append(data); err != nil {

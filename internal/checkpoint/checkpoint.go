@@ -20,19 +20,16 @@
 //     so the crash window between "snapshot renamed" and "old WAL
 //     deleted" double-counts nothing.
 //
-// Frames are self-checking (sync marker, length prefix, CRC-32 over
-// the payload), and the reader comes in the repo's usual strict /
-// lenient pair: strict recovery errors record-accurately on the first
-// damaged frame, lenient recovery salvages every decodable frame and
-// accounts the rest in a salvage.Report — the same machinery the
-// line-oriented capture readers use.
+// Records are framed by internal/frame (sync marker, length prefix,
+// CRC-32 over the payload): strict recovery errors record- and
+// offset-accurately on the first damaged frame, lenient recovery
+// salvages every frame that validates and accounts the rest in a
+// salvage.Report.
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,25 +37,16 @@ import (
 	"strconv"
 	"strings"
 
+	"netfail/internal/frame"
 	"netfail/internal/salvage"
 )
 
-// On-disk format constants. Frame layout, after the per-file header:
-//
-//	sync[2] = A5 5A | len u32le | crc u32le | payload[len]
-//	payload = seq u64le | data
-//
-// crc is CRC-32 (IEEE) over the payload. len covers the payload only.
+// On-disk format: the file magic, then one frame (internal/frame) per
+// record whose payload is seq u64le | data.
 const (
 	walHeader  = "NFWAL1\n"
 	snapHeader = "NFSNAP1\n"
-
-	sync0, sync1  = 0xA5, 0x5A
-	frameOverhead = 2 + 4 + 4
-
-	// maxFrameLen guards the reader against a corrupt length prefix
-	// demanding a multi-gigabyte allocation.
-	maxFrameLen = 64 << 20
+	seqLen     = 8
 )
 
 // A Record is one durably logged payload with its sequence number.
@@ -141,7 +129,7 @@ func Open(dir string, opts ...Option) (*Store, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	rec, err := recoverDir(dir, o.strict)
+	rec, err := recoverDir(dir, !o.strict)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,7 +173,7 @@ func (s *Store) Append(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("checkpoint: store is closed")
 	}
 	seq := s.seq + 1
-	s.frameBuf = appendFrame(s.frameBuf[:0], seq, data)
+	s.frameBuf = appendRecord(s.frameBuf[:0], seq, data)
 	if _, err := s.wal.Write(s.frameBuf); err != nil {
 		return 0, fmt.Errorf("checkpoint: append seq %d: %w", seq, err)
 	}
@@ -308,27 +296,17 @@ func syncDir(dir string) error {
 	return err
 }
 
-// appendFrame appends one record's on-disk frame to dst, growing it
-// as needed — the append-style encoder both the WAL and the snapshot
-// writer run through one reused buffer.
+// appendRecord appends one record's frame to dst — the encoder both
+// the WAL and the snapshot writer run through one reused buffer.
 //
 //netfail:hotpath
-func appendFrame(dst []byte, seq uint64, data []byte) []byte {
-	payloadLen := 8 + len(data)
+func appendRecord(dst []byte, seq uint64, data []byte) []byte {
 	start := len(dst)
-	if need := start + frameOverhead + payloadLen; cap(dst) < need {
-		grown := make([]byte, start, need)
-		copy(grown, dst)
-		dst = grown
-	}
-	buf := dst[start : start+frameOverhead+payloadLen]
-	buf[0], buf[1] = sync0, sync1
-	binary.LittleEndian.PutUint32(buf[2:], uint32(payloadLen))
-	payload := buf[frameOverhead:]
-	binary.LittleEndian.PutUint64(payload, seq)
-	copy(payload[8:], data)
-	binary.LittleEndian.PutUint32(buf[6:], crc32.ChecksumIEEE(payload))
-	return dst[:start+frameOverhead+payloadLen]
+	dst = frame.Begin(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, data...)
+	frame.End(dst, start)
+	return dst
 }
 
 // writeSnapshot writes the snapshot stream: header, a meta frame
@@ -340,12 +318,12 @@ func writeSnapshot(w io.Writer, covered uint64, records []Record) error {
 	}
 	var count [8]byte
 	binary.LittleEndian.PutUint64(count[:], uint64(len(records)))
-	buf := appendFrame(nil, covered, count[:])
+	buf := appendRecord(nil, covered, count[:])
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	for _, r := range records {
-		buf = appendFrame(buf[:0], r.Seq, r.Data)
+		buf = appendRecord(buf[:0], r.Seq, r.Data)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -396,7 +374,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // recoverDir reconstructs the durable history: newest intact
 // snapshot, then WAL replay of later sequences.
-func recoverDir(dir string, strict bool) (*Recovery, error) {
+func recoverDir(dir string, lenient bool) (*Recovery, error) {
 	snaps, wals, err := scanDir(dir)
 	if err != nil {
 		return nil, err
@@ -408,7 +386,7 @@ func recoverDir(dir string, strict bool) (*Recovery, error) {
 	for _, sn := range snaps {
 		records, covered, err := readSnapshot(sn.path)
 		if err != nil {
-			if strict {
+			if !lenient {
 				return nil, err
 			}
 			rec.Report.Skip(0, fmt.Sprintf("damaged snapshot %s", filepath.Base(sn.path)))
@@ -425,7 +403,7 @@ func recoverDir(dir string, strict bool) (*Recovery, error) {
 	// deduplicate here).
 	last := rec.LastSeq()
 	for _, w := range wals {
-		records, err := readWALFile(w.path, strict, rec.Report)
+		records, err := readFile(w.path, walHeader, lenient, rec.Report)
 		if err != nil {
 			return nil, err
 		}
@@ -448,18 +426,11 @@ func recoverDir(dir string, strict bool) (*Recovery, error) {
 // unforgivable outcome, so there is deliberately no salvaging inside
 // a snapshot.
 func readSnapshot(path string) ([]Record, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	name := filepath.Base(path)
-	if !bytes.HasPrefix(data, []byte(snapHeader)) {
-		return nil, 0, fmt.Errorf("checkpoint: %s: bad header", name)
-	}
-	frames, err := decodeFramesStrict(data[len(snapHeader):], name)
+	frames, err := readFile(path, snapHeader, false, nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	name := filepath.Base(path)
 	if len(frames) == 0 {
 		return nil, 0, fmt.Errorf("checkpoint: %s: missing meta frame", name)
 	}
@@ -475,148 +446,37 @@ func readSnapshot(path string) ([]Record, uint64, error) {
 	return records, meta.Seq, nil
 }
 
-// readWALFile loads one WAL segment. Strict mode errors on the first
-// damaged frame; lenient mode salvages and accounts into rep.
-func readWALFile(path string, strict bool, rep *salvage.Report) ([]Record, error) {
+// readFile loads every record of one WAL segment or snapshot file,
+// errors labelled with the file's name.
+func readFile(path, magic string, lenient bool, rep *salvage.Report) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	defer f.Close()
-	if strict {
-		return ReadWAL(f)
-	}
-	records, frep, err := ReadWALLenient(f)
-	if err != nil {
-		return nil, err
-	}
-	mergeReport(rep, frep)
-	return records, nil
+	return readRecords(f, filepath.Base(path), magic, lenient, rep)
 }
 
-// ReadWAL parses one WAL segment stream strictly: the first damaged
-// frame aborts with a record- and offset-accurate error. It is the
-// strict half of the reader pair; ReadWALLenient is the salvage half.
-func ReadWAL(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+// readRecords parses one record stream behind its magic. Strict, the
+// first damaged frame aborts with a record- and offset-accurate error;
+// lenient, damage is skipped and accounted in rep (see internal/frame).
+func readRecords(r io.Reader, name, magic string, lenient bool, rep *salvage.Report) ([]Record, error) {
+	fr := frame.NewReader(r, name, seqLen, lenient, rep)
+	if err := fr.Header(magic); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if !bytes.HasPrefix(data, []byte(walHeader)) {
-		return nil, fmt.Errorf("checkpoint: WAL: bad header")
-	}
-	return decodeFramesStrict(data[len(walHeader):], "WAL")
-}
-
-// ReadWALLenient parses one WAL segment stream in salvage mode:
-// damaged frames are skipped — the reader resynchronizes on the next
-// sync marker — and accounted in the report instead of aborting.
-func ReadWALLenient(r io.Reader) ([]Record, *salvage.Report, error) {
-	rep := &salvage.Report{}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if !bytes.HasPrefix(data, []byte(walHeader)) {
-		rep.Skip(0, "bad WAL header")
-		return nil, rep, nil
-	}
-	records := decodeFramesLenient(data[len(walHeader):], rep)
-	return records, rep, nil
-}
-
-// decodeFramesStrict walks the frame stream, aborting on the first
-// damaged frame with a record- and offset-accurate error.
-func decodeFramesStrict(data []byte, name string) ([]Record, error) {
 	var out []Record
-	off, frameNo := 0, 0
-	for off < len(data) {
-		frameNo++
-		rec, n, reason := decodeFrame(data[off:])
-		if reason != "" {
-			return nil, fmt.Errorf("checkpoint: %s: record %d at offset %d: %s", name, frameNo, off, reason)
+	for {
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return out, nil
 		}
-		out = append(out, rec)
-		off += n
-	}
-	return out, nil
-}
-
-// decodeFramesLenient walks the frame stream, resynchronizing on the
-// next sync marker after each damaged frame and accounting the skip.
-func decodeFramesLenient(data []byte, rep *salvage.Report) []Record {
-	var out []Record
-	off, frameNo := 0, 0
-	for off < len(data) {
-		frameNo++
-		rec, n, reason := decodeFrame(data[off:])
-		if reason == "" {
-			out = append(out, rec)
-			rep.Kept++
-			off += n
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		rep.Skip(frameNo, reason)
-		// Resynchronize: scan past this offset for the next sync
-		// marker that opens a decodable frame.
-		next := resync(data, off+1)
-		if next < 0 {
-			break
-		}
-		off = next
-	}
-	return out
-}
-
-// decodeFrame decodes one frame at the head of data, returning the
-// consumed byte count, or a non-empty reason on damage.
-func decodeFrame(data []byte) (rec Record, n int, reason string) {
-	if len(data) < frameOverhead {
-		return Record{}, 0, "torn frame header"
-	}
-	if data[0] != sync0 || data[1] != sync1 {
-		return Record{}, 0, "bad sync marker"
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(data[2:]))
-	if payloadLen < 8 || payloadLen > maxFrameLen {
-		return Record{}, 0, "bad length prefix"
-	}
-	if len(data) < frameOverhead+payloadLen {
-		return Record{}, 0, "torn frame payload"
-	}
-	payload := data[frameOverhead : frameOverhead+payloadLen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[6:]) {
-		return Record{}, 0, "crc mismatch"
-	}
-	return Record{
-		Seq:  binary.LittleEndian.Uint64(payload),
-		Data: append([]byte(nil), payload[8:]...),
-	}, frameOverhead + payloadLen, ""
-}
-
-// resync returns the offset of the next decodable frame at or after
-// from, or -1.
-func resync(data []byte, from int) int {
-	for i := from; i+1 < len(data); i++ {
-		if data[i] != sync0 || data[i+1] != sync1 {
-			continue
-		}
-		if _, _, reason := decodeFrame(data[i:]); reason == "" {
-			return i
-		}
-	}
-	return -1
-}
-
-// mergeReport folds src into dst, preserving line attribution.
-func mergeReport(dst, src *salvage.Report) {
-	dst.Kept += src.Kept
-	for reason, n := range src.Reasons {
-		for i := 0; i < n; i++ {
-			dst.Skip(src.FirstBad, reason)
-		}
-	}
-	if src.LastBad > dst.LastBad {
-		dst.LastBad = src.LastBad
+		out = append(out, Record{
+			Seq:  binary.LittleEndian.Uint64(payload),
+			Data: append([]byte(nil), payload[seqLen:]...),
+		})
 	}
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"netfail/internal/faultinject"
+	"netfail/internal/frame"
+	"netfail/internal/salvage"
 )
 
 // appendN appends records "rec-1".."rec-n" and returns the sequences.
@@ -280,12 +283,12 @@ func TestTornWALTailIsSalvagedLeniently(t *testing.T) {
 	if rec.Report.Clean() || rec.Report.Skipped != 1 {
 		t.Errorf("torn tail accounting: %s, want 1 skip", rec.Report)
 	}
-	if rec.Report.Reasons["torn frame payload"] != 1 {
-		t.Errorf("skip reasons = %v, want torn frame payload", rec.Report.Reasons)
+	if rec.Report.Reasons["truncated frame payload"] != 1 {
+		t.Errorf("skip reasons = %v, want truncated frame payload", rec.Report.Reasons)
 	}
 
 	// Strict recovery must refuse the same directory.
-	if _, _, err := Open(dir, Strict()); err == nil || !strings.Contains(err.Error(), "torn frame payload") {
+	if _, _, err := Open(dir, Strict()); err == nil || !strings.Contains(err.Error(), "truncated frame payload") {
 		t.Errorf("strict recovery of torn tail: %v", err)
 	}
 }
@@ -311,8 +314,8 @@ func TestMidSegmentCorruptionResynchronizes(t *testing.T) {
 	// Flip one payload byte of record 3: its CRC fails, records 4 and 5
 	// must still be found via resync. Frames here are fixed-size
 	// (5-byte "rec-N" payloads), so locate frame 3 arithmetically.
-	frameLen := frameOverhead + 8 + len("rec-1")
-	off := len(walHeader) + 2*frameLen + frameOverhead + 8 // third frame's data bytes
+	frameLen := frame.Overhead + seqLen + len("rec-1")
+	off := len(walHeader) + 2*frameLen + frame.Overhead + seqLen // third frame's data bytes
 	data[off] ^= 0xFF
 	if err := os.WriteFile(wals[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -336,31 +339,109 @@ func TestMidSegmentCorruptionResynchronizes(t *testing.T) {
 	}
 }
 
+// TestStrictReaderErrorsRecordAccurately pins the strict error shape:
+// the failing record's ordinal and its frame's absolute file offset
+// (header included), the number an operator gives to xxd -s.
 func TestStrictReaderErrorsRecordAccurately(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(walHeader)
-	buf.Write(appendFrame(nil, 1, []byte("alpha")))
-	buf.Write(appendFrame(nil, 2, []byte("beta")))
-	frame3 := appendFrame(nil, 3, []byte("gamma"))
+	buf.Write(appendRecord(nil, 1, []byte("alpha")))
+	buf.Write(appendRecord(nil, 2, []byte("beta")))
+	frame3 := appendRecord(nil, 3, []byte("gamma"))
 	frame3[len(frame3)-1] ^= 0xFF // corrupt record 3's payload
-	offset3 := buf.Len() - len(walHeader)
+	offset3 := buf.Len()
 	buf.Write(frame3)
 
-	_, err := ReadWAL(bytes.NewReader(buf.Bytes()))
-	if err == nil {
-		t.Fatal("strict reader accepted a corrupt frame")
-	}
-	want := fmt.Sprintf("record 3 at offset %d: crc mismatch", offset3)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q, want it to contain %q", err, want)
+	_, err := readRecords(bytes.NewReader(buf.Bytes()), "wal-1.log", walHeader, false, nil)
+	want := fmt.Sprintf("checkpoint: wal-1.log: record 3 at offset %d: crc mismatch", offset3)
+	if err == nil || err.Error() != want {
+		t.Errorf("strict error %v, want %q", err, want)
 	}
 
-	records, rep, err := ReadWALLenient(bytes.NewReader(buf.Bytes()))
+	rep := &salvage.Report{}
+	records, err := readRecords(bytes.NewReader(buf.Bytes()), "wal-1.log", walHeader, true, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(records) != 2 || rep.Kept != 2 || rep.Skipped != 1 {
 		t.Errorf("lenient: %d records, %s", len(records), rep)
+	}
+}
+
+// TestLengthFlipCostsOneRecord is the WAL's row of internal/frame's
+// damage table: a flipped length bit loses the record it sits in and
+// nothing after it.
+func TestLengthFlipCostsOneRecord(t *testing.T) {
+	data := corpusWAL(50)
+	frameLen := len(appendRecord(nil, 1, []byte("payload-1")))
+	data[len(walHeader)+9*frameLen+3] ^= 0x40 // record 10, bit 14 of len
+	rep := &salvage.Report{}
+	records, err := readRecords(bytes.NewReader(data), "WAL", walHeader, true, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 49 || rep.Skipped != 1 || records[9].Seq != 11 {
+		t.Errorf("kept %d records (%s), want 49 with seq 10 the one lost", len(records), rep)
+	}
+}
+
+// TestGoldenBytes pins the NFWAL1 and NFSNAP1 formats to bytes written
+// at the commit before internal/frame existed: today's writer must
+// produce them and today's reader must decode them.
+func TestGoldenBytes(t *testing.T) {
+	const (
+		wal = "4e4657414c310a" +
+			"a55a0d000000705120c4" + "0100000000000000" + "616c706861" +
+			"a55a0800000014d80727" + "0200000000000000" +
+			"a55a0b00000035128040" + "0300000000000000" + "a55aff"
+		snapMeta = "4e46534e4150310a" +
+			"a55a1000000044f8fc4b" + "0300000000000000" + "0300000000000000"
+	)
+	records := []Record{{1, []byte("alpha")}, {2, nil}, {3, []byte{0xA5, 0x5A, 0xFF}}}
+	wantWAL, _ := hex.DecodeString(wal)
+	wantSnap, _ := hex.DecodeString(snapMeta + wal[len("4e4657414c310a"):])
+
+	dir := t.TempDir()
+	s, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if _, err := s.Append(r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
+	if err != nil || !bytes.Equal(got, wantWAL) {
+		t.Errorf("WAL bytes\n got %x\nwant %x (%v)", got, wantWAL, err)
+	}
+	var snap bytes.Buffer
+	if err := writeSnapshot(&snap, 3, records); err != nil || !bytes.Equal(snap.Bytes(), wantSnap) {
+		t.Errorf("snapshot bytes\n got %x\nwant %x (%v)", snap.Bytes(), wantSnap, err)
+	}
+
+	for _, lenient := range []bool{false, true} {
+		rep := &salvage.Report{}
+		back, err := readRecords(bytes.NewReader(wantWAL), "WAL", walHeader, lenient, rep)
+		if err != nil || !rep.Clean() || len(back) != len(records) {
+			t.Fatalf("lenient=%v: %d records, %s, %v", lenient, len(back), rep, err)
+		}
+		for i, r := range back {
+			if r.Seq != records[i].Seq || !bytes.Equal(r.Data, records[i].Data) {
+				t.Errorf("lenient=%v: record %d = %+v", lenient, i, r)
+			}
+		}
+	}
+	path := filepath.Join(dir, "snap-0000000000000003.ckpt")
+	if err := os.WriteFile(path, wantSnap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, covered, err := readSnapshot(path)
+	if err != nil || covered != 3 || len(back) != 3 || string(back[0].Data) != "alpha" {
+		t.Errorf("snapshot read back %d records, covered %d, %v", len(back), covered, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netfail/internal/faultinject"
+	"netfail/internal/salvage"
 )
 
 // corpusWAL builds a healthy WAL stream of n records.
@@ -13,23 +14,18 @@ func corpusWAL(n int) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(walHeader)
 	for i := 1; i <= n; i++ {
-		buf.Write(appendFrame(nil, uint64(i), []byte(fmt.Sprintf("payload-%d", i))))
+		buf.Write(appendRecord(nil, uint64(i), []byte(fmt.Sprintf("payload-%d", i))))
 	}
 	return buf.Bytes()
 }
 
-// FuzzReadWAL drives the strict/lenient reader pair over corrupted WAL
-// streams. The seed corpus is generated by the faultinject binary
-// corruptor — torn writes, truncated finals, bit flips, spliced
-// garbage — plus a clean stream and a few degenerate shapes; the
-// fuzzer mutates from there. Invariants, whatever the bytes:
-//
-//   - neither reader panics or over-allocates (maxFrameLen guard);
-//   - strict success implies lenient agrees byte-for-byte and reports
-//     a clean salvage — the two halves of the pair cannot diverge on
-//     intact input;
-//   - lenient never returns an error on in-memory data, and its
-//     accounting matches what it returned (Kept == len(records)).
+// FuzzReadWAL holds what the WAL adds on top of internal/frame, whose
+// FuzzReader carries the framing invariants (no panic, bounded window,
+// strict and lenient agreeing): records decoded out of the reader's
+// window are copies that stay intact, sequence and data, once the
+// window has moved on, and the report passed in counts exactly the
+// records returned. The seed corpus is the faultinject binary
+// corruptor over a clean stream plus a few degenerate shapes.
 func FuzzReadWAL(f *testing.F) {
 	clean := corpusWAL(8)
 	f.Add(clean)
@@ -50,25 +46,20 @@ func FuzzReadWAL(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strictRecs, strictErr := ReadWAL(bytes.NewReader(data))
-		lenientRecs, rep, lenientErr := ReadWALLenient(bytes.NewReader(data))
-		if lenientErr != nil {
-			t.Fatalf("lenient reader errored on in-memory data: %v", lenientErr)
+		rep := &salvage.Report{}
+		recs, err := readRecords(bytes.NewReader(data), "WAL", walHeader, true, rep)
+		if err != nil {
+			t.Fatalf("lenient reader errored on in-memory data: %v", err)
 		}
-		if rep.Kept != len(lenientRecs) {
-			t.Fatalf("report kept %d, returned %d records", rep.Kept, len(lenientRecs))
+		if rep.Kept != len(recs) {
+			t.Fatalf("report kept %d, returned %d records", rep.Kept, len(recs))
 		}
-		if strictErr == nil {
-			if !rep.Clean() {
-				t.Fatalf("strict accepted the stream but lenient skipped: %s", rep)
-			}
-			if len(strictRecs) != len(lenientRecs) {
-				t.Fatalf("strict kept %d records, lenient %d", len(strictRecs), len(lenientRecs))
-			}
-			for i := range strictRecs {
-				if strictRecs[i].Seq != lenientRecs[i].Seq || !bytes.Equal(strictRecs[i].Data, lenientRecs[i].Data) {
-					t.Fatalf("record %d differs between strict and lenient", i)
-				}
+		for _, r := range recs {
+			// Each record is somewhere in the input, whole, behind its
+			// sequence number: a view that the window overwrote is not.
+			want := appendRecord(nil, r.Seq, r.Data)
+			if !bytes.Contains(data, want) {
+				t.Fatalf("record seq %d is not a frame of the input", r.Seq)
 			}
 		}
 	})
@@ -87,13 +78,14 @@ func TestFuzzCorporaSalvageAccounting(t *testing.T) {
 			t.Fatalf("seed %d: faults = %+v", seed, faults)
 		}
 		// Strict must reject the stream (the tail is torn).
-		if _, err := ReadWAL(bytes.NewReader(truncated)); err == nil {
+		if _, err := readRecords(bytes.NewReader(truncated), "WAL", walHeader, false, nil); err == nil {
 			t.Fatalf("seed %d: strict accepted a truncated stream", seed)
 		}
 		// Lenient must keep every whole frame before the cut. The cut
 		// lands in the final 64-byte window, and frames here are 31
 		// bytes, so at most the last two records are lost.
-		recs, rep, err := ReadWALLenient(bytes.NewReader(truncated))
+		rep := &salvage.Report{}
+		recs, err := readRecords(bytes.NewReader(truncated), "WAL", walHeader, true, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,10 @@
 // of the syslog-vs-IS-IS comparison. The analyzer therefore flags any
 // call site — anywhere in the module — that discards an error
 // returned by a function or method declared in netfail/internal/syslog,
-// netfail/internal/isis, or netfail/internal/listener:
+// netfail/internal/isis, netfail/internal/listener, or
+// netfail/internal/frame (the one framed-record reader behind the WAL,
+// capture segments and store postings, whose Report is traced like the
+// salvage readers' below):
 //
 //   - a call used as a bare expression statement, e.g.
 //     `sender.Send(m)`;
@@ -52,6 +55,7 @@ var tracedPackages = []string{
 	"netfail/internal/syslog",
 	"netfail/internal/isis",
 	"netfail/internal/listener",
+	"netfail/internal/frame",
 }
 
 // tracedFuncs pins individual capture-reader entry points in packages

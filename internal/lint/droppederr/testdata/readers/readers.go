@@ -8,6 +8,7 @@ package readers
 import (
 	"io"
 
+	"netfail/internal/frame"
 	"netfail/internal/netsim"
 	"netfail/internal/salvage"
 	"netfail/internal/trace"
@@ -34,6 +35,16 @@ func load(r io.Reader) ([]netsim.CapturedLSP, []trace.Transition) {
 	netsim.ReadManifest(r) // want `error returned by netsim\.ReadManifest is silently discarded; a swallowed parse error silently shortens the trace`
 
 	return lsps, ts
+}
+
+// frames loses a framed file's damage three ways: the one reader
+// behind the WAL, capture segments and store postings is traced whole.
+func frames(r io.Reader) []byte {
+	fr := frame.NewReader(r, "seg", 8, true, nil)
+	fr.Header("NFSEG1\n")   // want `error returned by frame\.Header is silently discarded; a swallowed parse error silently shortens the trace`
+	payload, _ := fr.Next() // want `error returned by frame\.Next is assigned to the blank identifier`
+	_ = fr.Report()         // want `salvage report returned by frame\.Report is assigned to the blank identifier; dropped-record accounting is lost`
+	return payload
 }
 
 // handled shows the accepted shapes: checked errors, consumed

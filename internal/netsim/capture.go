@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -143,75 +142,15 @@ func ReadManifestLenient(r io.Reader) (*Manifest, *salvage.Report, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("netsim: manifest: %w", err)
 	}
-	rep := &salvage.Report{}
-	start := bytes.IndexByte(raw, '{')
-	if start < 0 {
-		return nil, nil, fmt.Errorf("netsim: manifest: no JSON object found")
-	}
-	end := matchBrace(raw, start)
-	if end < 0 {
-		return nil, nil, fmt.Errorf("netsim: manifest: unterminated JSON object")
+	obj, rep, ok := salvage.JSONObject(raw)
+	if !ok {
+		return nil, nil, fmt.Errorf("netsim: manifest: no complete JSON object found")
 	}
 	var m Manifest
-	if err := json.Unmarshal(raw[start:end+1], &m); err != nil {
+	if err := json.Unmarshal(obj, &m); err != nil {
 		return nil, nil, fmt.Errorf("netsim: manifest: %w", err)
 	}
-	rep.Kept = 1
-	for _, lineNo := range garbageLines(raw, start, end) {
-		rep.Skip(lineNo, "garbage around manifest object")
-	}
 	return &m, rep, nil
-}
-
-// matchBrace returns the index of the brace closing the object opened
-// at start, honouring JSON string syntax, or -1.
-func matchBrace(data []byte, start int) int {
-	depth, inString, escaped := 0, false, false
-	for i := start; i < len(data); i++ {
-		c := data[i]
-		if inString {
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inString = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inString = true
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// garbageLines returns the 1-based line numbers of non-blank lines
-// falling entirely outside data[start:end+1].
-func garbageLines(data []byte, start, end int) []int {
-	var out []int
-	lineNo, lineStart := 0, 0
-	for i := 0; i <= len(data); i++ {
-		if i < len(data) && data[i] != '\n' {
-			continue
-		}
-		lineNo++
-		line := bytes.TrimSpace(data[lineStart:i])
-		if len(line) > 0 && (i <= start || lineStart > end) {
-			out = append(out, lineNo)
-		}
-		lineStart = i + 1
-	}
-	return out
 }
 
 // Offline converts the manifest spans back to intervals.

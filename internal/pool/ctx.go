@@ -9,13 +9,13 @@ import (
 	"netfail/internal/obs"
 )
 
-// ForEachCtx is ForEach with cancellation and observability. It runs
-// fn(ctx, i) for every i in [0, n) using at most workers goroutines
-// and returns the context's error if ctx is canceled before all tasks
-// have been dispatched. Tasks already running when cancellation hits
-// are allowed to finish — fn is never interrupted mid-index — so a
-// non-nil return means "some suffix of [0, n) never ran", never "a
-// task half-ran".
+// ForEachCtx runs fn(ctx, i) for every i in [0, n) using at most
+// workers goroutines and returns the context's error if ctx is
+// canceled before all tasks have been dispatched. fn must confine its
+// writes to state owned by index i. Tasks already running when
+// cancellation hits are allowed to finish — fn is never interrupted
+// mid-index — so a non-nil return means "some suffix of [0, n) never
+// ran", never "a task half-ran".
 //
 // With workers <= 1 (or n <= 1) it degenerates to a sequential loop
 // that checks ctx between iterations: the byte-identical reference
@@ -80,10 +80,14 @@ func StagesCtx(ctx context.Context, workers int, stages ...func(ctx context.Cont
 }
 
 // ForEachWorkerCtx is ForEachCtx with the executing worker's slot
-// number passed to fn, for loops that reuse per-worker scratch across
-// tasks (see ForEachWorker). Slots are dense in [0, workers); with
-// workers <= 1 every task runs with w == 0 on the calling goroutine,
-// checking ctx between iterations.
+// number passed to fn. Slots are dense in [0, workers): callers index
+// per-worker scratch — transition accumulators, line buffers, reused
+// message structs — by w and reuse it across the many tasks each
+// worker runs, which is what makes n >> workers loops amortized
+// allocation-free. Determinism still requires fn to confine its
+// *output* writes to state owned by task index i; only scratch may be
+// keyed by w. With workers <= 1 every task runs with w == 0 on the
+// calling goroutine, checking ctx between iterations.
 //
 //netfail:hotpath
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int)) error {

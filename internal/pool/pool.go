@@ -9,10 +9,7 @@
 // order afterwards.
 package pool
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Resolve maps a Parallelism knob to a worker count: values <= 0 mean
 // "one worker per available CPU" (runtime.GOMAXPROCS).
@@ -21,84 +18,4 @@ func Resolve(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// ForEach runs fn(i) for every i in [0, n) using at most workers
-// goroutines and returns when all calls have completed. With workers
-// <= 1 (or n <= 1) it degenerates to a plain sequential loop on the
-// calling goroutine — the byte-identical reference path. fn must
-// confine its writes to state owned by index i.
-//
-//netfail:hotpath
-func ForEach(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
-}
-
-// Stages runs a set of independent pipeline stages concurrently across
-// at most workers goroutines. It is ForEach specialized to
-// heterogeneous closures: each stage owns its own result slot.
-func Stages(workers int, stages ...func()) {
-	ForEach(len(stages), workers, func(i int) { stages[i]() })
-}
-
-// ForEachWorker is ForEach with the executing worker's slot number
-// passed to fn. Slots are dense in [0, workers): callers index
-// per-worker scratch — transition accumulators, line buffers, reused
-// message structs — by w and reuse it across the many tasks each
-// worker runs, which is what makes n >> workers loops amortized
-// allocation-free. Determinism still requires fn to confine its
-// *output* writes to state owned by task index i; only scratch may be
-// keyed by w. With workers <= 1 every task runs with w == 0.
-//
-//netfail:hotpath
-func ForEachWorker(n, workers int, fn func(w, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range tasks {
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
 }

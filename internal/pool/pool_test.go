@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -22,10 +23,24 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16, 100} {
 		const n = 57
 		counts := make([]int32, n)
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		slots := make([]int32, n)
+		err := ForEachCtx(context.Background(), n, workers, func(_ context.Context, i int) { atomic.AddInt32(&counts[i], 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ForEachWorkerCtx(context.Background(), n, workers, func(_ context.Context, w, i int) {
+			atomic.AddInt32(&counts[i], 1)
+			atomic.StoreInt32(&slots[i], int32(w))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			if c != 2 {
+				t.Fatalf("workers=%d: index %d ran %d times, want once per form", workers, i, c)
+			}
+			if w := int(slots[i]); w < 0 || (w > 0 && w >= workers) {
+				t.Fatalf("workers=%d: index %d ran in slot %d", workers, i, w)
 			}
 		}
 	}
@@ -33,19 +48,27 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	ran := false
-	ForEach(0, 8, func(int) { ran = true })
+	if err := ForEachCtx(context.Background(), 0, 8, func(context.Context, int) { ran = true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := ForEachWorkerCtx(context.Background(), 0, 8, func(context.Context, int, int) { ran = true }); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
-		t.Error("ForEach(0, ...) invoked fn")
+		t.Error("ForEach*Ctx(0, ...) invoked fn")
 	}
 }
 
 func TestStages(t *testing.T) {
 	var a, b, c int
-	Stages(4,
-		func() { a = 1 },
-		func() { b = 2 },
-		func() { c = 3 },
+	err := StagesCtx(context.Background(), 4,
+		func(context.Context) { a = 1 },
+		func(context.Context) { b = 2 },
+		func(context.Context) { c = 3 },
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != 1 || b != 2 || c != 3 {
 		t.Errorf("stages did not all run: %d %d %d", a, b, c)
 	}

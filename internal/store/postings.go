@@ -2,40 +2,28 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
 
+	"netfail/internal/frame"
 	"netfail/internal/salvage"
 )
 
-// Postings file format: the magic "NFPST1\n" followed by one frame per
-// key, in strictly increasing key order:
-//
-//	sync[2]=0xA5,0x5A | len u32le | crc u32le | payload
-//
-// where payload is the key (u32le) followed by that key's record
-// ordinals (u32le each, strictly increasing), and crc is CRC-32
-// (IEEE) over the payload. The framing matches the segment/checkpoint
-// convention so the lenient reader can resynchronize on the sync
-// marker after a damaged region; the length prefix is bounded so a
-// corrupted length cannot trigger a giant allocation.
+// Postings file format: the magic "NFPST1\n" followed by one frame
+// (internal/frame) per key, in strictly increasing key order, whose
+// payload is the key (u32le) followed by that key's record ordinals
+// (u32le each, strictly increasing).
 //
 // Postings are advisory, like the sparse time index: a store whose
 // postings are missing or damaged still answers per-link and per-host
 // queries by scanning the segment.
 const (
 	pstHeader = "NFPST1\n"
-
-	pstSync0, pstSync1 = 0xA5, 0x5A
-	pstFrameOverhead   = 2 + 4 + 4
-	// pstMaxFrameLen bounds one key's payload (key + ordinals).
-	pstMaxFrameLen = 64 << 20
+	keyLen    = 4
 )
 
 // ErrNoPostings reports a missing postings file to callers that treat
@@ -60,23 +48,15 @@ func writePostings(path string, lists map[uint32][]uint32) error {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var frame []byte
+	var buf []byte
 	for _, k := range keys {
-		ords := lists[k]
-		payloadLen := 4 + 4*len(ords)
-		frame = frame[:0]
-		if cap(frame) < pstFrameOverhead+payloadLen {
-			frame = make([]byte, 0, pstFrameOverhead+payloadLen)
+		buf = frame.Begin(buf[:0])
+		buf = binary.LittleEndian.AppendUint32(buf, k)
+		for _, o := range lists[k] {
+			buf = binary.LittleEndian.AppendUint32(buf, o)
 		}
-		frame = append(frame, pstSync0, pstSync1)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(payloadLen))
-		frame = binary.LittleEndian.AppendUint32(frame, 0) // crc, patched below
-		frame = binary.LittleEndian.AppendUint32(frame, k)
-		for _, o := range ords {
-			frame = binary.LittleEndian.AppendUint32(frame, o)
-		}
-		binary.LittleEndian.PutUint32(frame[6:], crc32.ChecksumIEEE(frame[pstFrameOverhead:]))
-		if _, err := w.Write(frame); err != nil {
+		frame.End(buf, 0)
+		if _, err := w.Write(buf); err != nil {
 			f.Close()
 			return fmt.Errorf("store: postings: %w", err)
 		}
@@ -92,120 +72,36 @@ func writePostings(path string, lists map[uint32][]uint32) error {
 	return f.Close()
 }
 
-// ReadPostings parses a postings stream strictly: the first damaged
-// frame aborts with an offset-accurate error.
-func ReadPostings(r io.Reader, name string) (map[uint32][]uint32, error) {
-	out, _, err := readPostings(r, name, false)
-	return out, err
-}
-
-// ReadPostingsLenient parses a postings stream in salvage mode:
-// damaged frames are skipped — resynchronizing on the next sync
-// marker — and accounted in the returned report. A key whose frame was
-// lost simply falls back to a segment scan at query time.
-func ReadPostingsLenient(r io.Reader, name string) (map[uint32][]uint32, *salvage.Report, error) {
-	return readPostings(r, name, true)
-}
-
-func readPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, *salvage.Report, error) {
-	rep := &salvage.Report{}
-	br := bufio.NewReaderSize(r, 64<<10)
-	hdr := make([]byte, len(pstHeader))
-	if _, err := io.ReadFull(br, hdr); err != nil || !bytes.Equal(hdr, []byte(pstHeader)) {
-		if lenient {
-			rep.Skip(1, "bad postings header")
-			return nil, rep, nil
-		}
-		return nil, nil, fmt.Errorf("store: %s: bad postings header", name)
+// ReadPostings parses a postings stream. Strict, the first damaged
+// frame aborts with a record- and offset-accurate error; lenient,
+// damaged frames are skipped and accounted in the returned report (see
+// internal/frame) — a key whose frame was lost simply falls back to a
+// segment scan at query time.
+func ReadPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, *salvage.Report, error) {
+	fr := frame.NewReader(r, name, keyLen, lenient, nil)
+	if err := fr.Header(pstHeader); err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	out := make(map[uint32][]uint32)
-	off := int64(len(pstHeader))
-	frames := 0
 	prevKey := int64(-1)
-	discard := func(n int) {
-		d, _ := br.Discard(n)
-		off += int64(d)
-	}
-	resync := func(reason string) {
-		rep.Skip(frames+1, reason)
-		discard(1)
-		for {
-			win, _ := br.Peek(2)
-			if len(win) < 2 {
-				discard(len(win))
-				return
-			}
-			if win[0] == pstSync0 && win[1] == pstSync1 {
-				return
-			}
-			discard(1)
-		}
-	}
-	corrupt := func(frameStart int64, reason string) error {
-		return fmt.Errorf("store: %s: postings frame %d at offset %d: %s", name, frames+1, frameStart, reason)
-	}
 	for {
-		frameStart := off
-		hdr, err := br.Peek(pstFrameOverhead)
-		if len(hdr) == 0 && err != nil {
-			return out, rep, nil
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return out, fr.Report(), nil
 		}
-		if len(hdr) < pstFrameOverhead {
-			if lenient {
-				rep.Skip(frames+1, "truncated postings frame")
-				discard(len(hdr))
-				return out, rep, nil
-			}
-			return nil, nil, corrupt(frameStart, "truncated frame header")
-		}
-		if hdr[0] != pstSync0 || hdr[1] != pstSync1 {
-			if lenient {
-				resync("bad sync marker")
-				continue
-			}
-			return nil, nil, corrupt(frameStart, "bad sync marker")
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(hdr[2:]))
-		if payloadLen < 4 || payloadLen%4 != 0 || payloadLen > pstMaxFrameLen {
-			if lenient {
-				resync("implausible frame length")
-				continue
-			}
-			return nil, nil, corrupt(frameStart, "implausible frame length")
-		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[6:])
-		discard(pstFrameOverhead)
-		payload := make([]byte, payloadLen)
-		n, rerr := io.ReadFull(br, payload)
-		off += int64(n)
-		if rerr != nil {
-			if lenient {
-				rep.Skip(frames+1, "truncated postings frame")
-				return out, rep, nil
-			}
-			return nil, nil, corrupt(frameStart, "truncated frame payload")
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			if lenient {
-				// Frame boundary was intact; the stream stays aligned.
-				rep.Skip(frames+1, "crc mismatch")
-				continue
-			}
-			return nil, nil, corrupt(frameStart, "crc mismatch")
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 		key := binary.LittleEndian.Uint32(payload)
-		ords, ok := decodeOrdinals(payload[4:])
+		ords, ok := decodeOrdinals(payload[keyLen:])
 		if !ok || int64(key) <= prevKey {
-			if lenient {
-				rep.Skip(frames+1, "implausible postings frame")
-				continue
+			if err := fr.Reject("implausible postings frame"); err != nil {
+				return nil, nil, fmt.Errorf("store: %w", err)
 			}
-			return nil, nil, corrupt(frameStart, "implausible postings frame")
+			continue
 		}
 		prevKey = int64(key)
 		out[key] = ords
-		frames++
-		rep.Kept++
 	}
 }
 
@@ -214,6 +110,9 @@ func readPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, 
 // happens when a writer bug or a deliberate forgery produced them —
 // the check keeps query plans safe regardless).
 func decodeOrdinals(b []byte) ([]uint32, bool) {
+	if len(b)%4 != 0 {
+		return nil, false
+	}
 	ords := make([]uint32, 0, len(b)/4)
 	prev := int64(-1)
 	for len(b) >= 4 {
@@ -239,9 +138,5 @@ func loadPostings(path string, lenient bool) (map[uint32][]uint32, *salvage.Repo
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	if lenient {
-		return ReadPostingsLenient(f, path)
-	}
-	out, err := ReadPostings(f, path)
-	return out, nil, err
+	return ReadPostings(f, path, lenient)
 }

@@ -3,14 +3,16 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"netfail/internal/frame"
 )
 
 func samplePostings() map[uint32][]uint32 {
@@ -42,7 +44,7 @@ func pstFrameStart(lists map[uint32][]uint32, key uint32) int64 {
 		if k == key {
 			return off
 		}
-		off += int64(pstFrameOverhead + 4 + 4*len(lists[k]))
+		off += int64(frame.Overhead + 4 + 4*len(lists[k]))
 	}
 	panic("key not in lists")
 }
@@ -64,8 +66,8 @@ func TestPostingsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("strict load: %v", err)
 	}
-	if rep != nil {
-		t.Errorf("strict load returned a salvage report: %+v", rep)
+	if !rep.Clean() || rep.Kept != len(lists) {
+		t.Errorf("strict report on clean file: %s", rep)
 	}
 	if !reflect.DeepEqual(got, lists) {
 		t.Errorf("strict round trip:\n got %v\nwant %v", got, lists)
@@ -102,15 +104,15 @@ func TestPostingsStrictCorruptionIsOffsetAccurate(t *testing.T) {
 	// Flip one payload byte inside the second frame (key 2): the frame
 	// boundary stays intact but the CRC no longer matches.
 	frameStart := pstFrameStart(lists, 2)
-	data[frameStart+int64(pstFrameOverhead)+4] ^= 0xFF
+	data[frameStart+int64(frame.Overhead)+4] ^= 0xFF
 
-	_, err = ReadPostings(bytes.NewReader(data), "t.pst")
+	_, _, err = ReadPostings(bytes.NewReader(data), "t.pst", false)
 	if err == nil {
 		t.Fatal("strict read of corrupted postings succeeded")
 	}
-	want := fmt.Sprintf("postings frame 2 at offset %d: crc mismatch", frameStart)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not pin the damage: want substring %q", err, want)
+	want := fmt.Sprintf("store: t.pst: record 2 at offset %d: crc mismatch", frameStart)
+	if err.Error() != want {
+		t.Errorf("error %q does not pin the damage: want %q", err, want)
 	}
 }
 
@@ -120,9 +122,9 @@ func TestPostingsLenientSalvagesCRCDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[pstFrameStart(lists, 2)+int64(pstFrameOverhead)+4] ^= 0xFF
+	data[pstFrameStart(lists, 2)+int64(frame.Overhead)+4] ^= 0xFF
 
-	got, rep, err := ReadPostingsLenient(bytes.NewReader(data), "t.pst")
+	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
 	if err != nil {
 		t.Fatalf("lenient read: %v", err)
 	}
@@ -152,12 +154,12 @@ func TestPostingsLenientResyncsAfterBadSync(t *testing.T) {
 	// scan forward to the next marker instead of giving up.
 	data[pstFrameStart(lists, 2)] = 0x00
 
-	if _, err := ReadPostings(bytes.NewReader(data), "t.pst"); err == nil ||
+	if _, _, err := ReadPostings(bytes.NewReader(data), "t.pst", false); err == nil ||
 		!strings.Contains(err.Error(), "bad sync marker") {
 		t.Errorf("strict read: got %v, want bad sync marker error", err)
 	}
 
-	got, rep, err := ReadPostingsLenient(bytes.NewReader(data), "t.pst")
+	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
 	if err != nil {
 		t.Fatalf("lenient read: %v", err)
 	}
@@ -188,12 +190,12 @@ func TestPostingsTruncatedTail(t *testing.T) {
 	// Cut the final frame (key 9) in half.
 	data = data[:pstFrameStart(lists, 9)+5]
 
-	if _, err := ReadPostings(bytes.NewReader(data), "t.pst"); err == nil ||
+	if _, _, err := ReadPostings(bytes.NewReader(data), "t.pst", false); err == nil ||
 		!strings.Contains(err.Error(), "truncated") {
 		t.Errorf("strict read: got %v, want truncation error", err)
 	}
 
-	got, rep, err := ReadPostingsLenient(bytes.NewReader(data), "t.pst")
+	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
 	if err != nil {
 		t.Fatalf("lenient read: %v", err)
 	}
@@ -210,14 +212,13 @@ func TestPostingsTruncatedTail(t *testing.T) {
 // appendPstFrame frames one posting list with a valid CRC — the tool
 // for forging streams the writer would never produce.
 func appendPstFrame(b []byte, key uint32, ords []uint32) []byte {
-	payload := binary.LittleEndian.AppendUint32(nil, key)
+	start := len(b)
+	b = binary.LittleEndian.AppendUint32(frame.Begin(b), key)
 	for _, o := range ords {
-		payload = binary.LittleEndian.AppendUint32(payload, o)
+		b = binary.LittleEndian.AppendUint32(b, o)
 	}
-	b = append(b, pstSync0, pstSync1)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+	frame.End(b, start)
+	return b
 }
 
 func TestPostingsRejectsNonMonotoneFrames(t *testing.T) {
@@ -231,14 +232,19 @@ func TestPostingsRejectsNonMonotoneFrames(t *testing.T) {
 		{"decreasing keys", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []uint32{1, 2}), 3, []uint32{4})},
 		{"decreasing ordinals", appendPstFrame([]byte(pstHeader), 1, []uint32{3, 1})},
 		{"duplicate key", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []uint32{1}), 5, []uint32{2})},
+		{"ragged list", func() []byte {
+			b := append(appendPstFrame([]byte(pstHeader), 5, []uint32{1}), 0xEE, 0xEE)
+			frame.End(b, len(pstHeader))
+			return b
+		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadPostings(bytes.NewReader(tc.data), "t.pst")
+			_, _, err := ReadPostings(bytes.NewReader(tc.data), "t.pst", false)
 			if err == nil || !strings.Contains(err.Error(), "implausible postings frame") {
 				t.Errorf("strict: got %v, want implausible-frame error", err)
 			}
-			_, rep, err := ReadPostingsLenient(bytes.NewReader(tc.data), "t.pst")
+			_, rep, err := ReadPostings(bytes.NewReader(tc.data), "t.pst", true)
 			if err != nil {
 				t.Fatalf("lenient: %v", err)
 			}
@@ -251,15 +257,60 @@ func TestPostingsRejectsNonMonotoneFrames(t *testing.T) {
 
 func TestPostingsBadHeader(t *testing.T) {
 	data := []byte("GARBAGE\nnot a postings file")
-	if _, err := ReadPostings(bytes.NewReader(data), "t.pst"); err == nil ||
-		!strings.Contains(err.Error(), "bad postings header") {
+	if _, _, err := ReadPostings(bytes.NewReader(data), "t.pst", false); err == nil ||
+		!strings.Contains(err.Error(), "t.pst: bad header") {
 		t.Errorf("strict: got %v, want bad-header error", err)
 	}
-	got, rep, err := ReadPostingsLenient(bytes.NewReader(data), "t.pst")
+	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
 	if err != nil {
 		t.Fatalf("lenient: %v", err)
 	}
 	if len(got) != 0 || rep.Clean() {
 		t.Errorf("lenient bad header: got %v, report %s", got, rep)
+	}
+}
+
+// TestPostingsLengthFlipCostsOneKey is the postings row of
+// internal/frame's damage table: at the parent a flipped length bit
+// made the reader trust the length and swallow the keys behind it (368
+// of these 1,000 kept, two skips reported).
+func TestPostingsLengthFlipCostsOneKey(t *testing.T) {
+	data := []byte(pstHeader)
+	var offs []int
+	for k := uint32(0); k < 1000; k++ {
+		offs = append(offs, len(data))
+		data = appendPstFrame(data, k, []uint32{k, k + 1, k + 2000})
+	}
+	data[offs[9]+3] ^= 0x40 // key 9, bit 14 of len
+	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, lost := got[9]; len(got) != 999 || lost || rep.Skipped != 1 {
+		t.Errorf("kept %d keys (%s), want 999 with key 9 the one lost", len(got), rep)
+	}
+}
+
+// TestPostingsGoldenBytes pins the NFPST1 format to bytes written at
+// the commit before internal/frame existed: today's writer must
+// produce them and today's reader must decode them.
+func TestPostingsGoldenBytes(t *testing.T) {
+	want, _ := hex.DecodeString("4e46505354310a" +
+		"a55a0c00000081696069" + "00000000" + "0000000003000000" +
+		"a55a0800000071bfbb9f" + "02000000" + "01000000" +
+		"a55a04000000a5e793bc" + "07000000")
+	lists := map[uint32][]uint32{0: {0, 3}, 2: {1}, 7: {}}
+	path := filepath.Join(t.TempDir(), "a.pst")
+	if err := writePostings(path, lists); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("postings bytes\n got %x\nwant %x (%v)", got, want, err)
+	}
+	for _, lenient := range []bool{false, true} {
+		got, rep, err := ReadPostings(bytes.NewReader(want), "golden", lenient)
+		if err != nil || !rep.Clean() || !reflect.DeepEqual(got, lists) {
+			t.Errorf("lenient=%v: %v, %s, %v", lenient, got, rep, err)
+		}
 	}
 }

@@ -156,9 +156,10 @@ func (s *Store) Salvage() []ComponentSalvage {
 	return out
 }
 
-// addSalvage merges rep into the named component's cumulative report.
+// addSalvage merges rep into the named component's cumulative report;
+// a strict store keeps no listing.
 func (s *Store) addSalvage(name string, rep *salvage.Report) {
-	if rep == nil {
+	if rep == nil || !s.lenient {
 		return
 	}
 	s.mu.Lock()
@@ -175,23 +176,10 @@ func (s *Store) addSalvage(name string, rep *salvage.Report) {
 // loadIndex loads one advisory sparse index: a missing file is nil, a
 // damaged one fails strictly or salvages leniently.
 func (s *Store) loadIndex(name string) ([]capture.IndexEntry, error) {
-	path := filepath.Join(s.dir, name)
-	if !s.lenient {
-		idx, err := capture.LoadIndex(path)
-		if errors.Is(err, capture.ErrNoIndex) {
-			return nil, nil
-		}
-		return idx, err
+	idx, rep, err := capture.LoadIndex(filepath.Join(s.dir, name), s.lenient)
+	if errors.Is(err, capture.ErrNoIndex) {
+		return nil, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	idx, rep, err := capture.ReadIndexLenient(f)
 	if err != nil {
 		return nil, err
 	}
@@ -225,45 +213,22 @@ const reseekStride = 1024
 // errStopScan ends a scan early (limit reached).
 var errStopScan = errors.New("store: stop scan")
 
-// openSeg opens a segment in the store's mode.
-func (s *Store) openSeg(path string) (*capture.SegmentReader, error) {
-	if s.lenient {
-		return capture.OpenSegmentLenient(path)
-	}
-	return capture.OpenSegment(path)
-}
-
-// openSegAt opens a segment at an index entry in the store's mode.
-func (s *Store) openSegAt(path string, e capture.IndexEntry) (*capture.SegmentReader, error) {
-	if s.lenient {
-		return capture.OpenSegmentAtLenient(path, e.Offset, e.Record)
-	}
-	return capture.OpenSegmentAt(path, e.Offset, e.Record)
-}
-
 // scan streams a segment's records through fn, seeking to seekMs via
 // the sparse index when useSeek is set. fn returns errStopScan to end
 // the scan early. Salvage accounting for the pass is merged into the
 // component's cumulative report.
 func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry, useSeek bool, seekMs int64, fn func(tsMs int64, rec []byte) error) error {
 	path := filepath.Join(s.dir, name)
-	var sr *capture.SegmentReader
-	var err error
-	if useSeek && len(idx) > 0 {
-		if e, ok := capture.Locate(idx, seekMs); ok {
-			sr, err = s.openSegAt(path, e)
-		}
+	var e capture.IndexEntry // zero: from the first record
+	if useSeek {
+		e, _ = capture.Locate(idx, seekMs)
 	}
-	if sr == nil && err == nil {
-		sr, err = s.openSeg(path)
-	}
+	sr, err := capture.OpenSegmentAt(path, e, s.lenient)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if s.lenient {
-			s.addSalvage(name, sr.Report())
-		}
+		s.addSalvage(name, sr.Report())
 		sr.Close()
 	}()
 	for n := 0; ; n++ {
@@ -323,9 +288,7 @@ func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.In
 		if sr == nil {
 			return
 		}
-		if s.lenient {
-			s.addSalvage(name, sr.Report())
-		}
+		s.addSalvage(name, sr.Report())
 		sr.Close()
 		sr = nil
 	}
@@ -338,19 +301,14 @@ func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.In
 	for _, o := range ords {
 		target := int64(o)
 		if sr == nil || target-cur > reseekStride {
-			if e, ok := locateRecord(idx, target); ok && (sr == nil || e.Record > cur) {
+			// A miss is the zero entry: from the first record.
+			if e, _ := locateRecord(idx, target); sr == nil || e.Record > cur {
 				closeReader()
-				sr, err = s.openSegAt(path, e)
+				sr, err = capture.OpenSegmentAt(path, e, s.lenient)
 				if err != nil {
 					return err
 				}
 				cur = e.Record
-			} else if sr == nil {
-				sr, err = s.openSeg(path)
-				if err != nil {
-					return err
-				}
-				cur = 0
 			}
 		}
 		for cur <= target {

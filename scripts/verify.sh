@@ -32,6 +32,9 @@ if [ "$short" = 0 ]; then
     echo "==> go test -race ./..."
     go test -race ./...
 
+    echo "==> fuzz (every Fuzz* target, ${FUZZTIME:-5s} each)"
+    ./scripts/fuzz.sh
+
     echo "==> obs smoke (instrumented 1-month run)"
     ./scripts/obs-smoke.sh
 
