@@ -1,12 +1,19 @@
 # Developer entrypoints. `make verify` is the tier-1 gate CI enforces.
 
-.PHONY: build test lint lint-baseline race verify faultinject fuzz bench bench-compare benchmark loc obs chaos scale query
+.PHONY: build test lint lint-baseline race verify faultinject fuzz bench bench-compare benchmark loc obs chaos scale query golden
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# Rewrite the canonical seed-1 artifacts TestSeed1ReportGolden and the
+# README point at, after a change that is meant to move the report;
+# review and commit the diff.
+golden:
+	go run ./cmd/netfail-analyze -seed 1 > docs/report-seed1.txt
+	go run ./cmd/netfail-analyze -seed 1 -markdown > docs/reproduction-seed1.md
 
 # Static analysis: go vet plus the repo's own suite (detclock,
 # droppederr, lockguard, durmul, ctxfirst, hotalloc, goleak) and the

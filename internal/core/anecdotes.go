@@ -29,48 +29,28 @@ func (a *Analysis) EgregiousIsolations(limit int) []EgregiousMatch {
 	if len(a.In.Customers) == 0 {
 		return nil
 	}
-	netWithCustomers := *a.In.Network
-	netWithCustomers.Customers = a.In.Customers
-	g := topo.NewGraph(&netWithCustomers)
-	isisEvents := IsolationEvents(g, a.In.Customers, a.ISISFailures, a.In.End)
-	syslogEvents := IsolationEvents(g, a.In.Customers, a.SyslogFailures, a.In.End)
+	isisEvents, syslogEvents := a.isolationEvents()
 
-	byCustomer := make(map[string][]IsolationEvent)
-	for _, e := range syslogEvents {
-		byCustomer[e.Customer] = append(byCustomer[e.Customer], e)
-	}
-	used := make(map[string]map[int]bool)
+	paired, _, _ := matchIsolationEvents(isisEvents, syslogEvents)
 	var out []EgregiousMatch
-	for _, ie := range isisEvents {
-		cands := byCustomer[ie.Customer]
-		for j, se := range cands {
-			if used[ie.Customer][j] {
-				continue
-			}
-			lo := maxTime(ie.Interval.Start, se.Interval.Start)
-			hi := minTime(ie.Interval.End, se.Interval.End)
-			if !hi.After(lo) {
-				continue
-			}
-			if used[ie.Customer] == nil {
-				used[ie.Customer] = make(map[int]bool)
-			}
-			used[ie.Customer][j] = true
-			di, ds := ie.Duration(), se.Duration()
-			longer, shorter := di, ds
-			if ds > di {
-				longer, shorter = ds, di
-			}
-			ratio := float64(longer) / float64(max64(shorter, time.Second))
-			out = append(out, EgregiousMatch{
-				Customer: ie.Customer,
-				ISIS:     ie.Interval,
-				Syslog:   se.Interval,
-				Ratio:    ratio,
-				Overlap:  hi.Sub(lo),
-			})
-			break
+	for i, j := range paired {
+		if j < 0 {
+			continue
 		}
+		ie, se := isisEvents[i], syslogEvents[j]
+		di, ds := ie.Duration(), se.Duration()
+		longer, shorter := di, ds
+		if ds > di {
+			longer, shorter = ds, di
+		}
+		ratio := float64(longer) / float64(max64(shorter, time.Second))
+		out = append(out, EgregiousMatch{
+			Customer: ie.Customer,
+			ISIS:     ie.Interval,
+			Syslog:   se.Interval,
+			Ratio:    ratio,
+			Overlap:  overlap(ie.Interval, se.Interval),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
 	if limit > 0 && len(out) > limit {

@@ -22,96 +22,21 @@ type IsolationEvent struct {
 func (e IsolationEvent) Duration() time.Duration { return e.Interval.Duration() }
 
 // IsolationEvents sweeps a failure trace over the topology and
-// returns every customer-isolation interval. The graph must be built
-// over a network that carries the customer list.
+// returns every customer-isolation interval, for the customers the
+// graph's network carried at NewGraph. An event still open when the
+// failures run out closes at end.
 func IsolationEvents(g *topo.Graph, customers []*topo.Customer, failures []trace.Failure, end time.Time) []IsolationEvent {
 	if len(customers) == 0 || len(failures) == 0 {
 		return nil
 	}
-	// Boundary events: failure starts and ends.
-	type boundary struct {
-		t    time.Time
-		link topo.LinkID
-		down bool
-	}
-	bounds := make([]boundary, 0, 2*len(failures))
-	for _, f := range failures {
-		bounds = append(bounds, boundary{t: f.Start, link: f.Link, down: true})
-		bounds = append(bounds, boundary{t: f.End, link: f.Link, down: false})
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		if !bounds[i].t.Equal(bounds[j].t) {
-			return bounds[i].t.Before(bounds[j].t)
-		}
-		// Ups before downs at the same instant keeps the down-set
-		// minimal.
-		return !bounds[i].down && bounds[j].down
-	})
-
-	downCount := make(map[topo.LinkID]int)
-	downSet := make(map[topo.LinkID]bool)
-	isolatedSince := make(map[string]time.Time)
-	linksAt := make(map[string][]topo.LinkID)
-	var events []IsolationEvent
-
-	openLinks := func() []topo.LinkID {
-		links := make([]topo.LinkID, 0, len(downSet))
-		for l := range downSet {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-		return links
-	}
-
-	for i := 0; i < len(bounds); {
-		t := bounds[i].t
-		for i < len(bounds) && bounds[i].t.Equal(t) {
-			b := bounds[i]
-			if b.down {
-				downCount[b.link]++
-			} else {
-				downCount[b.link]--
-			}
-			if downCount[b.link] > 0 {
-				downSet[b.link] = true
-			} else {
-				delete(downSet, b.link)
-			}
-			i++
-		}
-		isolated := g.IsolatedCustomers(downSet)
-		cur := make(map[string]bool, len(isolated))
-		var snapshot []topo.LinkID
-		for _, c := range isolated {
-			cur[c] = true
-			if _, already := isolatedSince[c]; !already {
-				isolatedSince[c] = t
-				if snapshot == nil {
-					snapshot = openLinks()
-				}
-				linksAt[c] = snapshot
-			}
-		}
-		for c, since := range isolatedSince {
-			if !cur[c] {
-				events = append(events, IsolationEvent{
-					Customer: c,
-					Interval: trace.Interval{Start: since, End: t},
-					Links:    linksAt[c],
-				})
-				delete(isolatedSince, c)
-				delete(linksAt, c)
-			}
+	s := newIsolationSweep(g)
+	trace.SweepFailures(s.sw, failures, s.visit)
+	for c, open := range s.isolated {
+		if open {
+			s.close(c, end)
 		}
 	}
-	// Close events still open at the end of the window.
-	for c, since := range isolatedSince {
-		events = append(events, IsolationEvent{
-			Customer: c,
-			Interval: trace.Interval{Start: since, End: end},
-			Links:    linksAt[c],
-		})
-	}
+	events := s.events
 	sort.Slice(events, func(i, j int) bool {
 		if !events[i].Interval.Start.Equal(events[j].Interval.Start) {
 			return events[i].Interval.Start.Before(events[j].Interval.Start)
@@ -119,6 +44,73 @@ func IsolationEvents(g *topo.Graph, customers []*topo.Customer, failures []trace
 		return events[i].Customer < events[j].Customer
 	})
 	return events
+}
+
+// isolationSweep is IsolationEvents' state between failure
+// boundaries, by customer position in Graph.Customers.
+type isolationSweep struct {
+	sw    *topo.Sweep
+	sites []*topo.Customer
+	// empty records that no link was down after the last boundary.
+	empty    bool
+	isolated []bool
+	since    []time.Time
+	// links[c] lists the links down when customer c's open event began.
+	links  [][]topo.LinkID
+	events []IsolationEvent
+}
+
+func newIsolationSweep(g *topo.Graph) *isolationSweep {
+	n := len(g.Customers())
+	return &isolationSweep{
+		sw:       g.NewSweep(),
+		sites:    g.Customers(),
+		empty:    true,
+		isolated: make([]bool, n),
+		since:    make([]time.Time, n),
+		links:    make([][]topo.LinkID, n),
+	}
+}
+
+// visit accounts for the boundary at t, the sweep already moved past
+// it. With no link down nobody is isolated, whatever the graph looks
+// like; otherwise who is isolated follows from the component labels,
+// so a boundary that leaves both as they were is done at once.
+//
+//netfail:hotpath
+func (s *isolationSweep) visit(t time.Time) {
+	wasEmpty := s.empty
+	s.empty = s.sw.DownCount() == 0
+	if s.empty {
+		if wasEmpty {
+			return
+		}
+	} else if !s.sw.Refresh() && !wasEmpty {
+		return
+	}
+	var snapshot []topo.LinkID
+	for c, was := range s.isolated {
+		switch now := !s.empty && s.sw.Isolated(c); {
+		case now == was:
+		case now:
+			if snapshot == nil {
+				snapshot = s.sw.DownLinks()
+			}
+			s.isolated[c], s.since[c], s.links[c] = true, t, snapshot
+		default:
+			s.close(c, t)
+		}
+	}
+}
+
+// close ends customer c's open event at t.
+func (s *isolationSweep) close(c int, t time.Time) {
+	s.events = append(s.events, IsolationEvent{
+		Customer: s.sites[c].Name,
+		Interval: trace.Interval{Start: s.since[c], End: t},
+		Links:    s.links[c],
+	})
+	s.isolated[c], s.links[c] = false, nil
 }
 
 // Table7 is the customer-isolation comparison (paper Table 7 and the
@@ -143,19 +135,23 @@ type Table7 struct {
 	ISISOnlyDowntime          time.Duration
 }
 
+// isolationEvents runs the isolation sweep over both failure traces.
+func (a *Analysis) isolationEvents() (isis, syslog []IsolationEvent) {
+	// The isolation graph needs the customer list attached.
+	netWithCustomers := *a.In.Network
+	netWithCustomers.Customers = a.In.Customers
+	g := topo.NewGraph(&netWithCustomers)
+	return IsolationEvents(g, a.In.Customers, a.ISISFailures, a.In.End),
+		IsolationEvents(g, a.In.Customers, a.SyslogFailures, a.In.End)
+}
+
 // Table7 runs the isolation analysis over both sources.
 func (a *Analysis) Table7() Table7 {
 	var t7 Table7
 	if len(a.In.Customers) == 0 {
 		return t7
 	}
-	// The isolation graph needs the customer list attached.
-	netWithCustomers := *a.In.Network
-	netWithCustomers.Customers = a.In.Customers
-	g := topo.NewGraph(&netWithCustomers)
-
-	isisEvents := IsolationEvents(g, a.In.Customers, a.ISISFailures, a.In.End)
-	syslogEvents := IsolationEvents(g, a.In.Customers, a.SyslogFailures, a.In.End)
+	isisEvents, syslogEvents := a.isolationEvents()
 
 	t7.ISISEvents = len(isisEvents)
 	t7.SyslogEvents = len(syslogEvents)
@@ -165,30 +161,15 @@ func (a *Analysis) Table7() Table7 {
 	t7.SyslogDowntime = totalIsolation(syslogEvents)
 
 	// Match events: same customer, overlapping intervals, one-to-one.
-	matchedI := make([]bool, len(isisEvents))
-	matchedS := make([]bool, len(syslogEvents))
+	paired, matchedS, sites := matchIsolationEvents(isisEvents, syslogEvents)
 	interCustomers := make(map[string]bool)
-	byCustomer := make(map[string][]int)
-	for j, e := range syslogEvents {
-		byCustomer[e.Customer] = append(byCustomer[e.Customer], j)
-	}
-	for i, ie := range isisEvents {
-		for _, j := range byCustomer[ie.Customer] {
-			if matchedS[j] {
-				continue
-			}
-			se := syslogEvents[j]
-			lo := maxTime(ie.Interval.Start, se.Interval.Start)
-			hi := minTime(ie.Interval.End, se.Interval.End)
-			if hi.After(lo) {
-				matchedI[i] = true
-				matchedS[j] = true
-				t7.IntersectionEvents++
-				t7.IntersectionDowntime += hi.Sub(lo)
-				interCustomers[ie.Customer] = true
-				break
-			}
+	for i, j := range paired {
+		if j < 0 {
+			continue
 		}
+		t7.IntersectionEvents++
+		t7.IntersectionDowntime += overlap(isisEvents[i].Interval, syslogEvents[j].Interval)
+		interCustomers[isisEvents[i].Customer] = true
 	}
 	t7.IntersectionSites = len(interCustomers)
 
@@ -206,14 +187,17 @@ func (a *Analysis) Table7() Table7 {
 			t7.SyslogOnlyNoISISFailure++
 		}
 	}
+	for _, site := range sites {
+		site.next = 0
+	}
 	for i, ie := range isisEvents {
-		if matchedI[i] {
+		if paired[i] >= 0 {
 			continue
 		}
 		t7.ISISOnlyEvents++
 		t7.ISISOnlyDowntime += ie.Duration()
 		switch {
-		case anyEventOverlap(syslogEvents, ie):
+		case firstOverlap(syslogEvents, sites[ie.Customer].candidates(syslogEvents, ie.Interval), nil, ie.Interval) >= 0:
 			t7.ISISOnlyPartialMatch++
 		case anyFailureDuring(syslogByLink, ie):
 			t7.ISISOnlySyslogSawFailures++
@@ -253,20 +237,77 @@ func anyFailureDuring(byLink map[topo.LinkID][]trace.Failure, e IsolationEvent) 
 	return false
 }
 
-// anyEventOverlap reports whether any event for the same customer
-// overlaps the probe interval.
-func anyEventOverlap(events []IsolationEvent, probe IsolationEvent) bool {
-	for _, e := range events {
-		if e.Customer != probe.Customer {
-			continue
-		}
-		lo := maxTime(e.Interval.Start, probe.Interval.Start)
-		hi := minTime(e.Interval.End, probe.Interval.End)
-		if hi.After(lo) {
-			return true
+// siteEvents lists one customer's events by position, in start order
+// as IsolationEvents returns them, with a cursor for probes that come
+// in start order too.
+type siteEvents struct {
+	events []int
+	next   int
+}
+
+// candidates returns the stretch of the customer's events that can
+// overlap a probe interval. It passes for good the leading events
+// over by the probe's start — no later probe reaches back to them —
+// and stops at the first to begin at or after the probe's end, so a
+// pass over all probes is linear where scanning the customer's whole
+// list for each was quadratic.
+func (s *siteEvents) candidates(all []IsolationEvent, probe trace.Interval) []int {
+	if s == nil {
+		return nil
+	}
+	for s.next < len(s.events) && !all[s.events[s.next]].Interval.End.After(probe.Start) {
+		s.next++
+	}
+	end := s.next
+	for end < len(s.events) && all[s.events[end]].Interval.Start.Before(probe.End) {
+		end++
+	}
+	return s.events[s.next:end]
+}
+
+// firstOverlap returns the first of the candidate events, not counting
+// those taken, that shares time with the probe interval, or -1.
+func firstOverlap(all []IsolationEvent, candidates []int, taken []bool, probe trace.Interval) int {
+	for _, j := range candidates {
+		if (taken == nil || !taken[j]) && overlap(all[j].Interval, probe) > 0 {
+			return j
 		}
 	}
-	return false
+	return -1
+}
+
+// matchIsolationEvents pairs the two sources' events one to one: each
+// IS-IS event, in order, takes its customer's first syslog event not
+// yet taken that overlaps it. paired[i] is the syslog event paired
+// with IS-IS event i, or -1; taken marks the paired syslog events. The
+// cursors in sites are spent: reset next before another pass.
+func matchIsolationEvents(isis, syslog []IsolationEvent) (paired []int, taken []bool, sites map[string]*siteEvents) {
+	sites = make(map[string]*siteEvents)
+	for j := range syslog {
+		customer := syslog[j].Customer
+		site := sites[customer]
+		if site == nil {
+			site = &siteEvents{}
+			sites[customer] = site
+		}
+		site.events = append(site.events, j)
+	}
+	paired = make([]int, len(isis))
+	taken = make([]bool, len(syslog))
+	for i := range isis {
+		ie := &isis[i]
+		j := firstOverlap(syslog, sites[ie.Customer].candidates(syslog, ie.Interval), taken, ie.Interval)
+		if paired[i] = j; j >= 0 {
+			taken[j] = true
+		}
+	}
+	return paired, taken, sites
+}
+
+// overlap returns the time two intervals share; zero or less when
+// they share none.
+func overlap(a, b trace.Interval) time.Duration {
+	return minTime(a.End, b.End).Sub(maxTime(a.Start, b.Start))
 }
 
 func minTime(a, b time.Time) time.Time {

@@ -209,9 +209,7 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 	}
 	if cfg.InBandSyslog {
 		sim.graph = topo.NewGraph(net)
-		sim.collectorHost = net.RouterNames[0]
-		sim.gtDown = make(map[topo.LinkID]int)
-		sim.reachCache = make(map[string]bool)
+		sim.gtDown = sim.graph.NewSweep()
 	}
 	if cfg.Impair.RateLimitPerMin > 0 {
 		sim.buckets = make(map[string]*tokenBucket)
@@ -273,14 +271,10 @@ type simulation struct {
 	sched   *Scheduler
 	devices map[string]*device.Router
 
-	// In-band syslog state: the graph, collector host, current
-	// ground-truth down set, and a memoized reachability view that
-	// is invalidated whenever the down set changes.
-	graph         *topo.Graph
-	collectorHost string
-	gtDown        map[topo.LinkID]int
-	reachCache    map[string]bool
-	reachDirty    bool
+	// In-band syslog state: the graph and the ground-truth down set
+	// swept over it. The collector sits at node 0, the first router.
+	graph  *topo.Graph
+	gtDown *topo.Sweep
 
 	// Per-device syslog rate-limit buckets (Cisco "logging
 	// rate-limit"), active when RateLimitPerMin > 0.
@@ -330,15 +324,11 @@ func (s *simulation) linkStateChanged(link topo.LinkID, down bool) {
 	if !s.cfg.InBandSyslog {
 		return
 	}
+	delta := -1
 	if down {
-		s.gtDown[link]++
-	} else {
-		s.gtDown[link]--
-		if s.gtDown[link] <= 0 {
-			delete(s.gtDown, link)
-		}
+		delta = 1
 	}
-	s.reachDirty = true
+	s.gtDown.Add(s.gtDown.Link(link), delta)
 }
 
 // collectorReachable reports whether host currently has a path to the
@@ -347,20 +337,8 @@ func (s *simulation) collectorReachable(host string) bool {
 	if !s.cfg.InBandSyslog {
 		return true
 	}
-	if s.reachDirty {
-		s.reachCache = make(map[string]bool, len(s.net.RouterNames))
-		s.reachDirty = false
-	}
-	if v, ok := s.reachCache[host]; ok {
-		return v
-	}
-	down := make(map[topo.LinkID]bool, len(s.gtDown))
-	for l := range s.gtDown {
-		down[l] = true
-	}
-	v := s.graph.Reachable(host, s.collectorHost, down)
-	s.reachCache[host] = v
-	return v
+	v, ok := s.graph.Node(host)
+	return ok && s.gtDown.Connected(v, 0)
 }
 
 // endpoints returns the two devices terminating a link.

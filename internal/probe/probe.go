@@ -70,61 +70,49 @@ type reachabilityTimeline struct {
 	cuts map[string][]trace.Interval
 }
 
-// buildTimeline sweeps the failure trace over the graph.
+// buildTimeline sweeps the failure trace over the graph: one
+// component labelling per boundary that moved the labels, every router
+// compared with the vantage's.
 func buildTimeline(g *topo.Graph, routers []string, vantage string, failures []trace.Failure, end time.Time) *reachabilityTimeline {
 	tl := &reachabilityTimeline{cuts: make(map[string][]trace.Interval)}
 	if len(failures) == 0 {
 		return tl
 	}
-	type boundary struct {
-		t    time.Time
-		link topo.LinkID
-		down bool
-	}
-	bounds := make([]boundary, 0, 2*len(failures))
-	for _, f := range failures {
-		bounds = append(bounds, boundary{f.Start, f.Link, true}, boundary{f.End, f.Link, false})
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		if !bounds[i].t.Equal(bounds[j].t) {
-			return bounds[i].t.Before(bounds[j].t)
+	// A router, or a vantage, the graph does not know is node -1:
+	// never reachable.
+	node := func(host string) int {
+		if v, ok := g.Node(host); ok {
+			return v
 		}
-		return !bounds[i].down && bounds[j].down
-	})
-
-	downCount := make(map[topo.LinkID]int)
-	downSet := make(map[topo.LinkID]bool)
-	cutSince := make(map[string]time.Time)
-	for i := 0; i < len(bounds); {
-		t := bounds[i].t
-		for i < len(bounds) && bounds[i].t.Equal(t) {
-			b := bounds[i]
-			if b.down {
-				downCount[b.link]++
-			} else {
-				downCount[b.link]--
-			}
-			if downCount[b.link] > 0 {
-				downSet[b.link] = true
-			} else {
-				delete(downSet, b.link)
-			}
-			i++
+		return -1
+	}
+	from := node(vantage)
+	nodes := make([]int, len(routers))
+	for i, r := range routers {
+		nodes[i] = node(r)
+	}
+	cut := make([]bool, len(routers))
+	cutSince := make([]time.Time, len(routers))
+	sw := g.NewSweep()
+	trace.SweepFailures(sw, failures, func(t time.Time) {
+		if !sw.Refresh() {
+			return
 		}
-		for _, r := range routers {
-			reachable := g.Reachable(vantage, r, downSet)
-			_, cut := cutSince[r]
+		for i, r := range routers {
+			reachable := from >= 0 && nodes[i] >= 0 && sw.Connected(from, nodes[i])
 			switch {
-			case !reachable && !cut:
-				cutSince[r] = t
-			case reachable && cut:
-				tl.cuts[r] = append(tl.cuts[r], trace.Interval{Start: cutSince[r], End: t})
-				delete(cutSince, r)
+			case !reachable && !cut[i]:
+				cut[i], cutSince[i] = true, t
+			case reachable && cut[i]:
+				cut[i] = false
+				tl.cuts[r] = append(tl.cuts[r], trace.Interval{Start: cutSince[i], End: t})
 			}
 		}
-	}
-	for r, since := range cutSince {
-		tl.cuts[r] = append(tl.cuts[r], trace.Interval{Start: since, End: end})
+	})
+	for i, r := range routers {
+		if cut[i] {
+			tl.cuts[r] = append(tl.cuts[r], trace.Interval{Start: cutSince[i], End: end})
+		}
 	}
 	return tl
 }

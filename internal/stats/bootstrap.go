@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -13,6 +16,11 @@ import (
 // The paper reports bare medians; the interval quantifies how much
 // weight to give small Table 5 differences (e.g. 10 s vs 12 s CPE
 // durations) when judging reproduction quality.
+//
+// A round costs O(n), not a sort: the sample is ranked once, a round
+// counts the ranks it draws, and the median's two order statistics
+// are read off the running count. The draws, and so the medians, are
+// those of sorting every resample.
 func BootstrapMedianCI(sample []float64, rounds int, alpha float64, seed int64) (lo, hi float64, err error) {
 	if len(sample) == 0 {
 		return 0, 0, ErrNoData
@@ -24,17 +32,79 @@ func BootstrapMedianCI(sample []float64, rounds int, alpha float64, seed int64) 
 		alpha = 0.05
 	}
 	rng := rand.New(rand.NewSource(seed))
+	res := newMedianResampler(sample)
 	medians := make([]float64, rounds)
-	resample := make([]float64, len(sample))
-	for r := 0; r < rounds; r++ {
-		for i := range resample {
-			resample[i] = sample[rng.Intn(len(sample))]
-		}
-		sort.Float64s(resample)
-		medians[r] = quantileSorted(resample, 0.5)
+	for r := range medians {
+		medians[r] = res.round(rng)
 	}
 	sort.Float64s(medians)
 	lo = quantileSorted(medians, alpha/2)
 	hi = quantileSorted(medians, 1-alpha/2)
 	return lo, hi, nil
+}
+
+// medianResampler draws resamples of one sample and returns their
+// medians.
+type medianResampler struct {
+	// sorted is the sample in sort.Float64s order (NaNs first) and
+	// rank[i] the place sample[i] took in it, ties each keeping a
+	// place of their own.
+	sorted []float64
+	rank   []int32
+	// count[k] is how often the current round drew sorted[k].
+	count []int32
+	// The median of n sorted values is quantileSorted's
+	// v[lo]*(1-frac) + v[hi]*frac, or v[lo] alone when lo == hi.
+	lo, hi int
+	frac   float64
+}
+
+func newMedianResampler(sample []float64) *medianResampler {
+	n := len(sample)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(sample[a], sample[b]) })
+	m := &medianResampler{
+		sorted: make([]float64, n),
+		rank:   make([]int32, n),
+		count:  make([]int32, n),
+	}
+	for k, i := range order {
+		m.sorted[k] = sample[i]
+		m.rank[i] = int32(k)
+	}
+	pos := 0.5 * float64(n-1)
+	m.lo, m.hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	m.frac = pos - float64(m.lo)
+	return m
+}
+
+// round draws len(sample) indices from rng, one Intn each, and
+// returns the median of the values they name.
+//
+//netfail:hotpath
+func (m *medianResampler) round(rng *rand.Rand) float64 {
+	clear(m.count)
+	n := len(m.rank)
+	for i := 0; i < n; i++ {
+		m.count[m.rank[rng.Intn(n)]]++
+	}
+	// cum counts the draws at or below place k: place k holds the
+	// resample's order statistics cum-count[k] … cum-1.
+	k, cum := 0, int(m.count[0])
+	for cum <= m.lo {
+		k++
+		cum += int(m.count[k])
+	}
+	vlo := m.sorted[k]
+	if m.lo == m.hi {
+		return vlo
+	}
+	for cum <= m.hi {
+		k++
+		cum += int(m.count[k])
+	}
+	return vlo*(1-m.frac) + m.sorted[k]*m.frac
 }

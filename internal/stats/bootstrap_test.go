@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -88,5 +89,90 @@ func TestBootstrapMedianCIErrors(t *testing.T) {
 	lo, hi, err := BootstrapMedianCI([]float64{1, 2, 3}, 0, 2, 1)
 	if err != nil || lo > hi {
 		t.Errorf("defaults broken: %v %v %v", lo, hi, err)
+	}
+}
+
+// bootstrapSample draws the shapes the rank-counting bootstrap has to
+// get right: one and two values, odd and even sizes, samples that are
+// mostly ties, NaNs, and infinities of either sign (the median
+// interpolated between two of them is a NaN, which must sort where
+// the reference sorts it).
+func bootstrapSample(rng *rand.Rand) []float64 {
+	n := []int{1, 2, 3, 4, 5, 8, 17, 64, 101, 256}[rng.Intn(10)]
+	if rng.Intn(4) == 0 {
+		n = 1 + rng.Intn(40)
+	}
+	sample := make([]float64, n)
+	shape := rng.Intn(5)
+	for i := range sample {
+		switch shape {
+		case 0:
+			sample[i] = rng.ExpFloat64() * 100
+		case 1:
+			sample[i] = float64(rng.Intn(3))
+		case 2:
+			sample[i] = float64(rng.Intn(1+n/2)) * 0.1
+		case 3:
+			sample[i] = math.Inf(1 - 2*rng.Intn(2))
+		default:
+			sample[i] = rng.NormFloat64()
+			switch rng.Intn(8) {
+			case 0:
+				sample[i] = math.Inf(1)
+			case 1:
+				sample[i] = math.Inf(-1)
+			case 2:
+				sample[i] = math.NaN()
+			}
+		}
+	}
+	return sample
+}
+
+// TestBootstrapMatchesReference: bit-identical bounds to sorting every
+// resample, over seeded samples and several (rounds, alpha, seed).
+func TestBootstrapMatchesReference(t *testing.T) {
+	cases := 1200
+	if testing.Short() {
+		cases = 150
+	}
+	params := []struct {
+		rounds int
+		alpha  float64
+		seed   int64
+	}{{400, 0.05, 1}, {37, 0.2, 99}, {0, 0, -5}, {1, 0.5, 7}}
+	even, nans := 0, 0
+	for c := 0; c < cases; c++ {
+		sample := bootstrapSample(rand.New(rand.NewSource(int64(c))))
+		before := append([]float64(nil), sample...)
+		p := params[c%len(params)]
+		lo, hi, err := BootstrapMedianCI(sample, p.rounds, p.alpha, p.seed+int64(c))
+		wantLo, wantHi, wantErr := refBootstrapMedianCI(sample, p.rounds, p.alpha, p.seed+int64(c))
+		if err != wantErr || math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+			t.Fatalf("case %d (n=%d, %+v): [%v, %v] %v, reference [%v, %v] %v\nsample %v", c, len(sample), p, lo, hi, err, wantLo, wantHi, wantErr, sample)
+		}
+		for i := range sample {
+			if math.Float64bits(sample[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("case %d: sample[%d] changed", c, i)
+			}
+		}
+		if len(sample)%2 == 0 {
+			even++
+		}
+		if math.IsNaN(lo) || math.IsNaN(hi) {
+			nans++
+		}
+	}
+	if even == 0 || nans == 0 {
+		t.Errorf("generator too tame: %d even-sized samples, %d NaN bounds", even, nans)
+	}
+}
+
+// TestBootstrapRoundAllocBudget: a resampling round allocates nothing.
+func TestBootstrapRoundAllocBudget(t *testing.T) {
+	res := newMedianResampler(benchSamples(1000, 5))
+	rng := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(20, func() { res.round(rng) }); allocs != 0 {
+		t.Errorf("a bootstrap round allocates %.1f times, want 0", allocs)
 	}
 }

@@ -124,13 +124,40 @@ func TestBackboneComponentPrefersCoreMajority(t *testing.T) {
 		t.Fatalf("expected a partition, got %d components", comps)
 	}
 	backbone := g.BackboneComponent(labels)
-	idx := -1
-	for i, name := range g.names {
-		if name == "core-a" {
-			idx = i
-		}
-	}
+	idx, _ := g.Node("core-a")
 	if labels[idx] != backbone {
 		t.Error("backbone component should contain the 2-core side")
+	}
+}
+
+// TestUnknownCustomerRouterIsNotNodeZero: a hostname in the customer
+// list that the network lacks (a damaged customers.json read
+// leniently, a hand-written one) used to miss the hostname index and
+// come back as node 0, so the site inherited the first router's
+// reachability.
+func TestUnknownCustomerRouterIsNotNodeZero(t *testing.T) {
+	n, links := tinyNetwork(t)
+	n.Customers = []*Customer{
+		{Name: "half-known", Routers: []string{"cpe-1", "ghost"}},
+		{Name: "unknown", Routers: []string{"ghost"}},
+		{Name: "empty"},
+	}
+	// Node 0 is core-a, in the backbone: with cpe-1 cut off the
+	// half-known site has no router left that reaches it.
+	got := NewGraph(n).IsolatedCustomers(map[LinkID]bool{links["u1"]: true})
+	if len(got) != 1 || got[0] != "half-known" {
+		t.Errorf("isolated = %v, want [half-known]", got)
+	}
+
+	// Now make node 0 a router that is cut off: a site with no known
+	// router must not be reported isolated along with it.
+	i := 0
+	for n.RouterNames[i] != "cpe-1" {
+		i++
+	}
+	n.RouterNames[0], n.RouterNames[i] = n.RouterNames[i], n.RouterNames[0]
+	got = NewGraph(n).IsolatedCustomers(map[LinkID]bool{links["u1"]: true})
+	if len(got) != 1 || got[0] != "half-known" {
+		t.Errorf("with cpe-1 as node 0: isolated = %v, want [half-known]", got)
 	}
 }

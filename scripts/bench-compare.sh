@@ -23,6 +23,17 @@
 #                                        record per router, link and
 #                                        stored LSP plus transition
 #                                        growth, nothing per LSP
+#   BenchmarkTable5       690 allocs/op  13 months (627 measured): the
+#                                        sample slices and summaries;
+#                                        nothing per bootstrap round
+#   BenchmarkTable7      6200 allocs/op  13 months (5670 measured): one
+#                                        graph, two sweeps, and per
+#                                        isolation event its record and
+#                                        down-link snapshot; nothing
+#                                        per failure boundary
+#   BenchmarkIsolationSweep
+#                        1650 allocs/op  the IS-IS half of the above
+#                                        (1495 measured)
 #
 # verify.sh runs this as part of tier-1; `make bench-compare` runs it
 # alone. BENCHTIME trades precision for speed (default 10x).
@@ -40,7 +51,8 @@ go test -run '^$' -bench 'BenchmarkLSPDecode$|BenchmarkParseLinkEvent$' -benchme
 go test -run '^$' -bench 'BenchmarkAppend$' -benchmem -benchtime "$BENCHTIME" ./internal/checkpoint | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkSegmentAppend$|BenchmarkSegmentRead$' -benchmem -benchtime "$BENCHTIME" \
     ./internal/capture | tee -a "$raw"
-go test -run '^$' -bench 'BenchmarkStoreWindowQueryWarm$' -benchmem -benchtime "$BENCHTIME" . | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkStoreWindowQueryWarm$|BenchmarkTable5$|BenchmarkTable7$|BenchmarkIsolationSweep$' \
+    -benchmem -benchtime "$BENCHTIME" . | tee -a "$raw"
 
 go run ./cmd/netfail-bench -o /dev/null \
     -max-allocs BenchmarkSyslogExtract=6 \
@@ -51,5 +63,8 @@ go run ./cmd/netfail-bench -o /dev/null \
     -max-allocs BenchmarkSegmentRead=16 \
     -max-allocs BenchmarkStoreWindowQueryWarm=20 \
     -max-allocs BenchmarkListenerReplay=5000 \
+    -max-allocs BenchmarkTable5=690 \
+    -max-allocs BenchmarkTable7=6200 \
+    -max-allocs BenchmarkIsolationSweep=1650 \
     < "$raw"
 echo "bench-compare: alloc pins hold" >&2
