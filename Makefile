@@ -1,6 +1,6 @@
 # Developer entrypoints. `make verify` is the tier-1 gate CI enforces.
 
-.PHONY: build test lint lint-baseline race verify faultinject fuzz bench bench-compare benchmark loc obs chaos scale query golden
+.PHONY: build test lint lint-baseline race verify faultinject fuzz benchmark loc obs chaos scale query golden
 
 build:
 	go build ./...
@@ -42,17 +42,6 @@ faultinject:
 fuzz:
 	./scripts/fuzz.sh
 
-# Benchmark trajectory: run the Benchmark* suites with -benchmem and
-# emit BENCH_<PR>.json (see scripts/bench.sh for the PR/BENCHTIME/PKGS
-# knobs). CI uploads the file as an artifact.
-bench:
-	./scripts/bench.sh
-
-# Alloc-regression gate: run the pinned zero-allocation benchmarks and
-# fail if any hot path exceeds its allocs/op budget. Part of verify.
-bench-compare:
-	./scripts/bench-compare.sh
-
 # The repo's one end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # two sets of every workload, failing when they disagree.
 benchmark:
@@ -64,11 +53,11 @@ loc:
 	./scripts/loc.sh
 
 # Scale gate: simulate and analyze sharded spill-to-disk campaigns at
-# 1x and 10x CENIC scale, recording events/sec, wall-clock, capture
-# size, and peak RSS into BENCH_<PR>.json; fails if peak RSS blows the
-# bound (see scripts/scale.sh for the MULTS/DAYS/MAX_RSS_MB knobs).
+# 1x and 10x CENIC scale and print events/sec, wall-clock, capture size
+# and peak RSS per point; fails if peak RSS passes the bound (flags
+# -mult -days -seed -max-rss-mb, see cmd/netfail-scale).
 scale:
-	./scripts/scale.sh
+	go run ./cmd/netfail-scale
 
 # Observability smoke: run the instrumented pipeline on a one-month
 # seeded campaign; assert a non-empty span tree and zero drop counters.

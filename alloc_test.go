@@ -1,48 +1,73 @@
 package netfail
 
-import (
-	"context"
-	"testing"
-	"time"
+import "testing"
 
-	"netfail/internal/core"
-)
+// Allocation pins on the pipeline's hot paths. Each runs the op of the
+// Benchmark* function of the same name (bench_test.go,
+// store_bench_test.go) on that benchmark's fixture and warm-up, so
+// `go test` fails where -benchmem would only have shown a number. The
+// budgets are steady-state figures a little above the measured count:
+// one allocation per record, LSP or failure boundary creeping back
+// into the pinned loop overshoots every one of them.
+
+func pinAllocs(t *testing.T, what string, budget float64, op func()) {
+	t.Helper()
+	if avg := testing.AllocsPerRun(10, op); avg > budget {
+		t.Errorf("%s allocates %.0f times, budget is %.0f", what, avg, budget)
+	}
+}
 
 // TestSyslogExtractAllocBudget pins the full steady-state syslog
 // extraction stage — link-event decode, topology attribution, merge —
-// to amortized zero allocations per message. A long-lived (Extractor,
-// result) pair is warmed once; after that every capture must reuse
-// the grown scratch and result slices. It is the end-to-end companion
-// to the per-function pins in internal/syslog and internal/trace: a
-// per-message allocation added anywhere along the extraction path
-// raises the rate by ~1.0 against a 0.01 budget, whether or not the
-// offending function is annotated //netfail:hotpath. (The observability
-// stage span costs a handful of fixed allocations per call, which the
-// per-message budget absorbs at any realistic capture size.)
+// to the observability stage span's fixed cost, ~0 per message: a
+// per-message allocation added anywhere along the extraction path,
+// whether or not the offending function is annotated
+// //netfail:hotpath, adds one per message of the month.
 func TestSyslogExtractAllocBudget(t *testing.T) {
-	camp, err := Simulate(context.Background(), benchMonthConfig(1))
-	if err != nil {
-		t.Fatal(err)
+	op, _ := benchSyslogExtract(t)
+	pinAllocs(t, "steady-state ExtractInto over a month of syslog", 6, op)
+}
+
+// TestListenerReplayAllocBudget: a month's LSPs through a fresh
+// listener (4526 measured): one record per router, link and stored LSP
+// plus transition growth, nothing per LSP. The race detector's own
+// allocations (about a thousand here) are not the listener's.
+func TestListenerReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside the replay")
 	}
-	mined, err := MineConfigs(camp)
-	if err != nil {
-		t.Fatal(err)
+	op, _ := benchListenerReplay(t)
+	pinAllocs(t, "a one-month replay through a fresh listener", 5000, op)
+}
+
+// TestTable5AllocBudget: 13 months (627 measured): the sample slices
+// and summaries; nothing per bootstrap round.
+func TestTable5AllocBudget(t *testing.T) {
+	s := benchFullStudy(t)
+	pinAllocs(t, "Table 5 over the 13-month study", 690, func() { s.Analysis.Table5() })
+}
+
+// TestTable7AllocBudget: 13 months (5670 measured): one graph, two
+// sweeps, and per isolation event its record and down-link snapshot;
+// nothing per failure boundary.
+func TestTable7AllocBudget(t *testing.T) {
+	s := benchFullStudy(t)
+	pinAllocs(t, "Table 7 over the 13-month study", 6200, func() { s.Analysis.Table7() })
+}
+
+// TestIsolationSweepAllocBudget: the IS-IS half of Table 7 (1495
+// measured).
+func TestIsolationSweepAllocBudget(t *testing.T) {
+	pinAllocs(t, "the IS-IS isolation sweep over the 13-month study", 1650, benchIsolationSweep(t))
+}
+
+// TestStoreWindowQueryWarmAllocBudget: a warm one-day/one-link store
+// query, failures plus transitions: two segment opens plus result
+// slices. Skipped under -short like the other tests that spill a
+// campaign to disk.
+func TestStoreWindowQueryWarmAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spills and analyzes a month-long campaign")
 	}
-	if len(camp.Syslog) == 0 {
-		t.Fatal("simulation produced no syslog")
-	}
-	ex := core.NewExtractor(mined.Network)
-	var st core.SyslogTraces
-	ex.ExtractInto(context.Background(), camp.Syslog, 60*time.Second, 1, &st)
-	avg := testing.AllocsPerRun(3, func() {
-		ex.ExtractInto(context.Background(), camp.Syslog, 60*time.Second, 1, &st)
-		if len(st.MergedAdj) == 0 {
-			t.Fatal("no transitions")
-		}
-	})
-	perMsg := avg / float64(len(camp.Syslog))
-	if perMsg > 0.01 {
-		t.Errorf("steady-state ExtractInto allocates %.4f times per message (%.0f over %d messages), budget is 0.01",
-			perMsg, avg, len(camp.Syslog))
-	}
+	pinAllocs(t, "a warm one-day, one-link failures+transitions query", 20, benchStoreWindowQuery(t))
 }

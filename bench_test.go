@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"netfail/internal/config"
 	"netfail/internal/core"
 	"netfail/internal/listener"
 	"netfail/internal/netsim"
@@ -35,15 +36,15 @@ var (
 	benchErr   error
 )
 
-// fullStudy prepares the 13-month CENIC-scale study shared by the
-// table benchmarks.
-func benchFullStudy(b *testing.B) *Study {
-	b.Helper()
+// benchFullStudy prepares the 13-month CENIC-scale study shared by the
+// table benchmarks and their alloc pins (alloc_test.go).
+func benchFullStudy(tb testing.TB) *Study {
+	tb.Helper()
 	benchOnce.Do(func() {
 		benchStudy, benchErr = Run(context.Background(), SimulationConfig{Seed: 1})
 	})
 	if benchErr != nil {
-		b.Fatal(benchErr)
+		tb.Fatal(benchErr)
 	}
 	return benchStudy
 }
@@ -181,8 +182,8 @@ func BenchmarkFullReport(b *testing.B) {
 
 // BenchmarkFullReportSequential pins the report fan-out (and the
 // analysis worker pool it inherits) to one worker; the delta against
-// BenchmarkFullReport is the parallel speedup scripts/bench.sh
-// records. Output is byte-identical at every worker count.
+// BenchmarkFullReport is the parallel speedup. Output is
+// byte-identical at every worker count.
 func BenchmarkFullReportSequential(b *testing.B) {
 	b.ReportAllocs()
 	s := benchFullStudy(b)
@@ -239,65 +240,81 @@ func BenchmarkMineConfigs(b *testing.B) {
 	}
 }
 
-func BenchmarkListenerReplay(b *testing.B) {
-	b.ReportAllocs()
+// benchMonthMined simulates the one-month campaign and mines its
+// configs: the fixture of the listener and extraction benchmarks and
+// their alloc pins.
+func benchMonthMined(tb testing.TB) (*Campaign, *config.Mined) {
+	tb.Helper()
 	camp, err := Simulate(context.Background(), benchMonthConfig(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mined, err := MineConfigs(camp)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var bytesTotal int64
+	return camp, mined
+}
+
+// benchListenerReplay returns one op — the month's LSPs through a
+// fresh listener — and the bytes it replays.
+func benchListenerReplay(tb testing.TB) (op func(), bytesTotal int64) {
+	camp, mined := benchMonthMined(tb)
 	for _, c := range camp.LSPLog {
 		bytesTotal += int64(len(c.Data))
 	}
-	b.SetBytes(bytesTotal)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		l := listener.New(mined.Network)
 		for _, c := range camp.LSPLog {
 			if err := l.Process(c.Time, c.Data); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if len(l.Results().ISTransitions) == 0 {
-			b.Fatal("no transitions")
+			tb.Fatal("no transitions")
+		}
+	}, bytesTotal
+}
+
+func BenchmarkListenerReplay(b *testing.B) {
+	b.ReportAllocs()
+	op, bytesTotal := benchListenerReplay(b)
+	b.SetBytes(bytesTotal)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// benchSyslogExtract returns one steady-state extraction op and the
+// messages it extracts: a long-lived (Extractor, result) pair reusing
+// resolver, scratch, and result slices across captures, as the
+// streaming ingest path holds one per topology. Warm-up runs grow the
+// scratch so the op allocates nothing per message.
+func benchSyslogExtract(tb testing.TB) (op func(), msgs int) {
+	camp, mined := benchMonthMined(tb)
+	ex := core.NewExtractor(mined.Network)
+	var st core.SyslogTraces
+	op = func() {
+		ex.ExtractInto(context.Background(), camp.Syslog, 60*time.Second, 1, &st)
+		if len(st.MergedAdj) == 0 {
+			tb.Fatal("no transitions")
 		}
 	}
+	for i := 0; i < 2; i++ {
+		op()
+	}
+	return op, len(camp.Syslog)
 }
 
 func BenchmarkSyslogExtract(b *testing.B) {
 	b.ReportAllocs()
-	camp, err := Simulate(context.Background(), benchMonthConfig(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mined, err := MineConfigs(camp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The steady-state shape: a long-lived (Extractor, result) pair
-	// reusing resolver, scratch, and result slices across captures, as
-	// the streaming ingest path holds one per topology. Warm-up runs
-	// grow the scratch so the measured region allocates nothing.
-	ex := core.NewExtractor(mined.Network)
-	var st core.SyslogTraces
-	for i := 0; i < 2; i++ {
-		ex.ExtractInto(context.Background(), camp.Syslog, 60*time.Second, 1, &st)
-		if len(st.MergedAdj) == 0 {
-			b.Fatal("no transitions")
-		}
-	}
+	op, msgs := benchSyslogExtract(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.ExtractInto(context.Background(), camp.Syslog, 60*time.Second, 1, &st)
-		if len(st.MergedAdj) == 0 {
-			b.Fatal("no transitions")
-		}
+		op()
 	}
-	b.ReportMetric(float64(len(camp.Syslog)), "msgs/op")
+	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
 func BenchmarkAnalyzeMonth(b *testing.B) {
@@ -321,8 +338,7 @@ func BenchmarkAnalyzeMonth(b *testing.B) {
 // BenchmarkAnalyzeMonthTraced is BenchmarkAnalyzeMonth with the full
 // observability stack attached: a tracer, a metrics registry, and a
 // progress stream. The ns/op delta against BenchmarkAnalyzeMonth is
-// the cost of enabling observability; scripts/bench.sh records the
-// ratio as a pair in BENCH_<PR>.json. (With no consumers attached the
+// the cost of enabling observability. (With no consumers attached the
 // instrumentation reduces to nil-receiver no-ops, so the plain
 // benchmark doubles as the disabled-obs baseline.)
 func BenchmarkAnalyzeMonthTraced(b *testing.B) {
@@ -365,19 +381,28 @@ func BenchmarkAnalyzeMonthSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkIsolationSweep(b *testing.B) {
-	b.ReportAllocs()
-	s := benchFullStudy(b)
+// benchIsolationSweep returns one op: the IS-IS half of Table 7 over
+// the 13-month study, graph built outside it.
+func benchIsolationSweep(tb testing.TB) func() {
+	s := benchFullStudy(tb)
 	netWithCustomers := *s.Mined.Network
 	netWithCustomers.Customers = s.Campaign.Network.Customers
 	g := topo.NewGraph(&netWithCustomers)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		events := core.IsolationEvents(g, netWithCustomers.Customers,
 			s.Analysis.ISISFailures, s.Campaign.Config.End)
 		if len(events) == 0 {
-			b.Fatal("no events")
+			tb.Fatal("no events")
 		}
+	}
+}
+
+func BenchmarkIsolationSweep(b *testing.B) {
+	b.ReportAllocs()
+	op := benchIsolationSweep(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 

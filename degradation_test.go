@@ -7,8 +7,8 @@ package netfail
 // strict mode must localize the damage instead of tolerating it.
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"

@@ -523,24 +523,25 @@ func BenchmarkSegmentAppend(b *testing.B) {
 	}
 }
 
-func BenchmarkSegmentRead(b *testing.B) {
+const benchSegmentRecords = 4096
+
+// benchSegmentRead returns one op — a zero-copy read of an in-memory
+// segment of benchSegmentRecords, end to end — and the segment's size
+// in bytes.
+func benchSegmentRead(tb testing.TB) (op func(), size int64) {
 	var buf bytes.Buffer
 	buf.WriteString(segHeader)
 	rec := bytes.Repeat([]byte{0x42}, 120)
 	var fb []byte
-	const n = 4096
-	for i := 0; i < n; i++ {
+	for i := 0; i < benchSegmentRecords; i++ {
 		fb = appendRecord(fb[:0], int64(i), rec)
 		buf.Write(fb)
 	}
 	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		sr, err := newSegmentReader(bytes.NewReader(data), "bench", false)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		got := 0
 		for {
@@ -549,13 +550,32 @@ func BenchmarkSegmentRead(b *testing.B) {
 				break
 			}
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			got++
 		}
-		if got != n {
-			b.Fatalf("read %d records", got)
+		if got != benchSegmentRecords {
+			tb.Fatalf("read %d records", got)
 		}
-		b.ReportMetric(float64(n), "records/op")
+	}, int64(len(data))
+}
+
+func BenchmarkSegmentRead(b *testing.B) {
+	op, size := benchSegmentRead(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(benchSegmentRecords, "records/op")
+}
+
+// TestSegmentReadAllocBudget pins the zero-copy reader: buffer growth
+// amortized over the 4096 records of a segment, nothing per record.
+func TestSegmentReadAllocBudget(t *testing.T) {
+	op, _ := benchSegmentRead(t)
+	if avg := testing.AllocsPerRun(10, op); avg > 16 {
+		t.Errorf("reading a 4096-record segment allocates %.0f times, budget is 16", avg)
 	}
 }

@@ -149,7 +149,8 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 	if in.Traces != nil {
 		a.Traces = in.Traces
 	} else {
-		a.Traces = ExtractSyslogParallel(ctx, in.Network, in.Syslog, in.MergeWindow, workers)
+		a.Traces = &SyslogTraces{}
+		NewExtractor(in.Network).ExtractInto(ctx, in.Syslog, in.MergeWindow, workers, a.Traces)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -175,11 +176,15 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 	obs.Add(ctx, "transitions.isis", int64(len(a.ISReach)))
 
 	// Reconstruction: the two sources are independent, and each one
-	// shards per link inside ReconstructParallel.
+	// shards per link inside ReconstructPolicy.
 	rctx, rdone := obs.Stage(ctx, "reconstruct")
 	err = pool.StagesCtx(rctx, workers,
-		func(sctx context.Context) { a.SyslogRec = trace.ReconstructParallel(sctx, a.SyslogAdj, workers) },
-		func(sctx context.Context) { a.ISISRec = trace.ReconstructParallel(sctx, a.ISReach, workers) },
+		func(sctx context.Context) {
+			a.SyslogRec = trace.ReconstructPolicy(sctx, a.SyslogAdj, trace.HoldPrevious, workers)
+		},
+		func(sctx context.Context) {
+			a.ISISRec = trace.ReconstructPolicy(sctx, a.ISReach, trace.HoldPrevious, workers)
+		},
 	)
 	rdone()
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -208,9 +207,9 @@ func TestExtractUnsortedCaptureMatchesReference(t *testing.T) {
 		adjMsg("cpe-1", "Gi0", "core-a", 103, false),
 		adjMsg("core-a", "Te0", "cpe-1", 400, true),
 	}
-	seq := ExtractSyslog(n, msgs, 60*time.Second)
+	seq := extractSyslog(n, msgs, 60*time.Second, 1)
 	for _, workers := range []int{2, 3, 4} {
-		par := ExtractSyslogParallel(context.Background(), n, msgs, 60*time.Second, workers)
+		par := extractSyslog(n, msgs, 60*time.Second, workers)
 		if !reflect.DeepEqual(par, seq) {
 			t.Fatalf("workers=%d: unsorted capture diverges from sequential", workers)
 		}

@@ -5,7 +5,6 @@ package core
 // at every worker count, counters included.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -85,16 +84,12 @@ func TestExtractSyslogParallelMatchesSequential(t *testing.T) {
 	n := meshNet(t)
 	rng := rand.New(rand.NewSource(17))
 	msgs := randomAdjStream(rng, n, 2000)
-	want := ExtractSyslogParallel(context.Background(), n, msgs, 60*time.Second, 1)
+	want := extractSyslog(n, msgs, 60*time.Second, 1)
 	for _, workers := range []int{0, 2, 3, 8, 33} {
-		got := ExtractSyslogParallel(context.Background(), n, msgs, 60*time.Second, workers)
+		got := extractSyslog(n, msgs, 60*time.Second, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: parallel extraction diverges from sequential", workers)
 		}
-	}
-	// The exported sequential entry point is the same path.
-	if got := ExtractSyslog(n, msgs, 60*time.Second); !reflect.DeepEqual(got, want) {
-		t.Error("ExtractSyslog diverges from ExtractSyslogParallel(…, 1)")
 	}
 }
 

@@ -65,9 +65,9 @@ func (st *SyslogTraces) Merge(o *SyslogTraces) {
 // the (router, interface) → link resolver and all per-worker parse and
 // merge scratch, so a long-lived Extractor — the streaming daemon's
 // shape, and the benchmark's — performs only the handful of exact-size
-// result allocations per Extract call: amortized zero allocations per
-// message. An Extractor is not safe for concurrent Extract calls;
-// Extract itself fans out over the worker pool internally.
+// result allocations per ExtractInto call: amortized zero allocations
+// per message. An Extractor is not safe for concurrent ExtractInto
+// calls; ExtractInto itself fans out over the worker pool internally.
 type Extractor struct {
 	net   *topo.Network
 	links []topo.LinkID // sorted; the merge state's index space
@@ -161,43 +161,26 @@ func NewExtractor(net *topo.Network) *Extractor {
 	return e
 }
 
-// ExtractSyslog resolves and merges a syslog capture against the
-// (mined) topology. mergeWindow is the span within which two
-// same-direction messages are treated as the two routers' reports of
-// one transition; the paper's ten-second matching window is the
-// natural choice.
-func ExtractSyslog(net *topo.Network, msgs []*syslog.Message, mergeWindow time.Duration) *SyslogTraces {
-	return ExtractSyslogParallel(context.Background(), net, msgs, mergeWindow, 1)
-}
-
-// ExtractSyslogParallel is ExtractSyslog sharded across a bounded
-// worker pool: the capture is split into contiguous chunks parsed
+// ExtractInto resolves and merges a syslog capture against the
+// extractor's (mined) topology into a caller-owned result, truncating
+// and reusing st's transition slices. mergeWindow is the span within
+// which two same-direction messages are treated as the two routers'
+// reports of one transition; the paper's ten-second matching window is
+// the natural choice.
+//
+// Above one worker the capture is split into contiguous chunks parsed
 // concurrently, the shard outputs are walked in chunk order
 // (reproducing the sequential message order exactly), and the per-link
-// merges of the two streams then run as concurrent stages. Output is
-// byte-identical to the sequential path for any worker count. Callers
-// doing repeated extractions should hold a NewExtractor and call
-// Extract to reuse its scratch.
-func ExtractSyslogParallel(ctx context.Context, net *topo.Network, msgs []*syslog.Message, mergeWindow time.Duration, workers int) *SyslogTraces {
-	return NewExtractor(net).Extract(ctx, msgs, mergeWindow, workers)
-}
-
-// Extract runs the extraction pipeline over one capture into a fresh
-// result. A cancellation leaves the result partially filled; callers
-// observe it through ctx.Err() and discard the result.
-func (e *Extractor) Extract(ctx context.Context, msgs []*syslog.Message, mergeWindow time.Duration, workers int) *SyslogTraces {
-	st := &SyslogTraces{}
-	e.ExtractInto(ctx, msgs, mergeWindow, workers, st)
-	return st
-}
-
-// ExtractInto is Extract into a caller-owned result, truncating and
-// reusing st's transition slices. A long-lived (Extractor, result)
-// pair — the streaming ingest shape — makes repeated extractions
-// allocation-free at steady state: no per-message garbage means the
-// collector never runs between captures. Empty streams leave the
-// reused slices truncated to length zero rather than resetting them
-// to nil.
+// merges of the two streams then run as concurrent stages: output is
+// byte-identical for any worker count. A cancellation leaves the
+// result partially filled; callers observe it through ctx.Err() and
+// discard the result.
+//
+// A long-lived (Extractor, result) pair — the streaming ingest shape —
+// makes repeated extractions allocation-free at steady state: no
+// per-message garbage means the collector never runs between captures.
+// Empty streams leave the reused slices truncated to length zero
+// rather than resetting them to nil.
 func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mergeWindow time.Duration, workers int, st *SyslogTraces) {
 	ctx, done := obs.Stage(ctx, "extract-syslog")
 	defer done()

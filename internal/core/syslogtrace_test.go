@@ -34,6 +34,14 @@ func tinyNet(t *testing.T) (*topo.Network, topo.LinkID) {
 	return n, l.ID
 }
 
+// extractSyslog is a one-shot extraction into a fresh result: a new
+// Extractor for n, workers as ExtractInto takes them.
+func extractSyslog(n *topo.Network, msgs []*syslog.Message, mergeWindow time.Duration, workers int) *SyslogTraces {
+	st := &SyslogTraces{}
+	NewExtractor(n).ExtractInto(context.Background(), msgs, mergeWindow, workers, st)
+	return st
+}
+
 func adjMsg(host, iface, peer string, sec int, up bool) *syslog.Message {
 	return syslog.AdjChange(syslog.DialectIOS, host, uint64(sec),
 		time.Unix(int64(sec), 0).UTC(), peer, iface, up, "test")
@@ -51,7 +59,7 @@ func TestExtractSyslogResolvesAndSplits(t *testing.T) {
 		// Unknown router.
 		adjMsg("ghost", "Te0", "cpe-1", 300, false),
 	}
-	st := ExtractSyslog(n, msgs, 60*time.Second)
+	st := extractSyslog(n, msgs, 60*time.Second, 1)
 
 	if st.AdjMessages != 3 {
 		t.Errorf("adj messages = %d, want 3", st.AdjMessages)
@@ -87,7 +95,7 @@ func TestExtractSyslogKeepsTrueDoubles(t *testing.T) {
 		adjMsg("core-a", "Te0", "cpe-1", 300, false), // 200 s later: genuine double
 		adjMsg("core-a", "Te0", "cpe-1", 400, true),
 	}
-	st := ExtractSyslog(n, msgs, 60*time.Second)
+	st := extractSyslog(n, msgs, 60*time.Second, 1)
 	if len(st.MergedAdj) != 3 {
 		t.Fatalf("merged = %+v (true double must survive)", st.MergedAdj)
 	}
@@ -107,7 +115,7 @@ func TestExtractSyslogAlternationNotMerged(t *testing.T) {
 		adjMsg("core-a", "Te0", "cpe-1", 106, false),
 		adjMsg("core-a", "Te0", "cpe-1", 109, true),
 	}
-	st := ExtractSyslog(n, msgs, 60*time.Second)
+	st := extractSyslog(n, msgs, 60*time.Second, 1)
 	if len(st.MergedAdj) != 4 {
 		t.Fatalf("merged = %d, want 4", len(st.MergedAdj))
 	}

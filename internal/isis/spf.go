@@ -68,10 +68,23 @@ type spfItem struct {
 
 type spfQueue []*spfItem
 
-func (q spfQueue) Len() int           { return len(q) }
-func (q spfQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q spfQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *spfQueue) Push(x any)        { it := x.(*spfItem); it.index = len(*q); *q = append(*q, it) }
+func (q spfQueue) Len() int { return len(q) }
+
+// Less orders by (dist, hops, system ID): a total order over the
+// queue's live entries, so equal-cost paths are explored — and the
+// first one kept — in the same order on every run.
+func (q spfQueue) Less(i, j int) bool {
+	a, b := q[i], q[j]
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.hops != b.hops {
+		return a.hops < b.hops
+	}
+	return a.sys.Less(b.sys)
+}
+func (q spfQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
+func (q *spfQueue) Push(x any)   { it := x.(*spfItem); it.index = len(*q); *q = append(*q, it) }
 func (q *spfQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -120,6 +133,11 @@ func RunSPF(db *Database, source topo.SystemID) *SPFResult {
 			}
 			edges[from] = append(edges[from], spfEdge{to: to, metric: m})
 		}
+	}
+	// adv is ranged in map order; relax each node's neighbors in
+	// system-ID order instead.
+	for _, es := range edges {
+		sort.Slice(es, func(i, j int) bool { return es[i].to.Less(es[j].to) })
 	}
 
 	res := &SPFResult{Source: source, Routes: make(map[topo.SystemID]Route)}

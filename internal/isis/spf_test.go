@@ -120,3 +120,28 @@ func TestSPFParallelLinksUseBestMetric(t *testing.T) {
 		t.Errorf("metric = %d, want 10 (best of parallels)", got)
 	}
 }
+
+// TestSPFEqualCostDeterministic: on a diamond with two equal-metric
+// paths s1-s2-s4 and s1-s3-s4, the route to s4 goes via the lower
+// system ID on every run, however the maps behind the database and the
+// edge lists happen to iterate.
+func TestSPFEqualCostDeterministic(t *testing.T) {
+	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
+	now := time.Unix(0, 0)
+	for run := 0; run < 200; run++ {
+		db := NewDatabase()
+		for owner, nbrs := range map[int][]int{1: {2, 3}, 2: {1, 4}, 3: {1, 4}, 4: {2, 3}} {
+			var ns []ISNeighbor
+			for _, n := range nbrs {
+				ns = append(ns, ISNeighbor{System: sys(n), Metric: 10})
+			}
+			if !db.Install(NewLSP(sys(owner), 1, "r", ns, nil), now) {
+				t.Fatal("install failed")
+			}
+		}
+		r4 := RunSPF(db, sys(1)).Routes[sys(4)]
+		if want := (Route{Dest: sys(4), Metric: 20, NextHop: sys(2), Hops: 2}); r4 != want {
+			t.Fatalf("run %d: route to s4 = %+v, want %+v", run, r4, want)
+		}
+	}
+}

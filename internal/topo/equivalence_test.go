@@ -96,7 +96,7 @@ func TestGraphMatchesReference(t *testing.T) {
 			if round == 0 {
 				isDown = nil
 			}
-			labels, comps := g.Components(isDown)
+			labels, comps := g.components(isDown)
 			wantLabels, wantComps := ref.Components(isDown)
 			if comps != wantComps || !reflect.DeepEqual(labels, wantLabels) {
 				t.Fatalf("seed %d round %d: Components = %v (%d), reference %v (%d)", seed, round, labels, comps, wantLabels, wantComps)
@@ -104,7 +104,7 @@ func TestGraphMatchesReference(t *testing.T) {
 			if comps > 1 {
 				partitions++
 			}
-			if got, want := g.BackboneComponent(labels), ref.BackboneComponent(wantLabels); got != want {
+			if got, want := g.backboneComponent(labels), ref.BackboneComponent(wantLabels); got != want {
 				t.Fatalf("seed %d round %d: BackboneComponent = %d, reference %d", seed, round, got, want)
 			}
 			if coreTie(ref, wantLabels) {
@@ -118,7 +118,7 @@ func TestGraphMatchesReference(t *testing.T) {
 			hosts := append([]string{"ghost-0"}, n.RouterNames...)
 			for _, a := range hosts {
 				for _, b := range hosts {
-					if got, want := g.Reachable(a, b, down), ref.Reachable(a, b, down); got != want {
+					if got, want := g.reachable(a, b, down), ref.Reachable(a, b, down); got != want {
 						t.Fatalf("seed %d round %d: Reachable(%s, %s) = %v, reference %v", seed, round, a, b, got, want)
 					}
 				}

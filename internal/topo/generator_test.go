@@ -119,7 +119,7 @@ func TestGenerateCustomersCoverAllCPE(t *testing.T) {
 func TestGenerateConnected(t *testing.T) {
 	n := mustGenerate(t, DefaultSpec())
 	g := NewGraph(n)
-	_, comps := g.Components(nil)
+	_, comps := g.components(nil)
 	if comps != 1 {
 		t.Errorf("healthy network has %d components, want 1", comps)
 	}

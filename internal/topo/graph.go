@@ -269,10 +269,10 @@ func (g *Graph) sweepOf(down map[LinkID]bool) *Sweep {
 	return s
 }
 
-// Components labels each router with a connected-component number,
+// components labels each router with a connected-component number,
 // ignoring links for which down returns true. It returns the label
 // slice (indexed like node indices) and the number of components.
-func (g *Graph) Components(down func(LinkID) bool) ([]int, int) {
+func (g *Graph) components(down func(LinkID) bool) ([]int, int) {
 	s := g.NewSweep()
 	if down != nil {
 		for l, link := range g.links {
@@ -285,11 +285,11 @@ func (g *Graph) Components(down func(LinkID) bool) ([]int, int) {
 	return s.labels, s.comps
 }
 
-// BackboneComponent returns the component label containing the most
+// backboneComponent returns the component label containing the most
 // core routers, which the isolation analysis treats as "the backbone";
 // among equals, the one whose count got there first in router order.
-// labels is what Components returned.
-func (g *Graph) BackboneComponent(labels []int) int {
+// labels is what components returned.
+func (g *Graph) backboneComponent(labels []int) int {
 	return g.backboneOf(labels, make([]int32, len(g.adj)))
 }
 
@@ -325,9 +325,9 @@ func (g *Graph) IsolatedCustomers(down map[LinkID]bool) []string {
 	return isolated
 }
 
-// Reachable reports whether a path exists between two routers with the
+// reachable reports whether a path exists between two routers with the
 // given links down.
-func (g *Graph) Reachable(from, to string, down map[LinkID]bool) bool {
+func (g *Graph) reachable(from, to string, down map[LinkID]bool) bool {
 	fi, ok := g.index[from]
 	if !ok {
 		return false

@@ -41,7 +41,7 @@ func tinyNetwork(t *testing.T) (*Network, map[string]LinkID) {
 func TestComponentsHealthy(t *testing.T) {
 	n, _ := tinyNetwork(t)
 	g := NewGraph(n)
-	_, comps := g.Components(nil)
+	_, comps := g.components(nil)
 	if comps != 1 {
 		t.Errorf("components = %d, want 1", comps)
 	}
@@ -96,17 +96,17 @@ func TestIsolationEmptyDownSet(t *testing.T) {
 func TestReachable(t *testing.T) {
 	n, links := tinyNetwork(t)
 	g := NewGraph(n)
-	if !g.Reachable("cpe-1", "core-c", nil) {
+	if !g.reachable("cpe-1", "core-c", nil) {
 		t.Error("cpe-1 should reach core-c on healthy network")
 	}
 	down := map[LinkID]bool{links["u1"]: true}
-	if g.Reachable("cpe-1", "core-c", down) {
+	if g.reachable("cpe-1", "core-c", down) {
 		t.Error("cpe-1 should be cut off with its uplink down")
 	}
-	if !g.Reachable("core-a", "core-b", down) {
+	if !g.reachable("core-a", "core-b", down) {
 		t.Error("core ring should be unaffected")
 	}
-	if g.Reachable("cpe-1", "nonexistent", nil) {
+	if g.reachable("cpe-1", "nonexistent", nil) {
 		t.Error("unknown router should not be reachable")
 	}
 }
@@ -119,11 +119,11 @@ func TestBackboneComponentPrefersCoreMajority(t *testing.T) {
 	down := func(id LinkID) bool {
 		return id == links["bc"] || id == links["ca"] || id == links["u2b"]
 	}
-	labels, comps := g.Components(down)
+	labels, comps := g.components(down)
 	if comps < 2 {
 		t.Fatalf("expected a partition, got %d components", comps)
 	}
-	backbone := g.BackboneComponent(labels)
+	backbone := g.backboneComponent(labels)
 	idx, _ := g.Node("core-a")
 	if labels[idx] != backbone {
 		t.Error("backbone component should contain the 2-core side")

@@ -1,8 +1,8 @@
 package trace
 
-// ReconstructParallel shards the state machine per link and merges in
-// sorted-link order; every worker count must reproduce the sequential
-// reconstruction exactly, field for field.
+// ReconstructPolicy above one worker shards the state machine per link
+// and merges in sorted-link order; every worker count must reproduce
+// the sequential reconstruction exactly, field for field.
 
 import (
 	"context"
@@ -20,7 +20,7 @@ func TestReconstructParallelMatchesSequential(t *testing.T) {
 		ts := randomTransitions(rng, 600)
 		want := Reconstruct(ts)
 		for _, workers := range []int{0, 2, 3, 8, 64} {
-			got := ReconstructParallel(context.Background(), ts, workers)
+			got := ReconstructPolicy(context.Background(), ts, HoldPrevious, workers)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d workers %d: parallel reconstruction diverges", seed, workers)
 			}
@@ -30,7 +30,7 @@ func TestReconstructParallelMatchesSequential(t *testing.T) {
 
 func TestReconstructParallelEmpty(t *testing.T) {
 	want := Reconstruct(nil)
-	got := ReconstructParallel(context.Background(), nil, 8)
+	got := ReconstructPolicy(context.Background(), nil, HoldPrevious, 8)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("empty input: parallel %+v, sequential %+v", got, want)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestReconstructInvariants(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ts := randomTransitions(rng, rng.Intn(200))
 		for _, policy := range []AmbiguityPolicy{HoldPrevious, AssumeDown, AssumeUp} {
-			rec := ReconstructPolicy(ts, policy)
+			rec := ReconstructPolicy(context.Background(), ts, policy, 1)
 			lastEnd := make(map[topo.LinkID]time.Time)
 			var prev *Failure
 			for i := range rec.Failures {

@@ -52,33 +52,44 @@ type Reconstruction struct {
 }
 
 // Reconstruct builds failure events from transitions using the
-// paper's recommended HoldPrevious rule for repeated transitions.
+// paper's recommended HoldPrevious rule for repeated transitions, on
+// the calling goroutine.
 func Reconstruct(ts []Transition) Reconstruction {
-	return ReconstructPolicy(ts, HoldPrevious)
+	return ReconstructPolicy(context.Background(), ts, HoldPrevious, 1)
 }
 
-// ReconstructParallel is Reconstruct sharded per link across a bounded
-// worker pool. Output is byte-identical to Reconstruct for any worker
-// count: links reconstruct independently and the shards merge in
-// sorted link order, exactly the order the sequential loop visits.
-// Cancellation of ctx stops dispatching link shards; the partial
-// result must be discarded by the caller (check ctx.Err()).
-func ReconstructParallel(ctx context.Context, ts []Transition, workers int) Reconstruction {
-	return ReconstructPolicyParallel(ctx, ts, HoldPrevious, workers)
-}
-
-// ReconstructPolicyParallel is ReconstructPolicy with per-link
-// sharding; workers <= 1 runs the sequential reference path. Each
-// worker slot owns one accumulator reused across all the links it
-// runs, and records per-link spans into it; the spans are then copied
-// into exact-size result buffers in sorted link order — the same
-// concatenation order the sequential loop produces — before the final
-// sort, so the output is byte-identical for any worker count.
-func ReconstructPolicyParallel(ctx context.Context, ts []Transition, policy AmbiguityPolicy, workers int) Reconstruction {
-	if workers <= 1 {
-		return ReconstructPolicy(ts, policy)
-	}
+// ReconstructPolicy builds failure events from transitions, which may
+// cover many links and need not be sorted. Links are assumed up at
+// the start of the observation window. Repeated same-direction
+// transitions are recorded as ambiguities and the span between them
+// is attributed per the policy (§4.3):
+//
+//   - HoldPrevious: the repeated message is spurious; a second Down
+//     does not move a failure's start and a second Up creates nothing.
+//   - AssumeDown: the span is downtime — a double Up inserts a
+//     failure covering it; a double Down extends like HoldPrevious.
+//   - AssumeUp: the span is uptime — a double Down restarts the
+//     failure at the second message.
+//
+// workers <= 1 runs the sequential reference loop. Above that the
+// links, which reconstruct independently, are sharded across a bounded
+// worker pool: each worker slot owns one accumulator reused across all
+// the links it runs, and records per-link spans into it; the spans are
+// then copied into exact-size result buffers in sorted link order —
+// the same concatenation order the sequential loop produces — before
+// the final sort, so the output is byte-identical for any worker
+// count. Cancellation of ctx stops dispatching link shards; the
+// partial result must be discarded by the caller (check ctx.Err()).
+func ReconstructPolicy(ctx context.Context, ts []Transition, policy AmbiguityPolicy, workers int) Reconstruction {
 	links, offsets, flat := groupLinkSeqs(ts)
+	if workers <= 1 {
+		var rec Reconstruction
+		for i, link := range links {
+			reconstructLinkInto(link, flat[offsets[i]:offsets[i+1]], policy, &rec)
+		}
+		sortFailures(rec.Failures)
+		return rec
+	}
 	type linkSpan struct {
 		w          int32 // worker slot that ran the link
 		fOff, fLen int32 // the link's slice of the worker's Failures
@@ -160,28 +171,6 @@ func groupLinkSeqs(ts []Transition) ([]topo.LinkID, []int32, []Transition) {
 		sort.SliceStable(g, func(a, b int) bool { return g[a].Time.Before(g[b].Time) })
 	}
 	return links, offsets, flat
-}
-
-// ReconstructPolicy builds failure events from transitions, which may
-// cover many links and need not be sorted. Links are assumed up at
-// the start of the observation window. Repeated same-direction
-// transitions are recorded as ambiguities and the span between them
-// is attributed per the policy (§4.3):
-//
-//   - HoldPrevious: the repeated message is spurious; a second Down
-//     does not move a failure's start and a second Up creates nothing.
-//   - AssumeDown: the span is downtime — a double Up inserts a
-//     failure covering it; a double Down extends like HoldPrevious.
-//   - AssumeUp: the span is uptime — a double Down restarts the
-//     failure at the second message.
-func ReconstructPolicy(ts []Transition, policy AmbiguityPolicy) Reconstruction {
-	var rec Reconstruction
-	links, offsets, flat := groupLinkSeqs(ts)
-	for i, link := range links {
-		reconstructLinkInto(link, flat[offsets[i]:offsets[i+1]], policy, &rec)
-	}
-	sortFailures(rec.Failures)
-	return rec
 }
 
 // reconstructLinkInto runs the state machine over one link's

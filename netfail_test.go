@@ -1,8 +1,8 @@
 package netfail
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"

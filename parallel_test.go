@@ -6,8 +6,8 @@ package netfail
 // worker count can change scheduling but never output.
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"testing"
 )
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the single tier-1 verification entrypoint: build,
-# vet, the repo's own static-analysis suite (netfail-lint), and the
-# full test suite under the race detector. CI runs exactly this
-# script; run it locally before pushing:
+# vet, gofmt, the repo's own static-analysis suite (netfail-lint), and
+# the full test suite (hot-path alloc pins included) plain and under
+# the race detector. CI runs exactly this script; run it locally before
+# pushing:
 #
 #   ./scripts/verify.sh          # everything
 #   ./scripts/verify.sh -short   # skip the race run (quick iteration)
@@ -19,14 +20,19 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (tracked Go files outside testdata/)"
+unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt would rewrite:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> netfail-lint ./... (analyzers + escape baseline gate)"
 go run ./cmd/netfail-lint ./...
 
 echo "==> go test ./..."
 go test ./...
-
-echo "==> bench-compare (hot-path alloc pins)"
-./scripts/bench-compare.sh > /dev/null
 
 if [ "$short" = 0 ]; then
     echo "==> go test -race ./..."
@@ -42,7 +48,7 @@ if [ "$short" = 0 ]; then
     ./scripts/query.sh
 
     echo "==> scale smoke (2-shard spill campaign, 7 days)"
-    MULTS=1,2 DAYS=7 MAX_RSS_MB=1024 OUT="$(mktemp)" ./scripts/scale.sh > /dev/null
+    go run ./cmd/netfail-scale -mult 1,2 -days 7 -max-rss-mb 1024 > /dev/null
 
     echo "==> chaos (kill/restart identity, overload soak, drain)"
     ./scripts/chaos.sh

@@ -14,24 +14,34 @@ import (
 )
 
 // Store benchmarks over the month-long seed campaign. The pair
-// recorded in BENCH_<PR>.json — BenchmarkStoreWindowQueryWarm as base,
-// BenchmarkAnalyzeCaptureDirMonth as variant — is the store's reason
-// to exist: answering a one-day, one-link window question from the
-// warm store must be orders of magnitude (>=100x, per the acceptance
-// bar) cheaper than re-running the batch pipeline to recompute it.
+// BenchmarkStoreWindowQueryWarm / BenchmarkAnalyzeCaptureDirMonth is
+// the store's reason to exist: answering a one-day, one-link window
+// question from the warm store must be orders of magnitude (>=100x,
+// per the acceptance bar) cheaper than re-running the batch pipeline
+// to recompute it.
 
 // benchCapture lazily spills the month campaign once and analyzes it
-// once with a store attached; every store benchmark shares the result.
+// once with a store attached; every store benchmark, and the window
+// query's alloc pin, shares the result.
 var benchCapture struct {
 	once     sync.Once
+	dir      string // parent of campDir and storeDir; TestMain removes it
 	campDir  string
 	storeDir string
 	link     string
 	err      error
 }
 
-func benchCaptureSetup(b *testing.B) (campDir, storeDir, link string) {
-	b.Helper()
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchCapture.dir != "" {
+		os.RemoveAll(benchCapture.dir)
+	}
+	os.Exit(code)
+}
+
+func benchCaptureSetup(tb testing.TB) (campDir, storeDir, link string) {
+	tb.Helper()
 	benchCapture.once.Do(func() {
 		ctx := context.Background()
 		dir, err := os.MkdirTemp("", "netfail-store-bench-")
@@ -39,6 +49,7 @@ func benchCaptureSetup(b *testing.B) (campDir, storeDir, link string) {
 			benchCapture.err = err
 			return
 		}
+		benchCapture.dir = dir
 		benchCapture.campDir = filepath.Join(dir, "campaign")
 		benchCapture.storeDir = filepath.Join(dir, "store")
 		if _, err := SimulateToCapture(ctx, benchMonthConfig(1), FabricSpec{}, benchCapture.campDir); err != nil {
@@ -66,7 +77,7 @@ func benchCaptureSetup(b *testing.B) (campDir, storeDir, link string) {
 		benchCapture.link = string(fails[0].Link)
 	})
 	if benchCapture.err != nil {
-		b.Fatal(benchCapture.err)
+		tb.Fatal(benchCapture.err)
 	}
 	return benchCapture.campDir, benchCapture.storeDir, benchCapture.link
 }
@@ -103,16 +114,15 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWindowQueryWarm is the acceptance-bar query: one
+// benchStoreWindowQuery returns one op, the acceptance-bar query: one
 // link, one day, failures plus transitions, against an already-open
 // store.
-func BenchmarkStoreWindowQueryWarm(b *testing.B) {
-	b.ReportAllocs()
-	_, storeDir, link := benchCaptureSetup(b)
+func benchStoreWindowQuery(tb testing.TB) func() {
+	_, storeDir, link := benchCaptureSetup(tb)
 	ctx := context.Background()
 	s, err := store.Open(storeDir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	from := time.Date(2011, 1, 15, 0, 0, 0, 0, time.UTC)
 	to := from.AddDate(0, 0, 1)
@@ -120,16 +130,24 @@ func BenchmarkStoreWindowQueryWarm(b *testing.B) {
 	// Warm pass: touch the segments once so the measured region sees
 	// steady state (page cache, grown decode buffers).
 	if _, err := s.Failures(ctx, opts...); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := s.Failures(ctx, opts...); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := s.Transitions(ctx, opts...); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkStoreWindowQueryWarm(b *testing.B) {
+	b.ReportAllocs()
+	op := benchStoreWindowQuery(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 
