@@ -1,6 +1,6 @@
 # Developer entrypoints. `make verify` is the tier-1 gate CI enforces.
 
-.PHONY: build test lint lint-baseline race verify faultinject fuzz benchmark loc obs chaos scale query golden
+.PHONY: build test lint race verify faultinject fuzz benchmark loc obs chaos scale query golden
 
 build:
 	go build ./...
@@ -16,17 +16,10 @@ golden:
 	go run ./cmd/netfail-analyze -seed 1 -markdown > docs/reproduction-seed1.md
 
 # Static analysis: go vet plus the repo's own suite (detclock,
-# droppederr, lockguard, durmul, ctxfirst, hotalloc, goleak) and the
-# escape-analysis baseline gate against lint-escape-baseline.txt.
+# droppederr, lockguard, durmul, ctxfirst, goleak).
 lint:
 	go vet ./...
 	go run ./cmd/netfail-lint ./...
-
-# Regenerate lint-escape-baseline.txt after an intentional change to a
-# //netfail:hotpath function's escape behavior; review and commit the
-# diff.
-lint-baseline:
-	go run ./cmd/netfail-lint -write-escape-baseline
 
 race:
 	go test -race ./...

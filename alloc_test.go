@@ -1,6 +1,9 @@
 package netfail
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // Allocation pins on the pipeline's hot paths. Each runs the op of the
 // Benchmark* function of the same name (bench_test.go,
@@ -20,9 +23,8 @@ func pinAllocs(t *testing.T, what string, budget float64, op func()) {
 // TestSyslogExtractAllocBudget pins the full steady-state syslog
 // extraction stage — link-event decode, topology attribution, merge —
 // to the observability stage span's fixed cost, ~0 per message: a
-// per-message allocation added anywhere along the extraction path,
-// whether or not the offending function is annotated
-// //netfail:hotpath, adds one per message of the month.
+// per-message allocation added anywhere along the extraction path
+// adds one per message of the month.
 func TestSyslogExtractAllocBudget(t *testing.T) {
 	op, _ := benchSyslogExtract(t)
 	pinAllocs(t, "steady-state ExtractInto over a month of syslog", 6, op)
@@ -59,6 +61,18 @@ func TestTable7AllocBudget(t *testing.T) {
 // measured).
 func TestIsolationSweepAllocBudget(t *testing.T) {
 	pinAllocs(t, "the IS-IS isolation sweep over the 13-month study", 1650, benchIsolationSweep(t))
+}
+
+// TestWindowSweepAllocBudget: the knee sweep (10623 measured) allocates
+// one candidate list per syslog failure while indexing for its widest
+// window and nothing per window evaluated, so the report's eleven
+// windows cost exactly what their widest alone does.
+func TestWindowSweepAllocBudget(t *testing.T) {
+	s := benchFullStudy(t)
+	widest := func() { s.Analysis.WindowKnee([]time.Duration{60 * time.Second}) }
+	pinAllocs(t, "a one-window sweep over the 13-month study", 11600, widest)
+	eleven := func() { s.Analysis.WindowKnee(nil) }
+	pinAllocs(t, "the eleven-window knee sweep over the 13-month study", testing.AllocsPerRun(10, widest), eleven)
 }
 
 // TestStoreWindowQueryWarmAllocBudget: a warm one-day/one-link store

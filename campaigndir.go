@@ -1,6 +1,7 @@
 package netfail
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -77,24 +78,24 @@ func WriteCampaignMeta(dir string, camp *Campaign, files ...CampaignFile) error 
 	return camp.Archive.SaveDir(filepath.Join(dir, configsName))
 }
 
-// readFile parses dir/name with the format's strict reader, or — when
-// salvaging, if the format has a lenient reader — with that, filing
-// its report under name.
-func readFile[T any](dir, name string, salvaging bool, reports *[]CaptureSalvage,
-	strict func(io.Reader) (T, error), lenient func(io.Reader) (T, *salvage.Report, error)) (v T, err error) {
-	f, err := os.Open(filepath.Join(dir, name))
+// readJSON parses dir/name with read, the format's strict reader.
+// When salvaging, garbage around the file's one JSON object is first
+// skipped and accounted under name; corruption inside the object is
+// read's to reject in both modes.
+func readJSON[T any](dir, name string, salvaging bool, reports *[]CaptureSalvage, read func(io.Reader) (T, error)) (v T, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return v, err
 	}
-	defer f.Close()
-	if !salvaging || lenient == nil {
-		return strict(f)
-	}
-	v, rep, err := lenient(f)
-	if err == nil {
+	if salvaging {
+		obj, rep, ok := salvage.JSONObject(raw)
+		if !ok {
+			return v, fmt.Errorf("%s: no complete JSON object found", name)
+		}
 		*reports = append(*reports, CaptureSalvage{name, rep})
+		raw = obj
 	}
-	return v, err
+	return read(bytes.NewReader(raw))
 }
 
 // ReadCampaignDir loads a campaign directory into a study that has
@@ -106,18 +107,18 @@ func readFile[T any](dir, name string, salvaging bool, reports *[]CaptureSalvage
 func ReadCampaignDir(ctx context.Context, dir string, lenient bool) (*Study, []CaptureSalvage, error) {
 	var reports []CaptureSalvage
 	_, loaded := obs.Stage(ctx, "load")
-	manifest, err := readFile(dir, manifestName, lenient, &reports, netsim.ReadManifest, netsim.ReadManifestLenient)
+	manifest, err := readJSON(dir, manifestName, lenient, &reports, netsim.ReadManifest)
 	var archive *config.Archive
 	if err == nil {
 		archive, err = config.LoadDir(filepath.Join(dir, configsName))
 	}
 	var corpus []tickets.Ticket
 	if err == nil {
-		corpus, err = readFile(dir, ticketsName, false, nil, tickets.ReadJSON, nil)
+		corpus, err = readJSON(dir, ticketsName, false, nil, tickets.ReadJSON)
 	}
 	var customers []*topo.Customer
 	if err == nil {
-		customers, err = readFile(dir, customersName, false, nil, topo.ReadCustomersJSON, nil)
+		customers, err = readJSON(dir, customersName, false, nil, topo.ReadCustomersJSON)
 	}
 	loaded()
 	if err != nil {
@@ -207,7 +208,20 @@ func flatShards(dir string) []shard {
 			return syslog.ScanLog(f, func(n int, line []byte) error { return d.push(ctx, n, line) })
 		},
 		lsps: func(ctx context.Context, d *Driver) error {
-			lsps, err := readFile(dir, LSPLogName, d.lenient, &d.reports, netsim.ReadLSPLog, netsim.ReadLSPLogLenient)
+			f, err := os.Open(filepath.Join(dir, LSPLogName))
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			var lsps []netsim.CapturedLSP
+			if d.lenient {
+				var rep *salvage.Report
+				if lsps, rep, err = netsim.ReadLSPLogLenient(f); err == nil {
+					d.reports = append(d.reports, CaptureSalvage{LSPLogName, rep})
+				}
+			} else {
+				lsps, err = netsim.ReadLSPLog(f)
+			}
 			for i := 0; err == nil && i < len(lsps); i++ {
 				err = d.replay(ctx, LSPLogName, i, lsps[i].Time, lsps[i].Data)
 			}
@@ -219,8 +233,7 @@ func flatShards(dir string) []shard {
 // captureShards is a spilled campaign's capture directory: one shard
 // per topology domain, in the capture manifest's fixed order.
 func captureShards(d *Driver, dir string) ([]shard, error) {
-	cm, err := readFile(dir, filepath.Join(CaptureDirName, capture.ManifestName), d.lenient, &d.reports,
-		capture.ReadManifest, capture.ReadManifestLenient)
+	cm, err := readJSON(dir, filepath.Join(CaptureDirName, capture.ManifestName), d.lenient, &d.reports, capture.ReadManifest)
 	if err != nil {
 		return nil, err
 	}

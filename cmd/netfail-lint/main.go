@@ -12,15 +12,7 @@
 //	lockguard   "// guarded by mu" fields accessed only under the mutex
 //	durmul      no duration×duration, no unit-less duration constants
 //	ctxfirst    context.Context first in signatures, never in structs
-//	hotalloc    no allocation-inducing constructs in //netfail:hotpath bodies
 //	goleak      goroutines must have exit paths and cancellation-guarded sends
-//
-// In addition to the analyzers, the escape-analysis baseline gate
-// compares the compiler's heap-escape diagnostics (-gcflags=-m=1)
-// inside hotpath functions against lint-escape-baseline.txt: a new
-// escape, a stale entry, or an unbaselined hotpath function is a
-// finding like any other. -write-escape-baseline regenerates the file
-// after intentional changes (wired as `make lint-baseline`).
 //
 // -json emits findings as one JSON object per line
 // ({"file","line","col","analyzer","message"}) for editor and CI
@@ -33,24 +25,17 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
 
 	"netfail/internal/lint"
 	"netfail/internal/lint/ctxfirst"
 	"netfail/internal/lint/detclock"
 	"netfail/internal/lint/droppederr"
 	"netfail/internal/lint/durmul"
-	"netfail/internal/lint/escape"
 	"netfail/internal/lint/goleak"
-	"netfail/internal/lint/hotalloc"
 	"netfail/internal/lint/lockguard"
 )
 
@@ -62,28 +47,16 @@ var suite = []*lint.Analyzer{
 	lockguard.Analyzer,
 	durmul.Analyzer,
 	ctxfirst.Analyzer,
-	hotalloc.Analyzer,
 	goleak.Analyzer,
 }
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as one JSON object per line")
-	baselinePath := flag.String("escape-baseline", "lint-escape-baseline.txt",
-		"escape-analysis baseline file, relative to the module root; empty disables the gate")
-	writeBaseline := flag.Bool("write-escape-baseline", false,
-		"regenerate the escape baseline from the current build and exit")
 	flag.Parse()
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	if *writeBaseline {
-		if err := rewriteBaseline(*baselinePath); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	pkgs, err := lint.Load(".", patterns...)
@@ -93,13 +66,6 @@ func main() {
 	findings, err := lint.Run(pkgs, suite)
 	if err != nil {
 		fatal(err)
-	}
-	if *baselinePath != "" {
-		gate, err := escapeGate(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, gate...)
 	}
 	for _, f := range findings {
 		if *jsonOut {
@@ -140,139 +106,4 @@ func printJSON(f lint.Finding) {
 		fatal(err)
 	}
 	fmt.Println(string(out))
-}
-
-// moduleRoot locates the enclosing module for the escape gate, which
-// always evaluates the whole module regardless of the patterns given.
-func moduleRoot() (string, error) {
-	cmd := exec.Command("go", "env", "GOMOD")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go env GOMOD: %v\n%s", err, stderr.String())
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return "", fmt.Errorf("escape gate requires running inside a module")
-	}
-	return filepath.Dir(gomod), nil
-}
-
-// rewriteBaseline regenerates the baseline file from the current
-// build: the `make lint-baseline` entry point.
-func rewriteBaseline(path string) error {
-	root, err := moduleRoot()
-	if err != nil {
-		return err
-	}
-	entries, err := escape.Collect(root)
-	if err != nil {
-		return err
-	}
-	full := filepath.Join(root, path)
-	if err := os.WriteFile(full, escape.Format(entries), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("netfail-lint: wrote %d escape baseline entr%s to %s\n",
-		len(entries), plural(len(entries), "y", "ies"), path)
-	return nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// escapeGate diffs the current escape diagnostics against the
-// committed baseline and renders every divergence as a finding: new
-// escapes at the function declaration, stale entries at their
-// baseline line.
-func escapeGate(path string) ([]lint.Finding, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return nil, err
-	}
-	current, err := escape.Collect(root)
-	if err != nil {
-		return nil, err
-	}
-	full := filepath.Join(root, path)
-	data, err := os.ReadFile(full)
-	if os.IsNotExist(err) {
-		if len(current) == 0 {
-			return nil, nil // no annotations, no baseline: nothing to gate
-		}
-		return []lint.Finding{{
-			Analyzer: "escape",
-			Pos:      token.Position{Filename: path, Line: 1},
-			Message: fmt.Sprintf("%d hotpath function(s) have no escape baseline; run `make lint-baseline` and commit %s",
-				hotpathCount(current), path),
-		}}, nil
-	} else if err != nil {
-		return nil, err
-	}
-	baseline, err := escape.ParseBaseline(data)
-	if err != nil {
-		return nil, err
-	}
-	added, stale := escape.Diff(current, baseline)
-	if len(added) == 0 && len(stale) == 0 {
-		return nil, nil
-	}
-	decls, err := escape.FuncDecls(root)
-	if err != nil {
-		return nil, err
-	}
-	var findings []lint.Finding
-	for _, e := range added {
-		pos, ok := decls[e.Func]
-		if !ok {
-			pos = token.Position{Filename: path, Line: 1}
-		}
-		msg := fmt.Sprintf("new heap escape in hotpath function %s: %q is not in %s; eliminate the escape or refresh with `make lint-baseline`",
-			e.Func, e.Diag, path)
-		if e.Diag == escape.None {
-			msg = fmt.Sprintf("hotpath function %s is now escape-free but %s does not record it; refresh with `make lint-baseline`",
-				e.Func, path)
-		}
-		findings = append(findings, lint.Finding{
-			Analyzer: "escape",
-			Pkg:      pkgOf(e.Func),
-			Pos:      pos,
-			Message:  msg,
-		})
-	}
-	for _, b := range stale {
-		findings = append(findings, lint.Finding{
-			Analyzer: "escape",
-			Pkg:      pkgOf(b.Func),
-			Pos:      token.Position{Filename: path, Line: b.Line},
-			Message: fmt.Sprintf("stale escape baseline entry %q: the compiler no longer reports it; refresh with `make lint-baseline`",
-				b.Entry),
-		})
-	}
-	return findings, nil
-}
-
-// pkgOf trims the function name off a qualified baseline entry:
-// "netfail/internal/match.(*TransitionIndex).AnyWithin" has import
-// path "netfail/internal/match".
-func pkgOf(fn string) string {
-	slash := strings.LastIndex(fn, "/")
-	dot := strings.Index(fn[slash+1:], ".")
-	if dot < 0 {
-		return fn
-	}
-	return fn[:slash+1+dot]
-}
-
-func hotpathCount(entries []escape.Entry) int {
-	seen := map[string]bool{}
-	for _, e := range entries {
-		seen[e.Func] = true
-	}
-	return len(seen)
 }

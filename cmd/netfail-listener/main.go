@@ -91,7 +91,7 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 	reg := obs.NewRegistry()
 	if debugAddr != "" {
 		obs.Publish("netfail-listener", reg)
-		srv := &http.Server{Addr: debugAddr, Handler: api.NewMux(api.Options{Registry: reg})}
+		srv := api.NewServer(debugAddr, api.Options{Registry: reg})
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "debug endpoint: %v\n", err)

@@ -28,17 +28,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"netfail/internal/api"
 	"netfail/internal/config"
 	"netfail/internal/report"
 	"netfail/internal/store"
-	"netfail/internal/topo"
-	"netfail/internal/trace"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if err := run(ctx, *storeDir, lenient, *jsonOut, flag.Args()); err != nil {
+	if err := run(ctx, os.Stdout, *storeDir, lenient, *jsonOut, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "netfail-query:", err)
 		if errors.Is(err, context.Canceled) {
 			os.Exit(130)
@@ -90,7 +89,7 @@ flags:
 	flag.PrintDefaults()
 }
 
-func run(ctx context.Context, dir string, lenient, jsonOut bool, args []string) error {
+func run(ctx context.Context, out io.Writer, dir string, lenient, jsonOut bool, args []string) error {
 	if !store.IsStoreDir(dir) {
 		return fmt.Errorf("%s is not a store directory (no %s); write one with netfail-analyze -store", dir, store.ManifestName)
 	}
@@ -108,21 +107,21 @@ func run(ctx context.Context, dir string, lenient, jsonOut bool, args []string) 
 	verb, rest := args[0], args[1:]
 	switch verb {
 	case "links":
-		err = runLinks(ctx, s, jsonOut, rest)
+		err = runLinks(ctx, out, s, jsonOut, rest)
 	case "failures":
-		err = runFailures(ctx, s, jsonOut, rest)
+		err = runFailures(ctx, out, s, jsonOut, rest)
 	case "transitions":
-		err = runTransitions(ctx, s, jsonOut, rest)
+		err = runTransitions(ctx, out, s, jsonOut, rest)
 	case "messages":
-		err = runMessages(ctx, s, jsonOut, rest)
+		err = runMessages(ctx, out, s, jsonOut, rest)
 	case "flaps":
-		err = runFlaps(ctx, s, jsonOut, rest)
+		err = runFlaps(ctx, out, s, jsonOut, rest)
 	case "table":
-		err = runTable(s, jsonOut, rest)
+		err = runTable(out, s, jsonOut, rest)
 	case "info":
-		err = runInfo(s, jsonOut, rest)
+		err = runInfo(out, s, jsonOut, rest)
 	case "serve":
-		err = runServe(ctx, s, rest)
+		err = runServe(ctx, out, s, rest)
 	default:
 		return fmt.Errorf("unknown verb %q (want links, failures, transitions, messages, flaps, table, info, or serve)", verb)
 	}
@@ -151,31 +150,20 @@ func reportSalvage(s *store.Store) error {
 	return nil
 }
 
-// windowFlags registers the shared -from/-to pair on a verb flag set
-// and returns a resolver producing the store option.
-func windowFlags(fs *flag.FlagSet) func() ([]store.Option, error) {
-	from := fs.String("from", "", "window start (RFC 3339)")
-	to := fs.String("to", "", "window end (RFC 3339)")
-	return func() ([]store.Option, error) {
-		if *from == "" && *to == "" {
-			return nil, nil
-		}
-		if *from == "" || *to == "" {
-			return nil, errors.New("-from and -to must be given together")
-		}
-		ft, err := time.Parse(time.RFC3339, *from)
-		if err != nil {
-			return nil, fmt.Errorf("-from: %w", err)
-		}
-		tt, err := time.Parse(time.RFC3339, *to)
-		if err != nil {
-			return nil, fmt.Errorf("-to: %w", err)
-		}
-		if !ft.Before(tt) {
-			return nil, fmt.Errorf("-to %s is not after -from %s", *to, *from)
-		}
-		return []store.Option{store.WithWindow(ft, tt)}, nil
-	}
+// queryUsage is the query vocabulary of api.ParseQuery — the URL
+// parameters of the /api/v1 endpoints — as verb flags: name, usage.
+var queryUsage = map[string]string{
+	"link":     "restrict to one link ID",
+	"source":   "restrict to one reconstruction: syslog or isis",
+	"stream":   "restrict to one stream: syslog-adj, syslog-per-router, syslog-physical, is-reach, or ip-reach",
+	"dir":      "restrict to one direction: down or up",
+	"kind":     "restrict to one observation kind (e.g. isis-adj, physical)",
+	"reporter": "restrict to one reporting router",
+	"host":     "restrict to one emitting host",
+	"contains": "restrict to lines containing this substring",
+	"limit":    "cap the result count (0 = unlimited)",
+	"from":     "window start (RFC 3339)",
+	"to":       "window end (RFC 3339)",
 }
 
 func verbFlags(verb string) *flag.FlagSet {
@@ -184,9 +172,36 @@ func verbFlags(verb string) *flag.FlagSet {
 	return fs
 }
 
-func runLinks(ctx context.Context, s *store.Store, jsonOut bool, args []string) error {
-	fs := verbFlags("links")
+// queryFlags declares the named parameters ("name" or "name=default")
+// as the verb's flags, parses args, and returns what api.ParseQuery
+// makes of them — a malformed one reported as "-name: ..." — with the
+// lookup it read them through.
+func queryFlags(verb string, args []string, names ...string) ([]store.Option, func(name string) string, error) {
+	fs := verbFlags(verb)
+	vals := map[string]*string{}
+	for _, n := range names {
+		name, def, _ := strings.Cut(n, "=")
+		vals[name] = fs.String(name, def, queryUsage[name])
+	}
 	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	get := func(name string) string {
+		if v := vals[name]; v != nil {
+			return *v
+		}
+		return ""
+	}
+	opts, err := api.ParseQuery(get)
+	var pe *api.ParamError
+	if errors.As(err, &pe) {
+		err = fmt.Errorf("-%s: %w", pe.Name, pe.Err)
+	}
+	return opts, get, err
+}
+
+func runLinks(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
+	if err := verbFlags("links").Parse(args); err != nil {
 		return err
 	}
 	links, err := s.Links(ctx)
@@ -194,201 +209,90 @@ func runLinks(ctx context.Context, s *store.Store, jsonOut bool, args []string) 
 		return err
 	}
 	if jsonOut {
-		out := make([]map[string]string, len(links))
-		for i, l := range links {
-			out[i] = map[string]string{"id": string(l.ID), "class": l.Class.String()}
-		}
-		return printJSON(map[string]any{"links": out, "count": len(out)})
+		return printJSON(out, api.LinksBody(links))
 	}
 	for _, l := range links {
-		fmt.Printf("%-8s %s\n", l.Class, l.ID)
+		fmt.Fprintf(out, "%-8s %s\n", l.Class, l.ID)
 	}
-	fmt.Printf("%d links\n", len(links))
+	fmt.Fprintf(out, "%d links\n", len(links))
 	return nil
 }
 
-func runFailures(ctx context.Context, s *store.Store, jsonOut bool, args []string) error {
-	fs := verbFlags("failures")
-	link := fs.String("link", "", "restrict to one link ID")
-	source := fs.String("source", "", "restrict to one reconstruction: syslog or isis")
-	limit := fs.Int("limit", 0, "cap the result count (0 = unlimited)")
-	window := windowFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, err := window()
+func runFailures(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
+	opts, _, err := queryFlags("failures", args, "link", "source", "limit", "from", "to")
 	if err != nil {
 		return err
-	}
-	if *link != "" {
-		opts = append(opts, store.WithLink(topo.LinkID(*link)))
-	}
-	if *source != "" {
-		src, err := store.ParseSource(*source)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, store.WithSource(src))
-	}
-	if *limit > 0 {
-		opts = append(opts, store.WithLimit(*limit))
 	}
 	recs, err := s.Failures(ctx, opts...)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		out := make([]any, len(recs))
-		for i, r := range recs {
-			out[i] = api.FailureJSON(r)
-		}
-		return printJSON(map[string]any{"failures": out, "count": len(out)})
+		return printJSON(out, api.FailuresBody(recs))
 	}
 	for _, r := range recs {
-		fmt.Printf("%-7s %s  %s  (%s)  %s\n", r.Source,
+		fmt.Fprintf(out, "%-7s %s  %s  (%s)  %s\n", r.Source,
 			r.Start.Format(time.RFC3339), r.End.Format(time.RFC3339),
 			r.End.Sub(r.Start), r.Link)
 	}
-	fmt.Printf("%d failures\n", len(recs))
+	fmt.Fprintf(out, "%d failures\n", len(recs))
 	return nil
 }
 
-func runTransitions(ctx context.Context, s *store.Store, jsonOut bool, args []string) error {
-	fs := verbFlags("transitions")
-	link := fs.String("link", "", "restrict to one link ID")
-	stream := fs.String("stream", "", "restrict to one stream: syslog-adj, syslog-per-router, syslog-physical, is-reach, or ip-reach")
-	dir := fs.String("dir", "", "restrict to one direction: down or up")
-	kind := fs.String("kind", "", "restrict to one observation kind (e.g. isis-adj, physical)")
-	reporter := fs.String("reporter", "", "restrict to one reporting router")
-	limit := fs.Int("limit", 0, "cap the result count (0 = unlimited)")
-	window := windowFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, err := window()
+func runTransitions(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
+	opts, _, err := queryFlags("transitions", args, "link", "stream", "dir", "kind", "reporter", "limit", "from", "to")
 	if err != nil {
 		return err
-	}
-	if *link != "" {
-		opts = append(opts, store.WithLink(topo.LinkID(*link)))
-	}
-	if *stream != "" {
-		st, err := store.ParseStream(*stream)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, store.WithStream(st))
-	}
-	switch *dir {
-	case "":
-	case "down":
-		opts = append(opts, store.WithDirection(trace.Down))
-	case "up":
-		opts = append(opts, store.WithDirection(trace.Up))
-	default:
-		return fmt.Errorf("-dir: want \"down\" or \"up\", got %q", *dir)
-	}
-	if *kind != "" {
-		k, err := trace.ParseKind(*kind)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, store.WithKind(k))
-	}
-	if *reporter != "" {
-		opts = append(opts, store.WithReporter(*reporter))
-	}
-	if *limit > 0 {
-		opts = append(opts, store.WithLimit(*limit))
 	}
 	recs, err := s.Transitions(ctx, opts...)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		out := make([]any, len(recs))
-		for i, r := range recs {
-			out[i] = api.TransitionJSON(r)
-		}
-		return printJSON(map[string]any{"transitions": out, "count": len(out)})
+		return printJSON(out, api.TransitionsBody(recs))
 	}
 	for _, r := range recs {
-		fmt.Printf("%s  %-17s %-4s %-10s %-12s %s\n", r.Time.Format(time.RFC3339),
+		fmt.Fprintf(out, "%s  %-17s %-4s %-10s %-12s %s\n", r.Time.Format(time.RFC3339),
 			r.Stream, r.Dir, r.Kind, r.Reporter, r.Link)
 	}
-	fmt.Printf("%d transitions\n", len(recs))
+	fmt.Fprintf(out, "%d transitions\n", len(recs))
 	return nil
 }
 
-func runMessages(ctx context.Context, s *store.Store, jsonOut bool, args []string) error {
-	fs := verbFlags("messages")
-	host := fs.String("host", "", "restrict to one emitting host")
-	contains := fs.String("contains", "", "restrict to lines containing this substring")
-	limit := fs.Int("limit", 0, "cap the result count (0 = unlimited)")
-	window := windowFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, err := window()
+func runMessages(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
+	opts, _, err := queryFlags("messages", args, "host", "contains", "limit", "from", "to")
 	if err != nil {
 		return err
-	}
-	if *host != "" {
-		opts = append(opts, store.WithHost(*host))
-	}
-	if *contains != "" {
-		opts = append(opts, store.WithContains(*contains))
-	}
-	if *limit > 0 {
-		opts = append(opts, store.WithLimit(*limit))
 	}
 	recs, err := s.Messages(ctx, opts...)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		out := make([]any, len(recs))
-		for i, r := range recs {
-			out[i] = api.MessageJSON(r)
-		}
-		return printJSON(map[string]any{"messages": out, "count": len(out)})
+		return printJSON(out, api.MessagesBody(recs))
 	}
 	for _, r := range recs {
-		fmt.Println(r.Line)
+		fmt.Fprintln(out, r.Line)
 	}
 	fmt.Fprintf(os.Stderr, "%d messages\n", len(recs))
 	return nil
 }
 
-func runFlaps(ctx context.Context, s *store.Store, jsonOut bool, args []string) error {
-	fs := verbFlags("flaps")
-	source := fs.String("source", "syslog", "reconstruction to group: syslog or isis")
-	link := fs.String("link", "", "restrict to one link ID")
-	window := windowFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := store.ParseSource(*source)
+func runFlaps(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
+	opts, get, err := queryFlags("flaps", args, "source=syslog", "link", "from", "to")
 	if err != nil {
 		return err
 	}
-	opts, err := window()
+	src, err := store.ParseSource(get("source"))
 	if err != nil {
 		return err
-	}
-	if *link != "" {
-		opts = append(opts, store.WithLink(topo.LinkID(*link)))
 	}
 	eps, err := s.Flaps(ctx, src, opts...)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		out := make([]any, len(eps))
-		for i, e := range eps {
-			out[i] = api.EpisodeJSON(src, e)
-		}
-		return printJSON(map[string]any{"episodes": out, "count": len(out)})
+		return printJSON(out, api.EpisodesBody(src, eps))
 	}
 	flaps := 0
 	for _, e := range eps {
@@ -397,15 +301,15 @@ func runFlaps(ctx context.Context, s *store.Store, jsonOut bool, args []string) 
 			tag = "*"
 			flaps++
 		}
-		fmt.Printf("%s %s  %s  %3d failures  %s\n", tag,
+		fmt.Fprintf(out, "%s %s  %s  %3d failures  %s\n", tag,
 			e.Start().Format(time.RFC3339), e.End().Format(time.RFC3339),
 			len(e.Failures), e.Link)
 	}
-	fmt.Printf("%d episodes (%d flapping)\n", len(eps), flaps)
+	fmt.Fprintf(out, "%d episodes (%d flapping)\n", len(eps), flaps)
 	return nil
 }
 
-func runTable(s *store.Store, jsonOut bool, args []string) error {
+func runTable(out io.Writer, s *store.Store, jsonOut bool, args []string) error {
 	fs := verbFlags("table")
 	n := fs.Int("n", 0, "table number (1-7)")
 	if err := fs.Parse(args); err != nil {
@@ -416,29 +320,29 @@ func runTable(s *store.Store, jsonOut bool, args []string) error {
 		return err
 	}
 	if jsonOut {
-		return printJSON(map[string]any{"table": *n, "data": table})
+		return printJSON(out, map[string]any{"table": *n, "data": table})
 	}
 	t := s.Tables()
 	switch *n {
 	case 1:
-		return report.RenderTable1(os.Stdout, t.Table1)
+		return report.RenderTable1(out, t.Table1)
 	case 2:
-		return report.RenderTable2(os.Stdout, t.Table2)
+		return report.RenderTable2(out, t.Table2)
 	case 3:
-		return report.RenderTable3(os.Stdout, t.Table3)
+		return report.RenderTable3(out, t.Table3)
 	case 4:
-		return report.RenderTable4(os.Stdout, t.Table4)
+		return report.RenderTable4(out, t.Table4)
 	case 5:
-		return report.RenderTable5(os.Stdout, t.Table5)
+		return report.RenderTable5(out, t.Table5)
 	case 6:
-		return report.RenderTable6(os.Stdout, t.Table6)
+		return report.RenderTable6(out, t.Table6)
 	case 7:
-		return report.RenderTable7(os.Stdout, t.Table7)
+		return report.RenderTable7(out, t.Table7)
 	}
 	return fmt.Errorf("no table %d", *n)
 }
 
-func runInfo(s *store.Store, jsonOut bool, args []string) error {
+func runInfo(out io.Writer, s *store.Store, jsonOut bool, args []string) error {
 	fs := verbFlags("info")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -449,22 +353,22 @@ func runInfo(s *store.Store, jsonOut bool, args []string) error {
 		msgs += m.Records
 	}
 	if jsonOut {
-		return printJSON(man)
+		return printJSON(out, man)
 	}
-	fmt.Printf("store:        %s (%s)\n", s.Dir(), man.Format)
-	fmt.Printf("campaign:     seed %d, %s - %s\n", man.Seed,
+	fmt.Fprintf(out, "store:        %s (%s)\n", s.Dir(), man.Format)
+	fmt.Fprintf(out, "campaign:     seed %d, %s - %s\n", man.Seed,
 		man.Start.Format(time.RFC3339), man.End.Format(time.RFC3339))
-	fmt.Printf("catalogs:     %d links, %d reporters, %d hosts\n",
+	fmt.Fprintf(out, "catalogs:     %d links, %d reporters, %d hosts\n",
 		len(man.Links), len(man.Reporters), len(man.Hosts))
-	fmt.Printf("records:      %d failures, %d transitions, %d messages in %d segments\n",
+	fmt.Fprintf(out, "records:      %d failures, %d transitions, %d messages in %d segments\n",
 		man.Failures.Records, man.Transitions.Records, msgs, len(man.Messages))
-	fmt.Printf("params:       window %s, flap gap %s, merge window %s, multilink %v\n",
+	fmt.Fprintf(out, "params:       window %s, flap gap %s, merge window %s, multilink %v\n",
 		man.Params.Window, man.Params.FlapGap, man.Params.MergeWindow,
 		man.Params.IncludeMultiLink)
 	return nil
 }
 
-func runServe(ctx context.Context, s *store.Store, args []string) error {
+func runServe(ctx context.Context, out io.Writer, s *store.Store, args []string) error {
 	fs := verbFlags("serve")
 	addr := config.DebugAddrFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -473,7 +377,7 @@ func runServe(ctx context.Context, s *store.Store, args []string) error {
 	if *addr == "" {
 		return errors.New("serve: -debug-addr is required")
 	}
-	srv := &http.Server{Addr: *addr, Handler: api.NewMux(api.Options{Store: s})}
+	srv := api.NewServer(*addr, api.Options{Store: s})
 	errCh := make(chan error, 1)
 	go func() {
 		select {
@@ -481,7 +385,7 @@ func runServe(ctx context.Context, s *store.Store, args []string) error {
 		case <-ctx.Done():
 		}
 	}()
-	fmt.Printf("serving /api/v1 on http://%s\n", *addr)
+	fmt.Fprintf(out, "serving /api/v1 on http://%s\n", *addr)
 	select {
 	case err := <-errCh:
 		return err
@@ -492,7 +396,6 @@ func runServe(ctx context.Context, s *store.Store, args []string) error {
 	}
 }
 
-func printJSON(v any) error {
-	enc := jsonEncoder(os.Stdout)
-	return enc.Encode(v)
+func printJSON(out io.Writer, v any) error {
+	return jsonEncoder(out).Encode(v)
 }

@@ -157,13 +157,12 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 		}
 	}
 	obs.Publish("netfail-serve", reg)
-	mux := api.NewMux(api.Options{
+	srv := api.NewServer(addr, api.Options{
 		Registry: reg,
 		Store:    st,
 		Ready:    sup.ReadyHandler(),
 		Healthz:  sup.HealthzHandler(),
 	})
-	srv := &http.Server{Addr: addr, Handler: mux}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "debug endpoint: %v\n", err)

@@ -121,6 +121,29 @@ func NewMux(o Options) *http.ServeMux {
 	return mux
 }
 
+// Connection limits of every netfail HTTP endpoint. There is no write
+// timeout: pprof profiles and full scans are legitimately long.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// NewServer returns the HTTP server the binaries mount the API on:
+// NewMux(o) on addr behind the limits above, so a client that stalls
+// mid-request is disconnected instead of holding its connection open.
+func NewServer(addr string, o Options) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           NewMux(o),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // errorBody is the shared error envelope.
 type errorBody struct {
 	Error struct {
@@ -158,89 +181,91 @@ func queryError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusInternalServerError, "store_error", err.Error())
 }
 
-// badParam writes the envelope for a malformed query parameter.
-func badParam(w http.ResponseWriter, name string, err error) {
-	writeError(w, http.StatusBadRequest, "bad_param",
-		fmt.Sprintf("parameter %q: %v", name, err))
+// ParamError is a malformed query parameter, named: the handlers
+// answer it with the 400 bad_param envelope, netfail-query prints it
+// as "-name: ...".
+type ParamError struct {
+	Name string
+	Err  error
 }
 
-// queryOptions translates the shared filter parameters into store
-// query options. The boolean reports whether parsing succeeded (the
-// envelope is already written otherwise).
-func queryOptions(w http.ResponseWriter, r *http.Request) ([]store.Option, bool) {
-	q := r.URL.Query()
+func (e *ParamError) Error() string { return fmt.Sprintf("parameter %q: %v", e.Name, e.Err) }
+
+// badParam writes the envelope for a malformed query parameter.
+func badParam(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusBadRequest, "bad_param", err.Error())
+}
+
+// ParseQuery translates the one query vocabulary — link source stream
+// dir kind reporter host contains limit from to, the URL parameters of
+// the query endpoints and the flags of netfail-query's verbs — into
+// store options. get returns a parameter's value, "" when it was not
+// given; a malformed one comes back as a *ParamError.
+func ParseQuery(get func(name string) string) ([]store.Option, error) {
 	var opts []store.Option
-	if v := q.Get("link"); v != "" {
+	if v := get("link"); v != "" {
 		opts = append(opts, store.WithLink(topo.LinkID(v)))
 	}
-	if v := q.Get("source"); v != "" {
+	if v := get("source"); v != "" {
 		src, err := store.ParseSource(v)
 		if err != nil {
-			badParam(w, "source", err)
-			return nil, false
+			return nil, &ParamError{"source", err}
 		}
 		opts = append(opts, store.WithSource(src))
 	}
-	if v := q.Get("stream"); v != "" {
+	if v := get("stream"); v != "" {
 		st, err := store.ParseStream(v)
 		if err != nil {
-			badParam(w, "stream", err)
-			return nil, false
+			return nil, &ParamError{"stream", err}
 		}
 		opts = append(opts, store.WithStream(st))
 	}
-	if v := q.Get("dir"); v != "" {
+	if v := get("dir"); v != "" {
 		switch v {
 		case "down":
 			opts = append(opts, store.WithDirection(trace.Down))
 		case "up":
 			opts = append(opts, store.WithDirection(trace.Up))
 		default:
-			badParam(w, "dir", fmt.Errorf("want \"down\" or \"up\", got %q", v))
-			return nil, false
+			return nil, &ParamError{"dir", fmt.Errorf("want \"down\" or \"up\", got %q", v)}
 		}
 	}
-	if v := q.Get("kind"); v != "" {
+	if v := get("kind"); v != "" {
 		k, err := trace.ParseKind(v)
 		if err != nil {
-			badParam(w, "kind", err)
-			return nil, false
+			return nil, &ParamError{"kind", err}
 		}
 		opts = append(opts, store.WithKind(k))
 	}
-	if v := q.Get("reporter"); v != "" {
+	if v := get("reporter"); v != "" {
 		opts = append(opts, store.WithReporter(v))
 	}
-	if v := q.Get("host"); v != "" {
+	if v := get("host"); v != "" {
 		opts = append(opts, store.WithHost(v))
 	}
-	if v := q.Get("contains"); v != "" {
+	if v := get("contains"); v != "" {
 		opts = append(opts, store.WithContains(v))
 	}
-	if v := q.Get("limit"); v != "" {
+	if v := get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			badParam(w, "limit", fmt.Errorf("want a non-negative integer, got %q", v))
-			return nil, false
+			return nil, &ParamError{"limit", fmt.Errorf("want a non-negative integer, got %q", v)}
 		}
 		opts = append(opts, store.WithLimit(n))
 	}
-	from, to := q.Get("from"), q.Get("to")
+	from, to := get("from"), get("to")
 	switch {
 	case from != "" && to != "":
 		ft, err := time.Parse(time.RFC3339, from)
 		if err != nil {
-			badParam(w, "from", err)
-			return nil, false
+			return nil, &ParamError{"from", err}
 		}
 		tt, err := time.Parse(time.RFC3339, to)
 		if err != nil {
-			badParam(w, "to", err)
-			return nil, false
+			return nil, &ParamError{"to", err}
 		}
 		if !ft.Before(tt) {
-			badParam(w, "to", fmt.Errorf("window end %s is not after start %s", to, from))
-			return nil, false
+			return nil, &ParamError{"to", fmt.Errorf("window end %s is not after start %s", to, from)}
 		}
 		opts = append(opts, store.WithWindow(ft, tt))
 	case from != "" || to != "":
@@ -248,10 +273,9 @@ func queryOptions(w http.ResponseWriter, r *http.Request) ([]store.Option, bool)
 		if to != "" {
 			name = "to"
 		}
-		badParam(w, name, errors.New("from and to must be given together (RFC 3339)"))
-		return nil, false
+		return nil, &ParamError{name, errors.New("from and to must be given together (RFC 3339)")}
 	}
-	return opts, true
+	return opts, nil
 }
 
 // Wire shapes. Enumerations travel as their string names, never their
@@ -293,38 +317,68 @@ type episodeJSON struct {
 	Failures []failureJSON `json:"failures"`
 }
 
-// FailureJSON converts a stored failure to its wire shape. Exported
-// for netfail-query, which renders the same JSON from the Go API.
-func FailureJSON(r store.FailureRecord) any {
-	return failureJSON{Source: r.Source.String(), Link: string(r.Link), Start: r.Start, End: r.End}
+// listBody is a list endpoint's response, {"<resource>": [...],
+// "count": n}, each record in its wire shape.
+func listBody[R, J any](resource string, recs []R, wire func(R) J) any {
+	out := make([]J, len(recs))
+	for i, r := range recs {
+		out[i] = wire(r)
+	}
+	return map[string]any{resource: out, "count": len(out)}
 }
 
-// TransitionJSON converts a stored transition to its wire shape.
-func TransitionJSON(r store.TransitionRecord) any {
-	return transitionJSON{
-		Stream: r.Stream.String(), Time: r.Time, Link: string(r.Link),
-		Dir: r.Dir.String(), Kind: r.Kind.String(), Reporter: r.Reporter,
-	}
+func wireFailure(src store.Source, f trace.Failure) failureJSON {
+	return failureJSON{Source: src.String(), Link: string(f.Link), Start: f.Start, End: f.End}
 }
 
-// MessageJSON converts a stored message to its wire shape.
-func MessageJSON(r store.MessageRecord) any {
-	return messageJSON{Time: r.Time, Host: r.Host, Line: r.Line}
+// The response bodies, one builder per resource: what the endpoint
+// serves and what netfail-query -json prints.
+
+// LinksBody is the /api/v1/links body.
+func LinksBody(links []store.LinkEntry) any {
+	return listBody("links", links, func(l store.LinkEntry) linkJSON {
+		return linkJSON{ID: string(l.ID), Class: l.Class.String()}
+	})
 }
 
-// EpisodeJSON converts a flap episode (with its source) to its wire
-// shape.
-func EpisodeJSON(src store.Source, e trace.Episode) any {
-	out := episodeJSON{
-		Link:  string(e.Link),
-		Start: e.Start(), End: e.End(),
-		Flap:     e.IsFlap(),
-		Failures: make([]failureJSON, len(e.Failures)),
-	}
-	for i, f := range e.Failures {
-		out.Failures[i] = failureJSON{Source: src.String(), Link: string(f.Link), Start: f.Start, End: f.End}
-	}
-	return out
+// FailuresBody is the /api/v1/failures body.
+func FailuresBody(recs []store.FailureRecord) any {
+	return listBody("failures", recs, func(r store.FailureRecord) failureJSON {
+		return wireFailure(r.Source, r.Failure())
+	})
+}
+
+// TransitionsBody is the /api/v1/transitions body.
+func TransitionsBody(recs []store.TransitionRecord) any {
+	return listBody("transitions", recs, func(r store.TransitionRecord) transitionJSON {
+		return transitionJSON{
+			Stream: r.Stream.String(), Time: r.Time, Link: string(r.Link),
+			Dir: r.Dir.String(), Kind: r.Kind.String(), Reporter: r.Reporter,
+		}
+	})
+}
+
+// MessagesBody is the /api/v1/messages body.
+func MessagesBody(recs []store.MessageRecord) any {
+	return listBody("messages", recs, func(r store.MessageRecord) messageJSON {
+		return messageJSON{Time: r.Time, Host: r.Host, Line: r.Line}
+	})
+}
+
+// EpisodesBody is the /api/v1/flaps body for source src.
+func EpisodesBody(src store.Source, eps []trace.Episode) any {
+	return listBody("episodes", eps, func(e trace.Episode) episodeJSON {
+		out := episodeJSON{
+			Link:  string(e.Link),
+			Start: e.Start(), End: e.End(),
+			Flap:     e.IsFlap(),
+			Failures: make([]failureJSON, len(e.Failures)),
+		}
+		for i, f := range e.Failures {
+			out.Failures[i] = wireFailure(src, f)
+		}
+		return out
+	})
 }
 
 func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -333,95 +387,58 @@ func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
 		queryError(w, r, err)
 		return
 	}
-	out := make([]linkJSON, len(links))
-	for i, l := range links {
-		out[i] = linkJSON{ID: string(l.ID), Class: l.Class.String()}
+	writeJSON(w, http.StatusOK, LinksBody(links))
+}
+
+// serveList answers a filtered list endpoint: the URL parameters
+// through ParseQuery, the store query, the resource's body.
+func serveList[R any](w http.ResponseWriter, r *http.Request,
+	query func(context.Context, ...store.Option) ([]R, error), body func([]R) any) {
+	opts, err := ParseQuery(r.URL.Query().Get)
+	if err != nil {
+		badParam(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"links": out, "count": len(out)})
+	recs, err := query(r.Context(), opts...)
+	if err != nil {
+		queryError(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, body(recs))
 }
 
 func handleFailures(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	opts, ok := queryOptions(w, r)
-	if !ok {
-		return
-	}
-	recs, err := s.Failures(r.Context(), opts...)
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	out := make([]any, len(recs))
-	for i, rec := range recs {
-		out[i] = FailureJSON(rec)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"failures": out, "count": len(out)})
+	serveList(w, r, s.Failures, FailuresBody)
 }
 
 func handleTransitions(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	opts, ok := queryOptions(w, r)
-	if !ok {
-		return
-	}
-	recs, err := s.Transitions(r.Context(), opts...)
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	out := make([]any, len(recs))
-	for i, rec := range recs {
-		out[i] = TransitionJSON(rec)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"transitions": out, "count": len(out)})
+	serveList(w, r, s.Transitions, TransitionsBody)
 }
 
 func handleMessages(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	opts, ok := queryOptions(w, r)
-	if !ok {
-		return
-	}
-	recs, err := s.Messages(r.Context(), opts...)
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	out := make([]any, len(recs))
-	for i, rec := range recs {
-		out[i] = MessageJSON(rec)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"messages": out, "count": len(out)})
+	serveList(w, r, s.Messages, MessagesBody)
 }
 
 func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
 	srcParam := r.URL.Query().Get("source")
 	if srcParam == "" {
-		badParam(w, "source", errors.New("required: \"syslog\" or \"isis\""))
+		badParam(w, &ParamError{"source", errors.New("required: \"syslog\" or \"isis\"")})
 		return
 	}
 	src, err := store.ParseSource(srcParam)
 	if err != nil {
-		badParam(w, "source", err)
+		badParam(w, &ParamError{"source", err})
 		return
 	}
-	opts, ok := queryOptions(w, r)
-	if !ok {
-		return
-	}
-	eps, err := s.Flaps(r.Context(), src, opts...)
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	out := make([]any, len(eps))
-	for i, e := range eps {
-		out[i] = EpisodeJSON(src, e)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"episodes": out, "count": len(out)})
+	serveList(w, r, func(ctx context.Context, opts ...store.Option) ([]trace.Episode, error) {
+		return s.Flaps(ctx, src, opts...)
+	}, func(eps []trace.Episode) any { return EpisodesBody(src, eps) })
 }
 
 func handleTable(s *store.Store, w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
-		badParam(w, "n", fmt.Errorf("want a table number, got %q", r.PathValue("n")))
+		badParam(w, &ParamError{"n", fmt.Errorf("want a table number, got %q", r.PathValue("n"))})
 		return
 	}
 	table, err := s.Table(n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -385,5 +386,35 @@ func TestAPICancellation(t *testing.T) {
 	}
 	if got := decodeEnvelope(t, rec.Body.Bytes()); got != "canceled" {
 		t.Errorf("envelope code %q", got)
+	}
+}
+
+// TestServerDropsStalledHeader: a client that stalls mid-request-line
+// is disconnected; a bare &http.Server{Addr, Handler} holds it forever.
+func TestServerDropsStalledHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	srv := api.NewServer("127.0.0.1:0", api.Options{})
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) // returns http.ErrServerClosed at Close
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	grace := srv.ReadHeaderTimeout + 3*time.Second
+	if err := conn.SetReadDeadline(time.Now().Add(grace)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("GET /api/v1/hea")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected after %s: %v", grace, err)
 	}
 }

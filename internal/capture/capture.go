@@ -74,8 +74,6 @@ const (
 // appendRecord appends one record's frame to dst — the encoder every
 // segment write runs through one reused buffer, so a warm writer
 // allocates nothing per record.
-//
-//netfail:hotpath
 func appendRecord(dst []byte, tsMs int64, rec []byte) []byte {
 	start := len(dst)
 	dst = frame.Begin(dst)
@@ -127,8 +125,6 @@ func newSegmentWriter(dir, seg, idx string) (*segmentWriter, error) {
 
 // append frames one record. Records must arrive in non-decreasing
 // timestamp order; the spill sink guarantees that.
-//
-//netfail:hotpath
 func (s *segmentWriter) append(tsMs int64, rec []byte) error {
 	if s.records%indexEvery == 0 {
 		binary.LittleEndian.PutUint64(s.idxEntry[0:], uint64(tsMs))

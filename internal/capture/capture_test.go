@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netfail/internal/frame"
+	"netfail/internal/salvage"
 )
 
 // writeShard builds one healthy shard with n syslog and m LSP records
@@ -375,9 +376,9 @@ func TestLoadIndexMissingIsAdvisory(t *testing.T) {
 	}
 }
 
-// TestManifestLenientGarbage mirrors the netsim manifest's salvage
-// behavior: garbage around the JSON object is skipped and accounted;
-// damage inside stays fatal.
+// TestManifestLenientGarbage: the lenient read is salvage.JSONObject
+// in front of the strict reader — garbage around the JSON object is
+// skipped and accounted; damage inside stays fatal.
 func TestManifestLenientGarbage(t *testing.T) {
 	dir := writeShard(t, 1, 1)
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -386,14 +387,18 @@ func TestManifestLenientGarbage(t *testing.T) {
 	}
 	noisy := append([]byte("### log prefix\n"), raw...)
 	noisy = append(noisy, []byte("trailing junk\n")...)
-	m, rep, err := ReadManifestLenient(bytes.NewReader(noisy))
+	obj, rep, ok := salvage.JSONObject(noisy)
+	if !ok {
+		t.Fatal("no JSON object salvaged")
+	}
+	m, err := ReadManifest(bytes.NewReader(obj))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Shards) != 1 || rep.Skipped != 2 {
 		t.Errorf("shards %d, skipped %d", len(m.Shards), rep.Skipped)
 	}
-	if _, _, err := ReadManifestLenient(bytes.NewReader([]byte("no json here"))); err == nil {
+	if _, _, ok := salvage.JSONObject([]byte("no json here")); ok {
 		t.Error("manifest with no object should fail even leniently")
 	}
 	if _, err := ReadManifest(bytes.NewReader([]byte(`{"format":"WRONG","shards":[]}`))); err == nil {

@@ -1,15 +1,12 @@
 package capture
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
-
-	"netfail/internal/salvage"
 )
 
 // ManifestName is the capture manifest's file name inside the
@@ -128,25 +125,4 @@ func ReadManifestDir(dir string) (*Manifest, error) {
 	}
 	defer f.Close()
 	return ReadManifest(f)
-}
-
-// ReadManifestLenient parses a capture manifest in salvage mode:
-// garbage before or after the JSON object is skipped and accounted.
-// The manifest is small and names every shard, so corruption inside
-// the object stays fatal even here — a guessed shard list would
-// silently drop whole domains from the analysis.
-func ReadManifestLenient(r io.Reader) (*Manifest, *salvage.Report, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("capture: manifest: %w", err)
-	}
-	obj, rep, ok := salvage.JSONObject(raw)
-	if !ok {
-		return nil, nil, fmt.Errorf("capture: manifest: no complete JSON object found")
-	}
-	m, err := ReadManifest(bytes.NewReader(obj))
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, rep, nil
 }

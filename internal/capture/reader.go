@@ -88,8 +88,6 @@ func (sr *SegmentReader) Close() error {
 
 // Next returns the next record. At the end of the segment it returns
 // io.EOF. The returned slice aliases the reader's window.
-//
-//netfail:hotpath
 func (sr *SegmentReader) Next() (tsMs int64, rec []byte, err error) {
 	payload, err := sr.fr.Next()
 	if err == io.EOF {

@@ -166,8 +166,6 @@ func (s *Store) openSegment() error {
 // FsyncEach it has reached the disk (surviving power loss). The frame
 // is encoded into a buffer the store reuses across appends, so the
 // steady-state ingest path allocates nothing per record.
-//
-//netfail:hotpath
 func (s *Store) Append(data []byte) (uint64, error) {
 	if s.wal == nil {
 		return 0, fmt.Errorf("checkpoint: store is closed")
@@ -298,8 +296,6 @@ func syncDir(dir string) error {
 
 // appendRecord appends one record's frame to dst — the encoder both
 // the WAL and the snapshot writer run through one reused buffer.
-//
-//netfail:hotpath
 func appendRecord(dst []byte, seq uint64, data []byte) []byte {
 	start := len(dst)
 	dst = frame.Begin(dst)

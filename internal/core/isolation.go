@@ -76,8 +76,6 @@ func newIsolationSweep(g *topo.Graph) *isolationSweep {
 // it. With no link down nobody is isolated, whatever the graph looks
 // like; otherwise who is isolated follows from the component labels,
 // so a boundary that leaves both as they were is done at once.
-//
-//netfail:hotpath
 func (s *isolationSweep) visit(t time.Time) {
 	wasEmpty := s.empty
 	s.empty = s.sw.DownCount() == 0

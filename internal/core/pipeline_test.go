@@ -377,24 +377,4 @@ func TestEgregiousIsolationsAndTimeline(t *testing.T) {
 		t.Errorf("worst ratio = %.1f, expected an egregious mismatch", worst[0].Ratio)
 	}
 
-	// Timelines for the worst-disagreement links interleave both
-	// sources in time order.
-	links := a.WorstDisagreementLinks(3)
-	if len(links) == 0 {
-		t.Fatal("no disagreement links")
-	}
-	tl := a.LinkTimeline(links[0])
-	if len(tl) == 0 {
-		t.Fatal("empty timeline")
-	}
-	sources := map[string]bool{}
-	for i, e := range tl {
-		sources[e.Source] = true
-		if i > 0 && e.Time.Before(tl[i-1].Time) {
-			t.Fatal("timeline out of order")
-		}
-	}
-	if !sources["syslog"] || !sources["isis"] {
-		t.Errorf("timeline missing a source: %v", sources)
-	}
 }

@@ -237,8 +237,6 @@ func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mer
 
 // parseChunk parses one contiguous chunk of the capture into the
 // shard's reused accumulators.
-//
-//netfail:hotpath
 func (s *extractShard) parseChunk(e *Extractor, msgs []*syslog.Message) {
 	s.adjT, s.adjK, s.adjL = s.adjT[:0], s.adjK[:0], s.adjL[:0]
 	s.physT, s.physK, s.physL = s.physT[:0], s.physK[:0], s.physL[:0]
@@ -298,8 +296,6 @@ func (s *extractShard) parseChunk(e *Extractor, msgs []*syslog.Message) {
 // order differs from it only inside equal-timestamp runs, which are
 // re-ordered by (link, direction, reporter) in place. Unsorted input
 // and negative windows take the reference path.
-//
-//netfail:hotpath
 func (e *Extractor) mergeStream(ms *mergeState, shards []extractShard, phys bool, mergeWindow time.Duration, total int, sorted bool, dst []trace.Transition) []trace.Transition {
 	dst = dst[:0]
 	if total == 0 {

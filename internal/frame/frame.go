@@ -49,16 +49,12 @@ var marker = []byte{0xA5, 0x5A}
 // to come. The caller appends the payload — its own prefix, then the
 // record, no intermediate copy — and calls End with the len(dst) it
 // had before Begin. Into a reused buffer this allocates nothing.
-//
-//netfail:hotpath
 func Begin(dst []byte) []byte {
 	return append(dst, marker[0], marker[1], 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
 // End patches the length and CRC of the frame begun at dst[start],
 // whose payload is everything appended since.
-//
-//netfail:hotpath
 func End(dst []byte, start int) {
 	payload := dst[start+Overhead:]
 	binary.LittleEndian.PutUint32(dst[start+2:], uint32(len(payload)))
@@ -137,8 +133,6 @@ func (r *Reader) Report() *salvage.Report { return r.rep }
 
 // Next returns the next frame's payload, a view into the reader's
 // window valid until the next call, or io.EOF at the end of the file.
-//
-//netfail:hotpath
 func (r *Reader) Next() ([]byte, error) {
 	n, reason := r.frameAt()
 	if reason != "" {
@@ -199,8 +193,6 @@ func (r *Reader) damage(record, offset int64, reason string) error {
 // frameAt validates the whole frame at the head of the window, reading
 // as much of it as the source has: its payload length, or why it is
 // not a frame.
-//
-//netfail:hotpath
 func (r *Reader) frameAt() (n int, reason string) {
 	w := r.need(Overhead)
 	if len(w) < Overhead {
@@ -256,8 +248,6 @@ func (r *Reader) skip(n int) {
 // them and returns the unconsumed window. The buffer doubles only once
 // it is full of bytes actually read, so a bogus length on a small file
 // costs no memory, and n <= Overhead+MaxLen bounds it.
-//
-//netfail:hotpath
 func (r *Reader) need(n int) []byte {
 	for r.hi-r.lo < n && r.err == nil {
 		if r.hi == len(r.buf) {

@@ -48,8 +48,6 @@ type Table struct {
 
 // load returns the current read snapshot (nil before first promotion —
 // lookups on a nil map are legal and miss).
-//
-//netfail:hotpath
 func (t *Table) load() map[string]string {
 	if p := t.snap.Load(); p != nil {
 		return *p
@@ -60,32 +58,11 @@ func (t *Table) load() map[string]string {
 // Intern returns the canonical string for b, adding it to the table on
 // first sighting. The warm path — symbol present in the published
 // snapshot — is lock-free and allocation-free.
-//
-//netfail:hotpath
 func (t *Table) Intern(b []byte) string {
 	if s, ok := t.load()[string(b)]; ok {
 		return s
 	}
 	return t.internSlow(b)
-}
-
-// InternString is Intern for callers that already hold a string; on
-// the warm path it returns the canonical copy without retaining the
-// argument (deduplicating substrings that pin large parent buffers).
-//
-//netfail:hotpath
-func (t *Table) InternString(s string) string {
-	if c, ok := t.load()[s]; ok {
-		return c
-	}
-	return t.internSlowString(s)
-}
-
-// internSlowString adapts the string-keyed miss path onto internSlow.
-// The conversion allocates, which is fine here: this is the cold first
-// sighting of a symbol, not the per-record path.
-func (t *Table) internSlowString(s string) string {
-	return t.internSlow([]byte(s))
 }
 
 // internSlow is the locked miss path: probe the dirty overlay, insert

@@ -20,10 +20,6 @@ func TestInternCanonical(t *testing.T) {
 	if got, want := tab.Len(), 1; got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
-	c := tab.InternString("riv-core-01")
-	if c != a || tab.Len() != 1 {
-		t.Fatalf("InternString diverged: %q, len %d", c, tab.Len())
-	}
 }
 
 func TestInternZeroValueLookup(t *testing.T) {
@@ -119,10 +115,6 @@ func TestInternConcurrentStress(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: Intern(%q) = %q", g, want, got)
 					return
 				}
-				if got := tab.InternString(want); got != want {
-					errs <- fmt.Errorf("goroutine %d: InternString(%q) = %q", g, want, got)
-					return
-				}
 			}
 		}(g)
 	}
@@ -151,13 +143,5 @@ func TestInternWarmAllocBudget(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("warm Intern allocates %.1f times per lookup, budget is 0", avg)
-	}
-	avg = testing.AllocsPerRun(100, func() {
-		if s := tab.InternString("TenGigE0/1/0/3"); s == "" {
-			t.Fatal("empty")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("warm InternString allocates %.1f times per lookup, budget is 0", avg)
 	}
 }

@@ -123,8 +123,6 @@ func (l *LSP) Encode() ([]byte, error) {
 // reusable backing array: the arena (regrown only if the new PDU is
 // larger than any seen before), the outer slices, and — via
 // nextNeighbor — the per-slot SubTLVs capacity inside Neighbors.
-//
-//netfail:hotpath
 func (l *LSP) resetForDecode(pduLen int) {
 	arena := l.arena
 	if cap(arena) < pduLen {
@@ -143,8 +141,6 @@ func (l *LSP) resetForDecode(pduLen int) {
 // arenaCopy copies b into the arena and returns the full-capped
 // subrange. The arena's capacity covers the whole PDU, and every copy
 // is a disjoint region of it, so the append never grows.
-//
-//netfail:hotpath
 func (l *LSP) arenaCopy(b []byte) []byte {
 	n := len(l.arena)
 	l.arena = append(l.arena, b...)
@@ -155,8 +151,6 @@ func (l *LSP) arenaCopy(b []byte) []byte {
 // array — and, crucially, the slot's previous SubTLVs capacity, which
 // a plain append of a fresh ISNeighbor would discard. Every other
 // field is overwritten by the caller.
-//
-//netfail:hotpath
 func (l *LSP) nextNeighbor() *ISNeighbor {
 	if len(l.Neighbors) < cap(l.Neighbors) {
 		l.Neighbors = l.Neighbors[:len(l.Neighbors)+1]
@@ -174,8 +168,6 @@ func (l *LSP) nextNeighbor() *ISNeighbor {
 // per-TLV copies, retained bytes land in the LSP's reused arena, and
 // the hostname is interned — so decoding into a warm reused LSP
 // allocates nothing.
-//
-//netfail:hotpath
 func (l *LSP) DecodeFromBytes(data []byte) error {
 	typ, err := PeekType(data)
 	if err != nil {

@@ -2,7 +2,6 @@ package isis
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -177,5 +176,3 @@ func appendCommonHeader(b []byte, typ PDUType, headerLen int) []byte {
 
 func putUint16(b []byte, off int, v uint16) { binary.BigEndian.PutUint16(b[off:], v) }
 func putUint32(b []byte, off int, v uint32) { binary.BigEndian.PutUint32(b[off:], v) }
-
-func hexDump(b []byte) string { return hex.EncodeToString(b) }

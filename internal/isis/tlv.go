@@ -82,8 +82,6 @@ type tlvCursor struct {
 
 // next yields the next TLV. ok is false at the end of the region or
 // on framing error; the cursor's err field distinguishes the two.
-//
-//netfail:hotpath
 func (c *tlvCursor) next() (typ TLVType, value []byte, ok bool) {
 	if c.off >= len(c.data) || c.err != nil {
 		return 0, nil, false
@@ -145,8 +143,6 @@ const (
 
 // AdvKey returns the neighbor's identity, with the local link
 // identifier when the entry carries one.
-//
-//netfail:hotpath
 func (n ISNeighbor) AdvKey() AdvKey {
 	k := AdvKey{System: n.System, Pseudonode: n.Pseudonode}
 	if local, _, ok := n.LinkIDs(); ok {
@@ -222,8 +218,6 @@ func appendExtISReach(b []byte, neighbors []ISNeighbor) []byte {
 // walking the wire bytes in place: neighbor slots come from the reused
 // backing array (nextNeighbor), and sub-TLV values are copied into the
 // LSP's arena rather than individually allocated.
-//
-//netfail:hotpath
 func (l *LSP) decodeExtISReach(value []byte) error {
 	// Each entry occupies at least the fixed header, which bounds the
 	// entry count; growing up front keeps the slot appends growth-free.
@@ -323,8 +317,6 @@ var errBadPrefixLen = errors.New("isis: bad prefix length")
 // decodeExtIPReach appends one TLV 135 value's entries to l.Prefixes
 // in place; prefix entries are plain values, so the reused backing
 // array is the only storage involved.
-//
-//netfail:hotpath
 func (l *LSP) decodeExtIPReach(value []byte) error {
 	// Metric + control byte is the minimum entry, bounding the count.
 	l.Prefixes = slices.Grow(l.Prefixes, len(value)/5)

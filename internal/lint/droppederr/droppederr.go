@@ -64,10 +64,9 @@ var tracedPackages = []string{
 // trace read back from disk.
 var tracedFuncs = map[string]map[string]bool{
 	"netfail/internal/netsim": {
-		"ReadLSPLog":          true,
-		"ReadLSPLogLenient":   true,
-		"ReadManifest":        true,
-		"ReadManifestLenient": true,
+		"ReadLSPLog":        true,
+		"ReadLSPLogLenient": true,
+		"ReadManifest":      true,
 	},
 	"netfail/internal/trace": {
 		"ReadTransitions":         true,

@@ -51,11 +51,11 @@ func frames(r io.Reader) []byte {
 // reports, and non-reader callees in the same packages staying out of
 // scope.
 func handled(w io.Writer, r io.Reader) (*salvage.Report, error) {
-	m, rep, err := netsim.ReadManifestLenient(r)
+	lsps, rep, err := netsim.ReadLSPLogLenient(r)
 	if err != nil {
 		return nil, err
 	}
-	_ = m
+	_ = lsps
 	ts, err := trace.ReadTransitions(r)
 	if err != nil {
 		return nil, err

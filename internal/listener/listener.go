@@ -112,8 +112,6 @@ func New(net *topo.Network) *Listener {
 // CSNPs, PSNPs — all present on a live circuit) are counted and
 // skipped; decode failures are counted and returned; stale LSPs (not
 // newer than the database copy) are counted and ignored.
-//
-//netfail:hotpath
 func (l *Listener) Process(at time.Time, data []byte) error {
 	if typ, err := isis.PeekType(data); err == nil && typ != isis.TypeLSPL2 {
 		l.otherPDUs++
@@ -222,8 +220,6 @@ func (l *Listener) resolve(o *origin) {
 }
 
 // fragment returns the originator's stored fragment, new on first sight.
-//
-//netfail:hotpath
 func (o *origin) fragment(pseudonode, number uint8) *fragment {
 	for i := range o.frags {
 		if f := &o.frags[i]; f.pseudonode == pseudonode && f.number == number {
@@ -235,8 +231,6 @@ func (o *origin) fragment(pseudonode, number uint8) *fragment {
 }
 
 // occurrences counts key in keys.
-//
-//netfail:hotpath
 func occurrences(keys []isis.AdvKey, key isis.AdvKey) (n int32) {
 	for _, k := range keys {
 		if k == key {
@@ -249,8 +243,6 @@ func occurrences(keys []isis.AdvKey, key isis.AdvKey) (n int32) {
 // count returns how often the originator's fragments list key. A
 // neighbor's count is compared from one LSP to the next, a prefix's
 // only ever tested against zero.
-//
-//netfail:hotpath
 func (o *origin) count(key isis.AdvKey) (n int32) {
 	for i := range o.frags {
 		n += occurrences(o.frags[i].keys, key)
@@ -286,8 +278,6 @@ func baselineLink(o *origin, r *ifaceRef) {
 // an "up" transition when it is re-advertised. The second endpoint's
 // matching withdrawal or re-advertisement changes nothing because the
 // link is already in that state.
-//
-//netfail:hotpath
 func (l *Listener) diffLink(at time.Time, o *origin, r *ifaceRef) {
 	dExt := occurrences(l.is, r.ext) - occurrences(l.was, r.ext)
 	dPlain := occurrences(l.is, r.plain) - occurrences(l.was, r.plain)
@@ -318,8 +308,6 @@ func (l *Listener) diffLink(at time.Time, o *origin, r *ifaceRef) {
 // setState moves a link's derived state when the originator started
 // or stopped advertising it, emitting a transition if the state
 // actually changed.
-//
-//netfail:hotpath
 func (l *Listener) setState(at time.Time, o *origin, r *ifaceRef, state *int8, prevHas, newHas bool, kind trace.Kind, out *[]trace.Transition) {
 	if prevHas == newHas || *state == stateOf(newHas) {
 		return

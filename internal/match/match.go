@@ -53,8 +53,6 @@ func NewTransitionIndex(ts []trace.Transition) *TransitionIndex {
 
 // bounds returns the half-open index range [lo, hi) of entries on
 // (link, dir) with |time − t| ≤ w, via two binary searches.
-//
-//netfail:hotpath
 func (idx *TransitionIndex) bounds(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) (list []trace.Transition, lo, hi int) {
 	list = idx.byKey[key{link, dir}]
 	from := t.Add(-w)
@@ -65,8 +63,6 @@ func (idx *TransitionIndex) bounds(link topo.LinkID, dir trace.Direction, t time
 
 // Within returns the transitions on (link, dir) with |time − t| ≤ w.
 // The result slice is allocated exactly once at its final size.
-//
-//netfail:hotpath
 func (idx *TransitionIndex) Within(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) []trace.Transition {
 	list, lo, hi := idx.bounds(link, dir, t, w)
 	if hi <= lo {
@@ -80,8 +76,6 @@ func (idx *TransitionIndex) Within(link topo.LinkID, dir trace.Direction, t time
 // AnyWithin reports whether any transition on (link, dir) lies within
 // w of t. It is Within without materializing the result slice — the
 // allocation-free existence check the MatchedFraction hot loop needs.
-//
-//netfail:hotpath
 func (idx *TransitionIndex) AnyWithin(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) bool {
 	list := idx.byKey[key{link, dir}]
 	from := t.Add(-w)
@@ -102,8 +96,6 @@ func (idx *TransitionIndex) Reporters(link topo.LinkID, dir trace.Direction, t t
 // ReporterCount returns the number of distinct Reporter values among
 // matches without allocating: a link has two routers, so the distinct
 // scan is a tiny quadratic over an already narrow window.
-//
-//netfail:hotpath
 func (idx *TransitionIndex) ReporterCount(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) int {
 	list, lo, hi := idx.bounds(link, dir, t, w)
 	n := 0
@@ -406,8 +398,6 @@ func newFailureSweep(a, b []trace.Failure, maxW time.Duration) *failureSweep {
 // evaluate runs the greedy one-to-one matching at window w over the
 // precomputed candidates and returns the pair count and the summed
 // duration of matched a-failures.
-//
-//netfail:hotpath
 func (s *failureSweep) evaluate(w time.Duration) (pairs int, matchedDown time.Duration) {
 	s.epoch++
 	for k := range s.order {

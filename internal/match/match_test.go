@@ -46,6 +46,25 @@ func TestTransitionIndexWithin(t *testing.T) {
 	}
 }
 
+// TestIndexLookupAllocBudget: the matching loops make one lookup per
+// transition, so bounds, AnyWithin and ReporterCount allocate nothing
+// and Within exactly the result slice it returns.
+func TestIndexLookupAllocBudget(t *testing.T) {
+	idx := NewTransitionIndex([]trace.Transition{
+		tr(linkA, 100, trace.Down, "a"), tr(linkA, 105, trace.Down, "b"), tr(linkA, 130, trace.Down, "a"),
+	})
+	pin := func(name string, budget float64, found func() bool) {
+		ok := true
+		if avg := testing.AllocsPerRun(100, func() { ok = ok && found() }); avg != budget || !ok {
+			t.Errorf("%s allocates %.0f times per lookup, budget is %.0f (found its two transitions: %v)", name, avg, budget, ok)
+		}
+	}
+	pin("bounds", 0, func() bool { _, lo, hi := idx.bounds(linkA, trace.Down, at(103), DefaultWindow); return hi-lo == 2 })
+	pin("AnyWithin", 0, func() bool { return idx.AnyWithin(linkA, trace.Down, at(103), DefaultWindow) })
+	pin("ReporterCount", 0, func() bool { return idx.ReporterCount(linkA, trace.Down, at(103), DefaultWindow) == 2 })
+	pin("Within", 1, func() bool { return len(idx.Within(linkA, trace.Down, at(103), DefaultWindow)) == 2 })
+}
+
 func TestReporters(t *testing.T) {
 	idx := NewTransitionIndex([]trace.Transition{
 		tr(linkA, 100, trace.Down, "router-a"),

@@ -133,26 +133,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	return &m, nil
 }
 
-// ReadManifestLenient parses a campaign manifest in salvage mode:
-// garbage lines interleaved before or after the JSON object are
-// skipped and accounted. The manifest itself is small and critical,
-// so corruption inside the object stays fatal even here.
-func ReadManifestLenient(r io.Reader) (*Manifest, *salvage.Report, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netsim: manifest: %w", err)
-	}
-	obj, rep, ok := salvage.JSONObject(raw)
-	if !ok {
-		return nil, nil, fmt.Errorf("netsim: manifest: no complete JSON object found")
-	}
-	var m Manifest
-	if err := json.Unmarshal(obj, &m); err != nil {
-		return nil, nil, fmt.Errorf("netsim: manifest: %w", err)
-	}
-	return &m, rep, nil
-}
-
 // Offline converts the manifest spans back to intervals.
 func (m *Manifest) Offline() []trace.Interval {
 	out := make([]trace.Interval, 0, len(m.ListenerOffline))

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"netfail/internal/faultinject"
+	"netfail/internal/salvage"
 )
 
 func TestReadLSPLogLenientSalvages(t *testing.T) {
@@ -75,6 +77,16 @@ func TestReadLSPLogLenientOnInjectedCorruption(t *testing.T) {
 	}
 }
 
+// salvagedManifest reads leniently as the campaign reader composes it.
+func salvagedManifest(raw string) (*Manifest, *salvage.Report, error) {
+	obj, rep, ok := salvage.JSONObject([]byte(raw))
+	if !ok {
+		return nil, nil, errors.New("no complete JSON object found")
+	}
+	m, err := ReadManifest(bytes.NewReader(obj))
+	return m, rep, err
+}
+
 func TestReadManifestLenientSkipsSurroundingGarbage(t *testing.T) {
 	clean := `{
   "seed": 3,
@@ -85,7 +97,7 @@ func TestReadManifestLenientSkipsSurroundingGarbage(t *testing.T) {
 }
 `
 	dirty := "!!garbage deadbeef interleaved!!\n" + clean + "!!more garbage}{!!\n"
-	m, rep, err := ReadManifestLenient(strings.NewReader(dirty))
+	m, rep, err := salvagedManifest(dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +113,13 @@ func TestReadManifestLenientSkipsSurroundingGarbage(t *testing.T) {
 }
 
 func TestReadManifestLenientRejectsCorruptObject(t *testing.T) {
-	if _, _, err := ReadManifestLenient(strings.NewReader(`{"seed": ZZ}`)); err == nil {
+	if _, _, err := salvagedManifest(`{"seed": ZZ}`); err == nil {
 		t.Error("corruption inside the object must stay fatal")
 	}
-	if _, _, err := ReadManifestLenient(strings.NewReader("no json here")); err == nil {
+	if _, _, err := salvagedManifest("no json here"); err == nil {
 		t.Error("missing object must stay fatal")
 	}
-	if _, _, err := ReadManifestLenient(strings.NewReader(`{"seed": 1`)); err == nil {
+	if _, _, err := salvagedManifest(`{"seed": 1`); err == nil {
 		t.Error("unterminated object must stay fatal")
 	}
 }

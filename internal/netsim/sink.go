@@ -76,7 +76,6 @@ func (h spillHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//netfail:hotpath
 func (h *spillHeap) push(e spillEntry) {
 	*h = append(*h, e)
 	q := *h
@@ -90,7 +89,6 @@ func (h *spillHeap) push(e spillEntry) {
 	}
 }
 
-//netfail:hotpath
 func (h *spillHeap) pop() spillEntry {
 	q := *h
 	top := q[0]
@@ -134,7 +132,6 @@ type spillSink struct {
 	err  error  // first write error; surfaced by finish
 }
 
-//netfail:hotpath
 func (sp *spillSink) syslog(now time.Time, m *syslog.Message) {
 	sp.seq++
 	sp.heap.push(spillEntry{tsMs: m.Timestamp.UnixMilli(), seq: sp.seq, m: m})
@@ -145,8 +142,6 @@ func (sp *spillSink) syslog(now time.Time, m *syslog.Message) {
 // beforeMs. Messages stamped in the scheduler's current millisecond
 // stay buffered: a later delivery could still share their stamp, and
 // the sequence tiebreak only orders entries that meet in the heap.
-//
-//netfail:hotpath
 func (sp *spillSink) flush(beforeMs int64) {
 	for sp.err == nil && len(sp.heap) > 0 && sp.heap[0].tsMs < beforeMs {
 		e := sp.heap.pop()
@@ -155,7 +150,6 @@ func (sp *spillSink) flush(beforeMs int64) {
 	}
 }
 
-//netfail:hotpath
 func (sp *spillSink) lsp(now time.Time, wire []byte) {
 	if sp.err != nil {
 		return

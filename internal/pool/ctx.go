@@ -31,8 +31,6 @@ import (
 // goroutine runs under its own "worker[w]" child span; per-task
 // completion is reported as ShardDone progress events and counted in
 // the pool.tasks.ran counter.
-//
-//netfail:hotpath
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int)) error {
 	if workers > n {
 		workers = n

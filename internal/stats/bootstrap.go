@@ -83,8 +83,6 @@ func newMedianResampler(sample []float64) *medianResampler {
 
 // round draws len(sample) indices from rng, one Intn each, and
 // returns the median of the values they name.
-//
-//netfail:hotpath
 func (m *medianResampler) round(rng *rand.Rand) float64 {
 	clear(m.count)
 	n := len(m.rank)

@@ -187,34 +187,6 @@ func ksQ(lambda float64) float64 {
 	return 1 // failed to converge: no evidence against H0
 }
 
-// Histogram bins the sample into equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	N        int
-}
-
-// NewHistogram builds a histogram with the given number of bins.
-func NewHistogram(sample []float64, bins int, min, max float64) *Histogram {
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-	if bins == 0 || max <= min {
-		return h
-	}
-	width := (max - min) / float64(bins)
-	for _, v := range sample {
-		if v < min || v > max {
-			continue
-		}
-		i := int((v - min) / width)
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-		h.N++
-	}
-	return h
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(sample []float64) float64 {
 	if len(sample) == 0 {

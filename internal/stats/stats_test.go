@@ -250,23 +250,6 @@ func TestKSPValueDecreasesWithD(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.5, 1.5, 1.6, 9.9, -1, 11}, 10, 0, 10)
-	if h.N != 4 {
-		t.Errorf("N = %d, want 4 (out-of-range dropped)", h.N)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-}
-
-func TestHistogramUpperEdgeInLastBin(t *testing.T) {
-	h := NewHistogram([]float64{10}, 10, 0, 10)
-	if h.Counts[9] != 1 {
-		t.Errorf("upper edge not in last bin: %v", h.Counts)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")

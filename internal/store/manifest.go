@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"netfail/internal/core"
-	"netfail/internal/salvage"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
 )
@@ -181,30 +180,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("store: manifest: unknown format %q (want %q)", m.Format, FormatName)
 	}
 	return &m, nil
-}
-
-// ReadManifestLenient parses a store manifest in salvage mode:
-// garbage before or after the JSON object is skipped and accounted.
-// The manifest holds the catalogs every record references, so
-// corruption inside the object stays fatal even here — guessed
-// catalogs would silently misattribute every record.
-func ReadManifestLenient(r io.Reader) (*Manifest, *salvage.Report, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: manifest: %w", err)
-	}
-	obj, rep, ok := salvage.JSONObject(raw)
-	if !ok {
-		return nil, nil, fmt.Errorf("store: manifest: no complete JSON object found")
-	}
-	var m Manifest
-	if err := json.Unmarshal(obj, &m); err != nil {
-		return nil, nil, fmt.Errorf("store: manifest: %w", err)
-	}
-	if m.Format != FormatName {
-		return nil, nil, fmt.Errorf("store: manifest: unknown format %q (want %q)", m.Format, FormatName)
-	}
-	return &m, rep, nil
 }
 
 // IsStoreDir reports whether dir looks like a store directory.

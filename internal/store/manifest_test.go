@@ -69,7 +69,7 @@ func TestManifestRejectsUnknownFormat(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown format") {
 		t.Errorf("strict: got %v, want unknown-format error", err)
 	}
-	if _, _, err := ReadManifestLenient(bytes.NewReader(raw)); err == nil ||
+	if _, err := OpenLenient(dir); err == nil ||
 		!strings.Contains(err.Error(), "unknown format") {
 		t.Errorf("lenient: got %v, want unknown-format error", err)
 	}
@@ -90,15 +90,18 @@ func TestManifestLenientSkipsSurroundingGarbage(t *testing.T) {
 	if _, err := ReadManifest(bytes.NewReader(dirty)); err == nil {
 		t.Error("strict read accepted a manifest with leading garbage")
 	}
-	m, rep, err := ReadManifestLenient(bytes.NewReader(dirty))
-	if err != nil {
-		t.Fatalf("lenient read: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), dirty, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if m.Seed != 42 || m.Format != FormatName {
+	st, err := OpenLenient(dir)
+	if err != nil {
+		t.Fatalf("lenient open: %v", err)
+	}
+	if m := st.Manifest(); m.Seed != 42 || m.Format != FormatName {
 		t.Errorf("salvaged manifest mismatch: %+v", m)
 	}
-	if rep.Clean() {
-		t.Error("salvage report claims the dirty manifest was clean")
+	if salv := st.Salvage(); len(salv) == 0 || salv[0].Name != ManifestName || salv[0].Report.Clean() {
+		t.Errorf("salvage does not account the dirty manifest: %+v", salv)
 	}
 }
 
@@ -118,7 +121,10 @@ func TestManifestCorruptionInsideIsFatal(t *testing.T) {
 	if _, err := ReadManifest(bytes.NewReader(torn)); err == nil {
 		t.Error("strict read accepted a torn manifest")
 	}
-	if _, _, err := ReadManifestLenient(bytes.NewReader(torn)); err == nil {
-		t.Error("lenient read accepted a torn manifest")
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLenient(dir); err == nil {
+		t.Error("lenient open accepted a torn manifest")
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -74,21 +75,19 @@ func open(dir string, lenient bool) (*Store, error) {
 		lenient: lenient,
 		salv:    make(map[string]*salvage.Report),
 	}
-	f, err := os.Open(filepath.Join(dir, ManifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
 	}
 	if lenient {
-		var rep *salvage.Report
-		s.man, rep, err = ReadManifestLenient(f)
-		if err == nil {
-			s.addSalvage(ManifestName, rep)
+		obj, rep, ok := salvage.JSONObject(raw)
+		if !ok {
+			return nil, errors.New("store: manifest: no complete JSON object found")
 		}
-	} else {
-		s.man, err = ReadManifest(f)
+		s.addSalvage(ManifestName, rep)
+		raw = obj
 	}
-	f.Close()
-	if err != nil {
+	if s.man, err = ReadManifest(bytes.NewReader(raw)); err != nil {
 		return nil, err
 	}
 

@@ -12,9 +12,7 @@ import (
 // ParseBytes materializes them through warm intern tables, and the
 // Into variants write into caller-owned structs — while the pointer-
 // returning wrappers are pinned at exactly the one escape they
-// document. Any new allocation on a parse path is a test failure, the
-// same invariant the hotalloc analyzer and the escape baseline
-// enforce statically.
+// document. Any new allocation on a parse path is a test failure.
 
 func allocTestLine() string {
 	return AdjChange(DialectIOSXR, "riv-core-01", 421,
@@ -125,5 +123,18 @@ func TestParseLinkEventIntoAllocBudget(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("ParseLinkEventInto allocates %.1f times per batch, budget is 0", avg)
+	}
+}
+
+// TestAppendRenderAllocBudget: the spill writer renders every message
+// through one reused buffer, so a render into a dst that already has
+// the capacity allocates nothing.
+func TestAppendRenderAllocBudget(t *testing.T) {
+	m := AdjChange(DialectIOSXR, "riv-core-01", 421,
+		time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC),
+		"cpe-001", "TenGigE0/1/0/3", false, "hold time expired")
+	dst := m.AppendRender(nil)
+	if avg := testing.AllocsPerRun(100, func() { dst = m.AppendRender(dst[:0]) }); avg != 0 {
+		t.Errorf("AppendRender into a reused buffer allocates %.1f times per message, budget is 0", avg)
 	}
 }

@@ -61,8 +61,6 @@ func (m *Message) Render() string {
 // AppendRender appends the message's wire form to dst and returns the
 // extended slice. The spill writer renders every message through one
 // reused buffer, so a warm writer allocates nothing per line.
-//
-//netfail:hotpath
 func (m *Message) AppendRender(dst []byte) []byte {
 	dst = append(dst, '<')
 	dst = strconv.AppendInt(dst, int64(m.PRI()), 10)

@@ -43,8 +43,6 @@ var (
 // year, so ref supplies one: the parsed timestamp is placed in the
 // year that puts it closest to ref, which handles logs spanning a
 // year boundary (the study period Oct 2010 – Nov 2011 does).
-//
-//netfail:hotpath
 func Parse(line string, ref time.Time) (*Message, error) {
 	m := new(Message)
 	if err := ParseInto(line, ref, m); err != nil {
@@ -57,8 +55,6 @@ func Parse(line string, ref time.Time) (*Message, error) {
 // are substrings of line, so a successful parse performs zero
 // allocations. On error m is partially overwritten and must not be
 // used.
-//
-//netfail:hotpath
 func ParseInto(line string, ref time.Time, m *Message) error {
 	var tok tokens
 	if err := tokenize(line, ref, &tok); err != nil {
@@ -106,8 +102,6 @@ func NewTokenizer() *Tokenizer {
 // The buffer may be reused immediately: every retained string is
 // interned or freshly copied. On error m is partially overwritten and
 // must not be used.
-//
-//netfail:hotpath
 func (tk *Tokenizer) ParseBytes(line []byte, ref time.Time, m *Message) error {
 	var tok tokens
 	if err := tokenize(line, ref, &tok); err != nil {
@@ -125,8 +119,6 @@ func (tk *Tokenizer) ParseBytes(line []byte, ref time.Time, m *Message) error {
 
 // resolveYear places a year-less timestamp in the year (of ref's
 // location) that brings it closest to ref.
-//
-//netfail:hotpath
 func resolveYear(t, ref time.Time) time.Time {
 	best := t.AddDate(ref.Year(), 0, 0)
 	bestDiff := absDuration(best.Sub(ref))
@@ -149,8 +141,6 @@ func absDuration(d time.Duration) time.Duration {
 // ParseLinkEvent extracts the structured link event from a message,
 // returning ErrNotLink for mnemonics outside the three families the
 // analysis consumes.
-//
-//netfail:hotpath
 func ParseLinkEvent(m *Message) (*LinkEvent, error) {
 	ev := new(LinkEvent)
 	if err := ParseLinkEventInto(m, ev); err != nil {
@@ -164,8 +154,6 @@ func ParseLinkEvent(m *Message) (*LinkEvent, error) {
 // are substrings of the message's fields, so a successful extraction
 // performs zero allocations. On error ev is partially overwritten and
 // must not be used.
-//
-//netfail:hotpath
 func ParseLinkEventInto(m *Message, ev *LinkEvent) error {
 	// Fields are assigned individually rather than via a struct
 	// literal: every success path below overwrites Interface, Up, and
@@ -195,8 +183,6 @@ func ParseLinkEventInto(m *Message, ev *LinkEvent) error {
 }
 
 // parseAdjText handles "Adjacency to NEIGHBOR (IFACE) [\(L2\) ]DIR, reason".
-//
-//netfail:hotpath
 func parseAdjText(ev *LinkEvent, text string) error {
 	const prefix = "Adjacency to "
 	if !strings.HasPrefix(text, prefix) {
@@ -235,8 +221,6 @@ func parseAdjText(ev *LinkEvent, text string) error {
 }
 
 // parseIfaceText handles "... IFACE, changed state to DIR".
-//
-//netfail:hotpath
 func parseIfaceText(ev *LinkEvent, text, prefix string) error {
 	if !strings.HasPrefix(text, prefix) {
 		return errBadIfacePrefix

@@ -39,8 +39,6 @@ type tokens struct {
 
 // tokenize scans one wire-format line into tok. On error tok is
 // partially written and must not be used.
-//
-//netfail:hotpath
 func tokenize[T text](line T, ref time.Time, tok *tokens) error {
 	// <PRI>
 	if len(line) < 3 || line[0] != '<' {
@@ -126,8 +124,6 @@ func tokenize[T text](line T, ref time.Time, tok *tokens) error {
 
 // parseServiceStamp parses the Cisco "service timestamps" form
 // "Mmm dd hh:mm:ss.mmm UTC" (already space- and colon-trimmed).
-//
-//netfail:hotpath
 func parseServiceStamp[T text](s T, ref time.Time) (time.Time, bool) {
 	s = trimSuffix(s, " UTC")
 	t, ok := parseStamp(s, true)
@@ -144,8 +140,6 @@ func parseServiceStamp[T text](s T, ref time.Time) (time.Time, bool) {
 // layout carries no fraction, and its "extra text" rejection of
 // anything left over. The result lands in year 0 (a leap year, so
 // Feb 29 is valid), to be placed by resolveYear.
-//
-//netfail:hotpath
 func parseStamp[T text](s T, withFrac bool) (time.Time, bool) {
 	month, s, ok := parseMonth(s)
 	if !ok {
@@ -235,8 +229,6 @@ var shortMonthNames = [12]string{
 
 // parseMonth matches a three-letter month name with time.Parse's
 // ASCII case folding.
-//
-//netfail:hotpath
 func parseMonth[T text](s T) (int, T, bool) {
 	if len(s) >= 3 {
 		for i, name := range &shortMonthNames {
@@ -251,8 +243,6 @@ func parseMonth[T text](s T) (int, T, bool) {
 // matchFold reports whether s begins with name under time.Parse's
 // folding: bytes equal, or both folding to the same lowercase ASCII
 // letter.
-//
-//netfail:hotpath
 func matchFold[T text](s T, name string) bool {
 	for i := 0; i < len(name); i++ {
 		c1, c2 := s[i], name[i]
@@ -268,8 +258,6 @@ func matchFold[T text](s T, name string) bool {
 }
 
 // getnum reads a one-or-two-digit number (exactly two when fixed).
-//
-//netfail:hotpath
 func getnum[T text](s T, fixed bool) (int, T, bool) {
 	if len(s) == 0 || !isDigit(s[0]) {
 		return 0, s, false
@@ -289,8 +277,6 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // prefix: a non-space first byte fails, and otherwise every leading
 // space is consumed — so " _2 " layouts absorb runs of spaces, and an
 // already-empty value passes (the following field then rejects it).
-//
-//netfail:hotpath
 func skipSpaces[T text](s T) (T, bool) {
 	if len(s) > 0 && s[0] != ' ' {
 		return s, false
@@ -306,8 +292,6 @@ func commaOrPeriod(c byte) bool { return c == '.' || c == ',' }
 // parsePRI decodes the PRI digits with strconv.Atoi's fast-path
 // semantics: an optional leading sign, then nothing but digits. The
 // value is at most three digits, so overflow cannot occur.
-//
-//netfail:hotpath
 func parsePRI[T text](s T) (int, bool) {
 	if len(s) == 0 {
 		return 0, false
@@ -337,8 +321,6 @@ func parsePRI[T text](s T) (int, bool) {
 
 // parseSeq decodes the sequence tag with strconv.ParseUint(s, 10, 64)
 // semantics: digits only, overflow is an error.
-//
-//netfail:hotpath
 func parseSeq[T text](s T) (uint64, bool) {
 	if len(s) == 0 {
 		return 0, false
@@ -361,8 +343,6 @@ func parseSeq[T text](s T) (uint64, bool) {
 
 // atoiSigned applies the time package's internal atoi to at most nine
 // bytes: optional sign, then digits only; the empty string is zero.
-//
-//netfail:hotpath
 func atoiSigned[T text](s T) (int, bool) {
 	neg := false
 	i := 0
@@ -387,8 +367,6 @@ func atoiSigned[T text](s T) (int, bool) {
 // indexByteIn is bytes.IndexByte/strings.IndexByte over the generic
 // input; the scanned regions are short (hostnames, tags), so the
 // byte loop costs nothing measurable against the SIMD versions.
-//
-//netfail:hotpath
 func indexByteIn[T text](s T, c byte) int {
 	for i := 0; i < len(s); i++ {
 		if s[i] == c {
@@ -399,8 +377,6 @@ func indexByteIn[T text](s T, c byte) int {
 }
 
 // indexColonSpace finds the first ": " separator.
-//
-//netfail:hotpath
 func indexColonSpace[T text](s T) int {
 	for i := 0; i+1 < len(s); i++ {
 		if s[i] == ':' && s[i+1] == ' ' {
@@ -411,8 +387,6 @@ func indexColonSpace[T text](s T) int {
 }
 
 // trimSuffix drops one trailing suffix if present.
-//
-//netfail:hotpath
 func trimSuffix[T text](s T, suffix string) T {
 	n := len(s) - len(suffix)
 	if n < 0 {
@@ -428,8 +402,6 @@ func trimSuffix[T text](s T, suffix string) T {
 
 // trimSpace is strings.TrimSpace over the generic input: maximal
 // white-space trim from both ends, Unicode included.
-//
-//netfail:hotpath
 func trimSpace[T text](s T) T {
 	for {
 		n := leadingSpaceLen(s)
@@ -454,8 +426,6 @@ func trimSpace[T text](s T) T {
 // which is equivalent to decode-then-unicode.IsSpace because any
 // other sequence (including overlong encodings) either decodes to a
 // non-space rune or to RuneError, and both stop the trim.
-//
-//netfail:hotpath
 func leadingSpaceLen[T text](s T) int {
 	if len(s) == 0 {
 		return 0
@@ -480,8 +450,6 @@ func leadingSpaceLen[T text](s T) int {
 // exact encodings backwards is equivalent to DecodeLastRune: a tail
 // that byte-equals a space encoding always decodes as that rune, and
 // any other tail decodes to a non-space rune or RuneError.
-//
-//netfail:hotpath
 func trailingSpaceLen[T text](s T) int {
 	n := len(s)
 	if n == 0 {

@@ -148,8 +148,6 @@ func (s *Sweep) Link(id LinkID) int {
 
 // Add changes by delta the number of failures holding a link down; the
 // link is down while that number is positive.
-//
-//netfail:hotpath
 func (s *Sweep) Add(link, delta int) {
 	s.count[link] += int32(delta)
 	down := s.count[link] > 0
@@ -200,8 +198,6 @@ func (s *Sweep) DownLinks() []LinkID {
 // Refresh brings the labels up to date and reports whether it had to
 // recompute them; false means every answer since the last Refresh
 // still holds.
-//
-//netfail:hotpath
 func (s *Sweep) Refresh() bool {
 	if !s.stale {
 		return false

@@ -13,8 +13,8 @@ import (
 // only allocations are the flat grouping buffer with its index slices,
 // the per-group sort wrappers, and the growth of the result slices —
 // ~0.07 per failure. A per-transition allocation sneaking into
-// reconstructLinkInto (the //netfail:hotpath inner loop) raises the
-// rate past one and fails the pin by an order of magnitude.
+// reconstructLinkInto (the inner loop) raises the rate past one and
+// fails the pin by an order of magnitude.
 func TestReconstructAllocBudget(t *testing.T) {
 	ts := allocBudgetTransitions()
 	failures := len(ts) / 2

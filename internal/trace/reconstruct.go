@@ -178,8 +178,6 @@ func groupLinkSeqs(ts []Transition) ([]topo.LinkID, []int32, []Transition) {
 // independent, which is what makes the pipeline shardable; appending
 // into a long-lived accumulator is what lets the per-worker scratch
 // amortize across the many links each worker runs.
-//
-//netfail:hotpath
 func reconstructLinkInto(link topo.LinkID, seq []Transition, policy AmbiguityPolicy, rec *Reconstruction) {
 	down := false
 	var start time.Time

@@ -103,12 +103,9 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // NewMetrics returns an empty metrics registry ready for WithMetrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// AnalysisOptions tune the comparison without changing the captures.
-//
-// It is the bulk carrier behind the equivalent functional options
-// (WithWindow, WithFlapGap, WithMergeWindow, WithMultiLink,
-// WithParallelism); pass a whole struct at once to Run or Analyze
-// with WithAnalysisOptions.
+// AnalysisOptions tune the comparison without changing the captures:
+// the value the functional options (WithWindow, WithFlapGap,
+// WithMergeWindow, WithMultiLink, WithParallelism) fill in.
 type AnalysisOptions struct {
 	// Window is the matching window (default ten seconds).
 	Window time.Duration
@@ -156,10 +153,6 @@ func WithMultiLink(include bool) Option { return func(o *options) { o.ao.Include
 // worker per CPU, 1 forces the sequential reference path. Every
 // setting produces byte-identical results.
 func WithParallelism(n int) Option { return func(o *options) { o.ao.Parallelism = n } }
-
-// WithAnalysisOptions applies a whole AnalysisOptions struct at once —
-// the bulk alternative to the per-field options above.
-func WithAnalysisOptions(ao AnalysisOptions) Option { return func(o *options) { o.ao = ao } }
 
 // WithTracer records a span per pipeline stage and pool worker into t.
 func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }

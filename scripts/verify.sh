@@ -28,7 +28,7 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> netfail-lint ./... (analyzers + escape baseline gate)"
+echo "==> netfail-lint ./... (analyzers)"
 go run ./cmd/netfail-lint ./...
 
 echo "==> go test ./..."
