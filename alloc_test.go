@@ -30,6 +30,32 @@ func TestSyslogExtractAllocBudget(t *testing.T) {
 	pinAllocs(t, "steady-state ExtractInto over a month of syslog", 6, op)
 }
 
+// TestDriverSyslogAllocBudget pins the capture path — raw line,
+// tokenizer, extractor, no store — through one warm Driver: nothing per
+// line, only the growth of the extractor's transition slices. One
+// Message allocated per line would be twenty times the budget. It has
+// no Benchmark twin; the month is benchSyslogExtract's.
+func TestDriverSyslogAllocBudget(t *testing.T) {
+	camp, mined := benchMonthMined(t)
+	lines := make([][]byte, len(camp.Syslog))
+	for i, m := range camp.Syslog {
+		lines[i] = m.AppendRender(nil)
+	}
+	d, err := NewDriver(&Study{Campaign: camp, Mined: mined}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func() {
+		for _, line := range lines {
+			if err := d.Syslog(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	op() // warm the intern tables
+	pinAllocs(t, "a month of syslog lines pushed through a warm Driver", 0.05*float64(len(lines)), op)
+}
+
 // TestListenerReplayAllocBudget: a month's LSPs through a fresh
 // listener (4526 measured): one record per router, link and stored LSP
 // plus transition growth, nothing per LSP. The race detector's own

@@ -164,7 +164,8 @@ func mine(ctx context.Context, archive *config.Archive) (*config.Mined, error) {
 // from the flat syslog.log/lsps.log otherwise. Either way the records
 // go through the one Driver, so the report is byte-identical to
 // Analyze's over the same campaign at every WithParallelism setting,
-// and peak residency is one shard's messages.
+// and peak residency is one shard's resolved transitions, never its
+// messages.
 //
 // In lenient mode damaged records are skipped and every component's
 // accounting is returned; in strict mode the first damaged frame, LSP

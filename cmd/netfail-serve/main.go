@@ -366,10 +366,10 @@ func (s *udpSource) Run(ctx context.Context, emit func(serve.Record) error) erro
 	defer conn.Close()
 	// Unblock the read when the supervisor stops: the close makes the
 	// pending ReadFromUDP fail, and ctx.Err tells us it was shutdown.
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
+	// ctx outlives this Run — the supervisor restarts a failed source
+	// under the same one — so the watch ends with Run, not with ctx.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	buf := make([]byte, 64*1024)
 	for {
 		n, _, err := conn.ReadFromUDP(buf)

@@ -46,15 +46,19 @@ type Driver struct {
 
 	tok *syslog.Tokenizer
 	lis *listener.Listener
-	sw  *store.Writer // nil without WithStoreDir
+	ext *core.Extractor // nil without a Campaign: nothing to compare over
+	sw  *store.Writer   // nil without WithStoreDir
 
 	// rolling is the year reference for the next year-less RFC 3164
 	// stamp: the latest time parsed so far in this shard. A fixed
 	// reference would misdate lines more than six months from it.
 	rolling time.Time
-	shard   []*syslog.Message // parsed, awaiting extraction
-	lines   *salvage.Report   // this shard's syslog records, by ordinal
-	traces  *core.SyslogTraces
+	// msg is the line being pushed, overwritten by the next: what the
+	// driver retains of a shard is the extractor's resolved transitions,
+	// never its messages.
+	msg    syslog.Message
+	lines  *salvage.Report // this shard's syslog records, by ordinal
+	traces *core.SyslogTraces
 
 	parsed, unparseable int // syslog lines pushed, across shards
 	reports             []CaptureSalvage
@@ -82,6 +86,7 @@ func NewDriver(study *Study, lenient bool, opts ...Option) (*Driver, error) {
 		return d, nil
 	}
 	d.rolling = study.Campaign.Config.Start
+	d.ext = core.NewExtractor(study.Mined.Network)
 	if d.o.storeDir != "" {
 		sw, err := store.NewWriter(d.o.storeDir)
 		if err != nil {
@@ -93,13 +98,13 @@ func NewDriver(study *Study, lenient bool, opts ...Option) (*Driver, error) {
 	return d, nil
 }
 
-// Syslog pushes one raw syslog line. A line that does not parse is
-// counted and returned as an error wrapping syslog.ErrMalformed; it
-// never stops the analysis, in either mode — the archive format is
-// lossy by construction. Any other error is the store failing to take
-// the line, and is fatal.
+// Syslog pushes one raw syslog line through the tokenizer and the
+// extractor. A line that does not parse is counted and returned as an
+// error wrapping syslog.ErrMalformed; it never stops the analysis, in
+// either mode — the archive format is lossy by construction. Any other
+// error is the store failing to take the line, and is fatal.
 func (d *Driver) Syslog(line []byte) error {
-	m := new(syslog.Message)
+	m := &d.msg
 	if err := d.tok.ParseBytes(line, d.rolling, m); err != nil {
 		d.unparseable++
 		d.lines.Skip(d.lines.Kept+d.lines.Skipped+1, "unparseable syslog line")
@@ -110,10 +115,10 @@ func (d *Driver) Syslog(line []byte) error {
 	}
 	d.parsed++
 	d.lines.Kept++
-	if d.study.Campaign == nil {
+	if d.ext == nil {
 		return nil
 	}
-	d.shard = append(d.shard, m)
+	d.ext.Add(m)
 	return d.storeMessage(m, line)
 }
 
@@ -133,8 +138,8 @@ func (d *Driver) Summary() string {
 
 // Finish runs the comparison over everything pushed so far and
 // returns the completed study, writing the store when one was asked
-// for. What was pushed is the one shard left to extract; the driver
-// takes no more records afterwards.
+// for. What was pushed is the one shard left to merge; the driver takes
+// no more records afterwards.
 func (d *Driver) Finish(ctx context.Context) (*Study, error) {
 	return d.run(d.o.instrument(ctx), []shard{{name: "syslog"}})
 }
@@ -194,20 +199,20 @@ type shard struct {
 }
 
 // memoryShards is an in-RAM Campaign: one shard, its messages already
-// parsed and handed over as they are.
+// parsed and rendered only for the store.
 func memoryShards(camp *Campaign) []shard {
 	return []shard{{
 		name: "syslog",
 		syslog: func(ctx context.Context, d *Driver) error {
-			d.shard = camp.Syslog
 			d.parsed += len(camp.Syslog)
-			if d.sw == nil {
-				return nil
-			}
 			var line []byte
 			for i, m := range camp.Syslog {
 				if err := canceled(ctx, i); err != nil {
 					return err
+				}
+				d.ext.Add(m)
+				if d.sw == nil {
+					continue
 				}
 				line = m.AppendRender(line[:0])
 				if err := d.storeMessage(m, line); err != nil {
@@ -288,11 +293,12 @@ func (d *Driver) run(ctx context.Context, shards []shard) (*Study, error) {
 	return d.study, nil
 }
 
-// extract pushes every shard's syslog stream and extracts it before
-// the next is read, so residency is one shard's messages. Shards merge
-// by concatenation in source order: domains are link-disjoint and no
-// later stage re-sorts transitions, which keeps the report
-// byte-identical at every Parallelism setting and across sources.
+// extract pushes every shard's syslog stream through the extractor and
+// merges it before the next is read, so residency is one shard's
+// resolved transitions. Shards merge by concatenation in source order:
+// domains are link-disjoint and no later stage re-sorts transitions,
+// which keeps the report byte-identical at every Parallelism setting
+// and across sources.
 func (d *Driver) extract(ctx context.Context, shards []shard) error {
 	ctx, done := obs.Stage(ctx, "extract")
 	defer done()
@@ -301,7 +307,6 @@ func (d *Driver) extract(ctx context.Context, shards []shard) error {
 		mergeWindow = 60 * time.Second
 	}
 	workers := pool.Resolve(d.o.ao.Parallelism)
-	ext := core.NewExtractor(d.study.Mined.Network)
 	var scratch core.SyslogTraces
 	for i, sh := range shards {
 		// Timestamps restart at each shard boundary, and so does the
@@ -311,29 +316,40 @@ func (d *Driver) extract(ctx context.Context, shards []shard) error {
 				return err
 			}
 		}
-		if sh.syslog != nil {
-			if err := sh.syslog(ctx, d); err != nil {
-				return err
-			}
+		// The first shard merges straight into the result; later ones
+		// go through the scratch and are appended.
+		dst := d.traces
+		if i > 0 {
+			dst = &scratch
+		}
+		if err := d.extractShard(ctx, sh, mergeWindow, workers, dst); err != nil {
+			return err
+		}
+		if i > 0 {
+			d.traces.Merge(&scratch)
 		}
 		if d.lenient || !d.lines.Clean() {
 			d.reports = append(d.reports, CaptureSalvage{sh.name, d.lines})
 		}
-		// The first shard extracts straight into the result; later
-		// ones go through the scratch and are appended.
-		if i == 0 {
-			ext.ExtractInto(ctx, d.shard, mergeWindow, workers, d.traces)
-		} else {
-			ext.ExtractInto(ctx, d.shard, mergeWindow, workers, &scratch)
-			d.traces.Merge(&scratch)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d.shard, d.lines = nil, &salvage.Report{}
+		d.lines = &salvage.Report{}
 		d.rolling = d.study.Campaign.Config.Start
 	}
 	return nil
+}
+
+// extractShard pushes one shard's syslog stream — nothing, when its
+// lines were pushed from outside — and merges what the extractor
+// resolved of it into dst.
+func (d *Driver) extractShard(ctx context.Context, sh shard, mergeWindow time.Duration, workers int, dst *core.SyslogTraces) error {
+	ctx, done := obs.Stage(ctx, "extract-syslog")
+	defer done()
+	if sh.syslog != nil {
+		if err := sh.syslog(ctx, d); err != nil {
+			return err
+		}
+	}
+	d.ext.Finish(ctx, mergeWindow, workers, dst)
+	return ctx.Err()
 }
 
 // listen replays every shard's LSP capture through the one listener

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"netfail/internal/atomicfile"
 )
 
 // ManifestName is the capture manifest's file name inside the
@@ -71,26 +73,12 @@ func (m *Manifest) Span() (first, last time.Time) {
 
 // writeManifestFile writes the manifest atomically into dir.
 func writeManifestFile(dir string, m *Manifest) error {
-	tmp, err := os.CreateTemp(dir, "manifest-*.tmp")
+	err := atomicfile.Write(dir, ManifestName, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 	if err != nil {
-		return fmt.Errorf("capture: manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(m)
-	if serr := tmp.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("capture: manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmpName)
 		return fmt.Errorf("capture: manifest: %w", err)
 	}
 	return nil

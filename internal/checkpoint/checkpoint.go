@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"netfail/internal/atomicfile"
 	"netfail/internal/frame"
 	"netfail/internal/salvage"
 )
@@ -193,32 +194,13 @@ func (s *Store) Snapshot(records []Record) error {
 		return fmt.Errorf("checkpoint: store is closed")
 	}
 	covered := s.seq
-	tmp, err := os.CreateTemp(s.dir, "snap-*.tmp")
+	err := atomicfile.Write(s.dir, fmt.Sprintf("snap-%016x.ckpt", covered), func(w io.Writer) error {
+		if s.opt.tap != nil {
+			w = s.opt.tap(w)
+		}
+		return writeSnapshot(w, covered, records)
+	})
 	if err != nil {
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	tmpName := tmp.Name()
-	var w io.Writer = tmp
-	if s.opt.tap != nil {
-		w = s.opt.tap(tmp)
-	}
-	err = writeSnapshot(w, covered, records)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	final := filepath.Join(s.dir, fmt.Sprintf("snap-%016x.ckpt", covered))
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("checkpoint: snapshot: %w", err)
 	}
 
@@ -278,20 +260,6 @@ func (s *Store) Close() error {
 		return fmt.Errorf("checkpoint: close: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed snapshot's directory
-// entry is durable too.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // appendRecord appends one record's frame to dst — the encoder both

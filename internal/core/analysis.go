@@ -25,9 +25,9 @@ type Input struct {
 	// Syslog is the collector's message log.
 	Syslog []*syslog.Message
 	// Traces, when non-nil, supplies pre-extracted syslog traces and
-	// skips the extraction stage; Syslog may then be nil. The sharded
-	// capture path extracts shard by shard (bounding residency to one
-	// shard's messages) and merges in manifest order before analysis;
+	// skips the extraction stage; Syslog may then be nil. The analysis
+	// driver extracts message by message as its sources feed it and
+	// merges shard by shard in manifest order before analysis;
 	// benchmark harnesses use it to reuse one extraction across runs.
 	Traces *SyslogTraces
 	// ISTransitions and IPTransitions are the listener's output.
@@ -54,12 +54,13 @@ type Input struct {
 	// listener attribute changes to individual parallel links —
 	// otherwise those links simply contribute empty IS-IS traces.
 	IncludeMultiLink bool
-	// Parallelism bounds the worker pool the pipeline's sharded
-	// stages run on: <= 0 means one worker per CPU (GOMAXPROCS), 1
-	// forces the sequential reference path. Every worker count
-	// produces byte-identical output — shards merge in stable
-	// link-ID/time order — so this knob trades wall-clock for cores,
-	// never determinism.
+	// Parallelism bounds the worker pool the pipeline's independent
+	// stages (the filters, the two reconstructions, the two
+	// sanitizations, the report's sections) run on: <= 0 means one
+	// worker per CPU (GOMAXPROCS), 1 runs them in order on the calling
+	// goroutine. Stages write disjoint outputs, so every worker count
+	// produces byte-identical output: this knob trades wall-clock for
+	// cores, never determinism.
 	Parallelism int
 }
 
@@ -141,7 +142,7 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 		}
 	}
 
-	workers := resolveParallelism(in.Parallelism)
+	workers := pool.Resolve(in.Parallelism)
 
 	// Syslog extraction and filtering. The filters are independent
 	// order-preserving scans over disjoint outputs, so they fan out
@@ -175,16 +176,11 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 	obs.Add(ctx, "transitions.syslog.physical", int64(len(a.SyslogPhysical)))
 	obs.Add(ctx, "transitions.isis", int64(len(a.ISReach)))
 
-	// Reconstruction: the two sources are independent, and each one
-	// shards per link inside ReconstructPolicy.
+	// Reconstruction: the two sources are independent.
 	rctx, rdone := obs.Stage(ctx, "reconstruct")
 	err = pool.StagesCtx(rctx, workers,
-		func(sctx context.Context) {
-			a.SyslogRec = trace.ReconstructPolicy(sctx, a.SyslogAdj, trace.HoldPrevious, workers)
-		},
-		func(sctx context.Context) {
-			a.ISISRec = trace.ReconstructPolicy(sctx, a.ISReach, trace.HoldPrevious, workers)
-		},
+		func(context.Context) { a.SyslogRec = trace.ReconstructPolicy(a.SyslogAdj, trace.HoldPrevious) },
+		func(context.Context) { a.ISISRec = trace.ReconstructPolicy(a.ISReach, trace.HoldPrevious) },
 	)
 	rdone()
 	if err != nil {

@@ -12,21 +12,19 @@ import (
 	"netfail/internal/trace"
 )
 
-// The flat-pass merge in mergeStream relies on two properties proved
-// in its comment: a time-sorted input stream admits single-pass
+// The flat-pass merge in linkStream.merge relies on two properties
+// proved in its comment: a time-sorted input stream admits single-pass
 // per-link duplicate absorption, and after absorption no two survivors
 // share (Time, Link, Dir), so re-ordering equal-timestamp runs by
 // (link, direction) reproduces SortTransitions exactly. These tests
-// check the fast path against mergeLinkStreamReference — the original
-// grouped merge, kept as the oracle — across randomized sorted
-// streams, dense equal-time ties, window extremes, and arbitrary
-// shard splits.
+// check it against mergeLinkStreamReference — the original grouped
+// merge, kept in reference_test.go as the oracle — across randomized
+// sorted and shuffled streams, dense equal-time ties, window extremes
+// (negative included), and reuse of one stream's state.
 
-// mergeFixture builds an Extractor with n sorted links and converts a
-// flat transition stream into chunked shards carrying the key/index
-// mirrors parseChunk would have produced.
+// mergeFixture names n sorted links and feeds flat transition streams
+// through a linkStream the way Extractor.Add would.
 type mergeFixture struct {
-	e     *Extractor
 	byID  map[topo.LinkID]int32
 	links []topo.LinkID
 }
@@ -38,28 +36,28 @@ func newMergeFixture(nlinks int) *mergeFixture {
 		f.links = append(f.links, id)
 		f.byID[id] = int32(i)
 	}
-	f.e = &Extractor{links: f.links}
 	return f
 }
 
-// shard splits the stream into nc contiguous chunks, mirroring the
-// chunk bounds the parallel parse would have used.
-func (f *mergeFixture) shard(stream []trace.Transition, nc int) []extractShard {
-	bounds := chunkBounds(len(stream), nc)
-	shards := make([]extractShard, len(bounds)-1)
-	for i := range shards {
-		for _, tr := range stream[bounds[i]:bounds[i+1]] {
-			shards[i].adjT = append(shards[i].adjT, tr)
-			shards[i].adjK = append(shards[i].adjK, tr.Time.UnixNano())
-			shards[i].adjL = append(shards[i].adjL, f.byID[tr.Link])
-		}
+// feed empties s and appends the stream to it in arrival order.
+func (f *mergeFixture) feed(s *linkStream, stream []trace.Transition) {
+	s.reset()
+	for _, tr := range stream {
+		s.add(tr, f.byID[tr.Link])
 	}
-	return shards
 }
 
-func (f *mergeFixture) merge(stream []trace.Transition, nc int, w time.Duration, sorted bool) []trace.Transition {
-	var ms mergeState
-	return f.e.mergeStream(&ms, f.shard(stream, nc), false, w, len(stream), sorted, nil)
+// merge runs the stream through one linkStream the given number of
+// times — shard after shard through one Extractor — and returns the
+// last result.
+func (f *mergeFixture) merge(stream []trace.Transition, repeats int, w time.Duration) []trace.Transition {
+	var s linkStream
+	var got []trace.Transition
+	for r := 0; r < repeats; r++ {
+		f.feed(&s, stream)
+		got = s.merge(len(f.links), w, got)
+	}
+	return got
 }
 
 // randomSortedStream draws a time-sorted stream over nlinks links with
@@ -107,9 +105,9 @@ func TestMergeFastPathMatchesReference(t *testing.T) {
 		w := windows[trial%len(windows)]
 		want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), w)
 		for _, nc := range []int{1, 2, 3, 7} {
-			got := f.merge(stream, nc, w, true)
+			got := f.merge(stream, nc, w)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d window %v chunks %d: fast path diverges\n got %d transitions\nwant %d",
+				t.Fatalf("trial %d window %v repeats %d: fast path diverges\n got %d transitions\nwant %d",
 					trial, w, nc, len(got), len(want))
 			}
 		}
@@ -132,7 +130,7 @@ func TestMergeFastPathEqualTimeTieOrder(t *testing.T) {
 		}
 	}
 	want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), 10*time.Second)
-	got := f.merge(stream, 3, 10*time.Second, true)
+	got := f.merge(stream, 3, 10*time.Second)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie order diverges:\n got %+v\nwant %+v", got, want)
 	}
@@ -150,7 +148,7 @@ func TestMergeZeroWindowAbsorbsExactTies(t *testing.T) {
 		{Time: at, Link: f.links[0], Dir: trace.Down, Kind: trace.KindISISAdj, Reporter: "a"},
 		{Time: at, Link: f.links[0], Dir: trace.Down, Kind: trace.KindISISAdj, Reporter: "b"},
 	}
-	got := f.merge(stream, 1, 0, true)
+	got := f.merge(stream, 1, 0)
 	want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), 0)
 	if !reflect.DeepEqual(got, want) || len(got) != 1 {
 		t.Fatalf("window-0 merge = %+v, reference %+v", got, want)
@@ -161,34 +159,57 @@ func TestMergeZeroWindowAbsorbsExactTies(t *testing.T) {
 }
 
 func TestMergeUnsortedFallsBackToReference(t *testing.T) {
-	// An out-of-order capture (sorted=false) and a negative window must
-	// both route to the reference path and match it on arbitrary input.
+	// There is no fallback any more: an out-of-order stream and a
+	// negative window go through the one pass, which must still equal
+	// the reference on arbitrary input.
 	rng := rand.New(rand.NewSource(7))
 	f := newMergeFixture(6)
 	stream := randomSortedStream(rng, 200, 6, f.links)
 	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
 	want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), 10*time.Second)
-	if got := f.merge(stream, 4, 10*time.Second, false); !reflect.DeepEqual(got, want) {
+	if got := f.merge(stream, 4, 10*time.Second); !reflect.DeepEqual(got, want) {
 		t.Fatalf("unsorted fallback diverges: got %d, want %d", len(got), len(want))
 	}
 	sortedStream := randomSortedStream(rng, 100, 6, f.links)
 	wantNeg := mergeLinkStreamReference(append([]trace.Transition(nil), sortedStream...), -time.Second)
-	if got := f.merge(sortedStream, 2, -time.Second, true); !reflect.DeepEqual(got, wantNeg) {
+	if got := f.merge(sortedStream, 2, -time.Second); !reflect.DeepEqual(got, wantNeg) {
 		t.Fatalf("negative-window fallback diverges: got %d, want %d", len(got), len(wantNeg))
+	}
+
+	// The same, at volume: two streams in three arrive out of order —
+	// fully shuffled, or with a few late arrivals — at every window.
+	windows := []time.Duration{-time.Second, 0, time.Second, 10 * time.Second, 60 * time.Second, time.Hour}
+	for trial := 0; trial < 600; trial++ {
+		stream := randomSortedStream(rng, 20+rng.Intn(300), 6, f.links)
+		switch trial % 3 {
+		case 1:
+			rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		case 2:
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				i, j := rng.Intn(len(stream)), rng.Intn(len(stream))
+				stream[i], stream[j] = stream[j], stream[i]
+			}
+		}
+		w := windows[trial%len(windows)]
+		want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), w)
+		if got := f.merge(stream, 1, w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d window %v: one pass diverges: got %d, want %d", trial, w, len(got), len(want))
+		}
 	}
 }
 
 func TestMergeStateReuseAcrossCalls(t *testing.T) {
-	// Back-to-back merges through one mergeState (the Extractor's
+	// Back-to-back merges through one linkStream (the Extractor's
 	// steady state) must not leak per-link state between captures.
 	rng := rand.New(rand.NewSource(11))
 	f := newMergeFixture(10)
-	var ms mergeState
+	var s linkStream
 	var dst []trace.Transition
 	for trial := 0; trial < 10; trial++ {
 		stream := randomSortedStream(rng, 150, 10, f.links)
 		want := mergeLinkStreamReference(append([]trace.Transition(nil), stream...), 10*time.Second)
-		dst = f.e.mergeStream(&ms, f.shard(stream, 3), false, 10*time.Second, len(stream), true, dst)
+		f.feed(&s, stream)
+		dst = s.merge(len(f.links), 10*time.Second, dst)
 		if !reflect.DeepEqual(dst, want) {
 			t.Fatalf("trial %d: reused-state merge diverges (got %d, want %d)", trial, len(dst), len(want))
 		}
@@ -196,9 +217,9 @@ func TestMergeStateReuseAcrossCalls(t *testing.T) {
 }
 
 // TestExtractUnsortedCaptureMatchesReference drives the full
-// ExtractInto path with an out-of-order capture: the per-chunk
-// sortedness detection must route the merge to the reference path, and
-// the result must be chunking-invariant.
+// ExtractInto path with an out-of-order capture: Add must notice it,
+// the merge must equal the reference, and the result must not depend
+// on the worker count.
 func TestExtractUnsortedCaptureMatchesReference(t *testing.T) {
 	n, _ := tinyNet(t)
 	msgs := []*syslog.Message{
@@ -213,6 +234,9 @@ func TestExtractUnsortedCaptureMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(par, seq) {
 			t.Fatalf("workers=%d: unsorted capture diverges from sequential", workers)
 		}
+	}
+	if want := mergeLinkStreamReference(seq.PerRouterAdj, 60*time.Second); !reflect.DeepEqual(seq.MergedAdj, want) {
+		t.Fatalf("unsorted capture merged to %+v, reference %+v", seq.MergedAdj, want)
 	}
 	// The merge must still have collapsed the counterpart report.
 	if len(seq.MergedAdj) != 3 {

@@ -1,8 +1,8 @@
 package core
 
-// Shard-merge determinism for the extraction stage: chunked parsing
-// plus per-link merge must reproduce the sequential extraction exactly
-// at every worker count, counters included.
+// Worker-count determinism for the extraction stage: the two streams'
+// merges run as concurrent stages above one worker and must reproduce
+// the sequential extraction exactly, counters included.
 
 import (
 	"fmt"
@@ -15,8 +15,7 @@ import (
 	"netfail/internal/topo"
 )
 
-// meshNet builds a core mesh with enough links that per-link sharding
-// actually fans out.
+// meshNet builds a core mesh: fifteen links between six routers.
 func meshNet(t *testing.T) *topo.Network {
 	t.Helper()
 	n := topo.NewNetwork()
@@ -89,31 +88,6 @@ func TestExtractSyslogParallelMatchesSequential(t *testing.T) {
 		got := extractSyslog(n, msgs, 60*time.Second, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: parallel extraction diverges from sequential", workers)
-		}
-	}
-}
-
-func TestChunkBounds(t *testing.T) {
-	cases := []struct {
-		n, workers int
-		want       []int
-	}{
-		{0, 4, []int{0, 0}},
-		{10, 1, []int{0, 10}},
-		{10, 3, []int{0, 3, 6, 10}},
-		{3, 8, []int{0, 1, 2, 3}},
-		{7, 0, []int{0, 7}},
-	}
-	for _, c := range cases {
-		got := chunkBounds(c.n, c.workers)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("chunkBounds(%d, %d) = %v, want %v", c.n, c.workers, got, c.want)
-		}
-		// Bounds must be monotone and cover [0, n].
-		for i := 1; i < len(got); i++ {
-			if got[i] < got[i-1] {
-				t.Errorf("chunkBounds(%d, %d) not monotone: %v", c.n, c.workers, got)
-			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sort"
 	"time"
 
@@ -61,15 +60,16 @@ func (st *SyslogTraces) Merge(o *SyslogTraces) {
 	st.Messages += o.Messages
 }
 
-// Extractor resolves syslog captures against one topology. It owns
-// the (router, interface) → link resolver and all per-worker parse and
-// merge scratch, so a long-lived Extractor — the streaming daemon's
-// shape, and the benchmark's — performs only the handful of exact-size
-// result allocations per ExtractInto call: amortized zero allocations
-// per message. An Extractor is not safe for concurrent ExtractInto
-// calls; ExtractInto itself fans out over the worker pool internally.
+// Extractor resolves a syslog stream against one topology, one message
+// at a time: Add decodes a message, resolves it onto a link and appends
+// the transition to its stream; Finish collapses what was added into
+// per-link transitions. It owns the (router, interface) → link resolver
+// and every scratch buffer, so a long-lived Extractor — the driver's
+// shape, the streaming daemon's and the benchmark's — allocates nothing
+// per message once its buffers have grown. What it retains between
+// Finish calls is resolved transitions, never messages. An Extractor is
+// not safe for concurrent use.
 type Extractor struct {
-	net   *topo.Network
 	links []topo.LinkID // sorted; the merge state's index space
 
 	// resolver maps "host\x00iface" to the link index, folding the
@@ -80,52 +80,61 @@ type Extractor struct {
 	// as the two-step lookup would.
 	resolver map[string]int32
 
-	shards        []extractShard // per-chunk parse scratch, reused across calls
-	adjSt, physSt mergeState     // per-stream merge state + emit scratch
+	adj, phys linkStream // resolved since the last Finish, by class
+	keyBuf    []byte
+	ev        syslog.LinkEvent
+
+	messages, unresolved, nonLink int
 }
 
-// extractShard is one chunk's parse output and the worker scratch that
-// produced it: transition/key/link-index triples per stream, the
-// resolver key buffer, and the reused link event.
-type extractShard struct {
-	adjT, physT []trace.Transition
-	adjK, physK []int64 // UnixNano mirror of adjT/physT
-	adjL, physL []int32 // link-index mirror of adjT/physT
-	keyBuf      []byte
-	ev          syslog.LinkEvent
+// linkStream is one class of resolved transitions in arrival order,
+// with the UnixNano and link-index mirrors the merge pass reads, and
+// that pass's per-link state.
+type linkStream struct {
+	t []trace.Transition
+	k []int64 // UnixNano mirror of t
+	l []int32 // link-index mirror of t
 
-	unresolved, nonLink int
-	sorted              bool  // accepted entries were time-ordered within the chunk
-	firstK, lastK       int64 // seam-check bounds (accepted entries only)
-}
+	unsorted bool // some transition arrived before its predecessor's time
 
-// mergeState is one stream's per-link merge state plus the key
-// scratch mirroring the emitted transitions.
-type mergeState struct {
-	lastEmit []int64
+	lastEmit []int64 // per link: the last survivor's time and direction
 	lastDir  []int8
 	seen     []bool
 
+	// Mirrors of the survivors: time, and (link index << 1) | direction,
+	// the equal-time tie order.
 	outK []int64
-	outL []int32 // (link index << 1) | direction: the equal-time tie order
+	outL []int32
 }
 
-// reset sizes the per-link arrays and clears the seen marks.
-func (ms *mergeState) reset(nlinks int) {
-	if cap(ms.lastEmit) < nlinks {
-		ms.lastEmit = make([]int64, nlinks)
-		ms.lastDir = make([]int8, nlinks)
-		ms.seen = make([]bool, nlinks)
+// Len, Less and Swap order the stream by time for sort.Stable, keeping
+// the mirrors in step.
+func (s *linkStream) Len() int           { return len(s.t) }
+func (s *linkStream) Less(i, j int) bool { return s.k[i] < s.k[j] }
+func (s *linkStream) Swap(i, j int) {
+	s.t[i], s.t[j] = s.t[j], s.t[i]
+	s.k[i], s.k[j] = s.k[j], s.k[i]
+	s.l[i], s.l[j] = s.l[j], s.l[i]
+}
+
+func (s *linkStream) add(tr trace.Transition, li int32) {
+	k := tr.Time.UnixNano()
+	if n := len(s.k); n > 0 && k < s.k[n-1] {
+		s.unsorted = true
 	}
-	ms.lastEmit = ms.lastEmit[:nlinks]
-	ms.lastDir = ms.lastDir[:nlinks]
-	ms.seen = ms.seen[:nlinks]
-	clear(ms.seen)
+	s.t = append(s.t, tr)
+	s.k = append(s.k, k)
+	s.l = append(s.l, li)
+}
+
+func (s *linkStream) reset() {
+	s.t, s.k, s.l = s.t[:0], s.k[:0], s.l[:0]
+	s.unsorted = false
 }
 
 // NewExtractor builds the resolver and link index for one topology.
 func NewExtractor(net *topo.Network) *Extractor {
-	e := &Extractor{net: net}
+	e := &Extractor{}
 	e.links = make([]topo.LinkID, 0, len(net.Links))
 	for _, l := range net.Links {
 		e.links = append(e.links, l.ID)
@@ -162,190 +171,129 @@ func NewExtractor(net *topo.Network) *Extractor {
 }
 
 // ExtractInto resolves and merges a syslog capture against the
-// extractor's (mined) topology into a caller-owned result, truncating
-// and reusing st's transition slices. mergeWindow is the span within
-// which two same-direction messages are treated as the two routers'
-// reports of one transition; the paper's ten-second matching window is
-// the natural choice.
-//
-// Above one worker the capture is split into contiguous chunks parsed
-// concurrently, the shard outputs are walked in chunk order
-// (reproducing the sequential message order exactly), and the per-link
-// merges of the two streams then run as concurrent stages: output is
-// byte-identical for any worker count. A cancellation leaves the
-// result partially filled; callers observe it through ctx.Err() and
-// discard the result.
-//
-// A long-lived (Extractor, result) pair — the streaming ingest shape —
-// makes repeated extractions allocation-free at steady state: no
-// per-message garbage means the collector never runs between captures.
-// Empty streams leave the reused slices truncated to length zero
-// rather than resetting them to nil.
+// extractor's (mined) topology into a caller-owned result: Add for
+// every message, then Finish. A cancellation leaves the result
+// partially filled; callers observe it through ctx.Err() and discard
+// the result.
 func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mergeWindow time.Duration, workers int, st *SyslogTraces) {
 	ctx, done := obs.Stage(ctx, "extract-syslog")
 	defer done()
-	bounds := chunkBounds(len(msgs), workers)
-	nshards := len(bounds) - 1
-	for len(e.shards) < nshards {
-		e.shards = append(e.shards, extractShard{})
+	for _, m := range msgs {
+		e.Add(m)
 	}
-	shards := e.shards[:nshards]
-	_ = pool.ForEachWorkerCtx(ctx, nshards, workers, func(_ context.Context, _, i int) {
-		shards[i].parseChunk(e, msgs[bounds[i]:bounds[i+1]])
-	})
+	e.Finish(ctx, mergeWindow, workers, st)
+}
 
-	adjN, physN := 0, 0
-	st.Unresolved, st.NonLink = 0, 0
-	sorted := true
-	lastSeen := int64(math.MinInt64)
-	for i := range shards {
-		s := &shards[i]
-		st.Unresolved += s.unresolved
-		st.NonLink += s.nonLink
-		adjN += len(s.adjT)
-		physN += len(s.physT)
-		if len(s.adjT)+len(s.physT) == 0 {
-			continue
-		}
-		if !s.sorted || s.firstK < lastSeen {
-			sorted = false
-		}
-		lastSeen = s.lastK
+// Add consumes one message: a link event that resolves onto a known
+// link is appended to the adjacency or physical stream, anything else
+// is only counted. m is not retained: a caller may reuse one Message
+// for every line.
+func (e *Extractor) Add(m *syslog.Message) {
+	e.messages++
+	ev := &e.ev
+	if err := syslog.ParseLinkEventInto(m, ev); err != nil {
+		e.nonLink++
+		return
 	}
-	st.AdjMessages, st.PhysMessages = adjN, physN
-	st.Messages = len(msgs)
-
-	st.PerRouterAdj = st.PerRouterAdj[:0]
-	if adjN > 0 {
-		if cap(st.PerRouterAdj) < adjN {
-			st.PerRouterAdj = make([]trace.Transition, 0, adjN)
-		}
-		for i := range shards {
-			st.PerRouterAdj = append(st.PerRouterAdj, shards[i].adjT...)
-		}
+	key := append(e.keyBuf[:0], ev.Router...)
+	key = append(key, 0)
+	key = append(key, ev.Interface...)
+	e.keyBuf = key
+	li, ok := e.resolver[string(key)]
+	if !ok {
+		e.unresolved++
+		return
 	}
+	tr := trace.Transition{Time: ev.Time, Link: e.links[li], Dir: trace.Down, Reporter: ev.Router}
+	if ev.Up {
+		tr.Dir = trace.Up
+	}
+	switch ev.Type {
+	case syslog.EventISISAdj:
+		tr.Kind = trace.KindISISAdj
+		e.adj.add(tr, li)
+	case syslog.EventLink, syslog.EventLineProto:
+		tr.Kind = trace.KindPhysical
+		e.phys.add(tr, li)
+	default:
+		e.nonLink++
+	}
+}
 
+// Finish collapses everything added since the last Finish into st,
+// truncating and reusing st's transition slices (empty streams leave
+// them at length zero, not nil), and leaves the extractor empty for the
+// next shard. mergeWindow is the span within which two same-direction
+// messages are treated as the two routers' reports of one transition;
+// the paper's ten-second matching window is the natural choice. The two
+// streams merge as independent stages on at most workers goroutines;
+// the output is the same at every worker count.
+func (e *Extractor) Finish(ctx context.Context, mergeWindow time.Duration, workers int, st *SyslogTraces) {
+	st.Messages, st.Unresolved, st.NonLink = e.messages, e.unresolved, e.nonLink
+	st.AdjMessages, st.PhysMessages = len(e.adj.t), len(e.phys.t)
 	_ = pool.StagesCtx(ctx, workers,
 		func(context.Context) {
-			st.MergedAdj = e.mergeStream(&e.adjSt, shards, false, mergeWindow, adjN, sorted, st.MergedAdj)
+			// Per-router reports keep arrival order; the merge may
+			// re-order the stream it is handed, so copy first.
+			st.PerRouterAdj = append(st.PerRouterAdj[:0], e.adj.t...)
+			st.MergedAdj = e.adj.merge(len(e.links), mergeWindow, st.MergedAdj)
 		},
 		func(context.Context) {
-			st.MergedPhysical = e.mergeStream(&e.physSt, shards, true, mergeWindow, physN, sorted, st.MergedPhysical)
+			st.MergedPhysical = e.phys.merge(len(e.links), mergeWindow, st.MergedPhysical)
 		},
 	)
+	e.adj.reset()
+	e.phys.reset()
+	e.messages, e.unresolved, e.nonLink = 0, 0, 0
 }
 
-// parseChunk parses one contiguous chunk of the capture into the
-// shard's reused accumulators.
-func (s *extractShard) parseChunk(e *Extractor, msgs []*syslog.Message) {
-	s.adjT, s.adjK, s.adjL = s.adjT[:0], s.adjK[:0], s.adjL[:0]
-	s.physT, s.physK, s.physL = s.physT[:0], s.physK[:0], s.physL[:0]
-	s.unresolved, s.nonLink = 0, 0
-	s.sorted = true
-	s.firstK, s.lastK = math.MaxInt64, math.MinInt64
-	prev := int64(math.MinInt64)
-	ev := &s.ev
-	for _, m := range msgs {
-		if err := syslog.ParseLinkEventInto(m, ev); err != nil {
-			s.nonLink++
-			continue
-		}
-		key := append(s.keyBuf[:0], ev.Router...)
-		key = append(key, 0)
-		key = append(key, ev.Interface...)
-		s.keyBuf = key
-		li, ok := e.resolver[string(key)]
-		if !ok {
-			s.unresolved++
-			continue
-		}
-		dir := trace.Down
-		if ev.Up {
-			dir = trace.Up
-		}
-		k := ev.Time.UnixNano()
-		switch ev.Type {
-		case syslog.EventISISAdj:
-			s.adjT = append(s.adjT, trace.Transition{Time: ev.Time, Link: e.links[li], Dir: dir, Kind: trace.KindISISAdj, Reporter: ev.Router})
-			s.adjK = append(s.adjK, k)
-			s.adjL = append(s.adjL, li)
-		case syslog.EventLink, syslog.EventLineProto:
-			s.physT = append(s.physT, trace.Transition{Time: ev.Time, Link: e.links[li], Dir: dir, Kind: trace.KindPhysical, Reporter: ev.Router})
-			s.physK = append(s.physK, k)
-			s.physL = append(s.physL, li)
-		default:
-			s.nonLink++
-			continue
-		}
-		if k < prev {
-			s.sorted = false
-		}
-		prev = k
-		if s.firstK == math.MaxInt64 {
-			s.firstK = k
-		}
-		s.lastK = k
-	}
-}
-
-// mergeStream collapses one stream's per-router reports into per-link
-// transitions and returns them time-sorted. The capture is time-sorted
-// in every real pipeline, which admits a single flat pass with
-// per-link state — no per-link grouping, no map, no sort: the emitted
-// subsequence is already time-ordered, and the final SortTransitions
-// order differs from it only inside equal-timestamp runs, which are
-// re-ordered by (link, direction, reporter) in place. Unsorted input
-// and negative windows take the reference path.
-func (e *Extractor) mergeStream(ms *mergeState, shards []extractShard, phys bool, mergeWindow time.Duration, total int, sorted bool, dst []trace.Transition) []trace.Transition {
+// merge collapses the stream's per-router reports into per-link
+// transitions and returns them in SortTransitions order, in dst's
+// storage when it is large enough. A time-sorted stream — every real
+// capture — admits a single flat pass with per-link state — no
+// per-link grouping, no map: the emitted subsequence is already
+// time-ordered, and the final order differs from it only inside
+// equal-timestamp runs, which are re-ordered by (link, direction,
+// reporter) in place. A stream that arrived out of order is first
+// stable-sorted by time, which gives each link the sequence a per-link
+// stable sort would. A negative window never absorbs.
+func (s *linkStream) merge(nlinks int, mergeWindow time.Duration, dst []trace.Transition) []trace.Transition {
 	dst = dst[:0]
-	if total == 0 {
+	if len(s.t) == 0 {
 		return dst
 	}
-	stream := func(s *extractShard) ([]trace.Transition, []int64, []int32) {
-		if phys {
-			return s.physT, s.physK, s.physL
-		}
-		return s.adjT, s.adjK, s.adjL
+	if s.unsorted {
+		sort.Stable(s)
 	}
-	if !sorted || mergeWindow < 0 {
-		flat := make([]trace.Transition, 0, total)
-		for i := range shards {
-			sT, _, _ := stream(&shards[i])
-			flat = append(flat, sT...)
-		}
-		return mergeLinkStreamReference(flat, mergeWindow)
+	if cap(s.lastEmit) < nlinks {
+		s.lastEmit = make([]int64, nlinks)
+		s.lastDir = make([]int8, nlinks)
+		s.seen = make([]bool, nlinks)
 	}
-
-	ms.reset(len(e.links))
-	if cap(dst) < total {
-		dst = make([]trace.Transition, 0, total)
+	lastEmit, lastDir, seen := s.lastEmit[:nlinks], s.lastDir[:nlinks], s.seen[:nlinks]
+	clear(seen)
+	if cap(dst) < len(s.t) {
+		dst = make([]trace.Transition, 0, len(s.t))
 	}
 	w := int64(mergeWindow)
-	outK, outL := ms.outK[:0], ms.outL[:0]
-	for si := range shards {
-		sT, sK, sL := stream(&shards[si])
-		for i := range sT {
-			li := sL[i]
-			k := sK[i]
-			d := int8(sT[i].Dir)
-			if ms.seen[li] && ms.lastDir[li] == d {
-				// sorted input makes k-lastEmit non-negative; a wrapped
-				// (centuries-apart) difference lands negative and is
-				// correctly not absorbed, matching time.Time.Sub's
-				// saturation.
-				if since := k - ms.lastEmit[li]; since >= 0 && since <= w {
-					continue // counterpart router's duplicate
-				}
+	outK, outL := s.outK[:0], s.outL[:0]
+	for i := range s.t {
+		li, k, d := s.l[i], s.k[i], int8(s.t[i].Dir)
+		if seen[li] && lastDir[li] == d {
+			// sorted input makes k-lastEmit non-negative; a wrapped
+			// (centuries-apart) difference lands negative and is
+			// correctly not absorbed, matching time.Time.Sub's
+			// saturation.
+			if since := k - lastEmit[li]; since >= 0 && since <= w {
+				continue // counterpart router's duplicate
 			}
-			dst = append(dst, sT[i])
-			outK = append(outK, k)
-			outL = append(outL, li<<1|int32(d))
-			ms.seen[li] = true
-			ms.lastDir[li] = d
-			ms.lastEmit[li] = k
 		}
+		dst = append(dst, s.t[i])
+		outK = append(outK, k)
+		outL = append(outL, li<<1|int32(d))
+		seen[li], lastDir[li], lastEmit[li] = true, d, k
 	}
-	ms.outK, ms.outL = outK, outL
+	s.outK, s.outL = outK, outL
 
 	for i := 0; i < len(outK); {
 		j := i + 1
@@ -369,41 +317,4 @@ func (e *Extractor) mergeStream(ms *mergeState, shards []extractShard, phys bool
 		i = j
 	}
 	return dst
-}
-
-// mergeLinkStreamReference is the original map-grouped merge: group
-// per link preserving time order, absorb same-direction duplicates
-// within the window, concatenate in sorted link order, and sort. It
-// remains the oracle the flat-pass fast path is tested against, and
-// the fallback for unsorted captures and negative windows.
-func mergeLinkStreamReference(msgs []trace.Transition, mergeWindow time.Duration) []trace.Transition {
-	grouped := trace.ByLink(msgs)
-	links := make([]topo.LinkID, 0, len(grouped))
-	for l := range grouped {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-
-	out := make([]trace.Transition, 0, len(msgs))
-	for _, l := range links {
-		out = append(out, mergeOneLink(grouped[l], mergeWindow)...)
-	}
-	trace.SortTransitions(out)
-	return out
-}
-
-// mergeOneLink collapses one link's time-sorted message stream.
-func mergeOneLink(seq []trace.Transition, mergeWindow time.Duration) []trace.Transition {
-	var out []trace.Transition
-	var lastDir trace.Direction
-	var lastEmit time.Time
-	seen := false
-	for _, m := range seq {
-		if seen && m.Dir == lastDir && m.Time.Sub(lastEmit) <= mergeWindow {
-			continue // counterpart router's duplicate
-		}
-		out = append(out, m)
-		lastDir, lastEmit, seen = m.Dir, m.Time, true
-	}
-	return out
 }

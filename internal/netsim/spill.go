@@ -99,7 +99,7 @@ func RunShardedToCapture(ctx context.Context, cfg Config, fabric topo.FabricSpec
 
 	camps := make([]*Campaign, len(domains))
 	errs := make([]error, len(domains))
-	perr := pool.ForEachWorkerCtx(ctx, len(domains), pool.Resolve(workers), func(ctx context.Context, _, i int) {
+	perr := pool.ForEachCtx(ctx, len(domains), pool.Resolve(workers), func(ctx context.Context, i int) {
 		dcfg := cfg
 		dcfg.Seed = cfg.Seed + int64(i)*domainSeedStride
 		sw := sws[i]

@@ -9,29 +9,21 @@ import (
 	"netfail/internal/obs"
 )
 
-// ForEachWorkerCtx runs fn(ctx, w, i) for every i in [0, n) using at
-// most workers goroutines and returns the context's error if ctx is
+// ForEachCtx runs fn(ctx, i) for every i in [0, n) using at most
+// workers goroutines and returns the context's error if ctx is
 // canceled before all tasks have been dispatched. fn must confine its
 // output writes to state owned by index i. Tasks already running when
 // cancellation hits are allowed to finish — fn is never interrupted
 // mid-index — so a non-nil return means "some suffix of [0, n) never
 // ran", never "a task half-ran".
 //
-// w is the executing worker's slot number. Slots are dense in
-// [0, workers): callers index per-worker scratch — transition
-// accumulators, line buffers, reused message structs — by w and reuse
-// it across the many tasks each worker runs, which is what makes
-// n >> workers loops amortized allocation-free. Only scratch may be
-// keyed by w.
-//
 // With workers <= 1 (or n <= 1) it degenerates to a sequential loop on
-// the calling goroutine, every task with w == 0, that checks ctx
-// between iterations: the byte-identical reference path. When a tracer
-// is attached to ctx and the pool actually fans out, each worker
-// goroutine runs under its own "worker[w]" child span; per-task
-// completion is reported as ShardDone progress events and counted in
-// the pool.tasks.ran counter.
-func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, w, i int)) error {
+// the calling goroutine that checks ctx between iterations: the
+// byte-identical reference path. When a tracer is attached to ctx and
+// the pool actually fans out, each worker goroutine runs under its own
+// "worker[w]" child span; per-task completion is reported as ShardDone
+// progress events and counted in the pool.tasks.ran counter.
+func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -41,7 +33,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.C
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(ctx, 0, i)
+			fn(ctx, i)
 			obs.Add(ctx, "pool.tasks.ran", 1)
 			obs.Shard(ctx, i+1, n)
 		}
@@ -57,7 +49,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.C
 			wctx, span := obs.StartSpan(ctx, "worker["+strconv.Itoa(w)+"]")
 			defer span.End()
 			for i := range tasks {
-				fn(wctx, w, i)
+				fn(wctx, i)
 				span.Add("tasks", 1)
 				obs.Shard(ctx, int(ran.Add(1)), n)
 			}
@@ -78,16 +70,9 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.C
 	return err
 }
 
-// ForEachCtx is ForEachWorkerCtx for an fn that keeps no per-worker
-// scratch.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) error {
-	return ForEachWorkerCtx(ctx, n, workers, func(ctx context.Context, _, i int) { fn(ctx, i) })
-}
-
 // StagesCtx runs a set of independent pipeline stages concurrently
 // across at most workers goroutines, stopping dispatch if ctx is
-// canceled. It is ForEachWorkerCtx specialized to heterogeneous
-// closures.
+// canceled. It is ForEachCtx specialized to heterogeneous closures.
 func StagesCtx(ctx context.Context, workers int, stages ...func(ctx context.Context)) error {
-	return ForEachWorkerCtx(ctx, len(stages), workers, func(ctx context.Context, _, i int) { stages[i](ctx) })
+	return ForEachCtx(ctx, len(stages), workers, func(ctx context.Context, i int) { stages[i](ctx) })
 }

@@ -1,11 +1,11 @@
 // Package pool provides the bounded worker pool behind the parallel
-// analysis pipeline. The §3.4 methodology is embarrassingly parallel —
-// every link's transition stream reconstructs independently, and the
-// report's tables are independent reductions — so every sharded stage
-// reduces to the same shape: run fn(i) for i in [0, n) across at most
-// `workers` goroutines, with each task writing only state owned by its
-// index. Determinism is preserved by construction: tasks never share
-// mutable state, and callers merge the indexed results in a fixed
+// analysis pipeline. The two sources' pipelines are independent until
+// they are compared, the report's tables are independent reductions,
+// and a fabric's topology domains simulate independently — so every
+// fan-out reduces to the same shape: run fn(i) for i in [0, n) across
+// at most `workers` goroutines, with each task writing only state owned
+// by its index. Determinism is preserved by construction: tasks never
+// share mutable state, and callers read the indexed results in a fixed
 // order afterwards.
 package pool
 

@@ -23,24 +23,13 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16, 100} {
 		const n = 57
 		counts := make([]int32, n)
-		slots := make([]int32, n)
 		err := ForEachCtx(context.Background(), n, workers, func(_ context.Context, i int) { atomic.AddInt32(&counts[i], 1) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = ForEachWorkerCtx(context.Background(), n, workers, func(_ context.Context, w, i int) {
-			atomic.AddInt32(&counts[i], 1)
-			atomic.StoreInt32(&slots[i], int32(w))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, c := range counts {
-			if c != 2 {
-				t.Fatalf("workers=%d: index %d ran %d times, want once per form", workers, i, c)
-			}
-			if w := int(slots[i]); w < 0 || (w > 0 && w >= workers) {
-				t.Fatalf("workers=%d: index %d ran in slot %d", workers, i, w)
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want once", workers, i, c)
 			}
 		}
 	}
@@ -51,11 +40,8 @@ func TestForEachEmpty(t *testing.T) {
 	if err := ForEachCtx(context.Background(), 0, 8, func(context.Context, int) { ran = true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachWorkerCtx(context.Background(), 0, 8, func(context.Context, int, int) { ran = true }); err != nil {
-		t.Fatal(err)
-	}
 	if ran {
-		t.Error("ForEach*Ctx(0, ...) invoked fn")
+		t.Error("ForEachCtx(0, ...) invoked fn")
 	}
 }
 

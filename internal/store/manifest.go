@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"netfail/internal/atomicfile"
 	"netfail/internal/core"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
@@ -140,30 +141,16 @@ func sanitizeCounts(r trace.SanitizeReport) SanitizeCounts {
 	}
 }
 
-// writeManifestFile writes the manifest atomically (temp file +
-// rename, so a crash mid-write never leaves a plausible half
-// manifest) — the same discipline as the capture manifest.
+// writeManifestFile writes the manifest atomically, so a crash
+// mid-write never leaves a plausible half manifest — the same
+// discipline as the capture manifest.
 func writeManifestFile(dir string, m *Manifest) error {
-	tmp, err := os.CreateTemp(dir, "manifest-*.tmp")
+	err := atomicfile.Write(dir, ManifestName, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(m)
-	if serr := tmp.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmpName)
 		return fmt.Errorf("store: manifest: %w", err)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,7 +33,7 @@ func TestReconstructInvariants(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ts := randomTransitions(rng, rng.Intn(200))
 		for _, policy := range []AmbiguityPolicy{HoldPrevious, AssumeDown, AssumeUp} {
-			rec := ReconstructPolicy(context.Background(), ts, policy, 1)
+			rec := ReconstructPolicy(ts, policy)
 			lastEnd := make(map[topo.LinkID]time.Time)
 			var prev *Failure
 			for i := range rec.Failures {

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"context"
 	"sort"
 	"time"
 
-	"netfail/internal/pool"
 	"netfail/internal/topo"
 )
 
@@ -52,10 +50,9 @@ type Reconstruction struct {
 }
 
 // Reconstruct builds failure events from transitions using the
-// paper's recommended HoldPrevious rule for repeated transitions, on
-// the calling goroutine.
+// paper's recommended HoldPrevious rule for repeated transitions.
 func Reconstruct(ts []Transition) Reconstruction {
-	return ReconstructPolicy(context.Background(), ts, HoldPrevious, 1)
+	return ReconstructPolicy(ts, HoldPrevious)
 }
 
 // ReconstructPolicy builds failure events from transitions, which may
@@ -70,63 +67,11 @@ func Reconstruct(ts []Transition) Reconstruction {
 //     failure covering it; a double Down extends like HoldPrevious.
 //   - AssumeUp: the span is uptime — a double Down restarts the
 //     failure at the second message.
-//
-// workers <= 1 runs the sequential reference loop. Above that the
-// links, which reconstruct independently, are sharded across a bounded
-// worker pool: each worker slot owns one accumulator reused across all
-// the links it runs, and records per-link spans into it; the spans are
-// then copied into exact-size result buffers in sorted link order —
-// the same concatenation order the sequential loop produces — before
-// the final sort, so the output is byte-identical for any worker
-// count. Cancellation of ctx stops dispatching link shards; the
-// partial result must be discarded by the caller (check ctx.Err()).
-func ReconstructPolicy(ctx context.Context, ts []Transition, policy AmbiguityPolicy, workers int) Reconstruction {
+func ReconstructPolicy(ts []Transition, policy AmbiguityPolicy) Reconstruction {
 	links, offsets, flat := groupLinkSeqs(ts)
-	if workers <= 1 {
-		var rec Reconstruction
-		for i, link := range links {
-			reconstructLinkInto(link, flat[offsets[i]:offsets[i+1]], policy, &rec)
-		}
-		sortFailures(rec.Failures)
-		return rec
-	}
-	type linkSpan struct {
-		w          int32 // worker slot that ran the link
-		fOff, fLen int32 // the link's slice of the worker's Failures
-		aOff, aLen int32 // ... and of its Ambiguities
-	}
-	spans := make([]linkSpan, len(links))
-	accs := make([]Reconstruction, workers)
-	_ = pool.ForEachWorkerCtx(ctx, len(links), workers, func(_ context.Context, w, i int) {
-		acc := &accs[w]
-		fOff, aOff := len(acc.Failures), len(acc.Ambiguities)
-		reconstructLinkInto(links[i], flat[offsets[i]:offsets[i+1]], policy, acc)
-		spans[i] = linkSpan{
-			w:    int32(w),
-			fOff: int32(fOff), fLen: int32(len(acc.Failures) - fOff),
-			aOff: int32(aOff), aLen: int32(len(acc.Ambiguities) - aOff),
-		}
-	})
 	var rec Reconstruction
-	totalF, totalA := 0, 0
-	for i := range accs {
-		totalF += len(accs[i].Failures)
-		totalA += len(accs[i].Ambiguities)
-		rec.OpenAtEnd += accs[i].OpenAtEnd
-	}
-	// Exact-size merge buffers; empty streams stay nil, matching the
-	// sequential path byte for byte.
-	if totalF > 0 {
-		rec.Failures = make([]Failure, 0, totalF)
-	}
-	if totalA > 0 {
-		rec.Ambiguities = make([]Ambiguity, 0, totalA)
-	}
-	for i := range spans {
-		sp := &spans[i]
-		acc := &accs[sp.w]
-		rec.Failures = append(rec.Failures, acc.Failures[sp.fOff:sp.fOff+sp.fLen]...)
-		rec.Ambiguities = append(rec.Ambiguities, acc.Ambiguities[sp.aOff:sp.aOff+sp.aLen]...)
+	for i, link := range links {
+		reconstructLinkInto(link, flat[offsets[i]:offsets[i+1]], policy, &rec)
 	}
 	sortFailures(rec.Failures)
 	return rec
@@ -174,10 +119,8 @@ func groupLinkSeqs(ts []Transition) ([]topo.LinkID, []int32, []Transition) {
 }
 
 // reconstructLinkInto runs the state machine over one link's
-// (time-sorted) transition sequence, appending to rec. Links are
-// independent, which is what makes the pipeline shardable; appending
-// into a long-lived accumulator is what lets the per-worker scratch
-// amortize across the many links each worker runs.
+// (time-sorted) transition sequence, appending to rec: one accumulator
+// takes every link's output, so nothing is allocated per link.
 func reconstructLinkInto(link topo.LinkID, seq []Transition, policy AmbiguityPolicy, rec *Reconstruction) {
 	down := false
 	var start time.Time
