@@ -57,7 +57,7 @@ type CampaignFile struct {
 // the ground truth), customer sites, config archive — and then the
 // given files beside them: a flat campaign's two event logs, exports.
 func WriteCampaignMeta(dir string, camp *Campaign, files ...CampaignFile) error {
-	corpus := tickets.Generate(camp.Config.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
+	corpus := ticketCorpus(camp)
 	for _, file := range append([]CampaignFile{
 		{manifestName, camp.WriteManifest},
 		{ticketsName, func(w io.Writer) error { return tickets.WriteJSON(w, corpus) }},

@@ -99,6 +99,14 @@ func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("uninterrupted serve: %v\n%s", err, out)
 	}
+	// Lenient is the daemon's default and has no flag: -strict is the
+	// one spelling, so -lenient is the flag package's usage error.
+	err = exec.Command(filepath.Join(bin, "netfail-serve"),
+		"-data", campaign, "-state", filepath.Join(t.TempDir(), "state"), "-lenient").Run()
+	var usage *exec.ExitError
+	if !errors.As(err, &usage) || usage.ExitCode() != 2 {
+		t.Errorf("netfail-serve -lenient: %v, want exit status 2", err)
+	}
 
 	// Chaos run: the daemon SIGKILLs itself mid-ingest...
 	stateDir := filepath.Join(t.TempDir(), "state")

@@ -5,6 +5,7 @@ package netfail
 // surfaces, the way a user would.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -176,5 +177,12 @@ func TestCLISeedMode(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "IS reachability") {
 		t.Errorf("output:\n%s", out)
+	}
+	// Strict is the default and has no flag: -lenient is the one
+	// spelling, so -strict is the flag package's usage error.
+	err = exec.Command(filepath.Join(bin, "netfail-analyze"), "-seed", "3", "-table", "2", "-strict").Run()
+	var usage *exec.ExitError
+	if !errors.As(err, &usage) || usage.ExitCode() != 2 {
+		t.Errorf("netfail-analyze -strict: %v, want exit status 2", err)
 	}
 }

@@ -68,7 +68,7 @@ func main() {
 		multi     = flag.Bool("multilink", false, "include multi-link adjacencies (pair with netfail-sim -linkids)")
 		md        = flag.Bool("markdown", false, "emit a markdown reproduction report with automated verdicts")
 		storeDir  = flag.String("store", "", "also write an indexed failure store into this directory (query with netfail-query)")
-		strictF   = config.StrictnessFlags(flag.CommandLine, false)
+		lenient   = flag.Bool("lenient", false, "salvage damaged records instead of aborting on the first, accounting every skip")
 		par       = config.ParallelismFlag(flag.CommandLine)
 		traceTree = config.TraceFlag(flag.CommandLine)
 		traceJSON = config.TraceJSONFlag(flag.CommandLine)
@@ -76,11 +76,6 @@ func main() {
 		progress  = config.ProgressFlag(flag.CommandLine)
 	)
 	flag.Parse()
-	lenient, err := strictF.Lenient()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netfail-analyze:", err)
-		os.Exit(2)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -105,12 +100,15 @@ func main() {
 	if *storeDir != "" {
 		opts = append(opts, netfail.WithStoreDir(*storeDir))
 	}
-	var study *netfail.Study
-	salvaged := false
+	var (
+		study    *netfail.Study
+		salvaged bool
+		err      error
+	)
 	if *seed != 0 {
 		study, err = runSeed(ctx, *seed, *days, opts)
 	} else {
-		study, salvaged, err = runDir(ctx, *data, lenient, opts)
+		study, salvaged, err = runDir(ctx, *data, *lenient, opts)
 	}
 	if err == nil {
 		err = render(ctx, study, *table, *figure, *svgDir, *export, *md)

@@ -13,8 +13,8 @@
 //	netfail-listener -replay ./campaign/lsps.log -to 127.0.0.1:9127
 //
 // With -debug-addr the receive loop also serves an HTTP debug
-// endpoint: live pipeline counters at /debug/netfail and /debug/vars
-// (expvar), and the net/http/pprof profiles under /debug/pprof/.
+// endpoint: live pipeline counters at /api/v1/metrics and the
+// net/http/pprof profiles under /debug/pprof/.
 package main
 
 import (
@@ -90,7 +90,6 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 	// LSPs for hours is the paper's syslog failure mode reproduced.
 	reg := obs.NewRegistry()
 	if debugAddr != "" {
-		obs.Publish("netfail-listener", reg)
 		srv := api.NewServer(debugAddr, api.Options{Registry: reg})
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -98,7 +97,7 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("debug endpoint on http://%s/debug/netfail\n", debugAddr)
+		fmt.Printf("debug endpoint on http://%s/api/v1/metrics\n", debugAddr)
 	}
 
 	l := listener.New(mined.Network)
@@ -107,17 +106,12 @@ func receive(addr, configDir string, limit int, clk clock.Clock, debugAddr strin
 	emitted := 0
 	// A persistent socket error must not silently end the capture
 	// mid-campaign: retry transient failures on the shared
-	// backoff.Default schedule (the same one syslog.Collector walks),
-	// give up loudly only when the budget is spent.
+	// backoff.Default schedule, give up loudly only when the budget
+	// is spent.
 	retry := backoff.Default.New()
 	for limit == 0 || l.LSPCount() < limit {
 		n, from, err := conn.ReadFromUDP(buf)
 		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				retry.Reset()
-				continue
-			}
 			reg.Counter("listener.read_errors").Add(1)
 			d, ok := retry.Next()
 			if !ok {

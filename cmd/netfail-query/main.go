@@ -44,7 +44,7 @@ func main() {
 	var (
 		storeDir = flag.String("store", "store", "store directory written by netfail-analyze -store")
 		jsonOut  = config.JSONFlag(flag.CommandLine)
-		strict   = config.StrictnessFlags(flag.CommandLine, false)
+		lenient  = flag.Bool("lenient", false, "salvage damaged records instead of aborting on the first, accounting every skip")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -53,16 +53,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	lenient, err := strict.Lenient()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netfail-query:", err)
-		os.Exit(2)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if err := run(ctx, os.Stdout, *storeDir, lenient, *jsonOut, flag.Args()); err != nil {
+	if err := run(ctx, os.Stdout, *storeDir, *lenient, *jsonOut, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "netfail-query:", err)
 		if errors.Is(err, context.Canceled) {
 			os.Exit(130)

@@ -20,10 +20,10 @@
 //	-snapshot-every N       checkpoint cadence (appends per snapshot)
 //	-drain-timeout D        bound on the SIGTERM drain
 //	-fsync-each             power-loss durability (fsync per append)
-//	-strict / -lenient      refuse vs. salvage damaged checkpoint state
+//	-strict                 refuse damaged checkpoint state (the
+//	                        default salvages it)
 //	-debug-addr ADDR        the versioned /api/v1 surface (metrics,
-//	                        health, ready) plus the /debug, /ready and
-//	                        /healthz aliases
+//	                        health, ready) plus /debug/pprof
 //	-store DIR              also serve this indexed failure store's
 //	                        query endpoints under /api/v1
 //
@@ -71,20 +71,15 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", 4096, "checkpoint the full state every N durable appends (0: only at shutdown)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "bound on the shutdown drain; older backlog is shed")
 		fsyncEach     = flag.Bool("fsync-each", false, "fsync every append: power-loss durability instead of kill durability")
-		strictness    = config.StrictnessFlags(flag.CommandLine, true)
+		strict        = flag.Bool("strict", false, "refuse damaged checkpoint state with an offset-accurate error instead of salvaging it")
 		debugAddr     = config.DebugAddrFlag(flag.CommandLine)
 		storeDir      = flag.String("store", "", "indexed failure store to serve read-only under /api/v1 on -debug-addr")
 		chaosKill     = flag.Int("chaos-kill-after", 0, "SIGKILL this process after N durable appends (chaos harness)")
 	)
 	flag.Parse()
 
-	lenient, err := strictness.Lenient()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netfail-serve:", err)
-		os.Exit(2)
-	}
 	if err := run(*data, *listenSyslog, *listenISIS, *configs, *state, *reportPath,
-		*queueSize, *policyFlag, *snapshotEvery, *drainTimeout, *fsyncEach, !lenient,
+		*queueSize, *policyFlag, *snapshotEvery, *drainTimeout, *fsyncEach, *strict,
 		*debugAddr, *storeDir, *chaosKill); err != nil {
 		fmt.Fprintln(os.Stderr, "netfail-serve:", err)
 		os.Exit(1)
@@ -141,7 +136,7 @@ func run(data, listenSyslog, listenISIS, configDir, state, reportPath string,
 
 // serveDebug starts the HTTP endpoint: the versioned /api/v1 surface
 // (metrics, health, readiness, and — with -store — the failure-store
-// query endpoints) plus the pre-versioning /debug and probe aliases.
+// query endpoints) plus /debug/pprof.
 func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
@@ -156,7 +151,6 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 			return nil, fmt.Errorf("-store %s: %w", storeDir, err)
 		}
 	}
-	obs.Publish("netfail-serve", reg)
 	srv := api.NewServer(addr, api.Options{
 		Registry: reg,
 		Store:    st,
@@ -168,7 +162,7 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 			fmt.Fprintf(os.Stderr, "debug endpoint: %v\n", err)
 		}
 	}()
-	fmt.Printf("debug endpoint on http://%s/debug/netfail (API at /api/v1)\n", addr)
+	fmt.Printf("debug endpoint on http://%s/api/v1/metrics\n", addr)
 	return func() { srv.Close() }, nil
 }
 
@@ -376,10 +370,6 @@ func (s *udpSource) Run(ctx context.Context, emit func(serve.Record) error) erro
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue
 			}
 			return err
 		}

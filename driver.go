@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"netfail/internal/core"
@@ -45,7 +46,8 @@ type Driver struct {
 	lenient bool
 
 	tok *syslog.Tokenizer
-	lis *listener.Listener
+	lis *listener.Listener // until listen retires it into res
+	res *ListenerResult
 	ext *core.Extractor // nil without a Campaign: nothing to compare over
 	sw  *store.Writer   // nil without WithStoreDir
 
@@ -61,6 +63,7 @@ type Driver struct {
 	traces *core.SyslogTraces
 
 	parsed, unparseable int // syslog lines pushed, across shards
+	undecodable         int // LSP payloads pushed
 	reports             []CaptureSalvage
 }
 
@@ -123,17 +126,35 @@ func (d *Driver) Syslog(line []byte) error {
 }
 
 // LSP pushes one captured PDU received at t. A payload that does not
-// decode is counted by the listener and returned as an error.
-func (d *Driver) LSP(t time.Time, data []byte) error { return d.lis.Process(t, data) }
-
-// Summary accounts in one line for what has been pushed so far.
-func (d *Driver) Summary() string {
-	res := d.study.Listener // set once Finish has run
-	if res == nil {
-		res = d.lis.Results()
+// decode is counted, here as by the listener, and returned as an error.
+func (d *Driver) LSP(t time.Time, data []byte) error {
+	err := d.lis.Process(t, data)
+	if err != nil {
+		d.undecodable++
 	}
-	return fmt.Sprintf("%d syslog messages (%d unparseable), %d LSPs, %d IS transitions, %d decode errors",
-		d.parsed, d.unparseable, res.LSPCount, len(res.ISTransitions), res.DecodeErrors)
+	return err
+}
+
+// Summary accounts in one line for what has been pushed so far, before
+// Finish or after it, completed or not. It reads counts and copies
+// nothing: the line is its one allocation.
+func (d *Driver) Summary() string {
+	var lsps, is int
+	if d.res != nil {
+		lsps, is = d.res.LSPCount, len(d.res.ISTransitions)
+	} else {
+		lsps, is = d.lis.LSPCount(), len(d.lis.ISTransitionsSince(0))
+	}
+	count := func(line []byte, n int, what string) []byte {
+		return append(strconv.AppendInt(line, int64(n), 10), what...)
+	}
+	line := make([]byte, 0, 160) // on the stack: five counts fit
+	line = count(line, d.parsed, " syslog messages (")
+	line = count(line, d.unparseable, " unparseable), ")
+	line = count(line, lsps, " LSPs, ")
+	line = count(line, is, " IS transitions, ")
+	line = count(line, d.undecodable, " decode errors")
+	return string(line)
 }
 
 // Finish runs the comparison over everything pushed so far and
@@ -264,9 +285,6 @@ func (d *Driver) run(ctx context.Context, shards []shard) (*Study, error) {
 		End:              camp.Config.End,
 		ListenerOffline:  camp.ListenerOffline,
 		Tickets:          d.study.Tickets,
-		Window:           ao.Window,
-		FlapGap:          ao.FlapGap,
-		MergeWindow:      ao.MergeWindow,
 		IncludeMultiLink: ao.IncludeMultiLink,
 		Parallelism:      ao.Parallelism,
 	})
@@ -302,10 +320,6 @@ func (d *Driver) run(ctx context.Context, shards []shard) (*Study, error) {
 func (d *Driver) extract(ctx context.Context, shards []shard) error {
 	ctx, done := obs.Stage(ctx, "extract")
 	defer done()
-	mergeWindow := d.o.ao.MergeWindow
-	if mergeWindow == 0 {
-		mergeWindow = 60 * time.Second
-	}
 	workers := pool.Resolve(d.o.ao.Parallelism)
 	var scratch core.SyslogTraces
 	for i, sh := range shards {
@@ -322,7 +336,7 @@ func (d *Driver) extract(ctx context.Context, shards []shard) error {
 		if i > 0 {
 			dst = &scratch
 		}
-		if err := d.extractShard(ctx, sh, mergeWindow, workers, dst); err != nil {
+		if err := d.extractShard(ctx, sh, workers, dst); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -340,7 +354,7 @@ func (d *Driver) extract(ctx context.Context, shards []shard) error {
 // extractShard pushes one shard's syslog stream — nothing, when its
 // lines were pushed from outside — and merges what the extractor
 // resolved of it into dst.
-func (d *Driver) extractShard(ctx context.Context, sh shard, mergeWindow time.Duration, workers int, dst *core.SyslogTraces) error {
+func (d *Driver) extractShard(ctx context.Context, sh shard, workers int, dst *core.SyslogTraces) error {
 	ctx, done := obs.Stage(ctx, "extract-syslog")
 	defer done()
 	if sh.syslog != nil {
@@ -348,7 +362,7 @@ func (d *Driver) extractShard(ctx context.Context, sh shard, mergeWindow time.Du
 			return err
 		}
 	}
-	d.ext.Finish(ctx, mergeWindow, workers, dst)
+	d.ext.Finish(ctx, core.DefaultMergeWindow, workers, dst)
 	return ctx.Err()
 }
 
@@ -367,7 +381,7 @@ func (d *Driver) listen(ctx context.Context, shards []shard) (*ListenerResult, e
 	// The results are copies: drop the listener's own streams and its
 	// LSP database before the comparison needs the memory.
 	res := d.lis.Results()
-	d.lis = nil
+	d.lis, d.res = nil, res
 	if d.lenient && res.DecodeErrors > 0 {
 		d.reports = append(d.reports, CaptureSalvage{"LSP payloads", &salvage.Report{
 			Kept:    res.LSPCount + res.OtherPDUs,

@@ -354,3 +354,44 @@ func TestDriverWithoutWindowCounts(t *testing.T) {
 		t.Error("Finish produced a study with no observation window")
 	}
 }
+
+// TestSummaryAcrossFailedFinish pins Summary on both sides of a Finish
+// that does not complete: the listener is retired by then and the
+// study never gets its result, so the line must come from what the
+// driver holds — and cost its string, not a copy of the listener's
+// streams.
+func TestSummaryAcrossFailedFinish(t *testing.T) {
+	camp, mined := benchMonthMined(t)
+	d, err := NewDriver(&Study{Campaign: camp, Mined: mined}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line []byte
+	for _, m := range camp.Syslog {
+		line = m.AppendRender(line[:0])
+		if err := d.Syslog(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range camp.LSPLog {
+		if err := d.LSP(c.Time, c.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.Summary()
+	want := fmt.Sprintf("%d syslog messages (0 unparseable), %d LSPs, ", len(camp.Syslog), len(camp.LSPLog))
+	if !strings.HasPrefix(before, want) || strings.Contains(before, " 0 IS transitions") {
+		t.Fatalf("Summary = %q, want it to start %q and count IS transitions", before, want)
+	}
+	pinAllocs(t, "Summary on a warm driver", 1, func() { d.Summary() })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.Finish(ctx); err == nil {
+		t.Fatal("Finish under a canceled context produced a study")
+	}
+	if after := d.Summary(); after != before {
+		t.Errorf("Summary after the failed Finish = %q, before it %q", after, before)
+	}
+	pinAllocs(t, "Summary after a failed Finish", 1, func() { d.Summary() })
+}

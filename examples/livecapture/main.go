@@ -1,8 +1,9 @@
 // Livecapture: exercise both wire paths on real loopback sockets — a
-// router device emits RFC 3164 syslog over UDP to a collector, and
-// floods binary IS-IS LSPs over UDP to a passive listener, which
-// decodes the TLVs and reports the adjacency transition. This is the
-// measurement apparatus of the paper in miniature.
+// router device emits RFC 3164 syslog over UDP to a socket that parses
+// each line, and floods binary IS-IS LSPs over UDP to a passive
+// listener, which decodes the TLVs and reports the adjacency
+// transition. This is the measurement apparatus of the paper in
+// miniature; netfail-serve is the supervised, durable version.
 package main
 
 import (
@@ -48,13 +49,38 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Central syslog collector, as CENIC ran.
-	collector, err := syslog.NewCollector("127.0.0.1:0", clk.Now())
+	// Live counters, the same registry netfail-listener serves over
+	// -debug-addr; here they just summarize the capture at the end.
+	reg := obs.NewRegistry()
+
+	// Central syslog socket, as CENIC ran: parse each datagram, keep
+	// the line as the parser understood it.
+	sconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer collector.Close()
-	sender, err := syslog.NewSender(collector.Addr().String())
+	defer sconn.Close()
+	received := make(chan string, 4) // the four messages emit sends below
+	go func() {
+		buf := make([]byte, 64*1024)
+		tok := syslog.NewTokenizer()
+		var m syslog.Message
+		for {
+			n, _, err := sconn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			if err := tok.ParseBytes(buf[:n], clk.Now(), &m); err != nil {
+				reg.Counter("drops.syslog.parse").Add(1)
+				continue
+			}
+			select {
+			case received <- string(m.AppendRender(nil)):
+			default: // a fifth message has no reader to wait for
+			}
+		}
+	}()
+	sender, err := net.Dial("udp", sconn.LocalAddr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,9 +93,6 @@ func main() {
 	}
 	defer lconn.Close()
 	lsp := listener.New(network)
-	// Live counters, the same registry netfail-listener serves over
-	// -debug-addr; here they just summarize the capture at the end.
-	reg := obs.NewRegistry()
 	go func() {
 		buf := make([]byte, 64*1024)
 		for {
@@ -107,7 +130,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sender.Send(m); err != nil {
+		if _, err := sender.Write(m.AppendRender(nil)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -137,15 +160,15 @@ func main() {
 	// Let the sockets drain.
 	deadline := clk.Now().Add(3 * time.Second)
 	for clk.Now().Before(deadline) {
-		if len(collector.Messages()) >= 4 && len(lsp.Results().ISTransitions) >= 2 {
+		if len(received) == cap(received) && len(lsp.Results().ISTransitions) >= 2 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 
 	fmt.Println("\nsyslog collector received:")
-	for _, m := range collector.Messages() {
-		fmt.Println(" ", m.Render())
+	for len(received) > 0 {
+		fmt.Println(" ", <-received)
 	}
 	res := lsp.Results()
 	fmt.Printf("\nIS-IS listener: %d LSPs decoded, transitions:\n", res.LSPCount)

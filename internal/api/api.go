@@ -1,9 +1,7 @@
 // Package api is the versioned HTTP query surface shared by
 // netfail-serve, netfail-query serve, and netfail-listener: every
 // /api/v1 endpoint speaks JSON, reports failures through one error
-// envelope, honors per-request cancellation, and sits next to the
-// pre-versioning debug paths, which remain mounted as back-compat
-// aliases.
+// envelope, and honors per-request cancellation.
 //
 // The surface is read-only by construction — the store is written
 // once at the end of an analysis run and queried forever after, so
@@ -17,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -27,11 +26,11 @@ import (
 )
 
 // Options wires the mux's data sources. Any field may be nil: a nil
-// Registry drops the metrics endpoints, a nil Store makes the query
-// endpoints answer 404 no_store (the daemon may be serving live
-// without an attached store), nil Ready/Healthz report a flat 200.
+// Registry drops the metrics and pprof endpoints, a nil Store makes
+// the query endpoints answer 404 no_store (the daemon may be serving
+// live without an attached store), nil Ready/Healthz report a flat 200.
 type Options struct {
-	// Registry backs /api/v1/metrics and the /debug aliases.
+	// Registry backs /api/v1/metrics and mounts /debug/pprof/.
 	Registry *obs.Registry
 	// Store backs the query endpoints.
 	Store *store.Store
@@ -54,15 +53,17 @@ type Options struct {
 //	GET /api/v1/health
 //	GET /api/v1/ready
 //
-// plus the pre-versioning aliases /debug/vars, /debug/netfail,
-// /debug/pprof/*, /healthz, and /ready. Errors are always the shared
-// envelope {"error":{"code":..., "message":...}}.
+// plus the net/http/pprof profiles under /debug/pprof/ when a registry
+// is attached. Errors are always the shared envelope
+// {"error":{"code":..., "message":...}}.
 func NewMux(o Options) *http.ServeMux {
-	var mux *http.ServeMux
+	mux := http.NewServeMux()
 	if o.Registry != nil {
-		mux = obs.DebugMux(o.Registry)
-	} else {
-		mux = http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
 	get := func(pattern string, h http.HandlerFunc) {
@@ -114,10 +115,6 @@ func NewMux(o Options) *http.ServeMux {
 	}
 	get("/api/v1/health", probe(o.Healthz))
 	get("/api/v1/ready", probe(o.Ready))
-	// Pre-versioning spellings, kept as aliases (the /debug tree is
-	// mounted by obs.DebugMux above when a registry is attached).
-	get("/healthz", probe(o.Healthz))
-	get("/ready", probe(o.Ready))
 	return mux
 }
 

@@ -3,6 +3,7 @@ package api_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -307,7 +308,7 @@ func TestAPIQueryEndpoints(t *testing.T) {
 	})
 
 	t.Run("health and ready with aliases", func(t *testing.T) {
-		for _, path := range []string{"/api/v1/health", "/api/v1/ready", "/healthz", "/ready"} {
+		for _, path := range []string{"/api/v1/health", "/api/v1/ready"} {
 			code, body := get(t, srv, path)
 			if code != http.StatusOK || !strings.Contains(string(body), "ok") {
 				t.Errorf("%s: status %d, body %q", path, code, body)
@@ -342,12 +343,17 @@ func TestAPIWithoutStoreOrRegistry(t *testing.T) {
 	if code, _ := get(t, srv, "/api/v1/health"); code != http.StatusOK {
 		t.Errorf("health: status %d", code)
 	}
+	// The profiles ride on the registry.
+	if code, _ := get(t, srv, "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("/debug/pprof/ without a registry: status %d, want 404", code)
+	}
 }
 
 func TestAPIMetricsAndDebugAliases(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("test.counter").Add(3)
-	srv := httptest.NewServer(api.NewMux(api.Options{Registry: reg}))
+	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") })
+	srv := httptest.NewServer(api.NewMux(api.Options{Registry: reg, Ready: ok, Healthz: ok}))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/api/v1/metrics")
@@ -362,10 +368,15 @@ func TestAPIMetricsAndDebugAliases(t *testing.T) {
 		t.Errorf("counter missing: %v", counters)
 	}
 
-	// The pre-versioning debug tree stays mounted.
-	code, _ = get(t, srv, "/debug/netfail")
-	if code != http.StatusOK {
-		t.Errorf("/debug/netfail alias: status %d", code)
+	if code, _ := get(t, srv, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/ with a registry: status %d, want 200", code)
+	}
+	// The pre-versioning spellings are not mounted, even with
+	// everything they served attached.
+	for _, path := range []string{"/healthz", "/ready", "/debug/netfail", "/debug/vars"} {
+		if code, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, code)
+		}
 	}
 }
 

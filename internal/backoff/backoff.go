@@ -3,10 +3,8 @@
 // deterministic in a seed, and (when a total budget is set) driven by
 // the injected internal/clock rather than the wall clock.
 //
-// Before this package existed the same loop was hand-rolled twice —
-// in syslog.Collector's read-retry and in cmd/netfail-listener's
-// capture loop — with the delay schedule, the give-up condition, and
-// the terminal-error wording each duplicated. Retry behaviour is
+// Its callers are the netfail-serve supervisor's source restarts and
+// cmd/netfail-listener's receive and replay loops. Retry behaviour is
 // load-bearing for the serving path (a restart storm with synchronized
 // retries is itself an overload), so the schedule lives here once:
 // callers construct a Backoff from a Policy and ask it for the next
@@ -54,8 +52,7 @@ type Policy struct {
 const DefaultJitter = 0.5
 
 // Default is the retry policy the capture paths share: 1ms doubling,
-// five retries, no jitter — the exact schedule the collector and
-// listener hand-rolled before this package (1, 2, 4, 8, 16 ms).
+// five retries, no jitter (1, 2, 4, 8, 16 ms).
 var Default = Policy{Base: time.Millisecond, Factor: 2, Retries: 5}
 
 // New constructs a Backoff at the start of its schedule.

@@ -83,9 +83,12 @@ func appendRecord(dst []byte, tsMs int64, rec []byte) []byte {
 	return dst
 }
 
-// segmentWriter streams frames to one segment file through a bounded
-// buffer, maintaining the sparse index alongside.
-type segmentWriter struct {
+// SegmentWriter streams frames to one segment file through a bounded
+// buffer, maintaining the sparse time index alongside. A capture
+// shard's two segments and the failure store's record streams are all
+// written by it, so the CRC framing and index exist once. It is not
+// safe for concurrent use.
+type SegmentWriter struct {
 	f   *os.File
 	w   *bufio.Writer
 	idx *os.File
@@ -100,7 +103,9 @@ type segmentWriter struct {
 	lastMs  int64
 }
 
-func newSegmentWriter(dir, seg, idx string) (*segmentWriter, error) {
+// CreateSegmentFile creates (truncating) the segment file seg and its
+// companion sparse index idx inside dir.
+func CreateSegmentFile(dir, seg, idx string) (*SegmentWriter, error) {
 	f, err := os.Create(filepath.Join(dir, seg))
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
@@ -110,7 +115,7 @@ func newSegmentWriter(dir, seg, idx string) (*segmentWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	s := &segmentWriter{f: f, w: bufio.NewWriterSize(f, 256<<10), idx: xf, iw: bufio.NewWriterSize(xf, 16<<10)}
+	s := &SegmentWriter{f: f, w: bufio.NewWriterSize(f, 256<<10), idx: xf, iw: bufio.NewWriterSize(xf, 16<<10)}
 	if _, err := s.w.WriteString(segHeader); err != nil {
 		s.close()
 		return nil, fmt.Errorf("capture: %w", err)
@@ -123,9 +128,9 @@ func newSegmentWriter(dir, seg, idx string) (*segmentWriter, error) {
 	return s, nil
 }
 
-// append frames one record. Records must arrive in non-decreasing
-// timestamp order; the spill sink guarantees that.
-func (s *segmentWriter) append(tsMs int64, rec []byte) error {
+// Append frames one record. Records must arrive in non-decreasing
+// timestamp order — the index contract every segment reader relies on.
+func (s *SegmentWriter) Append(tsMs int64, rec []byte) error {
 	if s.records%indexEvery == 0 {
 		binary.LittleEndian.PutUint64(s.idxEntry[0:], uint64(tsMs))
 		binary.LittleEndian.PutUint64(s.idxEntry[8:], uint64(s.off))
@@ -147,8 +152,15 @@ func (s *segmentWriter) append(tsMs int64, rec []byte) error {
 	return nil
 }
 
-// finish flushes and syncs both files.
-func (s *segmentWriter) finish() error {
+// Records returns how many records have been appended.
+func (s *SegmentWriter) Records() int64 { return s.records }
+
+// Span returns the first and last appended timestamps (zero when the
+// segment is empty).
+func (s *SegmentWriter) Span() (firstMs, lastMs int64) { return s.firstMs, s.lastMs }
+
+// Finish flushes and syncs the segment and index files.
+func (s *SegmentWriter) Finish() error {
 	var err error
 	flush := func(w *bufio.Writer, f *os.File) {
 		if ferr := w.Flush(); err == nil {
@@ -169,7 +181,7 @@ func (s *segmentWriter) finish() error {
 	return nil
 }
 
-func (s *segmentWriter) close() error {
+func (s *SegmentWriter) close() error {
 	err := s.f.Close()
 	if cerr := s.idx.Close(); err == nil {
 		err = cerr
@@ -177,69 +189,31 @@ func (s *segmentWriter) close() error {
 	return err
 }
 
-// SegmentFileWriter streams frames to one standalone segment file,
-// maintaining the sparse time index alongside — the same on-disk
-// format as a capture shard's segments, exported so other subsystems
-// (the failure store) can write CRC-framed, time-indexed record
-// streams without re-implementing the framing. It is not safe for
-// concurrent use.
-type SegmentFileWriter struct {
-	s *segmentWriter
-}
-
-// CreateSegmentFile creates (truncating) the segment file seg and its
-// companion sparse index idx inside dir.
-func CreateSegmentFile(dir, seg, idx string) (*SegmentFileWriter, error) {
-	s, err := newSegmentWriter(dir, seg, idx)
-	if err != nil {
-		return nil, err
-	}
-	return &SegmentFileWriter{s: s}, nil
-}
-
-// Append frames one record. Records must arrive in non-decreasing
-// timestamp order — the index contract every segment reader relies on.
-func (w *SegmentFileWriter) Append(tsMs int64, rec []byte) error {
-	return w.s.append(tsMs, rec)
-}
-
-// Records returns how many records have been appended.
-func (w *SegmentFileWriter) Records() int64 { return w.s.records }
-
-// Span returns the first and last appended timestamps (zero when the
-// segment is empty).
-func (w *SegmentFileWriter) Span() (firstMs, lastMs int64) {
-	return w.s.firstMs, w.s.lastMs
-}
-
-// Finish flushes and syncs the segment and index files.
-func (w *SegmentFileWriter) Finish() error { return w.s.finish() }
-
 // ShardWriter streams one shard's two segments. It is not safe for
 // concurrent use; the sharded simulator gives each domain its own.
 type ShardWriter struct {
 	info   *Shard
-	syslog *segmentWriter
-	lsps   *segmentWriter
+	syslog *SegmentWriter
+	lsps   *SegmentWriter
 }
 
 // AppendSyslog frames one rendered syslog line. Lines must arrive in
 // non-decreasing timestamp order.
 func (sw *ShardWriter) AppendSyslog(tsMs int64, line []byte) error {
-	return sw.syslog.append(tsMs, line)
+	return sw.syslog.Append(tsMs, line)
 }
 
 // AppendLSP frames one LSP's wire bytes. Records must arrive in
 // non-decreasing timestamp order.
 func (sw *ShardWriter) AppendLSP(tsMs int64, wire []byte) error {
-	return sw.lsps.append(tsMs, wire)
+	return sw.lsps.Append(tsMs, wire)
 }
 
 // Close flushes and syncs the shard's files and records its counts
 // in the campaign manifest (written by the Writer's Finish).
 func (sw *ShardWriter) Close() error {
-	err := sw.syslog.finish()
-	if lerr := sw.lsps.finish(); err == nil {
+	err := sw.syslog.Finish()
+	if lerr := sw.lsps.Finish(); err == nil {
 		err = lerr
 	}
 	sw.info.SyslogRecords = sw.syslog.records
@@ -294,11 +268,11 @@ func (w *Writer) Shard(domain string, routers, links int) (*ShardWriter, error) 
 		return nil, fmt.Errorf("capture: %w", err)
 	}
 	info := &Shard{Name: name, Domain: domain, Routers: routers, Links: links}
-	sy, err := newSegmentWriter(dir, SyslogSegment, SyslogIndex)
+	sy, err := CreateSegmentFile(dir, SyslogSegment, SyslogIndex)
 	if err != nil {
 		return nil, err
 	}
-	ls, err := newSegmentWriter(dir, LSPSegment, LSPIndex)
+	ls, err := CreateSegmentFile(dir, LSPSegment, LSPIndex)
 	if err != nil {
 		sy.close()
 		return nil, err

@@ -437,16 +437,16 @@ func TestGoldenBytes(t *testing.T) {
 	recs := [][]byte{[]byte("line one"), nil, {0xA5, 0x5A, 0xFF}}
 
 	dir := t.TempDir()
-	sw, err := newSegmentWriter(dir, "a.seg", "a.idx")
+	sw, err := CreateSegmentFile(dir, "a.seg", "a.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ts {
-		if err := sw.append(ts[i], recs[i]); err != nil {
+		if err := sw.Append(ts[i], recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sw.finish(); err != nil {
+	if err := sw.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(filepath.Join(dir, "a.seg")); err != nil || !bytes.Equal(got, wantSeg) {
@@ -482,22 +482,22 @@ func TestGoldenBytes(t *testing.T) {
 // buffer and index entry are reused; bufio absorbs the writes).
 func TestWriterAllocs(t *testing.T) {
 	dir := t.TempDir()
-	sw, err := newSegmentWriter(dir, "a.seg", "a.idx")
+	sw, err := CreateSegmentFile(dir, "a.seg", "a.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := bytes.Repeat([]byte{0x42}, 120)
-	if err := sw.append(1, rec); err != nil {
+	if err := sw.Append(1, rec); err != nil {
 		t.Fatal(err)
 	}
 	ts := int64(2)
 	avg := testing.AllocsPerRun(200, func() {
-		if err := sw.append(ts, rec); err != nil {
+		if err := sw.Append(ts, rec); err != nil {
 			t.Fatal(err)
 		}
 		ts++
 	})
-	if err := sw.finish(); err != nil {
+	if err := sw.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	// bufio flushes inside the measured region are I/O, not heap
@@ -509,7 +509,7 @@ func TestWriterAllocs(t *testing.T) {
 
 func BenchmarkSegmentAppend(b *testing.B) {
 	dir := b.TempDir()
-	sw, err := newSegmentWriter(dir, "b.seg", "b.idx")
+	sw, err := CreateSegmentFile(dir, "b.seg", "b.idx")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -518,12 +518,12 @@ func BenchmarkSegmentAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sw.append(int64(i), rec); err != nil {
+		if err := sw.Append(int64(i), rec); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if err := sw.finish(); err != nil {
+	if err := sw.Finish(); err != nil {
 		b.Fatal(err)
 	}
 }

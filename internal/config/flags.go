@@ -1,16 +1,13 @@
 package config
 
-import (
-	"flag"
-	"fmt"
-)
+import "flag"
 
 // This file is the shared CLI flag vocabulary: every netfail binary
 // registers its common knobs through these helpers so the spelling,
-// default, and help text of -parallelism, -debug-addr, -json,
-// -strict/-lenient, and -trace never drift between commands. (It
-// lives in the config package because that is the one internal
-// package every binary already imports.)
+// default, and help text of -parallelism, -debug-addr, -json and
+// -trace never drift between commands. (It lives in the config
+// package because that is the one internal package every binary
+// already imports.)
 
 // ParallelismFlag registers -parallelism: the analysis/simulation
 // worker pool bound. 0 means one worker per CPU; 1 forces the
@@ -23,10 +20,10 @@ func ParallelismFlag(fs *flag.FlagSet) *int {
 
 // DebugAddrFlag registers -debug-addr: the HTTP address serving the
 // versioned /api/v1 surface (query endpoints, metrics, health) plus
-// the pre-versioning /debug and probe aliases.
+// /debug/pprof.
 func DebugAddrFlag(fs *flag.FlagSet) *string {
 	return fs.String("debug-addr", "",
-		"serve the /api/v1 HTTP surface (metrics, health, store queries) and /debug aliases on this address")
+		"serve the /api/v1 HTTP surface (metrics, health, store queries) and /debug/pprof on this address")
 }
 
 // JSONFlag registers -json: machine-readable output instead of the
@@ -57,42 +54,4 @@ func MetricsFlag(fs *flag.FlagSet) *bool {
 // events to stderr.
 func ProgressFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("progress", false, "stream stage/shard progress events to stderr")
-}
-
-// Strictness is the resolved -strict/-lenient pair. Binaries differ
-// in which mode they default to (netfail-analyze refuses damage
-// unless asked to salvage; the serving daemons salvage unless asked
-// to refuse), but every binary accepts both spellings.
-type Strictness struct {
-	strict, lenient *bool
-	defaultLenient  bool
-}
-
-// StrictnessFlags registers the -strict and -lenient pair with the
-// given default mode.
-func StrictnessFlags(fs *flag.FlagSet, defaultLenient bool) *Strictness {
-	s := &Strictness{defaultLenient: defaultLenient}
-	strictDefault, lenientDefault := "", " (the default)"
-	if defaultLenient {
-		strictDefault, lenientDefault = " (the default is lenient)", ""
-	}
-	s.strict = fs.Bool("strict", false,
-		"abort on the first damaged record with an offset-accurate error"+strictDefault)
-	s.lenient = fs.Bool("lenient", false,
-		"salvage damaged records instead of aborting, accounting every skip"+lenientDefault)
-	return s
-}
-
-// Lenient resolves the pair after flag parsing: an explicit flag
-// wins, neither means the binary's default, both is an error.
-func (s *Strictness) Lenient() (bool, error) {
-	switch {
-	case *s.strict && *s.lenient:
-		return false, fmt.Errorf("-strict and -lenient are mutually exclusive")
-	case *s.strict:
-		return false, nil
-	case *s.lenient:
-		return true, nil
-	}
-	return s.defaultLenient, nil
 }

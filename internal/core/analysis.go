@@ -98,6 +98,11 @@ type Analysis struct {
 	ISISFlaps   *trace.FlapIndex
 }
 
+// DefaultMergeWindow is the span within which the two routers'
+// same-direction messages collapse into one transition; see
+// Input.MergeWindow.
+const DefaultMergeWindow = 60 * time.Second
+
 // Analyze runs the full §3.4 pipeline. Cancellation is honored at
 // every stage and shard boundary: if ctx is canceled mid-run, Analyze
 // stops dispatching work and returns ctx's error (running shards
@@ -122,7 +127,7 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 		in.FlapGap = trace.DefaultFlapGap
 	}
 	if in.MergeWindow == 0 {
-		in.MergeWindow = 60 * time.Second
+		in.MergeWindow = DefaultMergeWindow
 	}
 	ctx, done := obs.Stage(ctx, "analyze")
 	defer done()

@@ -32,8 +32,8 @@ import (
 
 // Analyzer is the detclock pass. It extends to _test.go files with
 // the wall-clock rule relaxed: tests may poll real time while waiting
-// on sockets and goroutines (the collector tests do), but a test that
-// draws from the process-global math/rand source produces
+// on sockets and goroutines (the netfail-serve UDP tests do), but a
+// test that draws from the process-global math/rand source produces
 // unreproducible test data, so the randomness rule binds everywhere.
 var Analyzer = &lint.Analyzer{
 	Name:         "detclock",

@@ -1,7 +1,8 @@
 // Fixture derived from the repository's real ingest pipeline: the
-// call shapes come from internal/syslog/collector.go (Parse feeding
-// the message log), internal/listener (Process feeding the LSP
-// database), and examples/livecapture (Send on the UDP sender).
+// call shapes come from internal/syslog/log.go (Parse feeding the
+// message log), internal/listener (Process feeding the LSP database),
+// and cmd/netfail-serve's UDP source (ParseBytes into a reused
+// Message per datagram).
 // Before droppederr, any of these errors could be dropped on the
 // floor and the trace would silently shorten — the defect class
 // Liang et al. and Simache & Kaâniche document for syslog pipelines.
@@ -9,6 +10,7 @@ package drop
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"netfail/internal/isis"
@@ -36,9 +38,9 @@ func replay(l *listener.Listener, at time.Time, pkts [][]byte) {
 	}
 }
 
-func flood(s *syslog.Sender, m *syslog.Message) {
-	s.Send(m) // want `error returned by syslog\.Send is silently discarded`
-	_ = s.Send(m) // want `error returned by syslog\.Send is assigned to the blank identifier`
+func tokenize(tok *syslog.Tokenizer, datagram []byte, ref time.Time, m *syslog.Message) {
+	tok.ParseBytes(datagram, ref, m)     // want `error returned by syslog\.ParseBytes is silently discarded`
+	_ = tok.ParseBytes(datagram, ref, m) // want `error returned by syslog\.ParseBytes is assigned to the blank identifier`
 }
 
 func peek(pkt []byte) isis.PDUType {
@@ -50,10 +52,14 @@ func peek(pkt []byte) isis.PDUType {
 // deferred cleanup, and out-of-scope callees.
 func handled(net *topo.Network, lines []string, pkts [][]byte, ref time.Time) (int, error) {
 	bad := 0
+	var kept []*syslog.Message
 	for _, line := range lines {
-		if _, err := syslog.Parse(line, ref); err != nil {
+		m, err := syslog.Parse(line, ref)
+		if err != nil {
 			bad++ // counted, not fatal: ReadLog's documented contract
+			continue
 		}
+		kept = append(kept, m)
 	}
 	l := listener.New(net)
 	for _, pkt := range pkts {
@@ -61,13 +67,9 @@ func handled(net *topo.Network, lines []string, pkts [][]byte, ref time.Time) (i
 			return bad, err
 		}
 	}
-	c, err := syslog.NewCollector("127.0.0.1:0", ref)
-	if err != nil {
-		return bad, err
-	}
-	// Deferred cleanup is the established idiom; there is no binding
-	// position for the error.
-	defer c.Close()
+	// A deferred call has no binding position for the error; the
+	// analyzer leaves it to the cleanup-path convention.
+	defer syslog.WriteLog(io.Discard, kept)
 	fmt.Println(bad) // out-of-scope package: not a traced callee
 	return bad, nil
 }

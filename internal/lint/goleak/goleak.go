@@ -24,7 +24,7 @@
 //     receive in one select.
 //
 // Named functions launched with `go f()` are resolved within the
-// package and their bodies held to the same rules (the collector's
+// package and their bodies held to the same rules (the
 // `go c.run()` shape); functions from other packages are outside the
 // pass's view and trusted. Closures nested inside a goroutine body
 // are skipped — each `go` statement is analyzed at its own launch

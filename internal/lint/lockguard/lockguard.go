@@ -28,7 +28,7 @@
 //
 // Exemptions, matching established codebase idioms:
 //
-//   - composite literals (&Collector{...} in a constructor) — the
+//   - composite literals (&Registry{...} in a constructor) — the
 //     value is not yet shared;
 //   - accesses through a variable declared inside the scope body
 //     itself (freshly constructed, not yet escaped); note a variable
@@ -231,7 +231,7 @@ func collectAccesses(pass *lint.Pass, guarded map[*types.Var]string, body *ast.B
 }
 
 // declaredIn reports whether the base of an access chain is a
-// variable declared inside body (e.g. c := &Collector{...} in a
+// variable declared inside body (e.g. r := &Registry{...} in a
 // constructor). Receivers and parameters are declared in the function
 // signature, before body.Lbrace, so they are never exempt.
 func declaredIn(pass *lint.Pass, base ast.Expr, body *ast.BlockStmt) bool {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGuardedFields checks the "// guarded by mu" convention on
-// fixtures mirroring syslog.Collector and isis.Database: unlocked
+// fixtures mirroring a locked message log and isis.Database: unlocked
 // reads and writes and writes under RLock are diagnosed; locked
 // accesses, *Locked helpers, constructors, and per-instance locking
 // pass.

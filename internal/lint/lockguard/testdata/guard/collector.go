@@ -1,14 +1,15 @@
-// Fixture derived from internal/syslog/collector.go and
-// internal/isis/lsdb.go, the two shared structures the paper's live
-// capture path mutates concurrently. The defective methods are the
-// pre-annotation versions of the real accessors with the locking
-// dropped — the exact snapshot-without-lock race the annotation
-// convention exists to catch.
+// Fixture derived from a receive loop appending to a mutex-guarded
+// message log and from internal/isis/lsdb.go, the shared structures a
+// live capture path mutates concurrently. The defective methods are
+// the correct accessors with the locking dropped — the exact
+// snapshot-without-lock race the annotation convention exists to
+// catch.
 package guard
 
 import "sync"
 
-// collector mirrors syslog.Collector.
+// collector is a message log one receive goroutine appends to and
+// accessors snapshot.
 type collector struct {
 	mu       sync.Mutex
 	messages []string // guarded by mu
@@ -25,7 +26,7 @@ func newCollector(ref string) *collector {
 	return c
 }
 
-// run is the real collector's receive loop: correct, locks around
+// run is the receive loop: correct, locks around
 // both guarded fields.
 func (c *collector) run(lines <-chan string, parse func(string) (string, error)) {
 	for line := range lines {

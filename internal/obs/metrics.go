@@ -15,9 +15,8 @@ import (
 // concurrent use, and a nil *Registry (metrics disabled) is a valid
 // no-op whose lookups return nil no-op instruments.
 //
-// Registry implements expvar.Var (String returns a JSON object), so
-// one call to Publish — or any expvar.Publish — exposes it at
-// /debug/vars next to the runtime's own variables.
+// String renders the registry as one JSON object, the body
+// /api/v1/metrics serves.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter // guarded by mu
@@ -137,8 +136,7 @@ func (r *Registry) Snapshot() []MetricValue {
 	return out
 }
 
-// String renders the snapshot as a JSON object, making Registry an
-// expvar.Var.
+// String renders the snapshot as a JSON object.
 func (r *Registry) String() string {
 	var buf bytes.Buffer
 	buf.WriteByte('{')

@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -224,7 +222,7 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 		t.Errorf("String() = %s, want %s", got, want)
 	}
 	if !json.Valid([]byte(reg.String())) {
-		t.Error("String() is not valid JSON (expvar contract)")
+		t.Error("String() is not valid JSON (the /api/v1/metrics body)")
 	}
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
@@ -265,38 +263,6 @@ func TestConcurrentUse(t *testing.T) {
 	roots := tr.Snapshot()
 	if len(roots) != 1 || len(roots[0].Children) != 8 {
 		t.Fatalf("expected 8 shard children, got %+v", roots)
-	}
-}
-
-func TestDebugMux(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("listener.lsps").Add(42)
-	Publish("netfail-test", reg)
-	Publish("netfail-test", reg) // second publish must not panic
-	srv := httptest.NewServer(DebugMux(reg))
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		return buf.String()
-	}
-	if body := get("/debug/netfail"); !strings.Contains(body, `"listener.lsps": 42`) {
-		t.Errorf("/debug/netfail = %s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "netfail-test") {
-		t.Errorf("/debug/vars missing published registry: %.200s", body)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -113,9 +112,6 @@ type Config struct {
 	// AppendHook, when set, runs after every durable append with the
 	// total durable-record count — the chaos harness's kill point.
 	AppendHook func(total int)
-	// SnapshotTap, when set, wraps the snapshot writer — the chaos
-	// harness's torn-write point.
-	SnapshotTap func(w io.Writer) io.Writer
 }
 
 // Recovered describes the state New rebuilt from the checkpoint
@@ -199,9 +195,6 @@ func New(cfg Config, h Handler, sources ...Source) (*Supervisor, *Recovered, err
 	}
 	if cfg.FsyncEach {
 		opts = append(opts, checkpoint.FsyncEach())
-	}
-	if cfg.SnapshotTap != nil {
-		opts = append(opts, checkpoint.SnapshotTap(cfg.SnapshotTap))
 	}
 	store, rec, err := checkpoint.Open(cfg.Dir, opts...)
 	if err != nil {

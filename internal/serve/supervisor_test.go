@@ -276,7 +276,7 @@ func TestSourceGoesDownAfterRestartBudget(t *testing.T) {
 		t.Errorf("state gauge = %d, want %d", got, Down)
 	}
 	rr := httptest.NewRecorder()
-	sup.HealthzHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	sup.HealthzHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/health", nil))
 	if rr.Code != 503 || !strings.Contains(rr.Body.String(), "cut down") {
 		t.Errorf("healthz = %d %q, want 503 with per-source state", rr.Code, rr.Body.String())
 	}
@@ -399,7 +399,7 @@ func TestReadyHandlerTracksLifecycle(t *testing.T) {
 	}
 	get := func() int {
 		rr := httptest.NewRecorder()
-		sup.ReadyHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/ready", nil))
+		sup.ReadyHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/ready", nil))
 		return rr.Code
 	}
 	if got := get(); got != 503 {

@@ -37,7 +37,7 @@ type Writer struct {
 	hosts   []string
 	hostIdx map[string]uint32
 
-	msg      *capture.SegmentFileWriter
+	msg      *capture.SegmentWriter
 	msgPost  map[uint32][]uint32
 	msgMaxMs int64
 	rec      []byte // reused record-encode buffer

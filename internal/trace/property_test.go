@@ -72,52 +72,14 @@ func TestDowntimePolicyOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 300; trial++ {
 		ts := randomTransitions(rng, rng.Intn(150))
-		sum := func(m map[topo.LinkID]time.Duration) time.Duration {
-			var total time.Duration
-			for _, d := range m {
-				total += d
-			}
-			return total
-		}
-		hold := sum(Downtime(ts, HoldPrevious))
-		down := sum(Downtime(ts, AssumeDown))
-		up := sum(Downtime(ts, AssumeUp))
+		hold := downtime(ts, HoldPrevious)
+		down := downtime(ts, AssumeDown)
+		up := downtime(ts, AssumeUp)
 		if down < hold {
 			t.Fatalf("trial %d: AssumeDown (%v) < HoldPrevious (%v)", trial, down, hold)
 		}
 		if up > hold {
 			t.Fatalf("trial %d: AssumeUp (%v) > HoldPrevious (%v)", trial, up, hold)
-		}
-	}
-}
-
-// TestReconstructDowntimeConsistency: on a clean alternating stream
-// (no ambiguities), total failure duration equals Downtime under
-// every policy.
-func TestReconstructDowntimeConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		var ts []Transition
-		tcur := int64(0)
-		link := topo.LinkID("a:1|b:1")
-		for i := 0; i < rng.Intn(40); i++ {
-			tcur += int64(1 + rng.Intn(1000))
-			dir := Down
-			if i%2 == 1 {
-				dir = Up
-			}
-			ts = append(ts, Transition{Time: time.Unix(tcur, 0).UTC(), Link: link, Dir: dir})
-		}
-		rec := Reconstruct(ts)
-		if len(rec.Ambiguities) != 0 {
-			t.Fatalf("alternating stream produced ambiguities")
-		}
-		want := TotalDowntime(rec.Failures)
-		for _, p := range []AmbiguityPolicy{HoldPrevious, AssumeDown, AssumeUp} {
-			got := Downtime(ts, p)[link]
-			if got != want {
-				t.Fatalf("trial %d policy %v: downtime %v != failures %v", trial, p, got, want)
-			}
 		}
 	}
 }

@@ -172,64 +172,6 @@ func sortFailures(fs []Failure) {
 	})
 }
 
-// Downtime computes total downtime per link over the observation
-// window under the given ambiguity policy. Ambiguous periods are
-// attributed per the policy; unambiguous failures count fully. A
-// failure still open at end is dropped (its true extent is unknown),
-// consistent with Reconstruct.
-func Downtime(ts []Transition, policy AmbiguityPolicy) map[topo.LinkID]time.Duration {
-	result := make(map[topo.LinkID]time.Duration)
-	for link, seq := range ByLink(ts) {
-		var total time.Duration
-		down := false
-		var since time.Time
-		var lastDir Direction
-		var lastTime time.Time
-		seen := false
-		for _, t := range seq {
-			if seen && t.Dir == lastDir {
-				// Ambiguous span [lastTime, t.Time].
-				switch policy {
-				case AssumeDown:
-					if !down {
-						total += t.Time.Sub(lastTime)
-					}
-					// If already down, the open failure covers it.
-				case AssumeUp:
-					if down {
-						// Close the accumulated downtime at the
-						// start of the ambiguous span and restart
-						// at its end.
-						total += lastTime.Sub(since)
-						since = t.Time
-					}
-				case HoldPrevious:
-					// State unmodified: nothing to adjust.
-				}
-				lastTime = t.Time
-				continue
-			}
-			switch t.Dir {
-			case Down:
-				if !down {
-					down = true
-					since = t.Time
-				}
-			case Up:
-				if down {
-					total += t.Time.Sub(since)
-					down = false
-				}
-			}
-			lastDir, lastTime, seen = t.Dir, t.Time, true
-		}
-		if total > 0 {
-			result[link] = total
-		}
-	}
-	return result
-}
-
 func sortLinkIDs(links []topo.LinkID) {
 	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 }

@@ -137,6 +137,12 @@ func TestReconstructEmpty(t *testing.T) {
 	}
 }
 
+// downtime is the total downtime of ts under an ambiguity policy, as
+// core.PolicyAblation spells it.
+func downtime(ts []Transition, p AmbiguityPolicy) time.Duration {
+	return TotalDowntime(ReconstructPolicy(ts, p).Failures)
+}
+
 func TestDowntimePolicies(t *testing.T) {
 	// Double Down with gap [100,160], failure ends at 200:
 	//  HoldPrevious: down 100..200            = 100s
@@ -148,13 +154,13 @@ func TestDowntimePolicies(t *testing.T) {
 		tr(linkA, 160, Down),
 		tr(linkA, 200, Up),
 	}
-	if got := Downtime(ts, HoldPrevious)[linkA]; got != 100*time.Second {
+	if got := downtime(ts, HoldPrevious); got != 100*time.Second {
 		t.Errorf("HoldPrevious = %v, want 100s", got)
 	}
-	if got := Downtime(ts, AssumeDown)[linkA]; got != 100*time.Second {
+	if got := downtime(ts, AssumeDown); got != 100*time.Second {
 		t.Errorf("AssumeDown = %v, want 100s", got)
 	}
-	if got := Downtime(ts, AssumeUp)[linkA]; got != 40*time.Second {
+	if got := downtime(ts, AssumeUp); got != 40*time.Second {
 		t.Errorf("AssumeUp = %v, want 40s", got)
 	}
 }
@@ -168,13 +174,13 @@ func TestDowntimeDoubleUpPolicies(t *testing.T) {
 		tr(linkA, 150, Up),
 		tr(linkA, 400, Up),
 	}
-	if got := Downtime(ts, HoldPrevious)[linkA]; got != 50*time.Second {
+	if got := downtime(ts, HoldPrevious); got != 50*time.Second {
 		t.Errorf("HoldPrevious = %v, want 50s", got)
 	}
-	if got := Downtime(ts, AssumeUp)[linkA]; got != 50*time.Second {
+	if got := downtime(ts, AssumeUp); got != 50*time.Second {
 		t.Errorf("AssumeUp = %v, want 50s", got)
 	}
-	if got := Downtime(ts, AssumeDown)[linkA]; got != 300*time.Second {
+	if got := downtime(ts, AssumeDown); got != 300*time.Second {
 		t.Errorf("AssumeDown = %v, want 300s", got)
 	}
 }
@@ -183,7 +189,7 @@ func TestDowntimeOpenFailureDropped(t *testing.T) {
 	// A trailing Down with no Up leaves the failure's extent unknown:
 	// it must not be counted (consistent with Reconstruct).
 	ts := []Transition{tr(linkA, 900, Down)}
-	if got := Downtime(ts, HoldPrevious)[linkA]; got != 0 {
+	if got := downtime(ts, HoldPrevious); got != 0 {
 		t.Errorf("downtime = %v, want 0 (open failure dropped)", got)
 	}
 }

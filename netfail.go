@@ -25,7 +25,7 @@
 // Functional options attach observability — WithTracer records a
 // hierarchical span tree of every stage, WithMetrics collects named
 // counters, WithProgress streams stage events — and tune the analysis
-// (WithWindow, WithParallelism, ...). Observability never changes
+// (WithMultiLink, WithParallelism). Observability never changes
 // results: a run with a tracer attached produces byte-identical
 // reports to one without.
 //
@@ -79,8 +79,8 @@ type (
 	// with WriteTree (text) or WriteChromeTrace (trace_event JSON).
 	Tracer = obs.Tracer
 	// Metrics is a registry of named counters and gauges the pipeline
-	// stages populate. Attach with WithMetrics; it implements
-	// expvar.Var and renders via String, Snapshot, or WriteText.
+	// stages populate. Attach with WithMetrics; it renders via String
+	// (JSON), Snapshot, or WriteText.
 	Metrics = obs.Registry
 	// ProgressEvent is one entry in the progress stream: a stage
 	// starting or finishing, or a parallel shard completing.
@@ -104,16 +104,9 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // AnalysisOptions tune the comparison without changing the captures:
-// the value the functional options (WithWindow, WithFlapGap,
-// WithMergeWindow, WithMultiLink, WithParallelism) fill in.
+// the value the functional options (WithMultiLink, WithParallelism)
+// fill in.
 type AnalysisOptions struct {
-	// Window is the matching window (default ten seconds).
-	Window time.Duration
-	// FlapGap is the flapping rule (default ten minutes).
-	FlapGap time.Duration
-	// MergeWindow collapses the two routers' reports of one event
-	// (default sixty seconds).
-	MergeWindow time.Duration
 	// IncludeMultiLink keeps multi-link-adjacency links in the
 	// analysis; pair with SimulationConfig.EnableLinkIDs.
 	IncludeMultiLink bool
@@ -134,16 +127,6 @@ type options struct {
 
 // Option configures a Run, Analyze, or Simulate call.
 type Option func(*options)
-
-// WithWindow sets the matching window (default ten seconds).
-func WithWindow(w time.Duration) Option { return func(o *options) { o.ao.Window = w } }
-
-// WithFlapGap sets the flapping rule (default ten minutes).
-func WithFlapGap(g time.Duration) Option { return func(o *options) { o.ao.FlapGap = g } }
-
-// WithMergeWindow sets the span within which the two routers' reports
-// of one event are collapsed (default sixty seconds).
-func WithMergeWindow(w time.Duration) Option { return func(o *options) { o.ao.MergeWindow = w } }
 
 // WithMultiLink keeps multi-link-adjacency links in the analysis;
 // pair with SimulationConfig.EnableLinkIDs.
@@ -240,8 +223,13 @@ func Listen(ctx context.Context, net *topo.Network, camp *Campaign) (*ListenerRe
 // GenerateTickets builds the trouble-ticket corpus from a campaign's
 // ground truth, for the long-failure verification step.
 func GenerateTickets(camp *Campaign) *tickets.Index {
-	corpus := tickets.Generate(camp.Config.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
-	return tickets.NewIndex(corpus)
+	return tickets.NewIndex(ticketCorpus(camp))
+}
+
+// ticketCorpus is the one place that knows the seed offset the in-RAM
+// index and a campaign directory's tickets file must share.
+func ticketCorpus(camp *Campaign) []tickets.Ticket {
+	return tickets.Generate(camp.Config.Seed+1, camp.GroundTruthFailures(), tickets.DefaultParams())
 }
 
 // Run executes the complete pipeline: simulate, mine configs, listen,

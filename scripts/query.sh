@@ -80,6 +80,12 @@ until curl -sf "http://$addr/api/v1/health" > /dev/null 2>&1; do
     sleep 0.1
 done
 
+# The pre-versioning spellings are retired: 404, not an alias.
+for path in /healthz /ready /debug/netfail /debug/vars; do
+    code=$(curl -s -o "$out" -w '%{http_code}' "http://$addr$path")
+    [ "$code" = 404 ] || fail "$path returned $code, want 404"
+done
+
 curl -sf "http://$addr/api/v1/links" > "$out" || fail "/api/v1/links"
 grep -q '"links"' "$out" || fail "/api/v1/links missing links field"
 
