@@ -16,7 +16,7 @@ golden:
 	go run ./cmd/netfail-analyze -seed 1 -markdown > docs/reproduction-seed1.md
 
 # Static analysis: go vet plus the repo's own suite (detclock,
-# droppederr, lockguard, durmul, ctxfirst, goleak).
+# droppederr, lockguard).
 lint:
 	go vet ./...
 	go run ./cmd/netfail-lint ./...

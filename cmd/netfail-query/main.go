@@ -373,12 +373,7 @@ func runServe(ctx context.Context, out io.Writer, s *store.Store, args []string)
 	}
 	srv := api.NewServer(*addr, api.Options{Store: s})
 	errCh := make(chan error, 1)
-	go func() {
-		select {
-		case errCh <- srv.ListenAndServe():
-		case <-ctx.Done():
-		}
-	}()
+	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(out, "serving /api/v1 on http://%s\n", *addr)
 	select {
 	case err := <-errCh:

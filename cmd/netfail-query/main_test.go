@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -66,5 +69,65 @@ func TestJSONIsTheAPIBody(t *testing.T) {
 		if err := json.Unmarshal(cli.Bytes(), &got); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: CLI -json is not the API body (%v)\ncli: %s\napi: %s", args, err, cli.Bytes(), rec.Body)
 		}
+	}
+}
+
+// TestServeAnswersInFlightRequestAtShutdown: a request half-way through
+// its header when serve is told to stop is still answered, and serve
+// returns nil — the shutdown grace is seconds, long enough to drain.
+func TestServeAnswersInFlightRequestAtShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // serve takes an address, not a listener: hand it a free one
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- runServe(ctx, io.Discard, nil, []string{"-debug-addr", addr}) }()
+
+	// dialUntil polls addr until a dial succeeds (open) or is refused.
+	dialUntil := func(open bool) net.Conn {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			c, err := net.Dial("tcp", addr)
+			if (err == nil) == open {
+				return c
+			}
+			if c != nil {
+				c.Close()
+			}
+		}
+		t.Fatalf("serve on %s: still waiting for accepting=%v", addr, open)
+		return nil
+	}
+	conn := dialUntil(true)
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /api/v1/health HTTP/1.1\r\nHost: "+addr+"\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	// Shutdown closes the listener first: once a dial is refused, the
+	// half-sent request is what it is waiting on.
+	dialUntil(false)
+	if _, err := io.WriteString(conn, "\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("in-flight request was not answered: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("in-flight request answered %d, want 200", resp.StatusCode)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("serve returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after its last request was answered")
 	}
 }

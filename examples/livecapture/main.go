@@ -74,10 +74,7 @@ func main() {
 				reg.Counter("drops.syslog.parse").Add(1)
 				continue
 			}
-			select {
-			case received <- string(m.AppendRender(nil)):
-			default: // a fifth message has no reader to wait for
-			}
+			received <- string(m.AppendRender(nil))
 		}
 	}()
 	sender, err := net.Dial("udp", sconn.LocalAddr().String())

@@ -400,19 +400,29 @@ func TestAPICancellation(t *testing.T) {
 	}
 }
 
-// TestServerDropsStalledHeader: a client that stalls mid-request-line
-// is disconnected; a bare &http.Server{Addr, Handler} holds it forever.
+// TestServerDropsStalledHeader: a prompt client is answered and one
+// that stalls mid-request-line is disconnected; a bare
+// &http.Server{Addr, Handler} holds the second forever, and a header
+// timeout missing its unit cuts off the first.
 func TestServerDropsStalledHeader(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out the header timeout")
-	}
-	srv := api.NewServer("127.0.0.1:0", api.Options{})
+	srv := api.NewServer("127.0.0.1:0", api.Options{Registry: obs.NewRegistry()})
 	ln, err := net.Listen("tcp", srv.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln) // returns http.ErrServerClosed at Close
 	defer srv.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/api/v1/metrics")
+	if err != nil {
+		t.Fatalf("prompt client: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prompt client: GET /api/v1/metrics answered %d, want 200", resp.StatusCode)
+	}
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ type Policy struct {
 	Factor float64
 	// Jitter is the fraction of each delay that is randomized away,
 	// in [0, 1]: a delay d becomes d - Jitter*d*u for uniform u in
-	// [0,1). Zero keeps the schedule exact; DefaultJitter decorrelates
+	// [0,1). Zero keeps the schedule exact; a positive one decorrelates
 	// a fleet of restarting sources so they do not retry in lockstep.
 	Jitter float64
 	// Retries is the consecutive-failure budget: after this many
@@ -46,10 +46,6 @@ type Policy struct {
 	// the budget is not taken.
 	Budget time.Duration
 }
-
-// DefaultJitter is the jitter fraction the serving path uses for
-// source restarts.
-const DefaultJitter = 0.5
 
 // Default is the retry policy the capture paths share: 1ms doubling,
 // five retries, no jitter (1, 2, 4, 8, 16 ms).

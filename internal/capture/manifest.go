@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"netfail/internal/atomicfile"
 )
@@ -48,27 +47,6 @@ func (m *Manifest) Records() (syslog, lsps int64) {
 		lsps += s.LSPRecords
 	}
 	return syslog, lsps
-}
-
-// Span returns the earliest and latest record timestamps across all
-// non-empty shards (zero times when the capture is empty).
-func (m *Manifest) Span() (first, last time.Time) {
-	var fMs, lMs int64
-	for _, s := range m.Shards {
-		if s.SyslogRecords == 0 && s.LSPRecords == 0 {
-			continue
-		}
-		if fMs == 0 || s.FirstMs < fMs {
-			fMs = s.FirstMs
-		}
-		if s.LastMs > lMs {
-			lMs = s.LastMs
-		}
-	}
-	if fMs == 0 {
-		return time.Time{}, time.Time{}
-	}
-	return time.UnixMilli(fMs).UTC(), time.UnixMilli(lMs).UTC()
 }
 
 // writeManifestFile writes the manifest atomically into dir.

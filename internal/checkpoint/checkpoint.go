@@ -141,9 +141,6 @@ func Open(dir string, opts ...Option) (*Store, *Recovery, error) {
 	return s, rec, nil
 }
 
-// Dir returns the checkpoint directory.
-func (s *Store) Dir() string { return s.dir }
-
 // LastSeq returns the last sequence number appended or recovered.
 func (s *Store) LastSeq() uint64 { return s.seq }
 

@@ -9,34 +9,6 @@ import (
 	"netfail/internal/trace"
 )
 
-// AmbiguityCause classifies a repeated syslog transition (§4.3,
-// Table 6).
-type AmbiguityCause int
-
-const (
-	// CauseLostMessage: both repeated messages correspond to real
-	// IS-IS transitions — the intervening opposite message was lost.
-	CauseLostMessage AmbiguityCause = iota
-	// CauseSpuriousRetransmission: the link was already in the
-	// reported state according to IS-IS — the message is a spurious
-	// reminder.
-	CauseSpuriousRetransmission
-	// CauseUnknown covers the remainder.
-	CauseUnknown
-)
-
-// String names the cause.
-func (c AmbiguityCause) String() string {
-	switch c {
-	case CauseLostMessage:
-		return "lost-message"
-	case CauseSpuriousRetransmission:
-		return "spurious-retransmission"
-	default:
-		return "unknown"
-	}
-}
-
 // Table6 counts ambiguous state changes by cause and direction.
 type Table6 struct {
 	// Counts[cause] per direction of the repeated message.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"netfail/internal/match"
-	"netfail/internal/trace"
 )
 
 // FalsePositiveBreakdown reproduces the §4.3 analysis of syslog
@@ -88,10 +87,4 @@ func (a *Analysis) FalsePositives() FalsePositiveBreakdown {
 		}
 	}
 	return b
-}
-
-// ambiguityFromTrace re-exports the trace ambiguity for callers of
-// the breakdown who also want the §4.3 double-message records.
-func (a *Analysis) Ambiguities() []trace.Ambiguity {
-	return a.SyslogRec.Ambiguities
 }

@@ -7,8 +7,10 @@
 // and reproducible matching windows: a single unseeded random source,
 // a stray wall-clock read in a simulation path, or an unsynchronized
 // LSP-database access silently corrupts the syslog-vs-IS-IS
-// comparison. The analyzers under internal/lint/ encode those
-// invariants so they are checked mechanically on every change:
+// comparison. The three analyzers under internal/lint/ encode those
+// invariants so they are checked mechanically on every change — each
+// kept because a bug seeded into product code turned it red and no
+// test, vet or -race run did (the table is in docs/static-analysis.md):
 //
 //   - detclock: forbids time.Now/Since/Until and global math/rand
 //     outside internal/clock (determinism).
@@ -17,9 +19,6 @@
 //     silently shortened trace).
 //   - lockguard: enforces the "// guarded by mu" field annotation
 //     convention (accesses must hold the named mutex).
-//   - durmul: catches time.Duration arithmetic bugs in the
-//     flap/matching-window code (duration×duration, raw integers
-//     passed as durations).
 //
 // An Analyzer inspects one type-checked package (a Pass) and reports
 // Diagnostics. The loader (Load) type-checks packages offline using

@@ -57,14 +57,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add folds n into the gauge.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value reads the gauge; zero for nil.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -186,7 +186,7 @@ func TestKillResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go killedSup.Run(context.Background()) //nolint — abandoned on purpose: this is the kill
+	go killedSup.Run(context.Background()) // abandoned on purpose: this is the kill
 	select {
 	case <-frozen:
 	case <-time.After(10 * time.Second):

@@ -136,11 +136,6 @@ type TransitionRecord struct {
 	Reporter string          `json:"reporter"`
 }
 
-// Transition converts back to the trace model.
-func (r TransitionRecord) Transition() trace.Transition {
-	return trace.Transition{Time: r.Time, Link: r.Link, Dir: r.Dir, Kind: r.Kind, Reporter: r.Reporter}
-}
-
 // MessageRecord is one stored syslog line: the raw wire form plus the
 // emitting host and the capture timestamp (millisecond precision, the
 // frame clock every segment shares).

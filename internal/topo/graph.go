@@ -67,9 +67,6 @@ func NewGraph(n *Network) *Graph {
 	return g
 }
 
-// NodeCount returns the number of routers in the graph.
-func (g *Graph) NodeCount() int { return len(g.adj) }
-
 // Node returns the node index of a hostname.
 func (g *Graph) Node(host string) (int, bool) {
 	v, ok := g.index[host]

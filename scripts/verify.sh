@@ -47,6 +47,11 @@ if [ "$short" = 0 ]; then
     echo "==> query smoke (store build + netfail-query + /api/v1)"
     ./scripts/query.sh
 
+    echo "==> examples smoke (every examples/* runs to exit 0)"
+    for ex in examples/*/; do
+        go run "./$ex" > /dev/null
+    done
+
     echo "==> scale smoke (2-shard spill campaign, 7 days)"
     go run ./cmd/netfail-scale -mult 1,2 -days 7 -max-rss-mb 1024 > /dev/null
 
