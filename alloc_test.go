@@ -1,6 +1,7 @@
 package netfail
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -110,4 +111,28 @@ func TestStoreWindowQueryWarmAllocBudget(t *testing.T) {
 		t.Skip("spills and analyzes a month-long campaign")
 	}
 	pinAllocs(t, "a warm one-day, one-link failures+transitions query", 20, benchStoreWindowQuery(t))
+}
+
+// TestSimulateAllocsPerEvent: BenchmarkSimulateMonth's campaign, in
+// allocations per record the capture retains (5.51 measured, 18.71
+// before the event loop was rebuilt), held to that plus a tenth. The
+// topology, the config archive, the workload and some 1,400 RNG forks
+// are in the figure beside the event loop, whose own share is two per
+// syslog message built (Message and Text), one per LSP (its wire
+// bytes) and the closures that carry a failure between its events.
+func TestSimulateAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside the simulator")
+	}
+	var records int
+	avg := testing.AllocsPerRun(3, func() {
+		camp, err := Simulate(context.Background(), benchMonthConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = len(camp.Syslog) + len(camp.LSPLog)
+	})
+	if per := avg / float64(records); per > 6.1 {
+		t.Errorf("a month's simulation allocates %.0f times for %d records, %.2f per record; budget is 6.1", avg, records, per)
+	}
 }

@@ -209,8 +209,17 @@ func benchMonthConfig(seed int64) SimulationConfig {
 	}
 }
 
+// reportPerEvent adds the two figures that make a simulator benchmark
+// comparable across campaign sizes: records captured per op, and
+// nanoseconds per record.
+func reportPerEvent(b *testing.B, events int) {
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 func BenchmarkSimulateMonth(b *testing.B) {
 	b.ReportAllocs()
+	events := 0
 	for i := 0; i < b.N; i++ {
 		camp, err := Simulate(context.Background(), benchMonthConfig(int64(i+1)))
 		if err != nil {
@@ -219,7 +228,9 @@ func BenchmarkSimulateMonth(b *testing.B) {
 		if len(camp.Syslog) == 0 {
 			b.Fatal("empty campaign")
 		}
+		events += len(camp.Syslog) + len(camp.LSPLog)
 	}
+	reportPerEvent(b, events)
 }
 
 func BenchmarkMineConfigs(b *testing.B) {
@@ -429,6 +440,7 @@ func BenchmarkRefreshFullDay(b *testing.B) {
 	cfg := benchMonthConfig(1)
 	cfg.End = cfg.Start.Add(24 * time.Hour)
 	cfg.RefreshMode = netsim.RefreshFull
+	events := 0
 	for i := 0; i < b.N; i++ {
 		camp, err := Simulate(context.Background(), cfg)
 		if err != nil {
@@ -444,5 +456,7 @@ func BenchmarkRefreshFullDay(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		events += len(camp.Syslog) + len(camp.LSPLog)
 	}
+	reportPerEvent(b, events)
 }

@@ -8,6 +8,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"netfail/internal/isis"
@@ -28,142 +29,206 @@ type Router struct {
 	// default to match CENIC's deployment).
 	LinkIDCapable bool
 
-	net      *topo.Network
-	lspSeq   uint32
-	logSeq   uint64
-	adjDown  map[topo.LinkID]bool
-	physDown map[topo.LinkID]bool
+	ifaces []Interface
+	lspSeq uint32
+	logSeq uint64
+	// scratch is the LSP every origination refills; wireCap is the
+	// longest encoding seen, which sizes the next one's buffer.
+	scratch isis.LSP
+	wireCap int
+}
+
+// Interface is one IS-IS interface of a Router with everything a
+// transition on it needs — peer, port names, metric, subnet — resolved
+// from the topology once, at New. A caller that works one link through
+// many transitions holds the Interface instead of looking the link up
+// per call.
+type Interface struct {
+	// Router is the owning device.
+	Router *Router
+
+	link           topo.LinkID
+	port, peerHost string
+	peer           topo.SystemID
+	metric, subnet uint32
+	// linkIDs is the RFC 5307 sub-TLV list the neighbor entry carries
+	// when the router is LinkIDCapable: the link's unique /31 doubles
+	// as the circuit ID, identical from both ends.
+	linkIDs           []isis.RawTLV
+	adjDown, physDown bool
 }
 
 // New creates a router with all links up.
 func New(net *topo.Network, info *topo.Router, dialect syslog.Dialect) *Router {
-	return &Router{
-		Info:     info,
-		Dialect:  dialect,
-		net:      net,
-		adjDown:  make(map[topo.LinkID]bool),
-		physDown: make(map[topo.LinkID]bool),
+	d := &Router{Info: info, Dialect: dialect, ifaces: make([]Interface, 0, len(info.Interfaces))}
+	for _, ifc := range info.Interfaces {
+		link, ok := net.LinkByID(ifc.Link)
+		if !ok {
+			continue
+		}
+		peer, ok := link.Other(info.Name)
+		if !ok {
+			continue
+		}
+		peerRouter := net.Routers[peer.Host]
+		if peerRouter == nil {
+			continue
+		}
+		port := link.B.Port
+		if link.A.Host == info.Name {
+			port = link.A.Port
+		}
+		var ids isis.ISNeighbor
+		ids.SetLinkIDs(link.Subnet, link.Subnet)
+		d.ifaces = append(d.ifaces, Interface{
+			Router: d, link: link.ID, port: port, peerHost: peer.Host, peer: peerRouter.SystemID,
+			metric: link.Metric, subnet: link.Subnet, linkIDs: ids.SubTLVs,
+		})
 	}
+	d.scratch = *isis.NewLSP(info.SystemID, 0, info.Name,
+		make([]isis.ISNeighbor, 0, len(d.ifaces)), make([]isis.IPPrefix, 0, 1+len(d.ifaces)))
+	return d
+}
+
+// Interface returns the router's interface on link, nil if it
+// terminates no such link.
+func (d *Router) Interface(link topo.LinkID) *Interface {
+	for i := range d.ifaces {
+		if d.ifaces[i].link == link {
+			return &d.ifaces[i]
+		}
+	}
+	return nil
+}
+
+// SetAdjacency records the interface's adjacency state and reports
+// whether it changed.
+func (i *Interface) SetAdjacency(up bool) bool {
+	if i.adjDown == !up {
+		return false
+	}
+	i.adjDown = !up
+	return true
+}
+
+// SetPhysical records the physical interface state and reports whether
+// it changed.
+func (i *Interface) SetPhysical(up bool) bool {
+	if i.physDown == !up {
+		return false
+	}
+	i.physDown = !up
+	return true
 }
 
 // SetAdjacency records the adjacency state for a link and reports
 // whether it changed.
 func (d *Router) SetAdjacency(link topo.LinkID, up bool) bool {
-	if d.adjDown[link] == !up {
-		return false
-	}
-	if up {
-		delete(d.adjDown, link)
-	} else {
-		d.adjDown[link] = true
-	}
-	return true
+	i := d.Interface(link)
+	return i != nil && i.SetAdjacency(up)
 }
 
 // SetPhysical records the physical interface state for a link.
 func (d *Router) SetPhysical(link topo.LinkID, up bool) bool {
-	if d.physDown[link] == !up {
-		return false
-	}
-	if up {
-		delete(d.physDown, link)
-	} else {
-		d.physDown[link] = true
-	}
-	return true
+	i := d.Interface(link)
+	return i != nil && i.SetPhysical(up)
 }
 
 // AdjacencyUp reports the current adjacency state for a link.
-func (d *Router) AdjacencyUp(link topo.LinkID) bool { return !d.adjDown[link] }
+func (d *Router) AdjacencyUp(link topo.LinkID) bool {
+	i := d.Interface(link)
+	return i == nil || !i.adjDown
+}
 
-// OriginateLSP builds this router's LSP from current state with the
-// next sequence number. Parallel links to the same neighbor produce
-// one IS-reachability entry per link — indistinguishable without the
-// RFC 5305 link-ID sub-TLVs CENIC's devices do not run (paper §3.4,
-// footnote 1).
-func (d *Router) OriginateLSP() *isis.LSP {
+// fill rebuilds the scratch LSP from current state with the next
+// sequence number, reusing its neighbor and prefix arrays. Parallel
+// links to the same neighbor produce one IS-reachability entry per
+// link — indistinguishable without the RFC 5305 link-ID sub-TLVs
+// CENIC's devices do not run (paper §3.4, footnote 1).
+func (d *Router) fill() *isis.LSP {
 	d.lspSeq++
-	var neighbors []isis.ISNeighbor
-	var prefixes []isis.IPPrefix
-	prefixes = append(prefixes, isis.IPPrefix{Metric: 0, Addr: d.Info.Loopback, Length: 32})
-	for _, ifc := range d.Info.Interfaces {
-		link, ok := d.net.LinkByID(ifc.Link)
-		if !ok {
-			continue
-		}
-		peer, ok := link.Other(d.Info.Name)
-		if !ok {
-			continue
-		}
-		peerRouter := d.net.Routers[peer.Host]
-		if peerRouter == nil {
-			continue
-		}
-		if !d.adjDown[link.ID] {
-			nbr := isis.ISNeighbor{
-				System: peerRouter.SystemID,
-				Metric: link.Metric,
-			}
+	l := &d.scratch
+	l.Sequence = d.lspSeq
+	l.Neighbors = l.Neighbors[:0]
+	l.Prefixes = append(l.Prefixes[:0], isis.IPPrefix{Metric: 0, Addr: d.Info.Loopback, Length: 32})
+	for i := range d.ifaces {
+		ifc := &d.ifaces[i]
+		if !ifc.adjDown {
+			nbr := isis.ISNeighbor{System: ifc.peer, Metric: ifc.metric}
 			if d.LinkIDCapable {
-				// The link's unique /31 doubles as the circuit ID,
-				// identical from both ends.
-				nbr.SetLinkIDs(link.Subnet, link.Subnet)
+				nbr.SubTLVs = ifc.linkIDs
 			}
-			neighbors = append(neighbors, nbr)
+			l.Neighbors = append(l.Neighbors, nbr)
 		}
-		if !d.physDown[link.ID] {
-			prefixes = append(prefixes, isis.IPPrefix{
-				Metric: link.Metric,
-				Addr:   link.Subnet,
-				Length: 31,
-			})
+		if !ifc.physDown {
+			l.Prefixes = append(l.Prefixes, isis.IPPrefix{Metric: ifc.metric, Addr: ifc.subnet, Length: 31})
 		}
 	}
-	return isis.NewLSP(d.Info.SystemID, d.lspSeq, d.Info.Name, neighbors, prefixes)
+	return l
+}
+
+// OriginateLSP builds this router's LSP from current state with the
+// next sequence number. The caller owns the result: its neighbor and
+// prefix lists are copies of what fill built.
+func (d *Router) OriginateLSP() *isis.LSP {
+	l := *d.fill()
+	l.Neighbors = slices.Clone(l.Neighbors)
+	l.Prefixes = slices.Clone(l.Prefixes)
+	return &l
+}
+
+// EncodeLSP originates the next LSP and returns its wire bytes — what
+// OriginateLSP().Encode() returns, for one allocation: the buffer,
+// sized from the router's earlier LSPs, which the caller owns.
+func (d *Router) EncodeLSP() ([]byte, error) {
+	wire, err := d.fill().AppendEncode(make([]byte, 0, d.wireCap))
+	d.wireCap = max(d.wireCap, len(wire))
+	return wire, err
 }
 
 // LSPSequence returns the last originated sequence number.
 func (d *Router) LSPSequence() uint32 { return d.lspSeq }
 
 // AdjMessage formats the IS-IS adjacency-change syslog message for a
-// transition on the given link.
-func (d *Router) AdjMessage(ts time.Time, link topo.LinkID, up bool, reason string) (*syslog.Message, error) {
-	l, ok := d.net.LinkByID(link)
-	if !ok {
-		return nil, fmt.Errorf("device: %s has no link %s", d.Info.Name, link)
-	}
-	peer, ok := l.Other(d.Info.Name)
-	if !ok {
-		return nil, fmt.Errorf("device: %s is not an endpoint of %s", d.Info.Name, link)
-	}
-	iface := d.localPort(l)
+// transition on the interface.
+func (i *Interface) AdjMessage(ts time.Time, up bool, reason string) *syslog.Message {
+	d := i.Router
 	d.logSeq++
 	// Collectors record millisecond resolution; quantize here so
 	// captures serialize losslessly.
 	ts = ts.Truncate(time.Millisecond)
-	return syslog.AdjChange(d.Dialect, d.Info.Name, d.logSeq, ts, peer.Host, iface, up, reason), nil
+	return syslog.AdjChange(d.Dialect, d.Info.Name, d.logSeq, ts, i.peerHost, i.port, up, reason)
 }
 
 // LinkMessages formats the physical-media syslog messages (%LINK and
-// %LINEPROTO) for a physical transition on the given link.
-func (d *Router) LinkMessages(ts time.Time, link topo.LinkID, up bool) ([]*syslog.Message, error) {
-	l, ok := d.net.LinkByID(link)
-	if !ok {
-		return nil, fmt.Errorf("device: %s has no link %s", d.Info.Name, link)
-	}
-	iface := d.localPort(l)
-	d.logSeq++
+// %LINEPROTO) for a physical transition on the interface.
+func (i *Interface) LinkMessages(ts time.Time, up bool) [2]*syslog.Message {
+	d := i.Router
 	ts = ts.Truncate(time.Millisecond)
-	m1 := syslog.LinkUpDown(d.Info.Name, d.logSeq, ts, iface, up)
-	d.logSeq++
-	m2 := syslog.LineProtoUpDown(d.Info.Name, d.logSeq, ts.Add(50*time.Millisecond), iface, up)
-	return []*syslog.Message{m1, m2}, nil
+	d.logSeq += 2
+	return [2]*syslog.Message{
+		syslog.LinkUpDown(d.Info.Name, d.logSeq-1, ts, i.port, up),
+		syslog.LineProtoUpDown(d.Info.Name, d.logSeq, ts.Add(50*time.Millisecond), i.port, up),
+	}
 }
 
-// localPort returns this router's interface name on the link.
-func (d *Router) localPort(l *topo.Link) string {
-	if l.A.Host == d.Info.Name {
-		return l.A.Port
+// AdjMessage is Interface.AdjMessage for the router's interface on
+// link; a link the router does not terminate is an error.
+func (d *Router) AdjMessage(ts time.Time, link topo.LinkID, up bool, reason string) (*syslog.Message, error) {
+	i := d.Interface(link)
+	if i == nil {
+		return nil, fmt.Errorf("device: %s has no interface on link %s", d.Info.Name, link)
 	}
-	return l.B.Port
+	return i.AdjMessage(ts, up, reason), nil
+}
+
+// LinkMessages is Interface.LinkMessages for the router's interface on
+// link; a link the router does not terminate is an error.
+func (d *Router) LinkMessages(ts time.Time, link topo.LinkID, up bool) ([]*syslog.Message, error) {
+	i := d.Interface(link)
+	if i == nil {
+		return nil, fmt.Errorf("device: %s has no interface on link %s", d.Info.Name, link)
+	}
+	msgs := i.LinkMessages(ts, up)
+	return msgs[:], nil
 }

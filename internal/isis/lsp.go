@@ -51,16 +51,22 @@ type LSP struct {
 // Type implements PDU.
 func (l *LSP) Type() PDUType { return TypeLSPL2 }
 
-// Encode serializes the LSP, computing the PDU length and Fletcher
-// checksum. The Checksum field is updated with the computed value.
-func (l *LSP) Encode() ([]byte, error) {
-	b := appendCommonHeader(nil, TypeLSPL2, lspHeaderLen)
+// Encode serializes the LSP into a fresh buffer; see AppendEncode.
+func (l *LSP) Encode() ([]byte, error) { return l.AppendEncode(nil) }
+
+// AppendEncode appends the LSP's wire form to dst, computing the PDU
+// length and Fletcher checksum, and returns the extended slice. The
+// Checksum field is updated with the computed value. Header and TLVs
+// are written straight into dst — a TLV's length octet is patched once
+// its entries are in — so a dst with room for the PDU makes the encode
+// allocation-free.
+func (l *LSP) AppendEncode(dst []byte) ([]byte, error) {
+	base := len(dst)
+	b := appendCommonHeader(dst, TypeLSPL2, lspHeaderLen)
 	b = append(b, 0, 0) // PDU length, patched below
 	b = append(b, byte(l.Lifetime>>8), byte(l.Lifetime))
 	b = l.ID.appendTo(b)
-	var seq [4]byte
-	binary.BigEndian.PutUint32(seq[:], l.Sequence)
-	b = append(b, seq[:]...)
+	b = binary.BigEndian.AppendUint32(b, l.Sequence)
 	b = append(b, 0, 0) // checksum, patched below
 	flags := byte(0x03) // IS type: level 2
 	if l.Attached {
@@ -72,33 +78,27 @@ func (l *LSP) Encode() ([]byte, error) {
 	b = append(b, flags)
 
 	if len(l.Areas) > 0 {
-		var val []byte
+		start := len(b)
+		b = append(b, byte(TLVAreaAddresses), 0)
 		for _, a := range l.Areas {
-			val = append(val, byte(len(a)))
-			val = append(val, a...)
+			b = append(b, byte(len(a)))
+			b = append(b, a...)
 		}
-		b = appendTLV(b, TLVAreaAddresses, val)
+		closeTLV(b, start)
 	}
 	if l.Hostname != "" {
 		if len(l.Hostname) > maxTLVValueLength {
 			return nil, fmt.Errorf("isis: hostname %q too long", l.Hostname)
 		}
-		b = appendTLV(b, TLVHostname, []byte(l.Hostname))
+		b = append(b, byte(TLVHostname), byte(len(l.Hostname)))
+		b = append(b, l.Hostname...)
 	}
-	if len(l.IfaceAddrs) > 0 {
-		var val []byte
-		for _, a := range l.IfaceAddrs {
-			var buf [4]byte
-			binary.BigEndian.PutUint32(buf[:], a)
-			val = append(val, buf[:]...)
-			if len(val) == 252 {
-				b = appendTLV(b, TLVIPIfaceAddr, val)
-				val = nil
-			}
+	const perTLV = 63 // addresses that fill a TLV, to 252 octets
+	for i, a := range l.IfaceAddrs {
+		if i%perTLV == 0 {
+			b = append(b, byte(TLVIPIfaceAddr), byte(4*min(len(l.IfaceAddrs)-i, perTLV)))
 		}
-		if len(val) > 0 {
-			b = appendTLV(b, TLVIPIfaceAddr, val)
-		}
+		b = binary.BigEndian.AppendUint32(b, a)
 	}
 	b = appendExtISReach(b, l.Neighbors)
 	b = appendExtIPReach(b, l.Prefixes)
@@ -106,15 +106,16 @@ func (l *LSP) Encode() ([]byte, error) {
 		b = appendTLV(b, u.Type, u.Value)
 	}
 
-	if len(b) > 0xffff {
+	pdu := b[base:]
+	if len(pdu) > 0xffff {
 		return nil, fmt.Errorf("isis: LSP %v exceeds maximum PDU size", l.ID)
 	}
-	putUint16(b, commonHeaderLen, uint16(len(b)))
+	putUint16(pdu, commonHeaderLen, uint16(len(pdu)))
 	// Checksum covers LSP ID through end (offset 12 from PDU start).
 	const ckOff = 24 // absolute offset of checksum field
 	const ckStart = 12
-	ck := fletcherChecksum(b[ckStart:], ckOff-ckStart)
-	putUint16(b, ckOff, ck)
+	ck := fletcherChecksum(pdu[ckStart:], ckOff-ckStart)
+	putUint16(pdu, ckOff, ck)
 	l.Checksum = ck
 	return b, nil
 }

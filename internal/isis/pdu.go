@@ -175,4 +175,3 @@ func appendCommonHeader(b []byte, typ PDUType, headerLen int) []byte {
 }
 
 func putUint16(b []byte, off int, v uint16) { binary.BigEndian.PutUint16(b[off:], v) }
-func putUint32(b []byte, off int, v uint32) { binary.BigEndian.PutUint32(b[off:], v) }

@@ -52,6 +52,17 @@ func appendTLV(b []byte, typ TLVType, value []byte) []byte {
 	return append(b, value...)
 }
 
+// closeTLV patches the length octet of the TLV whose two-octet header
+// sits at b[start], now that its value has been appended behind it.
+// Like appendTLV it panics past 255: callers split long lists.
+func closeTLV(b []byte, start int) {
+	n := len(b) - start - 2
+	if n > maxTLVValueLength {
+		panic(fmt.Sprintf("isis: TLV %d value length %d exceeds 255", b[start], n))
+	}
+	b[start+1] = byte(n)
+}
+
 // parseTLVs walks the TLV region, invoking fn for each field. It
 // returns ErrTruncated if a declared length overruns the buffer.
 // Cold-path PDUs (hellos, SNPs) use this callback form; the LSP hot
@@ -180,36 +191,31 @@ func (n ISNeighbor) LinkIDs() (local, remote uint32, ok bool) {
 
 const isNeighborFixedLen = 6 + 1 + 3 + 1 // sysID + pseudonode + metric + subTLV len
 
+// appendExtISReach writes the neighbors as TLV 22s, opening a new TLV
+// whenever the next entry would push the value past 255 octets.
 func appendExtISReach(b []byte, neighbors []ISNeighbor) []byte {
-	// Split entries across TLVs so no value exceeds 255 bytes.
-	for start := 0; start < len(neighbors); {
-		var val []byte
-		end := start
-		for end < len(neighbors) {
-			n := neighbors[end]
-			subLen := 0
-			for _, s := range n.SubTLVs {
-				subLen += 2 + len(s.Value)
-			}
-			entry := isNeighborFixedLen + subLen
-			if len(val)+entry > maxTLVValueLength {
-				break
-			}
-			val = append(val, n.System[:]...)
-			val = append(val, n.Pseudonode)
-			val = append(val, byte(n.Metric>>16), byte(n.Metric>>8), byte(n.Metric))
-			val = append(val, byte(subLen))
-			for _, s := range n.SubTLVs {
-				val = append(val, byte(s.Type), byte(len(s.Value)))
-				val = append(val, s.Value...)
-			}
-			end++
+	start := -1 // header offset of the open TLV
+	for i := range neighbors {
+		n := &neighbors[i]
+		subLen := 0
+		for _, s := range n.SubTLVs {
+			subLen += 2 + len(s.Value)
 		}
-		if end == start {
+		entry := isNeighborFixedLen + subLen
+		if entry > maxTLVValueLength {
 			panic("isis: single IS reachability entry exceeds TLV capacity")
 		}
-		b = appendTLV(b, TLVExtISReach, val)
-		start = end
+		if start < 0 || len(b)-start-2+entry > maxTLVValueLength {
+			start = len(b)
+			b = append(b, byte(TLVExtISReach), 0)
+		}
+		b = append(b, n.System[:]...)
+		b = append(b, n.Pseudonode, byte(n.Metric>>16), byte(n.Metric>>8), byte(n.Metric), byte(subLen))
+		for _, s := range n.SubTLVs {
+			b = append(b, byte(s.Type), byte(len(s.Value)))
+			b = append(b, s.Value...)
+		}
+		closeTLV(b, start)
 	}
 	return b
 }
@@ -277,35 +283,23 @@ func (p IPPrefix) AdvKey() AdvKey {
 	return AdvKey{Pseudonode: p.Length, Kind: AdvPrefix, Value: p.Addr}
 }
 
+// appendExtIPReach writes the prefixes as TLV 135s, split like TLV 22.
 func appendExtIPReach(b []byte, prefixes []IPPrefix) []byte {
-	for start := 0; start < len(prefixes); {
-		var val []byte
-		end := start
-		for end < len(prefixes) {
-			p := prefixes[end]
-			octets := int(p.Length+7) / 8
-			entry := 4 + 1 + octets
-			if len(val)+entry > maxTLVValueLength {
-				break
-			}
-			var metric [4]byte
-			putUint32(metric[:], 0, p.Metric)
-			val = append(val, metric[:]...)
-			ctrl := p.Length & 0x3f
-			if p.Down {
-				ctrl |= 0x80
-			}
-			val = append(val, ctrl)
-			var addr [4]byte
-			putUint32(addr[:], 0, p.Addr)
-			val = append(val, addr[:octets]...)
-			end++
+	start := -1 // header offset of the open TLV
+	for _, p := range prefixes {
+		octets := int(p.Length+7) / 8
+		if start < 0 || len(b)-start-2+5+octets > maxTLVValueLength {
+			start = len(b)
+			b = append(b, byte(TLVExtIPReach), 0)
 		}
-		if end == start {
-			panic("isis: single IP reachability entry exceeds TLV capacity")
+		ctrl := p.Length & 0x3f
+		if p.Down {
+			ctrl |= 0x80
 		}
-		b = appendTLV(b, TLVExtIPReach, val)
-		start = end
+		b = append(b, byte(p.Metric>>24), byte(p.Metric>>16), byte(p.Metric>>8), byte(p.Metric), ctrl)
+		addr := [4]byte{byte(p.Addr >> 24), byte(p.Addr >> 16), byte(p.Addr >> 8), byte(p.Addr)}
+		b = append(b, addr[:octets]...)
+		closeTLV(b, start)
 	}
 	return b
 }

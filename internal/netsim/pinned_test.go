@@ -120,7 +120,6 @@ func digestSpill(t *testing.T, dir string) string {
 func TestSimulatorCapturesPinned(t *testing.T) {
 	ctx := context.Background()
 	for _, pc := range pinnedCases {
-		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			if pc.fabric == 0 {
 				camp, err := Run(ctx, pc.cfg())

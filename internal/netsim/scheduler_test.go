@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 )
@@ -78,5 +80,87 @@ func TestSchedulerPastClamped(t *testing.T) {
 	s.Run(start.Add(time.Second))
 	if !at.Equal(start) {
 		t.Errorf("past event ran at %v, want %v", at, start)
+	}
+}
+
+// TestSchedulerNowKeepsLocation: Now is rebuilt from an integer offset
+// on every call, and must come back in the start time's location with
+// no monotonic reading — the rendered syslog stamps are made from it.
+func TestSchedulerNowKeepsLocation(t *testing.T) {
+	loc := time.FixedZone("PST", -8*3600)
+	start := time.Date(2010, time.October, 20, 0, 0, 0, 0, loc)
+	s := NewScheduler(start)
+	var seen time.Time
+	s.At(start.Add(90*time.Minute+7*time.Nanosecond).UTC(), func() { seen = s.Now() })
+	s.Run(start.Add(24 * time.Hour))
+	if want := start.Add(90*time.Minute + 7*time.Nanosecond); seen != want {
+		t.Errorf("Now inside the event = %#v, want %#v", seen, want)
+	}
+	if got := s.Now().Format(time.RFC3339); got != "2010-10-21T00:00:00-08:00" {
+		t.Errorf("Now after the run = %s", got)
+	}
+	wall := NewScheduler(time.Now())
+	if now := wall.Now(); now != now.Round(0) {
+		t.Error("Now carries a monotonic reading")
+	}
+}
+
+// TestHeapOrderMatchesSort: pops come out in (key, push order) order
+// whatever the interleaving of pushes and pops, against a stable sort.
+func TestHeapOrderMatchesSort(t *testing.T) {
+	rng := newRNG(22)
+	var h fifoHeap[int]
+	type item struct {
+		key int64
+		id  int
+	}
+	var pending, popped, want []item
+	for id := 0; id < 5000; id++ {
+		it := item{key: int64(rng.Intn(300)), id: id}
+		h.push(it.key, it.id)
+		pending = append(pending, it)
+		for rng.Intn(3) == 0 && h.len() > 0 {
+			slices.SortStableFunc(pending, func(a, b item) int { return cmp.Compare(a.key, b.key) })
+			want, pending = append(want, pending[0]), pending[1:]
+			key, id := h.pop()
+			popped = append(popped, item{key, id})
+		}
+	}
+	slices.SortStableFunc(pending, func(a, b item) int { return cmp.Compare(a.key, b.key) })
+	want = append(want, pending...)
+	for h.len() > 0 {
+		key, id := h.pop()
+		popped = append(popped, item{key, id})
+	}
+	if !slices.Equal(popped, want) {
+		t.Fatal("heap pop order differs from a stable sort by key")
+	}
+}
+
+// TestSchedulerAllocBudget: scheduling an event and running it on a
+// warm queue allocates nothing of the scheduler's own — no boxed
+// entry, no heap.Interface — leaving only what the caller's callback
+// captures, which here is nothing.
+func TestSchedulerAllocBudget(t *testing.T) {
+	start := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
+	s := NewScheduler(start)
+	ran := 0
+	fn := func() { ran++ }
+	for i := 0; i < 1024; i++ {
+		s.At(start.Add(time.Duration(i%97)*time.Hour), fn)
+	}
+	end := start
+	step := func() {
+		end = end.Add(time.Minute)
+		s.At(end.Add(50*time.Hour), fn)
+		s.After(time.Second, fn)
+		s.Run(end)
+	}
+	step()
+	if avg := testing.AllocsPerRun(500, step); avg != 0 {
+		t.Errorf("At + After + Run on a warm queue allocate %.1f times per step, budget is 0", avg)
+	}
+	if ran == 0 {
+		t.Fatal("no event ran")
 	}
 }

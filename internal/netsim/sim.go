@@ -205,7 +205,8 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 		sink:    sink,
 		rng:     impairRNG,
 		sched:   NewScheduler(cfg.Start),
-		devices: make(map[string]*device.Router, len(net.RouterNames)),
+		devices: make([]*device.Router, len(net.RouterNames)),
+		ends:    make(map[topo.LinkID][2]*device.Interface, len(net.Links)),
 	}
 	if cfg.InBandSyslog {
 		sim.graph = topo.NewGraph(net)
@@ -214,7 +215,8 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 	if cfg.Impair.RateLimitPerMin > 0 {
 		sim.buckets = make(map[string]*tokenBucket)
 	}
-	for _, name := range net.RouterNames {
+	byName := make(map[string]*device.Router, len(net.RouterNames))
+	for i, name := range net.RouterNames {
 		r := net.Routers[name]
 		dialect := syslog.DialectIOS
 		if r.Class == topo.Core {
@@ -222,7 +224,10 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 		}
 		d := device.New(net, r, dialect)
 		d.LinkIDCapable = cfg.EnableLinkIDs
-		sim.devices[name] = d
+		sim.devices[i], byName[name] = d, d
+	}
+	for _, l := range net.Links {
+		sim.ends[l.ID] = [2]*device.Interface{byName[l.A.Host].Interface(l.ID), byName[l.B.Host].Interface(l.ID)}
 	}
 
 	// Initial database sync: when the listener joins the IS-IS
@@ -269,7 +274,10 @@ type simulation struct {
 	sink    eventSink
 	rng     *rng
 	sched   *Scheduler
-	devices map[string]*device.Router
+	devices []*device.Router // in RouterNames order
+	// ends holds each link's two interfaces, A side first, resolved
+	// once so a failure costs one lookup rather than one per message.
+	ends map[topo.LinkID][2]*device.Interface
 
 	// In-band syslog state: the graph and the ground-truth down set
 	// swept over it. The collector sits at node 0, the first router.
@@ -341,12 +349,6 @@ func (s *simulation) collectorReachable(host string) bool {
 	return ok && s.gtDown.Connected(v, 0)
 }
 
-// endpoints returns the two devices terminating a link.
-func (s *simulation) endpoints(id topo.LinkID) (*device.Router, *device.Router) {
-	l, _ := s.net.LinkByID(id)
-	return s.devices[l.A.Host], s.devices[l.B.Host]
-}
-
 // listenerOnline reports whether the listener records at t.
 func (s *simulation) listenerOnline(t time.Time) bool {
 	for _, w := range s.camp.ListenerOffline {
@@ -359,8 +361,7 @@ func (s *simulation) listenerOnline(t time.Time) bool {
 
 // deliverLSP floods a device's current LSP to the listener.
 func (s *simulation) deliverLSP(d *device.Router, content bool) {
-	lsp := d.OriginateLSP()
-	wire, err := lsp.Encode()
+	wire, err := d.EncodeLSP()
 	if err != nil {
 		panic(fmt.Sprintf("netsim: encoding LSP for %s: %v", d.Info.Name, err))
 	}
@@ -401,6 +402,14 @@ func (s *simulation) emitSyslog(m *syslog.Message, lossProb float64) {
 	s.sink.syslog(s.sched.Now(), m)
 }
 
+// emitLinkMessages sends the %LINK/%LINEPROTO pair for a physical
+// transition on ifc.
+func (s *simulation) emitLinkMessages(ifc *device.Interface, up bool, lossProb float64) {
+	for _, m := range ifc.LinkMessages(s.sched.Now(), up) {
+		s.emitSyslog(m, lossProb)
+	}
+}
+
 // lossProb returns the applicable loss probability.
 func (s *simulation) lossProb(inFlap bool) float64 {
 	if inFlap {
@@ -422,7 +431,7 @@ func (s *simulation) scheduleFailures() {
 // emission, recovery.
 func (s *simulation) failLink(f GroundTruthFailure) {
 	im := s.cfg.Impair
-	devA, devB := s.endpoints(f.Link)
+	ends := s.ends[f.Link]
 	loss := s.lossProb(f.InFlap)
 
 	// Correlated loss: the failure's entire syslog footprint may be
@@ -457,22 +466,14 @@ func (s *simulation) failLink(f GroundTruthFailure) {
 	if f.Cause == CausePhysical {
 		ipDelay := s.rng.uniformDur(0, im.IPWithdrawDelayMax)
 		withdraw := ipDelay < f.Duration()
-		for _, d := range [2]*device.Router{devA, devB} {
-			d := d
+		for _, ifc := range ends {
 			at := s.sched.Now().Add(s.rng.uniformDur(0, 300*time.Millisecond))
-			s.sched.At(at, func() {
-				msgs, err := d.LinkMessages(s.sched.Now(), f.Link, false)
-				if err == nil {
-					for _, m := range msgs {
-						s.emitSyslog(m, loss)
-					}
-				}
-			})
+			s.sched.At(at, func() { s.emitLinkMessages(ifc, false, loss) })
 			if withdraw {
 				jitter := s.rng.uniformDur(0, time.Second)
 				s.sched.At(f.Start.Add(ipDelay+jitter), func() {
-					if d.SetPhysical(f.Link, false) && !suppressLSP {
-						s.deliverLSP(d, true)
+					if ifc.SetPhysical(false) && !suppressLSP {
+						s.deliverLSP(ifc.Router, true)
 					}
 				})
 			}
@@ -491,8 +492,7 @@ func (s *simulation) failLink(f GroundTruthFailure) {
 	if f.Cause == CausePhysical {
 		reason = "interface state change"
 	}
-	for i, d := range [2]*device.Router{devA, devB} {
-		d := d
+	for i, ifc := range ends {
 		detect := base
 		if i == 1 {
 			detect += s.rng.uniformDur(0, im.EndpointSkew)
@@ -503,33 +503,25 @@ func (s *simulation) failLink(f GroundTruthFailure) {
 			detect = f.Duration() * 3 / 4
 		}
 		s.sched.At(f.Start.Add(detect), func() {
-			if !d.SetAdjacency(f.Link, false) {
+			if !ifc.SetAdjacency(false) {
 				return
 			}
 			emit := s.sched.Now().Add(s.rng.uniformDur(0, im.ProcDelayMax))
-			msg, err := d.AdjMessage(emit, f.Link, false, reason)
-			if err == nil {
-				s.emitSyslog(msg, downLoss)
-			}
+			s.emitSyslog(ifc.AdjMessage(emit, false, reason), downLoss)
 			if !suppressLSP {
-				s.deliverLSP(d, true)
+				s.deliverLSP(ifc.Router, true)
 			}
 		})
 	}
 
 	// Spurious retransmission of the Down during the failure.
 	if s.rng.bernoulli(im.SpuriousDownProb) && f.Duration() > 4*time.Second {
-		d := devA
+		ifc := ends[0]
 		if s.rng.bernoulli(0.5) {
-			d = devB
+			ifc = ends[1]
 		}
 		at := f.Start.Add(f.Duration()/2 + s.rng.uniformDur(0, f.Duration()/4))
-		s.sched.At(at, func() {
-			msg, err := d.AdjMessage(s.sched.Now(), f.Link, false, reason)
-			if err == nil {
-				s.emitSyslog(msg, loss)
-			}
-		})
+		s.sched.At(at, func() { s.emitSyslog(ifc.AdjMessage(s.sched.Now(), false, reason), loss) })
 	}
 
 	s.sched.At(f.End, func() { s.recoverLink(f, suppressLSP, blackout) })
@@ -539,30 +531,22 @@ func (s *simulation) failLink(f GroundTruthFailure) {
 func (s *simulation) recoverLink(f GroundTruthFailure, suppressLSP, blackout bool) {
 	im := s.cfg.Impair
 	s.linkStateChanged(f.Link, false)
-	devA, devB := s.endpoints(f.Link)
+	ends := s.ends[f.Link]
 	loss := s.lossProb(f.InFlap)
 	if blackout {
 		loss = 1
 	}
 
 	if f.Cause == CausePhysical {
-		for _, d := range [2]*device.Router{devA, devB} {
-			d := d
+		for _, ifc := range ends {
 			at := s.sched.Now().Add(s.rng.uniformDur(0, 300*time.Millisecond))
-			s.sched.At(at, func() {
-				msgs, err := d.LinkMessages(s.sched.Now(), f.Link, true)
-				if err == nil {
-					for _, m := range msgs {
-						s.emitSyslog(m, loss)
-					}
-				}
-			})
+			s.sched.At(at, func() { s.emitLinkMessages(ifc, true, loss) })
 			// IP reachability returns once the interface is up,
 			// usually ahead of the adjacency handshake.
 			ipAt := s.sched.Now().Add(s.rng.uniformDur(0, im.IPRestoreMax))
 			s.sched.At(ipAt, func() {
-				if d.SetPhysical(f.Link, true) && !suppressLSP {
-					s.deliverLSP(d, true)
+				if ifc.SetPhysical(true) && !suppressLSP {
+					s.deliverLSP(ifc.Router, true)
 				}
 			})
 		}
@@ -579,41 +563,32 @@ func (s *simulation) recoverLink(f GroundTruthFailure, suppressLSP, blackout boo
 		first = im.AdjRestoreMin + s.rng.uniformDur(0, im.AdjRestoreMax-im.AdjRestoreMin)
 		skew = s.rng.uniformDur(0, im.RestoreSkewMax)
 	}
-	order := [2]*device.Router{devA, devB}
+	order := ends
 	if s.rng.bernoulli(0.5) {
 		order[0], order[1] = order[1], order[0]
 	}
-	for i, d := range order {
-		d := d
+	for i, ifc := range order {
 		delay := first
 		if i == 1 {
 			delay += skew
 		}
 		s.sched.At(f.End.Add(delay), func() {
-			if !d.SetAdjacency(f.Link, true) {
+			if !ifc.SetAdjacency(true) {
 				return
 			}
 			emit := s.sched.Now().Add(s.rng.uniformDur(0, im.ProcDelayMax))
-			msg, err := d.AdjMessage(emit, f.Link, true, "new adjacency")
-			if err == nil {
-				s.emitSyslog(msg, loss)
-			}
+			s.emitSyslog(ifc.AdjMessage(emit, true, "new adjacency"), loss)
 			if !suppressLSP {
-				s.deliverLSP(d, true)
+				s.deliverLSP(ifc.Router, true)
 			}
 		})
 	}
 
 	// Redundant Up after recovery.
 	if s.rng.bernoulli(im.SpuriousUpProb) {
-		d := order[0]
+		ifc := order[0]
 		at := f.End.Add(first + skew + time.Second + s.rng.uniformDur(0, time.Minute))
-		s.sched.At(at, func() {
-			msg, err := d.AdjMessage(s.sched.Now(), f.Link, true, "new adjacency")
-			if err == nil {
-				s.emitSyslog(msg, loss)
-			}
-		})
+		s.sched.At(at, func() { s.emitSyslog(ifc.AdjMessage(s.sched.Now(), true, "new adjacency"), loss) })
 	}
 
 	// Adjacency-reset pseudo-failure trailing a real failure.
@@ -630,26 +605,19 @@ func (s *simulation) recoverLink(f GroundTruthFailure, suppressLSP, blackout boo
 // pseudoFailure emits a syslog-only Down/Up blip with no LSP: an
 // aborted handshake or adjacency reset.
 func (s *simulation) pseudoFailure(link topo.LinkID, reason string, inFlap bool) {
-	devA, devB := s.endpoints(link)
-	d := devA
+	ends := s.ends[link]
+	ifc := ends[0]
 	if s.rng.bernoulli(0.5) {
-		d = devB
+		ifc = ends[1]
 	}
 	// Resets are local control-plane events, not burst load: their
 	// messages are rarely lost. (An orphaned half of this pair shows
 	// up as an unexplained repeated transition.)
 	loss := s.lossProb(inFlap) * 0.3
 	now := s.sched.Now()
-	down, err := d.AdjMessage(now, link, false, reason)
-	if err != nil {
-		return
-	}
-	s.emitSyslog(down, loss)
-	up, err := d.AdjMessage(now.Add(time.Duration(1+s.rng.Intn(999))*time.Millisecond), link, true, "new adjacency")
-	if err != nil {
-		return
-	}
-	s.emitSyslog(up, loss)
+	s.emitSyslog(ifc.AdjMessage(now, false, reason), loss)
+	upAt := now.Add(time.Duration(1+s.rng.Intn(999)) * time.Millisecond)
+	s.emitSyslog(ifc.AdjMessage(upAt, true, "new adjacency"), loss)
 }
 
 // schedulePseudoFailures spreads background reset blips over every
@@ -682,37 +650,23 @@ func (s *simulation) schedulePseudoFailures() {
 // messages and prefix withdrawal, no adjacency change.
 func (s *simulation) blip(link topo.LinkID, dur time.Duration) {
 	im := s.cfg.Impair
-	devA, devB := s.endpoints(link)
 	start := s.sched.Now()
 	ipDelay := 2*time.Second + s.rng.uniformDur(0, 13*time.Second)
-	for _, d := range [2]*device.Router{devA, devB} {
-		d := d
+	for _, ifc := range s.ends[link] {
 		at := start.Add(s.rng.uniformDur(0, 300*time.Millisecond))
-		s.sched.At(at, func() {
-			if msgs, err := d.LinkMessages(s.sched.Now(), link, false); err == nil {
-				for _, m := range msgs {
-					s.emitSyslog(m, im.LossBase)
-				}
-			}
-		})
+		s.sched.At(at, func() { s.emitLinkMessages(ifc, false, im.LossBase) })
 		if ipDelay < dur {
 			s.sched.At(start.Add(ipDelay+s.rng.uniformDur(0, time.Second)), func() {
-				if d.SetPhysical(link, false) {
-					s.deliverLSP(d, true)
+				if ifc.SetPhysical(false) {
+					s.deliverLSP(ifc.Router, true)
 				}
 			})
 		}
 		end := start.Add(dur)
-		s.sched.At(end.Add(s.rng.uniformDur(0, 300*time.Millisecond)), func() {
-			if msgs, err := d.LinkMessages(s.sched.Now(), link, true); err == nil {
-				for _, m := range msgs {
-					s.emitSyslog(m, im.LossBase)
-				}
-			}
-		})
+		s.sched.At(end.Add(s.rng.uniformDur(0, 300*time.Millisecond)), func() { s.emitLinkMessages(ifc, true, im.LossBase) })
 		s.sched.At(end.Add(s.rng.uniformDur(0, im.IPRestoreMax)), func() {
-			if d.SetPhysical(link, true) {
-				s.deliverLSP(d, true)
+			if ifc.SetPhysical(true) {
+				s.deliverLSP(ifc.Router, true)
 			}
 		})
 	}
@@ -778,16 +732,15 @@ func (s *simulation) scheduleNoise() {
 // the listener (re)joins the network.
 func (s *simulation) scheduleSync(at time.Time) {
 	s.sched.At(at, func() {
-		for _, name := range s.net.RouterNames {
-			s.deliverLSP(s.devices[name], true)
+		for _, d := range s.devices {
+			s.deliverLSP(d, true)
 		}
 	})
 }
 
 // scheduleRefreshes arranges periodic LSP refreshes for every device.
 func (s *simulation) scheduleRefreshes() {
-	for _, name := range s.net.RouterNames {
-		d := s.devices[name]
+	for _, d := range s.devices {
 		var tick func()
 		tick = func() {
 			s.deliverLSP(d, false)

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"netfail/internal/capture"
@@ -46,73 +46,13 @@ func (ms *memorySink) lsp(now time.Time, wire []byte) {
 }
 
 func (ms *memorySink) finish() error {
-	camp := ms.camp
-	sort.SliceStable(camp.Syslog, func(i, j int) bool {
-		return camp.Syslog[i].Timestamp.Before(camp.Syslog[j].Timestamp)
+	slices.SortStableFunc(ms.camp.Syslog, func(a, b *syslog.Message) int {
+		return a.Timestamp.Compare(b.Timestamp)
 	})
-	sort.SliceStable(camp.LSPLog, func(i, j int) bool {
-		return camp.LSPLog[i].Time.Before(camp.LSPLog[j].Time)
+	slices.SortStableFunc(ms.camp.LSPLog, func(a, b CapturedLSP) int {
+		return a.Time.Compare(b.Time)
 	})
 	return nil
-}
-
-// spillEntry is one syslog message waiting in the spill sink's
-// reorder buffer.
-type spillEntry struct {
-	tsMs int64
-	seq  int64 // delivery order, the equal-timestamp tiebreak
-	m    *syslog.Message
-}
-
-// spillHeap is a hand-rolled min-heap over (tsMs, seq). A specialized
-// heap keeps the per-message path free of the interface boxing
-// container/heap would impose.
-type spillHeap []spillEntry
-
-func (h spillHeap) less(i, j int) bool {
-	if h[i].tsMs != h[j].tsMs {
-		return h[i].tsMs < h[j].tsMs
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *spillHeap) push(e spillEntry) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *spillHeap) pop() spillEntry {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = spillEntry{}
-	q = q[:last]
-	*h = q
-	for i := 0; ; {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < len(q) && q.less(left, smallest) {
-			smallest = left
-		}
-		if right < len(q) && q.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
-	}
-	return top
 }
 
 // spillSink streams both observation channels to one capture shard
@@ -126,15 +66,13 @@ func (h *spillHeap) pop() spillEntry {
 // by that horizon's message volume, never the campaign's.
 type spillSink struct {
 	sw   *capture.ShardWriter
-	heap spillHeap
-	seq  int64
+	heap fifoHeap[*syslog.Message]
 	buf  []byte // reused render buffer
 	err  error  // first write error; surfaced by finish
 }
 
 func (sp *spillSink) syslog(now time.Time, m *syslog.Message) {
-	sp.seq++
-	sp.heap.push(spillEntry{tsMs: m.Timestamp.UnixMilli(), seq: sp.seq, m: m})
+	sp.heap.push(m.Timestamp.UnixMilli(), m)
 	sp.flush(now.UnixMilli())
 }
 
@@ -143,10 +81,10 @@ func (sp *spillSink) syslog(now time.Time, m *syslog.Message) {
 // stay buffered: a later delivery could still share their stamp, and
 // the sequence tiebreak only orders entries that meet in the heap.
 func (sp *spillSink) flush(beforeMs int64) {
-	for sp.err == nil && len(sp.heap) > 0 && sp.heap[0].tsMs < beforeMs {
-		e := sp.heap.pop()
-		sp.buf = e.m.AppendRender(sp.buf[:0])
-		sp.err = sp.sw.AppendSyslog(e.tsMs, sp.buf)
+	for sp.err == nil && sp.heap.len() > 0 && sp.heap.minKey() < beforeMs {
+		tsMs, m := sp.heap.pop()
+		sp.buf = m.AppendRender(sp.buf[:0])
+		sp.err = sp.sw.AppendSyslog(tsMs, sp.buf)
 	}
 }
 

@@ -89,7 +89,18 @@ func RunShardedToCapture(ctx context.Context, cfg Config, fabric topo.FabricSpec
 	if err != nil {
 		return nil, err
 	}
+	// A domain's slot is cleared once its simulation has closed the
+	// writer; whatever is still set when the run fails — domains never
+	// dispatched, or all of them when a later shard cannot be opened —
+	// is closed on the way out.
 	sws := make([]*capture.ShardWriter, len(domains))
+	defer func() {
+		for _, sw := range sws {
+			if sw != nil {
+				sw.Close()
+			}
+		}
+	}()
 	for i, d := range domains {
 		sws[i], err = w.Shard(d.Name, len(d.Net.RouterNames), len(d.Net.Links))
 		if err != nil {
@@ -109,6 +120,7 @@ func RunShardedToCapture(ctx context.Context, cfg Config, fabric topo.FabricSpec
 		if cerr := sw.Close(); errs[i] == nil {
 			errs[i] = cerr
 		}
+		sws[i] = nil
 	})
 	if perr != nil {
 		return nil, perr

@@ -138,3 +138,26 @@ func TestAppendRenderAllocBudget(t *testing.T) {
 		t.Errorf("AppendRender into a reused buffer allocates %.1f times per message, budget is 0", avg)
 	}
 }
+
+// TestSyslogConstructorsAllocBudget: the simulator builds every
+// message through these three, so each is held to the two allocations
+// it cannot avoid — the Message and its concatenated Text.
+func TestSyslogConstructorsAllocBudget(t *testing.T) {
+	ts := time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC)
+	var sink *Message
+	for name, build := range map[string]func() *Message{
+		"AdjChange/IOS": func() *Message {
+			return AdjChange(DialectIOS, "cpe-001", 7, ts, "riv-core-01", "GigabitEthernet0/0/1", true, "new adjacency")
+		},
+		"AdjChange/IOSXR": func() *Message {
+			return AdjChange(DialectIOSXR, "riv-core-01", 7, ts, "cpe-001", "TenGigE0/1/0/3", false, "hold time expired")
+		},
+		"LinkUpDown":      func() *Message { return LinkUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", false) },
+		"LineProtoUpDown": func() *Message { return LineProtoUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", true) },
+	} {
+		if avg := testing.AllocsPerRun(100, func() { sink = build() }); avg > 2 {
+			t.Errorf("%s allocates %.1f times per message, budget is 2 (Message and Text)", name, avg)
+		}
+	}
+	_ = sink
+}

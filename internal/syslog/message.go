@@ -1,7 +1,6 @@
 package syslog
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 )
@@ -172,11 +171,11 @@ func AdjChange(dialect Dialect, host string, seq uint64, ts time.Time, neighbor,
 	case DialectIOSXR:
 		m.Severity = Warning
 		m.Mnemonic = "ROUTING-ISIS-4-ADJCHANGE"
-		m.Text = fmt.Sprintf("Adjacency to %s (%s) (L2) %s, %s", neighbor, iface, dir, reason)
+		m.Text = "Adjacency to " + neighbor + " (" + iface + ") (L2) " + dir + ", " + reason
 	default:
 		m.Severity = Notice
 		m.Mnemonic = "CLNS-5-ADJCHANGE"
-		m.Text = fmt.Sprintf("ISIS: Adjacency to %s (%s) %s, %s", neighbor, iface, dir, reason)
+		m.Text = "ISIS: Adjacency to " + neighbor + " (" + iface + ") " + dir + ", " + reason
 	}
 	return m
 }
@@ -194,7 +193,7 @@ func LinkUpDown(host string, seq uint64, ts time.Time, iface string, up bool) *M
 		Hostname:  host,
 		Seq:       seq,
 		Mnemonic:  "LINK-3-UPDOWN",
-		Text:      fmt.Sprintf("Interface %s, changed state to %s", iface, dir),
+		Text:      "Interface " + iface + ", changed state to " + dir,
 	}
 }
 
@@ -211,6 +210,6 @@ func LineProtoUpDown(host string, seq uint64, ts time.Time, iface string, up boo
 		Hostname:  host,
 		Seq:       seq,
 		Mnemonic:  "LINEPROTO-5-UPDOWN",
-		Text:      fmt.Sprintf("Line protocol on Interface %s, changed state to %s", iface, dir),
+		Text:      "Line protocol on Interface " + iface + ", changed state to " + dir,
 	}
 }
