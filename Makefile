@@ -40,8 +40,9 @@ fuzz:
 benchmark:
 	go run ./benchmark -selfcheck
 
-# Non-test and test Go lines per top-level directory (benchmark/ and
-# testdata/ excluded): "least code" is a tracked number.
+# Non-test and test Go lines per cmd/ and internal/ package, then per
+# top-level directory (benchmark/ and testdata/ excluded): "least code"
+# is a tracked number.
 loc:
 	./scripts/loc.sh
 

@@ -128,18 +128,6 @@ func (d *Router) SetAdjacency(link topo.LinkID, up bool) bool {
 	return i != nil && i.SetAdjacency(up)
 }
 
-// SetPhysical records the physical interface state for a link.
-func (d *Router) SetPhysical(link topo.LinkID, up bool) bool {
-	i := d.Interface(link)
-	return i != nil && i.SetPhysical(up)
-}
-
-// AdjacencyUp reports the current adjacency state for a link.
-func (d *Router) AdjacencyUp(link topo.LinkID) bool {
-	i := d.Interface(link)
-	return i == nil || !i.adjDown
-}
-
 // fill rebuilds the scratch LSP from current state with the next
 // sequence number, reusing its neighbor and prefix arrays. Parallel
 // links to the same neighbor produce one IS-reachability entry per
@@ -186,9 +174,6 @@ func (d *Router) EncodeLSP() ([]byte, error) {
 	return wire, err
 }
 
-// LSPSequence returns the last originated sequence number.
-func (d *Router) LSPSequence() uint32 { return d.lspSeq }
-
 // AdjMessage formats the IS-IS adjacency-change syslog message for a
 // transition on the interface.
 func (i *Interface) AdjMessage(ts time.Time, up bool, reason string) *syslog.Message {
@@ -220,15 +205,4 @@ func (d *Router) AdjMessage(ts time.Time, link topo.LinkID, up bool, reason stri
 		return nil, fmt.Errorf("device: %s has no interface on link %s", d.Info.Name, link)
 	}
 	return i.AdjMessage(ts, up, reason), nil
-}
-
-// LinkMessages is Interface.LinkMessages for the router's interface on
-// link; a link the router does not terminate is an error.
-func (d *Router) LinkMessages(ts time.Time, link topo.LinkID, up bool) ([]*syslog.Message, error) {
-	i := d.Interface(link)
-	if i == nil {
-		return nil, fmt.Errorf("device: %s has no interface on link %s", d.Info.Name, link)
-	}
-	msgs := i.LinkMessages(ts, up)
-	return msgs[:], nil
 }

@@ -99,7 +99,7 @@ func TestPhysicalDownWithdrawsPrefix(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
 	link := n.Links[1].ID // core-a <-> cpe-1
-	d.SetPhysical(link, false)
+	d.Interface(link).SetPhysical(false)
 	d.SetAdjacency(link, false)
 	lsp := d.OriginateLSP()
 	if len(lsp.Prefixes) != 2 {
@@ -120,8 +120,8 @@ func TestSequenceIncrements(t *testing.T) {
 			t.Fatalf("sequence = %d, want %d", got, want)
 		}
 	}
-	if d.LSPSequence() != 5 {
-		t.Errorf("LSPSequence = %d", d.LSPSequence())
+	if d.lspSeq != 5 {
+		t.Errorf("lspSeq = %d", d.lspSeq)
 	}
 }
 
@@ -151,13 +151,7 @@ func TestLinkMessages(t *testing.T) {
 	d := New(n, n.Routers["core-b"], syslog.DialectIOSXR)
 	link := n.Links[0].ID
 	ts := time.Date(2011, 3, 1, 2, 3, 4, 0, time.UTC)
-	msgs, err := d.LinkMessages(ts, link, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 2 {
-		t.Fatalf("messages = %d, want 2", len(msgs))
-	}
+	msgs := d.Interface(link).LinkMessages(ts, false)
 	ev0, err := syslog.ParseLinkEvent(msgs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +220,7 @@ func TestParallelLinksAdvertiseDuplicateNeighbors(t *testing.T) {
 func TestLinkMessagesUnknownLink(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
-	if _, err := d.LinkMessages(time.Now(), topo.LinkID("bogus"), false); err == nil {
+	if d.Interface(topo.LinkID("bogus")) != nil {
 		t.Error("unknown link accepted")
 	}
 }
@@ -235,11 +229,11 @@ func TestAdjacencyUpQuery(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
 	link := n.Links[0].ID
-	if !d.AdjacencyUp(link) {
+	if d.Interface(link).adjDown {
 		t.Error("fresh device should have adjacency up")
 	}
 	d.SetAdjacency(link, false)
-	if d.AdjacencyUp(link) {
+	if !d.Interface(link).adjDown {
 		t.Error("adjacency should be down")
 	}
 }
@@ -247,11 +241,11 @@ func TestAdjacencyUpQuery(t *testing.T) {
 func TestSetPhysicalIdempotent(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
-	link := n.Links[0].ID
-	if !d.SetPhysical(link, false) || d.SetPhysical(link, false) {
+	ifc := d.Interface(n.Links[0].ID)
+	if !ifc.SetPhysical(false) || ifc.SetPhysical(false) {
 		t.Error("SetPhysical change reporting wrong")
 	}
-	if !d.SetPhysical(link, true) || d.SetPhysical(link, true) {
+	if !ifc.SetPhysical(true) || ifc.SetPhysical(true) {
 		t.Error("SetPhysical restore reporting wrong")
 	}
 }

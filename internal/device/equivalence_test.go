@@ -108,7 +108,7 @@ func TestLSPPathsMatchReference(t *testing.T) {
 					adjDown[link] = !up
 				} else {
 					hot.Interface(link).SetPhysical(up)
-					cold.SetPhysical(link, up)
+					cold.Interface(link).SetPhysical(up)
 					physDown[link] = !up
 				}
 			}

@@ -6,16 +6,15 @@ import (
 	"netfail/internal/topo"
 )
 
-// FuzzDecode throws arbitrary bytes at the generic PDU decoder: it
-// must never panic, and whatever decodes must re-encode.
+// FuzzDecode throws arbitrary bytes at the decoders that face the
+// network, dispatched on PeekType as the listener does: none may
+// panic, and whatever decodes must re-encode.
 func FuzzDecode(f *testing.F) {
-	// Seed with every valid PDU type.
+	// Seed with every PDU type that has a decoder, and one that has none.
 	if wire, err := sampleLSP().Encode(); err == nil {
 		f.Add(wire)
 	}
-	if wire, err := sampleHello().Encode(); err == nil {
-		f.Add(wire)
-	}
+	f.Add(appendCommonHeader(nil, TypeP2PHello, commonHeaderLen))
 	if wire, err := (&CSNP{Source: topo.SystemIDFromIndex(1), Entries: sampleEntries(3)}).Encode(); err == nil {
 		f.Add(wire)
 	}
@@ -27,12 +26,29 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{IRPD, 27, 1, 0, 20, 1, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pdu, err := Decode(data)
+		typ, err := PeekType(data)
 		if err != nil {
 			return
 		}
+		var pdu interface {
+			DecodeFromBytes([]byte) error
+			Encode() ([]byte, error)
+		}
+		switch typ {
+		case TypeLSPL2:
+			pdu = new(LSP)
+		case TypeCSNPL2:
+			pdu = new(CSNP)
+		case TypePSNPL2:
+			pdu = new(PSNP)
+		default:
+			return
+		}
+		if err := pdu.DecodeFromBytes(data); err != nil {
+			return
+		}
 		if _, err := pdu.Encode(); err != nil {
-			t.Fatalf("decoded PDU fails to re-encode: %v", err)
+			t.Fatalf("decoded %v fails to re-encode: %v", typ, err)
 		}
 	})
 }

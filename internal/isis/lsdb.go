@@ -27,7 +27,7 @@ func NewDatabase() *Database {
 // Install stores the LSP if it is newer than the stored copy (higher
 // sequence number, or equal sequence with zero lifetime superseding a
 // live copy). It returns true if the database changed. now stamps the
-// arrival for lifetime aging.
+// arrival.
 func (db *Database) Install(lsp *LSP, now time.Time) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -89,23 +89,6 @@ func (db *Database) Entries() []LSPEntry {
 		entries[i] = LSPEntry{Lifetime: l.Lifetime, ID: l.ID, Sequence: l.Sequence, Checksum: l.Checksum}
 	}
 	return entries
-}
-
-// Expire removes LSPs whose remaining lifetime has elapsed relative
-// to now, returning the expired IDs.
-func (db *Database) Expire(now time.Time) []LSPID {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var expired []LSPID
-	for id, s := range db.lsps {
-		deadline := s.received.Add(time.Duration(s.lsp.Lifetime) * time.Second)
-		if !now.Before(deadline) {
-			delete(db.lsps, id)
-			expired = append(expired, id)
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return lessLSPID(expired[i], expired[j]) })
-	return expired
 }
 
 func lessLSPID(a, b LSPID) bool {

@@ -69,28 +69,6 @@ func TestDatabaseEntries(t *testing.T) {
 	}
 }
 
-func TestDatabaseExpire(t *testing.T) {
-	db := NewDatabase()
-	start := time.Unix(0, 0)
-	short := lspWithSeq(1, 1)
-	short.Lifetime = 10
-	long := lspWithSeq(2, 1)
-	long.Lifetime = 1200
-	db.Install(short, start)
-	db.Install(long, start)
-
-	expired := db.Expire(start.Add(11 * time.Second))
-	if len(expired) != 1 || expired[0].System != topo.SystemIDFromIndex(1) {
-		t.Errorf("expired = %v", expired)
-	}
-	if db.Len() != 1 {
-		t.Errorf("len = %d, want 1", db.Len())
-	}
-	if got := db.Get(LSPID{System: topo.SystemIDFromIndex(2)}); got == nil {
-		t.Error("long-lived LSP evicted")
-	}
-}
-
 func TestDatabaseConcurrentAccess(t *testing.T) {
 	db := NewDatabase()
 	done := make(chan struct{})

@@ -48,9 +48,6 @@ type LSP struct {
 	arena []byte
 }
 
-// Type implements PDU.
-func (l *LSP) Type() PDUType { return TypeLSPL2 }
-
 // Encode serializes the LSP into a fresh buffer; see AppendEncode.
 func (l *LSP) Encode() ([]byte, error) { return l.AppendEncode(nil) }
 

@@ -177,23 +177,6 @@ func TestLSPAdvKeys(t *testing.T) {
 	}
 }
 
-func TestLSPDecodeViaGenericDecode(t *testing.T) {
-	wire, err := sampleLSP().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdu, err := Decode(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pdu.Type() != TypeLSPL2 {
-		t.Errorf("type = %v", pdu.Type())
-	}
-	if _, ok := pdu.(*LSP); !ok {
-		t.Errorf("Decode returned %T", pdu)
-	}
-}
-
 func TestLSPDecodeFuzzNoPanic(t *testing.T) {
 	// Random garbage and truncations must return errors, not panic.
 	rng := rand.New(rand.NewSource(99))
@@ -216,7 +199,6 @@ func TestLSPDecodeFuzzNoPanic(t *testing.T) {
 		}
 		var got LSP
 		_ = got.DecodeFromBytes(buf) // must not panic
-		_, _ = Decode(buf)
 	}
 }
 

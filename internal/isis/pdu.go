@@ -57,7 +57,6 @@ func (t PDUType) String() string {
 const (
 	commonHeaderLen = 8
 	lspHeaderLen    = commonHeaderLen + 19
-	iihHeaderLen    = commonHeaderLen + 12
 	csnpHeaderLen   = commonHeaderLen + 25
 	psnpHeaderLen   = commonHeaderLen + 9
 )
@@ -96,50 +95,6 @@ func lspIDFromBytes(b []byte) LSPID {
 	id.Pseudonode = b[6]
 	id.Fragment = b[7]
 	return id
-}
-
-// PDU is implemented by every decodable IS-IS packet type.
-type PDU interface {
-	// Type returns the PDU type carried in the common header.
-	Type() PDUType
-	// Encode serializes the PDU to wire format.
-	Encode() ([]byte, error)
-}
-
-// Decode parses any supported PDU, dispatching on the common header.
-func Decode(data []byte) (PDU, error) {
-	typ, err := PeekType(data)
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case TypeLSPL2:
-		var l LSP
-		if err := l.DecodeFromBytes(data); err != nil {
-			return nil, err
-		}
-		return &l, nil
-	case TypeP2PHello:
-		var h Hello
-		if err := h.DecodeFromBytes(data); err != nil {
-			return nil, err
-		}
-		return &h, nil
-	case TypeCSNPL2:
-		var c CSNP
-		if err := c.DecodeFromBytes(data); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case TypePSNPL2:
-		var p PSNP
-		if err := p.DecodeFromBytes(data); err != nil {
-			return nil, err
-		}
-		return &p, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, typ)
-	}
 }
 
 // PeekType validates the common header and returns the PDU type

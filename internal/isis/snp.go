@@ -67,9 +67,6 @@ type CSNP struct {
 	Entries []LSPEntry
 }
 
-// Type implements PDU.
-func (c *CSNP) Type() PDUType { return TypeCSNPL2 }
-
 // Encode serializes the CSNP.
 func (c *CSNP) Encode() ([]byte, error) {
 	b := appendCommonHeader(nil, TypeCSNPL2, csnpHeaderLen)
@@ -127,9 +124,6 @@ type PSNP struct {
 	Source  topo.SystemID
 	Entries []LSPEntry
 }
-
-// Type implements PDU.
-func (p *PSNP) Type() PDUType { return TypePSNPL2 }
 
 // Encode serializes the PSNP.
 func (p *PSNP) Encode() ([]byte, error) {

@@ -69,27 +69,3 @@ func TestSNPDecodeErrors(t *testing.T) {
 		t.Errorf("PSNP short: %v", err)
 	}
 }
-
-func TestSNPViaGenericDecode(t *testing.T) {
-	cw, err := (&CSNP{Source: topo.SystemIDFromIndex(1)}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, err := (&PSNP{Source: topo.SystemIDFromIndex(1)}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pdu, err := Decode(cw); err != nil || pdu.Type() != TypeCSNPL2 {
-		t.Errorf("CSNP decode: %T %v", pdu, err)
-	}
-	if pdu, err := Decode(pw); err != nil || pdu.Type() != TypePSNPL2 {
-		t.Errorf("PSNP decode: %T %v", pdu, err)
-	}
-}
-
-func TestDecodeUnknownType(t *testing.T) {
-	wire := appendCommonHeader(nil, PDUType(31), commonHeaderLen)
-	if _, err := Decode(wire); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("err = %v, want ErrUnknownType", err)
-	}
-}

@@ -145,3 +145,23 @@ func TestSPFEqualCostDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestSPFUnionsFragments(t *testing.T) {
+	db := NewDatabase()
+	now := time.Unix(0, 0)
+	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
+	// System 1's adjacency to 2 lives in fragment 0, to 3 in
+	// fragment 1.
+	f0 := NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(2), Metric: 10}}, nil)
+	f1 := NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(3), Metric: 10}}, nil)
+	f1.ID.Fragment = 1
+	db.Install(f0, now)
+	db.Install(f1, now)
+	db.Install(NewLSP(sys(2), 1, "r2", []ISNeighbor{{System: sys(1), Metric: 10}}, nil), now)
+	db.Install(NewLSP(sys(3), 1, "r3", []ISNeighbor{{System: sys(1), Metric: 10}}, nil), now)
+
+	res := RunSPF(db, sys(1))
+	if !res.Reachable(sys(2)) || !res.Reachable(sys(3)) {
+		t.Errorf("fragmented adjacencies not unioned: %+v", res.Routes)
+	}
+}

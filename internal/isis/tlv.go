@@ -19,18 +19,15 @@ var symbols = intern.Table{Limit: 1 << 16}
 // TLVType identifies a type/length/value field inside a PDU.
 type TLVType uint8
 
-// TLV types used in this implementation (paper Table 1 plus the
-// machinery TLVs needed by hellos and SNPs).
+// TLV types used in this implementation (paper Table 1 plus the LSP
+// Entries TLV the SNPs carry).
 const (
 	TLVAreaAddresses  TLVType = 1
 	TLVLSPEntries     TLVType = 9
 	TLVExtISReach     TLVType = 22
-	TLVProtocols      TLVType = 129
 	TLVIPIfaceAddr    TLVType = 132
 	TLVExtIPReach     TLVType = 135
 	TLVHostname       TLVType = 137
-	TLVP2PAdjState    TLVType = 240
-	TLVPadding        TLVType = 8
 	maxTLVValueLength         = 255
 )
 

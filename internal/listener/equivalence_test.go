@@ -227,7 +227,7 @@ func (g *streamGen) next(t *testing.T) []byte {
 		}
 		return encode(t, purge)
 	case roll < 27:
-		return encode(t, &isis.Hello{CircuitType: 2, Source: g.routers[0].SystemID, HoldingTime: 30})
+		return helloHeader
 	case roll < 30:
 		return encode(t, &isis.CSNP{Source: g.routers[0].SystemID})
 	case roll < 34: // a stranger

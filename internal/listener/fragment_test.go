@@ -2,6 +2,7 @@ package listener
 
 import (
 	"testing"
+	"time"
 
 	"netfail/internal/isis"
 	"netfail/internal/trace"
@@ -15,22 +16,39 @@ import (
 func TestFragmentedLSPsUnioned(t *testing.T) {
 	tb := newTestbed(t, false)
 
-	// Build core-a's full LSP, split into tiny fragments, and
-	// deliver everything as the baseline.
+	// core-a's content over three fragments: the core-b adjacency in
+	// fragment 0, the cpe-1 adjacency in 1, every prefix in 2.
 	full := tb.devices["core-a"].OriginateLSP()
-	frags := isis.SplitLSP(full, 91)
-	if len(frags) < 2 {
-		t.Fatalf("need multiple fragments, got %d", len(frags))
+	if len(full.Neighbors) != 2 {
+		t.Fatalf("core-a advertises %d neighbors, want 2", len(full.Neighbors))
 	}
-	for _, f := range frags {
+	fragments := func(seq uint32, toCoreB []isis.ISNeighbor) []*isis.LSP {
+		frags := []*isis.LSP{
+			isis.NewLSP(full.ID.System, seq, full.Hostname, toCoreB, nil),
+			isis.NewLSP(full.ID.System, seq, full.Hostname, full.Neighbors[1:], nil),
+			isis.NewLSP(full.ID.System, seq, full.Hostname, nil, full.Prefixes),
+		}
+		for i, f := range frags {
+			f.ID.Fragment = uint8(i)
+		}
+		return frags
+	}
+	deliver := func(f *isis.LSP, after time.Duration) {
+		t.Helper()
 		wire, err := f.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.now = tb.now.Add(100 * 1e6) // 100 ms
+		tb.now = tb.now.Add(after)
 		if err := tb.l.Process(tb.now, wire); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// Deliver everything as the baseline.
+	frags := fragments(full.Sequence, full.Neighbors[:1])
+	for _, f := range frags {
+		deliver(f, 100*time.Millisecond)
 	}
 	tb.flood(t, "core-b")
 	tb.flood(t, "cpe-1")
@@ -41,33 +59,17 @@ func TestFragmentedLSPsUnioned(t *testing.T) {
 	// Refresh one fragment with identical content: nothing happens.
 	refresh := *frags[0]
 	refresh.Sequence++
-	wire, err := refresh.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.l.Process(tb.now.Add(1e9), wire); err != nil {
-		t.Fatal(err)
-	}
+	deliver(&refresh, time.Second)
 	if got := len(tb.l.Results().ISTransitions); got != 0 {
 		t.Fatalf("no-op fragment refresh produced %d transitions", got)
 	}
 
-	// Withdraw the core-b adjacency from whichever fragment carries
-	// it: a Down must surface on exactly that link.
+	// Withdraw the core-b adjacency from the fragment that carries it
+	// and re-issue the others unchanged: a Down must surface on exactly
+	// that link.
 	linkAB := tb.net.Links[0].ID
-	tb.devices["core-a"].SetAdjacency(linkAB, false)
-	full2 := tb.devices["core-a"].OriginateLSP()
-	full2.Sequence = refresh.Sequence + 1
-	for _, f := range isis.SplitLSP(full2, 91) {
-		f.Sequence = full2.Sequence
-		w, err := f.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb.now = tb.now.Add(2e9)
-		if err := tb.l.Process(tb.now, w); err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range fragments(refresh.Sequence+1, nil) {
+		deliver(f, 2*time.Second)
 	}
 	res := tb.l.Results()
 	downs := 0

@@ -17,8 +17,8 @@ import (
 // pinnedCase is one simulator configuration whose capture bytes are
 // pinned. ram is the SHA-256 of syslog.WriteLog followed by WriteLSPLog
 // over Run's campaign; spill is the SHA-256 of every shard's four
-// segment files, in shard order, under RunToCapture (fabric == 0) or
-// RunShardedToCapture.
+// segment files, in shard order, under RunShardedToCapture with that
+// many pods.
 type pinnedCase struct {
 	name   string
 	cfg    func() Config
@@ -131,13 +131,7 @@ func TestSimulatorCapturesPinned(t *testing.T) {
 				}
 			}
 			dir := filepath.Join(t.TempDir(), "capture")
-			var err error
-			if pc.fabric == 0 {
-				_, err = RunToCapture(ctx, pc.cfg(), dir)
-			} else {
-				_, err = RunShardedToCapture(ctx, pc.cfg(), topo.DefaultFabricSpec(pc.fabric), dir, 2)
-			}
-			if err != nil {
+			if _, err := RunShardedToCapture(ctx, pc.cfg(), topo.DefaultFabricSpec(pc.fabric), dir, 2); err != nil {
 				t.Fatal(err)
 			}
 			if got := digestSpill(t, dir); got != pc.spill {

@@ -149,7 +149,7 @@ func newMemorySink(camp *Campaign) (eventSink, error) {
 	return &memorySink{camp: camp}, nil
 }
 
-// run is the campaign engine behind Run and the spill variants: the
+// run is the campaign engine behind Run and RunShardedToCapture: the
 // sink is the only degree of freedom, so every capture target replays
 // the identical RNG streams and event schedule. net overrides
 // topology generation when non-nil (the sharded runner pre-generates

@@ -15,59 +15,28 @@ import (
 // backbone — always shard 0 of a sharded capture.
 const BackboneDomain = "backbone"
 
-// RunToCapture executes a campaign exactly as Run does — identical
-// RNG streams, identical event schedule — but streams the captures to
-// a single-shard capture directory instead of accumulating them in
-// RAM. The returned Campaign carries everything except the Syslog and
-// LSPLog slices, which live on disk; peak residency is the spill
-// sink's reorder horizon, not the campaign's event volume.
-func RunToCapture(ctx context.Context, cfg Config, dir string) (*Campaign, error) {
-	w, err := capture.NewWriter(dir)
-	if err != nil {
-		return nil, err
-	}
-	var sw *capture.ShardWriter
-	camp, err := run(ctx, cfg, nil, func(camp *Campaign) (eventSink, error) {
-		var serr error
-		sw, serr = w.Shard(BackboneDomain, len(camp.Network.RouterNames), len(camp.Network.Links))
-		if serr != nil {
-			return nil, serr
-		}
-		return &spillSink{sw: sw}, nil
-	}, false)
-	if err != nil {
-		if sw != nil {
-			sw.Close()
-		}
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		return nil, err
-	}
-	if err := w.Finish(); err != nil {
-		return nil, err
-	}
-	return camp, nil
-}
-
 // domainSeedStride separates per-domain seeds so domains draw
 // independent workloads from one campaign seed. Domain 0 (the
-// backbone) keeps the campaign seed itself, so its shard is
-// byte-identical to a RunToCapture of the same config.
+// backbone) keeps the campaign seed itself, so its shard holds the
+// records Run of the same config accumulates in RAM.
 const domainSeedStride = 1_000_003
 
-// RunShardedToCapture executes a multi-domain campaign: the backbone
-// from cfg.Spec as domain 0 plus fabric.Domains spine/leaf pods, each
-// simulated independently (domains are link-disjoint IS-IS areas) and
-// captured to its own shard. Per-domain simulations fan out over
+// RunShardedToCapture executes a campaign that streams its captures to
+// a capture directory instead of accumulating them in RAM: the backbone
+// from cfg.Spec as domain 0 plus fabric.Domains spine/leaf pods (none
+// for a zero FabricSpec), each simulated independently (domains are
+// link-disjoint IS-IS areas) and captured to its own shard; peak
+// residency is the spill sinks' reorder horizon, not the campaign's
+// event volume. Per-domain simulations fan out over
 // workers goroutines; shards are opened in domain order before the
 // fan-out, so the manifest order — and therefore everything the
 // analysis derives from it — never depends on which domain finishes
 // first.
 //
-// The returned Campaign describes the combined network: the merged
+// The returned Campaign describes the combined network — the merged
 // topology, one config archive over the union, ground truth and
-// counts aggregated in domain order.
+// counts aggregated in domain order — and carries no Syslog or LSPLog
+// slice: those live on disk.
 func RunShardedToCapture(ctx context.Context, cfg Config, fabric topo.FabricSpec, dir string, workers int) (*Campaign, error) {
 	cfg.fillDefaults()
 	if !cfg.Start.Before(cfg.End) {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,6 +280,52 @@ func TestSourceGoesDownAfterRestartBudget(t *testing.T) {
 	sup.HealthzHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/health", nil))
 	if rr.Code != 503 || !strings.Contains(rr.Body.String(), "cut down") {
 		t.Errorf("healthz = %d %q, want 503 with per-source state", rr.Code, rr.Body.String())
+	}
+}
+
+// countedBrokenSource is brokenSource that counts its Runs.
+type countedBrokenSource struct {
+	brokenSource
+	runs atomic.Int32
+}
+
+func (s *countedBrokenSource) Run(ctx context.Context, emit func(Record) error) error {
+	s.runs.Add(1)
+	return s.brokenSource.Run(ctx, emit)
+}
+
+// TestCancelEndsRestartBackoff: cancellation must end the wait between
+// two restarts of a failing source, and must not buy the source one
+// more Run on the way out.
+func TestCancelEndsRestartBackoff(t *testing.T) {
+	src := &countedBrokenSource{brokenSource: brokenSource{name: "cut"}}
+	sup, _, err := New(Config{
+		Dir:     t.TempDir(),
+		Restart: backoff.Policy{Base: time.Hour},
+	}, newCaptureHandler(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- sup.Run(ctx) }()
+	for deadline := time.Now().Add(5 * time.Second); src.runs.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("source never ran")
+		}
+	}
+	cancel()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Run still waiting out the restart backoff 5s after cancel (%d source runs)", src.runs.Load())
+	}
+	if got := src.runs.Load(); got != 1 {
+		t.Errorf("source ran %d times, want 1: cancelled supervisor restarted it", got)
 	}
 }
 

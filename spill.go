@@ -26,13 +26,12 @@ func DefaultFabricSpec(domains int) FabricSpec { return topo.DefaultFabricSpec(d
 //	  manifest.json, configs/, tickets.json, customers.json
 //	                      as WriteCampaignMeta writes them
 //
-// With fabric.Domains == 0 the campaign is the single CENIC-scale
-// backbone from cfg, captured as one shard — event for event the same
-// campaign Simulate produces, just streamed to disk. With
-// fabric.Domains > 0 the backbone is joined by that many spine/leaf
-// pod domains, each simulated independently (they are link-disjoint
-// IS-IS areas) and captured to its own shard; per-domain simulations
-// fan out over the WithParallelism worker pool.
+// The CENIC-scale backbone from cfg is shard 0 — event for event the
+// campaign Simulate produces, just streamed to disk — joined by
+// fabric.Domains spine/leaf pod domains (none for a zero FabricSpec),
+// each simulated independently (they are link-disjoint IS-IS areas)
+// and captured to its own shard; per-domain simulations fan out over
+// the WithParallelism worker pool.
 //
 // The returned Campaign carries everything except the Syslog and
 // LSPLog slices, which live on disk; AnalyzeCaptureDir streams them
@@ -40,13 +39,7 @@ func DefaultFabricSpec(domains int) FabricSpec { return topo.DefaultFabricSpec(d
 // campaign's event volume.
 func SimulateToCapture(ctx context.Context, cfg SimulationConfig, fabric FabricSpec, dir string, opts ...Option) (*Campaign, error) {
 	ctx, o := resolve(ctx, opts)
-	var camp *Campaign
-	var err error
-	if fabric.Domains > 0 {
-		camp, err = netsim.RunShardedToCapture(ctx, cfg, fabric, filepath.Join(dir, CaptureDirName), o.ao.Parallelism)
-	} else {
-		camp, err = netsim.RunToCapture(ctx, cfg, filepath.Join(dir, CaptureDirName))
-	}
+	camp, err := netsim.RunShardedToCapture(ctx, cfg, fabric, filepath.Join(dir, CaptureDirName), o.ao.Parallelism)
 	if err != nil {
 		return nil, err
 	}
