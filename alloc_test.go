@@ -2,6 +2,7 @@ package netfail
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -103,14 +104,31 @@ func TestWindowSweepAllocBudget(t *testing.T) {
 }
 
 // TestStoreWindowQueryWarmAllocBudget: a warm one-day/one-link store
-// query, failures plus transitions: two segment opens plus result
-// slices. Skipped under -short like the other tests that spill a
-// campaign to disk.
+// query on a window that holds records, failures plus transitions (26
+// allocations, 43,936 bytes measured): two segment opens, two reader
+// windows sized to one index stride each, the result slices. The byte
+// ceiling is the pin on the read path's proportionality — a reader
+// that takes its 256 KB bulk window per seek is 528,697 bytes here.
+// Skipped under -short like the other tests that spill a campaign to
+// disk.
 func TestStoreWindowQueryWarmAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spills and analyzes a month-long campaign")
 	}
-	pinAllocs(t, "a warm one-day, one-link failures+transitions query", 20, benchStoreWindowQuery(t))
+	op := benchStoreWindowQuery(t)
+	pinAllocs(t, "a warm one-day, one-link failures+transitions query", 30, op)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Errorf("a warm one-day, one-link failures+transitions query allocates %d bytes, ceiling is %d", per, 64<<10)
+	}
 }
 
 // TestSimulateAllocsPerEvent: BenchmarkSimulateMonth's campaign, in

@@ -264,7 +264,7 @@ func captureShards(d *Driver, dir string) ([]shard, error) {
 // the first bad frame aborts in strict, is resynced past and accounted
 // in lenient.
 func (d *Driver) segment(dir, name string, push func(n int, tsMs int64, rec []byte) error) error {
-	sr, err := capture.OpenSegmentAt(filepath.Join(dir, name), capture.IndexEntry{}, d.lenient)
+	sr, err := capture.OpenSegmentAt(filepath.Join(dir, name), capture.IndexEntry{}, 0, d.lenient)
 	if err != nil {
 		return err
 	}

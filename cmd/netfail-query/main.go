@@ -16,15 +16,16 @@
 //	netfail-query -store ./store info
 //	netfail-query -store ./store serve -debug-addr 127.0.0.1:8080
 //
-// Every verb accepts -json for machine-readable output (the same wire
-// shapes the /api/v1 HTTP surface serves); serve mounts that surface
-// over HTTP. -lenient opens the store in salvage mode, printing what
-// was skipped to stderr and exiting 3 if anything was — the same
-// convention as netfail-analyze.
+// Every verb accepts -json for machine-readable output (the bodies the
+// /api/v1 HTTP surface serves, compact: pipe through `jq .` to read
+// one); serve mounts that surface over HTTP. -lenient opens the store
+// in salvage mode, printing what was skipped to stderr and exiting 3
+// if anything was — the same convention as netfail-analyze.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -203,7 +204,7 @@ func runLinks(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, 
 		return err
 	}
 	if jsonOut {
-		return printJSON(out, api.LinksBody(links))
+		return printBody(out, api.AppendLinks(nil, links))
 	}
 	for _, l := range links {
 		fmt.Fprintf(out, "%-8s %s\n", l.Class, l.ID)
@@ -222,7 +223,7 @@ func runFailures(ctx context.Context, out io.Writer, s *store.Store, jsonOut boo
 		return err
 	}
 	if jsonOut {
-		return printJSON(out, api.FailuresBody(recs))
+		return printBody(out, api.AppendFailures(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintf(out, "%-7s %s  %s  (%s)  %s\n", r.Source,
@@ -243,7 +244,7 @@ func runTransitions(ctx context.Context, out io.Writer, s *store.Store, jsonOut 
 		return err
 	}
 	if jsonOut {
-		return printJSON(out, api.TransitionsBody(recs))
+		return printBody(out, api.AppendTransitions(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintf(out, "%s  %-17s %-4s %-10s %-12s %s\n", r.Time.Format(time.RFC3339),
@@ -263,7 +264,7 @@ func runMessages(ctx context.Context, out io.Writer, s *store.Store, jsonOut boo
 		return err
 	}
 	if jsonOut {
-		return printJSON(out, api.MessagesBody(recs))
+		return printBody(out, api.AppendMessages(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintln(out, r.Line)
@@ -286,7 +287,7 @@ func runFlaps(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, 
 		return err
 	}
 	if jsonOut {
-		return printJSON(out, api.EpisodesBody(src, eps))
+		return printBody(out, api.AppendEpisodes(nil, src, eps))
 	}
 	flaps := 0
 	for _, e := range eps {
@@ -385,6 +386,14 @@ func runServe(ctx context.Context, out io.Writer, s *store.Store, args []string)
 	}
 }
 
+// printJSON prints v as the HTTP surface would: compact, one line
+// (pipe through `jq .` to read it).
 func printJSON(out io.Writer, v any) error {
-	return jsonEncoder(out).Encode(v)
+	return json.NewEncoder(out).Encode(v)
+}
+
+// printBody prints a list resource's API body.
+func printBody(out io.Writer, body []byte) error {
+	_, err := out.Write(body)
+	return err
 }

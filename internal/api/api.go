@@ -18,6 +18,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"netfail/internal/obs"
 	"netfail/internal/store"
@@ -156,14 +157,24 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, body)
 }
 
+// writeJSON answers with v's compact encoding. The body is complete
+// before the header goes out, so a value that does not encode is the
+// 500 envelope and never a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return // client went away; headers are already out
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode_error", err.Error())
+		return
 	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends a finished body in one Write behind its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is a client that went away
 }
 
 // queryError maps a store query failure onto the envelope: a canceled
@@ -275,106 +286,150 @@ func ParseQuery(get func(name string) string) ([]store.Option, error) {
 	return opts, nil
 }
 
-// Wire shapes. Enumerations travel as their string names, never their
-// storage ordinals — the JSON surface is versioned, the binary format
-// is not part of it.
+// The list bodies, one append-style encoder per resource: what the
+// endpoint serves and what netfail-query -json prints. Each appends
+// {"count":n,"<resource>":[...]} and a newline — compact, count first,
+// byte for byte what encoding/json makes of the same records (the
+// equivalence test holds them to it), without a wire copy of the
+// slice or reflection over it; pipe through `jq .` to read one.
+// Enumerations travel as their string names, never their storage
+// ordinals — the JSON surface is versioned, the binary format is not
+// part of it.
 
-type linkJSON struct {
-	ID    string `json:"id"`
-	Class string `json:"class"`
-}
-
-type failureJSON struct {
-	Source string    `json:"source"`
-	Link   string    `json:"link"`
-	Start  time.Time `json:"start"`
-	End    time.Time `json:"end"`
-}
-
-type transitionJSON struct {
-	Stream   string    `json:"stream"`
-	Time     time.Time `json:"time"`
-	Link     string    `json:"link"`
-	Dir      string    `json:"dir"`
-	Kind     string    `json:"kind"`
-	Reporter string    `json:"reporter"`
-}
-
-type messageJSON struct {
-	Time time.Time `json:"time"`
-	Host string    `json:"host"`
-	Line string    `json:"line"`
-}
-
-type episodeJSON struct {
-	Link     string        `json:"link"`
-	Start    time.Time     `json:"start"`
-	End      time.Time     `json:"end"`
-	Flap     bool          `json:"flap"`
-	Failures []failureJSON `json:"failures"`
-}
-
-// listBody is a list endpoint's response, {"<resource>": [...],
-// "count": n}, each record in its wire shape.
-func listBody[R, J any](resource string, recs []R, wire func(R) J) any {
-	out := make([]J, len(recs))
+// appendList frames a list body around one's encoding of each record's
+// members.
+func appendList[R any](dst []byte, resource string, recs []R, one func([]byte, R) []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"count":`...), int64(len(recs)), 10)
+	dst = append(append(append(dst, `,"`...), resource...), `":[`...)
 	for i, r := range recs {
-		out[i] = wire(r)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(one(append(dst, '{'), r), '}')
 	}
-	return map[string]any{resource: out, "count": len(out)}
+	return append(dst, "]}\n"...)
 }
 
-func wireFailure(src store.Source, f trace.Failure) failureJSON {
-	return failureJSON{Source: src.String(), Link: string(f.Link), Start: f.Start, End: f.End}
+// appendKey appends a member's name, after a comma unless the member
+// opens its object.
+func appendKey(dst []byte, key string) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return append(append(append(dst, '"'), key...), `":`...)
 }
 
-// The response bodies, one builder per resource: what the endpoint
-// serves and what netfail-query -json prints.
-
-// LinksBody is the /api/v1/links body.
-func LinksBody(links []store.LinkEntry) any {
-	return listBody("links", links, func(l store.LinkEntry) linkJSON {
-		return linkJSON{ID: string(l.ID), Class: l.Class.String()}
-	})
+// appendTime appends a time member as encoding/json does: RFC 3339,
+// sub-second digits when there are any. Stored times are UnixNano and
+// UnixMilli values, inside the years 0-9999 that format needs.
+func appendTime(dst []byte, key string, t time.Time) []byte {
+	return append(t.AppendFormat(append(appendKey(dst, key), '"'), time.RFC3339Nano), '"')
 }
 
-// FailuresBody is the /api/v1/failures body.
-func FailuresBody(recs []store.FailureRecord) any {
-	return listBody("failures", recs, func(r store.FailureRecord) failureJSON {
-		return wireFailure(r.Source, r.Failure())
-	})
-}
+const hexDigits = "0123456789abcdef"
 
-// TransitionsBody is the /api/v1/transitions body.
-func TransitionsBody(recs []store.TransitionRecord) any {
-	return listBody("transitions", recs, func(r store.TransitionRecord) transitionJSON {
-		return transitionJSON{
-			Stream: r.Stream.String(), Time: r.Time, Link: string(r.Link),
-			Dir: r.Dir.String(), Kind: r.Kind.String(), Reporter: r.Reporter,
+// plain marks the ASCII bytes a JSON string carries as they are:
+// everything printable but the quote, the backslash and the three
+// encoding/json escapes for HTML's sake.
+var plain = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendString appends a string member with encoding/json's escaping,
+// the HTML-safe one its Encoder defaults to: a syslog line is whatever
+// bytes a router sent.
+func appendString(dst []byte, key, s string) []byte {
+	dst = append(appendKey(dst, key), '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf && plain[b] {
+			i++
+			continue
 		}
-	})
-}
-
-// MessagesBody is the /api/v1/messages body.
-func MessagesBody(recs []store.MessageRecord) any {
-	return listBody("messages", recs, func(r store.MessageRecord) messageJSON {
-		return messageJSON{Time: r.Time, Host: r.Host, Line: r.Line}
-	})
-}
-
-// EpisodesBody is the /api/v1/flaps body for source src.
-func EpisodesBody(src store.Source, eps []trace.Episode) any {
-	return listBody("episodes", eps, func(e trace.Episode) episodeJSON {
-		out := episodeJSON{
-			Link:  string(e.Link),
-			Start: e.Start(), End: e.End(),
-			Flap:     e.IsFlap(),
-			Failures: make([]failureJSON, len(e.Failures)),
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if invalid := c == utf8.RuneError && size == 1; c >= utf8.RuneSelf && c != '\u2028' && c != '\u2029' && !invalid {
+			i += size
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', byte(c))
+		case '\b':
+			dst = append(dst, `\b`...)
+		case '\f':
+			dst = append(dst, `\f`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		case '\r':
+			dst = append(dst, `\r`...)
+		case '\t':
+			dst = append(dst, `\t`...)
+		default: // a control byte, an HTML-significant one, U+2028/9, or U+FFFD for invalid UTF-8
+			dst = append(dst, '\\', 'u', hexDigits[c>>12], hexDigits[c>>8&0xF], hexDigits[c>>4&0xF], hexDigits[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+func appendFailure(dst []byte, src store.Source, f trace.Failure) []byte {
+	dst = appendString(dst, "source", src.String())
+	dst = appendString(dst, "link", string(f.Link))
+	return appendTime(appendTime(dst, "start", f.Start), "end", f.End)
+}
+
+// AppendLinks appends the /api/v1/links body.
+func AppendLinks(dst []byte, links []store.LinkEntry) []byte {
+	return appendList(dst, "links", links, func(dst []byte, l store.LinkEntry) []byte {
+		return appendString(appendString(dst, "id", string(l.ID)), "class", l.Class.String())
+	})
+}
+
+// AppendFailures appends the /api/v1/failures body.
+func AppendFailures(dst []byte, recs []store.FailureRecord) []byte {
+	return appendList(dst, "failures", recs, func(dst []byte, r store.FailureRecord) []byte {
+		return appendFailure(dst, r.Source, r.Failure())
+	})
+}
+
+// AppendTransitions appends the /api/v1/transitions body.
+func AppendTransitions(dst []byte, recs []store.TransitionRecord) []byte {
+	return appendList(dst, "transitions", recs, func(dst []byte, r store.TransitionRecord) []byte {
+		dst = appendString(dst, "stream", r.Stream.String())
+		dst = appendTime(dst, "time", r.Time)
+		dst = appendString(dst, "link", string(r.Link))
+		dst = appendString(dst, "dir", r.Dir.String())
+		dst = appendString(dst, "kind", r.Kind.String())
+		return appendString(dst, "reporter", r.Reporter)
+	})
+}
+
+// AppendMessages appends the /api/v1/messages body.
+func AppendMessages(dst []byte, recs []store.MessageRecord) []byte {
+	return appendList(dst, "messages", recs, func(dst []byte, r store.MessageRecord) []byte {
+		return appendString(appendString(appendTime(dst, "time", r.Time), "host", r.Host), "line", r.Line)
+	})
+}
+
+// AppendEpisodes appends the /api/v1/flaps body for source src.
+func AppendEpisodes(dst []byte, src store.Source, eps []trace.Episode) []byte {
+	return appendList(dst, "episodes", eps, func(dst []byte, e trace.Episode) []byte {
+		dst = appendString(dst, "link", string(e.Link))
+		dst = appendTime(appendTime(dst, "start", e.Start()), "end", e.End())
+		dst = strconv.AppendBool(appendKey(dst, "flap"), e.IsFlap())
+		dst = append(appendKey(dst, "failures"), '[')
 		for i, f := range e.Failures {
-			out.Failures[i] = wireFailure(src, f)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(appendFailure(append(dst, '{'), src, f), '}')
 		}
-		return out
+		return append(dst, ']')
 	})
 }
 
@@ -384,13 +439,13 @@ func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
 		queryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, LinksBody(links))
+	writeBody(w, http.StatusOK, AppendLinks(nil, links))
 }
 
 // serveList answers a filtered list endpoint: the URL parameters
 // through ParseQuery, the store query, the resource's body.
 func serveList[R any](w http.ResponseWriter, r *http.Request,
-	query func(context.Context, ...store.Option) ([]R, error), body func([]R) any) {
+	query func(context.Context, ...store.Option) ([]R, error), body func([]byte, []R) []byte) {
 	opts, err := ParseQuery(r.URL.Query().Get)
 	if err != nil {
 		badParam(w, err)
@@ -401,19 +456,19 @@ func serveList[R any](w http.ResponseWriter, r *http.Request,
 		queryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, body(recs))
+	writeBody(w, http.StatusOK, body(nil, recs))
 }
 
 func handleFailures(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Failures, FailuresBody)
+	serveList(w, r, s.Failures, AppendFailures)
 }
 
 func handleTransitions(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Transitions, TransitionsBody)
+	serveList(w, r, s.Transitions, AppendTransitions)
 }
 
 func handleMessages(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Messages, MessagesBody)
+	serveList(w, r, s.Messages, AppendMessages)
 }
 
 func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
@@ -429,7 +484,7 @@ func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	serveList(w, r, func(ctx context.Context, opts ...store.Option) ([]trace.Episode, error) {
 		return s.Flaps(ctx, src, opts...)
-	}, func(eps []trace.Episode) any { return EpisodesBody(src, eps) })
+	}, func(dst []byte, eps []trace.Episode) []byte { return AppendEpisodes(dst, src, eps) })
 }
 
 func handleTable(s *store.Store, w http.ResponseWriter, r *http.Request) {

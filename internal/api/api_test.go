@@ -289,6 +289,28 @@ func TestAPIQueryEndpoints(t *testing.T) {
 		}
 	})
 
+	t.Run("every JSON answer carries its length", func(t *testing.T) {
+		for _, path := range []string{
+			"/api/v1/links", "/api/v1/failures", "/api/v1/transitions", "/api/v1/messages",
+			"/api/v1/flaps?source=isis", "/api/v1/tables/4", "/api/v1/store", "/api/v1/failures?limit=x",
+		} {
+			resp, err := srv.Client().Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A body sent without a length arrives chunked: ContentLength -1.
+			if resp.ContentLength != int64(len(body)) || !json.Valid(body) {
+				t.Errorf("%s: Content-Length %d on a %d-byte body (valid JSON: %v)",
+					path, resp.ContentLength, len(body), json.Valid(body))
+			}
+		}
+	})
+
 	t.Run("method not allowed", func(t *testing.T) {
 		resp, err := srv.Client().Post(srv.URL+"/api/v1/failures", "application/json", strings.NewReader("{}"))
 		if err != nil {

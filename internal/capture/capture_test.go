@@ -160,7 +160,7 @@ func TestSparseIndexSeek(t *testing.T) {
 	if e.Record != 2*indexEvery {
 		t.Fatalf("Locate landed on record %d, want %d", e.Record, 2*indexEvery)
 	}
-	sr, err := OpenSegmentAt(seg, e, false)
+	sr, err := OpenSegmentAt(seg, e, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // accounts every skip in its salvage report (see internal/frame).
 type SegmentReader struct {
 	fr *frame.Reader
-	c  io.Closer
+	f  *os.File // nil when the reader does not own a file
 }
 
 // newSegmentReader wraps r, positioned at the segment magic, as a
@@ -37,41 +37,49 @@ func newSegmentReader(r io.Reader, name string, lenient bool) (*SegmentReader, e
 }
 
 // OpenSegment opens path as a strict frame stream from its first
-// record: OpenSegmentAt(path, IndexEntry{}, false).
+// record: OpenSegmentAt(path, IndexEntry{}, 0, false).
 func OpenSegment(path string) (*SegmentReader, error) {
-	return OpenSegmentAt(path, IndexEntry{}, false)
+	return OpenSegmentAt(path, IndexEntry{}, 0, false)
 }
 
-// OpenSegmentAt opens path at a frame boundary taken from the
-// segment's sparse index and reads from that record to the end; the
-// zero IndexEntry is the start of the segment, behind its verified
-// magic. Lenient, an entry pointing into a damaged region simply
-// resynchronizes on the next intact frame.
-func OpenSegmentAt(path string, e IndexEntry, lenient bool) (*SegmentReader, error) {
+// OpenSegmentAt opens path and positions the reader with
+// Seek(e, span).
+func OpenSegmentAt(path string, e IndexEntry, span int64, lenient bool) (*SegmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	var sr *SegmentReader
-	switch {
-	case e == IndexEntry{}:
-		sr, err = newSegmentReader(f, path, lenient)
-	case e.Offset < int64(len(segHeader)):
-		err = fmt.Errorf("capture: %s: seek offset %d inside header", path, e.Offset)
-	default:
-		if _, err = f.Seek(e.Offset, io.SeekStart); err != nil {
-			err = fmt.Errorf("capture: %s: %w", path, err)
-			break
-		}
-		sr = &SegmentReader{fr: frame.NewReader(f, path, tsLen, lenient, nil)}
-		sr.fr.StartAt(e.Offset, e.Record)
-	}
-	if err != nil {
+	sr := &SegmentReader{fr: frame.NewReader(f, path, tsLen, lenient, nil), f: f}
+	if err := sr.Seek(e, span); err != nil {
 		f.Close()
 		return nil, err
 	}
-	sr.c = f
 	return sr, nil
+}
+
+// Seek repositions a file-backed reader at a frame boundary taken
+// from the segment's sparse index and reads from that record on; the
+// zero IndexEntry is the start of the segment, behind its verified
+// magic. Lenient, an entry pointing into a damaged region simply
+// resynchronizes on the next intact frame. span is the distance to the
+// next index entry when the caller will not read past it — a point
+// fetch then reads those bytes, through one window reused across
+// seeks — and zero for a bulk read, which keeps the default window.
+func (sr *SegmentReader) Seek(e IndexEntry, span int64) error {
+	fromStart := e == IndexEntry{}
+	if !fromStart && e.Offset < int64(len(segHeader)) {
+		return fmt.Errorf("capture: %s: seek offset %d inside header", sr.f.Name(), e.Offset)
+	}
+	if _, err := sr.f.Seek(e.Offset, io.SeekStart); err != nil {
+		return fmt.Errorf("capture: %s: %w", sr.f.Name(), err)
+	}
+	sr.fr.StartAt(e.Offset, e.Record, int(span))
+	if fromStart {
+		if err := sr.fr.Header(segHeader); err != nil {
+			return fmt.Errorf("capture: %w", err)
+		}
+	}
+	return nil
 }
 
 // Report returns the reader's salvage accounting: records kept, and
@@ -80,10 +88,10 @@ func (sr *SegmentReader) Report() *salvage.Report { return sr.fr.Report() }
 
 // Close closes the underlying file when the reader owns one.
 func (sr *SegmentReader) Close() error {
-	if sr.c == nil {
+	if sr.f == nil {
 		return nil
 	}
-	return sr.c.Close()
+	return sr.f.Close()
 }
 
 // Next returns the next record. At the end of the segment it returns

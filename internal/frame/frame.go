@@ -122,10 +122,23 @@ func (r *Reader) Header(magic string) error {
 	return nil
 }
 
-// StartAt is for a source the caller has already positioned past the
-// header, at a frame boundary taken from an index: offset is that
-// frame's absolute file offset and record how many precede it.
-func (r *Reader) StartAt(offset, record int64) { r.off, r.records = offset, record }
+// StartAt is for a source the caller has positioned past the header,
+// at a frame boundary taken from an index: offset is that frame's
+// absolute file offset and record how many precede it. Anything still
+// buffered is dropped, so a caller may re-seek its source and call this
+// again. A positive span — the distance to the next index entry, all
+// the bytes a fetch inside that stride can need — sizes the window,
+// which is reused across calls; zero keeps the window the reader has.
+func (r *Reader) StartAt(offset, record int64, span int) {
+	r.off, r.records, r.skipped = offset, record, 0
+	r.lo, r.hi, r.err, r.stalls = 0, 0, nil, 0
+	if span > 0 {
+		if span > cap(r.buf) {
+			r.buf = make([]byte, span)
+		}
+		r.buf = r.buf[:span]
+	}
+}
 
 // Report returns the salvage accounting so far: frames kept, damaged
 // regions skipped.

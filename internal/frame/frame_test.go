@@ -226,7 +226,7 @@ func TestStartAt(t *testing.T) {
 	data, offs := stream("NFSEG1\n", 20, 50)
 	data[offs[15]+Overhead+3] ^= 1
 	r := NewReader(bytes.NewReader(data[offs[12]:]), "seg", 8, false, nil)
-	r.StartAt(int64(offs[12]), 12)
+	r.StartAt(int64(offs[12]), 12, 0)
 	var err error
 	for err == nil {
 		_, err = r.Next()
@@ -234,6 +234,57 @@ func TestStartAt(t *testing.T) {
 	want := fmt.Sprintf("seg: record 16 at offset %d: crc mismatch", offs[15])
 	if err.Error() != want {
 		t.Errorf("error %q, want %q", err, want)
+	}
+}
+
+// TestStartAtAgain pins the re-seek form a postings fetch uses: after
+// the source is repositioned, StartAt drops what was buffered and the
+// sticky end of file, keeps one window across calls, and sizes it to
+// the span it is given — reading past the span still works, a window
+// at a time.
+func TestStartAtAgain(t *testing.T) {
+	data, offs := stream("NFSEG1\n", 40, 50)
+	src := bytes.NewReader(data)
+	r := NewReader(src, "seg", 8, false, nil)
+	seek := func(rec, span int) {
+		t.Helper()
+		if _, err := src.Seek(int64(offs[rec]), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		r.StartAt(int64(offs[rec]), int64(rec), span)
+	}
+	next := func(want int) {
+		t.Helper()
+		p, err := r.Next()
+		if err != nil || len(p) != 50 || p[0] != byte(want) {
+			t.Fatalf("Next: record %v, %v; want record %d", p[:min(len(p), 1)], err, want)
+		}
+	}
+	stride := offs[1] - offs[0]
+
+	seek(30, 4*stride)
+	for i := 30; i < 40; i++ { // past the span, to the end
+		next(i)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("after the last record: %v, want io.EOF", err)
+	}
+	window := &r.buf[0]
+	seek(10, 2*stride) // backwards, after EOF, into a smaller span
+	next(10)
+	if len(r.buf) != 2*stride || &r.buf[0] != window {
+		t.Errorf("window is %d bytes (reused: %v), want the %d-byte span in the buffer it had",
+			len(r.buf), &r.buf[0] == window, 2*stride)
+	}
+	next(11)
+	next(12) // the third record of a two-record window: refilled
+	seek(20, 0)
+	next(20)
+	if len(r.buf) != 2*stride {
+		t.Errorf("span 0 changed the window to %d bytes", len(r.buf))
+	}
+	if rep := r.Report(); rep.Kept != 14 || rep.Skipped != 0 {
+		t.Errorf("report %s, want 14 kept across the seeks", rep)
 	}
 }
 

@@ -9,7 +9,9 @@
 // `A5 5A|len|crc` framing as the capture shards and the checkpoint
 // WAL) with sparse time indexes and per-link/per-host posting lists,
 // so a window or per-link query reads a few hundred frames instead of
-// the campaign.
+// the campaign — and a query with both reads only the link's postings
+// inside the ordinal range the time index allows the window, which for
+// a quiet link on a given day is no frame at all.
 //
 // On-disk layout of a store directory:
 //

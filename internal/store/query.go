@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
+	"netfail/internal/capture"
 	"netfail/internal/salvage"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
@@ -76,6 +78,37 @@ func resolveQuery(opts []Option) Query {
 // full reports whether the result set has hit the query's limit.
 func (q *Query) full(n int) bool { return q.limit > 0 && n >= q.limit }
 
+// seekMs is the timestamp a windowed read starts from: the millisecond
+// before from, less slackMs for records stamped earlier than the
+// instants they match (a failure is stamped at its start and overlaps
+// the window until its end).
+func (q *Query) seekMs(slackMs int64) int64 { return q.from.UnixMilli() - slackMs - 1 }
+
+// clip narrows an ascending posting list to the ordinals the sparse
+// time index says the query's window can hold: [lo, hi), where lo is
+// the record of the entry a scan would seek to and hi the record of
+// the first entry stamped after the window's end. Records are in time
+// order, so everything before lo is stamped at or before seekMs and
+// everything from hi on after to. It is conservative by construction:
+// a missing, empty or leniently truncated index clips less or nothing,
+// and callers re-verify every record they decode.
+func (q *Query) clip(ords []uint32, idx []capture.IndexEntry, slackMs int64) []uint32 {
+	if !q.window {
+		return ords
+	}
+	atOrAfter := func(e capture.IndexEntry) int {
+		return sort.Search(len(ords), func(i int) bool { return int64(ords[i]) >= e.Record })
+	}
+	if e, ok := capture.Locate(idx, q.seekMs(slackMs)); ok {
+		ords = ords[atOrAfter(e):]
+	}
+	toMs := q.to.UnixMilli()
+	if i := sort.Search(len(idx), func(i int) bool { return idx[i].TsMs > toMs }); i < len(idx) {
+		ords = ords[:atOrAfter(idx[i])]
+	}
+	return ords
+}
+
 // Links returns the link catalog — the analysis namespace the stored
 // records reference.
 func (s *Store) Links(ctx context.Context) ([]LinkEntry, error) {
@@ -95,7 +128,9 @@ func (s *Store) Table(n int) (any, error) { return s.man.Tables.Table(n) }
 // store order. A link filter uses the posting lists; a window uses the
 // sparse time index (seeking to from minus the longest stored failure
 // span, so failures that started before the window but overlap it are
-// found); filters are always re-verified against the decoded records.
+// found); both together fetch only the link's postings inside the
+// ordinal range the index allows the window. Filters are always
+// re-verified against the decoded records.
 func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, error) {
 	q := resolveQuery(opts)
 	var out []FailureRecord
@@ -119,14 +154,11 @@ func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, 
 		if !ok {
 			return nil, nil
 		}
-		if err := s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, s.failPost[ord], collect); err != nil {
+		ords := q.clip(s.failPost[ord], s.failIdx, s.man.Failures.MaxSpanMs)
+		if err := s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, collect); err != nil {
 			return nil, err
 		}
 		return out, nil
-	}
-	seekMs := int64(0)
-	if q.window {
-		seekMs = q.from.UnixMilli() - s.man.Failures.MaxSpanMs - 1
 	}
 	stop := func(tsMs int64, rec []byte) error {
 		if q.window && tsMs > q.to.UnixMilli() {
@@ -134,7 +166,7 @@ func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, 
 		}
 		return collect(tsMs, rec)
 	}
-	if err := s.scan(ctx, FailuresSegment, s.failIdx, q.window, seekMs, stop); err != nil {
+	if err := s.scan(ctx, FailuresSegment, s.failIdx, q.window, q.seekMs(s.man.Failures.MaxSpanMs), stop); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -197,7 +229,8 @@ func (s *Store) Transitions(ctx context.Context, opts ...Option) ([]TransitionRe
 		if !ok {
 			return nil, nil
 		}
-		if err := s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, s.tranPost[ord], collect); err != nil {
+		ords := q.clip(s.tranPost[ord], s.tranIdx, 0)
+		if err := s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, collect); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -208,7 +241,7 @@ func (s *Store) Transitions(ctx context.Context, opts ...Option) ([]TransitionRe
 		}
 		return collect(tsMs, rec)
 	}
-	if err := s.scan(ctx, TransitionsSegment, s.tranIdx, q.window, q.from.UnixMilli()-1, stop); err != nil {
+	if err := s.scan(ctx, TransitionsSegment, s.tranIdx, q.window, q.seekMs(0), stop); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -264,7 +297,8 @@ func (s *Store) matchTransition(q *Query, r TransitionRecord) bool {
 // Messages returns stored syslog lines matching the options, in
 // capture order (segment by segment, each time-ordered — exactly the
 // order the pipeline consumes them). A host filter uses the per-
-// segment posting lists; a window uses each segment's sparse index.
+// segment posting lists; a window uses each segment's sparse index,
+// and clips the host's postings when both are given.
 func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, error) {
 	q := resolveQuery(opts)
 	var out []MessageRecord
@@ -307,7 +341,8 @@ func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, 
 			if !ok {
 				return out, nil
 			}
-			if err := s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], s.msgPost[i][ord], collect); err != nil {
+			ords := q.clip(s.msgPost[i][ord], s.msgIdx[i], 0)
+			if err := s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], ords, collect); err != nil {
 				return nil, err
 			}
 			continue
@@ -318,7 +353,7 @@ func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, 
 			}
 			return collect(tsMs, rec)
 		}
-		if err := s.scan(ctx, meta.Name, s.msgIdx[i], q.window, q.from.UnixMilli()-1, stop); err != nil {
+		if err := s.scan(ctx, meta.Name, s.msgIdx[i], q.window, q.seekMs(0), stop); err != nil {
 			return nil, err
 		}
 	}
@@ -331,7 +366,9 @@ func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, 
 // query Messages with that window). Accepts WithLink and WithWindow
 // to narrow the failure set first.
 func (s *Store) Flaps(ctx context.Context, src Source, opts ...Option) ([]trace.Episode, error) {
-	recs, err := s.Failures(ctx, append(opts, WithSource(src))...)
+	// A fresh slice: appending to opts could write into the caller's
+	// backing array, which two goroutines may share.
+	recs, err := s.Failures(ctx, append(opts[:len(opts):len(opts)], WithSource(src))...)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"netfail/internal/capture"
@@ -204,11 +205,6 @@ func (s *Store) loadPostings(name string) (map[uint32][]uint32, error) {
 // the same cadence as the capture replay path.
 const cancelStride = 1024
 
-// reseekStride is the ordinal gap beyond which a postings fetch
-// re-seeks through the sparse index instead of scanning forward (two
-// index strides: closer than that, scanning is cheaper than a reopen).
-const reseekStride = 1024
-
 // errStopScan ends a scan early (limit reached).
 var errStopScan = errors.New("store: stop scan")
 
@@ -222,7 +218,7 @@ func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry,
 	if useSeek {
 		e, _ = capture.Locate(idx, seekMs)
 	}
-	sr, err := capture.OpenSegmentAt(path, e, s.lenient)
+	sr, err := capture.OpenSegmentAt(path, e, 0, s.lenient)
 	if err != nil {
 		return err
 	}
@@ -252,63 +248,53 @@ func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry,
 	}
 }
 
-// locateRecord returns the latest index entry at or before the target
-// record ordinal, or false.
-func locateRecord(idx []capture.IndexEntry, target int64) (capture.IndexEntry, bool) {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx[mid].Record <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// hop returns the latest index entry at or before the target record
+// ordinal and the bytes from it to the next entry — all a fetch inside
+// that stride can read. Both are zero (the first record, the default
+// window) when no entry precedes the target, and the span is zero at
+// the index's last entry, whose stride ends with the file.
+func hop(idx []capture.IndexEntry, target int64) (e capture.IndexEntry, span int64) {
+	i := sort.Search(len(idx), func(i int) bool { return idx[i].Record > target })
+	if i == 0 {
+		return capture.IndexEntry{}, 0
 	}
-	if lo == 0 {
-		return capture.IndexEntry{}, false
+	if i < len(idx) {
+		span = idx[i].Offset - idx[i-1].Offset
 	}
-	return idx[lo-1], true
+	return idx[i-1], span
 }
 
 // fetchOrdinals streams the records at the given (ascending) written
-// ordinals through fn, using the sparse index to seek across large
-// gaps. On a clean segment the ordinals map exactly to records; on a
-// damaged lenient segment the mapping can drift past the damage, so
-// callers always re-verify their predicate against the decoded record
-// — postings are an accelerator, never an authority.
+// ordinals through fn over one descriptor, re-seeked through the
+// sparse index whenever the next ordinal lies in a later stride than
+// the reader. On a clean segment the ordinals map exactly to records;
+// on a damaged lenient segment the mapping can drift past the damage,
+// so callers always re-verify their predicate against the decoded
+// record — postings are an accelerator, never an authority.
 func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.IndexEntry, ords []uint32, fn func(tsMs int64, rec []byte) error) error {
 	if len(ords) == 0 {
 		return nil
 	}
-	path := filepath.Join(s.dir, name)
-	var sr *capture.SegmentReader
-	var err error
-	closeReader := func() {
-		if sr == nil {
-			return
-		}
+	e, span := hop(idx, int64(ords[0]))
+	sr, err := capture.OpenSegmentAt(filepath.Join(s.dir, name), e, span, s.lenient)
+	if err != nil {
+		return err
+	}
+	defer func() {
 		s.addSalvage(name, sr.Report())
 		sr.Close()
-		sr = nil
-	}
-	defer closeReader()
-
+	}()
 	// cur is the written ordinal the next Next() call should return
 	// (exact on clean segments; see the doc comment for damaged ones).
-	var cur int64
+	cur := e.Record
 	n := 0
 	for _, o := range ords {
 		target := int64(o)
-		if sr == nil || target-cur > reseekStride {
-			// A miss is the zero entry: from the first record.
-			if e, _ := locateRecord(idx, target); sr == nil || e.Record > cur {
-				closeReader()
-				sr, err = capture.OpenSegmentAt(path, e, s.lenient)
-				if err != nil {
-					return err
-				}
-				cur = e.Record
+		if e, span = hop(idx, target); e.Record > cur {
+			if err := sr.Seek(e, span); err != nil {
+				return err
 			}
+			cur = e.Record
 		}
 		for cur <= target {
 			if n++; n%cancelStride == 0 {

@@ -59,6 +59,22 @@ grep -q '"count"' "$out" || fail "-json messages missing count"
 $q -json flaps -source syslog > "$out"
 grep -q '"episodes"' "$out" || fail "-json flaps missing episodes"
 
+# One link, one window — the question the store exists for. Aim it at
+# the first stored failure: its link, from the hour it began in to the
+# end of that day.
+count_of() { sed -n 's/^{"count":\([0-9]*\),.*/\1/p' "$1"; }
+$q -json failures -limit 1 > "$out"
+link=$(sed -n 's/.*"link":"\([^"]*\)".*/\1/p' "$out")
+began=$(sed -n 's/.*"start":"\([^"]*\)".*/\1/p' "$out")
+[ -n "$link" ] && [ -n "$began" ] || fail "-json failures -limit 1 has no link and start to aim at"
+day=${began%%T*}
+hour=${began#*T}
+from="${day}T${hour%%:*}:00:00Z"
+to="${day}T23:59:59Z"
+$q -json failures -link "$link" -from "$from" -to "$to" > "$out"
+cli_count=$(count_of "$out")
+[ "${cli_count:-0}" -ge 1 ] || fail "-json failures -link -from -to found nothing on $link from $from"
+
 $q table -n 4 > "$out"
 grep -q 'Table 4' "$out" || fail "table -n 4 missing header"
 
@@ -93,6 +109,15 @@ curl -sf "http://$addr/api/v1/failures?source=isis&limit=5" > "$out" \
     || fail "/api/v1/failures"
 grep -q '"count"' "$out" || fail "/api/v1/failures missing count"
 
+# The same link and window over HTTP: the same count, and a body sent
+# whole, behind its length.
+curl -sf -G -D "$tmp/headers" "http://$addr/api/v1/failures" \
+    --data-urlencode "link=$link" --data-urlencode "from=$from" --data-urlencode "to=$to" > "$out" \
+    || fail "/api/v1/failures?link&from&to"
+[ "$(count_of "$out")" = "$cli_count" ] \
+    || fail "/api/v1/failures?link&from&to counts $(count_of "$out"), the CLI counted $cli_count"
+grep -qi '^content-length:' "$tmp/headers" || fail "/api/v1/failures response has no Content-Length"
+
 curl -sf "http://$addr/api/v1/tables/4" > "$out" || fail "/api/v1/tables/4"
 grep -q '"table"' "$out" || fail "/api/v1/tables/4 missing table field"
 
@@ -109,4 +134,4 @@ kill "$srvpid"
 wait "$srvpid" 2>/dev/null || true
 srvpid=""
 
-echo "query-smoke: OK (store built, CLI verbs, /api/v1 + error envelope)"
+echo "query-smoke: OK (store built, CLI verbs, link+window both ways, /api/v1 + error envelope)"

@@ -29,6 +29,7 @@ var benchCapture struct {
 	campDir  string
 	storeDir string
 	link     string
+	day      time.Time // the UTC day the first failure, link's, began on
 	err      error
 }
 
@@ -40,7 +41,7 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func benchCaptureSetup(tb testing.TB) (campDir, storeDir, link string) {
+func benchCaptureSetup(tb testing.TB) (campDir, storeDir, link string, day time.Time) {
 	tb.Helper()
 	benchCapture.once.Do(func() {
 		ctx := context.Background()
@@ -75,11 +76,12 @@ func benchCaptureSetup(tb testing.TB) (campDir, storeDir, link string) {
 			return
 		}
 		benchCapture.link = string(fails[0].Link)
+		benchCapture.day = fails[0].Start.Truncate(24 * time.Hour)
 	})
 	if benchCapture.err != nil {
 		tb.Fatal(benchCapture.err)
 	}
-	return benchCapture.campDir, benchCapture.storeDir, benchCapture.link
+	return benchCapture.campDir, benchCapture.storeDir, benchCapture.link, benchCapture.day
 }
 
 // BenchmarkStoreBuild measures an analysis with the store attached:
@@ -105,7 +107,7 @@ func BenchmarkStoreBuild(b *testing.B) {
 // indexes, and postings load eagerly; segments stay on disk.
 func BenchmarkStoreOpen(b *testing.B) {
 	b.ReportAllocs()
-	_, storeDir, _ := benchCaptureSetup(b)
+	_, storeDir, _, _ := benchCaptureSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := store.Open(storeDir); err != nil {
@@ -116,21 +118,30 @@ func BenchmarkStoreOpen(b *testing.B) {
 
 // benchStoreWindowQuery returns one op, the acceptance-bar query: one
 // link, one day, failures plus transitions, against an already-open
-// store.
+// store. The link and the day are the campaign's first failure's, so
+// the answer is never empty: an empty one opens no segment and would
+// measure the posting-list clip alone.
 func benchStoreWindowQuery(tb testing.TB) func() {
-	_, storeDir, link := benchCaptureSetup(tb)
+	_, storeDir, link, from := benchCaptureSetup(tb)
 	ctx := context.Background()
 	s, err := store.Open(storeDir)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	from := time.Date(2011, 1, 15, 0, 0, 0, 0, time.UTC)
-	to := from.AddDate(0, 0, 1)
-	opts := []store.Option{store.WithLink(topo.LinkID(link)), store.WithWindow(from, to)}
+	opts := []store.Option{store.WithLink(topo.LinkID(link)), store.WithWindow(from, from.AddDate(0, 0, 1))}
 	// Warm pass: touch the segments once so the measured region sees
 	// steady state (page cache, grown decode buffers).
-	if _, err := s.Failures(ctx, opts...); err != nil {
+	fails, err := s.Failures(ctx, opts...)
+	if err != nil {
 		tb.Fatal(err)
+	}
+	trans, err := s.Transitions(ctx, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(fails) == 0 || len(trans) == 0 {
+		tb.Fatalf("%s on %s: %d failures, %d transitions; the pinned window must hold both",
+			link, from.Format(time.DateOnly), len(fails), len(trans))
 	}
 	return func() {
 		if _, err := s.Failures(ctx, opts...); err != nil {
@@ -156,7 +167,7 @@ func BenchmarkStoreWindowQueryWarm(b *testing.B) {
 // pipeline over the capture directory.
 func BenchmarkAnalyzeCaptureDirMonth(b *testing.B) {
 	b.ReportAllocs()
-	campDir, _, _ := benchCaptureSetup(b)
+	campDir, _, _, _ := benchCaptureSetup(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
