@@ -17,7 +17,7 @@
 // Robustness knobs:
 //
 //	-queue N / -policy block|drop-oldest|drop-newest   backpressure
-//	-snapshot-every N       checkpoint cadence (appends per snapshot)
+//	-snapshot-every N       checkpoint cadence (appends per WAL seal)
 //	-drain-timeout D        bound on the SIGTERM drain
 //	-fsync-each             power-loss durability (fsync per append)
 //	-strict                 refuse damaged checkpoint state (the
@@ -68,7 +68,7 @@ func main() {
 		reportPath    = flag.String("report", "", "write the final analysis report here (replay mode)")
 		queueSize     = flag.Int("queue", 1024, "per-source ingest queue capacity")
 		policyFlag    = flag.String("policy", "block", "full-queue policy: block, drop-oldest, or drop-newest")
-		snapshotEvery = flag.Int("snapshot-every", 4096, "checkpoint the full state every N durable appends (0: only at shutdown)")
+		snapshotEvery = flag.Int("snapshot-every", 4096, "seal the WAL segment (fsync, start the next) every N durable appends (0: only at shutdown)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "bound on the shutdown drain; older backlog is shed")
 		fsyncEach     = flag.Bool("fsync-each", false, "fsync every append: power-loss durability instead of kill durability")
 		strict        = flag.Bool("strict", false, "refuse damaged checkpoint state with an offset-accurate error instead of salvaging it")

@@ -1,7 +1,8 @@
 // Package atomicfile replaces a file so that a crash at any point
 // leaves either the old content or the new, never a mix: the one
 // temp-file → fsync → rename → fsync-the-directory sequence behind the
-// store manifest, the capture manifest and the checkpoint snapshot.
+// store manifest, the capture manifest and the checkpoint snapshot, and
+// the directory fsync a sealed checkpoint segment ends with.
 package atomicfile
 
 import (
@@ -35,12 +36,12 @@ func Write(dir, name string, write func(io.Writer) error) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable too.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-renamed or just-created file's
+// directory entry is durable too.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -1,6 +1,6 @@
-// Package checkpoint gives the serving path crash-safe state: an
-// atomic snapshot file plus a length-prefixed, CRC-framed append WAL
-// for the records that arrive between snapshots.
+// Package checkpoint gives the serving path crash-safe state: a
+// length-prefixed, CRC-framed append WAL whose segments are sealed,
+// never rewritten.
 //
 // The paper's listener ran unattended for 13 months and its own
 // outages had to be sanitized out of the trace after the fact (§3.3);
@@ -12,13 +12,12 @@
 //     kernel before it is acknowledged, so a SIGKILL loses nothing
 //     that was acked (fsync-per-append upgrades that to power-loss
 //     safety);
-//   - snapshots are written to a temp file, fsynced, and renamed into
-//     place, so a crash mid-snapshot leaves the previous snapshot
-//     intact and a torn temp file is ignored at recovery;
-//   - recovery loads the newest intact snapshot and replays WAL
-//     records with later sequence numbers, deduplicating by sequence,
-//     so the crash window between "snapshot renamed" and "old WAL
-//     deleted" double-counts nothing.
+//   - a seal fsyncs the active segment, starts the next one and fsyncs
+//     the directory, so everything before it survives power loss at a
+//     cost that does not grow with the history on disk;
+//   - recovery loads the newest intact snapshot, if a state directory
+//     written before segments were sealed holds one, and replays WAL
+//     records with later sequence numbers, deduplicating by sequence.
 //
 // Records are framed by internal/frame (sync marker, length prefix,
 // CRC-32 over the payload): strict recovery errors record- and
@@ -106,9 +105,9 @@ func (r *Recovery) LastSeq() uint64 {
 	return r.SnapshotSeq
 }
 
-// A Store is an open checkpoint directory: one active WAL segment
-// plus the snapshot/segment files recovery reads. Store methods are
-// not safe for concurrent use; the serving layer serializes appends.
+// A Store is an open checkpoint directory: the active WAL segment plus
+// the sealed ones recovery reads. Store methods are not safe for
+// concurrent use; the serving layer serializes appends.
 type Store struct {
 	dir string
 	opt options
@@ -119,9 +118,9 @@ type Store struct {
 }
 
 // Open recovers the checkpoint directory (creating it if needed) and
-// returns a store ready to append, plus what was recovered. A new WAL
-// segment is always started, so a torn tail in the previous segment
-// is never appended to.
+// returns a store ready to append, plus what was recovered. Appends go
+// to the segment named for the next sequence, so a torn tail in an
+// earlier segment is never appended to.
 func Open(dir string, opts ...Option) (*Store, *Recovery, error) {
 	var o options
 	for _, fn := range opts {
@@ -144,14 +143,24 @@ func Open(dir string, opts ...Option) (*Store, *Recovery, error) {
 // LastSeq returns the last sequence number appended or recovered.
 func (s *Store) LastSeq() uint64 { return s.seq }
 
-// openSegment starts a fresh WAL segment named for the next sequence.
+// openSegment starts the WAL segment for the next sequence and fsyncs
+// the directory. One of that name may exist already, with no record
+// past seq (left empty by a seal or shutdown, or its frames damaged):
+// it is appended to, never given a second header.
 func (s *Store) openSegment() error {
 	name := filepath.Join(s.dir, fmt.Sprintf("wal-%016x.log", s.seq+1))
 	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := f.WriteString(walHeader); err != nil {
+	info, err := f.Stat()
+	if err == nil && info.Size() == 0 {
+		_, err = f.WriteString(walHeader)
+	}
+	if err == nil {
+		err = atomicfile.SyncDir(s.dir)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -182,10 +191,26 @@ func (s *Store) Append(data []byte) (uint64, error) {
 	return seq, nil
 }
 
+// Seal makes everything appended so far power-loss durable and starts
+// the next segment: it fsyncs the active segment, closes it, opens
+// wal-<seq+1> and fsyncs the directory. Its cost is one segment's
+// fsync, whatever the history. Sealed segments are never retired;
+// they are the log recovery replays.
+func (s *Store) Seal() error {
+	if s.wal == nil {
+		return fmt.Errorf("checkpoint: store is closed")
+	}
+	if err := s.Close(); err != nil {
+		return err
+	}
+	return s.openSegment()
+}
+
 // Snapshot atomically persists the full history (sequence order,
 // normally 1..LastSeq) and retires the WAL segments it covers. After
 // a successful snapshot, recovery needs only this file plus whatever
-// arrives later.
+// arrives later. The daemon no longer calls it (it seals segments);
+// recovery still reads the snapshots earlier daemons wrote.
 func (s *Store) Snapshot(records []Record) error {
 	if s.wal == nil {
 		return fmt.Errorf("checkpoint: store is closed")

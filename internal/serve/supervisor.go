@@ -1,7 +1,7 @@
 // Package serve is the crash-safe live ingest layer: a supervisor
 // that runs capture sources under restart-with-backoff, feeds their
 // records through bounded shed-policy queues into a serialized
-// WAL-append-then-apply path, and checkpoints so that a SIGKILL at
+// WAL-append-then-apply path, and seals the WAL so that a SIGKILL at
 // any instant loses nothing that was durably ingested.
 //
 // The paper's measurement infrastructure is the motivation: its
@@ -85,8 +85,8 @@ type Config struct {
 	QueueSize int
 	// Policy is the shed policy for full queues (default Block).
 	Policy Policy
-	// SnapshotEvery checkpoints the full state every N durable appends
-	// (0: only the final snapshot at shutdown).
+	// SnapshotEvery seals the WAL segment (fsync, start the next)
+	// every N durable appends (0: only the final seal at shutdown).
 	SnapshotEvery int
 	// DrainTimeout bounds the post-cancellation drain: queued records
 	// older than this are discarded (and accounted as shed) so
@@ -127,7 +127,7 @@ type Recovered struct {
 }
 
 // A Supervisor owns the ingest path: sources → queues → serialized
-// append-then-apply → checkpoint.
+// append-then-apply → seal.
 type Supervisor struct {
 	cfg     Config
 	handler Handler
@@ -138,10 +138,14 @@ type Supervisor struct {
 	reg     *obs.Registry
 
 	store *checkpoint.Store
+	// Counters ingest adds to, resolved once: a lookup takes the
+	// registry lock.
+	ingested                           map[string]*obs.Counter
+	walAppends, snapshots, handlerErrs *obs.Counter
 
 	ingestMu sync.Mutex
-	history  []checkpoint.Record // every durable record, snapshot payload
 	appends  int
+	payload  []byte // reused WAL payload buffer
 
 	phase  phase
 	pmu    sync.Mutex
@@ -202,25 +206,30 @@ func New(cfg Config, h Handler, sources ...Source) (*Supervisor, *Recovered, err
 	}
 
 	s := &Supervisor{
-		cfg:     cfg,
-		handler: h,
-		sources: sources,
-		queues:  make(map[string]*queue, len(sources)),
-		healths: make(map[string]*health, len(sources)),
-		clk:     cfg.Clock,
-		reg:     cfg.Registry,
-		store:   store,
+		cfg:         cfg,
+		handler:     h,
+		sources:     sources,
+		queues:      make(map[string]*queue, len(sources)),
+		healths:     make(map[string]*health, len(sources)),
+		clk:         cfg.Clock,
+		reg:         cfg.Registry,
+		store:       store,
+		ingested:    make(map[string]*obs.Counter, len(sources)),
+		walAppends:  cfg.Registry.Counter("serve.wal.appends"),
+		snapshots:   cfg.Registry.Counter("serve.snapshots"),
+		handlerErrs: cfg.Registry.Counter("serve.handler.errors"),
 	}
 	for _, src := range sources {
+		s.ingested[src.Name()] = cfg.Registry.Counter("serve.ingested." + src.Name())
 		shed := cfg.Registry.Counter("serve.shed." + src.Name())
 		s.queues[src.Name()] = newQueue(cfg.QueueSize, cfg.Policy, shed)
 		s.healths[src.Name()] = newHealth(cfg.DownAfter)
 	}
 
 	// Replay the durable history through the handler so live ingest
-	// resumes exactly where the killed process stopped.
+	// resumes exactly where the killed process stopped. Nothing keeps
+	// the records once they are applied: the WAL on disk is the log.
 	rcv := &Recovered{PerSource: make(map[string]int), Report: rec.Report}
-	handlerErrs := s.reg.Counter("serve.handler.errors")
 	for _, cr := range rec.Records {
 		r, derr := decodeRecord(cr.Data)
 		if derr != nil {
@@ -232,12 +241,11 @@ func New(cfg Config, h Handler, sources ...Source) (*Supervisor, *Recovered, err
 			continue
 		}
 		if aerr := h.Apply(r); aerr != nil {
-			handlerErrs.Add(1)
+			s.handlerErrs.Add(1)
 		}
 		rcv.Records++
 		rcv.PerSource[r.Source]++
 	}
-	s.history = rec.Records
 	s.appends = len(rec.Records)
 	s.reg.Gauge("serve.recovered.records").Set(int64(rcv.Records))
 	obs.AddSalvage(s.reg, "serve.recovery", rec.Report)
@@ -246,8 +254,8 @@ func New(cfg Config, h Handler, sources ...Source) (*Supervisor, *Recovered, err
 
 // Run starts every source under supervision and blocks until all
 // sources are exhausted or ctx is cancelled, then drains the queues
-// (bounded by DrainTimeout after cancellation), writes the final
-// snapshot, and closes the store. Run is one-shot.
+// (bounded by DrainTimeout after cancellation), seals the WAL, and
+// closes the store. Run is one-shot.
 func (s *Supervisor) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	s.setPhase(phaseRunning)
@@ -320,8 +328,8 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	}
 	s.publishQueueStats()
 
-	// Final checkpoint: after this the WAL segments are retired and
-	// restart recovers from the snapshot alone.
+	// Final checkpoint: after this every ingested record is power-loss
+	// durable.
 	err := s.finalCheckpoint()
 	s.setPhase(phaseStopped)
 	s.pmu.Lock()
@@ -380,7 +388,6 @@ func (s *Supervisor) supervise(ctx context.Context, src Source) {
 // path until the queue is closed and empty.
 func (s *Supervisor) consume(name string) {
 	q := s.queues[name]
-	ingested := s.reg.Counter("serve.ingested." + name)
 	depth := s.reg.Gauge("serve.queue." + name + ".depth")
 	for {
 		rec, ok := q.pop()
@@ -392,49 +399,48 @@ func (s *Supervisor) consume(name string) {
 			s.fatal(err)
 			return
 		}
-		ingested.Add(1)
 	}
 }
 
 // ingest is the serialized durability point: WAL-append the record,
-// then apply it, then maybe snapshot. A record is never applied
-// before it is durable, so a kill at any instant leaves the handler
-// state a prefix of the durable history.
+// then apply it, then maybe seal. A record is never applied before it
+// is durable, so a kill at any instant leaves the handler state a
+// prefix of the durable history. Once appended the record is counted,
+// even when the seal after it fails.
 func (s *Supervisor) ingest(rec Record) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	data := encodeRecord(rec)
-	seq, err := s.store.Append(data)
-	if err != nil {
+	s.payload = appendRecord(s.payload[:0], rec)
+	if _, err := s.store.Append(s.payload); err != nil {
 		return err
 	}
-	s.history = append(s.history, checkpoint.Record{Seq: seq, Data: data})
 	s.appends++
-	s.reg.Counter("serve.wal.appends").Add(1)
+	s.walAppends.Add(1)
 	if err := s.handler.Apply(rec); err != nil {
-		s.reg.Counter("serve.handler.errors").Add(1)
+		s.handlerErrs.Add(1)
 	}
+	s.ingested[rec.Source].Add(1)
+	var err error
 	if s.cfg.SnapshotEvery > 0 && s.appends%s.cfg.SnapshotEvery == 0 {
-		if err := s.store.Snapshot(s.history); err != nil {
-			return err
+		if err = s.store.Seal(); err == nil {
+			s.snapshots.Add(1)
 		}
-		s.reg.Counter("serve.snapshots").Add(1)
 	}
 	if s.cfg.AppendHook != nil {
-		s.cfg.AppendHook(len(s.history))
+		s.cfg.AppendHook(s.appends)
 	}
-	return nil
+	return err
 }
 
-// finalCheckpoint snapshots the full history and closes the store.
+// finalCheckpoint seals the WAL and closes the store.
 func (s *Supervisor) finalCheckpoint() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if err := s.store.Snapshot(s.history); err != nil {
+	if err := s.store.Seal(); err != nil {
 		s.store.Close()
 		return err
 	}
-	s.reg.Counter("serve.snapshots").Add(1)
+	s.snapshots.Add(1)
 	return s.store.Close()
 }
 
@@ -530,18 +536,15 @@ func (s *Supervisor) HealthzHandler() http.Handler {
 //	u8 len(source) | source | i64le unix-nanos | data
 const recordHeaderMin = 1 + 8
 
-// encodeRecord renders a record's WAL payload.
-func encodeRecord(r Record) []byte {
+// appendRecord appends a record's WAL payload to dst.
+func appendRecord(dst []byte, r Record) []byte {
 	src := r.Source
 	if len(src) > 255 {
 		src = src[:255]
 	}
-	buf := make([]byte, 1+len(src)+8+len(r.Data))
-	buf[0] = byte(len(src))
-	copy(buf[1:], src)
-	binary.LittleEndian.PutUint64(buf[1+len(src):], uint64(r.Time.UnixNano()))
-	copy(buf[1+len(src)+8:], r.Data)
-	return buf
+	dst = append(append(dst, byte(len(src))), src...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Time.UnixNano()))
+	return append(dst, r.Data...)
 }
 
 // decodeRecord parses a WAL payload written by encodeRecord.

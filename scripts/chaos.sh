@@ -5,7 +5,11 @@
 #      mid-ingest, restarted on the same state directory, and must
 #      produce a final report byte-identical to an uninterrupted run
 #      (TestChaosKillRestartReportIsByteIdentical, plus the in-process
-#      twin TestKillResumeMatchesUninterrupted);
+#      twins TestKillResumeMatchesUninterrupted and, with the kill after
+#      three WAL seals, TestKillResumeAfterSealsMatchesUninterrupted; a
+#      state directory the pre-seal daemon left resumes too,
+#      TestResumeFromParentStateDir); a checkpoint error after an
+#      append still counts the record (TestCheckpointErrorCountsIngestedRecord);
 #   2. overload soak: each shed policy is driven at 10x queue capacity
 #      and must account every record as ingested or shed, with bounded
 #      queue depth (TestOverloadSoakShedsPerPolicyWithExactAccounting);
@@ -23,7 +27,7 @@ go test -race -count=1 -run 'TestChaosKillRestart' .
 
 echo "==> chaos: supervisor kill/resume, overload soak, drain deadline"
 go test -race -count=1 \
-    -run 'TestKillResumeMatchesUninterrupted|TestOverloadSoakShedsPerPolicyWithExactAccounting|TestDrainTimeoutBoundsShutdown' \
+    -run 'TestKillResumeMatchesUninterrupted|TestKillResumeAfterSealsMatchesUninterrupted|TestResumeFromParentStateDir|TestCheckpointErrorCountsIngestedRecord|TestIngestAllocBudget|TestOverloadSoakShedsPerPolicyWithExactAccounting|TestDrainTimeoutBoundsShutdown' \
     ./internal/serve
 
 echo "chaos: OK"
