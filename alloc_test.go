@@ -59,8 +59,9 @@ func TestDriverSyslogAllocBudget(t *testing.T) {
 }
 
 // TestListenerReplayAllocBudget: a month's LSPs through a fresh
-// listener (4526 measured): one record per router, link and stored LSP
-// plus transition growth, nothing per LSP. The race detector's own
+// listener (4776 measured): one record per router, link and stored LSP,
+// the listener's hostname table and one copy of each name, plus
+// transition growth; nothing per LSP. The race detector's own
 // allocations (about a thousand here) are not the listener's.
 func TestListenerReplayAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -2,7 +2,6 @@ package intern
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -34,9 +33,8 @@ func TestInternZeroValueLookup(t *testing.T) {
 }
 
 // TestInternGrowthAndPromotion drives the table through many
-// insert/reread cycles and checks every symbol stays reachable across
-// snapshot promotions (the growth behavior: overlay → snapshot merges
-// must never drop or alias symbols).
+// insert/reread cycles and checks every symbol stays reachable as the
+// map grows: rehashing must never drop or alias a symbol.
 func TestInternGrowthAndPromotion(t *testing.T) {
 	var tab Table
 	const n = 2048
@@ -49,8 +47,7 @@ func TestInternGrowthAndPromotion(t *testing.T) {
 		if got != s {
 			t.Fatalf("Intern(%q) = %q", s, got)
 		}
-		// Reread a few earlier symbols to trip the promotion
-		// heuristic at varying overlay sizes.
+		// Reread a few earlier symbols at every table size.
 		for j := 0; j <= i; j += 97 {
 			if got := tab.Intern([]byte(syms[j])); got != syms[j] {
 				t.Fatalf("reread Intern(%q) = %q", syms[j], got)
@@ -86,56 +83,13 @@ func TestInternLimit(t *testing.T) {
 	}
 }
 
-// TestInternConcurrentStress hammers one table from concurrent readers
-// and writers; run under -race this is the data-race gate for the
-// snapshot-publication scheme. Every goroutine checks it always reads
-// the correct symbol for the bytes it asked about.
-func TestInternConcurrentStress(t *testing.T) {
-	var tab Table
-	const (
-		goroutines = 8
-		rounds     = 2000
-		vocab      = 128
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			buf := make([]byte, 0, 16)
-			for i := 0; i < rounds; i++ {
-				// Overlapping vocabularies: every goroutine both
-				// inserts fresh symbols and rereads others' symbols.
-				sym := (i + g*vocab/goroutines) % vocab
-				buf = append(buf[:0], "host-"...)
-				buf = append(buf, byte('a'+sym%26), byte('a'+(sym/26)%26))
-				want := string(buf)
-				if got := tab.Intern(buf); got != want {
-					errs <- fmt.Errorf("goroutine %d: Intern(%q) = %q", g, want, got)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestInternWarmAllocBudget pins the warm path at zero allocations per
-// lookup: once a symbol is in the published snapshot, Intern must be a
-// map probe, not a conversion. Promotion is forced by rereading before
-// measuring.
+// lookup: once a symbol is in the table, Intern must be a map probe,
+// not a conversion.
 func TestInternWarmAllocBudget(t *testing.T) {
 	var tab Table
 	line := []byte("TenGigE0/1/0/3")
 	tab.Intern(line)
-	for i := 0; i < 4; i++ {
-		tab.Intern(line) // trip promotion so the snapshot holds it
-	}
 	avg := testing.AllocsPerRun(100, func() {
 		if s := tab.Intern(line); s == "" {
 			t.Fatal("empty")

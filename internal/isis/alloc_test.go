@@ -11,8 +11,10 @@ import "testing"
 
 // TestLSPDecodeAllocBudget pins the cold path: decoding into a fresh
 // LSP allocates the arena, the neighbor and prefix backing arrays, and
-// the area list — one-time buffers, not per-record garbage. (The
-// hostname intern amortizes to zero across the run.)
+// the area list — one-time buffers, not per-record garbage — and, as a
+// fresh LSP is a fresh decoder, starts its hostname table: the map
+// (two allocations), the name's one copy, and the LSP itself, which
+// the table's owner pointer moves to the heap.
 func TestLSPDecodeAllocBudget(t *testing.T) {
 	wire, err := benchLSP().Encode()
 	if err != nil {
@@ -24,9 +26,9 @@ func TestLSPDecodeAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	budget := 4.0
+	budget := 8.0
 	if raceEnabled {
-		budget = 6.0 // race instrumentation adds allocations of its own
+		budget = 10.0 // race instrumentation adds allocations of its own
 	}
 	if avg > budget {
 		t.Errorf("cold DecodeFromBytes allocates %.1f times per LSP, budget is %.0f", avg, budget)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"netfail/internal/intern"
 	"netfail/internal/topo"
 )
 
@@ -46,7 +47,19 @@ type LSP struct {
 	// allocation-free. The decoded LSP owns its data; nothing aliases
 	// the caller's input buffer.
 	arena []byte
+
+	// hostnames interns the dynamic hostname: a campaign's LSP stream
+	// repeats the same few hundred names millions of times, so a warm
+	// decode allocates none. The table belongs to the LSP that owner
+	// points at; a copy of an LSP finds owner pointing at its source and
+	// starts a table of its own instead of writing into the source's.
+	hostnames intern.Table
+	owner     *LSP
 }
+
+// hostnameInternLimit bounds a decoder's hostname table against
+// corrupted captures: past it, unseen names are plain allocations.
+const hostnameInternLimit = 1 << 16
 
 // Encode serializes the LSP into a fresh buffer; see AppendEncode.
 func (l *LSP) Encode() ([]byte, error) { return l.AppendEncode(nil) }
@@ -133,7 +146,32 @@ func (l *LSP) resetForDecode(pduLen int) {
 		Neighbors:  l.Neighbors[:0],
 		Prefixes:   l.Prefixes[:0],
 		Unknown:    l.Unknown[:0],
+		hostnames:  l.hostnames,
+		owner:      l.owner,
 	}
+}
+
+// hostnameTable returns the LSP's own hostname table, starting an
+// empty one if the LSP has none yet or holds its source's as a copy.
+func (l *LSP) hostnameTable() *intern.Table {
+	if l.owner != l {
+		l.hostnames, l.owner = intern.Table{Limit: hostnameInternLimit}, l
+	}
+	return &l.hostnames
+}
+
+// PassHostnames hands l's hostname table to next, the LSP its decoder
+// decodes into after l. The listener installs every LSP it accepts and
+// decodes the next PDU into the copy the accepted one displaced, so its
+// LSPs take turns as the decode target; passing the table along keeps
+// one table per listener instead of one per stored LSP, each of which
+// would come to hold every name.
+func (l *LSP) PassHostnames(next *LSP) {
+	if l.owner != l {
+		return
+	}
+	next.hostnames, next.owner = l.hostnames, next
+	l.hostnames, l.owner = intern.Table{}, nil
 }
 
 // arenaCopy copies b into the arena and returns the full-capped
@@ -213,7 +251,7 @@ func (l *LSP) DecodeFromBytes(data []byte) error {
 				off += alen
 			}
 		case TLVHostname:
-			l.Hostname = symbols.Intern(value)
+			l.Hostname = l.hostnameTable().Intern(value)
 		case TLVIPIfaceAddr:
 			if len(value)%4 != 0 {
 				return ErrTruncated

@@ -5,16 +5,8 @@ import (
 	"fmt"
 	"slices"
 
-	"netfail/internal/intern"
 	"netfail/internal/topo"
 )
-
-// symbols interns the dynamic hostnames. A campaign's LSP stream
-// repeats the same few hundred names millions of times; interning makes
-// every warm sighting a lock-free map probe instead of an allocation.
-// The limit bounds the table against corrupted captures: past it,
-// unseen names degrade to plain allocation instead of growing the table.
-var symbols = intern.Table{Limit: 1 << 16}
 
 // TLVType identifies a type/length/value field inside a PDU.
 type TLVType uint8

@@ -30,7 +30,8 @@ type Listener struct {
 	net *topo.Network
 	db  *isis.Database
 	// spare is what the next PDU decodes into: an accepted LSP goes to
-	// the database and the copy it displaces becomes the spare.
+	// the database and the copy it displaces becomes the spare, taking
+	// over the hostname table.
 	spare *isis.LSP
 
 	origins map[topo.SystemID]*origin
@@ -131,6 +132,7 @@ func (l *Listener) Process(at time.Time, data []byte) error {
 	if displaced == nil {
 		displaced = new(isis.LSP)
 	}
+	lsp.PassHostnames(displaced)
 	l.spare = displaced
 
 	o := l.origin(lsp.ID.System)

@@ -147,7 +147,75 @@ func FuzzParseMatchesReference(f *testing.F) {
 	} {
 		f.Add(quirk)
 	}
+	// Year resolution's edges: ±182 and ±183 days from a ref in
+	// equivalenceRefs or yearEdgeRefs, ties between two candidates, and
+	// Feb 29 resolved into leap and non-leap years.
+	for _, edge := range []string{
+		"<189>Aug 30 00:00:00 h 1: %M-1-X: t", // Mar 1 2011 +182 days; 2010's candidate -183
+		"<189>Aug 31 00:00:00 h 1: %M-1-X: t", // Mar 1 2011 +183 days; 2010's candidate -182
+		"<189>Aug 30 00:00:01 h 1: %M-1-X: t",
+		"<189>Aug 31 23:59:59 h 1: %M-1-X: t",
+		"<189>Mar  3 00:00:00 h 1: %M-1-X: t", // Sep 1 2011 -182 days
+		"<189>Mar  2 00:00:00 h 1: %M-1-X: t", // Sep 1 2011 -183 days, tied with 2012's +183
+		"<189>Mar  1 00:00:00 h 1: %M-1-X: t", // Sep 1 2011 +182 days into 2012
+		"<189>Feb 29 00:00:00 h 1: %M-1-X: t", // leap 2012 from Sep 1 2011, Mar 1 elsewhere
+		"<189>Feb 28 23:59:59 h 1: %M-1-X: t",
+		"<189>Mar 13 04:05:06 h 1: Aug 30 00:00:00.000 UTC: %M-1-X: t",
+		"<189>Aug 31 00:00:00 h 1: Feb 29 12:00:00.500 UTC: %M-1-X: t",
+	} {
+		f.Add(edge)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
-		checkParserEquivalence(t, NewTokenizer(), line)
+		tk := NewTokenizer()
+		checkParserEquivalence(t, tk, line)
+		checkYearEdges(t, tk, line)
 	})
+}
+
+// yearEdgeRefs add what equivalenceRefs lack: a ref whose following
+// year is a leap year, a leap-day ref, and a ref whose year in its own
+// location is not its year in UTC.
+var yearEdgeRefs = []time.Time{
+	time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(2012, 2, 29, 12, 0, 0, 0, time.UTC),
+	time.Date(2013, 1, 1, 5, 0, 0, 0, time.FixedZone("+14", 14*3600)),
+}
+
+// checkYearEdges compares the parsers against the reference at
+// yearEdgeRefs: accept/reject and every Message field.
+func checkYearEdges(t *testing.T, tk *Tokenizer, line string) {
+	t.Helper()
+	for _, ref := range yearEdgeRefs {
+		want, werr := refParse(line, ref)
+		got, gerr := Parse(line, ref)
+		var m Message
+		berr := tk.ParseBytes([]byte(line), ref, &m)
+		if (werr == nil) != (gerr == nil) || (werr == nil) != (berr == nil) {
+			t.Fatalf("%q at ref=%v: Parse err = %v, ParseBytes err = %v, reference err = %v", line, ref, gerr, berr, werr)
+		}
+		if werr == nil && (*got != *want || m != *want) {
+			t.Fatalf("%q at ref=%v:\n Parse      %+v\n ParseBytes %+v\n reference  %+v", line, ref, *got, m, *want)
+		}
+	}
+}
+
+// TestResolveYearMatchesReference sweeps every day of year 0, at three
+// clock times, against refs every five days over three years and in
+// three locations, so each distance from ref that resolveYear's early
+// return turns on — 182 days and 183 — occurs, and Feb 29 meets leap
+// and non-leap candidate years.
+func TestResolveYearMatchesReference(t *testing.T) {
+	zones := []*time.Location{time.UTC, time.FixedZone("-08", -8*3600), time.FixedZone("+14", 14*3600)}
+	first := time.Date(2010, 6, 1, 13, 37, 11, 0, time.UTC)
+	for day := 0; day < 3*365; day += 5 {
+		ref := first.AddDate(0, 0, day).In(zones[day%len(zones)])
+		for d := 0; d < 366; d++ {
+			for _, clock := range [3]time.Duration{0, 13*time.Hour + 37*time.Minute + 11*time.Second, 24*time.Hour - time.Millisecond} {
+				stamp := time.Date(0, 1, 1+d, 0, 0, 0, 0, time.UTC).Add(clock)
+				if got, want := resolveYear(stamp, ref), refResolveYear(stamp, ref); got != want {
+					t.Fatalf("resolveYear(%v, %v) = %v, reference %v", stamp, ref, got, want)
+				}
+			}
+		}
+	}
 }

@@ -1,0 +1,61 @@
+package syslog
+
+import (
+	"slices"
+	"testing"
+	"time"
+)
+
+// medianChunkCost runs step n times and returns the median per-step
+// cost over eight equal chunks, so that a collection landing in one
+// chunk does not decide the verdict.
+func medianChunkCost(n int, step func()) time.Duration {
+	costs := make([]time.Duration, 8)
+	for c := range costs {
+		start := time.Now()
+		for i := 0; i < n/len(costs); i++ {
+			step()
+		}
+		costs[c] = time.Since(start) / time.Duration(n/len(costs))
+	}
+	slices.Sort(costs)
+	return (costs[3] + costs[4]) / 2
+}
+
+// TestTokenizerDistinctTextsCostStaysFlat feeds one Tokenizer lines
+// whose texts are all distinct — what a hostile or broken sender
+// produces, and what netfail-serve's UDP source accepts for as long as
+// it runs — and holds the per-line cost with the text table at 2^16
+// entries, and past its limit, within 4x of the cost while it held its
+// first 2^12.
+func TestTokenizerDistinctTextsCostStaysFlat(t *testing.T) {
+	line := []byte("<189>Mar 13 04:05:06 h 1: %M-1-X: text 0000000")
+	digits := line[len(line)-7:]
+	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
+	tk := NewTokenizer()
+	var m Message
+	n := 0
+	step := func() {
+		for i, v := len(digits)-1, n; i >= 0; i, v = i-1, v/10 {
+			digits[i] = byte('0' + v%10)
+		}
+		n++
+		if err := tk.ParseBytes(line, ref, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const window = 1 << 12
+	first := medianChunkCost(window, step)
+	for n < textInternLimit-window {
+		step()
+	}
+	full := medianChunkCost(window, step)
+	if got := tk.texts.Len(); got != textInternLimit {
+		t.Fatalf("text table holds %d entries after %d lines, want the limit %d", got, n, textInternLimit)
+	}
+	past := medianChunkCost(window, step)
+	t.Logf("per line: %v for the first 2^12 texts, %v at 2^16, %v past the limit", first, full, past)
+	if full > 4*first || past > 4*first {
+		t.Errorf("per-line cost grew with the table: %v, then %v at 2^16 and %v past the limit", first, full, past)
+	}
+}

@@ -73,19 +73,19 @@ func ParseInto(line string, ref time.Time, m *Message) error {
 // Tokenizer parses wire-format lines directly from byte buffers,
 // materializing the string fields through intern tables so a warm
 // parse — every symbol already seen — allocates nothing and the
-// returned Message owns no part of the input buffer. One Tokenizer is
-// safe for concurrent use; sharing one across a capture's readers
-// also canonicalizes the strings (equal fields are pointer-equal),
-// which downstream maps exploit.
+// returned Message owns no part of the input buffer. Equal fields come
+// out pointer-equal, which downstream maps exploit. A Tokenizer belongs
+// to one reader (a Driver, a ReadLog call) and is not safe for
+// concurrent use.
 type Tokenizer struct {
-	// Symbols interns the bounded vocabulary: hostnames and mnemonics.
+	// symbols interns the bounded vocabulary: hostnames and mnemonics.
 	// A month-scale campaign sees a few hundred of each.
-	Symbols *intern.Table
-	// Texts interns the free-text field. Real captures repeat a small
+	symbols intern.Table
+	// texts interns the free-text field. Real captures repeat a small
 	// set of texts (the same adjacency flaps over and over), but
 	// corrupted or hostile input is unbounded, so this table carries a
 	// limit past which texts degrade to ordinary fresh strings.
-	Texts *intern.Table
+	texts intern.Table
 }
 
 // textInternLimit caps the free-text table: generous for the repeated
@@ -93,9 +93,9 @@ type Tokenizer struct {
 // blows past it.
 const textInternLimit = 1 << 16
 
-// NewTokenizer returns a Tokenizer with fresh intern tables.
+// NewTokenizer returns a Tokenizer with empty intern tables.
 func NewTokenizer() *Tokenizer {
-	return &Tokenizer{Symbols: &intern.Table{}, Texts: &intern.Table{Limit: textInternLimit}}
+	return &Tokenizer{texts: intern.Table{Limit: textInternLimit}}
 }
 
 // ParseBytes decodes one wire-format line from a byte buffer into m.
@@ -111,17 +111,25 @@ func (tk *Tokenizer) ParseBytes(line []byte, ref time.Time, m *Message) error {
 	m.Severity = tok.severity
 	m.Timestamp = tok.stamp
 	m.Seq = tok.seq
-	m.Hostname = tk.Symbols.Intern(line[tok.hostLo:tok.hostHi])
-	m.Mnemonic = tk.Symbols.Intern(line[tok.mnemLo:tok.mnemHi])
-	m.Text = tk.Texts.Intern(line[tok.textLo:])
+	m.Hostname = tk.symbols.Intern(line[tok.hostLo:tok.hostHi])
+	m.Mnemonic = tk.symbols.Intern(line[tok.mnemLo:tok.mnemHi])
+	m.Text = tk.texts.Intern(line[tok.textLo:])
 	return nil
 }
 
-// resolveYear places a year-less timestamp in the year (of ref's
-// location) that brings it closest to ref.
+// resolveYear places a year-less timestamp — t, in year 0 UTC — in the
+// year that brings it closest to ref: ref.Year() (read in ref's
+// location), the year before or the year after, with the date and
+// clock kept in UTC. Candidates one year apart lie at least 365 days
+// apart, so a ref.Year() candidate within 182 days of ref is nearer
+// than either neighbour (at least 183 days away) and is returned
+// without trying them.
 func resolveYear(t, ref time.Time) time.Time {
 	best := t.AddDate(ref.Year(), 0, 0)
 	bestDiff := absDuration(best.Sub(ref))
+	if bestDiff <= 182*24*time.Hour {
+		return best
+	}
 	for _, y := range [2]int{ref.Year() - 1, ref.Year() + 1} {
 		cand := t.AddDate(y, 0, 0)
 		if d := absDuration(cand.Sub(ref)); d < bestDiff {

@@ -68,11 +68,12 @@ func tokenize[T text](line T, ref time.Time, tok *tokens) error {
 	if len(rest) < 16 {
 		return errTruncatedHeader
 	}
+	// The stamp stays in year 0 until the end: a service stamp may yet
+	// replace it, and only the one that wins is placed in a year.
 	stamp, ok := parseStamp(rest[:15], false)
 	if !ok {
 		return errBadTimestamp
 	}
-	tok.stamp = resolveYear(stamp, ref)
 	rest = rest[16:]
 	off += 16
 
@@ -98,15 +99,16 @@ func tokenize[T text](line T, ref time.Time, tok *tokens) error {
 	rest = rest[colon+2:]
 	off += colon + 2
 
-	// Optional high-resolution service timestamp before the mnemonic.
+	// Optional high-resolution service timestamp before the mnemonic,
+	// Cisco's "service timestamps" form "Mmm dd hh:mm:ss.mmm UTC".
 	if len(rest) == 0 || rest[0] != '%' {
 		pct := indexByteIn(rest, '%')
 		if pct < 0 {
 			return errMissingMnemonic
 		}
 		region := trimSuffix(trimSpace(rest[:pct]), ":")
-		if hires, ok := parseServiceStamp(region, ref); ok {
-			tok.stamp = hires
+		if hires, ok := parseStamp(trimSuffix(region, " UTC"), true); ok {
+			stamp = hires
 		}
 		rest = rest[pct:]
 		off += pct
@@ -119,18 +121,8 @@ func tokenize[T text](line T, ref time.Time, tok *tokens) error {
 	}
 	tok.mnemLo, tok.mnemHi = off+1, off+colon // rest[0] is always '%'
 	tok.textLo = off + colon + 2
+	tok.stamp = resolveYear(stamp, ref)
 	return nil
-}
-
-// parseServiceStamp parses the Cisco "service timestamps" form
-// "Mmm dd hh:mm:ss.mmm UTC" (already space- and colon-trimmed).
-func parseServiceStamp[T text](s T, ref time.Time) (time.Time, bool) {
-	s = trimSuffix(s, " UTC")
-	t, ok := parseStamp(s, true)
-	if !ok {
-		return time.Time{}, false
-	}
-	return resolveYear(t, ref), true
 }
 
 // parseStamp decodes "Jan _2 15:04:05" — with ".000" appended when

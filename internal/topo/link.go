@@ -1,7 +1,9 @@
 package topo
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net/netip"
 	"strings"
 )
 
@@ -122,18 +124,14 @@ func FormatIPv4(a uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
-// ParseIPv4 parses a dotted quad into a host-order uint32.
+// ParseIPv4 parses a dotted quad into a host-order uint32. It takes
+// the one spelling FormatIPv4 writes: four decimal octets, no sign,
+// space, leading zero or trailing byte.
 func ParseIPv4(s string) (uint32, error) {
-	var b [4]int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &b[0], &b[1], &b[2], &b[3]); err != nil {
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
 		return 0, fmt.Errorf("topo: bad IPv4 address %q", s)
 	}
-	var v uint32
-	for _, o := range b {
-		if o < 0 || o > 255 {
-			return 0, fmt.Errorf("topo: bad IPv4 address %q", s)
-		}
-		v = v<<8 | uint32(o)
-	}
-	return v, nil
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:]), nil
 }

@@ -113,11 +113,11 @@ func (n *Network) AddLink(a, b Endpoint, subnet, metric uint32) (*Link, error) {
 	}
 	ra.Interfaces = append(ra.Interfaces, &Interface{
 		Name: ea.Port, Router: ea.Host, Addr: addrA, Link: id,
-		Description: fmt.Sprintf("to %s %s", eb.Host, eb.Port),
+		Description: "to " + eb.Host + " " + eb.Port,
 	})
 	rb.Interfaces = append(rb.Interfaces, &Interface{
 		Name: eb.Port, Router: eb.Host, Addr: addrB, Link: id,
-		Description: fmt.Sprintf("to %s %s", ea.Host, ea.Port),
+		Description: "to " + ea.Host + " " + ea.Port,
 	})
 	return l, nil
 }
