@@ -71,25 +71,38 @@ func TestListenerReplayAllocBudget(t *testing.T) {
 	pinAllocs(t, "a one-month replay through a fresh listener", 5000, op)
 }
 
-// TestTable5AllocBudget: 13 months (627 measured): the sample slices
+// TestTable5AllocBudget: 13 months (342 measured): the sample slices
 // and summaries; nothing per bootstrap round.
 func TestTable5AllocBudget(t *testing.T) {
 	s := benchFullStudy(t)
 	pinAllocs(t, "Table 5 over the 13-month study", 690, func() { s.Analysis.Table5() })
 }
 
-// TestTable7AllocBudget: 13 months (5670 measured): one graph, two
-// sweeps, and per isolation event its record and down-link snapshot;
-// nothing per failure boundary.
+// TestTable7AllocBudget: 13 months (4408 measured): one graph, two
+// sweeps sharing one isolation memo, and per isolation event its
+// record and down-link snapshot; nothing per failure boundary, and
+// nothing per memo hit.
 func TestTable7AllocBudget(t *testing.T) {
 	s := benchFullStudy(t)
 	pinAllocs(t, "Table 7 over the 13-month study", 6200, func() { s.Analysis.Table7() })
 }
 
-// TestIsolationSweepAllocBudget: the IS-IS half of Table 7 (1495
+// TestIsolationSweepAllocBudget: the IS-IS half of Table 7 (1559
 // measured).
 func TestIsolationSweepAllocBudget(t *testing.T) {
 	pinAllocs(t, "the IS-IS isolation sweep over the 13-month study", 1650, benchIsolationSweep(t))
+}
+
+// TestFullReportAllocBudget: every section of the 13-month report
+// computed from one set of views and rendered (20181 measured), about
+// half of it the knee sweep's candidate lists. The race detector's
+// own allocations in the section fan-out are not the report's.
+func TestFullReportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside the fan-out")
+	}
+	op := benchFullReport(t, benchFullStudy(t).Analysis.In.Parallelism)
+	pinAllocs(t, "the full report over the 13-month study", 21000, op)
 }
 
 // TestWindowSweepAllocBudget: the knee sweep (10623 measured) allocates

@@ -26,6 +26,7 @@ import (
 	"netfail/internal/core"
 	"netfail/internal/listener"
 	"netfail/internal/netsim"
+	"netfail/internal/report"
 	"netfail/internal/syslog"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
@@ -170,32 +171,38 @@ func BenchmarkPolicyAblation(b *testing.B) {
 	}
 }
 
-func BenchmarkFullReport(b *testing.B) {
-	b.ReportAllocs()
-	s := benchFullStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Report(io.Discard); err != nil {
-			b.Fatal(err)
+// benchFullReport returns one op: every section of the 13-month
+// study's report computed and rendered on a pool of the given size.
+// It calls report.FullReport, not Study.Report, which would answer
+// from the study's tables after its first call.
+func benchFullReport(tb testing.TB, parallelism int) func() {
+	s := benchFullStudy(tb)
+	return func() {
+		if err := report.FullReport(context.Background(), io.Discard, s.Analysis,
+			s.Campaign.Archive.FileCount(), s.Campaign.Counts.LSPUpdates, parallelism); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFullReportSequential pins the report fan-out (and the
-// analysis worker pool it inherits) to one worker; the delta against
-// BenchmarkFullReport is the parallel speedup. Output is
-// byte-identical at every worker count.
-func BenchmarkFullReportSequential(b *testing.B) {
+func BenchmarkFullReport(b *testing.B) {
 	b.ReportAllocs()
-	s := benchFullStudy(b)
-	saved := s.Analysis.In.Parallelism
-	s.Analysis.In.Parallelism = 1
-	defer func() { s.Analysis.In.Parallelism = saved }()
+	op := benchFullReport(b, benchFullStudy(b).Analysis.In.Parallelism)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Report(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		op()
+	}
+}
+
+// BenchmarkFullReportSequential pins the report fan-out to one worker;
+// the delta against BenchmarkFullReport is the parallel speedup.
+// Output is byte-identical at every worker count.
+func BenchmarkFullReportSequential(b *testing.B) {
+	b.ReportAllocs()
+	op := benchFullReport(b, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 

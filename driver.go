@@ -300,7 +300,12 @@ func (d *Driver) run(ctx context.Context, shards []shard) (*Study, error) {
 	}
 	ctx, done := obs.Stage(ctx, "store")
 	defer done()
-	if err := d.sw.WriteAnalysis(analysis, camp.Archive.FileCount(), camp.Counts.LSPUpdates); err != nil {
+	// The store's tables are the report's: Study.Report reuses them.
+	tables, err := d.study.reportTables(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.sw.WriteAnalysisTables(analysis, tables); err != nil {
 		return nil, err
 	}
 	if err := d.sw.Finish(); err != nil {

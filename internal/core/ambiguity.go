@@ -30,19 +30,11 @@ func (t Table6) TotalDown() int { return t.LostDown + t.SpuriousDown + t.Unknown
 // TotalUp returns the Up-direction total.
 func (t Table6) TotalUp() int { return t.LostUp + t.SpuriousUp + t.UnknownUp }
 
-// isisState answers "was the link up at time t according to IS-IS"
-// and locates the failure containing t.
-type isisState struct {
-	byLink map[topo.LinkID][]trace.Failure
-}
-
-func newISISState(failures []trace.Failure) *isisState {
-	return &isisState{byLink: match.GroupByLink(failures)}
-}
-
-// failureAt returns the index of the failure containing t, or -1.
-func (s *isisState) failureAt(link topo.LinkID, t time.Time) int {
-	fs := s.byLink[link]
+// failureAt returns the index among the link's failures of the one
+// containing t, or -1: whether, and in which failure, the link was
+// down at t.
+func failureAt(failures byLink, link topo.LinkID, t time.Time) int {
+	fs := failures[link]
 	i := sort.Search(len(fs), func(i int) bool { return fs[i].End.After(t) })
 	if i < len(fs) && !t.Before(fs[i].Start) {
 		return i
@@ -50,18 +42,14 @@ func (s *isisState) failureAt(link topo.LinkID, t time.Time) int {
 	return -1
 }
 
-// down reports whether the link was down at t per IS-IS.
-func (s *isisState) down(link topo.LinkID, t time.Time) bool {
-	return s.failureAt(link, t) >= 0
-}
-
 // Table6 classifies the ambiguous state changes in the syslog stream
 // against IS-IS ground truth.
-func (a *Analysis) Table6() Table6 {
+func (a *Analysis) Table6() Table6 { return a.table6(index(a.ISReach)) }
+
+func (a *Analysis) table6(is *match.TransitionIndex) Table6 {
 	var t6 Table6
 	w := a.In.Window
-	isIdx := match.NewTransitionIndex(a.ISReach)
-	state := newISISState(a.ISISRec.Failures)
+	state := match.GroupByLink(a.ISISRec.Failures)
 
 	var spuriousDownSame, spuriousDownTotal int
 	var ambiguousSpan time.Duration
@@ -69,8 +57,8 @@ func (a *Analysis) Table6() Table6 {
 		ambiguousSpan += amb.Span().Duration()
 		// Lost message: both repeated messages correspond to real
 		// IS-IS transitions of their direction.
-		firstReal := len(isIdx.Within(amb.Link, amb.Dir, amb.First, w)) > 0
-		secondReal := len(isIdx.Within(amb.Link, amb.Dir, amb.Second, w)) > 0
+		firstReal := is.AnyWithin(amb.Link, amb.Dir, amb.First, w)
+		secondReal := is.AnyWithin(amb.Link, amb.Dir, amb.Second, w)
 		if firstReal && secondReal {
 			if amb.Dir == trace.Down {
 				t6.LostDown++
@@ -81,13 +69,13 @@ func (a *Analysis) Table6() Table6 {
 		}
 		// Spurious retransmission: IS-IS already has the link in the
 		// repeated state at the second message.
-		isDown := state.down(amb.Link, amb.Second)
+		isDown := failureAt(state, amb.Link, amb.Second) >= 0
 		if (amb.Dir == trace.Down) == isDown {
 			if amb.Dir == trace.Down {
 				t6.SpuriousDown++
 				spuriousDownTotal++
-				f1 := state.failureAt(amb.Link, amb.First)
-				f2 := state.failureAt(amb.Link, amb.Second)
+				f1 := failureAt(state, amb.Link, amb.First)
+				f2 := failureAt(state, amb.Link, amb.Second)
 				if f1 >= 0 && f1 == f2 {
 					spuriousDownSame++
 				}
@@ -136,9 +124,12 @@ type DowntimePolicy struct {
 // spans all become downtime. The paper finds HoldPrevious minimizes
 // the error.
 func (a *Analysis) PolicyAblation() []DowntimePolicy {
+	return a.policyAblation(match.GroupByLink(a.SyslogFailures))
+}
+
+func (a *Analysis) policyAblation(syslogByLink byLink) []DowntimePolicy {
 	ref := trace.TotalDowntime(a.ISISFailures)
 	base := trace.TotalDowntime(a.SyslogFailures)
-	kept := match.GroupByLink(a.SyslogFailures)
 
 	var addDown, subUp time.Duration
 	for _, amb := range a.SyslogRec.Ambiguities {
@@ -150,7 +141,7 @@ func (a *Analysis) PolicyAblation() []DowntimePolicy {
 			// HoldPrevious treated the span as downtime if its
 			// containing failure survived sanitization.
 			probe := trace.Failure{Link: amb.Link, Start: amb.First, End: amb.Second}
-			if match.Intersects(probe, kept) {
+			if match.Intersects(probe, syslogByLink) {
 				subUp += amb.Span().Duration()
 			}
 		}

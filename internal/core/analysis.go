@@ -220,9 +220,9 @@ func Analyze(ctx context.Context, in Input) (*Analysis, error) {
 	obs.Add(ctx, "failures.isis", int64(len(a.ISISFailures)))
 
 	// Matching accounting exists only to be observed — the report
-	// recomputes matches per table — so it runs only when some
-	// observability consumer is attached, and never feeds back into
-	// the Analysis.
+	// matches failures again for its tables — so it runs only when
+	// some observability consumer is attached, and never feeds back
+	// into the Analysis.
 	if obs.Enabled(ctx) {
 		mctx, mdone := obs.Stage(ctx, "match")
 		fm := match.Failures(a.ISISFailures, a.SyslogFailures, in.Window)
@@ -245,26 +245,6 @@ func filterLinks(ts []trace.Transition, keep map[topo.LinkID]bool) []trace.Trans
 	}
 	if len(out) == 0 {
 		return nil
-	}
-	return out
-}
-
-// linkClass returns the class of a link in the analysis namespace.
-func (a *Analysis) linkClass(id topo.LinkID) (topo.LinkClass, bool) {
-	l, ok := a.In.Network.LinkByID(id)
-	if !ok {
-		return 0, false
-	}
-	return l.Class, true
-}
-
-// failuresByClass splits a failure list by link class.
-func (a *Analysis) failuresByClass(fs []trace.Failure) map[topo.LinkClass][]trace.Failure {
-	out := make(map[topo.LinkClass][]trace.Failure)
-	for _, f := range fs {
-		if class, ok := a.linkClass(f.Link); ok {
-			out[class] = append(out[class], f)
-		}
 	}
 	return out
 }

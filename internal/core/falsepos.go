@@ -59,12 +59,12 @@ func (b FalsePositiveBreakdown) LongDowntimeFraction() float64 {
 // FalsePositives computes the §4.3 breakdown with the paper's
 // ten-second short threshold.
 func (a *Analysis) FalsePositives() FalsePositiveBreakdown {
+	return a.falsePositives(match.Failures(a.SyslogFailures, a.ISISFailures, a.In.Window), match.GroupByLink(a.ISISFailures))
+}
+
+func (a *Analysis) falsePositives(m match.FailureMatch, isisByLink byLink) FalsePositiveBreakdown {
 	const threshold = 10 * time.Second
 	b := FalsePositiveBreakdown{ShortThreshold: threshold}
-
-	m := match.Failures(a.SyslogFailures, a.ISISFailures, a.In.Window)
-	isisByLink := match.GroupByLink(a.ISISFailures)
-
 	for _, i := range m.OnlyA {
 		f := a.SyslogFailures[i]
 		b.Total++

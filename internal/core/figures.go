@@ -28,17 +28,17 @@ type Figure1 struct {
 }
 
 // Figure1 computes the CPE-link CDFs for both sources.
-func (a *Analysis) Figure1() Figure1 {
+func (a *Analysis) Figure1() Figure1 { return figure1(a.samples()) }
+
+func figure1(samples [2][2]metricSamples) Figure1 {
 	var fig Figure1
-	cpe := topo.CPELink
-	_, sDur, sBet, sDown := a.metricSamples(a.SyslogFailures, &cpe)
-	_, iDur, iBet, iDown := a.metricSamples(a.ISISFailures, &cpe)
-	fig.FailureDuration[0] = makeCDF("syslog", sDur)
-	fig.FailureDuration[1] = makeCDF("isis", iDur)
-	fig.LinkDowntime[0] = makeCDF("syslog", sDown)
-	fig.LinkDowntime[1] = makeCDF("isis", iDown)
-	fig.TimeBetween[0] = makeCDF("syslog", sBet)
-	fig.TimeBetween[1] = makeCDF("isis", iBet)
+	s, i := samples[0][topo.CPELink], samples[1][topo.CPELink]
+	fig.FailureDuration[0] = makeCDF("syslog", s.durations)
+	fig.FailureDuration[1] = makeCDF("isis", i.durations)
+	fig.LinkDowntime[0] = makeCDF("syslog", s.downtime)
+	fig.LinkDowntime[1] = makeCDF("isis", i.downtime)
+	fig.TimeBetween[0] = makeCDF("syslog", s.between)
+	fig.TimeBetween[1] = makeCDF("isis", i.between)
 	return fig
 }
 

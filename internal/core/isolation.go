@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -26,16 +27,18 @@ func (e IsolationEvent) Duration() time.Duration { return e.Interval.Duration() 
 // graph's network carried at NewGraph. An event still open when the
 // failures run out closes at end.
 func IsolationEvents(g *topo.Graph, customers []*topo.Customer, failures []trace.Failure, end time.Time) []IsolationEvent {
+	return isolationEvents(g, g.NewIsolationMemo(), customers, failures, end)
+}
+
+// isolationEvents is IsolationEvents answering from memo, which
+// sweeps over g may share.
+func isolationEvents(g *topo.Graph, memo *topo.IsolationMemo, customers []*topo.Customer, failures []trace.Failure, end time.Time) []IsolationEvent {
 	if len(customers) == 0 || len(failures) == 0 {
 		return nil
 	}
-	s := newIsolationSweep(g)
+	s := newIsolationSweep(g, memo)
 	trace.SweepFailures(s.sw, failures, s.visit)
-	for c, open := range s.isolated {
-		if open {
-			s.close(c, end)
-		}
-	}
+	s.apply(s.none, end)
 	events := s.events
 	sort.Slice(events, func(i, j int) bool {
 		if !events[i].Interval.Start.Equal(events[j].Interval.Start) {
@@ -49,24 +52,26 @@ func IsolationEvents(g *topo.Graph, customers []*topo.Customer, failures []trace
 // isolationSweep is IsolationEvents' state between failure
 // boundaries, by customer position in Graph.Customers.
 type isolationSweep struct {
-	sw    *topo.Sweep
-	sites []*topo.Customer
-	// empty records that no link was down after the last boundary.
-	empty    bool
-	isolated []bool
-	since    []time.Time
+	sw   *topo.Sweep
+	memo *topo.IsolationMemo
+	// isolated is the bitset of customers with an open event, none
+	// the empty one.
+	isolated, none []uint64
+	sites          []*topo.Customer
+	since          []time.Time
 	// links[c] lists the links down when customer c's open event began.
 	links  [][]topo.LinkID
 	events []IsolationEvent
 }
 
-func newIsolationSweep(g *topo.Graph) *isolationSweep {
+func newIsolationSweep(g *topo.Graph, memo *topo.IsolationMemo) *isolationSweep {
 	n := len(g.Customers())
 	return &isolationSweep{
 		sw:       g.NewSweep(),
+		memo:     memo,
+		isolated: make([]uint64, (n+63)/64),
+		none:     make([]uint64, (n+63)/64),
 		sites:    g.Customers(),
-		empty:    true,
-		isolated: make([]bool, n),
 		since:    make([]time.Time, n),
 		links:    make([][]topo.LinkID, n),
 	}
@@ -74,41 +79,37 @@ func newIsolationSweep(g *topo.Graph) *isolationSweep {
 
 // visit accounts for the boundary at t, the sweep already moved past
 // it. With no link down nobody is isolated, whatever the graph looks
-// like; otherwise who is isolated follows from the component labels,
-// so a boundary that leaves both as they were is done at once.
+// like; otherwise the sweep says who is.
 func (s *isolationSweep) visit(t time.Time) {
-	wasEmpty := s.empty
-	s.empty = s.sw.DownCount() == 0
-	if s.empty {
-		if wasEmpty {
-			return
-		}
-	} else if !s.sw.Refresh() && !wasEmpty {
-		return
+	now := s.none
+	if s.sw.DownCount() > 0 {
+		now = s.sw.IsolatedSet(s.memo)
 	}
+	s.apply(now, t)
+}
+
+// apply opens and closes events at t until the open ones are now's.
+func (s *isolationSweep) apply(now []uint64, t time.Time) {
 	var snapshot []topo.LinkID
-	for c, was := range s.isolated {
-		switch now := !s.empty && s.sw.Isolated(c); {
-		case now == was:
-		case now:
+	for w, was := range s.isolated {
+		for diff := was ^ now[w]; diff != 0; diff &= diff - 1 {
+			c := w*64 + bits.TrailingZeros64(diff)
+			if was&(1<<(c%64)) != 0 {
+				s.events = append(s.events, IsolationEvent{
+					Customer: s.sites[c].Name,
+					Interval: trace.Interval{Start: s.since[c], End: t},
+					Links:    s.links[c],
+				})
+				s.links[c] = nil
+				continue
+			}
 			if snapshot == nil {
 				snapshot = s.sw.DownLinks()
 			}
-			s.isolated[c], s.since[c], s.links[c] = true, t, snapshot
-		default:
-			s.close(c, t)
+			s.since[c], s.links[c] = t, snapshot
 		}
+		s.isolated[w] = now[w]
 	}
-}
-
-// close ends customer c's open event at t.
-func (s *isolationSweep) close(c int, t time.Time) {
-	s.events = append(s.events, IsolationEvent{
-		Customer: s.sites[c].Name,
-		Interval: trace.Interval{Start: s.since[c], End: t},
-		Links:    s.links[c],
-	})
-	s.isolated[c], s.links[c] = false, nil
 }
 
 // Table7 is the customer-isolation comparison (paper Table 7 and the
@@ -133,18 +134,24 @@ type Table7 struct {
 	ISISOnlyDowntime          time.Duration
 }
 
-// isolationEvents runs the isolation sweep over both failure traces.
+// isolationEvents runs the isolation sweep over both failure traces,
+// one memo answering for both.
 func (a *Analysis) isolationEvents() (isis, syslog []IsolationEvent) {
 	// The isolation graph needs the customer list attached.
 	netWithCustomers := *a.In.Network
 	netWithCustomers.Customers = a.In.Customers
 	g := topo.NewGraph(&netWithCustomers)
-	return IsolationEvents(g, a.In.Customers, a.ISISFailures, a.In.End),
-		IsolationEvents(g, a.In.Customers, a.SyslogFailures, a.In.End)
+	memo := g.NewIsolationMemo()
+	return isolationEvents(g, memo, a.In.Customers, a.ISISFailures, a.In.End),
+		isolationEvents(g, memo, a.In.Customers, a.SyslogFailures, a.In.End)
 }
 
 // Table7 runs the isolation analysis over both sources.
 func (a *Analysis) Table7() Table7 {
+	return a.table7(match.GroupByLink(a.ISISFailures), match.GroupByLink(a.SyslogFailures))
+}
+
+func (a *Analysis) table7(isisByLink, syslogByLink byLink) Table7 {
 	var t7 Table7
 	if len(a.In.Customers) == 0 {
 		return t7
@@ -172,8 +179,6 @@ func (a *Analysis) Table7() Table7 {
 	t7.IntersectionSites = len(interCustomers)
 
 	// Classify unmatched events.
-	isisByLink := match.GroupByLink(a.ISISFailures)
-	syslogByLink := match.GroupByLink(a.SyslogFailures)
 	for j, se := range syslogEvents {
 		if matchedS[j] {
 			continue

@@ -65,8 +65,9 @@ func randomIsolationNetwork(t testing.TB, rng *rand.Rand) *topo.Network {
 
 // randomFailures draws a trace on a coarse clock, so boundaries
 // coincide: overlapping, back-to-back and zero-length failures on one
-// link, links the network lacks, and — when pastEnd — failures that
-// start or finish after end.
+// link, links the network lacks, a link flapping so that one down set
+// comes back again and again, and — when pastEnd — failures that start
+// or finish after end.
 func randomFailures(rng *rand.Rand, n *topo.Network, end time.Time, pastEnd bool) []trace.Failure {
 	ids := []topo.LinkID{"stranger:a|stranger:b"}
 	for _, l := range n.Links {
@@ -109,6 +110,15 @@ func randomFailures(rng *rand.Rand, n *topo.Network, end time.Time, pastEnd bool
 			if !pastEnd && fs[i].End.After(end) {
 				fs[i].End = end
 			}
+		}
+	}
+	if rng.Intn(2) == 0 {
+		// A flap: short failures on one link, a few seconds apart.
+		link, t := ids[rng.Intn(len(ids))], rng.Intn(span/2)
+		for k := 3 + rng.Intn(8); k > 0 && t+3 <= span; k-- {
+			length := 1 + rng.Intn(3)
+			fs = append(fs, trace.Failure{Link: link, Start: at(t), End: at(t + length)})
+			t += length + 1 + rng.Intn(4)
 		}
 	}
 	return fs
@@ -238,7 +248,8 @@ func TestTable7MatchesReference(t *testing.T) {
 // nobody's isolation — labelling included — allocates nothing.
 func TestIsolationBoundaryAllocBudget(t *testing.T) {
 	n, links := isoNet(t)
-	s := newIsolationSweep(topo.NewGraph(n))
+	g := topo.NewGraph(n)
+	s := newIsolationSweep(g, g.NewIsolationMemo())
 	ab, u2a := s.sw.Link(links["ab"]), s.sw.Link(links["u2a"])
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, step := range []struct{ link, delta int }{{ab, 1}, {u2a, 1}, {ab, -1}, {u2a, -1}} {

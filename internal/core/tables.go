@@ -1,13 +1,77 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"time"
 
 	"netfail/internal/match"
+	"netfail/internal/obs"
+	"netfail/internal/pool"
 	"netfail/internal/stats"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
 )
+
+// Tables is the paper's evaluation section: every table, breakdown,
+// sweep and figure the report renders.
+type Tables struct {
+	Table1         Table1
+	Table2         Table2
+	Table3         Table3
+	Table4         Table4
+	FalsePositives FalsePositiveBreakdown
+	Table5         Table5
+	Table6         Table6
+	Policies       []DowntimePolicy
+	Table7         Table7
+	Knee           []match.WindowPoint
+	Figure1        Figure1
+}
+
+// Tables computes every section over the analysis's worker pool.
+// ConfigFiles and isisUpdates are Table 1's campaign-level counts.
+func (a *Analysis) Tables(configFiles, isisUpdates int) Tables {
+	t, _ := a.TablesContext(context.Background(), configFiles, isisUpdates, a.In.Parallelism)
+	return t
+}
+
+// TablesContext is Tables on a pool of the given size (<= 0 means
+// GOMAXPROCS, 1 the calling goroutine). What sections share is built
+// first and only read after, so every size gives the same Tables.
+// Cancellation stops dispatching sections and returns ctx's error; a
+// tracer gets a "tables/views" span and one "tables/<section>" each.
+func (a *Analysis) TablesContext(ctx context.Context, configFiles, isisUpdates, parallelism int) (Tables, error) {
+	_, span := obs.StartSpan(ctx, "tables/views")
+	matched := match.Failures(a.SyslogFailures, a.ISISFailures, a.In.Window)
+	isisByLink, syslogByLink := match.GroupByLink(a.ISISFailures), match.GroupByLink(a.SyslogFailures)
+	is := index(a.ISReach)
+	samples := a.samples()
+	span.End()
+	var t Tables
+	sections := []struct {
+		name string
+		fill func()
+	}{
+		{"table1", func() { t.Table1 = a.Table1(configFiles, isisUpdates) }},
+		{"table2", func() { t.Table2 = a.table2(index(a.SyslogAdj), index(a.SyslogPhysical)) }},
+		{"table3", func() { t.Table3 = a.table3(index(a.SyslogPerRtr), is) }},
+		{"table4", func() { t.Table4 = a.table4(matched, isisByLink) }},
+		{"false-positives", func() { t.FalsePositives = a.falsePositives(matched, isisByLink) }},
+		{"table5", func() { t.Table5 = table5(samples) }},
+		{"table6", func() { t.Table6 = a.table6(is) }},
+		{"policies", func() { t.Policies = a.policyAblation(syslogByLink) }},
+		{"table7", func() { t.Table7 = a.table7(isisByLink, syslogByLink) }},
+		{"knee", func() { t.Knee = a.WindowKnee(nil) }},
+		{"figure1", func() { t.Figure1 = figure1(samples) }},
+	}
+	err := pool.ForEachCtx(ctx, len(sections), pool.Resolve(parallelism), func(sctx context.Context, i int) {
+		_, span := obs.StartSpan(sctx, "tables/"+sections[i].name)
+		sections[i].fill()
+		span.End()
+	})
+	return t, err
+}
 
 // Table1 is the dataset summary (paper Table 1).
 type Table1 struct {
@@ -53,21 +117,23 @@ type Table2 struct {
 }
 
 // Table2 computes the reachability-field comparison.
-func (a *Analysis) Table2() Table2 {
+func (a *Analysis) Table2() Table2 { return a.table2(index(a.SyslogAdj), index(a.SyslogPhysical)) }
+
+// table2 asks each syslog stream's index for both directions: the
+// index keys on direction, so it answers as one built per direction.
+func (a *Analysis) table2(adj, phys *match.TransitionIndex) Table2 {
 	w := a.In.Window
 	isDown, isUp := splitDir(a.ISReach)
 	ipDown, ipUp := splitDir(a.IPReach)
-	adjDown, adjUp := splitDir(a.SyslogAdj)
-	phDown, phUp := splitDir(a.SyslogPhysical)
 	return Table2{
-		ISISDownVsIS: match.MatchedFraction(isDown, adjDown, w),
-		ISISDownVsIP: match.MatchedFraction(ipDown, adjDown, w),
-		ISISUpVsIS:   match.MatchedFraction(isUp, adjUp, w),
-		ISISUpVsIP:   match.MatchedFraction(ipUp, adjUp, w),
-		PhysDownVsIS: match.MatchedFraction(isDown, phDown, w),
-		PhysDownVsIP: match.MatchedFraction(ipDown, phDown, w),
-		PhysUpVsIS:   match.MatchedFraction(isUp, phUp, w),
-		PhysUpVsIP:   match.MatchedFraction(ipUp, phUp, w),
+		ISISDownVsIS: adj.MatchedFraction(isDown, w),
+		ISISDownVsIP: adj.MatchedFraction(ipDown, w),
+		ISISUpVsIS:   adj.MatchedFraction(isUp, w),
+		ISISUpVsIP:   adj.MatchedFraction(ipUp, w),
+		PhysDownVsIS: phys.MatchedFraction(isDown, w),
+		PhysDownVsIP: phys.MatchedFraction(ipDown, w),
+		PhysUpVsIS:   phys.MatchedFraction(isUp, w),
+		PhysUpVsIP:   phys.MatchedFraction(ipUp, w),
 	}
 }
 
@@ -106,13 +172,14 @@ type Table3 struct {
 }
 
 // Table3 computes the message-level matching table.
-func (a *Analysis) Table3() Table3 {
+func (a *Analysis) Table3() Table3 { return a.table3(index(a.SyslogPerRtr), index(a.ISReach)) }
+
+func (a *Analysis) table3(perRtr, is *match.TransitionIndex) Table3 {
 	w := a.In.Window
-	idx := match.NewTransitionIndex(a.SyslogPerRtr)
 	var t3 Table3
 	var noneFlapDown, noneFlapUp int
 	for _, tr0 := range a.ISReach {
-		reporters := idx.ReporterCount(tr0.Link, tr0.Dir, tr0.Time, w)
+		reporters := perRtr.ReporterCount(tr0.Link, tr0.Dir, tr0.Time, w)
 		row := &t3.Down
 		if tr0.Dir == trace.Up {
 			row = &t3.Up
@@ -141,14 +208,13 @@ func (a *Analysis) Table3() Table3 {
 	}
 
 	// Reverse view: syslog transitions during flap vs IS-IS.
-	isIdx := match.NewTransitionIndex(a.ISReach)
 	var flapTotal, flapMatched int
 	for _, tr0 := range a.SyslogAdj {
 		if !a.ISISFlaps.InFlap(tr0.Link, tr0.Time) {
 			continue
 		}
 		flapTotal++
-		if isIdx.AnyWithin(tr0.Link, tr0.Dir, tr0.Time, w) {
+		if is.AnyWithin(tr0.Link, tr0.Dir, tr0.Time, w) {
 			flapMatched++
 		}
 	}
@@ -179,14 +245,17 @@ type Table4 struct {
 
 // Table4 computes failure counts and downtime for both sources.
 func (a *Analysis) Table4() Table4 {
-	m := match.Failures(a.SyslogFailures, a.ISISFailures, a.In.Window)
+	return a.table4(match.Failures(a.SyslogFailures, a.ISISFailures, a.In.Window), match.GroupByLink(a.ISISFailures))
+}
+
+func (a *Analysis) table4(m match.FailureMatch, isisByLink byLink) Table4 {
 	t4 := Table4{
 		ISISFailures:    len(a.ISISFailures),
 		SyslogFailures:  len(a.SyslogFailures),
 		OverlapFailures: len(m.Pairs),
 		ISISDowntime:    trace.TotalDowntime(a.ISISFailures),
 		SyslogDowntime:  trace.TotalDowntime(a.SyslogFailures),
-		OverlapDowntime: match.IntersectionDowntime(a.SyslogFailures, a.ISISFailures),
+		OverlapDowntime: match.IntersectionDowntime(a.SyslogFailures, isisByLink),
 		FalsePositives:  len(m.OnlyA),
 		SyslogSanitize:  a.SyslogSanitize,
 		ISISSanitize:    a.ISISSanitize,
@@ -234,25 +303,19 @@ type Table5 struct {
 }
 
 // Table5 computes the statistics table.
-func (a *Analysis) Table5() Table5 {
+func (a *Analysis) Table5() Table5 { return table5(a.samples()) }
+
+func table5(samples [2][2]metricSamples) Table5 {
+	s, i := samples[0], samples[1]
 	t5 := Table5{
-		Core: make(map[string]MetricSummaries),
-		CPE:  make(map[string]MetricSummaries),
+		Core: map[string]MetricSummaries{"syslog": s[topo.CoreLink].summaries(), "isis": i[topo.CoreLink].summaries()},
+		CPE:  map[string]MetricSummaries{"syslog": s[topo.CPELink].summaries(), "isis": i[topo.CPELink].summaries()},
 	}
-	syslogByClass := a.failuresByClass(a.SyslogFailures)
-	isisByClass := a.failuresByClass(a.ISISFailures)
-
-	fill := func(dst map[string]MetricSummaries, source string, fs []trace.Failure, class topo.LinkClass) {
-		dst[source] = a.metricSummaries(fs, class)
-	}
-	fill(t5.Core, "syslog", syslogByClass[topo.CoreLink], topo.CoreLink)
-	fill(t5.Core, "isis", isisByClass[topo.CoreLink], topo.CoreLink)
-	fill(t5.CPE, "syslog", syslogByClass[topo.CPELink], topo.CPELink)
-	fill(t5.CPE, "isis", isisByClass[topo.CPELink], topo.CPELink)
-
-	// Pooled KS tests (both classes together).
-	sFPL, sDur, _, sDown := a.metricSamples(a.SyslogFailures, nil)
-	iFPL, iDur, _, iDown := a.metricSamples(a.ISISFailures, nil)
+	// Pooled tests (both classes together); the tests sort their
+	// samples, so the classes' order does not matter.
+	sFPL, iFPL := slices.Concat(s[0].perLink, s[1].perLink), slices.Concat(i[0].perLink, i[1].perLink)
+	sDur, iDur := slices.Concat(s[0].durations, s[1].durations), slices.Concat(i[0].durations, i[1].durations)
+	sDown, iDown := slices.Concat(s[0].downtime, s[1].downtime), slices.Concat(i[0].downtime, i[1].downtime)
 	t5.KSFailuresPerLink, _ = stats.KSTest(sFPL, iFPL)
 	t5.KSDuration, _ = stats.KSTest(sDur, iDur)
 	t5.KSDowntime, _ = stats.KSTest(sDown, iDown)
@@ -262,42 +325,58 @@ func (a *Analysis) Table5() Table5 {
 	return t5
 }
 
-// metricSamples derives the four metric sample sets from a failure
-// list. classFilter restricts to one class when non-nil.
-func (a *Analysis) metricSamples(fs []trace.Failure, classFilter *topo.LinkClass) (perLink, durations, between, downtime []float64) {
-	perLinkCount := make(map[topo.LinkID]int)
-	perLinkDown := make(map[topo.LinkID]time.Duration)
-	lastEnd := make(map[topo.LinkID]time.Time)
-	for _, f := range fs {
-		class, ok := a.linkClass(f.Link)
-		if !ok || (classFilter != nil && class != *classFilter) {
-			continue
-		}
-		perLinkCount[f.Link]++
-		perLinkDown[f.Link] += f.Duration()
-		durations = append(durations, f.Duration().Seconds())
-		if prev, ok := lastEnd[f.Link]; ok && f.Start.After(prev) {
-			between = append(between, f.Start.Sub(prev).Hours())
-		}
-		lastEnd[f.Link] = f.End
-	}
-	// Only links that failed at least once enter the per-link
-	// distributions, as in the paper's annualized-per-link metrics.
-	for link, n := range perLinkCount {
-		perLink = append(perLink, float64(n)/a.Years)
-		downtime = append(downtime, perLinkDown[link].Hours()/a.Years)
-	}
-	return perLink, durations, between, downtime
+// metricSamples are the four metric sample sets of one source over
+// one link class.
+type metricSamples struct {
+	perLink, durations, between, downtime []float64
 }
 
-func (a *Analysis) metricSummaries(fs []trace.Failure, class topo.LinkClass) MetricSummaries {
-	perLink, durations, between, downtime := a.metricSamples(fs, &class)
+func index(ts []trace.Transition) *match.TransitionIndex { return match.NewTransitionIndex(ts) }
+
+// byLink is a failure list as match.GroupByLink groups it.
+type byLink = map[topo.LinkID][]trace.Failure
+
+// samples derives the metric samples of the syslog failures, then of
+// the IS-IS ones, by topo.LinkClass; failures on links the network
+// lacks are left out.
+func (a *Analysis) samples() (out [2][2]metricSamples) {
+	for src, fs := range [2][]trace.Failure{a.SyslogFailures, a.ISISFailures} {
+		perLinkCount := make(map[topo.LinkID]int)
+		perLinkDown := make(map[topo.LinkID]time.Duration)
+		lastEnd := make(map[topo.LinkID]time.Time)
+		for _, f := range fs {
+			l, ok := a.In.Network.LinkByID(f.Link)
+			if !ok {
+				continue
+			}
+			s := &out[src][l.Class]
+			perLinkCount[f.Link]++
+			perLinkDown[f.Link] += f.Duration()
+			s.durations = append(s.durations, f.Duration().Seconds())
+			if prev, ok := lastEnd[f.Link]; ok && f.Start.After(prev) {
+				s.between = append(s.between, f.Start.Sub(prev).Hours())
+			}
+			lastEnd[f.Link] = f.End
+		}
+		// Only links that failed at least once enter the per-link
+		// distributions, as in the paper's annualized-per-link metrics.
+		for link, n := range perLinkCount {
+			l, _ := a.In.Network.LinkByID(link)
+			s := &out[src][l.Class]
+			s.perLink = append(s.perLink, float64(n)/a.Years)
+			s.downtime = append(s.downtime, perLinkDown[link].Hours()/a.Years)
+		}
+	}
+	return out
+}
+
+func (s metricSamples) summaries() MetricSummaries {
 	var ms MetricSummaries
-	ms.FailuresPerLink, _ = stats.Summarize(perLink)
-	ms.Duration, _ = stats.Summarize(durations)
-	ms.TimeBetween, _ = stats.Summarize(between)
-	ms.Downtime, _ = stats.Summarize(downtime)
-	if lo, hi, err := stats.BootstrapMedianCI(durations, 400, 0.05, 1); err == nil {
+	ms.FailuresPerLink, _ = stats.Summarize(s.perLink)
+	ms.Duration, _ = stats.Summarize(s.durations)
+	ms.TimeBetween, _ = stats.Summarize(s.between)
+	ms.Downtime, _ = stats.Summarize(s.downtime)
+	if lo, hi, err := stats.BootstrapMedianCI(s.durations, 400, 0.05, 1); err == nil {
 		ms.DurationMedianCI = [2]float64{lo, hi}
 	}
 	return ms

@@ -8,6 +8,7 @@
 package match
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -46,7 +47,7 @@ func NewTransitionIndex(ts []trace.Transition) *TransitionIndex {
 		idx.byKey[k] = append(idx.byKey[k], t)
 	}
 	for _, list := range idx.byKey {
-		sort.SliceStable(list, func(i, j int) bool { return list[i].Time.Before(list[j].Time) })
+		slices.SortStableFunc(list, func(a, b trace.Transition) int { return a.Time.Compare(b.Time) })
 	}
 	return idx
 }
@@ -61,36 +62,14 @@ func (idx *TransitionIndex) bounds(link topo.LinkID, dir trace.Direction, t time
 	return list, lo, hi
 }
 
-// Within returns the transitions on (link, dir) with |time − t| ≤ w.
-// The result slice is allocated exactly once at its final size.
-func (idx *TransitionIndex) Within(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) []trace.Transition {
-	list, lo, hi := idx.bounds(link, dir, t, w)
-	if hi <= lo {
-		return nil
-	}
-	out := make([]trace.Transition, hi-lo)
-	copy(out, list[lo:hi])
-	return out
-}
-
 // AnyWithin reports whether any transition on (link, dir) lies within
-// w of t. It is Within without materializing the result slice — the
-// allocation-free existence check the MatchedFraction hot loop needs.
+// w of t, without allocating: the check the MatchedFraction hot loop
+// needs.
 func (idx *TransitionIndex) AnyWithin(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) bool {
 	list := idx.byKey[key{link, dir}]
 	from := t.Add(-w)
 	i := sort.Search(len(list), func(i int) bool { return !list[i].Time.Before(from) })
 	return i < len(list) && list[i].Time.Sub(t) <= w
-}
-
-// Reporters returns the distinct Reporter values among matches.
-func (idx *TransitionIndex) Reporters(link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) map[string]bool {
-	list, lo, hi := idx.bounds(link, dir, t, w)
-	set := make(map[string]bool, hi-lo)
-	for i := lo; i < hi; i++ {
-		set[list[i].Reporter] = true
-	}
-	return set
 }
 
 // ReporterCount returns the number of distinct Reporter values among
@@ -115,12 +94,11 @@ func (idx *TransitionIndex) ReporterCount(link topo.LinkID, dir trace.Direction,
 }
 
 // MatchedFraction returns the fraction of src transitions that have
-// at least one match in ref within the window.
-func MatchedFraction(src, ref []trace.Transition, w time.Duration) float64 {
+// at least one match in the index within the window.
+func (idx *TransitionIndex) MatchedFraction(src []trace.Transition, w time.Duration) float64 {
 	if len(src) == 0 {
 		return 0
 	}
-	idx := NewTransitionIndex(ref)
 	matched := 0
 	for _, t := range src {
 		if idx.AnyWithin(t.Link, t.Dir, t.Time, w) {
@@ -223,7 +201,7 @@ func GroupByLink(fs []trace.Failure) map[topo.LinkID][]trace.Failure {
 		byLink[f.Link] = append(byLink[f.Link], f)
 	}
 	for _, list := range byLink {
-		sort.SliceStable(list, func(i, j int) bool { return list[i].Start.Before(list[j].Start) })
+		slices.SortStableFunc(list, func(a, b trace.Failure) int { return a.Start.Compare(b.Start) })
 	}
 	return byLink
 }
@@ -243,7 +221,7 @@ func groupIndicesByLink(fs []trace.Failure) map[topo.LinkID][]int {
 		byLink[f.Link] = append(byLink[f.Link], i)
 	}
 	for _, list := range byLink {
-		sort.SliceStable(list, func(x, y int) bool { return fs[list[x]].Start.Before(fs[list[y]].Start) })
+		slices.SortStableFunc(list, func(x, y int) int { return fs[x].Start.Compare(fs[y].Start) })
 	}
 	return byLink
 }
@@ -255,15 +233,15 @@ func startOrder(fs []trace.Failure) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool { return fs[order[x]].Start.Before(fs[order[y]].Start) })
+	slices.SortStableFunc(order, func(x, y int) int { return fs[x].Start.Compare(fs[y].Start) })
 	return order
 }
 
 // IntersectionDowntime returns the total time during which both
 // sources agree a link was down, summed over links: the Overlap cell
-// of Table 4's downtime row.
-func IntersectionDowntime(a, b []trace.Failure) time.Duration {
-	byLinkB := GroupByLink(b)
+// of Table 4's downtime row. The second source comes grouped by
+// GroupByLink.
+func IntersectionDowntime(a []trace.Failure, byLinkB map[topo.LinkID][]trace.Failure) time.Duration {
 	var total time.Duration
 	for _, fa := range a {
 		for _, fb := range byLinkB[fa.Link] {

@@ -21,6 +21,12 @@ func fail(link topo.LinkID, start, end int) trace.Failure {
 	return trace.Failure{Link: link, Start: at(start), End: at(end)}
 }
 
+// within is the stretch of the index bounds finds.
+func within(idx *TransitionIndex, link topo.LinkID, dir trace.Direction, t time.Time, w time.Duration) []trace.Transition {
+	list, lo, hi := idx.bounds(link, dir, t, w)
+	return list[lo:hi]
+}
+
 func TestTransitionIndexWithin(t *testing.T) {
 	idx := NewTransitionIndex([]trace.Transition{
 		tr(linkA, 100, trace.Down, "a"),
@@ -29,26 +35,25 @@ func TestTransitionIndexWithin(t *testing.T) {
 		tr(linkA, 102, trace.Up, "a"),
 		tr(linkB, 100, trace.Down, "c"),
 	})
-	got := idx.Within(linkA, trace.Down, at(103), DefaultWindow)
+	got := within(idx, linkA, trace.Down, at(103), DefaultWindow)
 	if len(got) != 2 {
 		t.Fatalf("matches = %d, want 2", len(got))
 	}
 	// Direction and link must discriminate.
-	if len(idx.Within(linkA, trace.Up, at(130), DefaultWindow)) != 0 {
+	if len(within(idx, linkA, trace.Up, at(130), DefaultWindow)) != 0 {
 		t.Error("direction not respected")
 	}
-	if len(idx.Within(linkB, trace.Down, at(130), DefaultWindow)) != 0 {
+	if len(within(idx, linkB, trace.Down, at(130), DefaultWindow)) != 0 {
 		t.Error("link not respected")
 	}
 	// Window boundary is inclusive.
-	if len(idx.Within(linkA, trace.Down, at(115), DefaultWindow)) != 1 {
+	if len(within(idx, linkA, trace.Down, at(115), DefaultWindow)) != 1 {
 		t.Error("inclusive boundary broken")
 	}
 }
 
 // TestIndexLookupAllocBudget: the matching loops make one lookup per
-// transition, so bounds, AnyWithin and ReporterCount allocate nothing
-// and Within exactly the result slice it returns.
+// transition, so bounds, AnyWithin and ReporterCount allocate nothing.
 func TestIndexLookupAllocBudget(t *testing.T) {
 	idx := NewTransitionIndex([]trace.Transition{
 		tr(linkA, 100, trace.Down, "a"), tr(linkA, 105, trace.Down, "b"), tr(linkA, 130, trace.Down, "a"),
@@ -62,7 +67,6 @@ func TestIndexLookupAllocBudget(t *testing.T) {
 	pin("bounds", 0, func() bool { _, lo, hi := idx.bounds(linkA, trace.Down, at(103), DefaultWindow); return hi-lo == 2 })
 	pin("AnyWithin", 0, func() bool { return idx.AnyWithin(linkA, trace.Down, at(103), DefaultWindow) })
 	pin("ReporterCount", 0, func() bool { return idx.ReporterCount(linkA, trace.Down, at(103), DefaultWindow) == 2 })
-	pin("Within", 1, func() bool { return len(idx.Within(linkA, trace.Down, at(103), DefaultWindow)) == 2 })
 }
 
 func TestReporters(t *testing.T) {
@@ -71,9 +75,8 @@ func TestReporters(t *testing.T) {
 		tr(linkA, 104, trace.Down, "router-b"),
 		tr(linkA, 106, trace.Down, "router-a"),
 	})
-	reps := idx.Reporters(linkA, trace.Down, at(102), DefaultWindow)
-	if len(reps) != 2 || !reps["router-a"] || !reps["router-b"] {
-		t.Errorf("reporters = %v", reps)
+	if n := idx.ReporterCount(linkA, trace.Down, at(102), DefaultWindow); n != 2 {
+		t.Errorf("reporters = %d, want router-a and router-b", n)
 	}
 }
 
@@ -89,10 +92,11 @@ func TestMatchedFraction(t *testing.T) {
 		tr(linkA, 215, trace.Down, "y"), // 15 s off: no match
 		tr(linkA, 300, trace.Up, "y"),   // wrong direction
 	}
-	if got := MatchedFraction(src, ref, DefaultWindow); got != 0.25 {
+	idx := NewTransitionIndex(ref)
+	if got := idx.MatchedFraction(src, DefaultWindow); got != 0.25 {
 		t.Errorf("fraction = %v, want 0.25", got)
 	}
-	if MatchedFraction(nil, ref, DefaultWindow) != 0 {
+	if idx.MatchedFraction(nil, DefaultWindow) != 0 {
 		t.Error("empty src should give 0")
 	}
 }
@@ -147,7 +151,7 @@ func TestIntersectionDowntime(t *testing.T) {
 	a := []trace.Failure{fail(linkA, 100, 200), fail(linkB, 0, 50)}
 	b := []trace.Failure{fail(linkA, 150, 250), fail(linkB, 100, 150)}
 	// linkA overlap [150,200] = 50 s; linkB overlap none.
-	if got := IntersectionDowntime(a, b); got != 50*time.Second {
+	if got := IntersectionDowntime(a, GroupByLink(b)); got != 50*time.Second {
 		t.Errorf("intersection = %v, want 50s", got)
 	}
 }
@@ -155,7 +159,7 @@ func TestIntersectionDowntime(t *testing.T) {
 func TestIntersectionDowntimeMultipleOverlaps(t *testing.T) {
 	a := []trace.Failure{fail(linkA, 0, 1000)}
 	b := []trace.Failure{fail(linkA, 100, 200), fail(linkA, 300, 400)}
-	if got := IntersectionDowntime(a, b); got != 200*time.Second {
+	if got := IntersectionDowntime(a, GroupByLink(b)); got != 200*time.Second {
 		t.Errorf("intersection = %v, want 200s", got)
 	}
 }

@@ -132,8 +132,8 @@ func TestWindowSweepReusable(t *testing.T) {
 	}
 }
 
-// Randomized agreement between the allocation-free queries and their
-// materializing counterparts.
+// Randomized agreement between the allocation-free queries and a scan
+// of every transition.
 func TestIndexQueryAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := time.Unix(1300000000, 0).UTC()
@@ -154,12 +154,18 @@ func TestIndexQueryAgreement(t *testing.T) {
 		dir := trace.Direction(rng.Intn(2))
 		at := base.Add(time.Duration(rng.Intn(3700)-50) * time.Second)
 		w := time.Duration(rng.Intn(120)) * time.Second
-		matches := idx.Within(link, dir, at, w)
-		if got, want := idx.AnyWithin(link, dir, at, w), len(matches) > 0; got != want {
-			t.Fatalf("AnyWithin(%v,%v,%v,%v) = %v, Within found %d", link, dir, at, w, got, len(matches))
+		matches, reporters := 0, map[string]bool{}
+		for _, x := range ts {
+			if d := x.Time.Sub(at); x.Link == link && x.Dir == dir && -w <= d && d <= w {
+				matches++
+				reporters[x.Reporter] = true
+			}
 		}
-		if got, want := idx.ReporterCount(link, dir, at, w), len(idx.Reporters(link, dir, at, w)); got != want {
-			t.Fatalf("ReporterCount = %d, Reporters map has %d", got, want)
+		if got, want := idx.AnyWithin(link, dir, at, w), matches > 0; got != want {
+			t.Fatalf("AnyWithin(%v,%v,%v,%v) = %v, scan found %d", link, dir, at, w, got, matches)
+		}
+		if got, want := idx.ReporterCount(link, dir, at, w), len(reporters); got != want {
+			t.Fatalf("ReporterCount = %d, scan found %d reporters", got, want)
 		}
 	}
 }

@@ -7,60 +7,47 @@ import (
 
 	"netfail/internal/core"
 	"netfail/internal/obs"
-	"netfail/internal/pool"
 )
 
 // FullReport renders every table and figure of the paper's evaluation
 // section — Tables 1–7, the false-positive and ambiguity-policy
-// breakdowns, the window-size sweep, and Figure 1 — in the canonical
-// order. The sections are independent reductions over the same
-// Analysis, so each one renders into its own buffer across a bounded
-// worker pool of the given size (<= 0 means GOMAXPROCS, 1 the
-// sequential reference path); the buffers are then written in fixed
-// order, making the output byte-identical for every worker count.
-// Cancellation stops dispatching sections and returns ctx's error;
-// an attached tracer records one "report/<section>" span per section.
+// breakdowns, the window-size sweep, and Figure 1 — computed by
+// Analysis.TablesContext on a pool of the given size, which gives the
+// same bytes for every size. Cancellation returns ctx's error.
 func FullReport(ctx context.Context, w io.Writer, a *core.Analysis, configFiles, lspUpdates, parallelism int) error {
-	sections := []struct {
-		name   string
-		render func(io.Writer) error
-	}{
-		{"table1", func(w io.Writer) error { return RenderTable1(w, a.Table1(configFiles, lspUpdates)) }},
-		{"table2", func(w io.Writer) error { return RenderTable2(w, a.Table2()) }},
-		{"table3", func(w io.Writer) error { return RenderTable3(w, a.Table3()) }},
-		{"table4", func(w io.Writer) error { return RenderTable4(w, a.Table4()) }},
-		{"false-positives", func(w io.Writer) error { return RenderFalsePositives(w, a.FalsePositives()) }},
-		{"table5", func(w io.Writer) error { return RenderTable5(w, a.Table5()) }},
-		{"table6", func(w io.Writer) error { return RenderTable6(w, a.Table6()) }},
-		{"policies", func(w io.Writer) error { return RenderPolicies(w, a.PolicyAblation()) }},
-		{"table7", func(w io.Writer) error { return RenderTable7(w, a.Table7()) }},
-		{"knee", func(w io.Writer) error { return RenderKnee(w, a.WindowKnee(nil)) }},
-		{"figure1", func(w io.Writer) error { return RenderFigure1(w, a.Figure1()) }},
-	}
 	ctx, done := obs.Stage(ctx, "report")
 	defer done()
-	workers := pool.Resolve(parallelism)
-	bufs := make([]bytes.Buffer, len(sections))
-	errs := make([]error, len(sections))
-	if err := pool.ForEachCtx(ctx, len(sections), workers, func(sctx context.Context, i int) {
-		_, span := obs.StartSpan(sctx, "report/"+sections[i].name)
-		errs[i] = sections[i].render(&bufs[i])
-		span.End()
-	}); err != nil {
+	t, err := a.TablesContext(ctx, configFiles, lspUpdates, parallelism)
+	if err != nil {
 		return err
 	}
-	for i := range sections {
-		if errs[i] != nil {
-			return errs[i]
-		}
+	return Write(w, &t)
+}
+
+// Write renders computed tables in the canonical order, a blank line
+// between sections, with one write to w.
+func Write(w io.Writer, t *core.Tables) error {
+	var buf bytes.Buffer
+	for i, render := range []func(io.Writer) error{
+		func(w io.Writer) error { return RenderTable1(w, t.Table1) },
+		func(w io.Writer) error { return RenderTable2(w, t.Table2) },
+		func(w io.Writer) error { return RenderTable3(w, t.Table3) },
+		func(w io.Writer) error { return RenderTable4(w, t.Table4) },
+		func(w io.Writer) error { return RenderFalsePositives(w, t.FalsePositives) },
+		func(w io.Writer) error { return RenderTable5(w, t.Table5) },
+		func(w io.Writer) error { return RenderTable6(w, t.Table6) },
+		func(w io.Writer) error { return RenderPolicies(w, t.Policies) },
+		func(w io.Writer) error { return RenderTable7(w, t.Table7) },
+		func(w io.Writer) error { return RenderKnee(w, t.Knee) },
+		func(w io.Writer) error { return RenderFigure1(w, t.Figure1) },
+	} {
 		if i > 0 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
+			buf.WriteByte('\n')
 		}
-		if _, err := w.Write(bufs[i].Bytes()); err != nil {
+		if err := render(&buf); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err := w.Write(buf.Bytes())
+	return err
 }

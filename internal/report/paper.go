@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"netfail/internal/core"
@@ -268,19 +269,17 @@ func renderCDFPair(w io.Writer, cdfs [2]core.CDF) error {
 	return nil
 }
 
+// mergeGrid merges two ascending sequences into their distinct values,
+// thinned to maxPoints by uniform index sampling.
 func mergeGrid(a, b []float64, maxPoints int) []float64 {
-	all := append(append([]float64(nil), a...), b...)
-	if len(all) == 0 {
-		return nil
-	}
-	// all is built from sorted inputs; sort the merge.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j] < all[j-1]; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
+	dedup := make([]float64, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var v float64
+		if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+			v, a = a[0], a[1:]
+		} else {
+			v, b = b[0], b[1:]
 		}
-	}
-	var dedup []float64
-	for _, v := range all {
 		if len(dedup) == 0 || v != dedup[len(dedup)-1] {
 			dedup = append(dedup, v)
 		}
@@ -296,15 +295,13 @@ func mergeGrid(a, b []float64, maxPoints int) []float64 {
 	return out
 }
 
+// cdfAt returns the curve's value at x: the Y of the last X at or
+// below it, or 0.
 func cdfAt(c core.CDF, x float64) float64 {
-	y := 0.0
-	for i, xv := range c.X {
-		if xv > x {
-			break
-		}
-		y = c.Y[i]
+	if i := sort.Search(len(c.X), func(i int) bool { return c.X[i] > x }); i > 0 {
+		return c.Y[i-1]
 	}
-	return y
+	return 0
 }
 
 // RenderKnee prints the window-size sweep behind the paper's choice

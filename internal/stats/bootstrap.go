@@ -3,6 +3,7 @@ package stats
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -31,11 +32,11 @@ func BootstrapMedianCI(sample []float64, rounds int, alpha float64, seed int64) 
 	if alpha <= 0 || alpha >= 1 {
 		alpha = 0.05
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
 	res := newMedianResampler(sample)
 	medians := make([]float64, rounds)
 	for r := range medians {
-		medians[r] = res.round(rng)
+		medians[r] = res.round(src)
 	}
 	sort.Float64s(medians)
 	lo = quantileSorted(medians, alpha/2)
@@ -81,13 +82,24 @@ func newMedianResampler(sample []float64) *medianResampler {
 	return m
 }
 
-// round draws len(sample) indices from rng, one Intn each, and
-// returns the median of the values they name.
-func (m *medianResampler) round(rng *rand.Rand) float64 {
+// round draws len(sample) indices from src and returns the median of
+// the values they name. Each draw is rand.New(src).Intn's — Int31n's
+// rejection of the top 2^31 mod n values, then the remainder — taken
+// straight from src; for a power of two nothing is rejected and the
+// remainder is Int31n's mask. The remainder is Lemire's fastmod,
+// exact for 32-bit operands: a multiply, not a divide.
+func (m *medianResampler) round(src rand.Source) float64 {
 	clear(m.count)
-	n := len(m.rank)
-	for i := 0; i < n; i++ {
-		m.count[m.rank[rng.Intn(n)]]++
+	n := uint64(len(m.rank))
+	limit := int32(math.MaxInt32 - (1<<31)%uint32(n))
+	inverse := ^uint64(0)/n + 1
+	for i := uint64(0); i < n; i++ {
+		v := int32(src.Int63() >> 32)
+		for v > limit {
+			v = int32(src.Int63() >> 32)
+		}
+		rem, _ := bits.Mul64(inverse*uint64(v), n)
+		m.count[m.rank[rem]]++
 	}
 	// cum counts the draws at or below place k: place k holds the
 	// resample's order statistics cum-count[k] … cum-1.

@@ -125,6 +125,13 @@ func (w *Writer) finishMessageSegment() error {
 // tables. ConfigFiles and isisUpdates are the campaign-level counts
 // Table 1 needs.
 func (w *Writer) WriteAnalysis(a *core.Analysis, configFiles, isisUpdates int) error {
+	t := a.Tables(configFiles, isisUpdates)
+	return w.WriteAnalysisTables(a, &t)
+}
+
+// WriteAnalysisTables is WriteAnalysis with the analysis's tables
+// already computed, Table 1 carrying the campaign-level counts.
+func (w *Writer) WriteAnalysisTables(a *core.Analysis, t *core.Tables) error {
 	if w.analysisDone {
 		return fmt.Errorf("store: WriteAnalysis called twice")
 	}
@@ -180,8 +187,8 @@ func (w *Writer) WriteAnalysis(a *core.Analysis, configFiles, isisUpdates int) e
 	w.man.Start = a.In.Start
 	w.man.End = a.In.End
 	w.man.ListenerOffline = a.In.ListenerOffline
-	w.man.ConfigFiles = configFiles
-	w.man.ISISUpdates = isisUpdates
+	w.man.ConfigFiles = t.Table1.ConfigFiles
+	w.man.ISISUpdates = t.Table1.ISISUpdates
 	w.man.Params = Params{
 		Window:           a.In.Window,
 		FlapGap:          a.In.FlapGap,
@@ -191,13 +198,13 @@ func (w *Writer) WriteAnalysis(a *core.Analysis, configFiles, isisUpdates int) e
 	w.man.SyslogSanitize = sanitizeCounts(a.SyslogSanitize)
 	w.man.ISISSanitize = sanitizeCounts(a.ISISSanitize)
 	w.man.Tables = Tables{
-		Table1: a.Table1(configFiles, isisUpdates),
-		Table2: a.Table2(),
-		Table3: a.Table3(),
-		Table4: a.Table4(),
-		Table5: a.Table5(),
-		Table6: a.Table6(),
-		Table7: a.Table7(),
+		Table1: t.Table1,
+		Table2: t.Table2,
+		Table3: t.Table3,
+		Table4: t.Table4,
+		Table5: t.Table5,
+		Table6: t.Table6,
+		Table7: t.Table7,
 	}
 	return nil
 }

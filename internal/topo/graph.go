@@ -92,6 +92,9 @@ type Sweep struct {
 	strangers []LinkID
 	stranger  map[LinkID]int
 	ndown     int
+	// key folds the down links' linkKeys together: the down set's
+	// name in a memo.
+	key uint64
 
 	// stale says labels, forest and backbone predate a link move that
 	// matters. forest[l] marks the links the last search crossed to
@@ -152,6 +155,7 @@ func (s *Sweep) Add(link, delta int) {
 		return
 	}
 	s.down[link] = down
+	s.key ^= linkKey(link)
 	if down {
 		s.ndown++
 	} else {
@@ -251,41 +255,6 @@ func (s *Sweep) Isolated(customer int) bool {
 	return len(nodes) > 0
 }
 
-// sweepOf returns a fresh sweep with the true entries of down applied.
-func (g *Graph) sweepOf(down map[LinkID]bool) *Sweep {
-	s := g.NewSweep()
-	for id, d := range down {
-		if l, ok := g.linkIndex[id]; ok && d {
-			s.Add(int(l), 1)
-		}
-	}
-	return s
-}
-
-// components labels each router with a connected-component number,
-// ignoring links for which down returns true. It returns the label
-// slice (indexed like node indices) and the number of components.
-func (g *Graph) components(down func(LinkID) bool) ([]int, int) {
-	s := g.NewSweep()
-	if down != nil {
-		for l, link := range g.links {
-			if down(link.ID) {
-				s.Add(l, 1)
-			}
-		}
-	}
-	s.Refresh()
-	return s.labels, s.comps
-}
-
-// backboneComponent returns the component label containing the most
-// core routers, which the isolation analysis treats as "the backbone";
-// among equals, the one whose count got there first in router order.
-// labels is what components returned.
-func (g *Graph) backboneComponent(labels []int) int {
-	return g.backboneOf(labels, make([]int32, len(g.adj)))
-}
-
 // backboneOf counts in counts, which has room for every label.
 func (g *Graph) backboneOf(labels []int, counts []int32) int {
 	clear(counts)
@@ -308,7 +277,12 @@ func (g *Graph) IsolatedCustomers(down map[LinkID]bool) []string {
 	if len(down) == 0 {
 		return nil
 	}
-	s := g.sweepOf(down)
+	s := g.NewSweep()
+	for id, d := range down {
+		if l, ok := g.linkIndex[id]; ok && d {
+			s.Add(int(l), 1)
+		}
+	}
 	var isolated []string
 	for c, customer := range g.customers {
 		if s.Isolated(c) {
@@ -318,16 +292,73 @@ func (g *Graph) IsolatedCustomers(down map[LinkID]bool) []string {
 	return isolated
 }
 
-// reachable reports whether a path exists between two routers with the
-// given links down.
-func (g *Graph) reachable(from, to string, down map[LinkID]bool) bool {
-	fi, ok := g.index[from]
-	if !ok {
-		return false
+// IsolationMemo remembers which customers are isolated per set of down
+// links, the one thing the answer depends on: a failure trace comes
+// back to the same few sets, as a flapping link does. Sweeps over one
+// graph may share it in turn, not at once. It holds at most
+// memoEntries sets, starting over when full. Strangers enter a set by
+// a sweep's own index for them, harmless as they isolate nobody.
+type IsolationMemo struct {
+	index map[uint64]int32 // Sweep.key → entry
+	// Entry e's down links are links[at[e]:at[e+1]] and its isolated
+	// customers sets[e*words:][:words].
+	links []int32
+	at    []int32
+	sets  []uint64
+	words int
+}
+
+const memoEntries = 1 << 12
+
+// NewIsolationMemo returns an empty memo for sweeps over g.
+func (g *Graph) NewIsolationMemo() *IsolationMemo {
+	return &IsolationMemo{index: make(map[uint64]int32), at: []int32{0}, words: (len(g.customers) + 63) / 64}
+}
+
+// IsolatedSet returns the customers isolated with the links now down,
+// bit c%64 of word c/64 for customer c: from m if it has seen this
+// down set, else from the labels, recorded in m. The slice is m's,
+// read-only and valid until m's next use.
+func (s *Sweep) IsolatedSet(m *IsolationMemo) []uint64 {
+	if e, ok := m.index[s.key]; ok {
+		// The entry is this down set if it has as many links, all down.
+		links := m.links[m.at[e]:m.at[e+1]]
+		hit := len(links) == s.ndown
+		for _, l := range links {
+			hit = hit && s.down[l]
+		}
+		if hit {
+			return m.sets[int(e)*m.words:][:m.words]
+		}
 	}
-	ti, ok := g.index[to]
-	if !ok {
-		return false
+	if len(m.at) > memoEntries {
+		clear(m.index)
+		m.links, m.at, m.sets = m.links[:0], m.at[:1], m.sets[:0]
 	}
-	return g.sweepOf(down).Connected(fi, ti)
+	e := int32(len(m.at) - 1)
+	for l, down := range s.down {
+		if down {
+			m.links = append(m.links, int32(l))
+		}
+	}
+	m.at = append(m.at, int32(len(m.links)))
+	m.sets = slices.Grow(m.sets, m.words)[:len(m.sets)+m.words]
+	set := m.sets[int(e)*m.words:]
+	clear(set)
+	for c := range s.g.sites {
+		if s.Isolated(c) {
+			set[c/64] |= 1 << (c % 64)
+		}
+	}
+	m.index[s.key] = e
+	return set
+}
+
+// linkKey is link l's share of a Sweep.key (splitmix64). IsolatedSet
+// checks the set behind a key, so a collision only costs a miss.
+func linkKey(l int) uint64 {
+	z := uint64(l)*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }

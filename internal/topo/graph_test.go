@@ -161,3 +161,45 @@ func TestUnknownCustomerRouterIsNotNodeZero(t *testing.T) {
 		t.Errorf("with cpe-1 as node 0: isolated = %v, want [half-known]", got)
 	}
 }
+
+// components labels each router with a connected-component number,
+// ignoring links for which down returns true. It returns the label
+// slice (indexed like node indices) and the number of components.
+func (g *Graph) components(down func(LinkID) bool) ([]int, int) {
+	s := g.NewSweep()
+	if down != nil {
+		for l, link := range g.links {
+			if down(link.ID) {
+				s.Add(l, 1)
+			}
+		}
+	}
+	s.Refresh()
+	return s.labels, s.comps
+}
+
+// backboneComponent returns the component label containing the most
+// core routers; labels is what components returned.
+func (g *Graph) backboneComponent(labels []int) int {
+	return g.backboneOf(labels, make([]int32, len(g.adj)))
+}
+
+// reachable reports whether a path exists between two routers with the
+// given links down.
+func (g *Graph) reachable(from, to string, down map[LinkID]bool) bool {
+	fi, ok := g.index[from]
+	if !ok {
+		return false
+	}
+	ti, ok := g.index[to]
+	if !ok {
+		return false
+	}
+	s := g.NewSweep()
+	for id, d := range down {
+		if l, ok := g.linkIndex[id]; ok && d {
+			s.Add(int(l), 1)
+		}
+	}
+	return s.Connected(fi, ti)
+}

@@ -40,6 +40,7 @@ package netfail
 import (
 	"context"
 	"io"
+	"sync"
 	"time"
 
 	"netfail/internal/config"
@@ -191,6 +192,12 @@ type Study struct {
 	Tickets *tickets.Index
 	// Analysis is the full comparison.
 	Analysis *Analysis
+
+	// tables holds the report's sections for tablesOf, computed once
+	// for whichever of the store writer and Report asks first.
+	mu       sync.Mutex
+	tables   *core.Tables
+	tablesOf *Analysis
 }
 
 // Simulate runs a measurement campaign. Cancellation is checked
@@ -277,9 +284,30 @@ func (s *Study) Report(w io.Writer) error {
 // the originating Run call to get one contiguous span tree).
 func (s *Study) ReportContext(ctx context.Context, w io.Writer, opts ...Option) error {
 	ctx, _ = resolve(ctx, opts)
-	return report.FullReport(ctx, w, s.Analysis,
-		s.Campaign.Archive.FileCount(), s.Campaign.Counts.LSPUpdates,
-		s.Analysis.In.Parallelism)
+	ctx, done := obs.Stage(ctx, "report")
+	defer done()
+	t, err := s.reportTables(ctx)
+	if err != nil {
+		return err
+	}
+	return report.Write(w, t)
+}
+
+// reportTables returns the tables of the study's analysis, computing
+// them on the analysis's worker pool the first time. A computation ctx
+// cancels is not kept: the next call starts over.
+func (s *Study) reportTables(ctx context.Context) (*core.Tables, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tables == nil || s.tablesOf != s.Analysis {
+		t, err := s.Analysis.TablesContext(ctx, s.Campaign.Archive.FileCount(),
+			s.Campaign.Counts.LSPUpdates, s.Analysis.In.Parallelism)
+		if err != nil {
+			return nil, err
+		}
+		s.tables, s.tablesOf = &t, s.Analysis
+	}
+	return s.tables, nil
 }
 
 // Failure re-exports the trace failure record for downstream

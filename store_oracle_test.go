@@ -1,12 +1,15 @@
 package netfail
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"netfail/internal/obs"
 	"netfail/internal/store"
 	"netfail/internal/trace"
 )
@@ -438,5 +441,76 @@ func TestStoreFromCaptureMatchesInRAM(t *testing.T) {
 		compareJSON(t, src.name+"-path messages", cm, rm)
 
 		compareJSON(t, src.name+"-path tables", *cap.Tables(), *ram.Tables())
+	}
+}
+
+// countSpans counts the spans named name in a recorded forest.
+func countSpans(infos []*obs.SpanInfo, name string) int {
+	n := 0
+	for _, info := range infos {
+		if info.Name == name {
+			n++
+		}
+		n += countSpans(info.Children, name)
+	}
+	return n
+}
+
+// reportTwice renders a study's report from two goroutines at once.
+func reportTwice(t *testing.T, st *Study, tracer *Tracer) [2][]byte {
+	t.Helper()
+	var reports [2]bytes.Buffer
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = st.ReportContext(context.Background(), &reports[i], WithTracer(tracer))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return [2][]byte{reports[0].Bytes(), reports[1].Bytes()}
+}
+
+// TestStoreAndReportShareTables: a study computes its tables once. One
+// analyzed into a store computes them while the store is written, and
+// Report renders those; one without a store computes them for the
+// first of two concurrent Reports. Every report has the same bytes.
+func TestStoreAndReportShareTables(t *testing.T) {
+	ctx := context.Background()
+	camp, err := Simulate(ctx, smallConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, fresh := NewTracer(), NewTracer()
+	st, err := Analyze(ctx, camp, WithStoreDir(t.TempDir()), WithTracer(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countSpans(stored.Snapshot(), "tables/table5"); got != 1 {
+		t.Fatalf("writing the store computed Table 5 %d times, want 1", got)
+	}
+	reports := reportTwice(t, st, stored)
+	if got := countSpans(stored.Snapshot(), "tables/table5"); got != 1 {
+		t.Errorf("after two reports Table 5 was computed %d times, want the store's one", got)
+	}
+	plain, err := Analyze(ctx, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportTwice(t, plain, fresh)
+	if got := countSpans(fresh.Snapshot(), "tables/table5"); got != 1 {
+		t.Errorf("two concurrent reports computed Table 5 %d times, want 1", got)
+	}
+	for _, got := range append(reports[:], want[1]) {
+		if !bytes.Equal(got, want[0]) {
+			t.Error("a report of the study differs from another")
+		}
 	}
 }
