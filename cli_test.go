@@ -1,18 +1,26 @@
 package netfail
 
 // CLI integration: build the three commands and drive the full
-// sim → analyze → listener-replay flow through their real flag
-// surfaces, the way a user would.
+// sim → analyze → live-ingest flow through their real flag surfaces,
+// the way a user would.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"netfail/internal/isis"
+	"netfail/internal/netsim"
 	"netfail/internal/store"
 )
 
@@ -23,7 +31,7 @@ func buildCommands(t *testing.T) string {
 		t.Skip("CLI integration")
 	}
 	dir := t.TempDir()
-	for _, name := range []string{"netfail-sim", "netfail-analyze", "netfail-listener"} {
+	for _, name := range []string{"netfail-sim", "netfail-analyze", "netfail-serve"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -95,77 +103,101 @@ func TestCLIEndToEnd(t *testing.T) {
 			man.Seed, len(man.Messages), man.Failures.Records)
 	}
 
-	// Listener replay over loopback UDP: bind an ephemeral port and
-	// read the bound address off the listener's banner.
-	recv := exec.Command(filepath.Join(bin, "netfail-listener"),
-		"-listen", "127.0.0.1:0", "-configs", filepath.Join(campaign, "configs"),
-		"-limit", "50")
-	stdout, err := recv.StdoutPipe()
+	// Live mode over loopback UDP: netfail-serve receives LSPs against
+	// the campaign's mined namespace. Each of the first 50 captured LSPs
+	// goes out once /api/v1/metrics shows the one before it ingested;
+	// SIGTERM then drains the daemon, and its summary counts them.
+	isisAddr, debugAddr := freeAddr(t, "udp"), freeAddr(t, "tcp")
+	daemon := exec.Command(filepath.Join(bin, "netfail-serve"),
+		"-listen-isis", isisAddr, "-configs", filepath.Join(campaign, "configs"),
+		"-state", filepath.Join(t.TempDir(), "state"), "-debug-addr", debugAddr)
+	var daemonOut bytes.Buffer
+	daemon.Stdout, daemon.Stderr = &daemonOut, &daemonOut
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Process.Kill()
+	lf, err := os.Open(filepath.Join(campaign, "lsps.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv.Stderr = recv.Stdout
-	if err := recv.Start(); err != nil {
+	defer lf.Close()
+	lsps, err := netsim.ReadLSPLog(lf)
+	if err != nil || len(lsps) < 50 {
+		t.Fatalf("lsps.log: %d LSPs, %v", len(lsps), err)
+	}
+	conn, err := net.Dial("udp", isisAddr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Process.Kill()
-
-	outCh := make(chan string, 1)
-	addrCh := make(chan string, 1)
-	go func() {
-		data := &strings.Builder{}
-		buf := make([]byte, 4096)
-		sentAddr := false
-		for {
-			n, err := stdout.Read(buf)
-			data.Write(buf[:n])
-			if !sentAddr {
-				if line, ok := bannerAddr(data.String()); ok {
-					addrCh <- line
-					sentAddr = true
-				}
-			}
-			if err != nil {
-				outCh <- data.String()
-				return
-			}
+	defer conn.Close()
+	ingested := func() int64 {
+		resp, err := http.Get("http://" + debugAddr + "/api/v1/metrics")
+		if err != nil {
+			return 0 // not serving yet
 		}
-	}()
-
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("listener banner never appeared")
+		defer resp.Body.Close()
+		var metrics map[string]int64
+		if json.NewDecoder(resp.Body).Decode(&metrics) != nil {
+			return 0
+		}
+		return metrics["serve.ingested.isis"]
 	}
-	out, err = exec.Command(filepath.Join(bin, "netfail-listener"),
-		"-replay", filepath.Join(campaign, "lsps.log"), "-to", addr).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "replayed") {
-		t.Fatalf("replay: %v\n%s", err, out)
+	// A datagram sent before the source binds is lost, so first send
+	// bare hello headers, which the listener skips, until one lands.
+	hello := []byte{isis.IRPD, 8, isis.ProtocolVersion, 0, byte(isis.TypeP2PHello), isis.ProtocolVersion, 0, 0}
+	deadline := time.Now().Add(30 * time.Second)
+	wait := func(what string) {
+		if time.Now().After(deadline) {
+			_ = daemon.Process.Kill() // its output is ours to read once it has exited
+			_ = daemon.Wait()
+			t.Fatalf("netfail-serve never ingested %s\n%s", what, daemonOut.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if err := recv.Wait(); err != nil {
-		t.Fatalf("listener: %v", err)
+	for ingested() == 0 {
+		_, _ = conn.Write(hello) // lost hellos are resent
+		wait("a hello")
 	}
-	recvText := <-outCh
-	if !strings.Contains(recvText, "done: 50 LSPs") {
-		t.Errorf("listener output:\n%s", recvText)
+	base := ingested()
+	for i, c := range lsps[:50] {
+		if _, err := conn.Write(c.Data); err != nil {
+			t.Fatal(err)
+		}
+		for ingested() <= base+int64(i) {
+			wait(fmt.Sprintf("LSP %d", i))
+		}
+	}
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := daemon.Wait(); err != nil {
+		t.Fatalf("netfail-serve live mode: %v\n%s", err, daemonOut.String())
+	}
+	if !strings.Contains(daemonOut.String(), "stopped: 0 syslog messages (0 unparseable), 50 LSPs") {
+		t.Errorf("netfail-serve live mode output:\n%s", daemonOut.String())
 	}
 }
 
-// bannerAddr extracts the bound address from the listener's
-// "listening on HOST:PORT; ..." banner.
-func bannerAddr(s string) (string, bool) {
-	const prefix = "listening on "
-	i := strings.Index(s, prefix)
-	if i < 0 {
-		return "", false
+// freeAddr returns a loopback address with a port the kernel just
+// handed out on the network ("udp" or "tcp") and took back, for a
+// daemon that takes its address on the command line.
+func freeAddr(t *testing.T, network string) string {
+	t.Helper()
+	if network == "udp" {
+		c, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return c.LocalAddr().String()
 	}
-	rest := s[i+len(prefix):]
-	j := strings.IndexAny(rest, "; \n")
-	if j < 0 {
-		return "", false
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rest[:j], true
+	defer l.Close()
+	return l.Addr().String()
 }
 
 func TestCLISeedMode(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package api is the versioned HTTP query surface shared by
-// netfail-serve, netfail-query serve, and netfail-listener: every
+// netfail-serve and netfail-query serve: every
 // /api/v1 endpoint speaks JSON, reports failures through one error
 // envelope, and honors per-request cancellation.
 //

@@ -3,12 +3,11 @@
 // deterministic in a seed, and (when a total budget is set) driven by
 // the injected internal/clock rather than the wall clock.
 //
-// Its callers are the netfail-serve supervisor's source restarts and
-// cmd/netfail-listener's receive and replay loops. Retry behaviour is
-// load-bearing for the serving path (a restart storm with synchronized
-// retries is itself an overload), so the schedule lives here once:
-// callers construct a Backoff from a Policy and ask it for the next
-// delay, and tests pin the exact schedule a seed produces.
+// Its caller is the netfail-serve supervisor's source restarts. Retry
+// behaviour is load-bearing for the serving path (a restart storm with
+// synchronized retries is itself an overload), so the schedule lives
+// here once: callers construct a Backoff from a Policy and ask it for
+// the next delay, and tests pin the exact schedule a seed produces.
 package backoff
 
 import (
@@ -47,7 +46,7 @@ type Policy struct {
 	Budget time.Duration
 }
 
-// Default is the retry policy the capture paths share: 1ms doubling,
+// Default is the supervisor's source-restart policy: 1ms doubling,
 // five retries, no jitter (1, 2, 4, 8, 16 ms).
 var Default = Policy{Base: time.Millisecond, Factor: 2, Retries: 5}
 
@@ -96,10 +95,6 @@ func (b *Backoff) Next() (d time.Duration, ok bool) {
 	}
 	return d, true
 }
-
-// Attempts returns the consecutive-failure count since the last
-// Reset.
-func (b *Backoff) Attempts() int { return b.n }
 
 // Reset marks the operation healthy again: the next failure restarts
 // the schedule from Base.

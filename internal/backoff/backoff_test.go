@@ -13,8 +13,8 @@ import (
 // TestDefaultscheduleIsPinned pins the exact delay sequence the
 // capture paths retried with before the dedup onto this package:
 // 1, 2, 4, 8, 16 ms, then exhaustion. Any change to this schedule is
-// a behaviour change in both syslog.Collector and netfail-listener
-// and must show up here first.
+// a behaviour change in netfail-serve's source restarts and must show
+// up here first.
 func TestDefaultScheduleIsPinned(t *testing.T) {
 	b := backoff.Default.New()
 	want := []time.Duration{
@@ -35,9 +35,6 @@ func TestDefaultScheduleIsPinned(t *testing.T) {
 	}
 	if _, ok := b.Next(); ok {
 		t.Error("Next() after the retry budget must report exhaustion")
-	}
-	if got := b.Attempts(); got != 6 {
-		t.Errorf("Attempts() = %d, want 6", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package isis
 import (
 	"strconv"
 	"testing"
-	"time"
 
 	"netfail/internal/topo"
 )
@@ -94,7 +93,6 @@ func BenchmarkFletcherChecksum(b *testing.B) {
 func BenchmarkDatabaseInstall(b *testing.B) {
 	b.ReportAllocs()
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	lsps := make([]*LSP, 256)
 	for i := range lsps {
 		lsps[i] = NewLSP(topo.SystemIDFromIndex(i+1), 1, "r", nil, nil)
@@ -103,6 +101,6 @@ func BenchmarkDatabaseInstall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l := lsps[i%len(lsps)]
 		l.Sequence = uint32(i + 2)
-		db.Install(l, now)
+		db.Install(l)
 	}
 }

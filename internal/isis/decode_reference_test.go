@@ -12,6 +12,22 @@ import (
 // decode_equivalence_test.go — do not modernize it; its value is that
 // it is the old code, byte for byte.
 
+// parseTLVs walks the TLV region, invoking fn for each field. It
+// returns ErrTruncated if a declared length overruns the buffer.
+func parseTLVs(data []byte, fn func(typ TLVType, value []byte) error) error {
+	cur := tlvCursor{data: data}
+	for {
+		typ, value, ok := cur.next()
+		if !ok {
+			break
+		}
+		if err := fn(typ, value); err != nil {
+			return err
+		}
+	}
+	return cur.err
+}
+
 func refDecodeLSP(l *LSP, data []byte) error {
 	typ, err := PeekType(data)
 	if err != nil {

@@ -1,15 +1,15 @@
 // Package isis implements the subset of the IS-IS link-state routing
 // protocol (ISO 10589 with the RFC 1195 / RFC 5305 IP extensions) a
 // passive listener needs to reproduce the paper's measurement
-// apparatus: binary encoding and decoding of LSP, CSNP and PSNP PDUs;
-// the TLVs listed in Table 1 of the paper (Area Addresses, Extended IS
-// Reachability, IP Interface Address, Extended IP Reachability, and
-// Dynamic Hostname); the ISO 8473 Fletcher checksum; a link-state
-// database with sequence-number ordering and the CSNP/PSNP exchange
-// that synchronizes it; and SPF over that database.
+// apparatus: binary encoding and decoding of LSPs; the TLVs listed in
+// Table 1 of the paper (Area Addresses, Extended IS Reachability, IP
+// Interface Address, Extended IP Reachability, and Dynamic Hostname);
+// the ISO 8473 Fletcher checksum; a link-state database with
+// sequence-number ordering; and SPF over that database.
 //
-// Encoding follows the gopacket convention: every PDU type offers
-// Encode (serialize to wire bytes) and DecodeFromBytes; PeekType reads
-// the PDU type off the common header so a caller can pick the decoder,
-// and names a hello without parsing it: the package forms no adjacency.
+// Encoding follows the gopacket convention: the LSP offers Encode
+// (serialize to wire bytes) and DecodeFromBytes; PeekType reads the
+// PDU type off the common header, so a caller names a hello, CSNP or
+// PSNP without parsing it: the package forms no adjacency and takes
+// part in no database exchange.
 package isis

@@ -3,7 +3,6 @@ package isis
 import (
 	"sort"
 	"sync"
-	"time"
 )
 
 // Database is a level-2 link-state database: the per-router view of
@@ -11,31 +10,24 @@ import (
 // number. It is safe for concurrent use.
 type Database struct {
 	mu   sync.RWMutex
-	lsps map[LSPID]storedLSP // guarded by mu
-}
-
-type storedLSP struct {
-	lsp      *LSP
-	received time.Time
+	lsps map[LSPID]*LSP // guarded by mu
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	return &Database{lsps: make(map[LSPID]storedLSP)}
+	return &Database{lsps: make(map[LSPID]*LSP)}
 }
 
 // Install stores the LSP if it is newer than the stored copy (higher
 // sequence number, or equal sequence with zero lifetime superseding a
-// live copy). It returns true if the database changed. now stamps the
-// arrival.
-func (db *Database) Install(lsp *LSP, now time.Time) bool {
+// live copy). It returns true if the database changed.
+func (db *Database) Install(lsp *LSP) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	cur, ok := db.lsps[lsp.ID]
-	if ok && !newer(lsp, cur.lsp) {
+	if cur, ok := db.lsps[lsp.ID]; ok && !newer(lsp, cur) {
 		return false
 	}
-	db.lsps[lsp.ID] = storedLSP{lsp: lsp, received: now}
+	db.lsps[lsp.ID] = lsp
 	return true
 }
 
@@ -55,10 +47,7 @@ func newer(candidate, stored *LSP) bool {
 func (db *Database) Get(id LSPID) *LSP {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if s, ok := db.lsps[id]; ok {
-		return s.lsp
-	}
-	return nil
+	return db.lsps[id]
 }
 
 // Len returns the number of stored LSPs.
@@ -68,27 +57,16 @@ func (db *Database) Len() int {
 	return len(db.lsps)
 }
 
-// Snapshot returns the stored LSPs sorted by LSP ID, as a CSNP would
-// enumerate them.
+// Snapshot returns the stored LSPs sorted by LSP ID.
 func (db *Database) Snapshot() []*LSP {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := make([]*LSP, 0, len(db.lsps))
-	for _, s := range db.lsps {
-		out = append(out, s.lsp)
+	for _, lsp := range db.lsps {
+		out = append(out, lsp)
 	}
 	sort.Slice(out, func(i, j int) bool { return lessLSPID(out[i].ID, out[j].ID) })
 	return out
-}
-
-// Entries returns CSNP-style digest entries for the whole database.
-func (db *Database) Entries() []LSPEntry {
-	lsps := db.Snapshot()
-	entries := make([]LSPEntry, len(lsps))
-	for i, l := range lsps {
-		entries[i] = LSPEntry{Lifetime: l.Lifetime, ID: l.ID, Sequence: l.Sequence, Checksum: l.Checksum}
-	}
-	return entries
 }
 
 func lessLSPID(a, b LSPID) bool {

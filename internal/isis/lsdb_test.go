@@ -2,7 +2,6 @@ package isis
 
 import (
 	"testing"
-	"time"
 
 	"netfail/internal/topo"
 )
@@ -13,17 +12,16 @@ func lspWithSeq(idx int, seq uint32) *LSP {
 
 func TestDatabaseInstallOrdering(t *testing.T) {
 	db := NewDatabase()
-	now := time.Unix(0, 0)
-	if !db.Install(lspWithSeq(1, 5), now) {
+	if !db.Install(lspWithSeq(1, 5)) {
 		t.Error("first install rejected")
 	}
-	if db.Install(lspWithSeq(1, 4), now) {
+	if db.Install(lspWithSeq(1, 4)) {
 		t.Error("older sequence accepted")
 	}
-	if db.Install(lspWithSeq(1, 5), now) {
+	if db.Install(lspWithSeq(1, 5)) {
 		t.Error("same sequence accepted")
 	}
-	if !db.Install(lspWithSeq(1, 6), now) {
+	if !db.Install(lspWithSeq(1, 6)) {
 		t.Error("newer sequence rejected")
 	}
 	if got := db.Get(LSPID{System: topo.SystemIDFromIndex(1)}); got == nil || got.Sequence != 6 {
@@ -33,20 +31,18 @@ func TestDatabaseInstallOrdering(t *testing.T) {
 
 func TestDatabasePurgeWins(t *testing.T) {
 	db := NewDatabase()
-	now := time.Unix(0, 0)
-	db.Install(lspWithSeq(1, 5), now)
+	db.Install(lspWithSeq(1, 5))
 	purge := lspWithSeq(1, 5)
 	purge.Lifetime = 0
-	if !db.Install(purge, now) {
+	if !db.Install(purge) {
 		t.Error("zero-lifetime copy at same sequence should supersede")
 	}
 }
 
 func TestDatabaseSnapshotSorted(t *testing.T) {
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	for _, idx := range []int{5, 1, 3} {
-		db.Install(lspWithSeq(idx, 1), now)
+		db.Install(lspWithSeq(idx, 1))
 	}
 	snap := db.Snapshot()
 	if len(snap) != 3 {
@@ -59,23 +55,13 @@ func TestDatabaseSnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestDatabaseEntries(t *testing.T) {
-	db := NewDatabase()
-	now := time.Unix(0, 0)
-	db.Install(lspWithSeq(1, 9), now)
-	entries := db.Entries()
-	if len(entries) != 1 || entries[0].Sequence != 9 {
-		t.Errorf("entries = %+v", entries)
-	}
-}
-
 func TestDatabaseConcurrentAccess(t *testing.T) {
 	db := NewDatabase()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			db.Install(lspWithSeq(i%10, uint32(i)), time.Unix(int64(i), 0))
+			db.Install(lspWithSeq(i%10, uint32(i)))
 		}
 	}()
 	for i := 0; i < 1000; i++ {

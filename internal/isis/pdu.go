@@ -22,8 +22,8 @@ const (
 )
 
 // PDUType identifies the PDU kind carried after the common header.
-// Only level-2 PDU types are implemented; CENIC runs a single-area
-// network where all adjacencies are level 2.
+// Only level-2 PDU types are named, and only the LSP has a codec;
+// CENIC runs a single-area network where all adjacencies are level 2.
 type PDUType uint8
 
 const (
@@ -53,12 +53,10 @@ func (t PDUType) String() string {
 	}
 }
 
-// Header lengths (common header plus the type-specific fixed part).
+// Header lengths (common header plus the LSP's fixed part).
 const (
 	commonHeaderLen = 8
 	lspHeaderLen    = commonHeaderLen + 19
-	csnpHeaderLen   = commonHeaderLen + 25
-	psnpHeaderLen   = commonHeaderLen + 9
 )
 
 // Decoding errors.

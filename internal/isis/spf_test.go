@@ -2,7 +2,6 @@ package isis
 
 import (
 	"testing"
-	"time"
 
 	"netfail/internal/topo"
 )
@@ -16,11 +15,10 @@ import (
 func spfTestDB(t *testing.T, withDirectLink bool) *Database {
 	t.Helper()
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
 	install := func(owner int, nbrs ...ISNeighbor) {
 		lsp := NewLSP(sys(owner), 1, "r", nbrs, nil)
-		if !db.Install(lsp, now) {
+		if !db.Install(lsp) {
 			t.Fatal("install failed")
 		}
 	}
@@ -61,11 +59,10 @@ func TestSPFTwoWayCheck(t *testing.T) {
 	// s3 advertises s1 but s1 does not advertise s3 (one-way): the
 	// direct edge must not be used.
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
-	db.Install(NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(2), Metric: 10}}, nil), now)
-	db.Install(NewLSP(sys(2), 1, "r2", []ISNeighbor{{System: sys(1), Metric: 10}}, nil), now)
-	db.Install(NewLSP(sys(3), 1, "r3", []ISNeighbor{{System: sys(1), Metric: 5}}, nil), now)
+	db.Install(NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(2), Metric: 10}}, nil))
+	db.Install(NewLSP(sys(2), 1, "r2", []ISNeighbor{{System: sys(1), Metric: 10}}, nil))
+	db.Install(NewLSP(sys(3), 1, "r3", []ISNeighbor{{System: sys(1), Metric: 5}}, nil))
 	res := RunSPF(db, sys(1))
 	if res.Reachable(sys(3)) {
 		t.Error("one-way adjacency used by SPF")
@@ -80,7 +77,7 @@ func TestSPFPartition(t *testing.T) {
 	// Withdraw the s2<->s3 adjacency from s2's side: s3 unreachable.
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
 	lsp := NewLSP(sys(2), 2, "r", []ISNeighbor{{System: sys(1), Metric: 10}}, nil)
-	db.Install(lsp, time.Unix(1, 0))
+	db.Install(lsp)
 	res := RunSPF(db, sys(1))
 	if res.Reachable(sys(3)) {
 		t.Error("s3 should be unreachable after withdrawal")
@@ -108,13 +105,12 @@ func TestSPFSortedStable(t *testing.T) {
 
 func TestSPFParallelLinksUseBestMetric(t *testing.T) {
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
 	// Two parallel adjacencies with metrics 30 and 10.
 	nbrs12 := []ISNeighbor{{System: sys(2), Metric: 30}, {System: sys(2), Metric: 10}}
 	nbrs21 := []ISNeighbor{{System: sys(1), Metric: 30}, {System: sys(1), Metric: 10}}
-	db.Install(NewLSP(sys(1), 1, "r1", nbrs12, nil), now)
-	db.Install(NewLSP(sys(2), 1, "r2", nbrs21, nil), now)
+	db.Install(NewLSP(sys(1), 1, "r1", nbrs12, nil))
+	db.Install(NewLSP(sys(2), 1, "r2", nbrs21, nil))
 	res := RunSPF(db, sys(1))
 	if got := res.Routes[sys(2)].Metric; got != 10 {
 		t.Errorf("metric = %d, want 10 (best of parallels)", got)
@@ -127,7 +123,6 @@ func TestSPFParallelLinksUseBestMetric(t *testing.T) {
 // edge lists happen to iterate.
 func TestSPFEqualCostDeterministic(t *testing.T) {
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
-	now := time.Unix(0, 0)
 	for run := 0; run < 200; run++ {
 		db := NewDatabase()
 		for owner, nbrs := range map[int][]int{1: {2, 3}, 2: {1, 4}, 3: {1, 4}, 4: {2, 3}} {
@@ -135,7 +130,7 @@ func TestSPFEqualCostDeterministic(t *testing.T) {
 			for _, n := range nbrs {
 				ns = append(ns, ISNeighbor{System: sys(n), Metric: 10})
 			}
-			if !db.Install(NewLSP(sys(owner), 1, "r", ns, nil), now) {
+			if !db.Install(NewLSP(sys(owner), 1, "r", ns, nil)) {
 				t.Fatal("install failed")
 			}
 		}
@@ -148,17 +143,16 @@ func TestSPFEqualCostDeterministic(t *testing.T) {
 
 func TestSPFUnionsFragments(t *testing.T) {
 	db := NewDatabase()
-	now := time.Unix(0, 0)
 	sys := func(i int) topo.SystemID { return topo.SystemIDFromIndex(i) }
 	// System 1's adjacency to 2 lives in fragment 0, to 3 in
 	// fragment 1.
 	f0 := NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(2), Metric: 10}}, nil)
 	f1 := NewLSP(sys(1), 1, "r1", []ISNeighbor{{System: sys(3), Metric: 10}}, nil)
 	f1.ID.Fragment = 1
-	db.Install(f0, now)
-	db.Install(f1, now)
-	db.Install(NewLSP(sys(2), 1, "r2", []ISNeighbor{{System: sys(1), Metric: 10}}, nil), now)
-	db.Install(NewLSP(sys(3), 1, "r3", []ISNeighbor{{System: sys(1), Metric: 10}}, nil), now)
+	db.Install(f0)
+	db.Install(f1)
+	db.Install(NewLSP(sys(2), 1, "r2", []ISNeighbor{{System: sys(1), Metric: 10}}, nil))
+	db.Install(NewLSP(sys(3), 1, "r3", []ISNeighbor{{System: sys(1), Metric: 10}}, nil))
 
 	res := RunSPF(db, sys(1))
 	if !res.Reachable(sys(2)) || !res.Reachable(sys(3)) {

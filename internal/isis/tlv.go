@@ -11,11 +11,9 @@ import (
 // TLVType identifies a type/length/value field inside a PDU.
 type TLVType uint8
 
-// TLV types used in this implementation (paper Table 1 plus the LSP
-// Entries TLV the SNPs carry).
+// TLV types used in this implementation (paper Table 1).
 const (
 	TLVAreaAddresses  TLVType = 1
-	TLVLSPEntries     TLVType = 9
 	TLVExtISReach     TLVType = 22
 	TLVIPIfaceAddr    TLVType = 132
 	TLVExtIPReach     TLVType = 135
@@ -50,24 +48,6 @@ func closeTLV(b []byte, start int) {
 		panic(fmt.Sprintf("isis: TLV %d value length %d exceeds 255", b[start], n))
 	}
 	b[start+1] = byte(n)
-}
-
-// parseTLVs walks the TLV region, invoking fn for each field. It
-// returns ErrTruncated if a declared length overruns the buffer.
-// Cold-path PDUs (hellos, SNPs) use this callback form; the LSP hot
-// path walks a tlvCursor instead.
-func parseTLVs(data []byte, fn func(typ TLVType, value []byte) error) error {
-	cur := tlvCursor{data: data}
-	for {
-		typ, value, ok := cur.next()
-		if !ok {
-			break
-		}
-		if err := fn(typ, value); err != nil {
-			return err
-		}
-	}
-	return cur.err
 }
 
 // tlvCursor is an in-place iterator over a TLV region: no callback,

@@ -125,7 +125,7 @@ func (l *Listener) Process(at time.Time, data []byte) error {
 	}
 	l.lspCount++
 	displaced := l.db.Get(lsp.ID)
-	if !l.db.Install(lsp, at) {
+	if !l.db.Install(lsp) {
 		l.staleLSPs++
 		return nil
 	}

@@ -275,19 +275,18 @@ func TestRefreshWithoutChangeSilent(t *testing.T) {
 // PDU by its type without needing one.
 var helloHeader = []byte{isis.IRPD, 8, isis.ProtocolVersion, 0, byte(isis.TypeP2PHello), isis.ProtocolVersion, 0, 0}
 
+// csnpHeader is the same for a CSNP: the listener takes no part in the
+// database exchange and skips the PDU unread.
+var csnpHeader = []byte{isis.IRPD, 8, isis.ProtocolVersion, 0, byte(isis.TypeCSNPL2), isis.ProtocolVersion, 0, 0}
+
 func TestNonLSPPDUsSkipped(t *testing.T) {
 	tb := newTestbed(t, false)
 	tb.sync(t)
 	if err := tb.l.Process(tb.now, helloHeader); err != nil {
 		t.Fatalf("hello should be skipped, not error: %v", err)
 	}
-	csnp := &isis.CSNP{Source: topo.SystemIDFromIndex(1)}
-	cw, err := csnp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.l.Process(tb.now, cw); err != nil {
-		t.Fatal(err)
+	if err := tb.l.Process(tb.now, csnpHeader); err != nil {
+		t.Fatalf("CSNP should be skipped, not error: %v", err)
 	}
 	res := tb.l.Results()
 	if res.OtherPDUs != 2 {

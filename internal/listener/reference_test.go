@@ -102,7 +102,7 @@ func (l *refListener) Process(at time.Time, data []byte) error {
 		return fmt.Errorf("listener: %w", err)
 	}
 	l.lspCount++
-	if !l.db.Install(&lsp, at) {
+	if !l.db.Install(&lsp) {
 		l.staleLSPs++
 		return nil
 	}
