@@ -226,6 +226,7 @@ func memoryShards(camp *Campaign) []shard {
 		name: "syslog",
 		syslog: func(ctx context.Context, d *Driver) error {
 			d.parsed += len(camp.Syslog)
+			d.ext.Reserve(camp.Syslog)
 			var line []byte
 			for i, m := range camp.Syslog {
 				if err := canceled(ctx, i); err != nil {

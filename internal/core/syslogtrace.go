@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -127,6 +128,12 @@ func (s *linkStream) add(tr trace.Transition, li int32) {
 	s.l = append(s.l, li)
 }
 
+func (s *linkStream) grow(n int) {
+	s.t = slices.Grow(s.t, n)
+	s.k = slices.Grow(s.k, n)
+	s.l = slices.Grow(s.l, n)
+}
+
 func (s *linkStream) reset() {
 	s.t, s.k, s.l = s.t[:0], s.k[:0], s.l[:0]
 	s.unsorted = false
@@ -178,10 +185,27 @@ func NewExtractor(net *topo.Network) *Extractor {
 func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mergeWindow time.Duration, workers int, st *SyslogTraces) {
 	ctx, done := obs.Stage(ctx, "extract-syslog")
 	defer done()
+	e.Reserve(msgs)
 	for _, m := range msgs {
 		e.Add(m)
 	}
 	e.Finish(ctx, mergeWindow, workers, st)
+}
+
+// Reserve sizes each stream for the msgs whose mnemonic (as
+// syslog.ParseLinkEventInto reads it) sends them there.
+func (e *Extractor) Reserve(msgs []*syslog.Message) {
+	var adj, phys int
+	for _, m := range msgs {
+		switch m.Mnemonic {
+		case "CLNS-5-ADJCHANGE", "ROUTING-ISIS-4-ADJCHANGE":
+			adj++
+		case "LINK-3-UPDOWN", "LINEPROTO-5-UPDOWN":
+			phys++
+		}
+	}
+	e.adj.grow(adj)
+	e.phys.grow(phys)
 }
 
 // Add consumes one message: a link event that resolves onto a known
@@ -276,7 +300,7 @@ func (s *linkStream) merge(nlinks int, mergeWindow time.Duration, dst []trace.Tr
 		dst = make([]trace.Transition, 0, len(s.t))
 	}
 	w := int64(mergeWindow)
-	outK, outL := s.outK[:0], s.outL[:0]
+	outK, outL := slices.Grow(s.outK[:0], len(s.t)), slices.Grow(s.outL[:0], len(s.t))
 	for i := range s.t {
 		li, k, d := s.l[i], s.k[i], int8(s.t[i].Dir)
 		if seen[li] && lastDir[li] == d {

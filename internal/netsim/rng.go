@@ -4,16 +4,23 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"netfail/internal/lfg"
 )
 
-// rng wraps math/rand with the distribution helpers the workload and
+// rng wraps math/rand, drawing rand.NewSource's stream from an
+// lfg.Source, with the distribution helpers the workload and
 // impairment models need.
 type rng struct {
 	*rand.Rand
+	src lfg.Source
 }
 
 func newRNG(seed int64) *rng {
-	return &rng{Rand: rand.New(rand.NewSource(seed))}
+	r := new(rng)
+	r.Rand = rand.New(&r.src)
+	r.Seed(seed)
+	return r
 }
 
 // bernoulli returns true with probability p.
@@ -45,8 +52,9 @@ func (r *rng) lognormal(median, sigma float64) float64 {
 	return median * math.Exp(sigma*r.NormFloat64())
 }
 
-// fork derives an independent deterministic stream, so consumers can
-// draw in any order without perturbing each other.
-func (r *rng) fork() *rng {
-	return newRNG(r.Int63())
+// fork re-seeds into as an independent deterministic stream, so
+// consumers can draw in any order without perturbing each other.
+func (r *rng) fork(into *rng) *rng {
+	into.Seed(r.Int63())
+	return into
 }

@@ -176,8 +176,8 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 		}
 	}
 	root := newRNG(cfg.Seed)
-	workRNG := root.fork()
-	impairRNG := root.fork()
+	workRNG := root.fork(newRNG(0))
+	impairRNG := root.fork(newRNG(0))
 
 	_, cfgSpan := obs.StartSpan(ctx, "configs")
 	camp := &Campaign{
@@ -204,6 +204,7 @@ func run(ctx context.Context, cfg Config, net *topo.Network, mkSink func(*Campai
 		camp:    camp,
 		sink:    sink,
 		rng:     impairRNG,
+		forked:  newRNG(0),
 		sched:   NewScheduler(cfg.Start),
 		devices: make([]*device.Router, len(net.RouterNames)),
 		ends:    make(map[topo.LinkID][2]*device.Interface, len(net.Links)),
@@ -273,6 +274,7 @@ type simulation struct {
 	camp    *Campaign
 	sink    eventSink
 	rng     *rng
+	forked  *rng // re-seeded for each per-link or per-router stream
 	sched   *Scheduler
 	devices []*device.Router // in RouterNames order
 	// ends holds each link's two interfaces, A side first, resolved
@@ -631,7 +633,7 @@ func (s *simulation) schedulePseudoFailures() {
 		}
 		meanGap := time.Duration(float64(365.25*24*time.Hour) / rate)
 		id := link.ID
-		lr := s.rng.fork()
+		lr := s.rng.fork(s.forked)
 		t := s.cfg.Start.Add(lr.expDur(meanGap))
 		for t.Before(s.cfg.End) {
 			at := t
@@ -681,7 +683,7 @@ func (s *simulation) scheduleBlips() {
 	meanGap := time.Duration(float64(365.25*24*time.Hour) / im.BlipPerLinkYear)
 	for _, link := range s.net.Links {
 		id := link.ID
-		lr := s.rng.fork()
+		lr := s.rng.fork(s.forked)
 		t := s.cfg.Start.Add(lr.expDur(meanGap))
 		for t.Before(s.cfg.End) {
 			dur := im.BlipDurMin + lr.uniformDur(0, im.BlipDurMax-im.BlipDurMin)
@@ -703,7 +705,7 @@ func (s *simulation) scheduleNoise() {
 	meanGap := time.Duration(float64(24*time.Hour) / im.NoisePerRouterDay)
 	for _, name := range s.net.RouterNames {
 		host := name
-		lr := s.rng.fork()
+		lr := s.rng.fork(s.forked)
 		seq := uint64(1 << 20) // clear of the device's own counters
 		t := s.cfg.Start.Add(lr.expDur(meanGap))
 		for t.Before(s.cfg.End) {

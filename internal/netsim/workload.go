@@ -135,7 +135,7 @@ func GenerateWorkload(r *rng, net *topo.Network, params WorkloadParams, start, e
 	// streams so the per-link no-overlap invariant holds.
 	blocked := make(map[topo.LinkID][]GroundTruthFailure)
 	if params.MaintenancePerRouterYear > 0 {
-		maintRNG := r.fork()
+		maintRNG := r.fork(newRNG(0))
 		meanGap := time.Duration(float64(365.25*24*time.Hour) / params.MaintenancePerRouterYear)
 		lo, hi := params.MaintenanceMin, params.MaintenanceMax
 		if lo <= 0 {
@@ -174,6 +174,7 @@ func GenerateWorkload(r *rng, net *topo.Network, params WorkloadParams, start, e
 		}
 	}
 
+	lr := newRNG(0)
 	for _, link := range net.Links {
 		p := params.CPE
 		if link.Class == topo.CoreLink {
@@ -187,8 +188,7 @@ func GenerateWorkload(r *rng, net *topo.Network, params WorkloadParams, start, e
 				p.FlapProb *= params.StableFlapFactor
 			}
 		}
-		lr := r.fork()
-		for _, f := range generateLinkFailures(lr, link, p, start, end, years) {
+		for _, f := range generateLinkFailures(r.fork(lr), link, p, start, end, years) {
 			if !overlapsAny(f, blocked[link.ID]) {
 				all = append(all, f)
 			}

@@ -4,9 +4,10 @@ import (
 	"cmp"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sort"
+
+	"netfail/internal/lfg"
 )
 
 // BootstrapMedianCI estimates a confidence interval for the sample
@@ -29,14 +30,15 @@ func BootstrapMedianCI(sample []float64, rounds int, alpha float64, seed int64) 
 	if rounds <= 0 {
 		rounds = 1000
 	}
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) {
 		alpha = 0.05
 	}
-	src := rand.NewSource(seed)
+	var src lfg.Source
+	src.Seed(seed)
 	res := newMedianResampler(sample)
 	medians := make([]float64, rounds)
 	for r := range medians {
-		medians[r] = res.round(src)
+		medians[r] = res.round(&src)
 	}
 	sort.Float64s(medians)
 	lo = quantileSorted(medians, alpha/2)
@@ -88,7 +90,7 @@ func newMedianResampler(sample []float64) *medianResampler {
 // straight from src; for a power of two nothing is rejected and the
 // remainder is Int31n's mask. The remainder is Lemire's fastmod,
 // exact for 32-bit operands: a multiply, not a divide.
-func (m *medianResampler) round(src rand.Source) float64 {
+func (m *medianResampler) round(src *lfg.Source) float64 {
 	clear(m.count)
 	n := uint64(len(m.rank))
 	limit := int32(math.MaxInt32 - (1<<31)%uint32(n))

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"netfail/internal/lfg"
 )
 
 func TestBootstrapMedianCICoversTrueMedian(t *testing.T) {
@@ -92,6 +94,17 @@ func TestBootstrapMedianCIErrors(t *testing.T) {
 	}
 }
 
+// TestBootstrapMedianCINaNAlpha: a NaN alpha takes the documented 0.05
+// default rather than indexing the medians with a NaN position.
+func TestBootstrapMedianCINaNAlpha(t *testing.T) {
+	sample := []float64{5, 1, 9, 3, 7, 2, 8}
+	lo, hi, err := BootstrapMedianCI(sample, 300, math.NaN(), 7)
+	wantLo, wantHi, _ := BootstrapMedianCI(sample, 300, 0.05, 7)
+	if err != nil || lo != wantLo || hi != wantHi {
+		t.Errorf("alpha NaN: [%v, %v] %v, want the alpha 0.05 interval [%v, %v]", lo, hi, err, wantLo, wantHi)
+	}
+}
+
 // bootstrapSample draws the shapes the rank-counting bootstrap has to
 // get right: one and two values, odd and even sizes, samples that are
 // mostly ties, NaNs, and infinities of either sign (the median
@@ -171,8 +184,9 @@ func TestBootstrapMatchesReference(t *testing.T) {
 // TestBootstrapRoundAllocBudget: a resampling round allocates nothing.
 func TestBootstrapRoundAllocBudget(t *testing.T) {
 	res := newMedianResampler(benchSamples(1000, 5))
-	rng := rand.New(rand.NewSource(1))
-	if allocs := testing.AllocsPerRun(20, func() { res.round(rng) }); allocs != 0 {
+	var src lfg.Source
+	src.Seed(1)
+	if allocs := testing.AllocsPerRun(20, func() { res.round(&src) }); allocs != 0 {
 		t.Errorf("a bootstrap round allocates %.1f times, want 0", allocs)
 	}
 }

@@ -42,24 +42,8 @@ func Summarize(sample []float64) (Summary, error) {
 	}, nil
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the sample using
-// linear interpolation between order statistics.
-func Quantile(sample []float64, q float64) (float64, error) {
-	if len(sample) == 0 {
-		return 0, ErrNoData
-	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
+// quantileSorted is the q-quantile (0 ≤ q ≤ 1) of sorted, interpolated.
 func quantileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))

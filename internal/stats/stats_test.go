@@ -29,52 +29,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantileEdges(t *testing.T) {
-	sample := []float64{10, 20, 30}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 10}, {1, 30}, {0.5, 20}, {-1, 10}, {2, 30},
-	} {
-		got, err := Quantile(sample, c.q)
-		if err != nil || got != c.want {
-			t.Errorf("Quantile(%v) = %v, %v; want %v", c.q, got, err, c.want)
-		}
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	sample := []float64{3, 1, 2}
-	if _, err := Quantile(sample, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if sample[0] != 3 || sample[1] != 1 || sample[2] != 2 {
-		t.Errorf("input mutated: %v", sample)
-	}
-}
-
-func TestQuantileMonotoneQuick(t *testing.T) {
-	f := func(raw []float64, q1, q2 float64) bool {
-		var sample []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				sample = append(sample, v)
-			}
-		}
-		if len(sample) == 0 {
-			return true
-		}
-		a, b := math.Abs(math.Mod(q1, 1)), math.Abs(math.Mod(q2, 1))
-		if a > b {
-			a, b = b, a
-		}
-		qa, _ := Quantile(sample, a)
-		qb, _ := Quantile(sample, b)
-		return qa <= qb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 4})
 	cases := []struct{ x, want float64 }{
