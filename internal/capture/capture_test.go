@@ -584,3 +584,27 @@ func TestSegmentReadAllocBudget(t *testing.T) {
 		t.Errorf("reading a 4096-record segment allocates %.0f times, budget is 16", avg)
 	}
 }
+
+// TestManifestStrictRejectsTrailingGarbage: the strict reader refuses
+// bytes after the JSON object, the same bytes a lenient read accounts
+// as skipped.
+func TestManifestStrictRejectsTrailingGarbage(t *testing.T) {
+	dir := writeShard(t, 1, 1)
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(bytes.NewReader(append(raw, " \n\t"...))); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
+	dirty := append(raw, "GARBAGE{{{"...)
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), dirty, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifestDir(dir); err == nil {
+		t.Error("strict read accepted a manifest with trailing garbage")
+	}
+	if _, rep, ok := salvage.JSONObject(dirty); !ok || rep.Skipped != 1 {
+		t.Errorf("lenient read: ok %v, report %+v; want the garbage skipped", ok, rep)
+	}
+}

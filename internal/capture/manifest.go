@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"netfail/internal/atomicfile"
+	"netfail/internal/salvage"
 )
 
 // ManifestName is the capture manifest's file name inside the
@@ -74,7 +75,7 @@ func IsCaptureDir(dir string) bool {
 // format tag.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err := salvage.DecodeJSON(r, &m); err != nil {
 		return nil, fmt.Errorf("capture: manifest: %w", err)
 	}
 	if m.Format != FormatName {

@@ -24,6 +24,9 @@ type Revision struct {
 	Captured time.Time
 	// Text is the full configuration body.
 	Text string
+	// unread marks a revision LoadDir counted without reading its
+	// text.
+	unread bool
 }
 
 // Archive is the config-file archive: every revision of every

@@ -239,8 +239,8 @@ type Table4 struct {
 	FalsePositives        int
 	FalsePositiveFraction float64
 	// Sanitization accounting.
-	SyslogSanitize trace.SanitizeReport
-	ISISSanitize   trace.SanitizeReport
+	SyslogSanitize trace.SanitizeCounts
+	ISISSanitize   trace.SanitizeCounts
 }
 
 // Table4 computes failure counts and downtime for both sources.
@@ -257,8 +257,8 @@ func (a *Analysis) table4(m match.FailureMatch, isisByLink byLink) Table4 {
 		SyslogDowntime:  trace.TotalDowntime(a.SyslogFailures),
 		OverlapDowntime: match.IntersectionDowntime(a.SyslogFailures, isisByLink),
 		FalsePositives:  len(m.OnlyA),
-		SyslogSanitize:  a.SyslogSanitize,
-		ISISSanitize:    a.ISISSanitize,
+		SyslogSanitize:  a.SyslogSanitize.SanitizeCounts,
+		ISISSanitize:    a.ISISSanitize.SanitizeCounts,
 	}
 	if t4.SyslogFailures > 0 {
 		t4.FalsePositiveFraction = float64(t4.FalsePositives) / float64(t4.SyslogFailures)

@@ -127,7 +127,7 @@ func (c *Campaign) WriteManifest(w io.Writer) error {
 // ReadManifest parses a campaign manifest strictly.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err := salvage.DecodeJSON(r, &m); err != nil {
 		return nil, fmt.Errorf("netsim: manifest: %w", err)
 	}
 	return &m, nil

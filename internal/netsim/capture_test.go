@@ -87,6 +87,23 @@ func TestReadManifestError(t *testing.T) {
 	}
 }
 
+// TestReadManifestRejectsTrailingGarbage: anything but whitespace after
+// the JSON object fails a strict read.
+func TestReadManifestRejectsTrailingGarbage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Campaign{Config: Config{Seed: 4}}).WriteManifest(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ReadManifest(strings.NewReader(buf.String() + "\n \n")); err != nil || m.Seed != 4 {
+		t.Errorf("trailing whitespace: manifest %+v, err %v", m, err)
+	}
+	for _, tail := range []string{"GARBAGE{{{", "{}", `{"seed": 5}`} {
+		if _, err := ReadManifest(strings.NewReader(buf.String() + tail)); err == nil {
+			t.Errorf("strict reader accepted trailing %q", tail)
+		}
+	}
+}
+
 func TestGroundTruthFailuresConversion(t *testing.T) {
 	camp := shortCampaign(t, 9)
 	fs := camp.GroundTruthFailures()

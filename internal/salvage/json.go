@@ -1,6 +1,11 @@
 package salvage
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+)
 
 // JSONObject extracts the first complete JSON object from raw,
 // tolerating garbage before and after it — the shared salvage step for
@@ -24,6 +29,22 @@ func JSONObject(raw []byte) ([]byte, *Report, bool) {
 		rep.Skip(lineNo, "garbage around JSON object")
 	}
 	return raw[start : end+1], rep, true
+}
+
+// DecodeJSON decodes one JSON value from r into v and rejects anything
+// but whitespace after it — the strict counterpart of JSONObject, which
+// the capture, simulator and store manifest readers share so that a
+// strict open never accepts bytes a lenient one would account as
+// skipped.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON value")
+	}
+	return nil
 }
 
 // matchBrace returns the index of the brace closing the object opened

@@ -1,9 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"netfail/internal/topo"
@@ -234,43 +235,32 @@ func decodeMessageRecord(rec []byte) (host uint32, line []byte, err error) {
 
 // SortFailureRecords orders failure records into the store's canonical
 // order: start time, then end time, then link, then source. The writer
-// sorts before framing (the segment contract wants non-decreasing
-// timestamps) and the oracle tests sort pipeline output the same way.
-func SortFailureRecords(rs []FailureRecord) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if !rs[i].Start.Equal(rs[j].Start) {
-			return rs[i].Start.Before(rs[j].Start)
-		}
-		if !rs[i].End.Equal(rs[j].End) {
-			return rs[i].End.Before(rs[j].End)
-		}
-		if rs[i].Link != rs[j].Link {
-			return rs[i].Link < rs[j].Link
-		}
-		return rs[i].Source < rs[j].Source
-	})
+// frames records in this order (the segment contract wants
+// non-decreasing timestamps) and the oracle tests sort pipeline output
+// the same way.
+func SortFailureRecords(rs []FailureRecord) { slices.SortFunc(rs, compareFailureRecords) }
+
+// compareFailureRecords is the canonical failure order. It compares
+// every stored field, so only identical records tie.
+func compareFailureRecords(a, b FailureRecord) int {
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
+	}
+	return cmp.Or(a.End.Compare(b.End), cmp.Compare(a.Link, b.Link), cmp.Compare(a.Source, b.Source))
 }
 
 // SortTransitionRecords orders transition records into the store's
 // canonical order: time, then link, then stream, then direction (Down
 // first), then reporter, then kind.
-func SortTransitionRecords(rs []TransitionRecord) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if !rs[i].Time.Equal(rs[j].Time) {
-			return rs[i].Time.Before(rs[j].Time)
-		}
-		if rs[i].Link != rs[j].Link {
-			return rs[i].Link < rs[j].Link
-		}
-		if rs[i].Stream != rs[j].Stream {
-			return rs[i].Stream < rs[j].Stream
-		}
-		if rs[i].Dir != rs[j].Dir {
-			return rs[i].Dir == trace.Down
-		}
-		if rs[i].Reporter != rs[j].Reporter {
-			return rs[i].Reporter < rs[j].Reporter
-		}
-		return rs[i].Kind < rs[j].Kind
-	})
+func SortTransitionRecords(rs []TransitionRecord) { slices.SortFunc(rs, compareTransitionRecords) }
+
+// compareTransitionRecords is the canonical transition order (Down
+// sorts before Up). It compares every stored field, so only identical
+// records tie.
+func compareTransitionRecords(a, b TransitionRecord) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	return cmp.Or(cmp.Compare(a.Link, b.Link), cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.Dir, b.Dir),
+		cmp.Compare(a.Reporter, b.Reporter), cmp.Compare(a.Kind, b.Kind))
 }

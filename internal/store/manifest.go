@@ -10,6 +10,7 @@ import (
 
 	"netfail/internal/atomicfile"
 	"netfail/internal/core"
+	"netfail/internal/salvage"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
 )
@@ -89,8 +90,8 @@ func (t *Tables) Table(n int) (any, error) {
 
 // Manifest ties a store directory together: format tag, campaign
 // identity, analysis parameters, the catalogs records reference by
-// ordinal, per-segment metadata, sanitize accounting, and the
-// precomputed tables.
+// ordinal, per-segment metadata, and the precomputed tables (Table 4
+// carries the sanitize accounting).
 type Manifest struct {
 	Format string `json:"format"`
 
@@ -114,31 +115,7 @@ type Manifest struct {
 	Transitions SegmentMeta          `json:"transitions"`
 	Messages    []MessageSegmentMeta `json:"messages"`
 
-	// Sanitization accounting carried over from the analysis (minus
-	// the kept lists, which live in failures.seg).
-	SyslogSanitize SanitizeCounts `json:"syslog_sanitize"`
-	ISISSanitize   SanitizeCounts `json:"isis_sanitize"`
-
 	Tables Tables `json:"tables"`
-}
-
-// SanitizeCounts is trace.SanitizeReport without the kept failure
-// list (stored in failures.seg instead of duplicated here).
-type SanitizeCounts struct {
-	RemovedOffline  int           `json:"removed_offline"`
-	LongChecked     int           `json:"long_checked"`
-	LongRemoved     int           `json:"long_removed"`
-	LongRemovedTime time.Duration `json:"long_removed_time_ns"`
-}
-
-// sanitizeCounts strips the kept list from a trace report.
-func sanitizeCounts(r trace.SanitizeReport) SanitizeCounts {
-	return SanitizeCounts{
-		RemovedOffline:  r.RemovedOffline,
-		LongChecked:     r.LongChecked,
-		LongRemoved:     r.LongRemoved,
-		LongRemovedTime: r.LongRemovedTime,
-	}
 }
 
 // writeManifestFile writes the manifest atomically, so a crash
@@ -160,7 +137,7 @@ func writeManifestFile(dir string, m *Manifest) error {
 // format tag.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err := salvage.DecodeJSON(r, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w", err)
 	}
 	if m.Format != FormatName {

@@ -128,3 +128,28 @@ func TestManifestCorruptionInsideIsFatal(t *testing.T) {
 		t.Error("lenient open accepted a torn manifest")
 	}
 }
+
+func TestManifestStrictRejectsTrailingGarbage(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeManifestFile(dir, sampleManifest()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, "GARBAGE{{{"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("strict open: got %v, want a trailing-data error", err)
+	}
+	st, err := OpenLenient(dir)
+	if err != nil {
+		t.Fatalf("lenient open: %v", err)
+	}
+	if salv := st.Salvage(); len(salv) == 0 || salv[0].Name != ManifestName || salv[0].Report.Skipped != 1 {
+		t.Errorf("lenient open does not account the trailing garbage: %+v", salv)
+	}
+}

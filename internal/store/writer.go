@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"netfail/internal/capture"
 	"netfail/internal/core"
@@ -121,9 +122,8 @@ func (w *Writer) finishMessageSegment() error {
 
 // WriteAnalysis writes the failure and transition segments (with
 // their postings) from a finished analysis and fills the manifest:
-// catalogs, parameters, sanitize accounting, and the precomputed
-// tables. ConfigFiles and isisUpdates are the campaign-level counts
-// Table 1 needs.
+// catalogs, parameters, and the precomputed tables. ConfigFiles and
+// isisUpdates are the campaign-level counts Table 1 needs.
 func (w *Writer) WriteAnalysis(a *core.Analysis, configFiles, isisUpdates int) error {
 	t := a.Tables(configFiles, isisUpdates)
 	return w.WriteAnalysisTables(a, &t)
@@ -144,38 +144,23 @@ func (w *Writer) WriteAnalysisTables(a *core.Analysis, t *core.Tables) error {
 		w.man.Links = append(w.man.Links, LinkEntry{ID: l.ID, Class: l.Class})
 	}
 
-	// Failures: both sources, canonical order.
-	recs := make([]FailureRecord, 0, len(a.SyslogFailures)+len(a.ISISFailures))
-	for _, f := range a.SyslogFailures {
-		recs = append(recs, FailureRecord{Source: SourceSyslog, Link: f.Link, Start: f.Start, End: f.End})
-	}
-	for _, f := range a.ISISFailures {
-		recs = append(recs, FailureRecord{Source: SourceISIS, Link: f.Link, Start: f.Start, End: f.End})
-	}
-	SortFailureRecords(recs)
-	fmeta, err := w.writeFailures(recs, linkOrd)
+	// Failures and transitions: each source or stream is one run,
+	// merged into canonical order.
+	fmeta, err := w.writeFailures([][]FailureRecord{
+		failureRun(SourceSyslog, a.SyslogFailures),
+		failureRun(SourceISIS, a.ISISFailures),
+	}, linkOrd)
 	if err != nil {
 		return err
 	}
 	w.man.Failures = fmeta
-
-	// Transitions: the five filtered streams, canonical order.
-	trecs := make([]TransitionRecord, 0,
-		len(a.SyslogAdj)+len(a.SyslogPerRtr)+len(a.SyslogPhysical)+len(a.ISReach)+len(a.IPReach))
-	appendStream := func(st Stream, ts []trace.Transition) {
-		for _, t := range ts {
-			trecs = append(trecs, TransitionRecord{
-				Stream: st, Time: t.Time, Link: t.Link, Dir: t.Dir, Kind: t.Kind, Reporter: t.Reporter,
-			})
-		}
-	}
-	appendStream(StreamSyslogAdj, a.SyslogAdj)
-	appendStream(StreamSyslogPerRouter, a.SyslogPerRtr)
-	appendStream(StreamSyslogPhysical, a.SyslogPhysical)
-	appendStream(StreamISReach, a.ISReach)
-	appendStream(StreamIPReach, a.IPReach)
-	SortTransitionRecords(trecs)
-	tmeta, err := w.writeTransitions(trecs, linkOrd)
+	tmeta, err := w.writeTransitions([][]TransitionRecord{
+		transitionRun(StreamSyslogAdj, a.SyslogAdj),
+		transitionRun(StreamSyslogPerRouter, a.SyslogPerRtr),
+		transitionRun(StreamSyslogPhysical, a.SyslogPhysical),
+		transitionRun(StreamISReach, a.ISReach),
+		transitionRun(StreamIPReach, a.IPReach),
+	}, linkOrd)
 	if err != nil {
 		return err
 	}
@@ -195,8 +180,6 @@ func (w *Writer) WriteAnalysisTables(a *core.Analysis, t *core.Tables) error {
 		MergeWindow:      a.In.MergeWindow,
 		IncludeMultiLink: a.In.IncludeMultiLink,
 	}
-	w.man.SyslogSanitize = sanitizeCounts(a.SyslogSanitize)
-	w.man.ISISSanitize = sanitizeCounts(a.ISISSanitize)
 	w.man.Tables = Tables{
 		Table1: t.Table1,
 		Table2: t.Table2,
@@ -209,27 +192,49 @@ func (w *Writer) WriteAnalysisTables(a *core.Analysis, t *core.Tables) error {
 	return nil
 }
 
-// writeFailures writes failures.seg/.idx/.pst.
-func (w *Writer) writeFailures(recs []FailureRecord, linkOrd map[string]uint32) (SegmentMeta, error) {
+// failureRun files one source's failures as store records.
+func failureRun(src Source, fs []trace.Failure) []FailureRecord {
+	run := make([]FailureRecord, len(fs))
+	for i, f := range fs {
+		run[i] = FailureRecord{Source: src, Link: f.Link, Start: f.Start, End: f.End}
+	}
+	return run
+}
+
+// transitionRun files one stream's transitions as store records.
+func transitionRun(st Stream, ts []trace.Transition) []TransitionRecord {
+	run := make([]TransitionRecord, len(ts))
+	for i, t := range ts {
+		run[i] = TransitionRecord{Stream: st, Time: t.Time, Link: t.Link, Dir: t.Dir, Kind: t.Kind, Reporter: t.Reporter}
+	}
+	return run
+}
+
+// writeFailures merges the failure runs into failures.seg/.idx/.pst.
+func (w *Writer) writeFailures(runs [][]FailureRecord, linkOrd map[string]uint32) (SegmentMeta, error) {
 	sw, err := capture.CreateSegmentFile(w.dir, FailuresSegment, FailuresIndex)
 	if err != nil {
 		return SegmentMeta{}, err
 	}
 	post := make(map[uint32][]uint32)
 	var maxSpanMs int64
-	for i, r := range recs {
+	err = mergeRuns(runs, compareFailureRecords, func(i int, r *FailureRecord) error {
 		link, ok := linkOrd[string(r.Link)]
 		if !ok {
-			return SegmentMeta{}, fmt.Errorf("store: failure on uncataloged link %q", r.Link)
+			return fmt.Errorf("store: failure on uncataloged link %q", r.Link)
 		}
 		w.rec = appendFailureRecord(w.rec[:0], r.Source, link, r.Start.UnixNano(), r.End.UnixNano())
 		if err := sw.Append(r.Start.UnixMilli(), w.rec); err != nil {
-			return SegmentMeta{}, err
+			return err
 		}
 		if span := r.End.UnixMilli() - r.Start.UnixMilli(); span > maxSpanMs {
 			maxSpanMs = span
 		}
 		post[link] = append(post[link], uint32(i))
+		return nil
+	})
+	if err != nil {
+		return SegmentMeta{}, err
 	}
 	if err := sw.Finish(); err != nil {
 		return SegmentMeta{}, err
@@ -242,19 +247,20 @@ func (w *Writer) writeFailures(recs []FailureRecord, linkOrd map[string]uint32) 
 	return meta, nil
 }
 
-// writeTransitions writes transitions.seg/.idx/.pst, interning
-// reporters into the catalog in record order.
-func (w *Writer) writeTransitions(recs []TransitionRecord, linkOrd map[string]uint32) (SegmentMeta, error) {
+// writeTransitions merges the transition runs into
+// transitions.seg/.idx/.pst, interning reporters into the catalog in
+// record order.
+func (w *Writer) writeTransitions(runs [][]TransitionRecord, linkOrd map[string]uint32) (SegmentMeta, error) {
 	sw, err := capture.CreateSegmentFile(w.dir, TransitionsSegment, TransitionsIndex)
 	if err != nil {
 		return SegmentMeta{}, err
 	}
 	post := make(map[uint32][]uint32)
 	repOrd := make(map[string]uint32)
-	for i, r := range recs {
+	err = mergeRuns(runs, compareTransitionRecords, func(i int, r *TransitionRecord) error {
 		link, ok := linkOrd[string(r.Link)]
 		if !ok {
-			return SegmentMeta{}, fmt.Errorf("store: transition on uncataloged link %q", r.Link)
+			return fmt.Errorf("store: transition on uncataloged link %q", r.Link)
 		}
 		rep, ok := repOrd[r.Reporter]
 		if !ok {
@@ -264,9 +270,13 @@ func (w *Writer) writeTransitions(recs []TransitionRecord, linkOrd map[string]ui
 		}
 		w.rec = appendTransitionRecord(w.rec[:0], r.Stream, r.Dir, r.Kind, link, rep, r.Time.UnixNano())
 		if err := sw.Append(r.Time.UnixMilli(), w.rec); err != nil {
-			return SegmentMeta{}, err
+			return err
 		}
 		post[link] = append(post[link], uint32(i))
+		return nil
+	})
+	if err != nil {
+		return SegmentMeta{}, err
 	}
 	if err := sw.Finish(); err != nil {
 		return SegmentMeta{}, err
@@ -277,6 +287,35 @@ func (w *Writer) writeTransitions(recs []TransitionRecord, linkOrd map[string]ui
 	meta := SegmentMeta{Records: sw.Records()}
 	meta.FirstMs, meta.LastMs = sw.Span()
 	return meta, nil
+}
+
+// mergeRuns hands emit the records of runs in cmp order, numbering
+// them from 0. Each run is sorted in place only if it is not already
+// in order — the analysis's streams normally are — so the cost is a
+// check and a merge rather than a sort. The store's comparators order
+// on every stored field, so records that tie are identical and the
+// merge emits exactly what sorting the concatenation would.
+func mergeRuns[T any](runs [][]T, cmp func(a, b T) int, emit func(i int, r *T) error) error {
+	for _, run := range runs {
+		if !slices.IsSortedFunc(run, cmp) {
+			slices.SortFunc(run, cmp)
+		}
+	}
+	for i := 0; ; i++ {
+		best := -1
+		for j, run := range runs {
+			if len(run) > 0 && (best < 0 || cmp(run[0], runs[best][0]) < 0) {
+				best = j
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		if err := emit(i, &runs[best][0]); err != nil {
+			return err
+		}
+		runs[best] = runs[best][1:]
+	}
 }
 
 // Finish closes any open message segment and writes the manifest.

@@ -64,13 +64,16 @@ func (m *Message) AppendRender(dst []byte) []byte {
 	dst = append(dst, '<')
 	dst = strconv.AppendInt(dst, int64(m.PRI()), 10)
 	dst = append(dst, '>')
+	stamp := len(dst)
 	dst = m.Timestamp.AppendFormat(dst, stampLayout)
+	stampEnd := len(dst)
 	dst = append(dst, ' ')
 	dst = append(dst, m.Hostname...)
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, int64(m.Seq), 10)
 	dst = append(dst, ':', ' ')
-	dst = m.Timestamp.AppendFormat(dst, stampLayout)
+	// The RFC 3164 stamp is formatted once and copied to its second place.
+	dst = append(dst, dst[stamp:stampEnd]...)
 	dst = append(dst, '.')
 	ms := m.Timestamp.Nanosecond() / int(time.Millisecond)
 	if ms < 100 {

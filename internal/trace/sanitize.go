@@ -11,6 +11,12 @@ const LongFailureThreshold = 24 * time.Hour
 type SanitizeReport struct {
 	// Kept is the surviving failure list.
 	Kept []Failure
+	SanitizeCounts
+}
+
+// SanitizeCounts is the accounting of a SanitizeReport without the
+// kept list: what the paper's Table 4 reports.
+type SanitizeCounts struct {
 	// RemovedOffline counts failures dropped for overlapping a
 	// listener-offline window.
 	RemovedOffline int

@@ -1,9 +1,11 @@
 #!/bin/sh
 # query.sh — end-to-end smoke of the indexed failure store and its
 # three query surfaces: build a store from a seeded two-week campaign
-# with netfail-analyze -store, drive every netfail-query verb (text
-# and -json), then mount the /api/v1 HTTP surface with `serve` and
-# assert the JSON endpoints and the shared error envelope.
+# with netfail-analyze -store, check that its manifest stays under
+# 64 KB and that every stored table prints as netfail-analyze prints
+# it, drive every netfail-query verb (text and -json), then mount the
+# /api/v1 HTTP surface with `serve` and assert the JSON endpoints and
+# the shared error envelope.
 #
 #   make query            # or: ./scripts/query.sh
 set -eu
@@ -21,23 +23,35 @@ trap cleanup EXIT
 storedir="$tmp/store"
 out="$tmp/out"
 
-echo "==> netfail-analyze -seed 1 -days 14 -table 4 -store"
-go run ./cmd/netfail-analyze -seed 1 -days 14 -table 4 -store "$storedir" > /dev/null
-
-[ -f "$storedir/manifest.json" ] || {
-    echo "query-smoke: FAIL: -store did not write a manifest" >&2
-    exit 1
-}
-
-echo "==> go build ./cmd/netfail-query"
-go build -o "$tmp/netfail-query" ./cmd/netfail-query
-q="$tmp/netfail-query -store $storedir"
-
 fail() {
     echo "query-smoke: FAIL: $1" >&2
     [ -f "$out" ] && sed 's/^/    /' "$out" >&2
     exit 1
 }
+
+echo "==> go build ./cmd/netfail-analyze ./cmd/netfail-query"
+go build -o "$tmp/netfail-analyze" ./cmd/netfail-analyze
+go build -o "$tmp/netfail-query" ./cmd/netfail-query
+analyze="$tmp/netfail-analyze -seed 1 -days 14"
+q="$tmp/netfail-query -store $storedir"
+
+echo "==> netfail-analyze -seed 1 -days 14 -table 4 -store"
+$analyze -table 4 -store "$storedir" > /dev/null
+
+[ -f "$storedir/manifest.json" ] || fail "-store did not write a manifest"
+
+# The manifest holds catalogs, segment metadata and the tables, never a
+# per-failure list: it stays small whatever the campaign's length.
+size=$(wc -c < "$storedir/manifest.json")
+[ "$size" -lt 65536 ] || fail "manifest.json is $size bytes, want < 64 KB"
+
+# Every stored table renders exactly as the analysis that wrote it.
+echo "==> netfail-query table -n N = netfail-analyze -table N, N = 1..7"
+for n in 1 2 3 4 5 6 7; do
+    $analyze -table "$n" > "$tmp/want"
+    $q table -n "$n" > "$out"
+    cmp -s "$tmp/want" "$out" || fail "table -n $n differs from netfail-analyze -table $n"
+done
 
 echo "==> netfail-query verbs"
 $q info > "$out"
@@ -134,4 +148,4 @@ kill "$srvpid"
 wait "$srvpid" 2>/dev/null || true
 srvpid=""
 
-echo "query-smoke: OK (store built, CLI verbs, link+window both ways, /api/v1 + error envelope)"
+echo "query-smoke: OK (store built, manifest < 64 KB, tables 1-7 as analyzed, CLI verbs, link+window both ways, /api/v1 + error envelope)"
