@@ -2,9 +2,16 @@ package netfail
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"testing"
 	"time"
+
+	"netfail/internal/api"
+	"netfail/internal/store"
 )
 
 // Allocation pins on the pipeline's hot paths. Each runs the op of the
@@ -144,6 +151,64 @@ func TestStoreWindowQueryWarmAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
 		t.Errorf("a warm one-day, one-link failures+transitions query allocates %d bytes, ceiling is %d", per, 64<<10)
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps nothing, so a
+// pin counts the handler's allocations and not a recorder's copy.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// TestStoreScanThroughMuxWarmAllocBudget: a warm all-links transitions
+// scan of the month store served through the /api/v1 mux, over 30 days
+// and over 3, costs the request's parsing, one segment reader and its
+// 256 KB bulk window, and nothing per record (21 allocations and
+// 263,388 bytes measured on both): the records stream from the store
+// into a pooled body. A record slice and a body grown from nil were 71
+// allocations and 8,896,035 bytes on the 30-day scan.
+func TestStoreScanThroughMuxWarmAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spills and analyzes a month-long campaign")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops buffers it is handed")
+	}
+	_, storeDir, _, _ := benchCaptureSetup(t)
+	s, err := store.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := api.NewMux(api.Options{Store: s})
+	start := s.Manifest().Start
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, days := range []int{30, 3} {
+		what := fmt.Sprintf("a warm %d-day transitions scan through the mux", days)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/transitions?"+url.Values{
+			"from": {start.Format(time.RFC3339)}, "to": {start.AddDate(0, 0, days).Format(time.RFC3339)},
+		}.Encode(), nil)
+		w := &discardResponse{h: http.Header{}}
+		op := func() {
+			mux.ServeHTTP(w, req)
+			if cl := w.h.Get("Content-Length"); len(cl) < 5 { // 10 KB or more
+				t.Fatalf("%s: a body of %s bytes is too small to pin", what, cl)
+			}
+		}
+		op() // warm: the pool's buffer grows to the body once
+		pinAllocs(t, what, 32, op)
+
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 320<<10 {
+			t.Errorf("%s allocates %d bytes, ceiling is %d", what, per, 320<<10)
+		}
 	}
 }
 

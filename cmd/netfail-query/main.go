@@ -204,7 +204,7 @@ func runLinks(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, 
 		return err
 	}
 	if jsonOut {
-		return printBody(out, api.AppendLinks(nil, links))
+		return printBody(out, func(b *api.Body) error { b.Links(links); return nil })
 	}
 	for _, l := range links {
 		fmt.Fprintf(out, "%-8s %s\n", l.Class, l.ID)
@@ -218,12 +218,12 @@ func runFailures(ctx context.Context, out io.Writer, s *store.Store, jsonOut boo
 	if err != nil {
 		return err
 	}
+	if jsonOut {
+		return printBody(out, func(b *api.Body) error { return b.Failures(ctx, s, opts...) })
+	}
 	recs, err := s.Failures(ctx, opts...)
 	if err != nil {
 		return err
-	}
-	if jsonOut {
-		return printBody(out, api.AppendFailures(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintf(out, "%-7s %s  %s  (%s)  %s\n", r.Source,
@@ -239,12 +239,12 @@ func runTransitions(ctx context.Context, out io.Writer, s *store.Store, jsonOut 
 	if err != nil {
 		return err
 	}
+	if jsonOut {
+		return printBody(out, func(b *api.Body) error { return b.Transitions(ctx, s, opts...) })
+	}
 	recs, err := s.Transitions(ctx, opts...)
 	if err != nil {
 		return err
-	}
-	if jsonOut {
-		return printBody(out, api.AppendTransitions(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintf(out, "%s  %-17s %-4s %-10s %-12s %s\n", r.Time.Format(time.RFC3339),
@@ -259,12 +259,12 @@ func runMessages(ctx context.Context, out io.Writer, s *store.Store, jsonOut boo
 	if err != nil {
 		return err
 	}
+	if jsonOut {
+		return printBody(out, func(b *api.Body) error { return b.Messages(ctx, s, opts...) })
+	}
 	recs, err := s.Messages(ctx, opts...)
 	if err != nil {
 		return err
-	}
-	if jsonOut {
-		return printBody(out, api.AppendMessages(nil, recs))
 	}
 	for _, r := range recs {
 		fmt.Fprintln(out, r.Line)
@@ -287,7 +287,7 @@ func runFlaps(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, 
 		return err
 	}
 	if jsonOut {
-		return printBody(out, api.AppendEpisodes(nil, src, eps))
+		return printBody(out, func(b *api.Body) error { b.Episodes(src, eps); return nil })
 	}
 	flaps := 0
 	for _, e := range eps {
@@ -392,8 +392,12 @@ func printJSON(out io.Writer, v any) error {
 	return json.NewEncoder(out).Encode(v)
 }
 
-// printBody prints a list resource's API body.
-func printBody(out io.Writer, body []byte) error {
-	_, err := out.Write(body)
+// printBody prints the list resource's API body build makes.
+func printBody(out io.Writer, build func(*api.Body) error) error {
+	var b api.Body
+	if err := build(&b); err != nil {
+		return err
+	}
+	_, err := out.Write(b.Bytes())
 	return err
 }

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -47,7 +48,7 @@ type Options struct {
 //	GET /api/v1/failures    ?link&source&from&to&limit
 //	GET /api/v1/transitions ?link&stream&dir&kind&reporter&from&to&limit
 //	GET /api/v1/messages    ?host&contains&from&to&limit
-//	GET /api/v1/flaps       ?source&link&from&to
+//	GET /api/v1/flaps       ?source&link&from&to&limit
 //	GET /api/v1/tables/{n}
 //	GET /api/v1/store
 //	GET /api/v1/metrics
@@ -286,28 +287,127 @@ func ParseQuery(get func(name string) string) ([]store.Option, error) {
 	return opts, nil
 }
 
-// The list bodies, one append-style encoder per resource: what the
-// endpoint serves and what netfail-query -json prints. Each appends
-// {"count":n,"<resource>":[...]} and a newline — compact, count first,
-// byte for byte what encoding/json makes of the same records (the
-// equivalence test holds them to it), without a wire copy of the
-// slice or reflection over it; pipe through `jq .` to read one.
-// Enumerations travel as their string names, never their storage
-// ordinals — the JSON surface is versioned, the binary format is not
-// part of it.
+// Body is a list endpoint's response and netfail-query -json's output:
+// {"count":n,"<resource>":[...]} and a newline, compact, byte for byte
+// what encoding/json makes of the records (pipe through `jq .` to read
+// one). Enumerations travel as their names, never their storage
+// ordinals. The zero value is ready; a Body reused keeps its buffer, so
+// a body streamed from the store allocates nothing once it has grown.
+type Body struct {
+	buf   []byte
+	start int // the body's first byte: its head ends where the records begin
+	n     int // records appended so far
+}
 
-// appendList frames a list body around one's encoding of each record's
-// members.
-func appendList[R any](dst []byte, resource string, recs []R, one func([]byte, R) []byte) []byte {
-	dst = strconv.AppendInt(append(dst, `{"count":`...), int64(len(recs)), 10)
-	dst = append(append(append(dst, `,"`...), resource...), `":[`...)
-	for i, r := range recs {
-		if i > 0 {
-			dst = append(dst, ',')
+// Bytes returns the body, valid until b is built again.
+func (b *Body) Bytes() []byte { return b.buf[b.start:] }
+
+// build makes b the body of the records each yields, appending each as
+// it arrives behind room reserved for the head, which is written into
+// the end of that room once the count is known. If each fails, b holds
+// an empty body and the error is returned.
+func build[R any](b *Body, resource string, each func(func(R) error) error, one func([]byte, R) []byte) error {
+	room := len(`{"count":`) + len("9223372036854775807") + len(`,"`) + len(resource) + len(`":[`)
+	b.buf, b.start, b.n = append(b.buf[:0], make([]byte, room)...), 0, 0
+	err := each(func(r R) error {
+		if b.n > 0 {
+			b.buf = append(b.buf, ',')
 		}
-		dst = append(one(append(dst, '{'), r), '}')
+		b.buf = append(one(append(b.buf, '{'), r), '}')
+		b.n++
+		return nil
+	})
+	if err != nil {
+		b.buf = b.buf[:0]
+		return err
 	}
-	return append(dst, "]}\n"...)
+	b.buf = append(b.buf, "]}\n"...)
+	var h [64]byte
+	head := strconv.AppendInt(append(h[:0], `{"count":`...), int64(b.n), 10)
+	head = append(append(append(head, `,"`...), resource...), `":[`...)
+	b.start = room - len(head)
+	copy(b.buf[b.start:], head)
+	return nil
+}
+
+// eachOf visits a slice's elements for build, whose visitor never fails.
+func eachOf[R any](rs []R) func(func(R) error) error {
+	return func(fn func(R) error) error {
+		for _, r := range rs {
+			_ = fn(r)
+		}
+		return nil
+	}
+}
+
+// Links makes b the /api/v1/links body.
+func (b *Body) Links(links []store.LinkEntry) {
+	_ = build(b, "links", eachOf(links), appendLink) // a slice yields no error
+}
+
+// Failures makes b the /api/v1/failures body of the failures matching
+// opts, encoded as s reads them.
+func (b *Body) Failures(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	return build(b, "failures", func(fn func(store.FailureRecord) error) error {
+		return s.EachFailure(ctx, fn, opts...)
+	}, appendFailure)
+}
+
+// Transitions makes b the /api/v1/transitions body of the transitions
+// matching opts, encoded as s reads them.
+func (b *Body) Transitions(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	return build(b, "transitions", func(fn func(store.TransitionRecord) error) error {
+		return s.EachTransition(ctx, fn, opts...)
+	}, appendTransition)
+}
+
+// Messages makes b the /api/v1/messages body of the syslog lines
+// matching opts, encoded as s reads them.
+func (b *Body) Messages(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	return build(b, "messages", func(fn func(store.MessageRecord) error) error {
+		return s.EachMessage(ctx, fn, opts...)
+	}, appendMessage)
+}
+
+// Episodes makes b the /api/v1/flaps body of source src's episodes.
+func (b *Body) Episodes(src store.Source, eps []trace.Episode) {
+	_ = build(b, "episodes", eachOf(eps), func(dst []byte, e trace.Episode) []byte { // a slice yields no error
+		dst = appendString(dst, "link", string(e.Link))
+		dst = appendTime(appendTime(dst, "start", e.Start()), "end", e.End())
+		dst = strconv.AppendBool(appendKey(dst, "flap"), e.IsFlap())
+		dst = append(appendKey(dst, "failures"), '[')
+		for i, f := range e.Failures {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			r := store.FailureRecord{Source: src, Link: f.Link, Start: f.Start, End: f.End}
+			dst = append(appendFailure(append(dst, '{'), r), '}')
+		}
+		return append(dst, ']')
+	})
+}
+
+func appendLink(dst []byte, l store.LinkEntry) []byte {
+	return appendName(appendString(dst, "id", string(l.ID)), "class", l.Class.String())
+}
+
+func appendFailure(dst []byte, r store.FailureRecord) []byte {
+	dst = appendName(dst, "source", r.Source.String())
+	dst = appendString(dst, "link", string(r.Link))
+	return appendTime(appendTime(dst, "start", r.Start), "end", r.End)
+}
+
+func appendTransition(dst []byte, r store.TransitionRecord) []byte {
+	dst = appendName(dst, "stream", r.Stream.String())
+	dst = appendTime(dst, "time", r.Time)
+	dst = appendString(dst, "link", string(r.Link))
+	dst = appendName(dst, "dir", r.Dir.String())
+	dst = appendName(dst, "kind", r.Kind.String())
+	return appendString(dst, "reporter", r.Reporter)
+}
+
+func appendMessage(dst []byte, r store.MessageRecord) []byte {
+	return appendString(appendString(appendTime(dst, "time", r.Time), "host", r.Host), "line", r.Line)
 }
 
 // appendKey appends a member's name, after a comma unless the member
@@ -320,10 +420,33 @@ func appendKey(dst []byte, key string) []byte {
 }
 
 // appendTime appends a time member as encoding/json does: RFC 3339,
-// sub-second digits when there are any. Stored times are UnixNano and
-// UnixMilli values, inside the years 0-9999 that format needs.
+// sub-second digits when there are any. A UTC time inside the years
+// 0-9999 that format needs — every stored time — is written digit by
+// digit; any other falls back to time.Time.AppendFormat.
 func appendTime(dst []byte, key string, t time.Time) []byte {
-	return append(t.AppendFormat(append(appendKey(dst, key), '"'), time.RFC3339Nano), '"')
+	dst = append(appendKey(dst, key), '"')
+	y, mo, d := t.Date()
+	if t.Location() != time.UTC || y < 0 || y > 9999 {
+		return append(t.AppendFormat(dst, time.RFC3339Nano), '"')
+	}
+	h, mi, s := t.Clock()
+	dst = append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+mo/10), byte('0'+mo%10), '-', byte('0'+d/10), byte('0'+d%10), 'T',
+		byte('0'+h/10), byte('0'+h%10), ':', byte('0'+mi/10), byte('0'+mi%10), ':', byte('0'+s/10), byte('0'+s%10))
+	if ns := t.Nanosecond(); ns != 0 { // nine digits behind the point, less the trailing zeros
+		dot := len(dst)
+		dst = strconv.AppendInt(dst, int64(1e9+ns), 10)
+		for dst[dot] = '.'; dst[len(dst)-1] == '0'; {
+			dst = dst[:len(dst)-1]
+		}
+	}
+	return append(dst, 'Z', '"')
+}
+
+// appendName appends an enumeration's name: a fixed string of plain
+// ASCII (TestEnumNamesNeedNoEscape), so it skips appendString's scan.
+func appendName(dst []byte, key, name string) []byte {
+	return append(append(append(appendKey(dst, key), '"'), name...), '"')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -377,114 +500,81 @@ func appendString(dst []byte, key, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-func appendFailure(dst []byte, src store.Source, f trace.Failure) []byte {
-	dst = appendString(dst, "source", src.String())
-	dst = appendString(dst, "link", string(f.Link))
-	return appendTime(appendTime(dst, "start", f.Start), "end", f.End)
-}
+// bodies holds the list handlers' buffers for reuse.
+var bodies = sync.Pool{New: func() any { return new(Body) }}
 
-// AppendLinks appends the /api/v1/links body.
-func AppendLinks(dst []byte, links []store.LinkEntry) []byte {
-	return appendList(dst, "links", links, func(dst []byte, l store.LinkEntry) []byte {
-		return appendString(appendString(dst, "id", string(l.ID)), "class", l.Class.String())
-	})
-}
+// maxPooledBody is the largest buffer a handler hands back for reuse: a
+// month's scan fits, and a whole campaign's does not stay allocated.
+const maxPooledBody = 8 << 20
 
-// AppendFailures appends the /api/v1/failures body.
-func AppendFailures(dst []byte, recs []store.FailureRecord) []byte {
-	return appendList(dst, "failures", recs, func(dst []byte, r store.FailureRecord) []byte {
-		return appendFailure(dst, r.Source, r.Failure())
-	})
-}
-
-// AppendTransitions appends the /api/v1/transitions body.
-func AppendTransitions(dst []byte, recs []store.TransitionRecord) []byte {
-	return appendList(dst, "transitions", recs, func(dst []byte, r store.TransitionRecord) []byte {
-		dst = appendString(dst, "stream", r.Stream.String())
-		dst = appendTime(dst, "time", r.Time)
-		dst = appendString(dst, "link", string(r.Link))
-		dst = appendString(dst, "dir", r.Dir.String())
-		dst = appendString(dst, "kind", r.Kind.String())
-		return appendString(dst, "reporter", r.Reporter)
-	})
-}
-
-// AppendMessages appends the /api/v1/messages body.
-func AppendMessages(dst []byte, recs []store.MessageRecord) []byte {
-	return appendList(dst, "messages", recs, func(dst []byte, r store.MessageRecord) []byte {
-		return appendString(appendString(appendTime(dst, "time", r.Time), "host", r.Host), "line", r.Line)
-	})
-}
-
-// AppendEpisodes appends the /api/v1/flaps body for source src.
-func AppendEpisodes(dst []byte, src store.Source, eps []trace.Episode) []byte {
-	return appendList(dst, "episodes", eps, func(dst []byte, e trace.Episode) []byte {
-		dst = appendString(dst, "link", string(e.Link))
-		dst = appendTime(appendTime(dst, "start", e.Start()), "end", e.End())
-		dst = strconv.AppendBool(appendKey(dst, "flap"), e.IsFlap())
-		dst = append(appendKey(dst, "failures"), '[')
-		for i, f := range e.Failures {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(appendFailure(append(dst, '{'), src, f), '}')
-		}
-		return append(dst, ']')
-	})
+// serveBody answers with the body build makes in a pooled buffer. The
+// body is whole before the header goes out, so a store error mid-read
+// is the error envelope, never a 200 cut short.
+func serveBody(w http.ResponseWriter, r *http.Request, build func(*Body) error) {
+	b := bodies.Get().(*Body)
+	if err := build(b); err != nil {
+		queryError(w, r, err)
+	} else {
+		writeBody(w, http.StatusOK, b.Bytes())
+	}
+	if cap(b.buf) <= maxPooledBody {
+		bodies.Put(b)
+	}
 }
 
 func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	links, err := s.Links(r.Context())
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	writeBody(w, http.StatusOK, AppendLinks(nil, links))
+	serveBody(w, r, func(b *Body) error {
+		links, err := s.Links(r.Context())
+		if err == nil {
+			b.Links(links)
+		}
+		return err
+	})
 }
 
 // serveList answers a filtered list endpoint: the URL parameters
-// through ParseQuery, the store query, the resource's body.
-func serveList[R any](w http.ResponseWriter, r *http.Request,
-	query func(context.Context, ...store.Option) ([]R, error), body func([]byte, []R) []byte) {
+// through ParseQuery, the store's records streamed into the body.
+func serveList(s *store.Store, w http.ResponseWriter, r *http.Request,
+	body func(*Body, context.Context, *store.Store, ...store.Option) error) {
 	opts, err := ParseQuery(r.URL.Query().Get)
 	if err != nil {
 		badParam(w, err)
 		return
 	}
-	recs, err := query(r.Context(), opts...)
-	if err != nil {
-		queryError(w, r, err)
-		return
-	}
-	writeBody(w, http.StatusOK, body(nil, recs))
+	serveBody(w, r, func(b *Body) error { return body(b, r.Context(), s, opts...) })
 }
 
 func handleFailures(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Failures, AppendFailures)
+	serveList(s, w, r, (*Body).Failures)
 }
 
 func handleTransitions(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Transitions, AppendTransitions)
+	serveList(s, w, r, (*Body).Transitions)
 }
 
 func handleMessages(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveList(w, r, s.Messages, AppendMessages)
+	serveList(s, w, r, (*Body).Messages)
 }
 
 func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	srcParam := r.URL.Query().Get("source")
-	if srcParam == "" {
+	params := r.URL.Query()
+	if params.Get("source") == "" {
 		badParam(w, &ParamError{"source", errors.New("required: \"syslog\" or \"isis\"")})
 		return
 	}
-	src, err := store.ParseSource(srcParam)
+	opts, err := ParseQuery(params.Get)
 	if err != nil {
-		badParam(w, &ParamError{"source", err})
+		badParam(w, err)
 		return
 	}
-	serveList(w, r, func(ctx context.Context, opts ...store.Option) ([]trace.Episode, error) {
-		return s.Flaps(ctx, src, opts...)
-	}, func(dst []byte, eps []trace.Episode) []byte { return AppendEpisodes(dst, src, eps) })
+	src, _ := store.ParseSource(params.Get("source")) // ParseQuery accepted it
+	serveBody(w, r, func(b *Body) error {
+		eps, err := s.Flaps(r.Context(), src, opts...)
+		if err == nil {
+			b.Episodes(src, eps)
+		}
+		return err
+	})
 }
 
 func handleTable(s *store.Store, w http.ResponseWriter, r *http.Request) {

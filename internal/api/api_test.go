@@ -8,12 +8,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"netfail"
 	"netfail/internal/api"
+	"netfail/internal/capture"
+	"netfail/internal/frame"
 	"netfail/internal/obs"
 	"netfail/internal/store"
 	"netfail/internal/topo"
@@ -419,6 +423,89 @@ func TestAPICancellation(t *testing.T) {
 	}
 	if got := decodeEnvelope(t, rec.Body.Bytes()); got != "canceled" {
 		t.Errorf("envelope code %q", got)
+	}
+}
+
+// TestAPIScanDamageIsWholeEnvelope: a byte flipped inside a 30-day
+// window of transitions.seg is a strict store's 500 store_error
+// envelope for the scan of that window, whole and behind its length —
+// never a 200 carrying the records read before the damage — and a
+// lenient store's 200, with the skip accounted at /api/v1/store.
+func TestAPIScanDamageIsWholeEnvelope(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign simulation in -short mode")
+	}
+	src := buildTestStore(t).Dir()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Damage the payload of the frame a middle index entry points at,
+	// and centre the window on its stamp.
+	idx, _, err := capture.LoadIndex(filepath.Join(dir, store.TransitionsIndex), false)
+	if err != nil || len(idx) < 2 {
+		t.Fatalf("transitions index: %d entries, %v", len(idx), err)
+	}
+	mid := idx[len(idx)/2]
+	seg := filepath.Join(dir, store.TransitionsSegment)
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[mid.Offset+frame.Overhead+12] ^= 0xFF
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	at := time.UnixMilli(mid.TsMs).UTC()
+	scan := "/api/v1/transitions?from=" + at.Add(-15*24*time.Hour).Format(time.RFC3339) +
+		"&to=" + at.Add(15*24*time.Hour).Format(time.RFC3339)
+
+	serve := func(s *store.Store, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		api.NewMux(api.Options{Store: s}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", path, cl, rec.Body.Len())
+		}
+		return rec
+	}
+
+	strict, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(strict, scan)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("strict scan over the damage: status %d, want 500; body %.200s", rec.Code, rec.Body)
+	}
+	if code := decodeEnvelope(t, rec.Body.Bytes()); code != "store_error" {
+		t.Errorf("strict scan over the damage: envelope code %q, want store_error", code)
+	}
+
+	lenient, err := store.OpenLenient(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := serve(lenient, scan); rec.Code != http.StatusOK {
+		t.Fatalf("lenient scan over the damage: status %d, want 200; body %.200s", rec.Code, rec.Body)
+	}
+	var summary struct {
+		Salvage map[string]string `json:"salvage"`
+	}
+	if err := json.Unmarshal(serve(lenient, "/api/v1/store").Body.Bytes(), &summary); err != nil {
+		t.Fatal(err)
+	}
+	if got := summary.Salvage[store.TransitionsSegment]; !strings.Contains(got, "skipped") || strings.Contains(got, "skipped 0 ") {
+		t.Errorf("/api/v1/store salvage for %s is %q, want a skip accounted", store.TransitionsSegment, got)
 	}
 }
 

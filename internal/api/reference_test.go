@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -133,25 +138,36 @@ func refEncode(t *testing.T, body any) []byte {
 func checkBodies(t *testing.T, links []store.LinkEntry, fails []store.FailureRecord,
 	trans []store.TransitionRecord, msgs []store.MessageRecord, eps []trace.Episode) {
 	t.Helper()
+	// One Body for every list, as a pooled one is reused.
+	var b api.Body
 	for _, c := range []struct {
-		name      string
-		got, want []byte
+		name  string
+		build func()
+		want  []byte
 	}{
-		{"links", api.AppendLinks(nil, links), refEncode(t, LinksBody(links))},
-		{"failures", api.AppendFailures(nil, fails), refEncode(t, FailuresBody(fails))},
-		{"transitions", api.AppendTransitions(nil, trans), refEncode(t, TransitionsBody(trans))},
-		{"messages", api.AppendMessages(nil, msgs), refEncode(t, MessagesBody(msgs))},
-		{"episodes syslog", api.AppendEpisodes(nil, store.SourceSyslog, eps), refEncode(t, EpisodesBody(store.SourceSyslog, eps))},
-		{"episodes isis", api.AppendEpisodes(nil, store.SourceISIS, eps), refEncode(t, EpisodesBody(store.SourceISIS, eps))},
+		{"links", func() { b.Links(links) }, refEncode(t, LinksBody(links))},
+		{"failures", func() { b.FailuresOf(fails) }, refEncode(t, FailuresBody(fails))},
+		{"transitions", func() { b.TransitionsOf(trans) }, refEncode(t, TransitionsBody(trans))},
+		{"messages", func() { b.MessagesOf(msgs) }, refEncode(t, MessagesBody(msgs))},
+		{"episodes syslog", func() { b.Episodes(store.SourceSyslog, eps) }, refEncode(t, EpisodesBody(store.SourceSyslog, eps))},
+		{"episodes isis", func() { b.Episodes(store.SourceISIS, eps) }, refEncode(t, EpisodesBody(store.SourceISIS, eps))},
 	} {
-		if !bytes.Equal(c.got, c.want) {
-			i := 0
-			for i < len(c.got) && i < len(c.want) && c.got[i] == c.want[i] {
-				i++
-			}
-			t.Errorf("%s: append encoder differs from encoding/json at byte %d of %d/%d\n got: %.120q\nwant: %.120q",
-				c.name, i, len(c.got), len(c.want), c.got[max(0, i-40):], c.want[max(0, i-40):])
+		c.build()
+		diffBody(t, c.name, b.Bytes(), c.want)
+	}
+}
+
+// diffBody reports where an encoded body first departs from the
+// reference's bytes.
+func diffBody(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
 		}
+		t.Errorf("%s: append encoder differs from encoding/json at byte %d of %d/%d\n got: %.120q\nwant: %.120q",
+			what, i, len(got), len(want), got[max(0, i-40):], want[max(0, i-40):])
 	}
 }
 
@@ -179,6 +195,16 @@ func TestAppendEncodersMatchEncodingJSON(t *testing.T) {
 			time.UnixMilli(1293937445007).UTC(),
 			time.Date(2011, 1, 2, 3, 4, 5, 500, time.FixedZone("", -8*3600)),
 		}
+		// The edges of the digit-by-digit UTC path: the first and last
+		// years encoding/json writes, trailing zero digits, and a zone
+		// that is UTC under another pointer.
+		times = append(times,
+			time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+			time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+			time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+			time.Date(2011, 1, 2, 3, 4, 5, 100000000, time.UTC),
+			time.Date(2011, 1, 2, 3, 4, 5, 123450000, time.UTC),
+			time.Date(2011, 1, 2, 3, 4, 5, 6000, time.FixedZone("UTC", 0)))
 		var (
 			links []store.LinkEntry
 			fails []store.FailureRecord
@@ -202,20 +228,27 @@ func TestAppendEncodersMatchEncodingJSON(t *testing.T) {
 		checkBodies(t, links, fails, trans, msgs, eps)
 	})
 
+	// encoding/json refuses a year it cannot write in four digits; the
+	// encoder writes what AppendFormat does.
+	t.Run("years encoding/json refuses", func(t *testing.T) {
+		for _, tm := range []time.Time{time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(-1, 12, 31, 0, 0, 0, 5, time.UTC)} {
+			if _, err := json.Marshal(tm); err == nil {
+				t.Fatalf("encoding/json wrote %s", tm)
+			}
+			var b api.Body
+			b.TransitionsOf([]store.TransitionRecord{{Time: tm}})
+			if want := `"time":"` + tm.Format(time.RFC3339Nano) + `"`; !bytes.Contains(b.Bytes(), []byte(want)) {
+				t.Errorf("%s: body %s lacks %s", tm, b.Bytes(), want)
+			}
+		}
+	})
+
 	t.Run("seed-1 14-day store", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("campaign simulation in -short mode")
 		}
-		ctx, dir := context.Background(), t.TempDir()
-		start := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
-		cfg := netfail.SimulationConfig{Seed: 1, Start: start, End: start.AddDate(0, 0, 14)}
-		if _, err := netfail.Run(ctx, cfg, netfail.WithStoreDir(dir)); err != nil {
-			t.Fatal(err)
-		}
-		s, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctx := context.Background()
+		s, _ := seed1Store(t)
 		links, err := s.Links(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -241,5 +274,161 @@ func TestAppendEncodersMatchEncodingJSON(t *testing.T) {
 				len(links), len(fails), len(trans), len(msgs), len(eps))
 		}
 		checkBodies(t, links, fails, trans, msgs, eps)
+
+		// The bodies the store streams are the slices' bodies.
+		var b api.Body
+		for _, c := range []struct {
+			name  string
+			build func() error
+			want  []byte
+		}{
+			{"failures", func() error { return b.Failures(ctx, s) }, refEncode(t, FailuresBody(fails))},
+			{"transitions", func() error { return b.Transitions(ctx, s) }, refEncode(t, TransitionsBody(trans))},
+			{"messages", func() error { return b.Messages(ctx, s) }, refEncode(t, MessagesBody(msgs))},
+		} {
+			if err := c.build(); err != nil {
+				t.Fatal(err)
+			}
+			diffBody(t, c.name+" from the store", b.Bytes(), c.want)
+		}
 	})
+}
+
+// seed1Store writes the seed-1 14-day campaign's store and opens it.
+func seed1Store(t *testing.T) (*store.Store, netfail.SimulationConfig) {
+	t.Helper()
+	dir := t.TempDir()
+	start := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
+	cfg := netfail.SimulationConfig{Seed: 1, Start: start, End: start.AddDate(0, 0, 14)}
+	if _, err := netfail.Run(context.Background(), cfg, netfail.WithStoreDir(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, cfg
+}
+
+// TestServedBodiesMatchEncodingJSON: on the seed-1 14-day store, every
+// list endpoint asked with every query parameter — 240 seeded URLs —
+// serves, behind a Content-Length that is its length, exactly what
+// encoding/json makes of the slice query's records.
+func TestServedBodiesMatchEncodingJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign simulation in -short mode")
+	}
+	ctx := context.Background()
+	s, cfg := seed1Store(t)
+	man := s.Manifest()
+	mux := api.NewMux(api.Options{Store: s})
+	rng := rand.New(rand.NewSource(34))
+	pick := func(vs ...string) string { return vs[rng.Intn(len(vs))] }
+	maybe := func(q url.Values, name string, v func() string) {
+		if rng.Intn(2) == 0 {
+			q.Set(name, v())
+		}
+	}
+	link := func() string { return string(man.Links[rng.Intn(len(man.Links))].ID) }
+	window := func() string { // a window start; from before the campaign to past its end
+		span := cfg.End.Sub(cfg.Start) + 48*time.Hour
+		return cfg.Start.Add(-24*time.Hour + time.Duration(rng.Int63n(int64(span)))).Truncate(time.Second).Format(time.RFC3339)
+	}
+	params, answered := map[string]int{}, 0
+	for i := 0; i < 240; i++ {
+		q := url.Values{}
+		resource := []string{"links", "failures", "transitions", "messages", "flaps"}[i%5]
+		switch resource {
+		case "failures":
+			maybe(q, "link", link)
+			maybe(q, "source", func() string { return pick("syslog", "isis") })
+		case "transitions":
+			maybe(q, "link", link)
+			maybe(q, "stream", func() string {
+				return pick("syslog-adj", "syslog-per-router", "syslog-physical", "is-reach", "ip-reach")
+			})
+			maybe(q, "dir", func() string { return pick("down", "up") })
+			maybe(q, "kind", func() string { return pick("isis-adj", "physical", "lineproto", "is-reach", "ip-reach") })
+			maybe(q, "reporter", func() string { return man.Reporters[rng.Intn(len(man.Reporters))] })
+		case "messages":
+			maybe(q, "host", func() string { return man.Hosts[rng.Intn(len(man.Hosts))] })
+			maybe(q, "contains", func() string { return pick("UPDOWN", "ADJCHANGE", "down", "Gi0/", "<", "%") })
+		case "flaps":
+			q.Set("source", pick("syslog", "isis"))
+			maybe(q, "link", link)
+		}
+		if resource != "links" {
+			if rng.Intn(2) == 0 {
+				from := window()
+				ft, _ := time.Parse(time.RFC3339, from)
+				q.Set("from", from)
+				q.Set("to", ft.Add(time.Duration(1+rng.Intn(7*24*3600))*time.Second).Format(time.RFC3339))
+			}
+			maybe(q, "limit", func() string { return pick("0", "1", "2", "7", "40", "1000") })
+		}
+		for name := range q {
+			params[name]++
+		}
+
+		opts, err := api.ParseQuery(q.Get)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want any
+		switch resource {
+		case "links":
+			links, err := s.Links(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = LinksBody(links)
+		case "failures":
+			recs, err := s.Failures(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = FailuresBody(recs)
+		case "transitions":
+			recs, err := s.Transitions(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = TransitionsBody(recs)
+		case "messages":
+			recs, err := s.Messages(ctx, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = MessagesBody(recs)
+		case "flaps":
+			src, _ := store.ParseSource(q.Get("source"))
+			eps, err := s.Flaps(ctx, src, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = EpisodesBody(src, eps)
+		}
+
+		target := "/api/v1/" + resource + "?" + q.Encode()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", target, cl, rec.Body.Len())
+		}
+		diffBody(t, target, rec.Body.Bytes(), refEncode(t, want))
+		if !bytes.HasPrefix(rec.Body.Bytes(), []byte(`{"count":0,`)) {
+			answered++
+		}
+	}
+	if answered < 120 {
+		t.Errorf("only %d of 240 URLs have records in their answer", answered)
+	}
+	for _, name := range []string{"link", "source", "stream", "dir", "kind", "reporter", "host", "contains", "from", "to", "limit"} {
+		if params[name] == 0 {
+			t.Errorf("no URL asked with %s", name)
+		}
+	}
 }

@@ -124,17 +124,45 @@ func (s *Store) Tables() *Tables { return &s.man.Tables }
 // Table returns precomputed table n (1–7).
 func (s *Store) Table(n int) (any, error) { return s.man.Tables.Table(n) }
 
-// Failures returns stored failures matching the options, in canonical
-// store order. A link filter uses the posting lists; a window uses the
-// sparse time index (seeking to from minus the longest stored failure
-// span, so failures that started before the window but overlap it are
-// found); both together fetch only the link's postings inside the
-// ordinal range the index allows the window. Filters are always
-// re-verified against the decoded records.
+// collect gathers what a visitor yields into a slice: the slice form
+// of each list query.
+func collect[R any](ctx context.Context, each func(context.Context, func(R) error, ...Option) error, opts []Option) ([]R, error) {
+	var out []R
+	if err := each(ctx, func(r R) error { out = append(out, r); return nil }, opts...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// yield hands one matching record to fn and counts it, ending the read
+// once the query's limit is reached.
+func yield[R any](q *Query, fn func(R) error, r R, n *int) error {
+	if err := fn(r); err != nil {
+		return err
+	}
+	if *n++; q.full(*n) {
+		return errStopScan
+	}
+	return nil
+}
+
+// Failures returns the failures EachFailure visits.
 func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, error) {
+	return collect(ctx, s.EachFailure, opts)
+}
+
+// EachFailure calls fn with each stored failure matching the options,
+// in canonical store order, and returns the first error fn returns. A
+// link filter uses the posting lists; a window uses the sparse time
+// index (seeking to from minus the longest stored failure span, so
+// failures that started before the window but overlap it are found);
+// both together fetch only the link's postings inside the ordinal
+// range the index allows the window. Filters are always re-verified
+// against the decoded records.
+func (s *Store) EachFailure(ctx context.Context, fn func(FailureRecord) error, opts ...Option) error {
 	q := resolveQuery(opts)
-	var out []FailureRecord
-	collect := func(tsMs int64, rec []byte) error {
+	n := 0
+	visit := func(tsMs int64, rec []byte) error {
 		r, err := s.decodeFailure(rec)
 		if err != nil {
 			return s.recordDamage(FailuresSegment, err)
@@ -142,34 +170,17 @@ func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, 
 		if !s.matchFailure(&q, r) {
 			return nil
 		}
-		out = append(out, r)
-		if q.full(len(out)) {
-			return errStopScan
-		}
-		return nil
+		return yield(&q, fn, r, &n)
 	}
-
 	if q.link != nil && s.failPost != nil {
 		ord, ok := s.linkOrd[*q.link]
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		ords := q.clip(s.failPost[ord], s.failIdx, s.man.Failures.MaxSpanMs)
-		if err := s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, collect); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, visit)
 	}
-	stop := func(tsMs int64, rec []byte) error {
-		if q.window && tsMs > q.to.UnixMilli() {
-			return errStopScan
-		}
-		return collect(tsMs, rec)
-	}
-	if err := s.scan(ctx, FailuresSegment, s.failIdx, q.window, q.seekMs(s.man.Failures.MaxSpanMs), stop); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.scan(ctx, FailuresSegment, s.failIdx, &q, s.man.Failures.MaxSpanMs, visit)
 }
 
 // decodeFailure maps one failures.seg record back through the
@@ -204,12 +215,18 @@ func (s *Store) matchFailure(q *Query, r FailureRecord) bool {
 	return true
 }
 
-// Transitions returns stored transitions matching the options, in
-// canonical store order.
+// Transitions returns the transitions EachTransition visits.
 func (s *Store) Transitions(ctx context.Context, opts ...Option) ([]TransitionRecord, error) {
+	return collect(ctx, s.EachTransition, opts)
+}
+
+// EachTransition calls fn with each stored transition matching the
+// options, in canonical store order, and returns the first error fn
+// returns. Its read plans are EachFailure's, with no window slack.
+func (s *Store) EachTransition(ctx context.Context, fn func(TransitionRecord) error, opts ...Option) error {
 	q := resolveQuery(opts)
-	var out []TransitionRecord
-	collect := func(tsMs int64, rec []byte) error {
+	n := 0
+	visit := func(tsMs int64, rec []byte) error {
 		r, err := s.decodeTransition(rec)
 		if err != nil {
 			return s.recordDamage(TransitionsSegment, err)
@@ -217,34 +234,17 @@ func (s *Store) Transitions(ctx context.Context, opts ...Option) ([]TransitionRe
 		if !s.matchTransition(&q, r) {
 			return nil
 		}
-		out = append(out, r)
-		if q.full(len(out)) {
-			return errStopScan
-		}
-		return nil
+		return yield(&q, fn, r, &n)
 	}
-
 	if q.link != nil && s.tranPost != nil {
 		ord, ok := s.linkOrd[*q.link]
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		ords := q.clip(s.tranPost[ord], s.tranIdx, 0)
-		if err := s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, collect); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, visit)
 	}
-	stop := func(tsMs int64, rec []byte) error {
-		if q.window && tsMs > q.to.UnixMilli() {
-			return errStopScan
-		}
-		return collect(tsMs, rec)
-	}
-	if err := s.scan(ctx, TransitionsSegment, s.tranIdx, q.window, q.seekMs(0), stop); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.scan(ctx, TransitionsSegment, s.tranIdx, &q, 0, visit)
 }
 
 // decodeTransition maps one transitions.seg record back through the
@@ -294,16 +294,30 @@ func (s *Store) matchTransition(q *Query, r TransitionRecord) bool {
 	return true
 }
 
-// Messages returns stored syslog lines matching the options, in
-// capture order (segment by segment, each time-ordered — exactly the
-// order the pipeline consumes them). A host filter uses the per-
-// segment posting lists; a window uses each segment's sparse index,
-// and clips the host's postings when both are given.
+// Messages returns the syslog lines EachMessage visits.
 func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, error) {
+	return collect(ctx, s.EachMessage, opts)
+}
+
+// EachMessage calls fn with each stored syslog line matching the
+// options, in capture order (segment by segment, each time-ordered —
+// exactly the order the pipeline consumes them), and returns the first
+// error fn returns. A host filter uses the per-segment posting lists;
+// a window uses each segment's sparse index, and clips the host's
+// postings when both are given.
+func (s *Store) EachMessage(ctx context.Context, fn func(MessageRecord) error, opts ...Option) error {
 	q := resolveQuery(opts)
-	var out []MessageRecord
+	n := 0
 	for i, meta := range s.man.Messages {
-		collect := func(tsMs int64, rec []byte) error {
+		if q.full(n) {
+			return nil
+		}
+		// Skip segments whose span cannot intersect the window.
+		if q.window && meta.Records > 0 &&
+			(meta.LastMs < q.from.UnixMilli() || meta.FirstMs > q.to.UnixMilli()) {
+			continue
+		}
+		visit := func(tsMs int64, rec []byte) error {
 			host, line, err := decodeMessageRecord(rec)
 			if err != nil {
 				return s.recordDamage(meta.Name, err)
@@ -322,61 +336,48 @@ func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, 
 			if q.window && (t.Before(q.from) || !t.Before(q.to)) {
 				return nil
 			}
-			out = append(out, MessageRecord{Time: t, Host: name, Line: string(line)})
-			if q.full(len(out)) {
-				return errStopScan
-			}
-			return nil
+			return yield(&q, fn, MessageRecord{Time: t, Host: name, Line: string(line)}, &n)
 		}
-		if q.full(len(out)) {
-			break
-		}
-		// Skip segments whose span cannot intersect the window.
-		if q.window && meta.Records > 0 &&
-			(meta.LastMs < q.from.UnixMilli() || meta.FirstMs > q.to.UnixMilli()) {
-			continue
-		}
+		var err error
 		if q.host != nil && s.msgPost[i] != nil {
 			ord, ok := s.hostOrd[*q.host]
 			if !ok {
-				return out, nil
+				return nil
 			}
-			ords := q.clip(s.msgPost[i][ord], s.msgIdx[i], 0)
-			if err := s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], ords, collect); err != nil {
-				return nil, err
-			}
-			continue
+			err = s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], q.clip(s.msgPost[i][ord], s.msgIdx[i], 0), visit)
+		} else {
+			err = s.scan(ctx, meta.Name, s.msgIdx[i], &q, 0, visit)
 		}
-		stop := func(tsMs int64, rec []byte) error {
-			if q.window && tsMs > q.to.UnixMilli() {
-				return errStopScan
-			}
-			return collect(tsMs, rec)
-		}
-		if err := s.scan(ctx, meta.Name, s.msgIdx[i], q.window, q.seekMs(0), stop); err != nil {
-			return nil, err
+		if err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Flaps groups one source's stored failures into flapping episodes
 // using the flap gap the store was analyzed with — the starting point
 // for "messages during flap F" workflows (take an episode's span,
 // query Messages with that window). Accepts WithLink and WithWindow
-// to narrow the failure set first.
+// to narrow the failure set first; WithLimit counts episodes, and
+// returns a prefix of the unlimited answer.
 func (s *Store) Flaps(ctx context.Context, src Source, opts ...Option) ([]trace.Episode, error) {
 	// A fresh slice: appending to opts could write into the caller's
-	// backing array, which two goroutines may share.
-	recs, err := s.Failures(ctx, append(opts[:len(opts):len(opts)], WithSource(src))...)
+	// backing array, which two goroutines may share. The limit is the
+	// episodes', so the failures are read without one.
+	var fs []trace.Failure
+	err := s.EachFailure(ctx, func(r FailureRecord) error {
+		fs = append(fs, r.Failure())
+		return nil
+	}, append(opts[:len(opts):len(opts)], WithSource(src), WithLimit(0))...)
 	if err != nil {
 		return nil, err
 	}
-	fs := make([]trace.Failure, len(recs))
-	for i, r := range recs {
-		fs[i] = r.Failure()
+	eps := trace.Episodes(fs, s.man.Params.FlapGap)
+	if q := resolveQuery(opts); q.limit > 0 && len(eps) > q.limit {
+		eps = eps[:q.limit]
 	}
-	return trace.Episodes(fs, s.man.Params.FlapGap), nil
+	return eps, nil
 }
 
 // errCatalog builds the decode error for a record referencing an

@@ -208,15 +208,17 @@ const cancelStride = 1024
 // errStopScan ends a scan early (limit reached).
 var errStopScan = errors.New("store: stop scan")
 
-// scan streams a segment's records through fn, seeking to seekMs via
-// the sparse index when useSeek is set. fn returns errStopScan to end
+// scan streams a segment's records through fn. With a window it seeks
+// through the sparse index to q.seekMs(slackMs) and stops at the first
+// record stamped after the window's end. fn returns errStopScan to end
 // the scan early. Salvage accounting for the pass is merged into the
 // component's cumulative report.
-func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry, useSeek bool, seekMs int64, fn func(tsMs int64, rec []byte) error) error {
+func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry, q *Query, slackMs int64, fn func(tsMs int64, rec []byte) error) error {
 	path := filepath.Join(s.dir, name)
 	var e capture.IndexEntry // zero: from the first record
-	if useSeek {
-		e, _ = capture.Locate(idx, seekMs)
+	toMs := q.to.UnixMilli()
+	if q.window {
+		e, _ = capture.Locate(idx, q.seekMs(slackMs))
 	}
 	sr, err := capture.OpenSegmentAt(path, e, 0, s.lenient)
 	if err != nil {
@@ -238,6 +240,9 @@ func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry,
 		}
 		if nerr != nil {
 			return nerr
+		}
+		if q.window && tsMs > toMs {
+			return nil
 		}
 		if ferr := fn(tsMs, rec); ferr != nil {
 			if errors.Is(ferr, errStopScan) {

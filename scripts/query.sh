@@ -4,8 +4,8 @@
 # with netfail-analyze -store, check that its manifest stays under
 # 64 KB and that every stored table prints as netfail-analyze prints
 # it, drive every netfail-query verb (text and -json), then mount the
-# /api/v1 HTTP surface with `serve` and assert the JSON endpoints and
-# the shared error envelope.
+# /api/v1 HTTP surface with `serve` and assert the JSON endpoints, that
+# -json prints the bytes they serve, and the shared error envelope.
 #
 #   make query            # or: ./scripts/query.sh
 set -eu
@@ -132,6 +132,23 @@ curl -sf -G -D "$tmp/headers" "http://$addr/api/v1/failures" \
     || fail "/api/v1/failures?link&from&to counts $(count_of "$out"), the CLI counted $cli_count"
 grep -qi '^content-length:' "$tmp/headers" || fail "/api/v1/failures response has no Content-Length"
 
+# netfail-query -json prints the very bytes the endpoint serves: a
+# whole-campaign transitions scan, the link+window question, and one
+# link's flap episodes.
+echo "==> netfail-query -json = curl /api/v1, byte for byte"
+$q -json transitions > "$tmp/cli"
+curl -sf "http://$addr/api/v1/transitions" > "$out" || fail "/api/v1/transitions"
+cmp -s "$tmp/cli" "$out" || fail "-json transitions differs from /api/v1/transitions"
+$q -json failures -link "$link" -from "$from" -to "$to" > "$tmp/cli"
+curl -sf -G "http://$addr/api/v1/failures" \
+    --data-urlencode "link=$link" --data-urlencode "from=$from" --data-urlencode "to=$to" > "$out" \
+    || fail "/api/v1/failures?link&from&to"
+cmp -s "$tmp/cli" "$out" || fail "-json failures -link -from -to differs from /api/v1/failures"
+$q -json flaps -link "$link" > "$tmp/cli"
+curl -sf -G "http://$addr/api/v1/flaps" --data-urlencode "source=syslog" --data-urlencode "link=$link" > "$out" \
+    || fail "/api/v1/flaps?source&link"
+cmp -s "$tmp/cli" "$out" || fail "-json flaps -link differs from /api/v1/flaps"
+
 curl -sf "http://$addr/api/v1/tables/4" > "$out" || fail "/api/v1/tables/4"
 grep -q '"table"' "$out" || fail "/api/v1/tables/4 missing table field"
 
@@ -148,4 +165,4 @@ kill "$srvpid"
 wait "$srvpid" 2>/dev/null || true
 srvpid=""
 
-echo "query-smoke: OK (store built, manifest < 64 KB, tables 1-7 as analyzed, CLI verbs, link+window both ways, /api/v1 + error envelope)"
+echo "query-smoke: OK (store built, manifest < 64 KB, tables 1-7 as analyzed, CLI verbs, link+window both ways, -json = /api/v1 bytes, /api/v1 + error envelope)"

@@ -321,3 +321,63 @@ func TestStoreFlapsLeavesCallerOptionsAlone(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStoreFlapsLimitCountsEpisodes: WithLimit on Flaps caps episodes,
+// not the failures grouped into them — Flaps(limit k) is the first k
+// episodes of the unlimited answer, for every k, with and without a
+// link or window narrowing the failures first.
+func TestStoreFlapsLimitCountsEpisodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign simulation in -short mode")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := smallConfig(2)
+	if _, err := Run(ctx, cfg, WithStoreDir(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []store.Source{store.SourceSyslog, store.SourceISIS} {
+		all, err := s.Flaps(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busiest, flapping, most := topo.LinkID(""), 0, map[topo.LinkID]int{}
+		for _, e := range all {
+			if most[e.Link]++; most[e.Link] > most[busiest] {
+				busiest = e.Link
+			}
+			if len(e.Failures) > 1 {
+				flapping++
+			}
+		}
+		if flapping == 0 || most[busiest] < 3 {
+			t.Fatalf("%s: %d episodes, %d of more than one failure, at most %d on one link: too few to tell failures from episodes",
+				src, len(all), flapping, most[busiest])
+		}
+		mid := cfg.Start.Add(cfg.End.Sub(cfg.Start) / 3)
+		for _, narrow := range [][]store.Option{
+			nil,
+			{store.WithLink(busiest)},
+			{store.WithWindow(mid, mid.Add(10*24*time.Hour))},
+		} {
+			unlimited, err := s.Flaps(ctx, src, narrow...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= len(unlimited)+1; k += 1 + k/4 {
+				got, err := s.Flaps(ctx, src, append(narrow[:len(narrow):len(narrow)], store.WithLimit(k))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := unlimited[:min(k, len(unlimited))]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %d options, limit %d: %d episodes, not the first %d of %d",
+						src, len(narrow), k, len(got), len(want), len(unlimited))
+				}
+			}
+		}
+	}
+}
