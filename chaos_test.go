@@ -1,7 +1,7 @@
 package netfail
 
-// Chaos gate: netfail-serve must survive a SIGKILL at a
-// fault-injection-chosen point mid-ingest. The killed daemon is
+// Chaos gate: netfail-serve must survive a SIGKILL at each of three
+// fault-injection-chosen points mid-ingest. The killed daemon is
 // restarted on the same state directory, resumes from its checkpoint,
 // and must produce a final report byte-identical to an uninterrupted
 // run over the same campaign. `make chaos` runs exactly this under
@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -86,10 +87,6 @@ func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
 	if total < 3 {
 		t.Fatalf("campaign too small for a chaos run: %d records", total)
 	}
-	// The kill point is seeded, interior, and replayable: rerunning
-	// this test kills at the same record.
-	killAfter := faultinject.RuntimePlan{Seed: 11}.KillAfter(total)
-	t.Logf("campaign has %d records; killing after %d", total, killAfter)
 
 	// Reference: uninterrupted run.
 	refReport := filepath.Join(t.TempDir(), "ref.txt")
@@ -98,6 +95,13 @@ func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
 		"-snapshot-every", "97", "-report", refReport).CombinedOutput()
 	if err != nil {
 		t.Fatalf("uninterrupted serve: %v\n%s", err, out)
+	}
+	ref, err := os.ReadFile(refReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) == 0 {
+		t.Fatal("reference report is empty")
 	}
 	// Lenient is the daemon's default and has no flag: -strict is the
 	// one spelling, so -lenient is the flag package's usage error.
@@ -108,13 +112,28 @@ func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
 		t.Errorf("netfail-serve -lenient: %v, want exit status 2", err)
 	}
 
+	// The kill points are seeded, interior, and replayable: rerunning
+	// this test kills at the same records.
+	for seed := int64(11); seed <= 13; seed++ {
+		killAfter := faultinject.RuntimePlan{Seed: seed}.KillAfter(total)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Logf("campaign has %d records; killing once %d are durable", total, killAfter)
+			chaosRunMatches(t, bin, campaign, killAfter, ref)
+		})
+	}
+}
+
+// chaosRunMatches runs the daemon over campaign until it SIGKILLs
+// itself once killAfter records are durable, restarts it on the same
+// state directory, and compares the resumed run's report with ref.
+func chaosRunMatches(t *testing.T, bin, campaign string, killAfter int, ref []byte) {
 	// Chaos run: the daemon SIGKILLs itself mid-ingest...
 	stateDir := filepath.Join(t.TempDir(), "state")
 	killedReport := filepath.Join(t.TempDir(), "resumed.txt")
 	cmd := exec.Command(filepath.Join(bin, "netfail-serve"),
 		"-data", campaign, "-state", stateDir,
 		"-snapshot-every", "97", "-chaos-kill-after", strconv.Itoa(killAfter))
-	out, err = cmd.CombinedOutput()
+	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("chaos run exited cleanly; the kill never fired\n%s", out)
 	}
@@ -136,17 +155,9 @@ func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
 	if !strings.Contains(string(out), "recovered") {
 		t.Fatalf("resumed run recovered nothing:\n%s", out)
 	}
-
-	ref, err := os.ReadFile(refReport)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resumed, err := os.ReadFile(killedReport)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("reference report is empty")
 	}
 	if !bytes.Equal(ref, resumed) {
 		t.Errorf("resumed report differs from uninterrupted run (%d vs %d bytes)", len(ref), len(resumed))

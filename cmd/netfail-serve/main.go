@@ -19,7 +19,7 @@
 //	-queue N / -policy block|drop-oldest|drop-newest   backpressure
 //	-snapshot-every N       checkpoint cadence (appends per WAL seal)
 //	-drain-timeout D        bound on the SIGTERM drain
-//	-fsync-each             power-loss durability (fsync per append)
+//	-fsync-each             power-loss durability (fsync per WAL write)
 //	-strict                 refuse damaged checkpoint state (the
 //	                        default salvages it)
 //	-debug-addr ADDR        the versioned /api/v1 surface (metrics,
@@ -28,7 +28,8 @@
 //	                        query endpoints under /api/v1
 //
 // The chaos harness drives -chaos-kill-after N: the daemon SIGKILLs
-// itself after N durable appends, and `make chaos` asserts that a
+// itself at the first WAL write that makes N records durable, before
+// it applies any record of that write, and `make chaos` asserts that a
 // restarted run finishes with a byte-identical report.
 package main
 
@@ -43,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -70,11 +70,11 @@ func main() {
 		policyFlag    = flag.String("policy", "block", "full-queue policy: block, drop-oldest, or drop-newest")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "seal the WAL segment (fsync, start the next) every N durable appends (0: only at shutdown)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "bound on the shutdown drain; older backlog is shed")
-		fsyncEach     = flag.Bool("fsync-each", false, "fsync every append: power-loss durability instead of kill durability")
+		fsyncEach     = flag.Bool("fsync-each", false, "fsync every WAL write (one per batch): power-loss durability instead of kill durability")
 		strict        = flag.Bool("strict", false, "refuse damaged checkpoint state with an offset-accurate error instead of salvaging it")
 		debugAddr     = config.DebugAddrFlag(flag.CommandLine)
 		storeDir      = flag.String("store", "", "indexed failure store to serve read-only under /api/v1 on -debug-addr")
-		chaosKill     = flag.Int("chaos-kill-after", 0, "SIGKILL this process after N durable appends (chaos harness)")
+		chaosKill     = flag.Int("chaos-kill-after", 0, "SIGKILL this process once N records are durable (chaos harness)")
 	)
 	flag.Parse()
 
@@ -110,9 +110,10 @@ func run(data, listenSyslog, listenISIS, configDir, state, reportPath string,
 	}
 	if chaosKill > 0 {
 		cfg.AppendHook = func(total int) {
-			if total == chaosKill {
+			if total >= chaosKill {
 				// The whole point: die the hard way, mid-ingest, with
-				// no chance to flush or checkpoint.
+				// no chance to flush or checkpoint. A write journals a
+				// batch, so the total may step past N.
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}
 		}
@@ -174,15 +175,14 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 // RFC 3164 reference, LSPs flow through its passive listener.
 // Per-source FIFO order is all it assumes — exactly what the
 // supervisor guarantees, including across a kill/recover boundary.
+// It takes no lock: the supervisor calls Apply from one goroutine at a
+// time, and nothing else touches the driver until Run returns.
 type campaignHandler struct {
-	mu  sync.Mutex
 	d   *netfail.Driver
 	reg *obs.Registry
 }
 
 func (h *campaignHandler) Apply(rec serve.Record) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	switch rec.Source {
 	case "syslog":
 		err := h.d.Syslog(rec.Data)
@@ -282,16 +282,23 @@ func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, re
 
 // loadSyslogSource reads the raw syslog archive lines; parsing
 // happens in the handler so recovery replay and live ingest share one
-// code path.
+// code path. The lines are copied back to back into one buffer the
+// size of the file, each handed out capacity-capped.
 func loadSyslogSource(path string, start time.Time) (*fileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	arena := make([]byte, 0, info.Size())
 	src := &fileSource{name: "syslog"}
 	return src, syslog.ScanLog(f, func(_ int, line []byte) error {
-		src.recs = append(src.recs, serve.Record{Time: start, Data: bytes.Clone(line)})
+		arena = append(arena, line...)
+		src.recs = append(src.recs, serve.Record{Time: start, Data: arena[len(arena)-len(line) : len(arena) : len(arena)]})
 		return nil
 	})
 }

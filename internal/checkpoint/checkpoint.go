@@ -10,8 +10,9 @@
 //
 //   - every ingested record is appended to the WAL and flushed to the
 //     kernel before it is acknowledged, so a SIGKILL loses nothing
-//     that was acked (fsync-per-append upgrades that to power-loss
-//     safety);
+//     that was acked (FsyncEach upgrades that to power-loss safety);
+//     a group of records goes in one write(2), and one fsync, with
+//     AppendBatch, which Append is the one-record case of;
 //   - a seal fsyncs the active segment, starts the next one and fsyncs
 //     the directory, so everything before it survives power loss at a
 //     cost that does not grow with the history on disk;
@@ -72,7 +73,7 @@ type Option func(*options)
 func Strict() Option { return func(o *options) { o.strict = true } }
 
 // FsyncEach upgrades Append durability from kill-safe (flushed to the
-// kernel) to power-loss-safe (fsynced) at a per-record fsync cost.
+// kernel) to power-loss-safe (fsynced) at one fsync per write.
 func FsyncEach() Option { return func(o *options) { o.fsyncEach = true } }
 
 // SnapshotTap wraps the snapshot writer — the fault-injection hook
@@ -168,27 +169,43 @@ func (s *Store) openSegment() error {
 	return nil
 }
 
-// Append logs one record and returns its sequence number. On return
-// the record has reached the kernel (surviving SIGKILL); with
-// FsyncEach it has reached the disk (surviving power loss). The frame
-// is encoded into a buffer the store reuses across appends, so the
-// steady-state ingest path allocates nothing per record.
+// Append logs one record and returns its sequence number: AppendBatch
+// with n = 1.
 func (s *Store) Append(data []byte) (uint64, error) {
+	return s.AppendBatch(1, func(dst []byte, _ int) []byte { return append(dst, data...) })
+}
+
+// AppendBatch logs n records with one write(2) and returns the last
+// one's sequence number. encode appends record i's data to dst and
+// returns it; the frames are laid back to back in a buffer the store
+// reuses, so the steady-state ingest path allocates nothing per batch.
+// On return every record has reached the kernel (surviving SIGKILL);
+// with FsyncEach one fsync has taken them to the disk (surviving power
+// loss). On error none is counted: a torn batch is what recovery
+// salvages around.
+func (s *Store) AppendBatch(n int, encode func(dst []byte, i int) []byte) (uint64, error) {
 	if s.wal == nil {
 		return 0, fmt.Errorf("checkpoint: store is closed")
 	}
-	seq := s.seq + 1
-	s.frameBuf = appendRecord(s.frameBuf[:0], seq, data)
-	if _, err := s.wal.Write(s.frameBuf); err != nil {
-		return 0, fmt.Errorf("checkpoint: append seq %d: %w", seq, err)
+	buf := s.frameBuf[:0]
+	for i := 0; i < n; i++ {
+		start := len(buf)
+		buf = frame.Begin(buf)
+		buf = binary.LittleEndian.AppendUint64(buf, s.seq+uint64(i)+1)
+		buf = encode(buf, i)
+		frame.End(buf, start)
+	}
+	s.frameBuf = buf
+	if _, err := s.wal.Write(buf); err != nil {
+		return 0, fmt.Errorf("checkpoint: append seq %d: %w", s.seq+1, err)
 	}
 	if s.opt.fsyncEach {
 		if err := s.wal.Sync(); err != nil {
-			return 0, fmt.Errorf("checkpoint: append seq %d: %w", seq, err)
+			return 0, fmt.Errorf("checkpoint: append seq %d: %w", s.seq+1, err)
 		}
 	}
-	s.seq = seq
-	return seq, nil
+	s.seq += uint64(n)
+	return s.seq, nil
 }
 
 // Seal makes everything appended so far power-loss durable and starts
@@ -284,8 +301,8 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// appendRecord appends one record's frame to dst — the encoder both
-// the WAL and the snapshot writer run through one reused buffer.
+// appendRecord appends one record's frame to dst, the layout
+// AppendBatch lays down n times: the snapshot writer's encoder.
 func appendRecord(dst []byte, seq uint64, data []byte) []byte {
 	start := len(dst)
 	dst = frame.Begin(dst)

@@ -468,6 +468,46 @@ func TestFsyncEachAndSyncSucceed(t *testing.T) {
 	wantRecords(t, rec, 2)
 }
 
+// TestAppendBatchIsAppendsInOneWrite: batches of 3 and 2 under
+// FsyncEach leave the WAL byte for byte what five Appends leave, and
+// return each batch's last sequence.
+func TestAppendBatchIsAppendsInOneWrite(t *testing.T) {
+	oneDir, batchDir := t.TempDir(), t.TempDir()
+	one, _, err := Open(oneDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, one, 5)
+	batch, _, err := Open(batchDir, FsyncEach())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct{ lo, n int }{{0, 3}, {3, 2}} {
+		last, err := batch.AppendBatch(b.n, func(dst []byte, i int) []byte {
+			return fmt.Appendf(dst, "rec-%d", b.lo+i+1)
+		})
+		if err != nil || last != uint64(b.lo+b.n) {
+			t.Fatalf("AppendBatch(%d) = %d, %v; want %d", b.n, last, err, b.lo+b.n)
+		}
+	}
+	for _, s := range []*Store{one, batch} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const wal = "wal-0000000000000001.log"
+	want, _ := os.ReadFile(filepath.Join(oneDir, wal))
+	got, _ := os.ReadFile(filepath.Join(batchDir, wal))
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("batched WAL (%d bytes) differs from per-record appends' (%d bytes)", len(got), len(want))
+	}
+	_, rec, err := Open(batchDir, Strict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, rec, 5)
+}
+
 func TestScanDirDeletesTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	tmp := filepath.Join(dir, "snap-12345.tmp")

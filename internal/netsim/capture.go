@@ -2,12 +2,12 @@ package netsim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"netfail/internal/salvage"
@@ -43,8 +43,12 @@ func ReadLSPLogLenient(r io.Reader) ([]CapturedLSP, *salvage.Report, error) {
 	return readLSPLog(r, false)
 }
 
+// readLSPLog decodes every payload into one growing arena and hands
+// out capacity-capped subslices of it, so a capture costs a handful of
+// allocations rather than two per line.
 func readLSPLog(r io.Reader, strict bool) ([]CapturedLSP, *salvage.Report, error) {
 	var out []CapturedLSP
+	var arena []byte
 	rep := &salvage.Report{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -61,32 +65,38 @@ func readLSPLog(r io.Reader, strict bool) ([]CapturedLSP, *salvage.Report, error
 	}
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		sp := strings.IndexByte(line, ' ')
+		sp := bytes.IndexByte(line, ' ')
 		if sp < 0 {
 			if err := skip("missing separator", nil); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
-		ms, err := strconv.ParseInt(line[:sp], 10, 64)
+		ms, err := strconv.ParseInt(string(line[:sp]), 10, 64)
 		if err != nil {
 			if err := skip("bad timestamp", err); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
-		data, err := hex.DecodeString(line[sp+1:])
-		if err != nil {
+		hexData := line[sp+1:]
+		size := len(hexData) / 2
+		if cap(arena)-len(arena) < size {
+			arena = make([]byte, 0, max(2*cap(arena), size, 4096))
+		}
+		start := len(arena)
+		if _, err := hex.Decode(arena[start:start+size], hexData); err != nil {
 			if err := skip("bad payload", err); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
-		out = append(out, CapturedLSP{Time: time.UnixMilli(ms).UTC(), Data: data})
+		arena = arena[:start+size]
+		out = append(out, CapturedLSP{Time: time.UnixMilli(ms).UTC(), Data: arena[start : start+size : start+size]})
 		rep.Kept++
 	}
 	return out, rep, sc.Err()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -46,13 +47,15 @@ func lspRecords(name string, n int) []Record {
 var discard = HandlerFunc(func(Record) error { return nil })
 
 // TestIngestAllocBudget pins the serialized ingest path — encode,
-// append, apply, count, seal at the daemon's cadence — to no
-// per-record allocation: the payload is encoded into a buffer the
-// supervisor reuses and every counter is resolved in New. Keeping the
-// history in RAM for a snapshot, or encoding into a fresh slice, costs
-// at least one allocation per record and fails the pin.
+// journal, apply, count, seal at the daemon's cadence — to no
+// per-record allocation, fed in batches of 1000 records, a size the
+// seal cadence is no multiple of, so batches are cut at seals too:
+// the records are framed into a buffer the store reuses and every
+// counter is resolved in New. Keeping the history in RAM for a
+// snapshot, or encoding into a fresh slice, costs at least one
+// allocation per record and fails the pin.
 func TestIngestAllocBudget(t *testing.T) {
-	const n = 8192
+	const n, batch = 8192, 1000
 	sup, _, err := New(Config{Dir: t.TempDir(), SnapshotEvery: 4096, Registry: obs.NewRegistry()},
 		discard, &fixedSource{name: "isis"})
 	if err != nil {
@@ -61,14 +64,108 @@ func TestIngestAllocBudget(t *testing.T) {
 	defer sup.store.Close()
 	recs := lspRecords("isis", n)
 	avg := testing.AllocsPerRun(1, func() {
-		for _, r := range recs {
-			if err := sup.ingest(r); err != nil {
+		for lo := 0; lo < n; lo += batch {
+			if err := sup.ingest(recs[lo:min(lo+batch, n)]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if perRecord := avg / n; perRecord > 0.01 {
 		t.Errorf("ingest allocates %.3f times per record, budget is 0.01", perRecord)
+	}
+}
+
+// signalSource is fixedSource that closes emitted once every record
+// is queued.
+type signalSource struct {
+	fixedSource
+	emitted chan struct{}
+}
+
+func (s *signalSource) Run(ctx context.Context, emit func(Record) error) error {
+	defer close(s.emitted)
+	return s.fixedSource.Run(ctx, emit)
+}
+
+// TestGroupCommitIsRealAndOrdered holds the first record in the
+// handler until the source has queued all k, so the consumer's next
+// take is the rest in one batch. Fewer than k WAL writes must carry
+// them, the handler must see them in emit order, and the state
+// directory must be byte for byte what per-record appends, sealed
+// every SnapshotEvery, leave: batches are cut at the seals, so every
+// sealed segment is named for its first sequence and holds exactly
+// SnapshotEvery records, under contiguous sequences in emit order.
+func TestGroupCommitIsRealAndOrdered(t *testing.T) {
+	const k, every = 64, 16
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	recs := lspRecords("alpha", k)
+	src := &signalSource{fixedSource: fixedSource{name: "alpha", recs: recs}, emitted: make(chan struct{})}
+	var applied []string
+	h := HandlerFunc(func(r Record) error {
+		if len(applied) == 0 {
+			<-src.emitted
+		}
+		applied = append(applied, string(r.Data))
+		return nil
+	})
+	sup, _, err := New(Config{Dir: dir, Registry: reg, SnapshotEvery: every}, h, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	writes := reg.Counter("serve.wal.writes").Value()
+	if appends := reg.Counter("serve.wal.appends").Value(); appends != k || writes == 0 || writes >= k {
+		t.Errorf("serve.wal.appends %d in serve.wal.writes %d; want %d in fewer than %d", appends, writes, k, k)
+	}
+	t.Logf("%d records in %d writes", k, writes)
+	if len(applied) != k {
+		t.Fatalf("applied %d records, want %d", len(applied), k)
+	}
+	for i, r := range recs {
+		if applied[i] != string(r.Data) {
+			t.Fatalf("applied record %d = %q, want %q", i, applied[i], r.Data)
+		}
+	}
+
+	wantDir := t.TempDir()
+	st, _, err := checkpoint.Open(wantDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if _, err := st.Append(encodeRecord(r)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%every == 0 {
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	want, _ := filepath.Glob(filepath.Join(wantDir, "wal-*.log"))
+	if len(got) != len(want) || len(want) != k/every+1 {
+		t.Fatalf("WAL segments %v, want %d: %v", got, k/every+1, want)
+	}
+	for i := range want {
+		g, gerr := os.ReadFile(got[i])
+		w, werr := os.ReadFile(want[i])
+		if gerr != nil || werr != nil {
+			t.Fatal(gerr, werr)
+		}
+		if filepath.Base(got[i]) != filepath.Base(want[i]) || !bytes.Equal(g, w) {
+			t.Errorf("segment %s (%d bytes) differs from per-record appends' %s (%d bytes)",
+				filepath.Base(got[i]), len(g), filepath.Base(want[i]), len(w))
+		}
 	}
 }
 
@@ -219,15 +316,20 @@ func TestKillResumeAfterSealsMatchesUninterrupted(t *testing.T) {
 	alpha, beta := records("a", 40), records("b", 25)
 	want := uninterruptedReport(t, alpha, beta)
 
+	// The kill lands at the first durable write that reaches killAfter:
+	// a write journals a whole batch, so the durable total there may be
+	// past it. The hook holds the ingest lock, so it freezes once.
 	const killAfter = 17
 	dir := t.TempDir()
 	frozen := make(chan struct{})
 	neverReleased := make(chan struct{})
+	var durable int
 	killedSup, _, err := New(Config{
 		Dir:           dir,
 		SnapshotEvery: 5,
 		AppendHook: func(total int) {
-			if total == killAfter {
+			if total >= killAfter {
+				durable = total
 				close(frozen)
 				<-neverReleased
 			}
@@ -247,8 +349,8 @@ func TestKillResumeAfterSealsMatchesUninterrupted(t *testing.T) {
 	}
 
 	got, rcv := resume(t, dir, alpha, beta)
-	if rcv.Records != killAfter {
-		t.Fatalf("recovered %d records, want the %d durable at the kill", rcv.Records, killAfter)
+	if rcv.Records != durable {
+		t.Fatalf("recovered %d records, want the %d durable at the kill", rcv.Records, durable)
 	}
 	if got != want {
 		t.Errorf("resumed report differs from uninterrupted run:\n%s\nwant:\n%s", got, want)

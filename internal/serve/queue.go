@@ -136,24 +136,28 @@ func (q *queue) push(rec Record) pushResult {
 	return pushAdmitted
 }
 
-// pop removes the oldest record, waiting while the queue is open and
-// empty. After close it keeps returning the backlog — drain semantics
-// — and reports ok=false only once closed and empty.
-func (q *queue) pop() (Record, bool) {
+// take moves what is queued, oldest first and at most cap(dst)
+// records, into dst[:0], waiting while the queue is open and empty.
+// After close it keeps returning the backlog — drain semantics — and
+// returns no record only once closed and empty. Producers blocked on
+// a full queue are woken once per batch.
+func (q *queue) take(dst []Record) []Record {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}
-	if q.n == 0 {
-		return Record{}, false
+	dst = dst[:0]
+	for q.n > 0 && len(dst) < cap(dst) {
+		dst = append(dst, q.buf[q.head])
+		q.buf[q.head] = Record{}
+		q.head = (q.head + 1) % len(q.buf)
+		q.n--
 	}
-	rec := q.buf[q.head]
-	q.buf[q.head] = Record{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	q.notFull.Signal()
-	return rec, true
+	if len(dst) > 0 {
+		q.notFull.Broadcast()
+	}
+	return dst
 }
 
 // close stops admission. Blocked pushers return pushClosed; poppers

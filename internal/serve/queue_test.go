@@ -2,11 +2,22 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"netfail/internal/obs"
 )
+
+// pop is take one record at a time: the oldest record, waiting while
+// the queue is open and empty, ok=false once closed and empty.
+func (q *queue) pop() (Record, bool) {
+	got := q.take(make([]Record, 0, 1))
+	if len(got) == 0 {
+		return Record{}, false
+	}
+	return got[0], true
+}
 
 func rec(i int) Record {
 	return Record{Source: "s", Data: []byte(fmt.Sprintf("r%d", i))}
@@ -28,6 +39,29 @@ func TestQueueFIFO(t *testing.T) {
 	}
 	if _, ok := q.pop(); ok {
 		t.Error("pop on closed empty queue reported a record")
+	}
+}
+
+// TestQueueTakeIsBoundedByDst: take moves what is queued, oldest
+// first, at most cap(dst) records, without waiting to fill dst.
+func TestQueueTakeIsBoundedByDst(t *testing.T) {
+	q := newQueue(8, Block, nil)
+	for i := 0; i < 5; i++ {
+		q.push(rec(i))
+	}
+	batch := make([]Record, 0, 3)
+	for _, want := range []struct {
+		data  string
+		depth int
+	}{{"r0 r1 r2", 2}, {"r3 r4", 0}} {
+		batch = q.take(batch)
+		var data []string
+		for _, r := range batch {
+			data = append(data, string(r.Data))
+		}
+		if got := strings.Join(data, " "); got != want.data || q.depth() != want.depth {
+			t.Fatalf("take = %q (depth %d), want %q (depth %d)", got, q.depth(), want.data, want.depth)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@
 // that runs capture sources under restart-with-backoff, feeds their
 // records through bounded shed-policy queues into a serialized
 // WAL-append-then-apply path, and seals the WAL so that a SIGKILL at
-// any instant loses nothing that was durably ingested.
+// any instant loses nothing that was durably ingested. The path
+// commits in groups: each consumer takes everything its queue holds,
+// journals it with one write (cut at the seals, so segments hold what
+// per-record appends would have put there), and only then applies it.
 //
 // The paper's measurement infrastructure is the motivation: its
 // passive IS-IS listener ran for 13 months and its own crashes had to
@@ -32,6 +35,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netfail/internal/backoff"
@@ -88,9 +92,11 @@ type Config struct {
 	// SnapshotEvery seals the WAL segment (fsync, start the next)
 	// every N durable appends (0: only the final seal at shutdown).
 	SnapshotEvery int
-	// DrainTimeout bounds the post-cancellation drain: queued records
-	// older than this are discarded (and accounted as shed) so
-	// shutdown cannot hang on a stuck handler (0: drain fully).
+	// DrainTimeout bounds the post-cancellation drain: past it, queued
+	// records are discarded (and accounted as shed) and consumers stop
+	// applying, even mid-batch, so shutdown cannot hang on a stuck
+	// handler; what was journaled but not applied counts as ingested
+	// and is replayed at the next start (0: drain fully).
 	DrainTimeout time.Duration
 	// DownAfter is the consecutive-failure count that moves a source
 	// from degraded to down (default 3).
@@ -109,8 +115,10 @@ type Config struct {
 	// FsyncEach upgrades append durability from SIGKILL-safe to
 	// power-loss-safe.
 	FsyncEach bool
-	// AppendHook, when set, runs after every durable append with the
-	// total durable-record count — the chaos harness's kill point.
+	// AppendHook, when set, runs after every durable WAL write, before
+	// any record it journaled is applied, with the total durable-record
+	// count — the chaos harness's kill point. One write journals a
+	// batch, so consecutive totals may differ by more than one.
 	AppendHook func(total int)
 }
 
@@ -140,12 +148,14 @@ type Supervisor struct {
 	store *checkpoint.Store
 	// Counters ingest adds to, resolved once: a lookup takes the
 	// registry lock.
-	ingested                           map[string]*obs.Counter
-	walAppends, snapshots, handlerErrs *obs.Counter
+	ingested                                      map[string]*obs.Counter
+	walAppends, walWrites, snapshots, handlerErrs *obs.Counter
 
 	ingestMu sync.Mutex
 	appends  int
-	payload  []byte // reused WAL payload buffer
+	// abandoned is set when the drain deadline passes: consumers stop
+	// applying, even mid-batch, and only journal what they hold.
+	abandoned atomic.Bool
 
 	phase  phase
 	pmu    sync.Mutex
@@ -216,6 +226,7 @@ func New(cfg Config, h Handler, sources ...Source) (*Supervisor, *Recovered, err
 		store:       store,
 		ingested:    make(map[string]*obs.Counter, len(sources)),
 		walAppends:  cfg.Registry.Counter("serve.wal.appends"),
+		walWrites:   cfg.Registry.Counter("serve.wal.writes"),
 		snapshots:   cfg.Registry.Counter("serve.snapshots"),
 		handlerErrs: cfg.Registry.Counter("serve.handler.errors"),
 	}
@@ -318,6 +329,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		case <-consumersDone:
 			t.Stop()
 		case <-t.C:
+			s.abandoned.Store(true)
 			for _, q := range s.queues {
 				q.discard()
 			}
@@ -385,51 +397,71 @@ func (s *Supervisor) supervise(ctx context.Context, src Source) {
 }
 
 // consume drains one source's queue through the serialized ingest
-// path until the queue is closed and empty.
+// path until the queue is closed and empty. Each turn takes everything
+// queued, never waiting to fill a batch, so a lone record is journaled
+// as soon as it arrives.
 func (s *Supervisor) consume(name string) {
 	q := s.queues[name]
 	depth := s.reg.Gauge("serve.queue." + name + ".depth")
+	batch := make([]Record, 0, len(q.buf))
 	for {
-		rec, ok := q.pop()
+		batch = q.take(batch)
 		depth.Set(int64(q.depth()))
-		if !ok {
+		if len(batch) == 0 {
 			return
 		}
-		if err := s.ingest(rec); err != nil {
+		if err := s.ingest(batch); err != nil {
 			s.fatal(err)
 			return
 		}
 	}
 }
 
-// ingest is the serialized durability point: WAL-append the record,
-// then apply it, then maybe seal. A record is never applied before it
-// is durable, so a kill at any instant leaves the handler state a
-// prefix of the durable history. Once appended the record is counted,
-// even when the seal after it fails.
-func (s *Supervisor) ingest(rec Record) error {
+// ingest is the serialized durability point. It journals the batch
+// with one WAL write per seal interval, then applies those records in
+// order, then maybe seals. A record is never applied before it is
+// durable, so a kill at any instant leaves the handler state a prefix
+// of the durable history. Once journaled a record is counted, even
+// when the seal after it fails or the drain deadline stops it from
+// being applied (the next start replays it).
+func (s *Supervisor) ingest(batch []Record) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	s.payload = appendRecord(s.payload[:0], rec)
-	if _, err := s.store.Append(s.payload); err != nil {
-		return err
-	}
-	s.appends++
-	s.walAppends.Add(1)
-	if err := s.handler.Apply(rec); err != nil {
-		s.handlerErrs.Add(1)
-	}
-	s.ingested[rec.Source].Add(1)
-	var err error
-	if s.cfg.SnapshotEvery > 0 && s.appends%s.cfg.SnapshotEvery == 0 {
-		if err = s.store.Seal(); err == nil {
+	every := s.cfg.SnapshotEvery
+	for len(batch) > 0 {
+		part := batch
+		if every > 0 {
+			part = batch[:min(len(batch), every-s.appends%every)]
+		}
+		batch = batch[len(part):]
+		if _, err := s.store.AppendBatch(len(part), func(dst []byte, i int) []byte {
+			return appendRecord(dst, part[i])
+		}); err != nil {
+			return err
+		}
+		s.appends += len(part)
+		s.walAppends.Add(int64(len(part)))
+		s.walWrites.Add(1)
+		s.ingested[part[0].Source].Add(int64(len(part)))
+		if s.cfg.AppendHook != nil {
+			s.cfg.AppendHook(s.appends)
+		}
+		for _, rec := range part {
+			if s.abandoned.Load() {
+				break
+			}
+			if err := s.handler.Apply(rec); err != nil {
+				s.handlerErrs.Add(1)
+			}
+		}
+		if every > 0 && s.appends%every == 0 {
+			if err := s.store.Seal(); err != nil {
+				return err
+			}
 			s.snapshots.Add(1)
 		}
 	}
-	if s.cfg.AppendHook != nil {
-		s.cfg.AppendHook(s.appends)
-	}
-	return err
+	return nil
 }
 
 // finalCheckpoint seals the WAL and closes the store.
@@ -547,7 +579,7 @@ func appendRecord(dst []byte, r Record) []byte {
 	return append(dst, r.Data...)
 }
 
-// decodeRecord parses a WAL payload written by encodeRecord.
+// decodeRecord parses a WAL payload written by appendRecord.
 func decodeRecord(b []byte) (Record, error) {
 	if len(b) < recordHeaderMin {
 		return Record{}, fmt.Errorf("record too short (%d bytes)", len(b))

@@ -163,18 +163,23 @@ func TestKillResumeMatchesUninterrupted(t *testing.T) {
 	}
 	want := refHandler.report()
 
-	// Killed run: the hook blocks forever once killAfter records are
-	// durable, freezing the ingest path mid-flight. The goroutines it
-	// strands are released when the test ends; nothing they hold is
-	// shared with the resumed supervisor.
+	// Killed run: the hook blocks forever at the first durable write
+	// that reaches killAfter records, freezing the ingest path after
+	// the write and before any record of its batch is applied. A write
+	// journals a whole batch, so the durable total there may be past
+	// killAfter; the hook holds the ingest lock, so it freezes once.
+	// The goroutines it strands are released when the test ends;
+	// nothing they hold is shared with the resumed supervisor.
 	const killAfter = 17
 	dir := t.TempDir()
 	frozen := make(chan struct{})
 	neverReleased := make(chan struct{})
+	var durable int
 	killedSup, _, err := New(Config{
 		Dir: dir,
 		AppendHook: func(total int) {
-			if total == killAfter {
+			if total >= killAfter {
+				durable = total
 				close(frozen)
 				<-neverReleased
 			}
@@ -203,8 +208,8 @@ func TestKillResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcv.Records != killAfter {
-		t.Fatalf("recovered %d records, want the %d durable at the kill", rcv.Records, killAfter)
+	if rcv.Records != durable {
+		t.Fatalf("recovered %d records, want the %d durable at the kill", rcv.Records, durable)
 	}
 	alphaSrc.start = rcv.PerSource["alpha"]
 	betaSrc.start = rcv.PerSource["beta"]
@@ -391,8 +396,12 @@ func TestOverloadSoakShedsPerPolicyWithExactAccounting(t *testing.T) {
 	}
 }
 
-// stubbornSource emits forever until the supervisor stops it.
-type stubbornSource struct{ name string }
+// stubbornSource emits forever until the supervisor stops it,
+// counting the records emit accepted.
+type stubbornSource struct {
+	name     string
+	produced atomic.Int64
+}
 
 func (s *stubbornSource) Name() string { return s.name }
 func (s *stubbornSource) Run(ctx context.Context, emit func(Record) error) error {
@@ -401,20 +410,29 @@ func (s *stubbornSource) Run(ctx context.Context, emit func(Record) error) error
 		if err := emit(rec); err != nil {
 			return err
 		}
+		s.produced.Add(1)
 	}
 }
 
+// TestDrainTimeoutBoundsShutdown: a slow handler with a backlog, then
+// a cancel. Run must return within 4× DrainTimeout of the cancel, so
+// the deadline also stops a consumer in the middle of a batch it has
+// taken, and every record the source produced is either ingested
+// (journaled, whether or not it was applied before the deadline) or
+// accounted as shed.
 func TestDrainTimeoutBoundsShutdown(t *testing.T) {
+	const drainTimeout = 25 * time.Millisecond
 	reg := obs.NewRegistry()
 	h := &slowHandler{delay: 2 * time.Millisecond}
 	h.streams = make(map[string][]string)
+	src := &stubbornSource{name: "firehose"}
 	sup, _, err := New(Config{
 		Dir:          t.TempDir(),
 		Registry:     reg,
 		QueueSize:    512,
 		Policy:       Block,
-		DrainTimeout: 25 * time.Millisecond,
-	}, h, &stubbornSource{name: "firehose"})
+		DrainTimeout: drainTimeout,
+	}, h, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +441,7 @@ func TestDrainTimeoutBoundsShutdown(t *testing.T) {
 	go func() { runDone <- sup.Run(ctx) }()
 	// Let a backlog build, then pull the plug.
 	time.Sleep(100 * time.Millisecond)
+	cancelled := time.Now()
 	cancel()
 	select {
 	case err := <-runDone:
@@ -432,10 +451,18 @@ func TestDrainTimeoutBoundsShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain did not respect its deadline")
 	}
+	if took := time.Since(cancelled); took > 4*drainTimeout {
+		t.Errorf("Run returned %v after the cancel, want within 4× the %v drain deadline", took, drainTimeout)
+	}
 	// A 512-record backlog at 2ms each would take ~1s to drain; the
 	// 25ms deadline must have discarded most of it, with accounting.
-	if shed := reg.Counter("serve.shed.firehose").Value(); shed == 0 {
+	shed := reg.Counter("serve.shed.firehose").Value()
+	if shed == 0 {
 		t.Error("deadline-discarded backlog not accounted as shed")
+	}
+	ingested, produced := reg.Counter("serve.ingested.firehose").Value(), src.produced.Load()
+	if ingested+shed != produced {
+		t.Errorf("ingested %d + shed %d != produced %d: records unaccounted", ingested, shed, produced)
 	}
 }
 
