@@ -8,9 +8,10 @@ build:
 test:
 	go test ./...
 
-# Rewrite the canonical seed-1 artifacts TestSeed1ReportGolden and the
-# README point at, after a change that is meant to move the report;
-# review and commit the diff.
+# Rewrite the canonical seed-1 artifacts the README points at, after a
+# change that is meant to move the report; review and commit the diff.
+# TestSeed1ReportGolden holds docs/report-seed1.txt and
+# TestSeed1MarkdownGolden docs/reproduction-seed1.md, byte for byte.
 golden:
 	go run ./cmd/netfail-analyze -seed 1 > docs/report-seed1.txt
 	go run ./cmd/netfail-analyze -seed 1 -markdown > docs/reproduction-seed1.md

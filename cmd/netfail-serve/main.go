@@ -24,8 +24,9 @@
 //	                        default salvages it)
 //	-debug-addr ADDR        the versioned /api/v1 surface (metrics,
 //	                        health, ready) plus /debug/pprof
-//	-store DIR              also serve this indexed failure store's
-//	                        query endpoints under /api/v1
+//
+// A failure store's query endpoints are served by
+// `netfail-query -store DIR serve`, not by the daemon.
 //
 // The chaos harness drives -chaos-kill-after N: the daemon SIGKILLs
 // itself at the first WAL write that makes N records durable, before
@@ -54,7 +55,6 @@ import (
 	"netfail/internal/netsim"
 	"netfail/internal/obs"
 	"netfail/internal/serve"
-	"netfail/internal/store"
 	"netfail/internal/syslog"
 )
 
@@ -73,14 +73,13 @@ func main() {
 		fsyncEach     = flag.Bool("fsync-each", false, "fsync every WAL write (one per batch): power-loss durability instead of kill durability")
 		strict        = flag.Bool("strict", false, "refuse damaged checkpoint state with an offset-accurate error instead of salvaging it")
 		debugAddr     = config.DebugAddrFlag(flag.CommandLine)
-		storeDir      = flag.String("store", "", "indexed failure store to serve read-only under /api/v1 on -debug-addr")
 		chaosKill     = flag.Int("chaos-kill-after", 0, "SIGKILL this process once N records are durable (chaos harness)")
 	)
 	flag.Parse()
 
 	if err := run(*data, *listenSyslog, *listenISIS, *configs, *state, *reportPath,
 		*queueSize, *policyFlag, *snapshotEvery, *drainTimeout, *fsyncEach, *strict,
-		*debugAddr, *storeDir, *chaosKill); err != nil {
+		*debugAddr, *chaosKill); err != nil {
 		fmt.Fprintln(os.Stderr, "netfail-serve:", err)
 		os.Exit(1)
 	}
@@ -88,7 +87,7 @@ func main() {
 
 func run(data, listenSyslog, listenISIS, configDir, state, reportPath string,
 	queueSize int, policyFlag string, snapshotEvery int, drainTimeout time.Duration,
-	fsyncEach, strict bool, debugAddr, storeDir string, chaosKill int) error {
+	fsyncEach, strict bool, debugAddr string, chaosKill int) error {
 	if state == "" {
 		return fmt.Errorf("-state is required: the checkpoint directory is what makes the daemon crash-safe")
 	}
@@ -124,37 +123,25 @@ func run(data, listenSyslog, listenISIS, configDir, state, reportPath string,
 
 	switch {
 	case data != "":
-		return runReplay(ctx, cfg, reg, data, reportPath, debugAddr, storeDir)
+		return runReplay(ctx, cfg, reg, data, reportPath, debugAddr)
 	case listenSyslog != "" || listenISIS != "":
 		if configDir == "" {
 			return fmt.Errorf("live mode needs -configs for the link namespace")
 		}
-		return runLive(ctx, cfg, reg, listenSyslog, listenISIS, configDir, debugAddr, storeDir)
+		return runLive(ctx, cfg, reg, listenSyslog, listenISIS, configDir, debugAddr)
 	default:
 		return fmt.Errorf("need either -data (replay mode) or -listen-syslog/-listen-isis with -configs (live mode)")
 	}
 }
 
 // serveDebug starts the HTTP endpoint: the versioned /api/v1 surface
-// (metrics, health, readiness, and — with -store — the failure-store
-// query endpoints) plus /debug/pprof.
-func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor) (func(), error) {
+// (metrics, health, readiness) plus /debug/pprof.
+func serveDebug(addr string, reg *obs.Registry, sup *serve.Supervisor) func() {
 	if addr == "" {
-		return func() {}, nil
-	}
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		// The daemon serves the store read-only; open leniently so a
-		// partially damaged store still answers what it can (salvage
-		// accounting is visible at /api/v1/store).
-		if st, err = store.OpenLenient(storeDir); err != nil {
-			return nil, fmt.Errorf("-store %s: %w", storeDir, err)
-		}
+		return func() {}
 	}
 	srv := api.NewServer(addr, api.Options{
 		Registry: reg,
-		Store:    st,
 		Ready:    sup.ReadyHandler(),
 		Healthz:  sup.HealthzHandler(),
 	})
@@ -164,7 +151,7 @@ func serveDebug(addr, storeDir string, reg *obs.Registry, sup *serve.Supervisor)
 		}
 	}()
 	fmt.Printf("debug endpoint on http://%s/api/v1/metrics\n", addr)
-	return func() { srv.Close() }, nil
+	return func() { srv.Close() }
 }
 
 // ---- replay mode ----------------------------------------------------
@@ -225,7 +212,7 @@ func (s *fileSource) Run(ctx context.Context, emit func(serve.Record) error) err
 // are exhausted or ctx ends. A replay source resumes after the records
 // recovery already replayed through the handler, so nothing is re-sent
 // and nothing is skipped.
-func ingest(ctx context.Context, cfg serve.Config, reg *obs.Registry, study *netfail.Study, debugAddr, storeDir string,
+func ingest(ctx context.Context, cfg serve.Config, reg *obs.Registry, study *netfail.Study, debugAddr string,
 	sources ...serve.Source) (*netfail.Driver, error) {
 	d, err := netfail.NewDriver(study, false)
 	if err != nil {
@@ -244,15 +231,12 @@ func ingest(ctx context.Context, cfg serve.Config, reg *obs.Registry, study *net
 			replay.start = rcv.PerSource[replay.name]
 		}
 	}
-	stopDebug, err := serveDebug(debugAddr, storeDir, reg, sup)
-	if err != nil {
-		return nil, err
-	}
+	stopDebug := serveDebug(debugAddr, reg, sup)
 	defer stopDebug()
 	return d, sup.Run(ctx)
 }
 
-func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, reportPath, debugAddr, storeDir string) error {
+func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, reportPath, debugAddr string) error {
 	study, _, err := netfail.ReadCampaignDir(ctx, dir, false)
 	if err != nil {
 		return err
@@ -265,7 +249,7 @@ func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, re
 	if err != nil {
 		return err
 	}
-	d, err := ingest(ctx, cfg, reg, study, debugAddr, storeDir, syslogSrc, isisSrc)
+	d, err := ingest(ctx, cfg, reg, study, debugAddr, syslogSrc, isisSrc)
 	if err != nil {
 		return err
 	}
@@ -387,7 +371,7 @@ func (s *udpSource) Run(ctx context.Context, emit func(serve.Record) error) erro
 	}
 }
 
-func runLive(ctx context.Context, cfg serve.Config, reg *obs.Registry, listenSyslog, listenISIS, configDir, debugAddr, storeDir string) error {
+func runLive(ctx context.Context, cfg serve.Config, reg *obs.Registry, listenSyslog, listenISIS, configDir, debugAddr string) error {
 	archive, err := config.LoadDir(configDir)
 	if err != nil {
 		return err
@@ -407,7 +391,7 @@ func runLive(ctx context.Context, cfg serve.Config, reg *obs.Registry, listenSys
 		len(mined.Network.Routers), len(mined.Network.Links))
 	// A study with no campaign window: nothing will be compared, so
 	// the driver counts syslog messages instead of retaining them.
-	d, err := ingest(ctx, cfg, reg, &netfail.Study{Mined: mined}, debugAddr, storeDir, sources...)
+	d, err := ingest(ctx, cfg, reg, &netfail.Study{Mined: mined}, debugAddr, sources...)
 	if err != nil {
 		return err
 	}

@@ -157,7 +157,7 @@ func TestLiveUDPMatchesBatch(t *testing.T) {
 	defer stop()
 	go func() {
 		d, err := ingest(live, cfg, reg,
-			&netfail.Study{Campaign: camp, Mined: mined, Tickets: netfail.GenerateTickets(camp)}, "", "",
+			&netfail.Study{Campaign: camp, Mined: mined, Tickets: netfail.GenerateTickets(camp)}, "",
 			&udpSource{name: "syslog", addr: syslogAddr.String(), clk: clk},
 			&udpSource{name: "isis", addr: isisAddr.String(), clk: clk})
 		done <- served{d, err}

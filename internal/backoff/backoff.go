@@ -1,7 +1,6 @@
 // Package backoff is the repository's single retry-delay policy:
 // jittered exponential backoff with an explicit retry budget,
-// deterministic in a seed, and (when a total budget is set) driven by
-// the injected internal/clock rather than the wall clock.
+// deterministic in a seed.
 //
 // Its caller is the netfail-serve supervisor's source restarts. Retry
 // behaviour is load-bearing for the serving path (a restart storm with
@@ -14,8 +13,6 @@ import (
 	"context"
 	"math/rand"
 	"time"
-
-	"netfail/internal/clock"
 )
 
 // Policy parameterizes a backoff schedule. The zero value is not
@@ -39,11 +36,6 @@ type Policy struct {
 	// Seed drives the jitter stream; identical seeds produce
 	// identical schedules. Ignored when Jitter is 0.
 	Seed int64
-	// Budget is the total time Retry may spend across all attempts,
-	// measured against the injected clock (0 = no time budget, only
-	// the Retries count limits). A retry whose delay would overrun
-	// the budget is not taken.
-	Budget time.Duration
 }
 
 // Default is the supervisor's source-restart policy: 1ms doubling,
@@ -115,30 +107,5 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// Retry runs op until it succeeds, the policy's retry budget is
-// exhausted, or ctx is done (returning ctx.Err()). Exhaustion — the
-// Retries count spent, or the next delay overrunning the Budget as
-// measured by the injected clock — returns the last error from op.
-func Retry(ctx context.Context, clk clock.Clock, p Policy, op func() error) error {
-	b := p.New()
-	start := clk.Now()
-	for {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		d, ok := b.Next()
-		if !ok {
-			return err
-		}
-		if p.Budget > 0 && clk.Now().Add(d).Sub(start) > p.Budget {
-			return err
-		}
-		if serr := SleepCtx(ctx, d); serr != nil {
-			return serr
-		}
 	}
 }

@@ -1,13 +1,10 @@
 package backoff_test
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 
 	"netfail/internal/backoff"
-	"netfail/internal/clock"
 )
 
 // TestDefaultscheduleIsPinned pins the exact delay sequence the
@@ -104,59 +101,5 @@ func TestResetRestartsSchedule(t *testing.T) {
 	d, ok := b.Next()
 	if !ok || d != time.Millisecond {
 		t.Fatalf("after Reset: Next() = (%v, %v), want (1ms, true)", d, ok)
-	}
-}
-
-// TestRetryStopsOnBudget drives Retry against a fake clock: the op
-// fails forever while the fake advances, and the clock-measured
-// budget — not wall time — ends the retrying.
-func TestRetryStopsOnBudget(t *testing.T) {
-	fake := clock.NewFake(time.Unix(1000, 0))
-	boom := errors.New("boom")
-	calls := 0
-	p := backoff.Policy{Base: time.Microsecond, Factor: 2, Budget: 10 * time.Minute}
-	err := backoff.Retry(context.Background(), fake, p, func() error {
-		calls++
-		fake.Advance(4 * time.Minute)
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Retry = %v, want the op's terminal error", err)
-	}
-	// Budget 10m, op advances 4m per call: attempts at elapsed 4m and
-	// 8m retry, the attempt at 12m overruns and stops — 3 calls.
-	if calls != 3 {
-		t.Errorf("op ran %d times, want 3 (clock budget must bound retries)", calls)
-	}
-}
-
-// TestRetryHonorsCancellation pins that a canceled context ends a
-// retry loop mid-backoff with ctx's error.
-func TestRetryHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := backoff.Policy{Base: time.Hour} // would sleep an hour without cancellation
-	err := backoff.Retry(ctx, clock.NewFake(time.Unix(0, 0)), p, func() error {
-		return errors.New("always")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Retry = %v, want context.Canceled", err)
-	}
-}
-
-// TestRetrySucceedsAfterFailures pins the success path: op's eventual
-// nil is returned and no further attempts run.
-func TestRetrySucceedsAfterFailures(t *testing.T) {
-	calls := 0
-	p := backoff.Policy{Base: time.Microsecond, Retries: 5}
-	err := backoff.Retry(context.Background(), clock.NewFake(time.Unix(0, 0)), p, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Retry = %v after %d calls, want nil after 3", err, calls)
 	}
 }

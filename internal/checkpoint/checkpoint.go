@@ -141,9 +141,6 @@ func Open(dir string, opts ...Option) (*Store, *Recovery, error) {
 	return s, rec, nil
 }
 
-// LastSeq returns the last sequence number appended or recovered.
-func (s *Store) LastSeq() uint64 { return s.seq }
-
 // openSegment starts the WAL segment for the next sequence and fsyncs
 // the directory. One of that name may exist already, with no record
 // past seq (left empty by a seal or shutdown, or its frames damaged):
@@ -224,10 +221,11 @@ func (s *Store) Seal() error {
 }
 
 // Snapshot atomically persists the full history (sequence order,
-// normally 1..LastSeq) and retires the WAL segments it covers. After
-// a successful snapshot, recovery needs only this file plus whatever
-// arrives later. The daemon no longer calls it (it seals segments);
-// recovery still reads the snapshots earlier daemons wrote.
+// normally 1 through the last appended sequence) and retires the WAL
+// segments it covers. After a successful snapshot, recovery needs only
+// this file plus whatever arrives later. The daemon no longer calls it
+// (it seals segments); recovery still reads the snapshots earlier
+// daemons wrote.
 func (s *Store) Snapshot(records []Record) error {
 	if s.wal == nil {
 		return fmt.Errorf("checkpoint: store is closed")

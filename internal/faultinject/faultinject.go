@@ -1,6 +1,6 @@
 // Package faultinject deterministically corrupts the on-disk capture
-// formats (LSP log, transition log, failures JSONL, syslog archive) so
-// degraded-input behaviour is testable bit-for-bit reproducibly.
+// formats (LSP log, syslog archive) so degraded-input behaviour is
+// testable bit-for-bit reproducibly.
 //
 // All capture formats are line-oriented, so the corruptor operates on
 // lines: each record is independently corrupted with a configured

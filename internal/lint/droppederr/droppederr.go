@@ -20,13 +20,12 @@
 //     identifier, e.g. `m, _ := syslog.Parse(line, ref)` or
 //     `_ = lsp.Process(at, pkt)`.
 //
-// The capture readers in netfail/internal/netsim and
-// netfail/internal/trace (ReadLSPLog, ReadManifest, ReadTransitions,
-// ReadFailuresJSON and their Lenient variants) are traced as specific
-// entry points: they gate the same trace completeness from disk, and
-// their lenient variants additionally return a *salvage.Report whose
-// discard silently hides dropped records — blank-binding that report
-// is flagged exactly like blank-binding an error.
+// The capture readers in netfail/internal/netsim (ReadLSPLog,
+// ReadLSPLogLenient and ReadManifest) are traced as specific entry
+// points: they gate the same trace completeness from disk, and the
+// lenient variant additionally returns a *salvage.Report whose discard
+// silently hides dropped records — blank-binding that report is
+// flagged exactly like blank-binding an error.
 //
 // Deferred and go'd calls (`defer c.Close()`) are deliberately not
 // flagged: there is no binding position for the error, and the
@@ -67,12 +66,6 @@ var tracedFuncs = map[string]map[string]bool{
 		"ReadLSPLog":        true,
 		"ReadLSPLogLenient": true,
 		"ReadManifest":      true,
-	},
-	"netfail/internal/trace": {
-		"ReadTransitions":         true,
-		"ReadTransitionsLenient":  true,
-		"ReadFailuresJSON":        true,
-		"ReadFailuresJSONLenient": true,
 	},
 }
 

@@ -11,30 +11,28 @@ import (
 	"netfail/internal/frame"
 	"netfail/internal/netsim"
 	"netfail/internal/salvage"
-	"netfail/internal/trace"
 )
 
 // load loses salvage accounting four different ways.
-func load(r io.Reader) ([]netsim.CapturedLSP, []trace.Transition) {
+func load(r io.Reader) []netsim.CapturedLSP {
 	// Blank-binding the strict reader's error: a torn capture reads
 	// as a shorter capture.
 	lsps, _ := netsim.ReadLSPLog(r) // want `error returned by netsim\.ReadLSPLog is assigned to the blank identifier`
 
 	// Blank-binding the lenient reader's report: the analysis never
 	// learns records were dropped.
-	ts, _, err := trace.ReadTransitionsLenient(r) // want `salvage report returned by trace\.ReadTransitionsLenient is assigned to the blank identifier; dropped-record accounting is lost`
+	salvaged, _, err := netsim.ReadLSPLogLenient(r) // want `salvage report returned by netsim\.ReadLSPLogLenient is assigned to the blank identifier; dropped-record accounting is lost`
 	if err != nil {
-		return lsps, nil
+		return lsps
 	}
 
 	// Blank-binding both: flagged once per discarded result.
-	fs, _, _ := trace.ReadFailuresJSONLenient(r) // want `salvage report returned by trace\.ReadFailuresJSONLenient is assigned to the blank identifier; dropped-record accounting is lost` `error returned by trace\.ReadFailuresJSONLenient is assigned to the blank identifier`
-	_ = fs
+	again, _, _ := netsim.ReadLSPLogLenient(r) // want `salvage report returned by netsim\.ReadLSPLogLenient is assigned to the blank identifier; dropped-record accounting is lost` `error returned by netsim\.ReadLSPLogLenient is assigned to the blank identifier`
 
 	// Bare statement: everything the manifest reader found vanishes.
 	netsim.ReadManifest(r) // want `error returned by netsim\.ReadManifest is silently discarded; a swallowed parse error silently shortens the trace`
 
-	return lsps, ts
+	return append(append(lsps, salvaged...), again...)
 }
 
 // frames loses a framed file's damage three ways: the one reader
@@ -55,13 +53,8 @@ func handled(w io.Writer, r io.Reader) (*salvage.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	_ = lsps
-	ts, err := trace.ReadTransitions(r)
-	if err != nil {
-		return nil, err
-	}
-	// WriteTransitions is not a capture reader: only the pinned
-	// entry points are traced in this package.
-	_ = trace.WriteTransitions(w, ts)
+	// WriteLSPLog is not a capture reader: only the pinned entry
+	// points are traced in this package.
+	_ = netsim.WriteLSPLog(w, lsps)
 	return rep, nil
 }

@@ -132,14 +132,6 @@ func (s *Span) Add(counter string, n int64) {
 	s.counters[counter] += n
 }
 
-// Name returns the span's name; empty for a nil span.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // A SpanInfo is an immutable snapshot of one span, safe to walk and
 // render while the pipeline is still running.
 type SpanInfo struct {

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"io"
 	"time"
-
-	"netfail/internal/salvage"
 )
 
 // WriteLog writes messages to w, one rendered line each: the on-disk
@@ -32,37 +30,24 @@ func WriteLog(w io.Writer, messages []*Message) error {
 // each line against a rolling reference: the previous message's
 // resolved time (seeded by ref, the archive's start).
 func ReadLog(r io.Reader, ref time.Time) (messages []*Message, badLines int, err error) {
-	messages, rep, err := ReadLogLenient(r, ref)
-	return messages, rep.Skipped, err
-}
-
-// ReadLogLenient is ReadLog with full salvage accounting: the same
-// skip-and-count semantics, but the report also records where the bad
-// lines were. (This reader was always lenient — the archive format is
-// lossy by construction — so there is no strict variant to pair it
-// with.)
-func ReadLogLenient(r io.Reader, ref time.Time) ([]*Message, *salvage.Report, error) {
-	var messages []*Message
-	rep := &salvage.Report{}
 	// One tokenizer per archive: messages come out with interned
 	// (canonical, shared) strings instead of per-line copies, and the
 	// scanner's byte buffer is never converted to a throwaway string.
 	tok := NewTokenizer()
 	rolling := ref
-	err := ScanLog(r, func(lineNo int, line []byte) error {
+	err = ScanLog(r, func(_ int, line []byte) error {
 		m := new(Message)
 		if perr := tok.ParseBytes(line, rolling, m); perr != nil {
-			rep.Skip(lineNo, "unparseable line")
+			badLines++
 			return nil
 		}
 		if m.Timestamp.After(rolling) {
 			rolling = m.Timestamp
 		}
 		messages = append(messages, m)
-		rep.Kept++
 		return nil
 	})
-	return messages, rep, err
+	return messages, badLines, err
 }
 
 // ScanLog calls fn with every non-empty line of a log written by

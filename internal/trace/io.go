@@ -2,15 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
-
-	"netfail/internal/salvage"
-	"netfail/internal/topo"
 )
 
 // WriteTransitions serializes transitions one per line:
@@ -25,138 +18,4 @@ func WriteTransitions(w io.Writer, ts []Transition) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteFailuresJSON serializes a failure list as JSON lines, one
-// failure per line — greppable and streamable for large traces.
-func WriteFailuresJSON(w io.Writer, fs []Failure) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, f := range fs {
-		if err := enc.Encode(f); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFailuresJSON parses the WriteFailuresJSON format strictly: the
-// first undecodable line aborts the read with a line-accurate error.
-func ReadFailuresJSON(r io.Reader) ([]Failure, error) {
-	out, _, err := readFailuresJSON(r, true)
-	return out, err
-}
-
-// ReadFailuresJSONLenient parses the WriteFailuresJSON format in
-// salvage mode: undecodable lines are skipped and accounted in the
-// report instead of aborting the read.
-func ReadFailuresJSONLenient(r io.Reader) ([]Failure, *salvage.Report, error) {
-	return readFailuresJSON(r, false)
-}
-
-func readFailuresJSON(r io.Reader, strict bool) ([]Failure, *salvage.Report, error) {
-	var out []Failure
-	rep := &salvage.Report{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var f Failure
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			if strict {
-				return nil, nil, fmt.Errorf("trace: failures JSON line %d: %w", lineNo, err)
-			}
-			rep.Skip(lineNo, "bad JSON")
-			continue
-		}
-		out = append(out, f)
-		rep.Kept++
-	}
-	return out, rep, sc.Err()
-}
-
-// ReadTransitions parses the WriteTransitions format strictly: the
-// first malformed line aborts the read with a line-accurate error.
-func ReadTransitions(r io.Reader) ([]Transition, error) {
-	out, _, err := readTransitions(r, true)
-	return out, err
-}
-
-// ReadTransitionsLenient parses the WriteTransitions format in
-// salvage mode: malformed lines are skipped and accounted in the
-// report instead of aborting the read.
-func ReadTransitionsLenient(r io.Reader) ([]Transition, *salvage.Report, error) {
-	return readTransitions(r, false)
-}
-
-func readTransitions(r io.Reader, strict bool) ([]Transition, *salvage.Report, error) {
-	var out []Transition
-	rep := &salvage.Report{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	skip := func(reason string, detail error) error {
-		if strict {
-			if detail != nil {
-				return fmt.Errorf("trace: line %d: %s: %v", lineNo, reason, detail)
-			}
-			return fmt.Errorf("trace: line %d: %s", lineNo, reason)
-		}
-		rep.Skip(lineNo, reason)
-		return nil
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 5 {
-			if err := skip(fmt.Sprintf("want 5 fields, got %d", len(fields)), nil); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		ms, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			if err := skip("bad timestamp", err); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		var dir Direction
-		switch fields[1] {
-		case "down":
-			dir = Down
-		case "up":
-			dir = Up
-		default:
-			if err := skip(fmt.Sprintf("bad direction %q", fields[1]), nil); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		kind, err := ParseKind(fields[2])
-		if err != nil {
-			if err := skip("bad kind", err); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		out = append(out, Transition{
-			Time:     time.UnixMilli(ms).UTC(),
-			Dir:      dir,
-			Kind:     kind,
-			Link:     topo.LinkID(fields[3]),
-			Reporter: fields[4],
-		})
-		rep.Kept++
-	}
-	return out, rep, sc.Err()
 }
