@@ -127,11 +127,12 @@ func TestWindowSweepAllocBudget(t *testing.T) {
 }
 
 // TestStoreWindowQueryWarmAllocBudget: a warm one-day/one-link store
-// query on a window that holds records, failures plus transitions (26
-// allocations, 43,936 bytes measured): two segment opens, two reader
-// windows sized to one index stride each, the result slices. The byte
-// ceiling is the pin on the read path's proportionality — a reader
-// that takes its 256 KB bulk window per seek is 528,697 bytes here.
+// query on a window that holds records, failures plus transitions (30
+// allocations, 4,640 bytes measured): two segment opens, one frame
+// buffer each for the postings read by offset, the result slices. The
+// byte ceiling is the pin on the read path's proportionality — a
+// reader that takes its 256 KB bulk window per seek is 528,697 bytes
+// here; TestStoreWindowQueryWarmBytes holds the postings fetch to 8 KB.
 // Skipped under -short like the other tests that spill a campaign to
 // disk.
 func TestStoreWindowQueryWarmAllocBudget(t *testing.T) {

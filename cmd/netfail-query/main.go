@@ -74,7 +74,7 @@ verbs:
   failures     query stored failures      (-link -source -from -to -limit)
   transitions  query stored transitions   (-link -stream -dir -kind -reporter -from -to -limit)
   messages     query stored syslog lines  (-host -contains -from -to -limit)
-  flaps        group failures into flap episodes (-source -link -from -to)
+  flaps        group failures into flap episodes (-source -link -from -to -limit)
   table        print a precomputed agreement table (-n 1..7)
   info         print the store's campaign metadata and record counts
   serve        serve the /api/v1 HTTP query surface (-debug-addr)
@@ -274,7 +274,7 @@ func runMessages(ctx context.Context, out io.Writer, s *store.Store, jsonOut boo
 }
 
 func runFlaps(ctx context.Context, out io.Writer, s *store.Store, jsonOut bool, args []string) error {
-	opts, get, err := queryFlags("flaps", args, "source=syslog", "link", "from", "to")
+	opts, get, err := queryFlags("flaps", args, "source=syslog", "link", "limit", "from", "to")
 	if err != nil {
 		return err
 	}

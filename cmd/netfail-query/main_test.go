@@ -50,6 +50,7 @@ func TestJSONIsTheAPIBody(t *testing.T) {
 		{"transitions", "link", link, "reporter", router},
 		{"messages", "host", router, "contains", "ADJCHANGE", "limit", "3", "from", from, "to", to},
 		{"flaps", "source", "syslog", "link", link},
+		{"flaps", "source", "syslog", "link", link, "limit", "1"},
 	} {
 		args, params := []string{c[0]}, url.Values{}
 		for i := 1; i < len(c); i += 2 {

@@ -79,14 +79,18 @@ func NewMux(o Options) *http.ServeMux {
 			h(w, r)
 		})
 	}
-	withStore := func(h func(*store.Store, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	var srv *served
+	if o.Store != nil {
+		srv = &served{o.Store, quoteNames(o.Store.Manifest())}
+	}
+	withStore := func(h func(*served, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if o.Store == nil {
+			if srv == nil {
 				writeError(w, http.StatusNotFound, "no_store",
 					"no failure store attached to this endpoint")
 				return
 			}
-			h(o.Store, w, r)
+			h(srv, w, r)
 		}
 	}
 
@@ -292,11 +296,48 @@ func ParseQuery(get func(name string) string) ([]store.Option, error) {
 // what encoding/json makes of the records (pipe through `jq .` to read
 // one). Enumerations travel as their names, never their storage
 // ordinals. The zero value is ready; a Body reused keeps its buffer, so
-// a body streamed from the store allocates nothing once it has grown.
+// a body streamed from the store allocates nothing once it has grown
+// and quoted that store's names.
 type Body struct {
 	buf   []byte
 	start int // the body's first byte: its head ends where the records begin
 	n     int // records appended so far
+
+	// names quotes the catalog names of store, the last store b was
+	// built from (quoteNames); day is the date of the last time b wrote.
+	store *store.Store
+	names map[string]string
+	day   dayCache
+}
+
+// use makes s's quoted catalog names the ones b's records draw on,
+// quoting them unless b already has them.
+func (b *Body) use(s *store.Store) {
+	if b.store != s {
+		b.store, b.names = s, quoteNames(s.Manifest())
+	}
+}
+
+// quoteNames maps every link, reporter and host name in a store's
+// catalogs to its quoted JSON string, so a body writes each record's
+// names by lookup and not by appendString's scan.
+func quoteNames(man *store.Manifest) map[string]string {
+	names := make(map[string]string, len(man.Links)+len(man.Reporters)+len(man.Hosts))
+	var buf []byte
+	add := func(name string) {
+		buf = appendQuoted(buf[:0], name)
+		names[name] = string(buf)
+	}
+	for _, l := range man.Links {
+		add(string(l.ID))
+	}
+	for _, name := range man.Reporters {
+		add(name)
+	}
+	for _, name := range man.Hosts {
+		add(name)
+	}
+	return names
 }
 
 // Bytes returns the body, valid until b is built again.
@@ -306,14 +347,14 @@ func (b *Body) Bytes() []byte { return b.buf[b.start:] }
 // it arrives behind room reserved for the head, which is written into
 // the end of that room once the count is known. If each fails, b holds
 // an empty body and the error is returned.
-func build[R any](b *Body, resource string, each func(func(R) error) error, one func([]byte, R) []byte) error {
+func build[R any](b *Body, resource string, each func(func(R) error) error, one func(*Body, []byte, R) []byte) error {
 	room := len(`{"count":`) + len("9223372036854775807") + len(`,"`) + len(resource) + len(`":[`)
 	b.buf, b.start, b.n = append(b.buf[:0], make([]byte, room)...), 0, 0
 	err := each(func(r R) error {
 		if b.n > 0 {
 			b.buf = append(b.buf, ',')
 		}
-		b.buf = append(one(append(b.buf, '{'), r), '}')
+		b.buf = append(one(b, append(b.buf, '{'), r), '}')
 		b.n++
 		return nil
 	})
@@ -342,38 +383,41 @@ func eachOf[R any](rs []R) func(func(R) error) error {
 
 // Links makes b the /api/v1/links body.
 func (b *Body) Links(links []store.LinkEntry) {
-	_ = build(b, "links", eachOf(links), appendLink) // a slice yields no error
+	_ = build(b, "links", eachOf(links), (*Body).link) // a slice yields no error
 }
 
 // Failures makes b the /api/v1/failures body of the failures matching
 // opts, encoded as s reads them.
 func (b *Body) Failures(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	b.use(s)
 	return build(b, "failures", func(fn func(store.FailureRecord) error) error {
 		return s.EachFailure(ctx, fn, opts...)
-	}, appendFailure)
+	}, (*Body).failure)
 }
 
 // Transitions makes b the /api/v1/transitions body of the transitions
 // matching opts, encoded as s reads them.
 func (b *Body) Transitions(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	b.use(s)
 	return build(b, "transitions", func(fn func(store.TransitionRecord) error) error {
 		return s.EachTransition(ctx, fn, opts...)
-	}, appendTransition)
+	}, (*Body).transition)
 }
 
 // Messages makes b the /api/v1/messages body of the syslog lines
 // matching opts, encoded as s reads them.
 func (b *Body) Messages(ctx context.Context, s *store.Store, opts ...store.Option) error {
+	b.use(s)
 	return build(b, "messages", func(fn func(store.MessageRecord) error) error {
 		return s.EachMessage(ctx, fn, opts...)
-	}, appendMessage)
+	}, (*Body).message)
 }
 
 // Episodes makes b the /api/v1/flaps body of source src's episodes.
 func (b *Body) Episodes(src store.Source, eps []trace.Episode) {
-	_ = build(b, "episodes", eachOf(eps), func(dst []byte, e trace.Episode) []byte { // a slice yields no error
-		dst = appendString(dst, "link", string(e.Link))
-		dst = appendTime(appendTime(dst, "start", e.Start()), "end", e.End())
+	_ = build(b, "episodes", eachOf(eps), func(b *Body, dst []byte, e trace.Episode) []byte { // a slice yields no error
+		dst = b.catalogName(dst, "link", string(e.Link))
+		dst = b.day.appendTime(b.day.appendTime(dst, "start", e.Start()), "end", e.End())
 		dst = strconv.AppendBool(appendKey(dst, "flap"), e.IsFlap())
 		dst = append(appendKey(dst, "failures"), '[')
 		for i, f := range e.Failures {
@@ -381,33 +425,44 @@ func (b *Body) Episodes(src store.Source, eps []trace.Episode) {
 				dst = append(dst, ',')
 			}
 			r := store.FailureRecord{Source: src, Link: f.Link, Start: f.Start, End: f.End}
-			dst = append(appendFailure(append(dst, '{'), r), '}')
+			dst = append(b.failure(append(dst, '{'), r), '}')
 		}
 		return append(dst, ']')
 	})
 }
 
-func appendLink(dst []byte, l store.LinkEntry) []byte {
-	return appendName(appendString(dst, "id", string(l.ID)), "class", l.Class.String())
+func (b *Body) link(dst []byte, l store.LinkEntry) []byte {
+	return appendName(b.catalogName(dst, "id", string(l.ID)), "class", l.Class.String())
 }
 
-func appendFailure(dst []byte, r store.FailureRecord) []byte {
+func (b *Body) failure(dst []byte, r store.FailureRecord) []byte {
 	dst = appendName(dst, "source", r.Source.String())
-	dst = appendString(dst, "link", string(r.Link))
-	return appendTime(appendTime(dst, "start", r.Start), "end", r.End)
+	dst = b.catalogName(dst, "link", string(r.Link))
+	return b.day.appendTime(b.day.appendTime(dst, "start", r.Start), "end", r.End)
 }
 
-func appendTransition(dst []byte, r store.TransitionRecord) []byte {
+func (b *Body) transition(dst []byte, r store.TransitionRecord) []byte {
 	dst = appendName(dst, "stream", r.Stream.String())
-	dst = appendTime(dst, "time", r.Time)
-	dst = appendString(dst, "link", string(r.Link))
+	dst = b.day.appendTime(dst, "time", r.Time)
+	dst = b.catalogName(dst, "link", string(r.Link))
 	dst = appendName(dst, "dir", r.Dir.String())
 	dst = appendName(dst, "kind", r.Kind.String())
-	return appendString(dst, "reporter", r.Reporter)
+	return b.catalogName(dst, "reporter", r.Reporter)
 }
 
-func appendMessage(dst []byte, r store.MessageRecord) []byte {
-	return appendString(appendString(appendTime(dst, "time", r.Time), "host", r.Host), "line", r.Line)
+func (b *Body) message(dst []byte, r store.MessageRecord) []byte {
+	dst = b.catalogName(b.day.appendTime(dst, "time", r.Time), "host", r.Host)
+	return appendString(dst, "line", r.Line)
+}
+
+// catalogName appends a string member whose value is a catalog name:
+// from b's quoted names when they hold it, by appendString's scan when
+// not.
+func (b *Body) catalogName(dst []byte, key, name string) []byte {
+	if q, ok := b.names[name]; ok {
+		return append(appendKey(dst, key), q...)
+	}
+	return appendString(dst, key, name)
 }
 
 // appendKey appends a member's name, after a comma unless the member
@@ -430,10 +485,48 @@ func appendTime(dst []byte, key string, t time.Time) []byte {
 		return append(t.AppendFormat(dst, time.RFC3339Nano), '"')
 	}
 	h, mi, s := t.Clock()
-	dst = append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
-		byte('0'+mo/10), byte('0'+mo%10), '-', byte('0'+d/10), byte('0'+d%10), 'T',
-		byte('0'+h/10), byte('0'+h%10), ':', byte('0'+mi/10), byte('0'+mi%10), ':', byte('0'+s/10), byte('0'+s%10))
-	if ns := t.Nanosecond(); ns != 0 { // nine digits behind the point, less the trailing zeros
+	return appendClock(appendDate(dst, y, int(mo), d), h*3600+mi*60+s, t.Nanosecond())
+}
+
+// dayCache is the date of the UTC day a body last wrote a time in, so
+// the records of one day derive it once.
+type dayCache struct {
+	start, end int64    // the day in unix seconds, [start, end); empty until filled
+	date       [11]byte // "2006-01-02T"
+}
+
+// appendTime writes what the package's appendTime does, the date from
+// c, refilled when t falls on another UTC day.
+func (c *dayCache) appendTime(dst []byte, key string, t time.Time) []byte {
+	if t.Location() != time.UTC {
+		return appendTime(dst, key, t)
+	}
+	sec := t.Unix()
+	if sec < c.start || sec >= c.end {
+		y, mo, d := t.Date()
+		if y < 0 || y > 9999 {
+			return appendTime(dst, key, t)
+		}
+		c.start = sec - (sec%86400+86400)%86400
+		c.end = c.start + 86400
+		appendDate(c.date[:0], y, int(mo), d)
+	}
+	dst = append(append(appendKey(dst, key), '"'), c.date[:]...)
+	return appendClock(dst, int(sec-c.start), t.Nanosecond())
+}
+
+// appendDate appends "YYYY-MM-DDT" for a year in 0-9999.
+func appendDate(dst []byte, y, mo, d int) []byte {
+	return append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+mo/10), byte('0'+mo%10), '-', byte('0'+d/10), byte('0'+d%10), 'T')
+}
+
+// appendClock appends the time of day sec seconds and ns nanoseconds
+// after midnight, then the zone and the closing quote.
+func appendClock(dst []byte, sec, ns int) []byte {
+	h, mi, s := sec/3600, sec/60%60, sec%60
+	dst = append(dst, byte('0'+h/10), byte('0'+h%10), ':', byte('0'+mi/10), byte('0'+mi%10), ':', byte('0'+s/10), byte('0'+s%10))
+	if ns != 0 { // nine digits behind the point, less the trailing zeros
 		dot := len(dst)
 		dst = strconv.AppendInt(dst, int64(1e9+ns), 10)
 		for dst[dot] = '.'; dst[len(dst)-1] == '0'; {
@@ -465,7 +558,13 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 // the HTML-safe one its Encoder defaults to: a syslog line is whatever
 // bytes a router sent.
 func appendString(dst []byte, key, s string) []byte {
-	dst = append(appendKey(dst, key), '"')
+	return appendQuoted(appendKey(dst, key), s)
+}
+
+// appendQuoted appends s as a JSON string, escaped as appendString
+// says.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf && plain[b] {
@@ -507,23 +606,32 @@ var bodies = sync.Pool{New: func() any { return new(Body) }}
 // month's scan fits, and a whole campaign's does not stay allocated.
 const maxPooledBody = 8 << 20
 
-// serveBody answers with the body build makes in a pooled buffer. The
-// body is whole before the header goes out, so a store error mid-read
-// is the error envelope, never a 200 cut short.
-func serveBody(w http.ResponseWriter, r *http.Request, build func(*Body) error) {
+// served is the store a mux answers from, with its catalog names
+// quoted once for every body it feeds.
+type served struct {
+	*store.Store
+	names map[string]string
+}
+
+// serveBody answers with the body build makes from s in a pooled
+// buffer. The body is whole before the header goes out, so a store
+// error mid-read is the error envelope, never a 200 cut short.
+func serveBody(w http.ResponseWriter, r *http.Request, s *served, build func(*Body) error) {
 	b := bodies.Get().(*Body)
+	b.store, b.names = s.Store, s.names
 	if err := build(b); err != nil {
 		queryError(w, r, err)
 	} else {
 		writeBody(w, http.StatusOK, b.Bytes())
 	}
+	b.store, b.names = nil, nil // the pool holds no store
 	if cap(b.buf) <= maxPooledBody {
 		bodies.Put(b)
 	}
 }
 
-func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
-	serveBody(w, r, func(b *Body) error {
+func handleLinks(s *served, w http.ResponseWriter, r *http.Request) {
+	serveBody(w, r, s, func(b *Body) error {
 		links, err := s.Links(r.Context())
 		if err == nil {
 			b.Links(links)
@@ -534,29 +642,29 @@ func handleLinks(s *store.Store, w http.ResponseWriter, r *http.Request) {
 
 // serveList answers a filtered list endpoint: the URL parameters
 // through ParseQuery, the store's records streamed into the body.
-func serveList(s *store.Store, w http.ResponseWriter, r *http.Request,
+func serveList(s *served, w http.ResponseWriter, r *http.Request,
 	body func(*Body, context.Context, *store.Store, ...store.Option) error) {
 	opts, err := ParseQuery(r.URL.Query().Get)
 	if err != nil {
 		badParam(w, err)
 		return
 	}
-	serveBody(w, r, func(b *Body) error { return body(b, r.Context(), s, opts...) })
+	serveBody(w, r, s, func(b *Body) error { return body(b, r.Context(), s.Store, opts...) })
 }
 
-func handleFailures(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleFailures(s *served, w http.ResponseWriter, r *http.Request) {
 	serveList(s, w, r, (*Body).Failures)
 }
 
-func handleTransitions(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleTransitions(s *served, w http.ResponseWriter, r *http.Request) {
 	serveList(s, w, r, (*Body).Transitions)
 }
 
-func handleMessages(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleMessages(s *served, w http.ResponseWriter, r *http.Request) {
 	serveList(s, w, r, (*Body).Messages)
 }
 
-func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleFlaps(s *served, w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	if params.Get("source") == "" {
 		badParam(w, &ParamError{"source", errors.New("required: \"syslog\" or \"isis\"")})
@@ -568,7 +676,7 @@ func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	src, _ := store.ParseSource(params.Get("source")) // ParseQuery accepted it
-	serveBody(w, r, func(b *Body) error {
+	serveBody(w, r, s, func(b *Body) error {
 		eps, err := s.Flaps(r.Context(), src, opts...)
 		if err == nil {
 			b.Episodes(src, eps)
@@ -577,7 +685,7 @@ func handleFlaps(s *store.Store, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func handleTable(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleTable(s *served, w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		badParam(w, &ParamError{"n", fmt.Errorf("want a table number, got %q", r.PathValue("n"))})
@@ -594,7 +702,7 @@ func handleTable(s *store.Store, w http.ResponseWriter, r *http.Request) {
 // handleStore summarizes the opened store: the manifest's campaign
 // metadata and record counts, plus any salvage accumulated so far when
 // the store is lenient.
-func handleStore(s *store.Store, w http.ResponseWriter, r *http.Request) {
+func handleStore(s *served, w http.ResponseWriter, r *http.Request) {
 	man := s.Manifest()
 	out := map[string]any{
 		"format":  man.Format,

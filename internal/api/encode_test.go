@@ -63,3 +63,50 @@ func TestEnumNamesNeedNoEscape(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDayCacheMatchesFormat: a body's day cache, driven through a
+// sequence of times — steps of a nanosecond to a year, forwards and
+// backwards, across midnight and out of the years 0-9999, in and out
+// of UTC — writes each as time.Time.AppendFormat does.
+func FuzzDayCacheMatchesFormat(f *testing.F) {
+	steps := [...]time.Duration{
+		time.Nanosecond, time.Millisecond, time.Second, time.Minute, time.Hour, 24 * time.Hour, 366 * 24 * time.Hour,
+		-time.Nanosecond, -time.Millisecond, -time.Second, -time.Minute, -time.Hour, -24 * time.Hour, -366 * 24 * time.Hour,
+		1234567 * time.Microsecond, -(7*time.Hour + 89*time.Millisecond),
+	}
+	for _, seed := range []struct {
+		sec, nsec int64
+		walk      []byte
+	}{
+		{1293926399, 999999999, []byte{0, 7, 0, 7}},                 // a nanosecond either side of midnight
+		{1293926399, 0, []byte{2, 2, 9, 9, 2}},                      // whole seconds across midnight, both ways
+		{1293926399, 998000000, []byte{1, 1, 1, 8, 8, 8}},           // milliseconds across midnight, both ways
+		{1293937445, 7000000, []byte{14, 15, 5, 12, 3, 10}},         // a stored millisecond, hours and days away
+		{253402300799, 999999999, []byte{0, 7, 7, 0, 0}},            // into the year 10000 and back
+		{-62167219200, 0, []byte{7, 0, 9, 2}},                       // out of the year 0 and back
+		{-1, 500000, []byte{2, 9, 9, 5}},                            // 1969: a day that begins at a negative second
+		{1293937445, 123456789, []byte{16, 16 + 5, 5, 16 + 12, 12}}, // into a zone and out
+	} {
+		f.Add(seed.sec, seed.nsec, seed.walk)
+	}
+	zone := time.FixedZone("", -8*3600)
+	f.Fuzz(func(t *testing.T, sec, nsec int64, walk []byte) {
+		var c dayCache
+		tm := time.Unix(sec, nsec).UTC()
+		for i := 0; i <= len(walk); i++ {
+			if i > 0 {
+				// A step's low four bits pick its size, the next its
+				// zone: UTC, or 8 hours west.
+				tm = tm.Add(steps[walk[i-1]%16]).UTC()
+				if walk[i-1]&16 != 0 {
+					tm = tm.In(zone)
+				}
+			}
+			got := c.appendTime([]byte{'{'}, "t", tm)
+			want := append(tm.AppendFormat([]byte(`{"t":"`), time.RFC3339Nano), '"')
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d, %s: the day cache wrote %s, AppendFormat %s", i, tm, got, want)
+			}
+		}
+	})
+}

@@ -6,13 +6,13 @@ import "netfail/internal/store"
 // reach records no store holds.
 
 func (b *Body) FailuresOf(recs []store.FailureRecord) {
-	_ = build(b, "failures", eachOf(recs), appendFailure)
+	_ = build(b, "failures", eachOf(recs), (*Body).failure)
 }
 
 func (b *Body) TransitionsOf(recs []store.TransitionRecord) {
-	_ = build(b, "transitions", eachOf(recs), appendTransition)
+	_ = build(b, "transitions", eachOf(recs), (*Body).transition)
 }
 
 func (b *Body) MessagesOf(recs []store.MessageRecord) {
-	_ = build(b, "messages", eachOf(recs), appendMessage)
+	_ = build(b, "messages", eachOf(recs), (*Body).message)
 }

@@ -14,6 +14,7 @@ import (
 
 	"netfail"
 	"netfail/internal/api"
+	"netfail/internal/core"
 	"netfail/internal/store"
 	"netfail/internal/topo"
 	"netfail/internal/trace"
@@ -430,5 +431,114 @@ func TestServedBodiesMatchEncodingJSON(t *testing.T) {
 		if params[name] == 0 {
 			t.Errorf("no URL asked with %s", name)
 		}
+	}
+}
+
+// TestCatalogNamesServeAsEncodingJSON: a store whose link IDs,
+// reporters and hosts need every escape — the quote, the backslash,
+// the HTML three, a control byte, U+2028 and invalid UTF-8 (which the
+// manifest stores as U+FFFD, as encoding/json writes it) — serves,
+// through the mux's quoted catalog and the day cache, exactly what
+// encoding/json makes of the slice query's records, on every list
+// endpoint. Message lines, never catalog names, take the escaping scan
+// with the same bytes.
+func TestCatalogNamesServeAsEncodingJSON(t *testing.T) {
+	names := []string{
+		"plain-name", `quote " mark`, `back\slash`, "<html> & amp",
+		"ctl \x01 byte", "line\u2028sep", "bad \xff utf8",
+	}
+	start := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
+	a := &core.Analysis{In: core.Input{Start: start, End: start.AddDate(0, 0, 4), FlapGap: 10 * time.Minute}}
+	dir := t.TempDir()
+	w, err := store.NewWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		a.AnalyzedLinks = append(a.AnalyzedLinks, &topo.Link{ID: topo.LinkID(name), Class: topo.LinkClass(i % 2)})
+		// Each link fails twice a day, the first failure crossing
+		// midnight, at whole seconds, milliseconds and nanoseconds.
+		for day := 0; day < 3; day++ {
+			at := start.AddDate(0, 0, day).Add(-time.Duration(i+1) * time.Minute)
+			for j, f := range []trace.Failure{
+				{Link: topo.LinkID(name), Start: at, End: at.Add(time.Duration(2*i+3) * time.Minute)},
+				{Link: topo.LinkID(name), Start: at.Add(7*time.Hour + 3*time.Millisecond), End: at.Add(7*time.Hour + time.Second + 5)},
+			} {
+				if j%2 == day%2 {
+					a.SyslogFailures = append(a.SyslogFailures, f)
+				} else {
+					a.ISISFailures = append(a.ISISFailures, f)
+				}
+				for k, tm := range []time.Time{f.Start, f.End} {
+					a.SyslogAdj = append(a.SyslogAdj, trace.Transition{Time: tm, Link: f.Link, Dir: trace.Direction(k),
+						Kind: trace.KindISISAdj, Reporter: names[(i+k)%len(names)]})
+				}
+			}
+		}
+	}
+	for i := 0; i < 4*len(names); i++ {
+		host := names[i%len(names)]
+		line := "<189>" + host + ` %LINK-3-UPDOWN: "x" \ <y> & ` + names[(i+1)%len(names)]
+		if err := w.AppendMessage(start.Add(time.Duration(i)*37*time.Minute).UnixMilli(), host, []byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.WriteAnalysisTables(a, &core.Tables{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	man := s.Manifest()
+	mux := api.NewMux(api.Options{Store: s})
+	check := func(resource string, q url.Values, want any) {
+		t.Helper()
+		target := "/api/v1/" + resource + "?" + q.Encode()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body)
+		}
+		if bytes.HasPrefix(rec.Body.Bytes(), []byte(`{"count":0,`)) && resource != "messages" {
+			t.Errorf("%s: no records to compare", target)
+		}
+		diffBody(t, target, rec.Body.Bytes(), refEncode(t, want))
+	}
+	must := func(v any, err error) any {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	check("links", nil, LinksBody(man.Links))
+	check("failures", nil, FailuresBody(must(s.Failures(ctx)).([]store.FailureRecord)))
+	check("transitions", nil, TransitionsBody(must(s.Transitions(ctx)).([]store.TransitionRecord)))
+	check("messages", nil, MessagesBody(must(s.Messages(ctx)).([]store.MessageRecord)))
+	for _, l := range man.Links {
+		q := url.Values{"link": {string(l.ID)}}
+		check("failures", q, FailuresBody(must(s.Failures(ctx, store.WithLink(l.ID))).([]store.FailureRecord)))
+		check("transitions", q, TransitionsBody(must(s.Transitions(ctx, store.WithLink(l.ID))).([]store.TransitionRecord)))
+		for _, src := range []store.Source{store.SourceSyslog, store.SourceISIS} {
+			q := url.Values{"link": {string(l.ID)}, "source": {src.String()}}
+			check("flaps", q, EpisodesBody(src, must(s.Flaps(ctx, src, store.WithLink(l.ID))).([]trace.Episode)))
+		}
+	}
+	for _, r := range man.Reporters {
+		check("transitions", url.Values{"reporter": {r}},
+			TransitionsBody(must(s.Transitions(ctx, store.WithReporter(r))).([]store.TransitionRecord)))
+	}
+	for _, h := range man.Hosts {
+		check("messages", url.Values{"host": {h}}, MessagesBody(must(s.Messages(ctx, store.WithHost(h))).([]store.MessageRecord)))
+	}
+	if len(man.Links) != len(names) || len(man.Reporters) != len(names) || len(man.Hosts) != len(names) {
+		t.Errorf("catalogs hold %d links, %d reporters, %d hosts; want %d each",
+			len(man.Links), len(man.Reporters), len(man.Hosts), len(names))
 	}
 }

@@ -24,6 +24,7 @@ import (
 type SegmentReader struct {
 	fr *frame.Reader
 	f  *os.File // nil when the reader does not own a file
+	at []byte   // RecordAt's frame buffer
 }
 
 // newSegmentReader wraps r, positioned at the segment magic, as a
@@ -80,6 +81,35 @@ func (sr *SegmentReader) Seek(e IndexEntry, span int64) error {
 		}
 	}
 	return nil
+}
+
+// RecordAt reads one record straight from a file-backed reader's
+// segment whose records are all recLen bytes long, as a store's
+// failures and transitions are: from e, the index entry at or before
+// it, the frame of ordinal record begins
+//
+//	e.Offset + (record − e.Record) × (frame.Overhead + 8 + recLen)
+//
+// It reads that frame alone, leaving the Next stream where it was, and
+// returns it when frame.Check passes it at exactly that length, kept
+// in the salvage report. ok is false for anything else — a damaged
+// frame, offsets the damage has shifted, the end of the file — and the
+// caller reads the stride instead (Seek, Next), which refuses or
+// salvages what is there.
+func (sr *SegmentReader) RecordAt(e IndexEntry, record int64, recLen int) (tsMs int64, rec []byte, ok bool) {
+	size := frame.Overhead + tsLen + recLen
+	if cap(sr.at) < size {
+		sr.at = make([]byte, size)
+	}
+	b := sr.at[:size]
+	if _, err := sr.f.ReadAt(b, e.Offset+(record-e.Record)*int64(size)); err != nil {
+		return 0, nil, false
+	}
+	if n, reason := frame.Check(b, tsLen); reason != "" || n != tsLen+recLen {
+		return 0, nil, false
+	}
+	sr.fr.Report().Kept++
+	return int64(binary.LittleEndian.Uint64(b[frame.Overhead:])), b[frame.Overhead+tsLen:], true
 }
 
 // Report returns the reader's salvage accounting: records kept, and

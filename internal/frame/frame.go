@@ -207,22 +207,35 @@ func (r *Reader) damage(record, offset int64, reason string) error {
 // as much of it as the source has: its payload length, or why it is
 // not a frame.
 func (r *Reader) frameAt() (n int, reason string) {
-	w := r.need(Overhead)
-	if len(w) < Overhead {
+	n, reason = Check(r.need(Overhead), r.minLen)
+	if reason == truncatedPayload {
+		n, reason = Check(r.need(Overhead+n), r.minLen)
+	}
+	return n, reason
+}
+
+const truncatedPayload = "truncated frame payload"
+
+// Check validates the frame at the head of b — marker, a length in
+// [minLen, MaxLen], the whole payload, its CRC — by the rules the
+// Reader applies, and returns the payload length or why b does not
+// open on a frame, in the Reader's reasons. For "truncated frame
+// payload" n is the length the header declares.
+func Check(b []byte, minLen int) (n int, reason string) {
+	if len(b) < Overhead {
 		return 0, "truncated frame header"
 	}
-	if w[0] != marker[0] || w[1] != marker[1] {
+	if b[0] != marker[0] || b[1] != marker[1] {
 		return 0, "bad sync marker"
 	}
-	n = int(binary.LittleEndian.Uint32(w[2:]))
-	if n < r.minLen || n > MaxLen {
+	n = int(binary.LittleEndian.Uint32(b[2:]))
+	if n < minLen || n > MaxLen {
 		return 0, "implausible frame length"
 	}
-	w = r.need(Overhead + n)
-	if len(w) < Overhead+n {
-		return 0, "truncated frame payload"
+	if len(b) < Overhead+n {
+		return n, truncatedPayload
 	}
-	if crc32.ChecksumIEEE(w[Overhead:Overhead+n]) != binary.LittleEndian.Uint32(w[6:]) {
+	if crc32.ChecksumIEEE(b[Overhead:Overhead+n]) != binary.LittleEndian.Uint32(b[6:]) {
 		return 0, "crc mismatch"
 	}
 	return n, ""

@@ -178,7 +178,7 @@ func (s *Store) EachFailure(ctx context.Context, fn func(FailureRecord) error, o
 			return nil
 		}
 		ords := q.clip(s.failPost[ord], s.failIdx, s.man.Failures.MaxSpanMs)
-		return s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, visit)
+		return s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, failureRecLen, visit)
 	}
 	return s.scan(ctx, FailuresSegment, s.failIdx, &q, s.man.Failures.MaxSpanMs, visit)
 }
@@ -242,7 +242,7 @@ func (s *Store) EachTransition(ctx context.Context, fn func(TransitionRecord) er
 			return nil
 		}
 		ords := q.clip(s.tranPost[ord], s.tranIdx, 0)
-		return s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, visit)
+		return s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, transitionRecLen, visit)
 	}
 	return s.scan(ctx, TransitionsSegment, s.tranIdx, &q, 0, visit)
 }
@@ -344,7 +344,7 @@ func (s *Store) EachMessage(ctx context.Context, fn func(MessageRecord) error, o
 			if !ok {
 				return nil
 			}
-			err = s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], q.clip(s.msgPost[i][ord], s.msgIdx[i], 0), visit)
+			err = s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], q.clip(s.msgPost[i][ord], s.msgIdx[i], 0), 0, visit)
 		} else {
 			err = s.scan(ctx, meta.Name, s.msgIdx[i], &q, 0, visit)
 		}

@@ -270,17 +270,30 @@ func hop(idx []capture.IndexEntry, target int64) (e capture.IndexEntry, span int
 }
 
 // fetchOrdinals streams the records at the given (ascending) written
-// ordinals through fn over one descriptor, re-seeked through the
-// sparse index whenever the next ordinal lies in a later stride than
-// the reader. On a clean segment the ordinals map exactly to records;
-// on a damaged lenient segment the mapping can drift past the damage,
-// so callers always re-verify their predicate against the decoded
-// record — postings are an accelerator, never an authority.
-func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.IndexEntry, ords []uint32, fn func(tsMs int64, rec []byte) error) error {
+// ordinals through fn over one descriptor. In a segment whose records
+// are all recLen bytes long (failures and transitions; 0 for a message
+// segment) it reads each posting's frame alone, at the offset its
+// stride's index entry and its ordinal give (RecordAt), and nothing
+// else. The first frame that does not verify hands its ordinal and
+// every later one to the stride walk a message segment always takes:
+// read from the latest index entry at or before the next ordinal,
+// re-seeked whenever the next lies in a later stride, so a damaged
+// stride is refused or salvaged frame by frame. On a clean segment the
+// ordinals map exactly to records; on a damaged lenient segment the
+// walk's mapping can drift past the damage, so callers always
+// re-verify their predicate against the decoded record — postings are
+// an accelerator, never an authority.
+func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.IndexEntry, ords []uint32, recLen int, fn func(tsMs int64, rec []byte) error) error {
 	if len(ords) == 0 {
 		return nil
 	}
 	e, span := hop(idx, int64(ords[0]))
+	// Before the first index entry it is the walk that checks the
+	// segment's magic.
+	direct := recLen > 0 && e != (capture.IndexEntry{})
+	if direct {
+		span = 0 // no window until the walk needs one
+	}
 	sr, err := capture.OpenSegmentAt(filepath.Join(s.dir, name), e, span, s.lenient)
 	if err != nil {
 		return err
@@ -289,6 +302,35 @@ func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.In
 		s.addSalvage(name, sr.Report())
 		sr.Close()
 	}()
+	if direct {
+		i := 0
+		for ; i < len(ords); i++ {
+			if i%cancelStride == 0 {
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+			}
+			e, _ = hop(idx, int64(ords[i]))
+			tsMs, rec, ok := sr.RecordAt(e, int64(ords[i]), recLen)
+			if !ok {
+				break
+			}
+			if ferr := fn(tsMs, rec); ferr != nil {
+				if errors.Is(ferr, errStopScan) {
+					return nil
+				}
+				return ferr
+			}
+		}
+		if i == len(ords) {
+			return nil
+		}
+		ords = ords[i:]
+		e, span = hop(idx, int64(ords[0]))
+		if err := sr.Seek(e, span); err != nil {
+			return err
+		}
+	}
 	// cur is the written ordinal the next Next() call should return
 	// (exact on clean segments; see the doc comment for damaged ones).
 	cur := e.Record

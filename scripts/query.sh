@@ -133,8 +133,8 @@ curl -sf -G -D "$tmp/headers" "http://$addr/api/v1/failures" \
 grep -qi '^content-length:' "$tmp/headers" || fail "/api/v1/failures response has no Content-Length"
 
 # netfail-query -json prints the very bytes the endpoint serves: a
-# whole-campaign transitions scan, the link+window question, and one
-# link's flap episodes.
+# whole-campaign transitions scan, the link+window question, one link's
+# flap episodes, all and the first, and one host's lines in the window.
 echo "==> netfail-query -json = curl /api/v1, byte for byte"
 $q -json transitions > "$tmp/cli"
 curl -sf "http://$addr/api/v1/transitions" > "$out" || fail "/api/v1/transitions"
@@ -148,6 +148,20 @@ $q -json flaps -link "$link" > "$tmp/cli"
 curl -sf -G "http://$addr/api/v1/flaps" --data-urlencode "source=syslog" --data-urlencode "link=$link" > "$out" \
     || fail "/api/v1/flaps?source&link"
 cmp -s "$tmp/cli" "$out" || fail "-json flaps -link differs from /api/v1/flaps"
+$q -json flaps -link "$link" -limit 1 > "$tmp/cli"
+curl -sf -G "http://$addr/api/v1/flaps" --data-urlencode "source=syslog" --data-urlencode "link=$link" \
+    --data-urlencode "limit=1" > "$out" || fail "/api/v1/flaps?source&link&limit"
+cmp -s "$tmp/cli" "$out" || fail "-json flaps -link -limit 1 differs from /api/v1/flaps"
+# One host's lines in the window: the host from the quoted catalog, the
+# raw lines through the escaping scan.
+$q -json messages -from "$from" -to "$to" -limit 1 > "$out"
+host=$(sed -n 's/.*"host":"\([^"]*\)".*/\1/p' "$out")
+[ -n "$host" ] || fail "-json messages -from -to -limit 1 has no host to aim at"
+$q -json messages -host "$host" -from "$from" -to "$to" > "$tmp/cli"
+curl -sf -G "http://$addr/api/v1/messages" --data-urlencode "host=$host" \
+    --data-urlencode "from=$from" --data-urlencode "to=$to" > "$out" || fail "/api/v1/messages?host&from&to"
+[ "$(count_of "$out")" -ge 1 ] || fail "/api/v1/messages?host&from&to found nothing for $host"
+cmp -s "$tmp/cli" "$out" || fail "-json messages -host -from -to differs from /api/v1/messages"
 
 curl -sf "http://$addr/api/v1/tables/4" > "$out" || fail "/api/v1/tables/4"
 grep -q '"table"' "$out" || fail "/api/v1/tables/4 missing table field"
