@@ -112,21 +112,12 @@ func TestBlackoutModelDrivesTransitionMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noneWith := noneFraction(with)
-	noneWithout := noneFraction(without)
+	noneWith := noneFraction(with.Analysis)
+	noneWithout := noneFraction(without.Analysis)
 	t.Logf("none fraction: with blackouts %.3f, without %.3f", noneWith, noneWithout)
 	if noneWithout >= noneWith {
 		t.Errorf("disabling blackouts should reduce missed transitions: %.3f -> %.3f", noneWith, noneWithout)
 	}
-}
-
-func noneFraction(s *Study) float64 {
-	t3 := s.Analysis.Table3()
-	total := t3.Down.Total() + t3.Up.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(t3.Down.None+t3.Up.None) / float64(total)
 }
 
 // TestPseudoFailuresDriveFalsePositives: without reset pseudo-
@@ -281,7 +272,7 @@ func BenchmarkAblationNoBlackout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := s.analyze(b, false)
-		b.ReportMetric(analysisNoneFraction(a), "none-frac")
+		b.ReportMetric(noneFraction(a), "none-frac")
 	}
 }
 
@@ -315,7 +306,7 @@ func TestAblationAnalyzeAllocBudget(t *testing.T) {
 	}
 }
 
-func analysisNoneFraction(a *Analysis) float64 {
+func noneFraction(a *Analysis) float64 {
 	t3 := a.Table3()
 	total := t3.Down.Total() + t3.Up.Total()
 	if total == 0 {

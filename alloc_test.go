@@ -3,6 +3,7 @@ package netfail
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"netfail/internal/api"
+	"netfail/internal/report"
 	"netfail/internal/store"
 )
 
@@ -112,6 +114,25 @@ func TestFullReportAllocBudget(t *testing.T) {
 	}
 	op := benchFullReport(t, benchFullStudy(t).Analysis.In.Parallelism)
 	pinAllocs(t, "the full report over the 13-month study", 21000, op)
+}
+
+// TestMarkdownAllocBudget: the markdown report of the 13-month study
+// rendered from the study's tables (574 measured, 18,883 when Markdown
+// computed the tables itself): it formats, and computes nothing. The
+// race detector's own allocations are not the renderer's.
+func TestMarkdownAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside the formatting")
+	}
+	tables, err := benchFullStudy(t).Tables(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinAllocs(t, "the markdown report of the 13-month study", 620, func() {
+		if err := report.Markdown(io.Discard, tables); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestWindowSweepAllocBudget: the knee sweep (10623 measured) allocates

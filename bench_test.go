@@ -18,7 +18,6 @@ package netfail
 import (
 	"context"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,23 +31,15 @@ import (
 	"netfail/internal/trace"
 )
 
-var (
-	benchOnce  sync.Once
-	benchStudy *Study
-	benchErr   error
-)
-
-// benchFullStudy prepares the 13-month CENIC-scale study shared by the
-// table benchmarks and their alloc pins (alloc_test.go).
+// benchFullStudy is the 13-month CENIC-scale study shared by the table
+// benchmarks, their alloc pins (alloc_test.go) and the golden tests.
 func benchFullStudy(tb testing.TB) *Study {
 	tb.Helper()
-	benchOnce.Do(func() {
-		benchStudy, benchErr = Run(context.Background(), SimulationConfig{Seed: 1})
-	})
-	if benchErr != nil {
-		tb.Fatal(benchErr)
+	s, err := seed1Study()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return benchStudy
+	return s
 }
 
 func BenchmarkTable1(b *testing.B) {

@@ -24,23 +24,6 @@ import (
 	"netfail/internal/netsim"
 )
 
-// buildServeCommands compiles netfail-sim and netfail-serve.
-func buildServeCommands(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("CLI integration")
-	}
-	dir := t.TempDir()
-	for _, name := range []string{"netfail-sim", "netfail-serve"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
-		}
-	}
-	return dir
-}
-
 // campaignRecords counts the records the replay will ingest: syslog
 // lines plus captured LSPs — the space the kill point is drawn from.
 func campaignRecords(t *testing.T, campaign string) int {
@@ -74,7 +57,7 @@ func campaignRecords(t *testing.T, campaign string) int {
 }
 
 func TestChaosKillRestartReportIsByteIdentical(t *testing.T) {
-	bin := buildServeCommands(t)
+	bin := buildCommands(t)
 	campaign := filepath.Join(t.TempDir(), "campaign")
 	out, err := exec.Command(filepath.Join(bin, "netfail-sim"),
 		"-seed", "11", "-days", "14", "-core", "6", "-cpe", "12",

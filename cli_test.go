@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -24,22 +25,34 @@ import (
 	"netfail/internal/store"
 )
 
-// buildCommands compiles the binaries once into a shared temp dir.
+// buildCommands returns the directory the binaries are compiled into,
+// once per test binary, for the CLI, chaos and degradation tests.
 func buildCommands(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("CLI integration")
 	}
-	dir := t.TempDir()
-	for _, name := range []string{"netfail-sim", "netfail-analyze", "netfail-serve"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
-		}
+	dir, err := builtCommands()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return dir
 }
+
+var builtCommands = sync.OnceValues(func() (string, error) {
+	dir, err := scratch()
+	for _, name := range []string{"netfail-sim", "netfail-analyze", "netfail-serve"} {
+		if err != nil {
+			break
+		}
+		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
+		cmd.Env = os.Environ()
+		if out, berr := cmd.CombinedOutput(); berr != nil {
+			err = fmt.Errorf("building %s: %v\n%s", name, berr, out)
+		}
+	}
+	return dir, err
+})
 
 func TestCLIEndToEnd(t *testing.T) {
 	bin := buildCommands(t)

@@ -111,7 +111,7 @@ func main() {
 		study, salvaged, err = runDir(ctx, *data, *lenient, opts)
 	}
 	if err == nil {
-		err = render(ctx, study, *table, *figure, *svgDir, *export, *md)
+		err = render(ctx, study, *table, *figure, *svgDir, *export, *md, *storeDir != "")
 	}
 	// The observability artifacts describe whatever ran, so they are
 	// written even when the pipeline was canceled midway.
@@ -191,7 +191,7 @@ func runDir(ctx context.Context, dir string, lenient bool, opts []netfail.Option
 }
 
 // render prints the requested tables/figures.
-func render(ctx context.Context, study *netfail.Study, table int, figure, svgDir, exportDir string, md bool) error {
+func render(ctx context.Context, study *netfail.Study, table int, figure, svgDir, exportDir string, md, stored bool) error {
 	w := os.Stdout
 	a := study.Analysis
 	configFiles, lspUpdates := study.Campaign.Archive.FileCount(), study.Campaign.Counts.LSPUpdates
@@ -200,8 +200,20 @@ func render(ctx context.Context, study *netfail.Study, table int, figure, svgDir
 			return err
 		}
 	}
+	// The figures and the markdown render the study's one Tables where
+	// it is computed anyway: by the store, the markdown or the full
+	// report. Beside one table or figure the figures compute their own.
+	t := &core.Tables{}
+	if md || svgDir != "" && (stored || table == 0 && figure == "") {
+		var err error
+		if t, err = study.Tables(ctx); err != nil {
+			return err
+		}
+	} else if svgDir != "" {
+		t.Figure1, t.Knee = a.Figure1(), a.WindowKnee(nil)
+	}
 	if svgDir != "" {
-		paths, err := report.SaveFigures(svgDir, a.Figure1(), a.WindowKnee(nil))
+		paths, err := report.SaveFigures(svgDir, t.Figure1, t.Knee)
 		if err != nil {
 			return err
 		}
@@ -210,7 +222,7 @@ func render(ctx context.Context, study *netfail.Study, table int, figure, svgDir
 		}
 	}
 	if md {
-		return report.Markdown(w, a, configFiles, lspUpdates)
+		return report.Markdown(w, t)
 	}
 
 	if table == 0 && figure == "" {

@@ -302,7 +302,7 @@ func (d *Driver) run(ctx context.Context, shards []shard) (*Study, error) {
 	ctx, done := obs.Stage(ctx, "store")
 	defer done()
 	// The store's tables are the report's: Study.Report reuses them.
-	tables, err := d.study.reportTables(ctx)
+	tables, err := d.study.Tables(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // seed1Study runs the 13-month seed-1 study once per test binary: the
-// golden tests below read the same study, so tier-1 pays for one
-// simulation, not one per artifact.
+// golden tests below, the table benchmarks and the alloc pins read the
+// same study, so tier-1 pays for one simulation, not one per artifact.
 var seed1Study = sync.OnceValues(func() (*Study, error) {
 	return Run(context.Background(), SimulationConfig{Seed: 1})
 })
@@ -41,9 +41,12 @@ func TestSeed1MarkdownGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables, err := study.Tables(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got bytes.Buffer
-	if err := report.Markdown(&got, study.Analysis,
-		study.Campaign.Archive.FileCount(), study.Campaign.Counts.LSPUpdates); err != nil {
+	if err := report.Markdown(&got, tables); err != nil {
 		t.Fatal(err)
 	}
 	assertGolden(t, "docs/reproduction-seed1.md", got.Bytes())
@@ -57,14 +60,21 @@ func assertGolden(t *testing.T, path string, got []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSameLines(t, path, got, want)
+}
+
+// assertSameLines fails the test at the first line where got differs
+// from want, which what names.
+func assertSameLines(t *testing.T, what string, got, want []byte) {
+	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
 	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("output differs from %s at line %d:\n got  %q\n want %q", path, i+1, gotLines[i], wantLines[i])
+			t.Fatalf("output differs from %s at line %d:\n got  %q\n want %q", what, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("output is %d lines, %s %d", len(gotLines), path, len(wantLines))
+	t.Fatalf("output is %d lines, %s %d", len(gotLines), what, len(wantLines))
 }

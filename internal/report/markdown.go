@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
+	"strings"
 
 	"netfail/internal/core"
 )
@@ -15,123 +15,116 @@ import (
 // visibly when the models drift.
 //
 // Verdicts: "ok" when a fraction is within ±0.15 absolute (or a count
-// within 2× either way), "partial" within ±0.3 / 3×, "off" beyond.
-func Markdown(w io.Writer, a *core.Analysis, configFiles, isisUpdates int) error {
+// within 2× either way), "partial" within ±0.3 / 3×, "off" beyond;
+// Table 5's, whether consistent agrees with the paper.
+func Markdown(w io.Writer, t *core.Tables) error {
 	mw := &mdWriter{w: w}
+	t1, t2, t3, t4, t5, t6, t7 := t.Table1, t.Table2, t.Table3, t.Table4, t.Table5, t.Table6, t.Table7
+	// frac, count and downUp add a measured value beside the paper's.
+	frac := func(cell string, m, p float64) { mw.row(cell, Pct(m), Pct(p), fracVerdict(m, p)) }
+	count := func(cell string, m, p int) { mw.row(cell, Num(m), Num(p), countVerdict(float64(m), float64(p))) }
+	downUp := func(cell string, d, u, pd, pu int) {
+		mw.row(cell, fmt.Sprintf("%d / %d", d, u), fmt.Sprintf("%d / %d", pd, pu), countVerdict(float64(d+u), float64(pd+pu)))
+	}
 	mw.line("# Reproduction report")
 	mw.line("")
 	mw.line("Generated by `netfail-analyze -markdown`; paper values from Turner et al., IMC 2013.")
 	mw.line("")
 
-	t1 := a.Table1(configFiles, isisUpdates)
 	mw.line("## Table 1 — dataset summary")
 	mw.line("")
 	mw.table("Parameter", "Measured", "Paper", "Verdict")
-	mw.row("Core routers", itoa(t1.CoreRouters), "60", countVerdict(float64(t1.CoreRouters), 60))
-	mw.row("CPE routers", itoa(t1.CPERouters), "175", countVerdict(float64(t1.CPERouters), 175))
-	mw.row("Core links", itoa(t1.CoreLinks), "84", countVerdict(float64(t1.CoreLinks), 84))
-	mw.row("CPE links", itoa(t1.CPELinks), "215", countVerdict(float64(t1.CPELinks), 215))
-	mw.row("Config files", itoa(t1.ConfigFiles), "11,623", countVerdict(float64(t1.ConfigFiles), 11623))
-	mw.row("Syslog messages", itoa(t1.SyslogMessages), "47,371", countVerdict(float64(t1.SyslogMessages), 47371))
-	mw.row("IS-IS updates", itoa(t1.ISISUpdates), "11,095,550", countVerdict(float64(t1.ISISUpdates), 11095550))
-	mw.row("Multi-link pairs", itoa(t1.MultiLinkAdjacencyPairs), "26", countVerdict(float64(t1.MultiLinkAdjacencyPairs), 26))
+	count("Core routers", t1.CoreRouters, 60)
+	count("CPE routers", t1.CPERouters, 175)
+	count("Core links", t1.CoreLinks, 84)
+	count("CPE links", t1.CPELinks, 215)
+	count("Config files", t1.ConfigFiles, 11623)
+	count("Syslog messages", t1.SyslogMessages, 47371)
+	count("IS-IS updates", t1.ISISUpdates, 11095550)
+	count("Multi-link pairs", t1.MultiLinkAdjacencyPairs, 26)
 	mw.line("")
 
-	t2 := a.Table2()
 	p2 := PaperValues.Table2
 	mw.line("## Table 2 — reachability vs syslog matching")
 	mw.line("")
 	mw.table("Cell", "Measured", "Paper", "Verdict")
-	cells := []struct {
-		name string
-		m, p float64
-	}{
-		{"IS-IS Down vs IS reach", t2.ISISDownVsIS, p2[0]},
-		{"IS-IS Down vs IP reach", t2.ISISDownVsIP, p2[1]},
-		{"IS-IS Up vs IS reach", t2.ISISUpVsIS, p2[2]},
-		{"IS-IS Up vs IP reach", t2.ISISUpVsIP, p2[3]},
-		{"physical Down vs IS reach", t2.PhysDownVsIS, p2[4]},
-		{"physical Down vs IP reach", t2.PhysDownVsIP, p2[5]},
-		{"physical Up vs IS reach", t2.PhysUpVsIS, p2[6]},
-		{"physical Up vs IP reach", t2.PhysUpVsIP, p2[7]},
-	}
-	for _, c := range cells {
-		mw.row(c.name, Pct(c.m), Pct(c.p), fracVerdict(c.m, c.p))
-	}
+	frac("IS-IS Down vs IS reach", t2.ISISDownVsIS, p2[0])
+	frac("IS-IS Down vs IP reach", t2.ISISDownVsIP, p2[1])
+	frac("IS-IS Up vs IS reach", t2.ISISUpVsIS, p2[2])
+	frac("IS-IS Up vs IP reach", t2.ISISUpVsIP, p2[3])
+	frac("physical Down vs IS reach", t2.PhysDownVsIS, p2[4])
+	frac("physical Down vs IP reach", t2.PhysDownVsIP, p2[5])
+	frac("physical Up vs IS reach", t2.PhysUpVsIS, p2[6])
+	frac("physical Up vs IP reach", t2.PhysUpVsIP, p2[7])
 	mw.line("")
 
-	t3 := a.Table3()
 	p3 := PaperValues.Table3
 	mw.line("## Table 3 — transitions by matching messages")
 	mw.line("")
 	mw.table("Cell", "Measured", "Paper", "Verdict")
 	dTot, uTot := float64(max(t3.Down.Total(), 1)), float64(max(t3.Up.Total(), 1))
-	mw.row("DOWN none", Pct(float64(t3.Down.None)/dTot), Pct(p3.DownNone), fracVerdict(float64(t3.Down.None)/dTot, p3.DownNone))
-	mw.row("DOWN one", Pct(float64(t3.Down.One)/dTot), Pct(p3.DownOne), fracVerdict(float64(t3.Down.One)/dTot, p3.DownOne))
-	mw.row("DOWN both", Pct(float64(t3.Down.Both)/dTot), Pct(p3.DownBoth), fracVerdict(float64(t3.Down.Both)/dTot, p3.DownBoth))
-	mw.row("UP none", Pct(float64(t3.Up.None)/uTot), Pct(p3.UpNone), fracVerdict(float64(t3.Up.None)/uTot, p3.UpNone))
-	mw.row("UP one", Pct(float64(t3.Up.One)/uTot), Pct(p3.UpOne), fracVerdict(float64(t3.Up.One)/uTot, p3.UpOne))
-	mw.row("UP both", Pct(float64(t3.Up.Both)/uTot), Pct(p3.UpBoth), fracVerdict(float64(t3.Up.Both)/uTot, p3.UpBoth))
-	mw.row("Unmatched in flap (DOWN)", Pct(t3.UnmatchedInFlapDown), "67%", fracVerdict(t3.UnmatchedInFlapDown, 0.67))
-	mw.row("Unmatched in flap (UP)", Pct(t3.UnmatchedInFlapUp), "61%", fracVerdict(t3.UnmatchedInFlapUp, 0.61))
+	frac("DOWN none", float64(t3.Down.None)/dTot, p3.DownNone)
+	frac("DOWN one", float64(t3.Down.One)/dTot, p3.DownOne)
+	frac("DOWN both", float64(t3.Down.Both)/dTot, p3.DownBoth)
+	frac("UP none", float64(t3.Up.None)/uTot, p3.UpNone)
+	frac("UP one", float64(t3.Up.One)/uTot, p3.UpOne)
+	frac("UP both", float64(t3.Up.Both)/uTot, p3.UpBoth)
+	frac("Unmatched in flap (DOWN)", t3.UnmatchedInFlapDown, 0.67)
+	frac("Unmatched in flap (UP)", t3.UnmatchedInFlapUp, 0.61)
 	mw.line("")
 
-	t4 := a.Table4()
 	p4 := PaperValues.Table4
 	mw.line("## Table 4 — failures and downtime")
 	mw.line("")
 	mw.table("Cell", "Measured", "Paper", "Verdict")
-	mw.row("IS-IS failures", Num(t4.ISISFailures), Num(p4.ISIS), countVerdict(float64(t4.ISISFailures), float64(p4.ISIS)))
-	mw.row("Syslog failures", Num(t4.SyslogFailures), Num(p4.Syslog), countVerdict(float64(t4.SyslogFailures), float64(p4.Syslog)))
-	mw.row("Overlap", Num(t4.OverlapFailures), Num(p4.Overlap), countVerdict(float64(t4.OverlapFailures), float64(p4.Overlap)))
+	count("IS-IS failures", t4.ISISFailures, p4.ISIS)
+	count("Syslog failures", t4.SyslogFailures, p4.Syslog)
+	count("Overlap", t4.OverlapFailures, p4.Overlap)
 	mw.row("IS-IS downtime (h)", F0(t4.ISISDowntime.Hours()), Num(p4.ISISDowntimeH), countVerdict(t4.ISISDowntime.Hours(), float64(p4.ISISDowntimeH)))
 	mw.row("Syslog downtime (h)", F0(t4.SyslogDowntime.Hours()), Num(p4.SyslogDowntimeH), countVerdict(t4.SyslogDowntime.Hours(), float64(p4.SyslogDowntimeH)))
-	mw.row("Syslog downtime deficit", Pct(1-ratio(t4.SyslogDowntime, t4.ISISDowntime)), "26%", fracVerdict(1-ratio(t4.SyslogDowntime, t4.ISISDowntime), 0.256))
-	mw.row("False-positive fraction", Pct(t4.FalsePositiveFraction), "21%", fracVerdict(t4.FalsePositiveFraction, 0.21))
+	deficit := 1.0
+	if t4.ISISDowntime > 0 {
+		deficit -= float64(t4.SyslogDowntime) / float64(t4.ISISDowntime)
+	}
+	frac("Syslog downtime deficit", deficit, 0.256)
+	frac("False-positive fraction", t4.FalsePositiveFraction, 0.21)
 	mw.line("")
 
-	t5 := a.Table5()
 	mw.line("## Table 5 — consistency verdicts")
 	mw.line("")
 	mw.table("Metric", "KS p", "CvM p", "Verdict (paper: consistent except duration)")
 	mw.row("failures/link", f3(t5.KSFailuresPerLink.PValue), f3(t5.CvMFailuresPerLink.PValue),
-		boolVerdict(t5.KSFailuresPerLink.Consistent(0.01) && t5.CvMFailuresPerLink.Consistent(0.01)))
+		boolVerdict(consistent(t5.KSFailuresPerLink, t5.CvMFailuresPerLink)))
 	mw.row("duration", f3(t5.KSDuration.PValue), f3(t5.CvMDuration.PValue),
-		boolVerdict(!t5.KSDuration.Consistent(0.05) && !t5.CvMDuration.Consistent(0.05)))
+		boolVerdict(!consistent(t5.KSDuration, t5.CvMDuration)))
 	mw.row("downtime", f3(t5.KSDowntime.PValue), f3(t5.CvMDowntime.PValue),
-		boolVerdict(t5.KSDowntime.Consistent(0.01)))
+		boolVerdict(consistent(t5.KSDowntime, t5.CvMDowntime)))
 	mw.line("")
 
-	t6 := a.Table6()
 	p6 := PaperValues.Table6
 	mw.line("## Table 6 — ambiguous state changes")
 	mw.line("")
 	mw.table("Cell", "Measured", "Paper", "Verdict")
-	mw.row("Lost (down/up)", fmt.Sprintf("%d / %d", t6.LostDown, t6.LostUp),
-		fmt.Sprintf("%d / %d", p6.LostDown, p6.LostUp), countVerdict(float64(t6.LostDown+t6.LostUp), float64(p6.LostDown+p6.LostUp)))
-	mw.row("Spurious (down/up)", fmt.Sprintf("%d / %d", t6.SpuriousDown, t6.SpuriousUp),
-		fmt.Sprintf("%d / %d", p6.SpurDown, p6.SpurUp), countVerdict(float64(t6.SpuriousDown+t6.SpuriousUp), float64(p6.SpurDown+p6.SpurUp)))
-	mw.row("Totals (down/up)", fmt.Sprintf("%d / %d", t6.TotalDown(), t6.TotalUp()), "461 / 202",
-		countVerdict(float64(t6.TotalDown()+t6.TotalUp()), 663))
+	downUp("Lost (down/up)", t6.LostDown, t6.LostUp, p6.LostDown, p6.LostUp)
+	downUp("Spurious (down/up)", t6.SpuriousDown, t6.SpuriousUp, p6.SpurDown, p6.SpurUp)
+	downUp("Totals (down/up)", t6.TotalDown(), t6.TotalUp(), 461, 202)
 	mw.line("")
 
-	t7 := a.Table7()
 	p7 := PaperValues.Table7
 	mw.line("## Table 7 — customer isolation")
 	mw.line("")
 	mw.table("Cell", "Measured", "Paper", "Verdict")
-	mw.row("IS-IS events", Num(t7.ISISEvents), Num(p7.ISISEvents), countVerdict(float64(t7.ISISEvents), float64(p7.ISISEvents)))
-	mw.row("Syslog events", Num(t7.SyslogEvents), Num(p7.SyslogEvents), countVerdict(float64(t7.SyslogEvents), float64(p7.SyslogEvents)))
-	mw.row("Intersection events", Num(t7.IntersectionEvents), Num(p7.InterEvents), countVerdict(float64(t7.IntersectionEvents), float64(p7.InterEvents)))
+	count("IS-IS events", t7.ISISEvents, p7.ISISEvents)
+	count("Syslog events", t7.SyslogEvents, p7.SyslogEvents)
+	count("Intersection events", t7.IntersectionEvents, p7.InterEvents)
 	mw.row("IS-IS downtime (days)", F1(t7.ISISDowntime.Hours()/24), F1(p7.ISISDays), countVerdict(t7.ISISDowntime.Hours()/24, p7.ISISDays))
 	mw.row("Syslog downtime (days)", F1(t7.SyslogDowntime.Hours()/24), F1(p7.SyslogDays), countVerdict(t7.SyslogDowntime.Hours()/24, p7.SyslogDays))
 	mw.line("")
 
-	pts := a.WindowKnee(nil)
 	mw.line("## Window sweep (knee at ten seconds)")
 	mw.line("")
 	mw.table("Window", "Downtime matched", "Failures matched")
-	for _, p := range pts {
+	for _, p := range t.Knee {
 		mw.row(p.Window.String(), Pct(p.MatchedDowntimeFraction), Pct(p.MatchedFailureFraction))
 	}
 	mw.line("")
@@ -152,13 +145,8 @@ func (m *mdWriter) line(s string) {
 }
 
 func (m *mdWriter) table(headers ...string) {
-	row, rule := "|", "|"
-	for _, h := range headers {
-		row += " " + h + " |"
-		rule += "---|"
-	}
-	m.line(row)
-	m.line(rule)
+	m.row(headers...)
+	m.line("|" + strings.Repeat("---|", len(headers)))
 }
 
 func (m *mdWriter) row(cells ...string) {
@@ -207,14 +195,5 @@ func boolVerdict(ok bool) string {
 	}
 	return "off"
 }
-
-func ratio(a, b time.Duration) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func itoa(n int) string { return Num(n) }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -8,6 +8,7 @@ import (
 
 	"netfail/internal/core"
 	"netfail/internal/match"
+	"netfail/internal/stats"
 )
 
 // PaperValues holds the published numbers used for side-by-side
@@ -176,16 +177,24 @@ func RenderTable5(w io.Writer, t5 core.Table5) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "KS tests (pooled): failures/link D=%.3f p=%.3f (%s) | duration D=%.3f p=%.3f (%s) | downtime D=%.3f p=%.3f (%s)\n",
-		t5.KSFailuresPerLink.D, t5.KSFailuresPerLink.PValue, verdict(t5.KSFailuresPerLink.Consistent(0.01)),
-		t5.KSDuration.D, t5.KSDuration.PValue, verdict(t5.KSDuration.Consistent(0.01)),
-		t5.KSDowntime.D, t5.KSDowntime.PValue, verdict(t5.KSDowntime.Consistent(0.01))); err != nil {
+		t5.KSFailuresPerLink.D, t5.KSFailuresPerLink.PValue, verdict(t5.KSFailuresPerLink.Consistent(alpha)),
+		t5.KSDuration.D, t5.KSDuration.PValue, verdict(t5.KSDuration.Consistent(alpha)),
+		t5.KSDowntime.D, t5.KSDowntime.PValue, verdict(t5.KSDowntime.Consistent(alpha))); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "CvM corroboration: failures/link p=%.3f (%s) | duration p=%.3f (%s) | downtime p=%.3f (%s)\nPaper verdicts: failures/link and downtime consistent, duration NOT consistent\n",
-		t5.CvMFailuresPerLink.PValue, verdict(t5.CvMFailuresPerLink.Consistent(0.01)),
-		t5.CvMDuration.PValue, verdict(t5.CvMDuration.Consistent(0.01)),
-		t5.CvMDowntime.PValue, verdict(t5.CvMDowntime.Consistent(0.01)))
+		t5.CvMFailuresPerLink.PValue, verdict(t5.CvMFailuresPerLink.Consistent(alpha)),
+		t5.CvMDuration.PValue, verdict(t5.CvMDuration.Consistent(alpha)),
+		t5.CvMDowntime.PValue, verdict(t5.CvMDowntime.Consistent(alpha)))
 	return err
+}
+
+// alpha is every Table 5 test's level; consistent, both renderers'
+// rule: a metric is consistent when KS and CvM both accept it at alpha.
+const alpha = 0.01
+
+func consistent(ks stats.KSResult, cvm stats.CvMResult) bool {
+	return ks.Consistent(alpha) && cvm.Consistent(alpha)
 }
 
 func verdict(consistent bool) string {

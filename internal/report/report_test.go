@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -186,11 +187,48 @@ func TestSummaryUnused(t *testing.T) {
 	}
 }
 
+// TestTable5VerdictsAgree renders Table 5 from synthetic p-values
+// either side of alpha through both renderers: the markdown verdict
+// for a metric must follow from the text report's KS and CvM verdicts
+// by the one rule — consistent when both tests are, and "ok" when
+// that agrees with the paper (duration inconsistent, the others
+// consistent).
+func TestTable5VerdictsAgree(t *testing.T) {
+	ps := []float64{0.005, 0.03, 0.2}
+	verdicts := regexp.MustCompile(`\((consistent|NOT consistent)\)`)
+	for _, ks := range ps {
+		for _, cvm := range ps {
+			var tables core.Tables
+			t5 := &tables.Table5
+			t5.KSFailuresPerLink, t5.KSDuration, t5.KSDowntime = stats.KSResult{PValue: ks}, stats.KSResult{PValue: ks}, stats.KSResult{PValue: ks}
+			t5.CvMFailuresPerLink, t5.CvMDuration, t5.CvMDowntime = stats.CvMResult{PValue: cvm}, stats.CvMResult{PValue: cvm}, stats.CvMResult{PValue: cvm}
+			var text, md bytes.Buffer
+			if err := RenderTable5(&text, *t5); err != nil {
+				t.Fatal(err)
+			}
+			if err := Markdown(&md, &tables); err != nil {
+				t.Fatal(err)
+			}
+			// KS then CvM, each failures/link, duration, downtime.
+			v := verdicts.FindAllStringSubmatch(text.String(), -1)
+			if len(v) != 6 {
+				t.Fatalf("text report has %d verdicts, want 6:\n%s", len(v), text.String())
+			}
+			for i, metric := range []string{"failures/link", "duration", "downtime"} {
+				consistent := v[i][1] == "consistent" && v[i+3][1] == "consistent"
+				want := boolVerdict(consistent != (metric == "duration"))
+				if !strings.Contains(md.String(), "| "+metric+" | "+f3(ks)+" | "+f3(cvm)+" | "+want+" |") {
+					t.Errorf("KS p=%v, CvM p=%v: the text report reads %s/%s for %s, the markdown verdict is not %q",
+						ks, cvm, v[i][1], v[i+3][1], metric, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMarkdownSmoke(t *testing.T) {
-	// Render against zero-valued analysis tables via a synthetic
-	// Analysis would require a full pipeline; the markdown renderer
-	// is covered end to end by the CLI and the golden docs. Here we
-	// check only the verdict helpers' banding.
+	// The verdict helpers' banding; the renderer itself is covered by
+	// TestTable5VerdictsAgree, the CLI and the golden docs.
 	cases := []struct {
 		m, p float64
 		want string

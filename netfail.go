@@ -193,8 +193,8 @@ type Study struct {
 	// Analysis is the full comparison.
 	Analysis *Analysis
 
-	// tables holds the report's sections for tablesOf, computed once
-	// for whichever of the store writer and Report asks first.
+	// tables holds the report's sections for tablesOf: Tables computes
+	// them once, for whichever of its callers asks first.
 	mu       sync.Mutex
 	tables   *core.Tables
 	tablesOf *Analysis
@@ -286,17 +286,17 @@ func (s *Study) ReportContext(ctx context.Context, w io.Writer, opts ...Option) 
 	ctx, _ = resolve(ctx, opts)
 	ctx, done := obs.Stage(ctx, "report")
 	defer done()
-	t, err := s.reportTables(ctx)
+	t, err := s.Tables(ctx)
 	if err != nil {
 		return err
 	}
 	return report.Write(w, t)
 }
 
-// reportTables returns the tables of the study's analysis, computing
-// them on the analysis's worker pool the first time. A computation ctx
-// cancels is not kept: the next call starts over.
-func (s *Study) reportTables(ctx context.Context) (*core.Tables, error) {
+// Tables returns the tables Report, the store and the markdown render,
+// computed on the analysis's worker pool the first time. A computation
+// ctx cancels is not kept: the next call starts over.
+func (s *Study) Tables(ctx context.Context) (*core.Tables, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tables == nil || s.tablesOf != s.Analysis {

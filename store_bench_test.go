@@ -25,7 +25,6 @@ import (
 // query's alloc pin, shares the result.
 var benchCapture struct {
 	once     sync.Once
-	dir      string // parent of campDir and storeDir; TestMain removes it
 	campDir  string
 	storeDir string
 	link     string
@@ -33,10 +32,12 @@ var benchCapture struct {
 	err      error
 }
 
+// TestMain removes the directory every once-per-binary fixture is
+// written under.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if benchCapture.dir != "" {
-		os.RemoveAll(benchCapture.dir)
+	if dir, err := fixtureDir(); err == nil {
+		os.RemoveAll(dir)
 	}
 	os.Exit(code)
 }
@@ -45,12 +46,11 @@ func benchCaptureSetup(tb testing.TB) (campDir, storeDir, link string, day time.
 	tb.Helper()
 	benchCapture.once.Do(func() {
 		ctx := context.Background()
-		dir, err := os.MkdirTemp("", "netfail-store-bench-")
+		dir, err := scratch()
 		if err != nil {
 			benchCapture.err = err
 			return
 		}
-		benchCapture.dir = dir
 		benchCapture.campDir = filepath.Join(dir, "campaign")
 		benchCapture.storeDir = filepath.Join(dir, "store")
 		if _, err := SimulateToCapture(ctx, benchMonthConfig(1), FabricSpec{}, benchCapture.campDir); err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,24 +36,14 @@ func mustJSON(t *testing.T, v any) string {
 func compareJSON(t *testing.T, what string, got, want any) {
 	t.Helper()
 	g, w := mustJSON(t, got), mustJSON(t, want)
-	if g == w {
-		return
-	}
 	i := 0
 	for i < len(g) && i < len(w) && g[i] == w[i] {
 		i++
 	}
-	start := i - 80
-	if start < 0 {
-		start = 0
+	if g != w {
+		lo := max(i-80, 0)
+		t.Errorf("%s diverge from pipeline oracle at byte %d:\n got …%s…\nwant …%s…", what, i, g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
 	}
-	end := func(s string) string {
-		if i+80 < len(s) {
-			return s[start : i+80]
-		}
-		return s[start:]
-	}
-	t.Errorf("%s diverge from pipeline oracle at byte %d:\n got …%s…\nwant …%s…", what, i, end(g), end(w))
 }
 
 // oracleFailures recomputes the store's failure list from the
@@ -112,336 +104,129 @@ func oracleTables(st *Study) store.Tables {
 	}
 }
 
-// TestStoreOracleAcrossSeedsAndParallelism pins every bulk query
-// against the pipeline oracle across campaigns and worker counts —
-// building the store through a parallel run must not reorder or drop
-// anything.
-func TestStoreOracleAcrossSeedsAndParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign simulation in -short mode")
-	}
+// checkStore is every row's store check: each bulk answer of the
+// store the row wrote equals the oracle the reference derived, and
+// the indexed and filtered paths (postings, sparse-index window seeks,
+// limits, flap grouping) equal brute-force filters over it — the
+// indexed path and the filter predicate are independent
+// implementations, so drift in either shows up as a mismatch.
+func checkStore(t *testing.T, dir string, ref *reference) {
+	t.Helper()
 	ctx := context.Background()
-	for _, seed := range []int64{1, 2, 5} {
-		for _, par := range []int{0, 1, 2} {
-			t.Run(fmt.Sprintf("seed=%d/parallelism=%d", seed, par), func(t *testing.T) {
-				dir := t.TempDir()
-				st, err := Run(ctx, smallConfig(seed), WithParallelism(par), WithStoreDir(dir))
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := store.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a := st.Analysis
-
-				links, err := s.Links(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantLinks := make([]store.LinkEntry, 0, len(a.AnalyzedLinks))
-				for _, l := range a.AnalyzedLinks {
-					wantLinks = append(wantLinks, store.LinkEntry{ID: l.ID, Class: l.Class})
-				}
-				compareJSON(t, "links", links, wantLinks)
-
-				fails, err := s.Failures(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareJSON(t, "failures", fails, oracleFailures(a))
-
-				trans, err := s.Transitions(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareJSON(t, "transitions", trans, oracleTransitions(a))
-
-				msgs, err := s.Messages(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareJSON(t, "messages", msgs, oracleMessages(st.Campaign))
-
-				compareJSON(t, "tables", *s.Tables(), oracleTables(st))
-
-				man := s.Manifest()
-				if man.Seed != seed {
-					t.Errorf("manifest seed = %d, want %d", man.Seed, seed)
-				}
-				if man.Failures.Records != int64(len(fails)) || man.Transitions.Records != int64(len(trans)) {
-					t.Errorf("manifest record counts (%d failures, %d transitions) disagree with queries (%d, %d)",
-						man.Failures.Records, man.Transitions.Records, len(fails), len(trans))
-				}
-			})
-		}
-	}
-}
-
-// TestStoreFilteredQueriesMatchOracle pins the indexed/filtered paths
-// (postings, sparse-index window seeks, limits, flap grouping)
-// against brute-force filters over the oracle lists. The indexed path
-// and the filter predicate are independent implementations, so drift
-// in either shows up as a mismatch.
-func TestStoreFilteredQueriesMatchOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign simulation in -short mode")
-	}
-	ctx := context.Background()
-	dir := t.TempDir()
-	st, err := Run(ctx, smallConfig(5), WithStoreDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := st.Analysis
-	allFails := oracleFailures(a)
-	allTrans := oracleTransitions(a)
-	allMsgs := oracleMessages(st.Campaign)
-	if len(allFails) == 0 || len(allTrans) == 0 || len(allMsgs) == 0 {
-		t.Fatal("campaign produced no data to query")
+	ok := func(v any, err error) any {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	msgs := ok(s.Messages(ctx)).([]store.MessageRecord)
+	man := s.Manifest()
+	var segments []int64
+	total := 0
+	for _, seg := range man.Messages {
+		segments = append(segments, seg.Records)
+		total += int(seg.Records)
+	}
+	if !slices.Equal(segments, ref.segments) || len(msgs) != total {
+		t.Errorf("message segments hold %v records and answer %d, want %v", segments, len(msgs), ref.segments)
+	}
+	if man.Seed != ref.study.Campaign.Config.Seed || man.Failures.Records != int64(len(ref.failures)) ||
+		man.Transitions.Records != int64(len(ref.transitions)) {
+		t.Errorf("manifest: seed %d, %d failures, %d transitions; the reference has %d, %d, %d", man.Seed,
+			man.Failures.Records, man.Transitions.Records, ref.study.Campaign.Config.Seed, len(ref.failures), len(ref.transitions))
 	}
 
 	from := time.Date(2011, 1, 10, 0, 0, 0, 0, time.UTC)
 	to := from.AddDate(0, 0, 7)
-	link := allFails[0].Link
-
-	t.Run("failures by link", func(t *testing.T) {
-		got, err := s.Failures(ctx, store.WithLink(link))
-		if err != nil {
-			t.Fatal(err)
+	link, tlink, rep := ref.failures[0].Link, ref.transitions[len(ref.transitions)/2].Link, ref.transitions[0].Reporter
+	inWindow := filter(ref.failures, func(r store.FailureRecord) bool { return r.Failure().Overlaps(from, to) })
+	msgsInWindow := filter(msgs, func(m store.MessageRecord) bool { return !m.Time.Before(from) && m.Time.Before(to) })
+	if len(inWindow) == 0 || len(msgsInWindow) == 0 {
+		t.Fatal("the window selects nothing; widen it")
+	}
+	host, probe := msgs[0].Host, msgsInWindow[len(msgsInWindow)/2].Host
+	episodes := func(src store.Source) []Episode {
+		var fs []Failure
+		for _, r := range filter(ref.failures, func(r store.FailureRecord) bool { return r.Source == src }) {
+			fs = append(fs, r.Failure())
 		}
-		var want []store.FailureRecord
-		for _, r := range allFails {
-			if r.Link == link {
-				want = append(want, r)
-			}
-		}
-		compareJSON(t, "failures by link", got, want)
-	})
-
-	t.Run("failures in window", func(t *testing.T) {
-		got, err := s.Failures(ctx, store.WithWindow(from, to))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.FailureRecord
-		for _, r := range allFails {
-			if r.Failure().Overlaps(from, to) {
-				want = append(want, r)
-			}
-		}
-		if len(want) == 0 {
-			t.Fatal("window selects nothing; widen it")
-		}
-		compareJSON(t, "failures in window", got, want)
-	})
-
-	t.Run("failures by source with limit", func(t *testing.T) {
-		got, err := s.Failures(ctx, store.WithSource(store.SourceISIS), store.WithLimit(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.FailureRecord
-		for _, r := range allFails {
-			if r.Source == store.SourceISIS {
-				want = append(want, r)
-				if len(want) == 7 {
-					break
-				}
-			}
-		}
-		compareJSON(t, "failures by source with limit", got, want)
-	})
-
-	t.Run("transitions by stream and direction", func(t *testing.T) {
-		got, err := s.Transitions(ctx, store.WithStream(store.StreamISReach), store.WithDirection(trace.Down))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.TransitionRecord
-		for _, r := range allTrans {
-			if r.Stream == store.StreamISReach && r.Dir == trace.Down {
-				want = append(want, r)
-			}
-		}
-		compareJSON(t, "transitions by stream and direction", got, want)
-	})
-
-	t.Run("transitions by link in window", func(t *testing.T) {
-		tlink := allTrans[len(allTrans)/2].Link
-		got, err := s.Transitions(ctx, store.WithLink(tlink), store.WithWindow(from, to))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.TransitionRecord
-		for _, r := range allTrans {
-			if r.Link == tlink && !r.Time.Before(from) && r.Time.Before(to) {
-				want = append(want, r)
-			}
-		}
-		compareJSON(t, "transitions by link in window", got, want)
-	})
-
-	t.Run("transitions by reporter", func(t *testing.T) {
-		rep := allTrans[0].Reporter
-		got, err := s.Transitions(ctx, store.WithReporter(rep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.TransitionRecord
-		for _, r := range allTrans {
-			if r.Reporter == rep {
-				want = append(want, r)
-			}
-		}
-		compareJSON(t, "transitions by reporter", got, want)
-	})
-
-	t.Run("messages by host", func(t *testing.T) {
-		host := allMsgs[0].Host
-		got, err := s.Messages(ctx, store.WithHost(host))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.MessageRecord
-		for _, m := range allMsgs {
-			if m.Host == host {
-				want = append(want, m)
-			}
-		}
-		compareJSON(t, "messages by host", got, want)
-	})
-
-	t.Run("messages by substring in window", func(t *testing.T) {
-		host := allMsgs[len(allMsgs)/3].Host
-		got, err := s.Messages(ctx, store.WithContains(host), store.WithWindow(from, to))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []store.MessageRecord
-		for _, m := range allMsgs {
-			if !containsStr(m.Line, host) {
-				continue
-			}
-			if m.Time.Before(from) || !m.Time.Before(to) {
-				continue
-			}
-			want = append(want, m)
-		}
-		if len(want) == 0 {
-			t.Fatal("substring window selects nothing; pick another probe")
-		}
-		compareJSON(t, "messages by substring in window", got, want)
-	})
-
-	t.Run("messages with limit", func(t *testing.T) {
-		got, err := s.Messages(ctx, store.WithLimit(100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareJSON(t, "messages with limit", got, allMsgs[:100])
-	})
-
-	t.Run("flaps", func(t *testing.T) {
-		for _, src := range []store.Source{store.SourceSyslog, store.SourceISIS} {
-			got, err := s.Flaps(ctx, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fs []Failure
-			for _, r := range allFails {
-				if r.Source == src {
-					fs = append(fs, r.Failure())
-				}
-			}
-			want := FlapEpisodes(fs, a.In.FlapGap)
-			compareJSON(t, "flaps/"+src.String(), got, want)
-		}
-	})
+		return FlapEpisodes(fs, ref.study.Analysis.In.FlapGap)
+	}
+	for _, q := range []struct {
+		name      string
+		got, want any
+	}{
+		{"links", ok(s.Links(ctx)), ref.links},
+		{"failures", ok(s.Failures(ctx)), ref.failures},
+		{"transitions", ok(s.Transitions(ctx)), ref.transitions},
+		{"the first segment's messages", msgs[:min(len(msgs), len(ref.messages))], ref.messages},
+		{"tables", *s.Tables(), ref.tables},
+		{"failures by link", ok(s.Failures(ctx, store.WithLink(link))),
+			filter(ref.failures, func(r store.FailureRecord) bool { return r.Link == link })},
+		{"failures in window", ok(s.Failures(ctx, store.WithWindow(from, to))), inWindow},
+		{"failures by source with limit", ok(s.Failures(ctx, store.WithSource(store.SourceISIS), store.WithLimit(7))),
+			filter(ref.failures, func(r store.FailureRecord) bool { return r.Source == store.SourceISIS })[:7]},
+		{"transitions by stream and direction", ok(s.Transitions(ctx, store.WithStream(store.StreamISReach), store.WithDirection(trace.Down))),
+			filter(ref.transitions, func(r store.TransitionRecord) bool { return r.Stream == store.StreamISReach && r.Dir == trace.Down })},
+		{"transitions by link in window", ok(s.Transitions(ctx, store.WithLink(tlink), store.WithWindow(from, to))),
+			filter(ref.transitions, func(r store.TransitionRecord) bool {
+				return r.Link == tlink && !r.Time.Before(from) && r.Time.Before(to)
+			})},
+		{"transitions by reporter", ok(s.Transitions(ctx, store.WithReporter(rep))),
+			filter(ref.transitions, func(r store.TransitionRecord) bool { return r.Reporter == rep })},
+		{"messages by host", ok(s.Messages(ctx, store.WithHost(host))), filter(msgs, func(m store.MessageRecord) bool { return m.Host == host })},
+		{"messages by substring in window", ok(s.Messages(ctx, store.WithContains(probe), store.WithWindow(from, to))),
+			filter(msgsInWindow, func(m store.MessageRecord) bool { return strings.Contains(m.Line, probe) })},
+		{"messages with limit", ok(s.Messages(ctx, store.WithLimit(100))), msgs[:100]},
+		{"flaps", []any{ok(s.Flaps(ctx, store.SourceSyslog)), ok(s.Flaps(ctx, store.SourceISIS))},
+			[]any{episodes(store.SourceSyslog), episodes(store.SourceISIS)}},
+	} {
+		t.Run(q.name, func(t *testing.T) { compareJSON(t, q.name, q.got, q.want) })
+	}
 }
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+// filter is the brute-force predicate an indexed query must agree
+// with.
+func filter[T any](recs []T, keep func(T) bool) []T {
+	var out []T
+	for _, r := range recs {
+		if keep(r) {
+			out = append(out, r)
 		}
 	}
-	return false
+	return out
 }
 
-// TestStoreFromCaptureMatchesInRAM pins the other build paths: a store
-// written by AnalyzeCaptureDir — from a sharded capture (streaming,
-// possibly parallel) or from a flat syslog.log/lsps.log directory —
-// must answer every query identically to the store the in-RAM pipeline
-// writes for the same campaign.
+// TestStoreOracleAcrossSeedsAndParallelism: the in-RAM rows over three
+// seeds at three worker counts — building the store through a
+// parallel run must not reorder or drop anything.
+func TestStoreOracleAcrossSeedsAndParallelism(t *testing.T) {
+	skipShort(t)
+	for _, seed := range []int64{1, 2, 5} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runRows(t, campaign(t, seed, shortDays), selection{sources: []string{"memory"}, lenient: strict, par: []int{0, 1, 2}, observed: plain})
+		})
+	}
+}
+
+// TestStoreFilteredQueriesMatchOracle: the filtered queries every row
+// asks, over the seed-5 store.
+func TestStoreFilteredQueriesMatchOracle(t *testing.T) {
+	skipShort(t)
+	runRows(t, campaign(t, 5, shortDays), selection{sources: []string{"memory"}, lenient: strict, par: []int{0}, observed: plain})
+}
+
+// TestStoreFromCaptureMatchesInRAM: a store written from a capture or
+// a flat directory, at a parallel setting, answers every query as the
+// in-RAM pipeline's oracle does.
 func TestStoreFromCaptureMatchesInRAM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign simulation in -short mode")
-	}
-	ctx := context.Background()
-	cfg := smallConfig(3)
-
-	ramStore := t.TempDir()
-	st, err := Run(ctx, cfg, WithStoreDir(ramStore))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ram, err := store.Open(ramStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := ram.Failures(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := ram.Transitions(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := ram.Messages(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	capDir, flatDir := t.TempDir(), t.TempDir()
-	if _, err := SimulateToCapture(ctx, cfg, FabricSpec{}, capDir); err != nil {
-		t.Fatal(err)
-	}
-	writeFlatCampaign(t, flatDir, st.Campaign)
-
-	for _, src := range []struct{ name, dir string }{{"capture", capDir}, {"flat", flatDir}} {
-		dirStore := t.TempDir() + "/store"
-		if _, _, err := AnalyzeCaptureDir(ctx, src.dir, false, WithStoreDir(dirStore), WithParallelism(2)); err != nil {
-			t.Fatal(err)
-		}
-		cap, err := store.Open(dirStore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, err := cap.Failures(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareJSON(t, src.name+"-path failures", cf, rf)
-
-		ct, err := cap.Transitions(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareJSON(t, src.name+"-path transitions", ct, rt)
-
-		cm, err := cap.Messages(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareJSON(t, src.name+"-path messages", cm, rm)
-
-		compareJSON(t, src.name+"-path tables", *cap.Tables(), *ram.Tables())
-	}
+	skipShort(t)
+	runRows(t, campaign(t, 1, shortDays), selection{sources: []string{"capture", "flat"}, lenient: strict, par: []int{2}, observed: plain})
 }
 
 // countSpans counts the spans named name in a recorded forest.
@@ -456,61 +241,35 @@ func countSpans(infos []*obs.SpanInfo, name string) int {
 	return n
 }
 
-// reportTwice renders a study's report from two goroutines at once.
-func reportTwice(t *testing.T, st *Study, tracer *Tracer) [2][]byte {
-	t.Helper()
+// TestStoreAndReportShareTables: a study computes its tables once. One
+// analyzed into a store computes them while the store is written, and
+// Report renders those (every observed row checks it); one without a
+// store computes them for the first of two concurrent Reports. Every
+// report has the same bytes.
+func TestStoreAndReportShareTables(t *testing.T) {
+	fx := campaign(t, 1, shortDays)
+	runRows(t, fx, selection{sources: []string{"memory"}, lenient: strict, par: []int{1}, observed: []bool{true}})
+	st, err := Analyze(context.Background(), fx.camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := NewTracer()
 	var reports [2]bytes.Buffer
-	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range reports {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = st.ReportContext(context.Background(), &reports[i], WithTracer(tracer))
+			if err := st.ReportContext(context.Background(), &reports[i], WithTracer(tracer)); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return [2][]byte{reports[0].Bytes(), reports[1].Bytes()}
-}
-
-// TestStoreAndReportShareTables: a study computes its tables once. One
-// analyzed into a store computes them while the store is written, and
-// Report renders those; one without a store computes them for the
-// first of two concurrent Reports. Every report has the same bytes.
-func TestStoreAndReportShareTables(t *testing.T) {
-	ctx := context.Background()
-	camp, err := Simulate(ctx, smallConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, fresh := NewTracer(), NewTracer()
-	st, err := Analyze(ctx, camp, WithStoreDir(t.TempDir()), WithTracer(stored))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countSpans(stored.Snapshot(), "tables/table5"); got != 1 {
-		t.Fatalf("writing the store computed Table 5 %d times, want 1", got)
-	}
-	reports := reportTwice(t, st, stored)
-	if got := countSpans(stored.Snapshot(), "tables/table5"); got != 1 {
-		t.Errorf("after two reports Table 5 was computed %d times, want the store's one", got)
-	}
-	plain, err := Analyze(ctx, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportTwice(t, plain, fresh)
-	if got := countSpans(fresh.Snapshot(), "tables/table5"); got != 1 {
+	if got := countSpans(tracer.Snapshot(), "tables/table5"); got != 1 {
 		t.Errorf("two concurrent reports computed Table 5 %d times, want 1", got)
 	}
-	for _, got := range append(reports[:], want[1]) {
-		if !bytes.Equal(got, want[0]) {
-			t.Error("a report of the study differs from another")
-		}
+	for _, got := range reports {
+		assertSameLines(t, "the reference report", got.Bytes(), fx.reference(t, "memory").report)
 	}
 }
