@@ -266,23 +266,21 @@ func runReplay(ctx context.Context, cfg serve.Config, reg *obs.Registry, dir, re
 
 // loadSyslogSource reads the raw syslog archive lines; parsing
 // happens in the handler so recovery replay and live ingest share one
-// code path. The lines are copied back to back into one buffer the
-// size of the file, each handed out capacity-capped.
+// code path. The file is read whole and its lines are compacted back
+// to back at the front of that buffer as they are scanned — a line
+// never lands past where it was read from — each handed out
+// capacity-capped.
 func loadSyslogSource(path string, start time.Time) (*fileSource, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	arena := make([]byte, 0, info.Size())
-	src := &fileSource{name: "syslog"}
-	return src, syslog.ScanLog(f, func(_ int, line []byte) error {
-		arena = append(arena, line...)
-		src.recs = append(src.recs, serve.Record{Time: start, Data: arena[len(arena)-len(line) : len(arena) : len(arena)]})
+	src := &fileSource{name: "syslog", recs: make([]serve.Record, 0, bytes.Count(data, []byte{'\n'})+1)}
+	w := 0
+	return src, syslog.ScanLog(bytes.NewReader(data), func(_ int, line []byte) error {
+		n := copy(data[w:], line)
+		src.recs = append(src.recs, serve.Record{Time: start, Data: data[w : w+n : w+n]})
+		w += n
 		return nil
 	})
 }
@@ -299,9 +297,9 @@ func loadISISSource(path string) (*fileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &fileSource{name: "isis"}
-	for _, c := range lsps {
-		src.recs = append(src.recs, serve.Record{Time: c.Time, Data: c.Data})
+	src := &fileSource{name: "isis", recs: make([]serve.Record, len(lsps))}
+	for i, c := range lsps {
+		src.recs[i] = serve.Record{Time: c.Time, Data: c.Data}
 	}
 	return src, nil
 }

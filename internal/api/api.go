@@ -304,61 +304,52 @@ type Body struct {
 	n     int // records appended so far
 
 	// names quotes the catalog names of store, the last store b was
-	// built from (quoteNames); day is the date of the last time b wrote.
+	// built from; day is the date of the last time b wrote.
 	store *store.Store
-	names map[string]string
+	names *quotedNames
 	day   dayCache
 }
 
+// quotedNames is a store's link, reporter and host catalogs with each
+// name quoted as a JSON string, indexed by catalog ordinal: a body
+// writes a stored record's names by the ordinals the store hands it,
+// with neither appendString's scan nor a lookup by name.
+type quotedNames struct{ links, reporters, hosts []string }
+
+func quoteNames(man *store.Manifest) *quotedNames {
+	q := &quotedNames{}
+	for _, l := range man.Links {
+		q.links = append(q.links, quoted(string(l.ID)))
+	}
+	for _, name := range man.Reporters {
+		q.reporters = append(q.reporters, quoted(name))
+	}
+	for _, name := range man.Hosts {
+		q.hosts = append(q.hosts, quoted(name))
+	}
+	return q
+}
+
 // use makes s's quoted catalog names the ones b's records draw on,
-// quoting them unless b already has them.
-func (b *Body) use(s *store.Store) {
+// quoting them unless b already has them, and returns them.
+func (b *Body) use(s *store.Store) *quotedNames {
 	if b.store != s {
 		b.store, b.names = s, quoteNames(s.Manifest())
 	}
-}
-
-// quoteNames maps every link, reporter and host name in a store's
-// catalogs to its quoted JSON string, so a body writes each record's
-// names by lookup and not by appendString's scan.
-func quoteNames(man *store.Manifest) map[string]string {
-	names := make(map[string]string, len(man.Links)+len(man.Reporters)+len(man.Hosts))
-	var buf []byte
-	add := func(name string) {
-		buf = appendQuoted(buf[:0], name)
-		names[name] = string(buf)
-	}
-	for _, l := range man.Links {
-		add(string(l.ID))
-	}
-	for _, name := range man.Reporters {
-		add(name)
-	}
-	for _, name := range man.Hosts {
-		add(name)
-	}
-	return names
+	return b.names
 }
 
 // Bytes returns the body, valid until b is built again.
 func (b *Body) Bytes() []byte { return b.buf[b.start:] }
 
-// build makes b the body of the records each yields, appending each as
-// it arrives behind room reserved for the head, which is written into
-// the end of that room once the count is known. If each fails, b holds
-// an empty body and the error is returned.
-func build[R any](b *Body, resource string, each func(func(R) error) error, one func(*Body, []byte, R) []byte) error {
+// build makes b the body of the records fill appends (each through
+// next), behind room reserved for the head, which is written into the
+// end of that room once the count is known. If fill fails, b holds an
+// empty body and the error is returned.
+func (b *Body) build(resource string, fill func() error) error {
 	room := len(`{"count":`) + len("9223372036854775807") + len(`,"`) + len(resource) + len(`":[`)
 	b.buf, b.start, b.n = append(b.buf[:0], make([]byte, room)...), 0, 0
-	err := each(func(r R) error {
-		if b.n > 0 {
-			b.buf = append(b.buf, ',')
-		}
-		b.buf = append(one(b, append(b.buf, '{'), r), '}')
-		b.n++
-		return nil
-	})
-	if err != nil {
+	if err := fill(); err != nil {
 		b.buf = b.buf[:0]
 		return err
 	}
@@ -371,98 +362,140 @@ func build[R any](b *Body, resource string, each func(func(R) error) error, one 
 	return nil
 }
 
-// eachOf visits a slice's elements for build, whose visitor never fails.
-func eachOf[R any](rs []R) func(func(R) error) error {
-	return func(fn func(R) error) error {
-		for _, r := range rs {
-			_ = fn(r)
-		}
-		return nil
+// next counts one more record and returns the buffer to append it to,
+// behind a comma unless it is the first.
+func (b *Body) next() []byte {
+	if b.n++; b.n > 1 {
+		b.buf = append(b.buf, ',')
 	}
+	return b.buf
 }
 
 // Links makes b the /api/v1/links body.
 func (b *Body) Links(links []store.LinkEntry) {
-	_ = build(b, "links", eachOf(links), (*Body).link) // a slice yields no error
+	_ = b.build("links", func() error {
+		for _, l := range links {
+			dst := appendString(append(b.next(), '{'), "id", string(l.ID))
+			b.buf = append(appendName(dst, "class", l.Class.String()), '}')
+		}
+		return nil
+	})
 }
 
 // Failures makes b the /api/v1/failures body of the failures matching
 // opts, encoded as s reads them.
 func (b *Body) Failures(ctx context.Context, s *store.Store, opts ...store.Option) error {
-	b.use(s)
-	return build(b, "failures", func(fn func(store.FailureRecord) error) error {
-		return s.EachFailure(ctx, fn, opts...)
-	}, (*Body).failure)
+	names := b.use(s)
+	return b.build("failures", func() error {
+		return s.EachFailure(ctx, func(r *store.FailureRecord, link uint32) error {
+			dst := append(append(b.next(), failureHead(int(r.Source))...), names.links[link]...)
+			b.buf = append(b.span(dst, r.Start, r.End), '}')
+			return nil
+		}, opts...)
+	})
 }
 
 // Transitions makes b the /api/v1/transitions body of the transitions
 // matching opts, encoded as s reads them.
 func (b *Body) Transitions(ctx context.Context, s *store.Store, opts ...store.Option) error {
-	b.use(s)
-	return build(b, "transitions", func(fn func(store.TransitionRecord) error) error {
-		return s.EachTransition(ctx, fn, opts...)
-	}, (*Body).transition)
+	names := b.use(s)
+	return b.build("transitions", func() error {
+		return s.EachTransition(ctx, func(r *store.TransitionRecord, link, reporter uint32) error {
+			b.buf = b.transition(b.next(), r, names.links[link], names.reporters[reporter])
+			return nil
+		}, opts...)
+	})
 }
 
 // Messages makes b the /api/v1/messages body of the syslog lines
 // matching opts, encoded as s reads them.
 func (b *Body) Messages(ctx context.Context, s *store.Store, opts ...store.Option) error {
-	b.use(s)
-	return build(b, "messages", func(fn func(store.MessageRecord) error) error {
-		return s.EachMessage(ctx, fn, opts...)
-	}, (*Body).message)
+	names := b.use(s)
+	return b.build("messages", func() error {
+		return s.EachMessage(ctx, func(r *store.MessageRecord, host uint32) error {
+			b.buf = b.message(b.next(), r, names.hosts[host])
+			return nil
+		}, opts...)
+	})
 }
 
 // Episodes makes b the /api/v1/flaps body of source src's episodes.
 func (b *Body) Episodes(src store.Source, eps []trace.Episode) {
-	_ = build(b, "episodes", eachOf(eps), func(b *Body, dst []byte, e trace.Episode) []byte { // a slice yields no error
-		dst = b.catalogName(dst, "link", string(e.Link))
-		dst = b.day.appendTime(b.day.appendTime(dst, "start", e.Start()), "end", e.End())
-		dst = strconv.AppendBool(appendKey(dst, "flap"), e.IsFlap())
-		dst = append(appendKey(dst, "failures"), '[')
-		for i, f := range e.Failures {
-			if i > 0 {
-				dst = append(dst, ',')
+	_ = b.build("episodes", func() error {
+		for _, e := range eps {
+			dst := appendString(append(b.next(), '{'), "link", string(e.Link))
+			dst = strconv.AppendBool(appendKey(b.span(dst, e.Start(), e.End()), "flap"), e.IsFlap())
+			dst = append(appendKey(dst, "failures"), '[')
+			for i, f := range e.Failures {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendQuoted(append(dst, failureHead(int(src))...), string(f.Link))
+				dst = append(b.span(dst, f.Start, f.End), '}')
 			}
-			r := store.FailureRecord{Source: src, Link: f.Link, Start: f.Start, End: f.End}
-			dst = append(b.failure(append(dst, '{'), r), '}')
+			b.buf = append(dst, "]}"...)
 		}
-		return append(dst, ']')
+		return nil
 	})
 }
 
-func (b *Body) link(dst []byte, l store.LinkEntry) []byte {
-	return appendName(b.catalogName(dst, "id", string(l.ID)), "class", l.Class.String())
+// Precomposed members: each enumeration value's name with the
+// constant keys and punctuation around it, so a record's fixed members
+// are one copy each. A transition's dir and kind are one fragment,
+// picked by direction (Down's, or Up's) and then by kind.
+var (
+	failureHead = precompose(2, func(v int) string {
+		return `{"source":"` + store.Source(v).String() + `","link":`
+	})
+	transitionHead = precompose(int(store.StreamIPReach)+1, func(v int) string {
+		return `{"stream":"` + store.Stream(v).String() + `","time":"`
+	})
+	transitionMid = [2]func(int) string{dirKind(trace.Down), dirKind(trace.Up)}
+)
+
+func dirKind(d trace.Direction) func(int) string {
+	return precompose(int(trace.KindSNMP)+1, func(v int) string {
+		return `,"dir":"` + d.String() + `","kind":"` + trace.Kind(v).String() + `","reporter":`
+	})
 }
 
-func (b *Body) failure(dst []byte, r store.FailureRecord) []byte {
-	dst = appendName(dst, "source", r.Source.String())
-	dst = b.catalogName(dst, "link", string(r.Link))
-	return b.day.appendTime(b.day.appendTime(dst, "start", r.Start), "end", r.End)
-}
-
-func (b *Body) transition(dst []byte, r store.TransitionRecord) []byte {
-	dst = appendName(dst, "stream", r.Stream.String())
-	dst = b.day.appendTime(dst, "time", r.Time)
-	dst = b.catalogName(dst, "link", string(r.Link))
-	dst = appendName(dst, "dir", r.Dir.String())
-	dst = appendName(dst, "kind", r.Kind.String())
-	return b.catalogName(dst, "reporter", r.Reporter)
-}
-
-func (b *Body) message(dst []byte, r store.MessageRecord) []byte {
-	dst = b.catalogName(b.day.appendTime(dst, "time", r.Time), "host", r.Host)
-	return appendString(dst, "line", r.Line)
-}
-
-// catalogName appends a string member whose value is a catalog name:
-// from b's quoted names when they hold it, by appendString's scan when
-// not.
-func (b *Body) catalogName(dst []byte, key, name string) []byte {
-	if q, ok := b.names[name]; ok {
-		return append(appendKey(dst, key), q...)
+// precompose returns compose with its strings for the values 0 to n-1
+// composed once; any other value it composes on every call.
+func precompose(n int, compose func(v int) string) func(v int) string {
+	of := make([]string, n)
+	for v := range of {
+		of[v] = compose(v)
 	}
-	return appendString(dst, key, name)
+	return func(v int) string {
+		if uint(v) < uint(n) {
+			return of[v]
+		}
+		return compose(v)
+	}
+}
+
+// transition appends r's object, its link and reporter names given
+// quoted.
+func (b *Body) transition(dst []byte, r *store.TransitionRecord, link, reporter string) []byte {
+	dst = b.day.appendStamp(append(dst, transitionHead(int(r.Stream))...), r.Time)
+	dst = append(append(dst, `,"link":`...), link...)
+	mid := transitionMid[0] // trace.Direction names every value but Up "down"
+	if r.Dir == trace.Up {
+		mid = transitionMid[1]
+	}
+	return append(append(append(dst, mid(int(r.Kind))...), reporter...), '}')
+}
+
+// message appends r's object, its host name given quoted.
+func (b *Body) message(dst []byte, r *store.MessageRecord, host string) []byte {
+	dst = append(b.day.appendStamp(append(dst, `{"time":"`...), r.Time), `,"host":`...)
+	return append(appendString(append(dst, host...), "line", r.Line), '}')
+}
+
+// span appends a failure's or an episode's start and end members.
+func (b *Body) span(dst []byte, start, end time.Time) []byte {
+	dst = b.day.appendStamp(append(dst, `,"start":"`...), start)
+	return b.day.appendStamp(append(dst, `,"end":"`...), end)
 }
 
 // appendKey appends a member's name, after a comma unless the member
@@ -474,12 +507,12 @@ func appendKey(dst []byte, key string) []byte {
 	return append(append(append(dst, '"'), key...), `":`...)
 }
 
-// appendTime appends a time member as encoding/json does: RFC 3339,
-// sub-second digits when there are any. A UTC time inside the years
-// 0-9999 that format needs — every stored time — is written digit by
-// digit; any other falls back to time.Time.AppendFormat.
-func appendTime(dst []byte, key string, t time.Time) []byte {
-	dst = append(appendKey(dst, key), '"')
+// appendStamp appends a time's string value, past its opening quote,
+// as encoding/json writes it: RFC 3339, sub-second digits when there
+// are any. A UTC time inside the years 0-9999 that format needs —
+// every stored time — is written digit by digit; any other falls back
+// to time.Time.AppendFormat.
+func appendStamp(dst []byte, t time.Time) []byte {
 	y, mo, d := t.Date()
 	if t.Location() != time.UTC || y < 0 || y > 9999 {
 		return append(t.AppendFormat(dst, time.RFC3339Nano), '"')
@@ -495,24 +528,23 @@ type dayCache struct {
 	date       [11]byte // "2006-01-02T"
 }
 
-// appendTime writes what the package's appendTime does, the date from
-// c, refilled when t falls on another UTC day.
-func (c *dayCache) appendTime(dst []byte, key string, t time.Time) []byte {
+// appendStamp writes what the package's appendStamp does, the date
+// from c, refilled when t falls on another UTC day.
+func (c *dayCache) appendStamp(dst []byte, t time.Time) []byte {
 	if t.Location() != time.UTC {
-		return appendTime(dst, key, t)
+		return appendStamp(dst, t)
 	}
 	sec := t.Unix()
 	if sec < c.start || sec >= c.end {
 		y, mo, d := t.Date()
 		if y < 0 || y > 9999 {
-			return appendTime(dst, key, t)
+			return appendStamp(dst, t)
 		}
 		c.start = sec - (sec%86400+86400)%86400
 		c.end = c.start + 86400
 		appendDate(c.date[:0], y, int(mo), d)
 	}
-	dst = append(append(appendKey(dst, key), '"'), c.date[:]...)
-	return appendClock(dst, int(sec-c.start), t.Nanosecond())
+	return appendClock(append(dst, c.date[:]...), int(sec-c.start), t.Nanosecond())
 }
 
 // appendDate appends "YYYY-MM-DDT" for a year in 0-9999.
@@ -522,14 +554,20 @@ func appendDate(dst []byte, y, mo, d int) []byte {
 }
 
 // appendClock appends the time of day sec seconds and ns nanoseconds
-// after midnight, then the zone and the closing quote.
+// after midnight, then the zone and the closing quote. A whole
+// millisecond — every stored stamp — writes its three digits directly.
 func appendClock(dst []byte, sec, ns int) []byte {
 	h, mi, s := sec/3600, sec/60%60, sec%60
 	dst = append(dst, byte('0'+h/10), byte('0'+h%10), ':', byte('0'+mi/10), byte('0'+mi%10), ':', byte('0'+s/10), byte('0'+s%10))
 	if ns != 0 { // nine digits behind the point, less the trailing zeros
-		dot := len(dst)
-		dst = strconv.AppendInt(dst, int64(1e9+ns), 10)
-		for dst[dot] = '.'; dst[len(dst)-1] == '0'; {
+		if ms := ns / 1e6; ms*1e6 == ns {
+			dst = append(dst, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
+		} else {
+			dot := len(dst)
+			dst = strconv.AppendInt(dst, int64(1e9+ns), 10)
+			dst[dot] = '.'
+		}
+		for dst[len(dst)-1] == '0' {
 			dst = dst[:len(dst)-1]
 		}
 	}
@@ -560,6 +598,9 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 func appendString(dst []byte, key, s string) []byte {
 	return appendQuoted(appendKey(dst, key), s)
 }
+
+// quoted returns name as a JSON string, escaped as appendString says.
+func quoted(name string) string { return string(appendQuoted(nil, name)) }
 
 // appendQuoted appends s as a JSON string, escaped as appendString
 // says.
@@ -610,7 +651,7 @@ const maxPooledBody = 8 << 20
 // quoted once for every body it feeds.
 type served struct {
 	*store.Store
-	names map[string]string
+	names *quotedNames
 }
 
 // serveBody answers with the body build makes from s in a pooled

@@ -10,7 +10,7 @@ import (
 	"netfail/internal/trace"
 )
 
-// FuzzAppendTimeMatchesFormat: appendTime's digit-by-digit UTC path
+// FuzzAppendTimeMatchesFormat: appendStamp's digit-by-digit UTC path
 // writes what time.Time.AppendFormat writes, and every other time
 // takes AppendFormat itself.
 func FuzzAppendTimeMatchesFormat(f *testing.F) {
@@ -30,10 +30,10 @@ func FuzzAppendTimeMatchesFormat(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sec, nsec int64) {
 		for _, tm := range []time.Time{time.Unix(sec, nsec).UTC(), time.Unix(sec, nsec).In(time.FixedZone("UTC", 0))} {
-			got := appendTime([]byte{'{'}, "t", tm)
+			got := appendStamp([]byte(`{"t":"`), tm)
 			want := append(tm.AppendFormat([]byte(`{"t":"`), time.RFC3339Nano), '"')
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%d s %d ns in %s: appendTime wrote %s, AppendFormat %s", sec, nsec, tm.Location(), got, want)
+				t.Fatalf("%d s %d ns in %s: appendStamp wrote %s, AppendFormat %s", sec, nsec, tm.Location(), got, want)
 			}
 		}
 	})
@@ -102,7 +102,7 @@ func FuzzDayCacheMatchesFormat(f *testing.F) {
 					tm = tm.In(zone)
 				}
 			}
-			got := c.appendTime([]byte{'{'}, "t", tm)
+			got := c.appendStamp([]byte(`{"t":"`), tm)
 			want := append(tm.AppendFormat([]byte(`{"t":"`), time.RFC3339Nano), '"')
 			if !bytes.Equal(got, want) {
 				t.Fatalf("step %d, %s: the day cache wrote %s, AppendFormat %s", i, tm, got, want)

@@ -172,6 +172,25 @@ func diffBody(t *testing.T, what string, got, want []byte) {
 	}
 }
 
+// TestOutOfRangeEnumsMatchEncodingJSON: enumeration values past the
+// precomposed members — no store decodes one, but a slice may hold
+// one — are written by name as encoding/json writes them.
+func TestOutOfRangeEnumsMatchEncodingJSON(t *testing.T) {
+	tm := time.Date(2011, 1, 2, 3, 4, 5, 6000000, time.UTC)
+	var fails []store.FailureRecord
+	var trans []store.TransitionRecord
+	for _, v := range []int{-1, 2, 5, 99} {
+		fails = append(fails, store.FailureRecord{Source: store.Source(v), Link: "l", Start: tm, End: tm})
+		trans = append(trans, store.TransitionRecord{Stream: store.Stream(v), Time: tm, Link: "l",
+			Dir: trace.Direction(v), Kind: trace.Kind(v), Reporter: "r"})
+	}
+	eps := []trace.Episode{{Link: "l", Failures: []trace.Failure{{Link: "l", Start: tm, End: tm}}}}
+	checkBodies(t, nil, fails, trans, nil, eps)
+	var b api.Body
+	b.Episodes(store.Source(7), eps)
+	diffBody(t, "episodes of source 7", b.Bytes(), refEncode(t, EpisodesBody(store.Source(7), eps)))
+}
+
 // TestAppendEncodersMatchEncodingJSON: every list body is byte for
 // byte what encoding/json's Encoder makes of the reference value — on
 // every record of the seed-1 14-day store, on empty lists, and on

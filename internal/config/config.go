@@ -11,6 +11,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -42,11 +43,16 @@ func NewArchive() *Archive {
 }
 
 // Add stores a revision, keeping the per-router list ordered by
-// capture time.
+// capture time: appended when no stored revision is later (the order
+// GenerateArchive and LoadDir add them in), otherwise inserted after
+// the last one captured at or before it.
 func (a *Archive) Add(host string, rev Revision) {
-	revs := append(a.Revisions[host], rev)
-	sort.Slice(revs, func(i, j int) bool { return revs[i].Captured.Before(revs[j].Captured) })
-	a.Revisions[host] = revs
+	revs := a.Revisions[host]
+	i := len(revs)
+	if i > 0 && rev.Captured.Before(revs[i-1].Captured) {
+		i = sort.Search(i, func(j int) bool { return rev.Captured.Before(revs[j].Captured) })
+	}
+	a.Revisions[host] = slices.Insert(revs, i, rev)
 }
 
 // Latest returns the most recent revision for the router.

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -179,5 +180,38 @@ func TestArchiveOrdering(t *testing.T) {
 	}
 	if _, ok := a.Latest("missing"); ok {
 		t.Error("Latest on missing host should report absence")
+	}
+}
+
+// TestArchiveAddOrder: revisions added out of capture order are
+// inserted in order, equal capture times keep the order they were
+// added in, and a host's revisions added in order — as GenerateArchive
+// and LoadDir add them — cost only the list's growth.
+func TestArchiveAddOrder(t *testing.T) {
+	a := NewArchive()
+	for i, h := range []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 0} {
+		a.Add("r", Revision{Captured: captureTime.Add(time.Duration(h) * time.Hour), Text: strconv.Itoa(i)})
+	}
+	var got []string
+	for _, rev := range a.Revisions["r"] {
+		got = append(got, rev.Text)
+	}
+	if want := "9 1 3 6 0 2 4 8 7 5"; strings.Join(got, " ") != want {
+		t.Errorf("revisions in the order %s, want %s", strings.Join(got, " "), want)
+	}
+
+	const n = 256
+	revs := make([]Revision, n)
+	for i := range revs {
+		revs[i].Captured = captureTime.Add(time.Duration(i) * time.Hour)
+	}
+	per := testing.AllocsPerRun(10, func() {
+		a := NewArchive()
+		for _, rev := range revs {
+			a.Add("r", rev)
+		}
+	}) / n
+	if per > 0.1 {
+		t.Errorf("adding %d revisions in order allocates %.2f times per revision, want at most 0.1", n, per)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,6 +124,71 @@ func TestExtractSyslogAlternationNotMerged(t *testing.T) {
 	rec := trace.Reconstruct(st.MergedAdj)
 	if len(rec.Failures) != 2 {
 		t.Errorf("failures = %+v", rec.Failures)
+	}
+}
+
+// TestExtractSyslogEqualTimeOrder: transitions at one instant leave
+// the merge ordered by link, then direction (Down first), then
+// reporter, whatever order they arrived in — the order SortTransitions
+// gives and the store's segments and the tables depend on. Link 1
+// goes Down, Up and Down again at that instant, so its two Downs
+// straddle the Up, both survive, and only their reporters order them.
+func TestExtractSyslogEqualTimeOrder(t *testing.T) {
+	n := topo.NewNetwork()
+	for i, name := range []string{"core-a", "cpe-1", "cpe-2", "cpe-3"} {
+		class := topo.CPE
+		if i == 0 {
+			class = topo.Core
+		}
+		if err := n.AddRouter(&topo.Router{Name: name, Class: class, SystemID: topo.SystemIDFromIndex(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var links [4]topo.LinkID // by cpe number; the IDs sort in that order
+	for i := 1; i <= 3; i++ {
+		l, err := n.AddLink(topo.Endpoint{Host: "core-a", Port: fmt.Sprintf("Te%d", i)},
+			topo.Endpoint{Host: fmt.Sprintf("cpe-%d", i), Port: "Gi0"}, uint32(2*i), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links[i] = l.ID
+	}
+	if !slices.IsSorted(links[1:]) {
+		t.Fatalf("link IDs %v do not sort in cpe order", links[1:])
+	}
+	const at = 100
+	msgs := []*syslog.Message{
+		adjMsg("cpe-3", "Gi0", "core-a", at-1, false),
+		adjMsg("cpe-3", "Gi0", "core-a", at, true),
+		adjMsg("core-a", "Te2", "cpe-2", at, false),
+		adjMsg("cpe-1", "Gi0", "core-a", at, false),
+		adjMsg("core-a", "Te1", "cpe-1", at, true),
+		adjMsg("cpe-2", "Gi0", "core-a", at, true),
+		adjMsg("core-a", "Te1", "cpe-1", at, false),
+		adjMsg("cpe-2", "Gi0", "core-a", at+1, false),
+	}
+	type key struct {
+		sec      int64
+		link     topo.LinkID
+		dir      trace.Direction
+		reporter string
+	}
+	want := []key{
+		{at - 1, links[3], trace.Down, "cpe-3"},
+		{at, links[1], trace.Down, "core-a"},
+		{at, links[1], trace.Down, "cpe-1"},
+		{at, links[1], trace.Up, "core-a"},
+		{at, links[2], trace.Down, "core-a"},
+		{at, links[2], trace.Up, "cpe-2"},
+		{at, links[3], trace.Up, "cpe-3"},
+		{at + 1, links[2], trace.Down, "cpe-2"},
+	}
+	var got []key
+	for _, tr := range extractSyslog(n, msgs, 10*time.Second, 1).MergedAdj {
+		got = append(got, key{tr.Time.Unix(), tr.Link, tr.Dir, tr.Reporter})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("merged order:\n got %v\nwant %v", got, want)
 	}
 }
 

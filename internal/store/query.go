@@ -124,20 +124,19 @@ func (s *Store) Tables() *Tables { return &s.man.Tables }
 // Table returns precomputed table n (1–7).
 func (s *Store) Table(n int) (any, error) { return s.man.Tables.Table(n) }
 
-// collect gathers what a visitor yields into a slice: the slice form
-// of each list query.
-func collect[R any](ctx context.Context, each func(context.Context, func(R) error, ...Option) error, opts []Option) ([]R, error) {
-	var out []R
-	if err := each(ctx, func(r R) error { out = append(out, r); return nil }, opts...); err != nil {
+// collected is a list query's slice form of what its visitor gathered:
+// nil when the visit failed.
+func collected[R any](out []R, err error) ([]R, error) {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// yield hands one matching record to fn and counts it, ending the read
-// once the query's limit is reached.
-func yield[R any](q *Query, fn func(R) error, r R, n *int) error {
-	if err := fn(r); err != nil {
+// yield counts a matching record fn was handed, passing on fn's error
+// err, and ends the read once the query's limit is reached.
+func (q *Query) yield(n *int, err error) error {
+	if err != nil {
 		return err
 	}
 	if *n++; q.full(*n) {
@@ -148,29 +147,34 @@ func yield[R any](q *Query, fn func(R) error, r R, n *int) error {
 
 // Failures returns the failures EachFailure visits.
 func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, error) {
-	return collect(ctx, s.EachFailure, opts)
+	var out []FailureRecord
+	err := s.EachFailure(ctx, func(r *FailureRecord, _ uint32) error { out = append(out, *r); return nil }, opts...)
+	return collected(out, err)
 }
 
 // EachFailure calls fn with each stored failure matching the options,
-// in canonical store order, and returns the first error fn returns. A
+// in canonical store order, and returns the first error fn returns. fn
+// is handed the record, valid only until it returns, and the link's
+// catalog ordinal (an index into the manifest's Links). A
 // link filter uses the posting lists; a window uses the sparse time
 // index (seeking to from minus the longest stored failure span, so
 // failures that started before the window but overlap it are found);
 // both together fetch only the link's postings inside the ordinal
 // range the index allows the window. Filters are always re-verified
 // against the decoded records.
-func (s *Store) EachFailure(ctx context.Context, fn func(FailureRecord) error, opts ...Option) error {
+func (s *Store) EachFailure(ctx context.Context, fn func(r *FailureRecord, link uint32) error, opts ...Option) error {
 	q := resolveQuery(opts)
 	n := 0
+	var r FailureRecord
 	visit := func(tsMs int64, rec []byte) error {
-		r, err := s.decodeFailure(rec)
+		link, err := s.decodeFailure(rec, &r)
 		if err != nil {
 			return s.recordDamage(FailuresSegment, err)
 		}
-		if !s.matchFailure(&q, r) {
+		if !s.matchFailure(&q, &r) {
 			return nil
 		}
-		return yield(&q, fn, r, &n)
+		return q.yield(&n, fn(&r, link))
 	}
 	if q.link != nil && s.failPost != nil {
 		ord, ok := s.linkOrd[*q.link]
@@ -184,25 +188,21 @@ func (s *Store) EachFailure(ctx context.Context, fn func(FailureRecord) error, o
 }
 
 // decodeFailure maps one failures.seg record back through the
-// catalogs.
-func (s *Store) decodeFailure(rec []byte) (FailureRecord, error) {
+// catalogs into r and returns its link ordinal.
+func (s *Store) decodeFailure(rec []byte, r *FailureRecord) (link uint32, err error) {
 	source, link, startNs, endNs, err := decodeFailureRecord(rec)
 	if err != nil {
-		return FailureRecord{}, err
+		return 0, err
 	}
 	id, err := s.linkByOrd(link)
 	if err != nil {
-		return FailureRecord{}, err
+		return 0, err
 	}
-	return FailureRecord{
-		Source: source,
-		Link:   id,
-		Start:  time.Unix(0, startNs).UTC(),
-		End:    time.Unix(0, endNs).UTC(),
-	}, nil
+	r.Source, r.Link, r.Start, r.End = source, id, time.Unix(0, startNs).UTC(), time.Unix(0, endNs).UTC()
+	return link, nil
 }
 
-func (s *Store) matchFailure(q *Query, r FailureRecord) bool {
+func (s *Store) matchFailure(q *Query, r *FailureRecord) bool {
 	if q.link != nil && r.Link != *q.link {
 		return false
 	}
@@ -217,24 +217,29 @@ func (s *Store) matchFailure(q *Query, r FailureRecord) bool {
 
 // Transitions returns the transitions EachTransition visits.
 func (s *Store) Transitions(ctx context.Context, opts ...Option) ([]TransitionRecord, error) {
-	return collect(ctx, s.EachTransition, opts)
+	var out []TransitionRecord
+	err := s.EachTransition(ctx, func(r *TransitionRecord, _, _ uint32) error { out = append(out, *r); return nil }, opts...)
+	return collected(out, err)
 }
 
 // EachTransition calls fn with each stored transition matching the
 // options, in canonical store order, and returns the first error fn
-// returns. Its read plans are EachFailure's, with no window slack.
-func (s *Store) EachTransition(ctx context.Context, fn func(TransitionRecord) error, opts ...Option) error {
+// returns. fn is handed the record, valid only until it returns, and
+// its link and reporter catalog ordinals. Its read plans are
+// EachFailure's, with no window slack.
+func (s *Store) EachTransition(ctx context.Context, fn func(r *TransitionRecord, link, reporter uint32) error, opts ...Option) error {
 	q := resolveQuery(opts)
 	n := 0
+	var r TransitionRecord
 	visit := func(tsMs int64, rec []byte) error {
-		r, err := s.decodeTransition(rec)
+		link, reporter, err := s.decodeTransition(rec, &r)
 		if err != nil {
 			return s.recordDamage(TransitionsSegment, err)
 		}
-		if !s.matchTransition(&q, r) {
+		if !s.matchTransition(&q, &r) {
 			return nil
 		}
-		return yield(&q, fn, r, &n)
+		return q.yield(&n, fn(&r, link, reporter))
 	}
 	if q.link != nil && s.tranPost != nil {
 		ord, ok := s.linkOrd[*q.link]
@@ -248,31 +253,25 @@ func (s *Store) EachTransition(ctx context.Context, fn func(TransitionRecord) er
 }
 
 // decodeTransition maps one transitions.seg record back through the
-// catalogs.
-func (s *Store) decodeTransition(rec []byte) (TransitionRecord, error) {
+// catalogs into r and returns its link and reporter ordinals.
+func (s *Store) decodeTransition(rec []byte, r *TransitionRecord) (link, reporter uint32, err error) {
 	stream, dir, kind, link, reporter, timeNs, err := decodeTransitionRecord(rec)
 	if err != nil {
-		return TransitionRecord{}, err
+		return 0, 0, err
 	}
 	id, err := s.linkByOrd(link)
 	if err != nil {
-		return TransitionRecord{}, err
+		return 0, 0, err
 	}
 	rep, err := s.reporterByOrd(reporter)
 	if err != nil {
-		return TransitionRecord{}, err
+		return 0, 0, err
 	}
-	return TransitionRecord{
-		Stream:   stream,
-		Time:     time.Unix(0, timeNs).UTC(),
-		Link:     id,
-		Dir:      dir,
-		Kind:     kind,
-		Reporter: rep,
-	}, nil
+	r.Stream, r.Time, r.Link, r.Dir, r.Kind, r.Reporter = stream, time.Unix(0, timeNs).UTC(), id, dir, kind, rep
+	return link, reporter, nil
 }
 
-func (s *Store) matchTransition(q *Query, r TransitionRecord) bool {
+func (s *Store) matchTransition(q *Query, r *TransitionRecord) bool {
 	if q.link != nil && r.Link != *q.link {
 		return false
 	}
@@ -296,18 +295,22 @@ func (s *Store) matchTransition(q *Query, r TransitionRecord) bool {
 
 // Messages returns the syslog lines EachMessage visits.
 func (s *Store) Messages(ctx context.Context, opts ...Option) ([]MessageRecord, error) {
-	return collect(ctx, s.EachMessage, opts)
+	var out []MessageRecord
+	err := s.EachMessage(ctx, func(r *MessageRecord, _ uint32) error { out = append(out, *r); return nil }, opts...)
+	return collected(out, err)
 }
 
 // EachMessage calls fn with each stored syslog line matching the
 // options, in capture order (segment by segment, each time-ordered —
 // exactly the order the pipeline consumes them), and returns the first
-// error fn returns. A host filter uses the per-segment posting lists;
+// error fn returns. fn is handed the record, valid only until it
+// returns, and its host's catalog ordinal. A host filter uses the per-segment posting lists;
 // a window uses each segment's sparse index, and clips the host's
 // postings when both are given.
-func (s *Store) EachMessage(ctx context.Context, fn func(MessageRecord) error, opts ...Option) error {
+func (s *Store) EachMessage(ctx context.Context, fn func(r *MessageRecord, host uint32) error, opts ...Option) error {
 	q := resolveQuery(opts)
 	n := 0
+	var r MessageRecord
 	for i, meta := range s.man.Messages {
 		if q.full(n) {
 			return nil
@@ -336,7 +339,8 @@ func (s *Store) EachMessage(ctx context.Context, fn func(MessageRecord) error, o
 			if q.window && (t.Before(q.from) || !t.Before(q.to)) {
 				return nil
 			}
-			return yield(&q, fn, MessageRecord{Time: t, Host: name, Line: string(line)}, &n)
+			r = MessageRecord{Time: t, Host: name, Line: string(line)}
+			return q.yield(&n, fn(&r, host))
 		}
 		var err error
 		if q.host != nil && s.msgPost[i] != nil {
@@ -366,7 +370,7 @@ func (s *Store) Flaps(ctx context.Context, src Source, opts ...Option) ([]trace.
 	// backing array, which two goroutines may share. The limit is the
 	// episodes', so the failures are read without one.
 	var fs []trace.Failure
-	err := s.EachFailure(ctx, func(r FailureRecord) error {
+	err := s.EachFailure(ctx, func(r *FailureRecord, _ uint32) error {
 		fs = append(fs, r.Failure())
 		return nil
 	}, append(opts[:len(opts):len(opts)], WithSource(src), WithLimit(0))...)

@@ -1,12 +1,13 @@
 #!/bin/sh
 # verify.sh — the single tier-1 verification entrypoint: build,
-# vet, gofmt, the repo's own static-analysis suite (netfail-lint), and
-# the full test suite (hot-path alloc pins included) plain and under
-# the race detector. CI runs exactly this script; run it locally before
+# vet, gofmt, the repo's own static-analysis suite (netfail-lint), the
+# full test suite (hot-path alloc pins included) plain and under the
+# race detector, and every Benchmark* run once so one that fails is
+# seen. CI runs exactly this script; run it locally before
 # pushing:
 #
 #   ./scripts/verify.sh          # everything
-#   ./scripts/verify.sh -short   # skip the race run (quick iteration)
+#   ./scripts/verify.sh -short   # stop after the plain test run (quick iteration)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +36,9 @@ echo "==> go test ./..."
 go test ./...
 
 if [ "$short" = 0 ]; then
+    echo "==> benchmarks, each run once (go test -bench . -benchtime 1x)"
+    go test -run '^$' -bench . -benchtime 1x ./...
+
     echo "==> go test -race ./..."
     go test -race ./...
 

@@ -3,12 +3,16 @@ package netfail
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"netfail/internal/api"
 	"netfail/internal/store"
 	"netfail/internal/topo"
 )
@@ -179,4 +183,35 @@ func BenchmarkAnalyzeCaptureDirMonth(b *testing.B) {
 			b.Fatal("empty analysis")
 		}
 	}
+}
+
+// BenchmarkServeScan is the api layer's share of a query-mix scan: a
+// warm 30-day all-links transitions body of the month store served
+// through the /api/v1 mux, with no connection behind it. It reports
+// the time per record the body holds besides the time and bytes per
+// request.
+func BenchmarkServeScan(b *testing.B) {
+	_, storeDir, _, _ := benchCaptureSetup(b)
+	s, err := store.Open(storeDir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	from := s.Manifest().Start
+	to := from.AddDate(0, 0, 30)
+	recs, err := s.Transitions(context.Background(), store.WithWindow(from, to))
+	if err != nil || len(recs) == 0 {
+		b.Fatalf("%d transitions in 30 days: %v", len(recs), err)
+	}
+	mux := api.NewMux(api.Options{Store: s})
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/transitions?"+url.Values{
+		"from": {from.Format(time.RFC3339)}, "to": {to.Format(time.RFC3339)},
+	}.Encode(), nil)
+	w := &discardResponse{h: http.Header{}}
+	mux.ServeHTTP(w, req) // warm: the pool's buffer grows to the body once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mux.ServeHTTP(w, req)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
 }
