@@ -8,13 +8,16 @@ build:
 test:
 	go test ./...
 
-# Rewrite the canonical seed-1 artifacts the README points at, after a
-# change that is meant to move the report; review and commit the diff.
-# TestSeed1ReportGolden holds docs/report-seed1.txt and
-# TestSeed1MarkdownGolden docs/reproduction-seed1.md, byte for byte.
+# Rewrite the three generated artifacts the README points at, after a
+# change that is meant to move them; review and commit the diff. Each
+# is held byte for byte: docs/report-seed1.txt by TestSeed1ReportGolden,
+# docs/reproduction-seed1.md by TestSeed1MarkdownGolden, and the
+# scorecard blocks of EXPERIMENTS.md (the ten-seed panel) by
+# TestExperimentsGolden, which rewrites them under NETFAIL_GOLDEN=update.
 golden:
 	go run ./cmd/netfail-analyze -seed 1 > docs/report-seed1.txt
 	go run ./cmd/netfail-analyze -seed 1 -markdown > docs/reproduction-seed1.md
+	NETFAIL_GOLDEN=update go test -count=1 -run '^TestExperimentsGolden$$' .
 
 # Static analysis: go vet plus the repo's own suite (detclock,
 # droppederr, lockguard).

@@ -727,13 +727,14 @@ func TestCancelMidSimulate(t *testing.T) {
 }
 
 // TestStoreFailureStopsEverySource: a store that cannot take the
-// messages fails every source that writes one (netfail-serve writes
-// none; its supervisor counts a refused record and goes on), in both
-// modes. Unparseable lines are still only accounted.
+// messages fails every source that writes one, in both modes — the
+// served one too, whose supervisor counts a refused record and goes
+// on: the store writer keeps the refusal and Finish returns it.
+// Unparseable lines are still only accounted.
 func TestStoreFailureStopsEverySource(t *testing.T) {
 	ctx := context.Background()
 	fx := campaign(t, 1, shortDays)
-	for _, src := range []string{"memory", "flat", "capture", "sharded"} {
+	for _, src := range []string{"memory", "flat", "capture", "sharded", "served"} {
 		for _, lenient := range []bool{false, true} {
 			// A directory sits where the first message segment goes.
 			dir := t.TempDir()
@@ -812,7 +813,7 @@ func TestMarkdownReportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"# Reproduction report", "## Table 1", "## Table 7", "| Verdict |", "knee at ten seconds", "| ok |"} {
+	for _, want := range []string{"# Reproduction report", "## Table 1", "## Table 7", "| Verdict |", "knee at ten seconds", " ✔ |"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q", want)
 		}

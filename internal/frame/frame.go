@@ -39,8 +39,9 @@ const (
 	// Overhead+MaxLen.
 	MaxLen = 64 << 20
 
-	// window is the reader's initial buffer: one read's worth.
-	window = 256 << 10
+	// Window is the reader's initial buffer, one read's worth: the
+	// bulk window a read without a span takes.
+	Window = 256 << 10
 )
 
 var marker = []byte{0xA5, 0x5A}
@@ -279,7 +280,7 @@ func (r *Reader) need(n int) []byte {
 		if r.hi == len(r.buf) {
 			size := len(r.buf)
 			if n > size {
-				size = min(max(2*size, window), Overhead+MaxLen)
+				size = min(max(2*size, Window), Overhead+MaxLen)
 			}
 			buf := r.buf
 			if size != len(buf) {

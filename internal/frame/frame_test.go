@@ -110,7 +110,7 @@ func TestOneDamagedFrameCostsOneFrame(t *testing.T) {
 				if rep.Kept != n-1 || rep.Skipped != 1 || rep.FirstBad != bad+1 || rep.LastBad != bad+1 {
 					t.Errorf("report %s, want kept %d, one skip at record %d", rep, n-1, bad+1)
 				}
-				if len(r.buf) != window {
+				if len(r.buf) != Window {
 					t.Errorf("window grew to %d bytes over a %d-byte stream", len(r.buf), len(data))
 				}
 
@@ -146,7 +146,7 @@ func TestLenientOrdinalsCountSkippedRegions(t *testing.T) {
 // growth pattern, and the window must end no larger than its largest
 // frame needs.
 func TestRoundTripAcrossRefills(t *testing.T) {
-	sizes := []int{0, 1, 100, window - Overhead, window, 3*window + 17, 5, 0, 70000}
+	sizes := []int{0, 1, 100, Window - Overhead, Window, 3*Window + 17, 5, 0, 70000}
 	data := []byte("MAGIC\n")
 	for i, size := range sizes {
 		start := len(data)
@@ -181,8 +181,8 @@ func TestRoundTripAcrossRefills(t *testing.T) {
 			if rep := r.Report(); !rep.Clean() || rep.Kept != len(sizes) {
 				t.Errorf("%s lenient=%v: report %s", name, lenient, rep)
 			}
-			if len(r.buf) > 4*window {
-				t.Errorf("%s lenient=%v: window %d for a largest frame of %d", name, lenient, len(r.buf), 3*window+17+Overhead)
+			if len(r.buf) > 4*Window {
+				t.Errorf("%s lenient=%v: window %d for a largest frame of %d", name, lenient, len(r.buf), 3*Window+17+Overhead)
 			}
 		}
 	}
@@ -453,7 +453,7 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("lenient errored on in-memory data: %v", lenientErr)
 		}
 		for _, r := range []*Reader{sr, lr} {
-			if len(r.buf) > max(window, 2*len(data)) {
+			if len(r.buf) > max(Window, 2*len(data)) {
 				t.Fatalf("window %d bytes over %d bytes of input", len(r.buf), len(data))
 			}
 		}

@@ -7,6 +7,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -76,23 +77,22 @@ func Pct(f float64) string { return fmt.Sprintf("%.0f%%", 100*f) }
 
 // Num formats an integer with thousands separators, as the paper
 // prints counts.
-func Num(n int) string {
-	s := fmt.Sprintf("%d", n)
-	neg := strings.HasPrefix(s, "-")
-	if neg {
-		s = s[1:]
+func Num(n int) string { return string(appendNum(nil, n)) }
+
+func appendNum(b []byte, n int) []byte {
+	u := uint64(n)
+	if n < 0 {
+		b, u = append(b, '-'), -u
 	}
-	var parts []string
-	for len(s) > 3 {
-		parts = append([]string{s[len(s)-3:]}, parts...)
-		s = s[:len(s)-3]
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i, c := range d {
+		if i > 0 && (len(d)-i)%3 == 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c)
 	}
-	parts = append([]string{s}, parts...)
-	out := strings.Join(parts, ",")
-	if neg {
-		out = "-" + out
-	}
-	return out
+	return b
 }
 
 // F1 formats a float with one decimal.

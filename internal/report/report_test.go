@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -190,8 +191,8 @@ func TestSummaryUnused(t *testing.T) {
 // TestTable5VerdictsAgree renders Table 5 from synthetic p-values
 // either side of alpha through both renderers: the markdown verdict
 // for a metric must follow from the text report's KS and CvM verdicts
-// by the one rule — consistent when both tests are, and "ok" when
-// that agrees with the paper (duration inconsistent, the others
+// by the one rule — consistent when both tests are, and ✔ when that
+// agrees with the paper (duration inconsistent, the others
 // consistent).
 func TestTable5VerdictsAgree(t *testing.T) {
 	ps := []float64{0.005, 0.03, 0.2}
@@ -216,39 +217,57 @@ func TestTable5VerdictsAgree(t *testing.T) {
 			}
 			for i, metric := range []string{"failures/link", "duration", "downtime"} {
 				consistent := v[i][1] == "consistent" && v[i+3][1] == "consistent"
-				want := boolVerdict(consistent != (metric == "duration"))
-				if !strings.Contains(md.String(), "| "+metric+" | "+f3(ks)+" | "+f3(cvm)+" | "+want+" |") {
-					t.Errorf("KS p=%v, CvM p=%v: the text report reads %s/%s for %s, the markdown verdict is not %q",
-						ks, cvm, v[i][1], v[i+3][1], metric, want)
+				want := Fails
+				if consistent != (metric == "duration") {
+					want = Holds
+				}
+				line := regexp.MustCompile(`(?m)^\| ` + metric + `, smaller KS/CvM p \| ([0-9.]+) \| [^|]+ \| (\S+) \|$`).FindStringSubmatch(md.String())
+				if line == nil || line[2] != want {
+					t.Errorf("KS p=%v, CvM p=%v: the text report reads %s/%s for %s, the markdown row is %q, want verdict %s",
+						ks, cvm, v[i][1], v[i+3][1], metric, line, want)
 				}
 			}
 		}
 	}
 }
 
+// TestMarkdownSmoke holds each rule kind's band edges. The renderer
+// itself is covered by TestTable5VerdictsAgree, the CLI and the golden
+// docs.
 func TestMarkdownSmoke(t *testing.T) {
-	// The verdict helpers' banding; the renderer itself is covered by
-	// TestTable5VerdictsAgree, the CLI and the golden docs.
 	cases := []struct {
+		rule Rule
 		m, p float64
 		want string
 	}{
-		{0.82, 0.82, "ok"},
-		{0.60, 0.82, "partial"},
-		{0.10, 0.82, "off"},
+		{Frac, 0.82, 0.82, Holds},
+		{Frac, 0.72, 0.82, Holds},
+		{Frac, 0.71, 0.82, Partly},
+		{Frac, 1.01, 0.82, Partly},
+		{Frac, 0.61, 0.82, Fails},
+		{Frac, math.NaN(), 0.82, Fails},
+		{Ratio, 100, 100, Holds},
+		{Ratio, 150, 100, Holds},
+		{Ratio, 100, 150, Holds},
+		{Ratio, 151, 100, Partly},
+		{Ratio, 100, 300, Partly},
+		{Ratio, 301, 100, Fails},
+		{Ratio, 100, 10000, Fails},
+		{Ratio, 0, 100, Fails},
+		{Ratio, 0, 0, Holds},
+		{Ratio, 5, 0, Fails},
+		{Below, 0.49, 0.5, Holds},
+		{Below, 0.5, 0.5, Fails},
+		{Above, 1, 0, Holds},
+		{Above, 0, 0, Fails},
+		{Consistent, 0.2, 1, Holds},
+		{Consistent, alpha, 1, Fails},
+		{Consistent, 0.005, 0, Holds},
+		{Consistent, 0.2, 0, Fails},
 	}
 	for _, c := range cases {
-		if got := fracVerdict(c.m, c.p); got != c.want {
-			t.Errorf("fracVerdict(%v, %v) = %q, want %q", c.m, c.p, got, c.want)
+		if got := c.rule.Verdict(c.m, c.p); got != c.want {
+			t.Errorf("rule %d: Verdict(%v, %v) = %s, want %s", c.rule, c.m, c.p, got, c.want)
 		}
-	}
-	if countVerdict(100, 100) != "ok" || countVerdict(100, 250) != "partial" || countVerdict(100, 10000) != "off" {
-		t.Error("countVerdict bands wrong")
-	}
-	if countVerdict(0, 0) != "ok" || countVerdict(5, 0) != "off" {
-		t.Error("countVerdict zero handling wrong")
-	}
-	if boolVerdict(true) != "ok" || boolVerdict(false) != "off" {
-		t.Error("boolVerdict wrong")
 	}
 }

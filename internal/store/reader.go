@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"netfail/internal/capture"
+	"netfail/internal/frame"
 	"netfail/internal/salvage"
 	"netfail/internal/topo"
 )
@@ -216,11 +217,13 @@ var errStopScan = errors.New("store: stop scan")
 func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry, q *Query, slackMs int64, fn func(tsMs int64, rec []byte) error) error {
 	path := filepath.Join(s.dir, name)
 	var e capture.IndexEntry // zero: from the first record
+	var span int64           // zero: the bulk window
 	toMs := q.to.UnixMilli()
 	if q.window {
 		e, _ = capture.Locate(idx, q.seekMs(slackMs))
+		span = scanSpan(path, idx, e, toMs)
 	}
-	sr, err := capture.OpenSegmentAt(path, e, 0, s.lenient)
+	sr, err := capture.OpenSegmentAt(path, e, span, s.lenient)
 	if err != nil {
 		return err
 	}
@@ -251,6 +254,25 @@ func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry,
 			return ferr
 		}
 	}
+}
+
+// scanSpan is what a window scan from index entry e reads, when that
+// is less than the bulk window, and otherwise zero, the bulk window:
+// the bytes through the stride of the first entry stamped after toMs,
+// whose first record stops the scan if none before it does, or to the
+// end of the segment. Ending at that entry instead would cost a second
+// read of a whole span for the one record that stops the scan.
+func scanSpan(path string, idx []capture.IndexEntry, e capture.IndexEntry, toMs int64) int64 {
+	end := int64(-1)
+	if j := sort.Search(len(idx), func(j int) bool { return idx[j].TsMs > toMs }); j+1 < len(idx) {
+		end = idx[j+1].Offset
+	} else if fi, err := os.Stat(path); err == nil {
+		end = fi.Size()
+	}
+	if span := end - e.Offset; span > 0 && span < frame.Window {
+		return span
+	}
+	return 0
 }
 
 // hop returns the latest index entry at or before the target record

@@ -42,6 +42,7 @@ type Writer struct {
 	msgPost  map[uint32][]uint32
 	msgMaxMs int64
 	rec      []byte // reused record-encode buffer
+	err      error  // sticky: the first message the store refused
 
 	analysisDone bool
 }
@@ -78,11 +79,16 @@ func (w *Writer) StartMessageSegment() error {
 
 // AppendMessage frames one raw syslog line into the current message
 // segment (starting segment 0 implicitly if none is open), interning
-// the host into the catalog and posting the record under it.
+// the host into the catalog and posting the record under it. The first
+// error is sticky: every later append and Finish return it, so a store
+// that refused a message is never finished.
 func (w *Writer) AppendMessage(tsMs int64, host string, line []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.msg == nil {
-		if err := w.StartMessageSegment(); err != nil {
-			return err
+		if w.err = w.StartMessageSegment(); w.err != nil {
+			return w.err
 		}
 	}
 	h, ok := w.hostIdx[host]
@@ -93,8 +99,8 @@ func (w *Writer) AppendMessage(tsMs int64, host string, line []byte) error {
 	}
 	ord := uint32(w.msg.Records())
 	w.rec = appendMessageRecord(w.rec[:0], h, line)
-	if err := w.msg.Append(tsMs, w.rec); err != nil {
-		return err
+	if w.err = w.msg.Append(tsMs, w.rec); w.err != nil {
+		return w.err
 	}
 	w.msgPost[h] = append(w.msgPost[h], ord)
 	return nil
@@ -319,8 +325,11 @@ func mergeRuns[T any](runs [][]T, cmp func(a, b T) int, emit func(i int, r *T) e
 }
 
 // Finish closes any open message segment and writes the manifest.
-// WriteAnalysis must have been called.
+// WriteAnalysis must have been called, and no append may have failed.
 func (w *Writer) Finish() error {
+	if w.err != nil {
+		return w.err
+	}
 	if !w.analysisDone {
 		return fmt.Errorf("store: Finish before WriteAnalysis")
 	}

@@ -7,7 +7,10 @@
 # pushing:
 #
 #   ./scripts/verify.sh          # everything
-#   ./scripts/verify.sh -short   # stop after the plain test run (quick iteration)
+#   ./scripts/verify.sh -short   # stop after the plain test run, itself
+#                                # go test -short: the ten-seed panel
+#                                # (TestExperimentsGolden) and the other
+#                                # long tests skip (quick iteration)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,8 +35,13 @@ fi
 echo "==> netfail-lint ./... (analyzers)"
 go run ./cmd/netfail-lint ./...
 
-echo "==> go test ./..."
-go test ./...
+if [ "$short" = 1 ]; then
+    echo "==> go test -short ./..."
+    go test -short ./...
+else
+    echo "==> go test ./..."
+    go test ./...
+fi
 
 if [ "$short" = 0 ]; then
     echo "==> benchmarks, each run once (go test -bench . -benchtime 1x)"
