@@ -261,39 +261,3 @@ func refEgregiousIsolations(a *Analysis, limit int) []EgregiousMatch {
 	}
 	return out
 }
-
-// mergeLinkStreamReference is the original map-grouped syslog merge,
-// kept verbatim as the oracle for merge_equivalence_test.go: group per
-// link preserving time order, absorb same-direction duplicates within
-// the window, concatenate in sorted link order, and sort.
-func mergeLinkStreamReference(msgs []trace.Transition, mergeWindow time.Duration) []trace.Transition {
-	grouped := trace.ByLink(msgs)
-	links := make([]topo.LinkID, 0, len(grouped))
-	for l := range grouped {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-
-	out := make([]trace.Transition, 0, len(msgs))
-	for _, l := range links {
-		out = append(out, mergeOneLink(grouped[l], mergeWindow)...)
-	}
-	trace.SortTransitions(out)
-	return out
-}
-
-// mergeOneLink collapses one link's time-sorted message stream.
-func mergeOneLink(seq []trace.Transition, mergeWindow time.Duration) []trace.Transition {
-	var out []trace.Transition
-	var lastDir trace.Direction
-	var lastEmit time.Time
-	seen := false
-	for _, m := range seq {
-		if seen && m.Dir == lastDir && m.Time.Sub(lastEmit) <= mergeWindow {
-			continue // counterpart router's duplicate
-		}
-		out = append(out, m)
-		lastDir, lastEmit, seen = m.Dir, m.Time, true
-	}
-	return out
-}

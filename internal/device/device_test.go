@@ -134,8 +134,8 @@ func TestAdjMessageNamesPeerAndPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := syslog.ParseLinkEvent(m)
-	if err != nil {
+	var ev syslog.LinkEvent
+	if err := syslog.ParseLinkEventInto(m, &ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Router != "cpe-1" || ev.Neighbor != "core-a" || ev.Interface != "Gi0/0/0" || ev.Up {
@@ -152,12 +152,11 @@ func TestLinkMessages(t *testing.T) {
 	link := n.Links[0].ID
 	ts := time.Date(2011, 3, 1, 2, 3, 4, 0, time.UTC)
 	msgs := d.Interface(link).LinkMessages(ts, false)
-	ev0, err := syslog.ParseLinkEvent(msgs[0])
-	if err != nil {
+	var ev0, ev1 syslog.LinkEvent
+	if err := syslog.ParseLinkEventInto(msgs[0], &ev0); err != nil {
 		t.Fatal(err)
 	}
-	ev1, err := syslog.ParseLinkEvent(msgs[1])
-	if err != nil {
+	if err := syslog.ParseLinkEventInto(msgs[1], &ev1); err != nil {
 		t.Fatal(err)
 	}
 	if ev0.Type != syslog.EventLink || ev1.Type != syslog.EventLineProto {

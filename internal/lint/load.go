@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,8 +63,25 @@ type listedPackage struct {
 // files, and a TestScope package for its external tests (package
 // foo_test), so analyzers can opt into test files via IncludeTests.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, "", patterns)
+}
+
+// load is Load under a go -overlay file, if any: packages compile, and
+// files parse, with its replacements; the tree is not read for them.
+func load(dir, overlay string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
+	}
+	var ov struct{ Replace map[string]string }
+	if overlay != "" {
+		data, err := os.ReadFile(overlay)
+		if err == nil {
+			err = json.Unmarshal(data, &ov)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lint: overlay: %w", err)
+		}
+		patterns = append([]string{"-overlay=" + overlay}, patterns...)
 	}
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -86,14 +104,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		base, err := check(fset, newImporter(fset, exports, ""), p, p.ImportPath, p.GoFiles, false)
+		base, err := check(fset, newImporter(fset, exports, ""), p, p.ImportPath, p.GoFiles, false, ov.Replace)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, base)
 		if len(p.TestGoFiles) > 0 {
 			aug, err := check(fset, newImporter(fset, exports, ""), p, p.ImportPath,
-				append(append([]string(nil), p.GoFiles...), p.TestGoFiles...), true)
+				append(append([]string(nil), p.GoFiles...), p.TestGoFiles...), true, ov.Replace)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +122,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			// files add to the package under test, so imports of that
 			// package must resolve to its test-augmented export data.
 			xImp := newImporter(fset, exports, p.ImportPath)
-			xt, err := check(fset, xImp, p, p.ImportPath+"_test", p.XTestGoFiles, true)
+			xt, err := check(fset, xImp, p, p.ImportPath+"_test", p.XTestGoFiles, true, ov.Replace)
 			if err != nil {
 				return nil, err
 			}
@@ -172,10 +190,11 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return listed, nil
 }
 
-func check(fset *token.FileSet, imp types.Importer, p listedPackage, importPath string, names []string, testScope bool) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, p listedPackage, importPath string, names []string, testScope bool, replace map[string]string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range names {
-		file, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		path := filepath.Join(p.Dir, name)
+		file, err := parser.ParseFile(fset, cmp.Or(replace[path], path), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}

@@ -61,8 +61,8 @@ func TestInBandSyslogBiasesAgainstCPEDowns(t *testing.T) {
 	// after connectivity returns.
 	var cpeDown, cpeUp int
 	for _, m := range with.Syslog {
-		ev, err := syslog.ParseLinkEvent(m)
-		if err != nil || ev.Type != syslog.EventISISAdj {
+		var ev syslog.LinkEvent
+		if err := syslog.ParseLinkEventInto(m, &ev); err != nil || ev.Type != syslog.EventISISAdj {
 			continue
 		}
 		r, ok := with.Network.Routers[ev.Router]

@@ -110,9 +110,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) {
 	s.heap.push(s.now+int64(max(d, 0)), fn)
 }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return s.heap.len() }
-
 // Run executes events in order until the queue empties or the clock
 // passes end; events scheduled at or before end by running events are
 // also executed. It returns the number of events executed.

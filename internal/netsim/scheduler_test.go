@@ -64,8 +64,8 @@ func TestSchedulerStopsAtEnd(t *testing.T) {
 	if ran {
 		t.Error("event beyond end executed")
 	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d", s.Pending())
+	if s.heap.len() != 1 {
+		t.Errorf("pending = %d", s.heap.len())
 	}
 	if !s.Now().Equal(start.Add(time.Minute)) {
 		t.Errorf("now = %v", s.Now())

@@ -57,7 +57,7 @@ func TestCampaignSyslogWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("message %q does not parse: %v", m.Render(), err)
 		}
-		if _, err := syslog.ParseLinkEvent(parsed); err == nil {
+		if err := syslog.ParseLinkEventInto(parsed, new(syslog.LinkEvent)); err == nil {
 			linkEvents++
 		}
 	}

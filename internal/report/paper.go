@@ -3,7 +3,9 @@ package report
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"time"
 
 	"netfail/internal/core"
 	"netfail/internal/match"
@@ -76,13 +78,13 @@ func RenderTable4(w io.Writer, t4 core.Table4) error {
 		return paperNum("t4.isis-"+what) + " / " + paperNum("t4.syslog-"+what) + " / " + paperNum("t4.overlap-"+what)
 	}
 	t.AddRow("Failure Count", Num(t4.ISISFailures), Num(t4.SyslogFailures), Num(t4.OverlapFailures), p("failures"))
-	t.AddRow("Downtime (Hours)", F0(t4.ISISDowntime.Hours()), F0(t4.SyslogDowntime.Hours()), F0(t4.OverlapDowntime.Hours()), p("downtime"))
+	t.AddRow("Downtime (Hours)", hours(t4.ISISDowntime), hours(t4.SyslogDowntime), hours(t4.OverlapDowntime), p("downtime"))
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "Syslog false positives: %s (%s of syslog failures; paper ~%s)\nLong-failure verification removed %s of spurious downtime across %d failures\n",
+	_, err := fmt.Fprintf(w, "Syslog false positives: %s (%s of syslog failures; paper ~%s)\nLong-failure verification removed %.0f h of spurious downtime across %d failures\n",
 		Num(t4.FalsePositives), Pct(t4.FalsePositiveFraction), Pct(paper("t4.fp-share")),
-		F0(t4.SyslogSanitize.LongRemovedTime.Hours())+" h", t4.SyslogSanitize.LongRemoved)
+		t4.SyslogSanitize.LongRemovedTime.Hours(), t4.SyslogSanitize.LongRemoved)
 	return err
 }
 
@@ -290,12 +292,16 @@ func RenderKnee(w io.Writer, pts []match.WindowPoint) error {
 	return t.Render(w)
 }
 
+// hours prints a downtime in whole hours with thousands separators,
+// as the scorecard's Hours unit does.
+func hours(d time.Duration) string { return Num(int(math.Round(d.Hours()))) }
+
 // RenderPolicies prints the ambiguity-policy ablation.
 func RenderPolicies(w io.Writer, rows []core.DowntimePolicy) error {
 	t := NewTable("Ambiguity-policy ablation (§4.3; paper recommends hold-previous)",
 		"Policy", "Syslog downtime (h)", "|error| vs IS-IS (h)")
 	for _, r := range rows {
-		t.AddRow(r.Policy.String(), F0(r.SyslogDowntime.Hours()), F0(r.AbsError.Hours()))
+		t.AddRow(r.Policy.String(), hours(r.SyslogDowntime), hours(r.AbsError))
 	}
 	return t.Render(w)
 }

@@ -97,6 +97,3 @@ func appendNum(b []byte, n int) []byte {
 
 // F1 formats a float with one decimal.
 func F1(f float64) string { return fmt.Sprintf("%.1f", f) }
-
-// F0 formats a float with no decimals.
-func F0(f float64) string { return fmt.Sprintf("%.0f", f) }

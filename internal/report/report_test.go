@@ -166,6 +166,16 @@ func TestRenderFigure1Grid(t *testing.T) {
 	}
 }
 
+// TestMergeGridMatchesReference held mergeGrid and cdfAt to the
+// quadratic grid they replaced. That copy is retired: each row of the
+// mutation table it caught (internal/lint/mutation_test.go, R1–R3)
+// fails the text report's golden (TestSeed1ReportGolden), and R2 also
+// the grid test this calls.
+func TestMergeGridMatchesReference(t *testing.T) {
+	TestRenderFigure1Grid(t)
+	TestMergeGridDownsamples(t)
+}
+
 func TestMergeGridDownsamples(t *testing.T) {
 	xs := make([]float64, 1000)
 	for i := range xs {

@@ -26,6 +26,6 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("re-rendered message does not parse: %v (from %q)", err, line)
 		}
 		// Link-event extraction must not panic either.
-		_, _ = ParseLinkEvent(m)
+		_ = ParseLinkEventInto(m, new(LinkEvent))
 	})
 }

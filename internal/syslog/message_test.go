@@ -28,9 +28,9 @@ func TestAdjChangeRenderParseRoundTrip(t *testing.T) {
 		if !m.Timestamp.Equal(orig.Timestamp) {
 			t.Errorf("timestamp = %v, want %v", m.Timestamp, orig.Timestamp)
 		}
-		ev, err := ParseLinkEvent(m)
-		if err != nil {
-			t.Fatalf("ParseLinkEvent: %v", err)
+		var ev LinkEvent
+		if err := ParseLinkEventInto(m, &ev); err != nil {
+			t.Fatalf("ParseLinkEventInto: %v", err)
 		}
 		if ev.Type != EventISISAdj || ev.Up || ev.Neighbor != "cpe-001" ||
 			ev.Interface != "TenGigE0/1/0/3" || ev.Reason != "hold time expired" {
@@ -45,8 +45,8 @@ func TestLinkUpDownRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ParseLinkEvent(m)
-	if err != nil {
+	var ev LinkEvent
+	if err := ParseLinkEventInto(m, &ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Type != EventLink || !ev.Up || ev.Interface != "GigabitEthernet0/0/1" {
@@ -60,8 +60,8 @@ func TestLineProtoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ParseLinkEvent(m)
-	if err != nil {
+	var ev LinkEvent
+	if err := ParseLinkEventInto(m, &ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Type != EventLineProto || ev.Up {
@@ -112,7 +112,7 @@ func TestParseMalformed(t *testing.T) {
 
 func TestParseLinkEventRejectsOthers(t *testing.T) {
 	m := &Message{Mnemonic: "SYS-5-CONFIG_I", Text: "Configured from console"}
-	if _, err := ParseLinkEvent(m); !errors.Is(err, ErrNotLink) {
+	if err := ParseLinkEventInto(m, new(LinkEvent)); !errors.Is(err, ErrNotLink) {
 		t.Errorf("err = %v, want ErrNotLink", err)
 	}
 }
@@ -125,8 +125,8 @@ func TestParseAdjTextMalformed(t *testing.T) {
 		"nonsense",
 	} {
 		m := &Message{Mnemonic: "ROUTING-ISIS-4-ADJCHANGE", Text: text}
-		if _, err := ParseLinkEvent(m); err == nil {
-			t.Errorf("ParseLinkEvent(%q) succeeded", text)
+		if err := ParseLinkEventInto(m, new(LinkEvent)); err == nil {
+			t.Errorf("ParseLinkEventInto(%q) succeeded", text)
 		}
 	}
 }
@@ -150,8 +150,8 @@ func TestInterfaceNamesWithSpacesInDescription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ParseLinkEvent(m)
-	if err != nil {
+	var ev LinkEvent
+	if err := ParseLinkEventInto(m, &ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Neighbor != "svl-core-02.cenic.net" || ev.Interface != "TenGigE0/1/0/3.100" {

@@ -146,19 +146,10 @@ func absDuration(d time.Duration) time.Duration {
 	return d
 }
 
-// ParseLinkEvent extracts the structured link event from a message,
-// returning ErrNotLink for mnemonics outside the three families the
-// analysis consumes.
-func ParseLinkEvent(m *Message) (*LinkEvent, error) {
-	ev := new(LinkEvent)
-	if err := ParseLinkEventInto(m, ev); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// ParseLinkEventInto is ParseLinkEvent into a caller-owned LinkEvent,
-// for loops that reuse one event across a capture. The string fields
+// ParseLinkEventInto extracts the structured link event from a
+// message into a caller-owned LinkEvent, returning ErrNotLink for
+// mnemonics outside the three families the analysis consumes; loops
+// reuse one event across a capture. The string fields
 // are substrings of the message's fields, so a successful extraction
 // performs zero allocations. On error ev is partially overwritten and
 // must not be used.

@@ -95,8 +95,8 @@ func TestFabricScalesToTenThousandLinks(t *testing.T) {
 	if l, ok := merged.LinkByID(probe.ID); !ok || l != probe {
 		t.Fatalf("merged LinkByID(%s) = %v, %v", probe.ID, l, ok)
 	}
-	if _, ok := merged.LinkBySubnet(probe.Subnet); !ok {
-		t.Fatal("merged LinkBySubnet failed")
+	if _, ok := merged.bySubnet[probe.Subnet]; !ok {
+		t.Fatal("merged network misses a subnet")
 	}
 	r := domains[0].Net.Routers[domains[0].Net.RouterNames[0]]
 	if got, ok := merged.RouterByID(r.SystemID); !ok || got != r {

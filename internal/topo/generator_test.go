@@ -131,8 +131,8 @@ func TestGenerateLookupIndexes(t *testing.T) {
 		if got, ok := n.LinkByID(l.ID); !ok || got != l {
 			t.Errorf("LinkByID(%s) failed", l.ID)
 		}
-		if got, ok := n.LinkBySubnet(l.Subnet); !ok || got != l {
-			t.Errorf("LinkBySubnet(%s) failed", FormatIPv4(l.Subnet))
+		if got, ok := n.bySubnet[l.Subnet]; !ok || got != l {
+			t.Errorf("subnet %s resolves to no link or another", FormatIPv4(l.Subnet))
 		}
 	}
 	for name, r := range n.Routers {

@@ -140,13 +140,6 @@ func (n *Network) LinksByAdjacency(key AdjacencyKey) []*Link {
 	return n.byAdjacency[key]
 }
 
-// LinkBySubnet resolves a /31 network address to its link, the mapping
-// used when inferring link state from Extended IP Reachability.
-func (n *Network) LinkBySubnet(subnet uint32) (*Link, bool) {
-	l, ok := n.bySubnet[subnet]
-	return l, ok
-}
-
 // MultiLinkAdjacencies returns the adjacency keys carried by more than
 // one physical link. Links under these keys are excluded from the
 // IS-reachability analysis because their adjacency state is a function

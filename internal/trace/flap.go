@@ -95,7 +95,3 @@ func (idx *FlapIndex) InFlap(link topo.LinkID, t time.Time) bool {
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].End.After(t) })
 	return i < len(spans) && spans[i].Contains(t)
 }
-
-// FlapLinkCount returns the number of links with at least one
-// flapping episode.
-func (idx *FlapIndex) FlapLinkCount() int { return len(idx.spans) }

@@ -59,8 +59,8 @@ func TestFlapIndex(t *testing.T) {
 		fl(linkB, 1000, 1010), // singleton on linkB
 	}
 	idx := NewFlapIndex(failures, gap)
-	if idx.FlapLinkCount() != 1 {
-		t.Errorf("flap links = %d, want 1", idx.FlapLinkCount())
+	if len(idx.spans) != 1 {
+		t.Errorf("flap links = %d, want 1", len(idx.spans))
 	}
 	// Inside the episode.
 	if !idx.InFlap(linkA, at(1035)) {
