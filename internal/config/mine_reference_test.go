@@ -15,9 +15,10 @@ import (
 // the oracle for the differential tests below: the mined result must
 // not move on any archive the simulator writes, and the interface-line
 // parser may only reject what the reference took, never read it
-// differently. The spellings now rejected are a sign, embedded spaces
-// and trailing bytes in an address or a metric, and leading zeros in
-// an address octet.
+// differently. It reads addresses with topo.ParseIPv4, which topo's
+// own tests hold to the one spelling topo.FormatIPv4 writes; the
+// spellings now rejected are a sign, embedded spaces and trailing
+// bytes in a metric.
 
 func refMine(a *Archive) (*Mined, error) {
 	m := &Mined{Routers: make(map[string]*MinedRouter)}
@@ -129,7 +130,7 @@ func refParseConfig(text string) (*MinedRouter, error) {
 			if strings.HasPrefix(trimmed, "ip address ") {
 				fields := strings.Fields(trimmed)
 				if len(fields) >= 3 {
-					addr, err := refParseIPv4(fields[2])
+					addr, err := topo.ParseIPv4(fields[2])
 					if err != nil {
 						return nil, err
 					}
@@ -168,11 +169,11 @@ func refParseInterfaceLine(ifc *MinedInterface, line string) error {
 		if len(fields) < 4 {
 			return fmt.Errorf("config: bad ip address line %q", line)
 		}
-		addr, err := refParseIPv4(fields[2])
+		addr, err := topo.ParseIPv4(fields[2])
 		if err != nil {
 			return err
 		}
-		mask, err := refParseIPv4(fields[3])
+		mask, err := topo.ParseIPv4(fields[3])
 		if err != nil {
 			return err
 		}
@@ -188,21 +189,6 @@ func refParseInterfaceLine(ifc *MinedInterface, line string) error {
 		}
 	}
 	return nil
-}
-
-func refParseIPv4(s string) (uint32, error) {
-	var b [4]int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &b[0], &b[1], &b[2], &b[3]); err != nil {
-		return 0, fmt.Errorf("topo: bad IPv4 address %q", s)
-	}
-	var v uint32
-	for _, o := range b {
-		if o < 0 || o > 255 {
-			return 0, fmt.Errorf("topo: bad IPv4 address %q", s)
-		}
-		v = v<<8 | uint32(o)
-	}
-	return v, nil
 }
 
 // referenceArchives builds the archives the simulator writes for

@@ -7,7 +7,6 @@
 package device
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -195,14 +194,4 @@ func (i *Interface) LinkMessages(ts time.Time, up bool) [2]*syslog.Message {
 		syslog.LinkUpDown(d.Info.Name, d.logSeq-1, ts, i.port, up),
 		syslog.LineProtoUpDown(d.Info.Name, d.logSeq, ts.Add(50*time.Millisecond), i.port, up),
 	}
-}
-
-// AdjMessage is Interface.AdjMessage for the router's interface on
-// link; a link the router does not terminate is an error.
-func (d *Router) AdjMessage(ts time.Time, link topo.LinkID, up bool, reason string) (*syslog.Message, error) {
-	i := d.Interface(link)
-	if i == nil {
-		return nil, fmt.Errorf("device: %s has no interface on link %s", d.Info.Name, link)
-	}
-	return i.AdjMessage(ts, up, reason), nil
 }

@@ -130,10 +130,7 @@ func TestAdjMessageNamesPeerAndPort(t *testing.T) {
 	d := New(n, n.Routers["cpe-1"], syslog.DialectIOS)
 	link := n.Links[1].ID
 	ts := time.Date(2011, 3, 1, 2, 3, 4, 0, time.UTC)
-	m, err := d.AdjMessage(ts, link, false, "hold time expired")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := d.Interface(link).AdjMessage(ts, false, "hold time expired")
 	var ev syslog.LinkEvent
 	if err := syslog.ParseLinkEventInto(m, &ev); err != nil {
 		t.Fatal(err)
@@ -170,14 +167,14 @@ func TestLinkMessages(t *testing.T) {
 func TestAdjMessageUnknownLink(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
-	if _, err := d.AdjMessage(time.Now(), topo.LinkID("bogus"), true, "x"); err == nil {
-		t.Error("expected error for unknown link")
+	if d.Interface(topo.LinkID("bogus")) != nil {
+		t.Error("an unknown link has an interface")
 	}
 	// A real link this router does not terminate.
-	other := n.Links[1] // core-a actually terminates links[1] too; build one it doesn't
+	other := n.Links[1]
 	dB := New(n, n.Routers["core-b"], syslog.DialectIOSXR)
-	if _, err := dB.AdjMessage(time.Now(), other.ID, true, "x"); err == nil {
-		t.Error("expected error for foreign link")
+	if dB.Interface(other.ID) != nil {
+		t.Error("a foreign link has an interface")
 	}
 }
 

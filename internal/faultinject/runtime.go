@@ -1,16 +1,14 @@
 // Runtime faults: the corruptor in faultinject.go damages captures at
 // rest; the helpers here damage a *running* daemon deterministically.
 // They are the chaos vocabulary the serving path (internal/serve,
-// cmd/netfail-serve) is tested against: a reader that stalls
-// mid-record, a checkpoint write torn partway through, a source that
-// flaps in storms, and a seeded choice of where to hard-kill the
-// process mid-ingest. Everything is driven by explicit seeds or
-// explicit release signals, so a chaos run replays bit-for-bit.
+// cmd/netfail-serve) is tested against: a checkpoint write torn
+// partway through, and a seeded choice of where to hard-kill the
+// process mid-ingest. Everything is driven by explicit seeds, so a
+// chaos run replays bit-for-bit.
 package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 )
@@ -67,68 +65,6 @@ func (t *tornWriter) Write(p []byte) (int, error) {
 	}
 	return n, ErrTorn
 }
-
-// StallReader wraps r to block at byte offset stallAt until release
-// is closed — the stalled-reader fault: a source that stops mid-record
-// without erroring, the shape that hangs a daemon with no deadline
-// discipline. After release it reads through transparently.
-func StallReader(r io.Reader, stallAt int, release <-chan struct{}) io.Reader {
-	return &stallReader{r: r, left: stallAt, release: release}
-}
-
-type stallReader struct {
-	r       io.Reader
-	left    int // bytes until the stall; <0 once released
-	release <-chan struct{}
-}
-
-func (s *stallReader) Read(p []byte) (int, error) {
-	if s.left >= 0 {
-		if s.left == 0 {
-			<-s.release
-			s.left = -1
-		} else {
-			if len(p) > s.left {
-				p = p[:s.left]
-			}
-			n, err := s.r.Read(p)
-			s.left -= n
-			return n, err
-		}
-	}
-	return s.r.Read(p)
-}
-
-// A Flapper injects failures into a source's record loop at a seeded
-// rate — the flap-storm fault that drives a supervisor's
-// degraded/down state machine and its restart backoff. Each Tick is
-// one record boundary; a non-nil result is the injected failure the
-// source must surface.
-type Flapper struct {
-	rng   *rand.Rand
-	rate  float64
-	ticks int
-	flaps int
-}
-
-// NewFlapper seeds a flapper that fails roughly rate of its ticks.
-func NewFlapper(seed int64, rate float64) *Flapper {
-	return &Flapper{rng: rand.New(rand.NewSource(seed)), rate: rate}
-}
-
-// Tick advances one record boundary, returning the injected failure
-// or nil.
-func (f *Flapper) Tick() error {
-	f.ticks++
-	if f.rng.Float64() < f.rate {
-		f.flaps++
-		return fmt.Errorf("faultinject: injected flap %d at tick %d", f.flaps, f.ticks)
-	}
-	return nil
-}
-
-// Flaps returns how many failures have been injected so far.
-func (f *Flapper) Flaps() int { return f.flaps }
 
 // ByteFault records one corruption at a byte offset of a binary
 // stream (the binary analogue of Fault, which is line-oriented).

@@ -3,8 +3,6 @@ package faultinject
 import (
 	"bytes"
 	"errors"
-	"io"
-	"strings"
 	"testing"
 )
 
@@ -24,80 +22,6 @@ func TestTornWriterCutsAtExactOffset(t *testing.T) {
 	}
 	if n, err := w.Write([]byte("x")); n != 0 || !errors.Is(err, ErrTorn) {
 		t.Errorf("post-tear write: n=%d err=%v, want 0, ErrTorn", n, err)
-	}
-}
-
-func TestStallReaderBlocksUntilReleased(t *testing.T) {
-	release := make(chan struct{})
-	r := StallReader(strings.NewReader("hello world"), 5, release)
-
-	// The pre-stall bytes must read through normally.
-	head := make([]byte, 5)
-	if _, err := io.ReadFull(r, head); err != nil || string(head) != "hello" {
-		t.Fatalf("pre-stall read: %q, %v", head, err)
-	}
-
-	// The next read stalls; run it in a goroutine and observe that it
-	// only completes once release is closed.
-	got := make(chan string, 1)
-	go func() {
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			got <- "error: " + err.Error()
-			return
-		}
-		got <- string(rest)
-	}()
-	select {
-	case s := <-got:
-		t.Fatalf("read completed before release: %q", s)
-	default:
-	}
-	close(release)
-	if s := <-got; s != " world" {
-		t.Errorf("post-release read = %q, want %q", s, " world")
-	}
-}
-
-func TestFlapperIsSeeded(t *testing.T) {
-	run := func(seed int64) []int {
-		f := NewFlapper(seed, 0.3)
-		var flapsAt []int
-		for i := 1; i <= 100; i++ {
-			if f.Tick() != nil {
-				flapsAt = append(flapsAt, i)
-			}
-		}
-		return flapsAt
-	}
-	a, b := run(7), run(7)
-	if len(a) == 0 {
-		t.Fatal("rate 0.3 over 100 ticks injected nothing")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different flap counts: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different flap ticks: %v vs %v", a, b)
-		}
-	}
-	if c := run(8); len(c) == len(a) && func() bool {
-		for i := range a {
-			if a[i] != c[i] {
-				return false
-			}
-		}
-		return true
-	}() {
-		t.Error("different seeds produced an identical flap storm")
-	}
-	f := NewFlapper(7, 0.3)
-	for i := 0; i < 100; i++ {
-		f.Tick()
-	}
-	if f.Flaps() != len(a) {
-		t.Errorf("Flaps() = %d, want %d", f.Flaps(), len(a))
 	}
 }
 

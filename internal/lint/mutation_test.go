@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,13 +43,13 @@ type mutation struct {
 	pkgs         []string // go test patterns, relative to the module root
 }
 
-// The rows. D–L are the static-analysis matrix's (durations, contexts,
-// goroutines, time, errors, locks); P the differential table's
-// properties; S the simulator's loss mechanism; X the store's
-// postings; M, R, N, I, O and W the fast paths the retired reference
-// copies checked (merge, report grid, listener, IPv4, LSP origination,
-// LSP encoding); B the bootstrap's, which its reference copy still
-// checks.
+// The rows. D, C, G, T, E and L are the static-analysis matrix's
+// (durations, contexts, goroutines, time, errors, locks); Q the
+// daemon's drain deadline; P the differential table's properties; S
+// the simulator's loss mechanism; X the store's postings; M, R, N, I,
+// O and W the fast paths the retired reference copies checked (merge,
+// report grid, listener, IPv4, LSP origination, LSP encoding); B the
+// bootstrap's, which its reference copy still checks.
 var mutations = []mutation{
 	{id: "D1", what: "`DefaultWindow` declared `time.Duration = 10`", pkgs: []string{"./internal/core", "./internal/match"},
 		file: "internal/match/match.go", anchor: "const DefaultWindow = 10 * time.Second", repl: "const DefaultWindow time.Duration = 10"},
@@ -78,8 +79,10 @@ var mutations = []mutation{
 		file: "cmd/netfail-serve/main.go", anchor: "rec := serve.Record{Time: s.clk.Now(),", repl: "rec := serve.Record{Time: time.Now(),"},
 	{id: "E1", what: "`Driver.LSP` calls `d.lis.Process` as a bare statement", pkgs: []string{"."},
 		file: "driver.go", anchor: "err := d.lis.Process(t, data)", repl: "var err error\n\td.lis.Process(t, data)"},
-	{id: "E2", what: "`examples/routes` calls `l.Process` as a bare statement", pkgs: []string{"./examples/routes"},
-		file: "examples/routes/main.go", anchor: "if err := l.Process(now, wire); err != nil {", repl: "l.Process(now, wire)\n\t\t\tif err != nil {"},
+	{id: "E2", what: "`netfail-sim` drops `syslog.WriteLog`'s error", pkgs: []string{"./cmd/netfail-sim"},
+		file: "cmd/netfail-sim/main.go", anchor: "return syslog.WriteLog(w, camp.Syslog)", repl: "syslog.WriteLog(w, camp.Syslog); return nil"},
+	{id: "Q1", what: "`Supervisor.ingest` applies past the drain deadline", pkgs: []string{"./internal/serve"},
+		file: "internal/serve/supervisor.go", anchor: "\t\t\tif s.abandoned.Load() {\n\t\t\t\tbreak\n\t\t\t}\n", repl: ""},
 	{id: "L1", what: "no lock in `obs.Registry.Snapshot`", race: true, pkgs: []string{"./internal/obs", "./internal/serve"},
 		file: "internal/obs/metrics.go", anchor: "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tout := ", repl: "\tout := "},
 	{id: "L2", what: "no lock in `obs.Tracer.Snapshot`", race: true, pkgs: []string{"./internal/obs", "./internal/serve"},
@@ -458,11 +461,34 @@ func (r *runner) checks(m mutation, overlay string) []string {
 
 // tests runs go test -json (with -race if race, on the tests run
 // selects if not empty) on pkgs and returns the failed tests; no
-// package, no test.
+// package, no test. A panic ends its package's test binary, so the
+// tests after the one that panicked never ran: that package runs again
+// with every test that panicked so far skipped, until a run ends
+// without a panic (see panics), and a test that failed in any run
+// counts.
 func (r *runner) tests(flags, pkgs []string, race bool, run string) map[string]bool {
 	if len(pkgs) == 0 {
 		return map[string]bool{}
 	}
+	failed, panicked := r.testRun(flags, pkgs, race, run, nil)
+	for path, skip := range panicked {
+		for {
+			again, more := r.testRun(flags, []string{pattern(path)}, race, run, skip)
+			maps.Copy(failed, again)
+			fresh := slices.DeleteFunc(more[path], func(name string) bool { return slices.Contains(skip, name) })
+			if len(fresh) == 0 {
+				break
+			}
+			skip = append(skip, fresh...)
+		}
+	}
+	return failed
+}
+
+// testRun is one go test -json run of pkgs, skipping the tests named
+// in skip: its failed tests, and per package (by import path) the
+// tests that panicked.
+func (r *runner) testRun(flags, pkgs []string, race bool, run string, skip []string) (map[string]bool, map[string][]string) {
 	args := append(slices.Clone(flags), "-json", timeout(pkgs))
 	if race {
 		args = append(args, "-race")
@@ -470,8 +496,17 @@ func (r *runner) tests(flags, pkgs []string, race bool, run string) map[string]b
 	if run != "" {
 		args = append(args, "-run", run)
 	}
+	if len(skip) > 0 {
+		args = append(args, "-skip", "^("+strings.Join(skip, "|")+")$")
+	}
 	out, _ := r.goTool("test", args, pkgs...)
 	return failedTests(out)
+}
+
+// pattern is the go test pattern, relative to the module root, of the
+// package at import path ("." for the root package "netfail").
+func pattern(path string) string {
+	return "." + strings.TrimPrefix(path, "netfail")
 }
 
 // confirm re-runs the failed tests of pkgs and forgets those that pass;
@@ -515,22 +550,30 @@ func (r *runner) goTool(verb string, flags []string, args ...string) ([]byte, bo
 
 // failedTests reads go test -json output: the failed top-level tests
 // as "pkg.TestName", and "pkg (package)" for a package that failed
-// with none (a timeout, a crash in TestMain, a build failure).
-func failedTests(out []byte) map[string]bool {
+// with none (a timeout, a crash in TestMain, a build failure); and per
+// package import path, the top-level tests that panicked.
+func failedTests(out []byte) (map[string]bool, map[string][]string) {
 	failed := map[string]bool{}
+	panicked := map[string][]string{}
 	pkgFailed := map[string]bool{}
 	hasTest := map[string]bool{}
 	for _, line := range bytes.Split(out, []byte("\n")) {
-		var ev struct{ Action, Package, ImportPath, Test string }
-		if json.Unmarshal(line, &ev) != nil || ev.Action != "fail" && ev.Action != "build-fail" {
-			continue
-		}
-		pkg := shortPkg(ev.Package + ev.ImportPath)
-		if ev.Test == "" {
-			pkgFailed[pkg] = true
+		var ev struct{ Action, Package, ImportPath, Test, Output string }
+		if json.Unmarshal(line, &ev) != nil {
 			continue
 		}
 		top, _, _ := strings.Cut(ev.Test, "/")
+		if ev.Action == "output" && top != "" && panics(ev.Output) && !slices.Contains(panicked[ev.Package], top) {
+			panicked[ev.Package] = append(panicked[ev.Package], top)
+		}
+		if ev.Action != "fail" && ev.Action != "build-fail" {
+			continue
+		}
+		pkg := shortPkg(ev.Package + ev.ImportPath)
+		if top == "" {
+			pkgFailed[pkg] = true
+			continue
+		}
 		failed[pkg+"."+top] = true
 		hasTest[pkg] = true
 	}
@@ -539,7 +582,14 @@ func failedTests(out []byte) map[string]bool {
 			failed[pkg+" (package)"] = true
 		}
 	}
-	return failed
+	return failed, panicked
+}
+
+// panics reports whether a line of test output starts a panic. A
+// timeout panics too, but a hung package is not run again: each run
+// would cost the whole timeout to find one more hung test.
+func panics(line string) bool {
+	return strings.HasPrefix(line, "panic: ") && !strings.HasPrefix(line, "panic: test timed out")
 }
 
 // shortPkg names a package by its last element ("netfail" for the

@@ -235,7 +235,8 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 
 func TestConcurrentUse(t *testing.T) {
 	// Race-detector coverage: spans, counters, and progress from many
-	// goroutines at once.
+	// goroutines at once. Each shard opens a span per operation, so
+	// unlocked span bookkeeping races many times, not once per shard.
 	tr := NewTracer()
 	reg := NewRegistry()
 	ctx := WithTracer(context.Background(), tr)
@@ -247,10 +248,12 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, shardDone := Stage(sctx, "shard")
+			shardCtx, shardDone := Stage(sctx, "shard")
 			for j := 0; j < 100; j++ {
+				_, op := StartSpan(shardCtx, "op")
 				Add(sctx, "ops", 1)
 				Shard(sctx, j, 100)
+				op.End()
 			}
 			shardDone()
 		}()

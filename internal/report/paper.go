@@ -82,9 +82,9 @@ func RenderTable4(w io.Writer, t4 core.Table4) error {
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "Syslog false positives: %s (%s of syslog failures; paper ~%s)\nLong-failure verification removed %.0f h of spurious downtime across %d failures\n",
+	_, err := fmt.Fprintf(w, "Syslog false positives: %s (%s of syslog failures; paper ~%s)\nLong-failure verification removed %s h of spurious downtime across %d failures\n",
 		Num(t4.FalsePositives), Pct(t4.FalsePositiveFraction), Pct(paper("t4.fp-share")),
-		t4.SyslogSanitize.LongRemovedTime.Hours(), t4.SyslogSanitize.LongRemoved)
+		hours(t4.SyslogSanitize.LongRemovedTime), t4.SyslogSanitize.LongRemoved)
 	return err
 }
 

@@ -414,35 +414,82 @@ func (s *stubbornSource) Run(ctx context.Context, emit func(Record) error) error
 	}
 }
 
-// TestDrainTimeoutBoundsShutdown: a slow handler with a backlog, then
-// a cancel. Run must return within 4× DrainTimeout of the cancel, so
-// the deadline also stops a consumer in the middle of a batch it has
-// taken, and every record the source produced is either ingested
-// (journaled, whether or not it was applied before the deadline) or
-// accounted as shed.
+// drainHandler holds its consumer at the first Apply of each of the
+// first two batches until the queue behind it is full, so the second
+// batch is a full queue too. At the second hold it cancels the run and
+// waits for the drain deadline to discard the queue (shed non-zero).
+// It counts the Apply calls begun after that. Only the source's one
+// consumer calls Apply.
+type drainHandler struct {
+	captureHandler
+	cancel            context.CancelFunc
+	produced          *atomic.Int64
+	ingested, shed    *obs.Counter
+	capacity, batches int
+	lastIngested      int64
+	late              int
+	hung              string
+}
+
+func (h *drainHandler) Apply(r Record) error {
+	if h.shed.Value() > 0 {
+		h.late++
+	}
+	// A batch is journaled before its first record is applied.
+	if in := h.ingested.Value(); in != h.lastIngested {
+		h.lastIngested = in
+		h.batches++
+		if h.batches <= 2 {
+			h.await("a full queue", func() bool { return h.produced.Load()-h.ingested.Value() == int64(h.capacity) })
+		}
+		if h.batches == 2 {
+			h.cancel()
+			h.await("the drain deadline's discard", func() bool { return h.shed.Value() > 0 })
+		}
+	}
+	return h.captureHandler.Apply(r)
+}
+
+// await polls cond; its 5 s guard turns a hang into a failure.
+func (h *drainHandler) await(what string, cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			h.hung = what
+			return
+		}
+	}
+}
+
+// TestDrainTimeoutBoundsShutdown: a cancel while the consumer is in the
+// middle of a batch with a full queue behind it. Past the drain
+// deadline the queue is discarded and accounted as shed, and the
+// consumer begins no Apply after that, though its batch is not done.
+// Every record the source produced is either ingested (journaled,
+// whether or not it was applied) or shed. No bound reads the clock:
+// the handler orders the cancel and the deadline, and the 5 s guards
+// only turn a hang into a failure.
 func TestDrainTimeoutBoundsShutdown(t *testing.T) {
-	const drainTimeout = 25 * time.Millisecond
+	const capacity = 512
 	reg := obs.NewRegistry()
-	h := &slowHandler{delay: 2 * time.Millisecond}
-	h.streams = make(map[string][]string)
 	src := &stubbornSource{name: "firehose"}
+	h := &drainHandler{capacity: capacity, produced: &src.produced}
+	h.streams = make(map[string][]string)
 	sup, _, err := New(Config{
 		Dir:          t.TempDir(),
 		Registry:     reg,
-		QueueSize:    512,
+		QueueSize:    capacity,
 		Policy:       Block,
-		DrainTimeout: drainTimeout,
+		DrainTimeout: 25 * time.Millisecond,
 	}, h, src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.ingested, h.shed = reg.Counter("serve.ingested.firehose"), reg.Counter("serve.shed.firehose")
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h.cancel = cancel
 	runDone := make(chan error, 1)
 	go func() { runDone <- sup.Run(ctx) }()
-	// Let a backlog build, then pull the plug.
-	time.Sleep(100 * time.Millisecond)
-	cancelled := time.Now()
-	cancel()
 	select {
 	case err := <-runDone:
 		if err != nil {
@@ -451,16 +498,17 @@ func TestDrainTimeoutBoundsShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain did not respect its deadline")
 	}
-	if took := time.Since(cancelled); took > 4*drainTimeout {
-		t.Errorf("Run returned %v after the cancel, want within 4× the %v drain deadline", took, drainTimeout)
+	if h.hung != "" {
+		t.Fatalf("the handler waited 5 s for %s", h.hung)
 	}
-	// A 512-record backlog at 2ms each would take ~1s to drain; the
-	// 25ms deadline must have discarded most of it, with accounting.
-	shed := reg.Counter("serve.shed.firehose").Value()
-	if shed == 0 {
-		t.Error("deadline-discarded backlog not accounted as shed")
+	shed := h.shed.Value()
+	if shed != capacity {
+		t.Errorf("shed %d, want the full queue of %d the deadline discarded", shed, capacity)
 	}
-	ingested, produced := reg.Counter("serve.ingested.firehose").Value(), src.produced.Load()
+	if h.late != 0 {
+		t.Errorf("the consumer began %d Apply calls after the deadline discarded its queue, want none", h.late)
+	}
+	ingested, produced := h.ingested.Value(), src.produced.Load()
 	if ingested+shed != produced {
 		t.Errorf("ingested %d + shed %d != produced %d: records unaccounted", ingested, shed, produced)
 	}
