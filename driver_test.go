@@ -16,6 +16,7 @@ package netfail
 // cancellation to the same standard. The tests below select its rows.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -764,6 +765,33 @@ func TestStoreFailureStopsEverySource(t *testing.T) {
 	}
 	if len(reports) != 1 || reports[0].Report.Skipped != 1 {
 		t.Errorf("unparseable line accounting = %+v, want one entry with one line skipped", reports)
+	}
+}
+
+// TestFlatSyslogReadFailureIsFatal: a flat syslog.log that opens but
+// cannot be read to its end (a line past the scanner's 1 MiB bound)
+// fails the analysis in both modes instead of ending the stream early.
+func TestFlatSyslogReadFailureIsFatal(t *testing.T) {
+	dir := t.TempDir()
+	log := filepath.Join(dir, SyslogLogName)
+	err := writeFlat(dir, campaign(t, 1, shortDays).camp)
+	var lines []byte
+	if err == nil {
+		lines, err = os.ReadFile(log)
+	}
+	if err == nil {
+		first, rest, _ := bytes.Cut(lines, []byte("\n"))
+		err = os.WriteFile(log, slices.Concat(first, []byte("\n"), bytes.Repeat([]byte("x"), 1<<20+1), []byte("\n"), rest), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lenient := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lenient=%t", lenient), func(t *testing.T) {
+			if _, _, err := AnalyzeCaptureDir(context.Background(), dir, lenient); !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("error = %v, want %v", err, bufio.ErrTooLong)
+			}
+		})
 	}
 }
 

@@ -234,3 +234,26 @@ func TestAnalyzeExcludesMultiLink(t *testing.T) {
 		t.Errorf("multi-link adjacency links must be excluded: %v", a.AnalyzedLinks)
 	}
 }
+
+// TestExtractSyslogCountsNonLink: a message that is no well-formed link
+// event counts as non-link and adds no transition, whatever the event
+// before it left in the fields a part-way parse does not overwrite.
+func TestExtractSyslogCountsNonLink(t *testing.T) {
+	for _, tc := range []struct{ name, mnemonic, text string }{
+		{"other mnemonic", "SYS-5-CONFIG_I", "Configured from console by vty0"},
+		{"adjacency without interface", "CLNS-5-ADJCHANGE", "ISIS: Adjacency to cpe-1 Up, new adjacency"},
+		{"adjacency without prefix", "ROUTING-ISIS-4-ADJCHANGE", "Neighbor cpe-1 lost"},
+		{"link without state words", "LINK-3-UPDOWN", "Interface Te0 flapped"},
+		{"line protocol with a bad direction", "LINEPROTO-5-UPDOWN", "Line protocol on Interface Te0, changed state to testing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _ := tinyNet(t)
+			bad := &syslog.Message{Timestamp: time.Unix(150, 0).UTC(), Hostname: "core-a", Mnemonic: tc.mnemonic, Text: tc.text}
+			st := extractSyslog(n, []*syslog.Message{adjMsg("core-a", "Te0", "cpe-1", 100, false), bad, adjMsg("core-a", "Te0", "cpe-1", 200, true)}, 10*time.Second, 1)
+			if st.NonLink != 1 || st.Unresolved != 0 || st.AdjMessages != 2 || st.PhysMessages != 0 || len(st.MergedAdj) != 2 {
+				t.Errorf("non-link %d, unresolved %d, adj %d, phys %d, merged %+v; want 1, 0, 2, 0 and Down(100) Up(200)",
+					st.NonLink, st.Unresolved, st.AdjMessages, st.PhysMessages, st.MergedAdj)
+			}
+		})
+	}
+}

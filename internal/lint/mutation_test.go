@@ -451,12 +451,7 @@ func (r *runner) checks(m mutation, overlay string) []string {
 	for name := range raced {
 		caught[name+" -race"] = true
 	}
-	names := make([]string, 0, len(caught))
-	for name := range caught {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
+	return sortedNames(caught)
 }
 
 // tests runs go test -json (with -race if race, on the tests run
@@ -636,4 +631,119 @@ func renderMutations(caught [][]string) string {
 	}
 	b.WriteString("\n")
 	return b.String()
+}
+
+// TestFailedTestsReadsTestJSON holds the runner's reading of go test
+// -json: the checks a run names, and the tests that panicked, which
+// the runner skips to run the rest of their package again.
+func TestFailedTestsReadsTestJSON(t *testing.T) {
+	type ev struct{ Action, Package, ImportPath, Test, Output string }
+	const core = "netfail/internal/core"
+	for _, tc := range []struct {
+		name     string
+		events   []ev
+		failed   []string
+		panicked map[string][]string
+	}{
+		{"passing run", []ev{{Action: "pass", Package: core, Test: "TestA"}, {Action: "pass", Package: core}}, nil, nil},
+		{"failed test", []ev{{Action: "fail", Package: core, Test: "TestA"}, {Action: "fail", Package: core}}, []string{"core.TestA"}, nil},
+		{"failed subtest names its top-level test", []ev{
+			{Action: "fail", Package: core, Test: "TestA/case"}, {Action: "fail", Package: core, Test: "TestA"}, {Action: "fail", Package: core},
+		}, []string{"core.TestA"}, nil},
+		{"package failed with no test", []ev{
+			{Action: "output", Package: core, Output: "panic: test timed out after 30s\n"}, {Action: "fail", Package: core},
+		}, []string{"core (package)"}, nil},
+		{"build failure", []ev{
+			{Action: "build-fail", ImportPath: core + " [" + core + ".test]"}, {Action: "fail", Package: core},
+		}, []string{"core (package)"}, nil},
+		{"panic names the test for a run past it", []ev{
+			{Action: "fail", Package: core, Test: "TestA"},
+			{Action: "output", Package: core, Test: "TestB/case", Output: "panic: index out of range [4] with length 4 [recovered]\n"},
+			{Action: "output", Package: core, Test: "TestB", Output: "\tpanic: index out of range [4] with length 4\n"},
+			{Action: "fail", Package: core, Test: "TestB"}, {Action: "fail", Package: core},
+		}, []string{"core.TestA", "core.TestB"}, map[string][]string{core: {"TestB"}}},
+		{"a timed-out test is not run past", []ev{
+			{Action: "output", Package: core, Test: "TestC", Output: "panic: test timed out after 30s\n"},
+			{Action: "fail", Package: core, Test: "TestC"}, {Action: "fail", Package: core},
+		}, []string{"core.TestC"}, nil},
+		{"panics kept per package", []ev{
+			{Action: "output", Package: "netfail", Test: "TestX", Output: "panic: x\n"},
+			{Action: "fail", Package: "netfail", Test: "TestX"},
+			{Action: "output", Package: core, Test: "TestY", Output: "panic: y\n"},
+			{Action: "fail", Package: core, Test: "TestY"},
+		}, []string{"core.TestY", "netfail.TestX"}, map[string][]string{"netfail": {"TestX"}, core: {"TestY"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			for _, e := range tc.events {
+				line, err := json.Marshal(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.Write(append(line, '\n'))
+			}
+			failed, panicked := failedTests(out.Bytes())
+			if got := sortedNames(failed); !slices.Equal(got, tc.failed) {
+				t.Errorf("failed = %v, want %v", got, tc.failed)
+			}
+			if len(panicked) != len(tc.panicked) || !maps.EqualFunc(panicked, tc.panicked, slices.Equal) {
+				t.Errorf("panicked = %v, want %v", panicked, tc.panicked)
+			}
+		})
+	}
+}
+
+// TestPatternNamesPackageFromModuleRoot: the package a panic names by
+// import path runs again under its go test pattern.
+func TestPatternNamesPackageFromModuleRoot(t *testing.T) {
+	for path, want := range map[string]string{"netfail": ".", "netfail/internal/core": "./internal/core"} {
+		t.Run(path, func(t *testing.T) {
+			if got := pattern(path); got != want {
+				t.Errorf("pattern(%q) = %q, want %q", path, got, want)
+			}
+		})
+	}
+}
+
+// TestTestsRunsPastPanics runs the runner on a module of its own whose
+// tests fail, panic and pass in turn: every test that fails is named,
+// also those after a panic, which ended the first run before they ran.
+func TestTestsRunsPastPanics(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{"go.mod": "module netfail\n\ngo 1.22\n", "x_test.go": `package netfail
+
+import "testing"
+
+func TestA(t *testing.T) { t.Fatal("fails") }
+func TestB(t *testing.T) { t.Run("case", func(t *testing.T) { panic("panics in a subtest") }) }
+func TestC(t *testing.T) { t.Error("fails") }
+func TestD(t *testing.T) { panic("panics") }
+func TestE(t *testing.T) {}
+func TestF(t *testing.T) { t.Error("fails") }
+`} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := &runner{root: root, tmp: t.TempDir()}
+	for _, tc := range []struct{ name, run, want string }{
+		{"every test", "", "netfail.TestA netfail.TestB netfail.TestC netfail.TestD netfail.TestF"},
+		{"the tests run selects", "^(TestB|TestC|TestD|TestE)$", "netfail.TestB netfail.TestC netfail.TestD"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := strings.Join(sortedNames(r.tests(nil, []string{"."}, false, tc.run)), " "); got != tc.want {
+				t.Errorf("failed = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// sortedNames is the names in set, sorted.
+func sortedNames(set map[string]bool) []string {
+	var names []string
+	for name := range set {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

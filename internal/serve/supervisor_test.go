@@ -514,6 +514,58 @@ func TestDrainTimeoutBoundsShutdown(t *testing.T) {
 	}
 }
 
+// wedgedSource emits its records, then blocks in its own read until
+// the cancel, as a reader that stalls forever does.
+type wedgedSource struct{ replaySource }
+
+func (s *wedgedSource) Run(ctx context.Context, emit func(Record) error) error {
+	if err := s.replaySource.Run(ctx, emit); err != nil {
+		return err
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestWedgedSourceStallsOnlyItself: a source wedged in its own read
+// holds up no other source, whose every record is applied while it
+// stalls, and the cancel ends the run without a restart.
+func TestWedgedSourceStallsOnlyItself(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := newCaptureHandler()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	applied := 0 // one goroutine at a time applies
+	handler := HandlerFunc(func(r Record) error {
+		if applied++; applied == 5+200 {
+			cancel()
+		}
+		return h.Apply(r)
+	})
+	sup, _, err := New(Config{Dir: t.TempDir(), Registry: reg, QueueSize: 16, Policy: Block}, handler,
+		&wedgedSource{replaySource{name: "wedged", recs: records("w", 5)}},
+		&replaySource{name: "healthy", recs: records("h", 200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- sup.Run(ctx) }()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run did not end: a wedged source held up the others, or the cancel")
+	}
+	want := "healthy: " + strings.Join(records("h", 200), ",") + "\nwedged: " + strings.Join(records("w", 5), ",") + "\n"
+	if got := h.report(); got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
+	}
+	if got := reg.Counter("serve.source.wedged.restarts").Value(); got != 0 {
+		t.Errorf("the wedged source restarted %d times, want none", got)
+	}
+}
+
 func TestReadyHandlerTracksLifecycle(t *testing.T) {
 	sup, _, err := New(Config{Dir: t.TempDir()}, newCaptureHandler(), &stubbornSource{name: "src"})
 	if err != nil {
