@@ -454,7 +454,7 @@ var (
 )
 
 func dirKind(d trace.Direction) func(int) string {
-	return precompose(int(trace.KindSNMP)+1, func(v int) string {
+	return precompose(int(trace.KindIPReach)+1, func(v int) string {
 		return `,"dir":"` + d.String() + `","kind":"` + trace.Kind(v).String() + `","reporter":`
 	})
 }

@@ -280,6 +280,7 @@ func TestAPIQueryEndpoints(t *testing.T) {
 			"/api/v1/transitions?stream=smoke-signal",
 			"/api/v1/transitions?dir=sideways",
 			"/api/v1/transitions?kind=vibes",
+			"/api/v1/transitions?kind=snmp",
 		}
 		for _, path := range cases {
 			code, body := get(t, srv, path)

@@ -52,7 +52,7 @@ func TestEnumNamesNeedNoEscape(t *testing.T) {
 			store.StreamSyslogPhysical.String(), store.StreamISReach.String(), store.StreamIPReach.String()}},
 		{"dir", []string{trace.Down.String(), trace.Up.String()}},
 		{"kind", []string{trace.KindISISAdj.String(), trace.KindPhysical.String(), trace.KindLineProto.String(),
-			trace.KindISReach.String(), trace.KindIPReach.String(), trace.KindSNMP.String()}},
+			trace.KindISReach.String(), trace.KindIPReach.String()}},
 		{"class", []string{topo.CoreLink.String(), topo.CPELink.String()}},
 	} {
 		for _, name := range c.names {

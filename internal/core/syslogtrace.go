@@ -192,15 +192,15 @@ func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mer
 	e.Finish(ctx, mergeWindow, workers, st)
 }
 
-// Reserve sizes each stream for the msgs whose mnemonic (as
-// syslog.ParseLinkEventInto reads it) sends them there.
+// Reserve sizes each stream for the msgs whose mnemonic's link family
+// sends them there.
 func (e *Extractor) Reserve(msgs []*syslog.Message) {
 	var adj, phys int
 	for _, m := range msgs {
-		switch m.Mnemonic {
-		case "CLNS-5-ADJCHANGE", "ROUTING-ISIS-4-ADJCHANGE":
+		switch syslog.LinkFamily(m.Mnemonic) {
+		case syslog.EventISISAdj:
 			adj++
-		case "LINK-3-UPDOWN", "LINEPROTO-5-UPDOWN":
+		case syslog.EventLink, syslog.EventLineProto:
 			phys++
 		}
 	}

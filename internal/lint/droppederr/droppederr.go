@@ -17,7 +17,7 @@
 //   - a call used as a bare expression statement, e.g.
 //     `sender.Send(m)`;
 //   - an assignment that binds the error result to the blank
-//     identifier, e.g. `m, _ := syslog.Parse(line, ref)` or
+//     identifier, e.g. `msgs, _, _ := syslog.ReadLog(r, ref)` or
 //     `_ = lsp.Process(at, pkt)`.
 //
 // The capture readers in netfail/internal/netsim (ReadLSPLog,

@@ -1,8 +1,8 @@
 // Fixture derived from the repository's real ingest pipeline: the
-// call shapes come from internal/syslog/log.go (Parse feeding the
-// message log), internal/listener (Process feeding the LSP database),
-// and cmd/netfail-serve's UDP source (ParseBytes into a reused
-// Message per datagram).
+// call shapes come from the flat campaign reader (ReadLog over the
+// syslog archive), internal/listener (Process feeding the LSP
+// database), and cmd/netfail-serve's UDP source (ParseBytes into a
+// reused Message per datagram).
 // Before droppederr, any of these errors could be dropped on the
 // floor and the trace would silently shorten — the defect class
 // Liang et al. and Simache & Kaâniche document for syslog pipelines.
@@ -20,14 +20,10 @@ import (
 )
 
 // ingest loses messages three different ways.
-func ingest(lines []string, ref time.Time) []*syslog.Message {
-	var out []*syslog.Message
-	for _, line := range lines {
-		// Blank-binding the parse error: the message count silently
-		// diverges from the line count.
-		m, _ := syslog.Parse(line, ref) // want `error returned by syslog\.Parse is assigned to the blank identifier`
-		out = append(out, m)
-	}
+func ingest(archive io.Reader, ref time.Time) []*syslog.Message {
+	// Blank-binding the read error: a log cut short by an I/O error
+	// reads as a complete one.
+	out, _, _ := syslog.ReadLog(archive, ref) // want `error returned by syslog\.ReadLog is assigned to the blank identifier`
 	return out
 }
 
@@ -50,16 +46,10 @@ func peek(pkt []byte) isis.PDUType {
 
 // handled shows the accepted shapes: checked errors, counted errors,
 // deferred cleanup, and out-of-scope callees.
-func handled(net *topo.Network, lines []string, pkts [][]byte, ref time.Time) (int, error) {
-	bad := 0
-	var kept []*syslog.Message
-	for _, line := range lines {
-		m, err := syslog.Parse(line, ref)
-		if err != nil {
-			bad++ // counted, not fatal: ReadLog's documented contract
-			continue
-		}
-		kept = append(kept, m)
+func handled(net *topo.Network, archive io.Reader, pkts [][]byte, ref time.Time) (int, error) {
+	kept, bad, err := syslog.ReadLog(archive, ref)
+	if err != nil {
+		return bad, err
 	}
 	l := listener.New(net)
 	for _, pkt := range pkts {

@@ -49,7 +49,8 @@ type mutation struct {
 // the simulator's loss mechanism; X the store's postings; M, R, N, I,
 // O and W the fast paths the retired reference copies checked (merge,
 // report grid, listener, IPv4, LSP origination, LSP encoding); B the
-// bootstrap's, which its reference copy still checks.
+// bootstrap's and Y the syslog tokenizer's, which their reference
+// copies still check.
 var mutations = []mutation{
 	{id: "D1", what: "`DefaultWindow` declared `time.Duration = 10`", pkgs: []string{"./internal/core", "./internal/match"},
 		file: "internal/match/match.go", anchor: "const DefaultWindow = 10 * time.Second", repl: "const DefaultWindow time.Duration = 10"},
@@ -138,6 +139,12 @@ var mutations = []mutation{
 		file: "internal/stats/bootstrap.go", anchor: "return vlo*(1-m.frac) + m.sorted[k]*m.frac", repl: "return vlo"},
 	{id: "B3", what: "bootstrap ranks the sample by `<`, so a NaN ties with every value", pkgs: []string{"./internal/stats"},
 		file: "internal/stats/bootstrap.go", anchor: "return cmp.Compare(sample[a], sample[b])", repl: "if sample[a] < sample[b] {\n\t\treturn -1\n\t}\n\tif sample[a] > sample[b] {\n\t\treturn 1\n\t}\n\treturn cmp.Compare(a, b)"},
+	{id: "Y1", what: "tokenizer trims no white space around the service stamp", pkgs: []string{"./internal/syslog"},
+		file: "internal/syslog/tokenize.go", anchor: "bytes.TrimSuffix(bytes.TrimSpace(rest[:pct]), []byte(\":\"))", repl: "bytes.TrimSuffix(rest[:pct], []byte(\":\"))"},
+	{id: "Y2", what: "tokenizer ends the sequence tag at its first colon", pkgs: []string{"./internal/syslog"},
+		file: "internal/syslog/tokenize.go", anchor: "colon := bytes.Index(rest, []byte(\": \"))", repl: "colon := bytes.IndexByte(rest, ':')"},
+	{id: "Y3", what: "tokenizer accepts a PRI up to 199", pkgs: []string{"./internal/syslog"},
+		file: "internal/syslog/tokenize.go", anchor: "pri > 191", repl: "pri > 199"},
 	{id: "N1", what: "listener skips an LSP that changes one advertisement", pkgs: []string{"./internal/listener"},
 		file: "internal/listener/listener.go", anchor: "if len(was)+len(is) == 0 && !first {", repl: "if len(was)+len(is) <= 1 && !first {"},
 	{id: "N2", what: "listener baseline ignores link-ID adjacencies", pkgs: []string{"./internal/listener"},

@@ -106,7 +106,7 @@ func TestNoiseMessagesFiltered(t *testing.T) {
 	}
 	// Every noise message still parses as valid RFC 3164.
 	for _, m := range camp.Syslog {
-		if _, err := syslog.Parse(m.Render(), camp.Config.Start); err != nil {
+		if _, err := reparse(m, camp.Config.Start); err != nil {
 			t.Fatalf("noise message does not re-parse: %v", err)
 		}
 	}

@@ -206,7 +206,7 @@ func decodeTransitionRecord(rec []byte) (stream Stream, dir trace.Direction, kin
 		return 0, 0, 0, 0, 0, 0, fmt.Errorf("store: transition record: unknown direction %d", rec[1])
 	}
 	kind = trace.Kind(rec[2])
-	if kind < trace.KindISISAdj || kind > trace.KindSNMP {
+	if kind < trace.KindISISAdj || kind > trace.KindIPReach {
 		return 0, 0, 0, 0, 0, 0, fmt.Errorf("store: transition record: unknown kind %d", rec[2])
 	}
 	link = binary.LittleEndian.Uint32(rec[3:])

@@ -14,6 +14,23 @@ import (
 	"netfail/internal/trace"
 )
 
+// TestTransitionRecordRejectsUnknownEnums: a transition record whose
+// stream, direction or kind byte lies past the last value a writer
+// emits is damage.
+func TestTransitionRecordRejectsUnknownEnums(t *testing.T) {
+	last := appendTransitionRecord(nil, StreamIPReach, trace.Up, trace.KindIPReach, 1, 2, 3)
+	if _, _, _, _, _, _, err := decodeTransitionRecord(last); err != nil {
+		t.Fatalf("record of the last stream, direction and kind rejected: %v", err)
+	}
+	for i, b := range [3]byte{byte(StreamIPReach) + 1, byte(trace.Up) + 1, byte(trace.KindIPReach) + 1} {
+		rec := slices.Clone(last)
+		rec[i] = b
+		if _, _, _, _, _, _, err := decodeTransitionRecord(rec); err == nil {
+			t.Errorf("record with byte %d = %d decoded", i, b)
+		}
+	}
+}
+
 // mergeCase shapes the runs one case hands the writer.
 type mergeCase struct {
 	name string

@@ -1,6 +1,7 @@
 package syslog
 
 import (
+	"io"
 	"testing"
 	"time"
 )
@@ -8,43 +9,15 @@ import (
 // Allocation pins companion to the benchmarks: ReportAllocs shows a
 // regression only to someone reading benchmark output, while these
 // fail `go test` outright. The hot paths are pinned at zero steady-
-// state allocations per record — the tokenizer keeps fields as spans,
-// ParseBytes materializes them through warm intern tables, and the
-// Into variants write into caller-owned structs — while the pointer-
-// returning wrappers are pinned at exactly the one escape they
-// document. Any new allocation on a parse path is a test failure.
+// state allocations per record — the tokenizer keeps fields as
+// subslices, ParseBytes materializes them through warm intern tables,
+// and ParseLinkEventInto writes into a caller-owned event. Any new
+// allocation on a parse path is a test failure.
 
 func allocTestLine() string {
 	return AdjChange(DialectIOSXR, "riv-core-01", 421,
 		time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC),
 		"cpe-001", "TenGigE0/1/0/3", false, "hold time expired").Render()
-}
-
-func TestParseAllocBudget(t *testing.T) {
-	line := allocTestLine()
-	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
-	avg := testing.AllocsPerRun(100, func() {
-		if _, err := Parse(line, ref); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 1 {
-		t.Errorf("Parse allocates %.1f times per message, budget is exactly 1 (the *Message)", avg)
-	}
-}
-
-func TestParseIntoAllocBudget(t *testing.T) {
-	line := allocTestLine()
-	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
-	var m Message
-	avg := testing.AllocsPerRun(100, func() {
-		if err := ParseInto(line, ref, &m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("ParseInto allocates %.1f times per message, budget is 0", avg)
-	}
 }
 
 func TestParseBytesAllocBudget(t *testing.T) {
@@ -136,6 +109,25 @@ func TestAppendRenderAllocBudget(t *testing.T) {
 	dst := m.AppendRender(nil)
 	if avg := testing.AllocsPerRun(100, func() { dst = m.AppendRender(dst[:0]) }); avg != 0 {
 		t.Errorf("AppendRender into a reused buffer allocates %.1f times per message, budget is 0", avg)
+	}
+}
+
+// TestWriteLogAllocBudget: WriteLog renders every line into one reused
+// buffer, so a call costs its bufio.Writer and the buffer's growth,
+// whatever the number of messages.
+func TestWriteLogAllocBudget(t *testing.T) {
+	msgs := make([]*Message, 1000)
+	for i := range msgs {
+		msgs[i] = AdjChange(DialectIOSXR, "riv-core-01", uint64(i),
+			time.Date(2011, 3, 3, 4, 5, i%60, 789e6, time.UTC),
+			"cpe-001", "TenGigE0/1/0/3", i%2 == 0, "hold time expired")
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := WriteLog(io.Discard, msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 4 {
+		t.Errorf("WriteLog of %d messages allocates %.0f times per call, budget is 4", len(msgs), avg)
 	}
 }
 

@@ -17,22 +17,6 @@ func BenchmarkRender(b *testing.B) {
 	}
 }
 
-func BenchmarkParse(b *testing.B) {
-	b.ReportAllocs()
-	line := AdjChange(DialectIOSXR, "riv-core-01", 421,
-		time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC),
-		"cpe-001", "TenGigE0/1/0/3", false, "hold time expired").Render()
-	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
-	b.SetBytes(int64(len(line)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(line, ref); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1, "msgs/op")
-}
-
 // BenchmarkParseBytes is the zero-allocation wire path: one reused
 // Message, warm intern tables, input straight from a byte buffer.
 func BenchmarkParseBytes(b *testing.B) {

@@ -20,18 +20,14 @@ var equivalenceRefs = []time.Time{
 	time.Date(2010, 12, 31, 23, 59, 0, 0, time.UTC),
 }
 
-// checkParserEquivalence runs one line through the reference parser,
-// the new string parser, and the []byte tokenizer, and fails on any
+// checkParserEquivalence runs one line through the reference parser
+// and the []byte tokenizer at each of refs, and fails on any
 // divergence: accept/reject, any Message field, or the derived
 // LinkEvent.
-func checkParserEquivalence(t *testing.T, tk *Tokenizer, line string) {
+func checkParserEquivalence(t *testing.T, tk *Tokenizer, line string, refs []time.Time) {
 	t.Helper()
-	for _, ref := range equivalenceRefs {
+	for _, ref := range refs {
 		want, werr := refParse(line, ref)
-		got, gerr := Parse(line, ref)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("Parse(%q, ref=%v): err = %v, reference err = %v", line, ref, gerr, werr)
-		}
 		var m Message
 		berr := tk.ParseBytes([]byte(line), ref, &m)
 		if (werr == nil) != (berr == nil) {
@@ -40,15 +36,12 @@ func checkParserEquivalence(t *testing.T, tk *Tokenizer, line string) {
 		if werr != nil {
 			continue
 		}
-		if *got != *want {
-			t.Fatalf("Parse(%q, ref=%v):\n got %+v\nwant %+v", line, ref, *got, *want)
-		}
 		if m != *want {
 			t.Fatalf("ParseBytes(%q, ref=%v):\n got %+v\nwant %+v", line, ref, m, *want)
 		}
 		wantEv, weverr := refParseLinkEvent(want)
 		var ev LinkEvent
-		geverr := ParseLinkEventInto(got, &ev)
+		geverr := ParseLinkEventInto(&m, &ev)
 		if (weverr == nil) != (geverr == nil) {
 			t.Fatalf("ParseLinkEventInto(%q): err = %v, reference err = %v", line, geverr, weverr)
 		}
@@ -96,12 +89,12 @@ func equivalenceCorpus() []byte {
 // TestTokenizerMatchesReferenceOnCorruptedCorpus is the deterministic
 // half of the differential pin: the rendered corpus is mangled by
 // every faultinject mode over several seeds, and every resulting line
-// must parse identically under the old and new parsers.
+// must parse identically under the reference and the tokenizer.
 func TestTokenizerMatchesReferenceOnCorruptedCorpus(t *testing.T) {
 	clean := equivalenceCorpus()
 	tk := NewTokenizer()
 	for _, line := range bytes.Split(clean, []byte("\n")) {
-		checkParserEquivalence(t, tk, string(line))
+		checkParserEquivalence(t, tk, string(line), equivalenceRefs)
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		corrupted, faults := faultinject.Corrupt(clean, faultinject.Plan{Seed: seed, Rate: 0.5})
@@ -109,7 +102,7 @@ func TestTokenizerMatchesReferenceOnCorruptedCorpus(t *testing.T) {
 			t.Fatalf("seed %d injected no faults", seed)
 		}
 		for _, line := range bytes.Split(corrupted, []byte("\n")) {
-			checkParserEquivalence(t, tk, string(line))
+			checkParserEquivalence(t, tk, string(line), equivalenceRefs)
 		}
 	}
 }
@@ -167,8 +160,8 @@ func FuzzParseMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		tk := NewTokenizer()
-		checkParserEquivalence(t, tk, line)
-		checkYearEdges(t, tk, line)
+		checkParserEquivalence(t, tk, line, equivalenceRefs)
+		checkParserEquivalence(t, tk, line, yearEdgeRefs)
 	})
 }
 
@@ -179,24 +172,6 @@ var yearEdgeRefs = []time.Time{
 	time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC),
 	time.Date(2012, 2, 29, 12, 0, 0, 0, time.UTC),
 	time.Date(2013, 1, 1, 5, 0, 0, 0, time.FixedZone("+14", 14*3600)),
-}
-
-// checkYearEdges compares the parsers against the reference at
-// yearEdgeRefs: accept/reject and every Message field.
-func checkYearEdges(t *testing.T, tk *Tokenizer, line string) {
-	t.Helper()
-	for _, ref := range yearEdgeRefs {
-		want, werr := refParse(line, ref)
-		got, gerr := Parse(line, ref)
-		var m Message
-		berr := tk.ParseBytes([]byte(line), ref, &m)
-		if (werr == nil) != (gerr == nil) || (werr == nil) != (berr == nil) {
-			t.Fatalf("%q at ref=%v: Parse err = %v, ParseBytes err = %v, reference err = %v", line, ref, gerr, berr, werr)
-		}
-		if werr == nil && (*got != *want || m != *want) {
-			t.Fatalf("%q at ref=%v:\n Parse      %+v\n ParseBytes %+v\n reference  %+v", line, ref, *got, m, *want)
-		}
-	}
 }
 
 // TestResolveYearMatchesReference sweeps every day of year 0, at three

@@ -18,11 +18,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("<>")
 
 	f.Fuzz(func(t *testing.T, line string) {
-		m, err := Parse(line, ref)
+		m, err := parseLine(line, ref)
 		if err != nil {
 			return
 		}
-		if _, err := Parse(m.Render(), ref); err != nil {
+		if _, err := parseLine(m.Render(), ref); err != nil {
 			t.Fatalf("re-rendered message does not parse: %v (from %q)", err, line)
 		}
 		// Link-event extraction must not panic either.

@@ -7,14 +7,14 @@ import (
 )
 
 // WriteLog writes messages to w, one rendered line each: the on-disk
-// archive format the analysis pipeline reads back.
+// archive format the analysis pipeline reads back. Every line is
+// rendered into one reused buffer.
 func WriteLog(w io.Writer, messages []*Message) error {
 	bw := bufio.NewWriter(w)
+	line := make([]byte, 0, 256) // a rendered link-state line is about 150 bytes
 	for _, m := range messages {
-		if _, err := bw.WriteString(m.Render()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(m.AppendRender(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -37,7 +37,7 @@ type Message struct {
 	Facility Facility
 	Severity Severity
 	// Timestamp is the header timestamp. RFC 3164 timestamps carry
-	// no year; Parse resolves the year against a reference time.
+	// no year; ParseBytes resolves the year against a reference time.
 	Timestamp time.Time
 	// Hostname is the emitting router.
 	Hostname string
@@ -93,6 +93,15 @@ func (m *Message) AppendRender(dst []byte) []byte {
 // stampLayout is the RFC 3164 TIMESTAMP: "Mmm dd hh:mm:ss" with a
 // space-padded day.
 const stampLayout = "Jan _2 15:04:05"
+
+// The link-state mnemonics: the constructors below emit them and
+// LinkFamily maps them to their event types.
+const (
+	mnemIOSAdj    = "CLNS-5-ADJCHANGE"
+	mnemXRAdj     = "ROUTING-ISIS-4-ADJCHANGE"
+	mnemLink      = "LINK-3-UPDOWN"
+	mnemLineProto = "LINEPROTO-5-UPDOWN"
+)
 
 // EventType classifies the link-state-relevant message types.
 type EventType int
@@ -173,11 +182,11 @@ func AdjChange(dialect Dialect, host string, seq uint64, ts time.Time, neighbor,
 	switch dialect {
 	case DialectIOSXR:
 		m.Severity = Warning
-		m.Mnemonic = "ROUTING-ISIS-4-ADJCHANGE"
+		m.Mnemonic = mnemXRAdj
 		m.Text = "Adjacency to " + neighbor + " (" + iface + ") (L2) " + dir + ", " + reason
 	default:
 		m.Severity = Notice
-		m.Mnemonic = "CLNS-5-ADJCHANGE"
+		m.Mnemonic = mnemIOSAdj
 		m.Text = "ISIS: Adjacency to " + neighbor + " (" + iface + ") " + dir + ", " + reason
 	}
 	return m
@@ -195,7 +204,7 @@ func LinkUpDown(host string, seq uint64, ts time.Time, iface string, up bool) *M
 		Timestamp: ts,
 		Hostname:  host,
 		Seq:       seq,
-		Mnemonic:  "LINK-3-UPDOWN",
+		Mnemonic:  mnemLink,
 		Text:      "Interface " + iface + ", changed state to " + dir,
 	}
 }
@@ -212,7 +221,7 @@ func LineProtoUpDown(host string, seq uint64, ts time.Time, iface string, up boo
 		Timestamp: ts,
 		Hostname:  host,
 		Seq:       seq,
-		Mnemonic:  "LINEPROTO-5-UPDOWN",
+		Mnemonic:  mnemLineProto,
 		Text:      "Line protocol on Interface " + iface + ", changed state to " + dir,
 	}
 }

@@ -9,6 +9,15 @@ import (
 
 var refTime = time.Date(2011, time.March, 15, 0, 0, 0, 0, time.UTC)
 
+// parseLine parses line through a fresh Tokenizer.
+func parseLine(line string, ref time.Time) (*Message, error) {
+	m := new(Message)
+	if err := NewTokenizer().ParseBytes([]byte(line), ref, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func ts(month time.Month, day, hour, min, sec, ms int) time.Time {
 	return time.Date(2011, month, day, hour, min, sec, ms*int(time.Millisecond), time.UTC)
 }
@@ -18,9 +27,9 @@ func TestAdjChangeRenderParseRoundTrip(t *testing.T) {
 		orig := AdjChange(dialect, "riv-core-01", 421, ts(time.March, 3, 4, 5, 6, 789),
 			"cpe-001", "TenGigE0/1/0/3", false, "hold time expired")
 		line := orig.Render()
-		m, err := Parse(line, refTime)
+		m, err := parseLine(line, refTime)
 		if err != nil {
-			t.Fatalf("dialect %d: Parse(%q): %v", dialect, line, err)
+			t.Fatalf("dialect %d: ParseBytes(%q): %v", dialect, line, err)
 		}
 		if m.Hostname != "riv-core-01" || m.Seq != 421 {
 			t.Errorf("header: %+v", m)
@@ -41,7 +50,7 @@ func TestAdjChangeRenderParseRoundTrip(t *testing.T) {
 
 func TestLinkUpDownRoundTrip(t *testing.T) {
 	orig := LinkUpDown("cpe-001", 7, ts(time.October, 20, 23, 59, 59, 1), "GigabitEthernet0/0/1", true)
-	m, err := Parse(orig.Render(), refTime)
+	m, err := parseLine(orig.Render(), refTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +65,7 @@ func TestLinkUpDownRoundTrip(t *testing.T) {
 
 func TestLineProtoRoundTrip(t *testing.T) {
 	orig := LineProtoUpDown("cpe-001", 8, ts(time.June, 1, 1, 2, 3, 0), "GigabitEthernet0/0/1", false)
-	m, err := Parse(orig.Render(), refTime)
+	m, err := parseLine(orig.Render(), refTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,7 @@ func TestParseYearResolution(t *testing.T) {
 	// January reference belongs to the previous year.
 	jan2011 := time.Date(2011, time.January, 10, 0, 0, 0, 0, time.UTC)
 	m := LinkUpDown("r", 1, time.Date(2010, time.December, 30, 12, 0, 0, 0, time.UTC), "Gi0/0/0", false)
-	got, err := Parse(m.Render(), jan2011)
+	got, err := parseLine(m.Render(), jan2011)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestParseYearResolution(t *testing.T) {
 	// And a January stamp seen from December belongs to the next year.
 	dec2010 := time.Date(2010, time.December, 28, 0, 0, 0, 0, time.UTC)
 	m2 := LinkUpDown("r", 2, time.Date(2011, time.January, 2, 3, 0, 0, 0, time.UTC), "Gi0/0/0", true)
-	got2, err := Parse(m2.Render(), dec2010)
+	got2, err := parseLine(m2.Render(), dec2010)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +107,16 @@ func TestParseMalformed(t *testing.T) {
 		"",
 		"no pri at all",
 		"<999>Oct 20 01:02:03 host 1: %X-1-Y: text",
+		"<192>Oct 20 01:02:03 host 1: %X-1-Y: text",
+		"<189>Oct 20 01:02:03 host 1:2: %X-1-Y: text",
 		"<189>bad timestamp here host 1: %X-1-Y: t",
 		"<189>Oct 20 01:02:03 ",
 		"<189>Oct 20 01:02:03 host notanum: %X-1-Y: t",
 		"<189>Oct 20 01:02:03 host 1: no mnemonic here",
 	}
 	for _, line := range bad {
-		if _, err := Parse(line, refTime); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", line)
+		if _, err := parseLine(line, refTime); err == nil {
+			t.Errorf("ParseBytes(%q) succeeded, want error", line)
 		}
 	}
 }
@@ -146,7 +157,7 @@ func TestInterfaceNamesWithSpacesInDescription(t *testing.T) {
 	// split on them.
 	orig := AdjChange(DialectIOS, "h", 1, ts(time.May, 5, 5, 5, 5, 5),
 		"svl-core-02.cenic.net", "TenGigE0/1/0/3.100", true, "new adjacency")
-	m, err := Parse(orig.Render(), refTime)
+	m, err := parseLine(orig.Render(), refTime)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,37 +39,6 @@ var (
 	errMissingStateWords = fmt.Errorf("%w: missing state clause", ErrMalformed)
 )
 
-// Parse decodes one wire-format line. RFC 3164 timestamps carry no
-// year, so ref supplies one: the parsed timestamp is placed in the
-// year that puts it closest to ref, which handles logs spanning a
-// year boundary (the study period Oct 2010 – Nov 2011 does).
-func Parse(line string, ref time.Time) (*Message, error) {
-	m := new(Message)
-	if err := ParseInto(line, ref, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ParseInto is Parse into a caller-owned Message: the string fields
-// are substrings of line, so a successful parse performs zero
-// allocations. On error m is partially overwritten and must not be
-// used.
-func ParseInto(line string, ref time.Time, m *Message) error {
-	var tok tokens
-	if err := tokenize(line, ref, &tok); err != nil {
-		return err
-	}
-	m.Facility = tok.facility
-	m.Severity = tok.severity
-	m.Timestamp = tok.stamp
-	m.Seq = tok.seq
-	m.Hostname = line[tok.hostLo:tok.hostHi]
-	m.Mnemonic = line[tok.mnemLo:tok.mnemHi]
-	m.Text = line[tok.textLo:]
-	return nil
-}
-
 // Tokenizer parses wire-format lines directly from byte buffers,
 // materializing the string fields through intern tables so a warm
 // parse — every symbol already seen — allocates nothing and the
@@ -101,19 +70,18 @@ func NewTokenizer() *Tokenizer {
 // ParseBytes decodes one wire-format line from a byte buffer into m.
 // The buffer may be reused immediately: every retained string is
 // interned or freshly copied. On error m is partially overwritten and
-// must not be used.
+// must not be used. RFC 3164 timestamps carry no year, so ref supplies
+// one: the timestamp is placed in the year that puts it closest to
+// ref, which handles logs spanning a year boundary (the study period
+// Oct 2010 – Nov 2011 does).
 func (tk *Tokenizer) ParseBytes(line []byte, ref time.Time, m *Message) error {
-	var tok tokens
-	if err := tokenize(line, ref, &tok); err != nil {
+	host, mnem, text, err := tokenize(line, ref, m)
+	if err != nil {
 		return err
 	}
-	m.Facility = tok.facility
-	m.Severity = tok.severity
-	m.Timestamp = tok.stamp
-	m.Seq = tok.seq
-	m.Hostname = tk.symbols.Intern(line[tok.hostLo:tok.hostHi])
-	m.Mnemonic = tk.symbols.Intern(line[tok.mnemLo:tok.mnemHi])
-	m.Text = tk.texts.Intern(line[tok.textLo:])
+	m.Hostname = tk.symbols.Intern(host)
+	m.Mnemonic = tk.symbols.Intern(mnem)
+	m.Text = tk.texts.Intern(text)
 	return nil
 }
 
@@ -146,13 +114,27 @@ func absDuration(d time.Duration) time.Duration {
 	return d
 }
 
+// LinkFamily returns the event type of a link-state mnemonic, or
+// EventOther for a mnemonic outside the three families the analysis
+// consumes.
+func LinkFamily(mnemonic string) EventType {
+	switch mnemonic {
+	case mnemIOSAdj, mnemXRAdj:
+		return EventISISAdj
+	case mnemLink:
+		return EventLink
+	case mnemLineProto:
+		return EventLineProto
+	}
+	return EventOther
+}
+
 // ParseLinkEventInto extracts the structured link event from a
 // message into a caller-owned LinkEvent, returning ErrNotLink for
-// mnemonics outside the three families the analysis consumes; loops
-// reuse one event across a capture. The string fields
-// are substrings of the message's fields, so a successful extraction
-// performs zero allocations. On error ev is partially overwritten and
-// must not be used.
+// mnemonics outside the link families; loops reuse one event across a
+// capture. The string fields are substrings of the message's fields,
+// so a successful extraction performs zero allocations. On error ev is
+// partially overwritten and must not be used.
 func ParseLinkEventInto(m *Message, ev *LinkEvent) error {
 	// Fields are assigned individually rather than via a struct
 	// literal: every success path below overwrites Interface, Up, and
@@ -163,18 +145,16 @@ func ParseLinkEventInto(m *Message, ev *LinkEvent) error {
 	ev.Router = m.Hostname
 	ev.Time = m.Timestamp
 	ev.Seq = m.Seq
-	switch m.Mnemonic {
-	case "CLNS-5-ADJCHANGE":
-		ev.Type = EventISISAdj
-		return parseAdjText(ev, strings.TrimPrefix(m.Text, "ISIS: "))
-	case "ROUTING-ISIS-4-ADJCHANGE":
-		ev.Type = EventISISAdj
-		return parseAdjText(ev, m.Text)
-	case "LINK-3-UPDOWN":
-		ev.Type = EventLink
+	switch ev.Type = LinkFamily(m.Mnemonic); ev.Type {
+	case EventISISAdj:
+		text := m.Text
+		if m.Mnemonic == mnemIOSAdj {
+			text = strings.TrimPrefix(text, "ISIS: ")
+		}
+		return parseAdjText(ev, text)
+	case EventLink:
 		return parseIfaceText(ev, m.Text, "Interface ")
-	case "LINEPROTO-5-UPDOWN":
-		ev.Type = EventLineProto
+	case EventLineProto:
 		return parseIfaceText(ev, m.Text, "Line protocol on Interface ")
 	default:
 		return ErrNotLink

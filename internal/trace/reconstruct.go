@@ -77,12 +77,11 @@ func ReconstructPolicy(ts []Transition, policy AmbiguityPolicy) Reconstruction {
 	return rec
 }
 
-// groupLinkSeqs is ByLink flattened: it buckets the transitions into
-// one contiguous buffer — counting pass, prefix sums, scatter — and
-// returns the sorted link list with each link's [offsets[i],
-// offsets[i+1]) slice of the buffer, time-sorted stably (equal-time
-// transitions keep input order, matching ByLink exactly). One buffer
-// and three index slices replace ByLink's map of per-link slices.
+// groupLinkSeqs groups the transitions per link into one contiguous
+// buffer — counting pass, prefix sums, scatter — and returns the
+// sorted link list with each link's [offsets[i], offsets[i+1]) slice
+// of the buffer, time-sorted stably (equal-time transitions keep input
+// order).
 func groupLinkSeqs(ts []Transition) ([]topo.LinkID, []int32, []Transition) {
 	idx := make(map[topo.LinkID]int32, 64)
 	var links []topo.LinkID

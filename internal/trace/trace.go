@@ -37,9 +37,12 @@ type Kind int
 const (
 	// KindISISAdj is a syslog IS-IS adjacency-change message.
 	KindISISAdj Kind = iota
-	// KindPhysical is a syslog %LINK-3-UPDOWN message.
+	// KindPhysical is a syslog physical-media message: the interface
+	// or its line protocol changed state.
 	KindPhysical
-	// KindLineProto is a syslog %LINEPROTO-5-UPDOWN message.
+	// KindLineProto is a syslog line-protocol message. The extractor
+	// files those under KindPhysical; the value keeps its place
+	// because the kinds after it are written to disk.
 	KindLineProto
 	// KindISReach is an IS-IS listener transition derived from the
 	// Extended IS Reachability TLV.
@@ -47,9 +50,6 @@ const (
 	// KindIPReach is an IS-IS listener transition derived from the
 	// Extended IP Reachability TLV.
 	KindIPReach
-	// KindSNMP is a transition inferred from periodic ifOperStatus
-	// polling.
-	KindSNMP
 )
 
 // String names the kind.
@@ -65,8 +65,6 @@ func (k Kind) String() string {
 		return "is-reach"
 	case KindIPReach:
 		return "ip-reach"
-	case KindSNMP:
-		return "snmp"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -74,7 +72,7 @@ func (k Kind) String() string {
 
 // ParseKind is the inverse of Kind.String.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindISISAdj, KindPhysical, KindLineProto, KindISReach, KindIPReach, KindSNMP} {
+	for _, k := range []Kind{KindISISAdj, KindPhysical, KindLineProto, KindISReach, KindIPReach} {
 		if k.String() == s {
 			return k, nil
 		}
@@ -154,27 +152,4 @@ func SortTransitions(ts []Transition) {
 		}
 		return ts[i].Reporter < ts[j].Reporter
 	})
-}
-
-// ByLink groups transitions per link, preserving time order within
-// each group (input need not be sorted). The per-group sort is stable
-// so equal-time transitions keep their input order — a requirement for
-// the parallel pipeline, whose shard merges must be byte-identical to
-// the sequential path.
-func ByLink(ts []Transition) map[topo.LinkID][]Transition {
-	counts := make(map[topo.LinkID]int)
-	for _, t := range ts {
-		counts[t.Link]++
-	}
-	grouped := make(map[topo.LinkID][]Transition, len(counts))
-	for _, t := range ts {
-		if grouped[t.Link] == nil {
-			grouped[t.Link] = make([]Transition, 0, counts[t.Link])
-		}
-		grouped[t.Link] = append(grouped[t.Link], t)
-	}
-	for _, g := range grouped {
-		sort.SliceStable(g, func(i, j int) bool { return g[i].Time.Before(g[j].Time) })
-	}
-	return grouped
 }
