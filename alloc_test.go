@@ -70,16 +70,17 @@ func TestDriverSyslogAllocBudget(t *testing.T) {
 }
 
 // TestListenerReplayAllocBudget: a month's LSPs through a fresh
-// listener (4776 measured): one record per router, link and stored LSP,
-// the listener's hostname table and one copy of each name, plus
-// transition growth; nothing per LSP. The race detector's own
-// allocations (about a thousand here) are not the listener's.
+// listener (2724 measured): one record per router and link, its
+// routers' fragment lists, the listener's hostname table and one copy
+// of each name, plus transition growth; nothing per LSP. The race
+// detector's own allocations (about a thousand here) are not the
+// listener's.
 func TestListenerReplayAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside the replay")
 	}
 	op, _ := benchListenerReplay(t)
-	pinAllocs(t, "a one-month replay through a fresh listener", 5000, op)
+	pinAllocs(t, "a one-month replay through a fresh listener", 3000, op)
 }
 
 // TestTable5AllocBudget: 13 months (342 measured): the sample slices

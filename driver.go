@@ -143,7 +143,7 @@ func (d *Driver) Summary() string {
 	if d.res != nil {
 		lsps, is = d.res.LSPCount, len(d.res.ISTransitions)
 	} else {
-		lsps, is = d.lis.LSPCount(), len(d.lis.ISTransitionsSince(0))
+		lsps, is = d.lis.LSPCount(), d.lis.ISTransitionCount()
 	}
 	count := func(line []byte, n int, what string) []byte {
 		return append(strconv.AppendInt(line, int64(n), 10), what...)
@@ -385,7 +385,7 @@ func (d *Driver) listen(ctx context.Context, shards []shard) (*ListenerResult, e
 		}
 	}
 	// The results are copies: drop the listener's own streams and its
-	// LSP database before the comparison needs the memory.
+	// fragment records before the comparison needs the memory.
 	res := d.lis.Results()
 	d.lis, d.res = nil, res
 	if d.lenient && res.DecodeErrors > 0 {

@@ -7,7 +7,6 @@
 package device
 
 import (
-	"slices"
 	"time"
 
 	"netfail/internal/isis"
@@ -120,13 +119,6 @@ func (i *Interface) SetPhysical(up bool) bool {
 	return true
 }
 
-// SetAdjacency records the adjacency state for a link and reports
-// whether it changed.
-func (d *Router) SetAdjacency(link topo.LinkID, up bool) bool {
-	i := d.Interface(link)
-	return i != nil && i.SetAdjacency(up)
-}
-
 // fill rebuilds the scratch LSP from current state with the next
 // sequence number, reusing its neighbor and prefix arrays. Parallel
 // links to the same neighbor produce one IS-reachability entry per
@@ -154,19 +146,9 @@ func (d *Router) fill() *isis.LSP {
 	return l
 }
 
-// OriginateLSP builds this router's LSP from current state with the
-// next sequence number. The caller owns the result: its neighbor and
-// prefix lists are copies of what fill built.
-func (d *Router) OriginateLSP() *isis.LSP {
-	l := *d.fill()
-	l.Neighbors = slices.Clone(l.Neighbors)
-	l.Prefixes = slices.Clone(l.Prefixes)
-	return &l
-}
-
-// EncodeLSP originates the next LSP and returns its wire bytes — what
-// OriginateLSP().Encode() returns, for one allocation: the buffer,
-// sized from the router's earlier LSPs, which the caller owns.
+// EncodeLSP originates the next LSP, with the next sequence number,
+// and returns its wire bytes for one allocation: the buffer, sized
+// from the router's earlier LSPs, which the caller owns.
 func (d *Router) EncodeLSP() ([]byte, error) {
 	wire, err := d.fill().AppendEncode(make([]byte, 0, d.wireCap))
 	d.wireCap = max(d.wireCap, len(wire))

@@ -38,7 +38,7 @@ func testNet(t *testing.T) *topo.Network {
 func TestOriginateLSPHealthy(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
-	lsp := d.OriginateLSP()
+	lsp := d.fill()
 	if lsp.Sequence != 1 {
 		t.Errorf("sequence = %d, want 1", lsp.Sequence)
 	}
@@ -73,13 +73,13 @@ func TestAdjacencyDownRemovesNeighborOnly(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
 	link := n.Links[0].ID // core-a <-> core-b
-	if !d.SetAdjacency(link, false) {
+	if !d.Interface(link).SetAdjacency(false) {
 		t.Fatal("SetAdjacency reported no change")
 	}
-	if d.SetAdjacency(link, false) {
+	if d.Interface(link).SetAdjacency(false) {
 		t.Error("repeated SetAdjacency should report no change")
 	}
-	lsp := d.OriginateLSP()
+	lsp := d.fill()
 	if len(lsp.Neighbors) != 1 {
 		t.Fatalf("neighbors = %d, want 1", len(lsp.Neighbors))
 	}
@@ -87,10 +87,10 @@ func TestAdjacencyDownRemovesNeighborOnly(t *testing.T) {
 	if len(lsp.Prefixes) != 3 {
 		t.Errorf("prefixes = %d, want 3 (protocol failure keeps IP reachability)", len(lsp.Prefixes))
 	}
-	if !d.SetAdjacency(link, true) {
+	if !d.Interface(link).SetAdjacency(true) {
 		t.Error("restore reported no change")
 	}
-	if got := len(d.OriginateLSP().Neighbors); got != 2 {
+	if got := len(d.fill().Neighbors); got != 2 {
 		t.Errorf("neighbors after restore = %d", got)
 	}
 }
@@ -100,8 +100,8 @@ func TestPhysicalDownWithdrawsPrefix(t *testing.T) {
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
 	link := n.Links[1].ID // core-a <-> cpe-1
 	d.Interface(link).SetPhysical(false)
-	d.SetAdjacency(link, false)
-	lsp := d.OriginateLSP()
+	d.Interface(link).SetAdjacency(false)
+	lsp := d.fill()
 	if len(lsp.Prefixes) != 2 {
 		t.Errorf("prefixes = %+v, want loopback + one /31", lsp.Prefixes)
 	}
@@ -116,7 +116,7 @@ func TestSequenceIncrements(t *testing.T) {
 	n := testNet(t)
 	d := New(n, n.Routers["cpe-1"], syslog.DialectIOS)
 	for want := uint32(1); want <= 5; want++ {
-		if got := d.OriginateLSP().Sequence; got != want {
+		if got := d.fill().Sequence; got != want {
 			t.Fatalf("sequence = %d, want %d", got, want)
 		}
 	}
@@ -187,7 +187,7 @@ func TestParallelLinksAdvertiseDuplicateNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(n, n.Routers["core-a"], syslog.DialectIOSXR)
-	lsp := d.OriginateLSP()
+	lsp := d.fill()
 	// core-b twice (two parallel links) + cpe-1 once.
 	count := 0
 	for _, nb := range lsp.Neighbors {
@@ -200,8 +200,8 @@ func TestParallelLinksAdvertiseDuplicateNeighbors(t *testing.T) {
 	}
 	// One goes down: still one entry left, so a set-based listener
 	// cannot see the failure — the multi-link blindness of §3.4.
-	d.SetAdjacency(n.Links[0].ID, false)
-	lsp = d.OriginateLSP()
+	d.Interface(n.Links[0].ID).SetAdjacency(false)
+	lsp = d.fill()
 	count = 0
 	for _, nb := range lsp.Neighbors {
 		if nb.System == n.Routers["core-b"].SystemID {
@@ -228,7 +228,7 @@ func TestAdjacencyUpQuery(t *testing.T) {
 	if d.Interface(link).adjDown {
 		t.Error("fresh device should have adjacency up")
 	}
-	d.SetAdjacency(link, false)
+	d.Interface(link).SetAdjacency(false)
 	if !d.Interface(link).adjDown {
 		t.Error("adjacency should be down")
 	}

@@ -89,18 +89,3 @@ func BenchmarkFletcherChecksum(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkDatabaseInstall(b *testing.B) {
-	b.ReportAllocs()
-	db := NewDatabase()
-	lsps := make([]*LSP, 256)
-	for i := range lsps {
-		lsps[i] = NewLSP(topo.SystemIDFromIndex(i+1), 1, "r", nil, nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := lsps[i%len(lsps)]
-		l.Sequence = uint32(i + 2)
-		db.Install(l)
-	}
-}

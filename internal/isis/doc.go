@@ -4,8 +4,8 @@
 // apparatus: binary encoding and decoding of LSPs; the TLVs listed in
 // Table 1 of the paper (Area Addresses, Extended IS Reachability, IP
 // Interface Address, Extended IP Reachability, and Dynamic Hostname);
-// the ISO 8473 Fletcher checksum; a link-state database with
-// sequence-number ordering; and SPF over that database.
+// and the ISO 8473 Fletcher checksum. Ordering successive issues of an
+// LSP is the listener's business.
 //
 // Encoding follows the gopacket convention: the LSP offers Encode
 // (serialize to wire bytes) and DecodeFromBytes; PeekType reads the

@@ -160,20 +160,6 @@ func (l *LSP) hostnameTable() *intern.Table {
 	return &l.hostnames
 }
 
-// PassHostnames hands l's hostname table to next, the LSP its decoder
-// decodes into after l. The listener installs every LSP it accepts and
-// decodes the next PDU into the copy the accepted one displaced, so its
-// LSPs take turns as the decode target; passing the table along keeps
-// one table per listener instead of one per stored LSP, each of which
-// would come to hold every name.
-func (l *LSP) PassHostnames(next *LSP) {
-	if l.owner != l {
-		return
-	}
-	next.hostnames, next.owner = l.hostnames, next
-	l.hostnames, l.owner = intern.Table{}, nil
-}
-
 // arenaCopy copies b into the arena and returns the full-capped
 // subrange. The arena's capacity covers the whole PDU, and every copy
 // is a disjoint region of it, so the append never grows.

@@ -153,8 +153,6 @@ var mutations = []mutation{
 		file: "internal/listener/listener.go", anchor: "case prevExt > 0 || curExt > 0:", repl: "case curExt > 0:"},
 	{id: "N4", what: "listener emits a transition into the state the link is in", pkgs: []string{"./internal/listener"},
 		file: "internal/listener/listener.go", anchor: "if prevHas == newHas || *state == stateOf(newHas) {", repl: "if prevHas == newHas {"},
-	{id: "N5", what: "listener decodes the next LSP into the one it just installed", pkgs: []string{"./internal/listener"},
-		file: "internal/listener/listener.go", anchor: "l.spare = displaced", repl: "l.spare = lsp"},
 	{id: "N6", what: "listener's key scratch aliases a fragment's keys", pkgs: []string{"./internal/listener"},
 		file: "internal/listener/listener.go", anchor: "\tf.keys, l.keys = keys, f.keys\n", repl: "\tf.keys = keys\n"},
 	{id: "N7", what: "listener stamps a transition to the second", pkgs: []string{"./internal/listener"},
@@ -179,6 +177,12 @@ var mutations = []mutation{
 		file: "internal/listener/listener.go", anchor: "l.multiLinkSkips++", repl: ""},
 	{id: "N17", what: "listener keeps an originator's first hostname", pkgs: []string{"./internal/listener"},
 		file: "internal/listener/listener.go", anchor: "if lsp.Hostname != \"\" {", repl: "if lsp.Hostname != \"\" && o.hostname == \"\" {"},
+	{id: "N18", what: "listener accepts an older copy of a fragment", pkgs: []string{"./internal/listener"},
+		file: "internal/listener/listener.go", anchor: "return lsp.Sequence > f.seq", repl: "return true"},
+	{id: "N19", what: "listener lets a purge displace an equal-sequence purge", pkgs: []string{"./internal/listener"},
+		file: "internal/listener/listener.go", anchor: "return lsp.Lifetime == 0 && !f.purged", repl: "return lsp.Lifetime == 0"},
+	{id: "N20", what: "listener does not record the accepted sequence number", pkgs: []string{"./internal/listener"},
+		file: "internal/listener/listener.go", anchor: "f.seq, f.purged = lsp.Sequence, lsp.Lifetime == 0", repl: "f.purged = lsp.Lifetime == 0"},
 	{id: "I1", what: "`ParseIPv4` accepts an IPv4-mapped IPv6 address", pkgs: []string{"./internal/topo", "./internal/config"},
 		file: "internal/topo/link.go", anchor: "if err != nil || !a.Is4() {", repl: "if err != nil || !a.Is4() && !a.Is4In6() {"},
 	{id: "I2", what: "`ParseIPv4` reads the octets little-endian", pkgs: []string{"./internal/topo", "./internal/config"},
@@ -193,8 +197,6 @@ var mutations = []mutation{
 		file: "internal/device/device.go", anchor: "l.Neighbors = l.Neighbors[:0]", repl: "l.Neighbors = l.Neighbors[:len(l.Neighbors)]"},
 	{id: "O5", what: "device sends a remote link ID of 0", pkgs: []string{"./internal/device", "./internal/netsim"},
 		file: "internal/device/device.go", anchor: "ids.SetLinkIDs(link.Subnet, link.Subnet)", repl: "ids.SetLinkIDs(link.Subnet, 0)"},
-	{id: "O6", what: "`OriginateLSP` hands out its scratch prefix list", pkgs: []string{"./internal/device", "./internal/netsim"},
-		file: "internal/device/device.go", anchor: "l.Prefixes = slices.Clone(l.Prefixes)", repl: "l.Prefixes = l.Prefixes[:len(l.Prefixes):len(l.Prefixes)]"},
 	{id: "O7", what: "device advertises every neighbor at metric 10", pkgs: []string{"./internal/device", "./internal/netsim"},
 		file: "internal/device/device.go", anchor: "nbr := isis.ISNeighbor{System: ifc.peer, Metric: ifc.metric}", repl: "nbr := isis.ISNeighbor{System: ifc.peer, Metric: 10}"},
 	{id: "O8", what: "device advertises each link as a /30", pkgs: []string{"./internal/device", "./internal/netsim"},

@@ -110,7 +110,7 @@ func TestOneNeighborChangeAllocBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, process); avg > 1 {
 		t.Errorf("a one-neighbor change allocates %.2f times, budget is 1", avg)
 	}
-	if got := len(l.ISTransitionsSince(0)); got != next-1 {
+	if got := l.ISTransitionCount(); got != next-1 {
 		t.Errorf("%d transitions from %d alternating LSPs, want %d", got, next, next-1)
 	}
 }

@@ -18,7 +18,14 @@ func TestFragmentedLSPsUnioned(t *testing.T) {
 
 	// core-a's content over three fragments: the core-b adjacency in
 	// fragment 0, the cpe-1 adjacency in 1, every prefix in 2.
-	full := tb.devices["core-a"].OriginateLSP()
+	wire, err := tb.devices["core-a"].EncodeLSP()
+	var full isis.LSP
+	if err == nil {
+		err = full.DecodeFromBytes(wire)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(full.Neighbors) != 2 {
 		t.Fatalf("core-a advertises %d neighbors, want 2", len(full.Neighbors))
 	}

@@ -24,7 +24,7 @@ func TestLinkIDDifferentiatesParallelLinks(t *testing.T) {
 	}
 
 	// Fail only the first parallel link.
-	tb.devices["core-a"].SetAdjacency(link0, false)
+	tb.devices["core-a"].Interface(link0).SetAdjacency(false)
 	tb.flood(t, "core-a")
 
 	res := tb.l.Results()
@@ -40,7 +40,7 @@ func TestLinkIDDifferentiatesParallelLinks(t *testing.T) {
 	}
 
 	// Recovery on the same link.
-	tb.devices["core-a"].SetAdjacency(link0, true)
+	tb.devices["core-a"].Interface(link0).SetAdjacency(true)
 	tb.flood(t, "core-a")
 	res = tb.l.Results()
 	if len(res.ISTransitions) != 2 || res.ISTransitions[1].Dir != trace.Up {
@@ -48,7 +48,7 @@ func TestLinkIDDifferentiatesParallelLinks(t *testing.T) {
 	}
 
 	// The second parallel link must still work independently.
-	tb.devices["core-b"].SetAdjacency(link2, false)
+	tb.devices["core-b"].Interface(link2).SetAdjacency(false)
 	tb.flood(t, "core-b")
 	res = tb.l.Results()
 	if len(res.ISTransitions) != 3 || res.ISTransitions[2].Link != link2 {
@@ -65,7 +65,7 @@ func TestLinkIDSingleLinkStillWorks(t *testing.T) {
 	}
 	tb.sync(t)
 	link := tb.net.Links[1].ID // core-a <-> cpe-1
-	tb.devices["core-a"].SetAdjacency(link, false)
+	tb.devices["core-a"].Interface(link).SetAdjacency(false)
 	tb.flood(t, "core-a")
 	res := tb.l.Results()
 	if len(res.ISTransitions) != 1 || res.ISTransitions[0].Link != link {
@@ -81,7 +81,7 @@ func TestMixedCapabilityFallsBack(t *testing.T) {
 	tb.devices["core-a"].LinkIDCapable = true // core-b stays legacy
 	tb.sync(t)
 	link0 := tb.net.Links[0].ID
-	tb.devices["core-a"].SetAdjacency(link0, false)
+	tb.devices["core-a"].Interface(link0).SetAdjacency(false)
 	tb.flood(t, "core-a")
 	res := tb.l.Results()
 	if len(res.ISTransitions) != 1 || res.ISTransitions[0].Link != link0 {

@@ -28,11 +28,9 @@ import (
 // Listener reconstructs link state from a stream of LSPs.
 type Listener struct {
 	net *topo.Network
-	db  *isis.Database
-	// spare is what the next PDU decodes into: an accepted LSP goes to
-	// the database and the copy it displaces becomes the spare, taking
-	// over the hostname table.
-	spare *isis.LSP
+	// lsp is what every PDU decodes into; it keeps its hostname table
+	// for the listener's lifetime.
+	lsp isis.LSP
 
 	origins map[topo.SystemID]*origin
 	links   map[topo.LinkID]*linkState // read by resolve only
@@ -68,9 +66,23 @@ type origin struct {
 	ifaces []ifaceRef
 }
 
+// fragment is one LSP ID's accepted copy, as much of it as the
+// listener diffs and orders by.
 type fragment struct {
 	pseudonode, number uint8
+	seq                uint32
+	purged             bool // the accepted copy has zero lifetime
 	keys               []isis.AdvKey
+}
+
+// newer reports whether lsp supersedes the fragment's accepted copy
+// (ISO 10589 §7.3.16): a higher sequence number wins, and at an equal
+// one a purge beats a live copy.
+func (f *fragment) newer(lsp *isis.LSP) bool {
+	if lsp.Sequence != f.seq {
+		return lsp.Sequence > f.seq
+	}
+	return lsp.Lifetime == 0 && !f.purged
 }
 
 // ifaceRef is one of an originator's interfaces resolved onto the
@@ -101,8 +113,6 @@ func stateOf(up bool) int8 {
 func New(net *topo.Network) *Listener {
 	return &Listener{
 		net:     net,
-		db:      isis.NewDatabase(),
-		spare:   new(isis.LSP),
 		origins: make(map[topo.SystemID]*origin),
 		links:   make(map[topo.LinkID]*linkState),
 	}
@@ -112,30 +122,26 @@ func New(net *topo.Network) *Listener {
 // given time and keeps no reference to data. Non-LSP PDUs (hellos,
 // CSNPs, PSNPs — all present on a live circuit) are counted and
 // skipped; decode failures are counted and returned; stale LSPs (not
-// newer than the database copy) are counted and ignored.
+// newer than the copy last accepted for their ID) are counted and
+// ignored.
 func (l *Listener) Process(at time.Time, data []byte) error {
 	if typ, err := isis.PeekType(data); err == nil && typ != isis.TypeLSPL2 {
 		l.otherPDUs++
 		return nil
 	}
-	lsp := l.spare
+	lsp := &l.lsp
 	if err := lsp.DecodeFromBytes(data); err != nil {
 		l.decodeErrors++
 		return fmt.Errorf("listener: %w", err)
 	}
 	l.lspCount++
-	displaced := l.db.Get(lsp.ID)
-	if !l.db.Install(lsp) {
+	o := l.origin(lsp.ID.System)
+	f, seen := o.fragment(lsp.ID.Pseudonode, lsp.ID.Fragment)
+	if seen && !f.newer(lsp) {
 		l.staleLSPs++
 		return nil
 	}
-	if displaced == nil {
-		displaced = new(isis.LSP)
-	}
-	lsp.PassHostnames(displaced)
-	l.spare = displaced
-
-	o := l.origin(lsp.ID.System)
+	f.seq, f.purged = lsp.Sequence, lsp.Lifetime == 0
 	if lsp.Hostname != "" {
 		o.hostname = lsp.Hostname
 	}
@@ -158,7 +164,6 @@ func (l *Listener) Process(at time.Time, data []byte) error {
 	}
 	// Counting is additive, so what the old and the new list share at
 	// either end cancels, and a refresh cancels altogether.
-	f := o.fragment(lsp.ID.Pseudonode, lsp.ID.Fragment)
 	was, is := f.keys, keys
 	for len(was) > 0 && len(is) > 0 && was[0] == is[0] {
 		was, is = was[1:], is[1:]
@@ -221,15 +226,16 @@ func (l *Listener) resolve(o *origin) {
 	}
 }
 
-// fragment returns the originator's stored fragment, new on first sight.
-func (o *origin) fragment(pseudonode, number uint8) *fragment {
+// fragment returns the originator's stored fragment, new on first
+// sight, and whether it was seen before.
+func (o *origin) fragment(pseudonode, number uint8) (*fragment, bool) {
 	for i := range o.frags {
 		if f := &o.frags[i]; f.pseudonode == pseudonode && f.number == number {
-			return f
+			return f, true
 		}
 	}
 	o.frags = append(o.frags, fragment{pseudonode: pseudonode, number: number})
-	return &o.frags[len(o.frags)-1]
+	return &o.frags[len(o.frags)-1], false
 }
 
 // occurrences counts key in keys.
@@ -350,7 +356,7 @@ type Result struct {
 // Results returns a snapshot of the listener's output. Every field is
 // a defensive copy — the hostname map included, so mutating a result
 // cannot corrupt the listener's OSI-ID resolution. A loop that runs
-// per PDU reads LSPCount and ISTransitionsSince instead.
+// per PDU reads LSPCount and ISTransitionCount instead.
 func (l *Listener) Results() *Result {
 	hostnames := make(map[topo.SystemID]string, len(l.origins))
 	for id, o := range l.origins {
@@ -374,10 +380,9 @@ func (l *Listener) Results() *Result {
 // LSPCount returns the number of LSPs successfully processed so far.
 func (l *Listener) LSPCount() int { return l.lspCount }
 
-// ISTransitionsSince returns the IS-reachability transitions emitted
-// after the first n, uncopied: read-only, and valid until the next
-// Process.
-func (l *Listener) ISTransitionsSince(n int) []trace.Transition { return l.isTransitions[n:] }
+// ISTransitionCount returns the number of IS-reachability transitions
+// emitted so far.
+func (l *Listener) ISTransitionCount() int { return len(l.isTransitions) }
 
 // Hostname resolves a system ID to the hostname learned from TLV 137.
 func (l *Listener) Hostname(id topo.SystemID) (string, bool) {
@@ -387,9 +392,3 @@ func (l *Listener) Hostname(id topo.SystemID) (string, bool) {
 	}
 	return o.hostname, true
 }
-
-// Database exposes the listener's link-state database, e.g. to run
-// SPF over the captured routing state. The listener recycles its LSPs:
-// a pointer read from the database is good until the next Process,
-// which may decode a newer LSP for that ID into the same memory.
-func (l *Listener) Database() *isis.Database { return l.db }
