@@ -11,6 +11,9 @@
 //
 // The defaults reproduce the scale of the paper's 13-month study.
 // netfail-analyze consumes the output directory.
+// The config archive, out/configs, has a <host>_<stamp>.cfg file per
+// pull that changed a router's text (and its first) and a line in
+// out/configs/PULLS per other pull; a rerun into -out replaces it.
 //
 // With -spill the event streams go to a sharded on-disk capture
 // (out/capture) instead of flat syslog.log/lsps.log files, keeping

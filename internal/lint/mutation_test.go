@@ -50,7 +50,7 @@ type mutation struct {
 // O and W the fast paths the retired reference copies checked (merge,
 // report grid, listener, IPv4, LSP origination, LSP encoding); B the
 // bootstrap's and Y the syslog tokenizer's, which their reference
-// copies still check.
+// copies still check; A the config archive's layout on disk.
 var mutations = []mutation{
 	{id: "D1", what: "`DefaultWindow` declared `time.Duration = 10`", pkgs: []string{"./internal/core", "./internal/match"},
 		file: "internal/match/match.go", anchor: "const DefaultWindow = 10 * time.Second", repl: "const DefaultWindow time.Duration = 10"},
@@ -225,6 +225,12 @@ var mutations = []mutation{
 		file: "internal/isis/tlv.go", anchor: "octets := int(p.Length+7) / 8\n\t\tif start < 0", repl: "octets := int(p.Length+8) / 8\n\t\tif start < 0"},
 	{id: "W12", what: "IP reachability sets the down bit as the sub-TLV bit", pkgs: []string{"./internal/isis", "./internal/netsim"},
 		file: "internal/isis/tlv.go", anchor: "ctrl |= 0x80", repl: "ctrl |= 0x40"},
+	{id: "A1", what: "`SaveDir` writes a file for every pull", pkgs: []string{"./internal/config"},
+		file: "internal/config/io.go", anchor: "if i > 0 && rev.Text == revs[i-1].Text {", repl: "if i < 0 && rev.Text == revs[i-1].Text {"},
+	{id: "A2", what: "`LoadDir` ignores `PULLS`", pkgs: []string{"./internal/config"},
+		file: "internal/config/io.go", anchor: "if err := readPulls(dir, a); err != nil {", repl: "if err := error(nil); err != nil {"},
+	{id: "A3", what: "`SaveDir` skips the stale sweep", pkgs: []string{"./internal/config"},
+		file: "internal/config/io.go", anchor: "for _, e := range entries {\n\t\tif name := e.Name(); err == nil", repl: "for _, e := range entries[:0] {\n\t\tif name := e.Name(); err == nil"},
 }
 
 // The generated block's path (from this package) and markers.

@@ -18,9 +18,11 @@ import (
 // "<unix_ms> <hex bytes>". The format deliberately resembles the
 // MRT-style dumps IGP listeners produce.
 func WriteLSPLog(w io.Writer, log []CapturedLSP) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	line := make([]byte, 0, 3<<10) // an LSP of up to 1,492 octets, in hex
 	for _, c := range log {
-		if _, err := fmt.Fprintf(bw, "%d %s\n", c.Time.UnixMilli(), hex.EncodeToString(c.Data)); err != nil {
+		line = append(hex.AppendEncode(append(strconv.AppendInt(line[:0], c.Time.UnixMilli(), 10), ' '), c.Data), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -133,3 +133,26 @@ func TestReadLSPLogAllocBudget(t *testing.T) {
 		t.Errorf("reading %d LSPs allocates %.0f times, budget is 64", n, avg)
 	}
 }
+
+// TestWriteLSPLogAllocBudget pins the writer to its buffered writer and
+// one reused line (2 measured) for 1,000 LSPs: a string per line, from
+// fmt or a hex encoding, costs thousands.
+func TestWriteLSPLogAllocBudget(t *testing.T) {
+	camp, err := Run(context.Background(), daysConfig(1, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(camp.LSPLog) < 1000 {
+		t.Fatalf("a week holds %d LSPs, want at least 1,000", len(camp.LSPLog))
+	}
+	lsps := camp.LSPLog[:1000]
+	avg := testing.AllocsPerRun(10, func() {
+		if err := WriteLSPLog(io.Discard, lsps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("1,000 LSPs: %.0f allocations", avg)
+	if avg > 4 {
+		t.Errorf("writing 1,000 LSPs allocates %.0f times, budget is 4", avg)
+	}
+}
