@@ -219,8 +219,8 @@ type shard struct {
 	syslog, lsps func(context.Context, *Driver) error
 }
 
-// memoryShards is an in-RAM Campaign: one shard, its messages already
-// parsed and rendered only for the store.
+// memoryShards is an in-RAM Campaign: one shard, its messages fields
+// the extractor reads as they are, rendered only for the store.
 func memoryShards(camp *Campaign) []shard {
 	return []shard{{
 		name: "syslog",

@@ -62,18 +62,18 @@ func randomAdjStream(rng *rand.Rand, n *topo.Network, count int) []*syslog.Messa
 		when := time.Unix(int64(sec), 0).UTC()
 		switch rng.Intn(12) {
 		case 0: // unknown router
-			msgs = append(msgs, syslog.AdjChange(syslog.DialectIOS, "ghost", uint64(i),
-				when, "core-0", "Te0", rng.Intn(2) == 0, "test"))
+			msgs = append(msgs, msgPtr(syslog.AdjChange(syslog.DialectIOS, "ghost", uint64(i),
+				when, "core-0", "Te0", rng.Intn(2) == 0, "test")))
 		case 1: // unknown interface
-			msgs = append(msgs, syslog.AdjChange(syslog.DialectIOS, "core-0", uint64(i),
-				when, "core-1", "Te99", rng.Intn(2) == 0, "test"))
+			msgs = append(msgs, msgPtr(syslog.AdjChange(syslog.DialectIOS, "core-0", uint64(i),
+				when, "core-1", "Te99", rng.Intn(2) == 0, "test")))
 		case 2: // physical-layer message
 			p := pairs[rng.Intn(len(pairs))]
-			msgs = append(msgs, syslog.LinkUpDown(p.host, uint64(i), when, p.iface, rng.Intn(2) == 0))
+			msgs = append(msgs, msgPtr(syslog.LinkUpDown(p.host, uint64(i), when, p.iface, rng.Intn(2) == 0)))
 		default:
 			p := pairs[rng.Intn(len(pairs))]
-			msgs = append(msgs, syslog.AdjChange(syslog.DialectIOS, p.host, uint64(i),
-				when, p.peer, p.iface, rng.Intn(2) == 0, "test"))
+			msgs = append(msgs, msgPtr(syslog.AdjChange(syslog.DialectIOS, p.host, uint64(i),
+				when, p.peer, p.iface, rng.Intn(2) == 0, "test")))
 		}
 	}
 	return msgs

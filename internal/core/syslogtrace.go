@@ -62,14 +62,14 @@ func (st *SyslogTraces) Merge(o *SyslogTraces) {
 }
 
 // Extractor resolves a syslog stream against one topology, one message
-// at a time: Add decodes a message, resolves it onto a link and appends
-// the transition to its stream; Finish collapses what was added into
-// per-link transitions. It owns the (router, interface) → link resolver
-// and every scratch buffer, so a long-lived Extractor — the driver's
-// shape, the streaming daemon's and the benchmark's — allocates nothing
-// per message once its buffers have grown. What it retains between
-// Finish calls is resolved transitions, never messages. An Extractor is
-// not safe for concurrent use.
+// at a time: Add reads a message's link event, resolves it onto a link
+// and appends the transition to its stream; Finish collapses what was
+// added into per-link transitions. It owns the (router, interface) →
+// link resolver and every scratch buffer, so a long-lived Extractor —
+// the driver's shape, the streaming daemon's and the benchmark's —
+// allocates nothing per message once its buffers have grown. What it
+// retains between Finish calls is resolved transitions, never
+// messages. An Extractor is not safe for concurrent use.
 type Extractor struct {
 	links []topo.LinkID // sorted; the merge state's index space
 
@@ -83,7 +83,6 @@ type Extractor struct {
 
 	adj, phys linkStream // resolved since the last Finish, by class
 	keyBuf    []byte
-	ev        syslog.LinkEvent
 
 	messages, unresolved, nonLink int
 }
@@ -192,12 +191,12 @@ func (e *Extractor) ExtractInto(ctx context.Context, msgs []*syslog.Message, mer
 	e.Finish(ctx, mergeWindow, workers, st)
 }
 
-// Reserve sizes each stream for the msgs whose mnemonic's link family
-// sends them there.
+// Reserve sizes each stream for the msgs whose link event sends them
+// there.
 func (e *Extractor) Reserve(msgs []*syslog.Message) {
 	var adj, phys int
 	for _, m := range msgs {
-		switch syslog.LinkFamily(m.Mnemonic) {
+		switch m.Link.Type {
 		case syslog.EventISISAdj:
 			adj++
 		case syslog.EventLink, syslog.EventLineProto:
@@ -210,16 +209,16 @@ func (e *Extractor) Reserve(msgs []*syslog.Message) {
 
 // Add consumes one message: a link event that resolves onto a known
 // link is appended to the adjacency or physical stream, anything else
-// is only counted. m is not retained: a caller may reuse one Message
-// for every line.
+// is only counted. It reads the message's fields and parses nothing. m
+// is not retained: a caller may reuse one Message for every line.
 func (e *Extractor) Add(m *syslog.Message) {
 	e.messages++
-	ev := &e.ev
-	if err := syslog.ParseLinkEventInto(m, ev); err != nil {
+	ev := &m.Link
+	if ev.Type == syslog.EventOther {
 		e.nonLink++
 		return
 	}
-	key := append(e.keyBuf[:0], ev.Router...)
+	key := append(e.keyBuf[:0], m.Hostname...)
 	key = append(key, 0)
 	key = append(key, ev.Interface...)
 	e.keyBuf = key
@@ -228,20 +227,17 @@ func (e *Extractor) Add(m *syslog.Message) {
 		e.unresolved++
 		return
 	}
-	tr := trace.Transition{Time: ev.Time, Link: e.links[li], Dir: trace.Down, Reporter: ev.Router}
+	tr := trace.Transition{Time: m.Timestamp, Link: e.links[li], Dir: trace.Down, Reporter: m.Hostname}
 	if ev.Up {
 		tr.Dir = trace.Up
 	}
-	switch ev.Type {
-	case syslog.EventISISAdj:
+	if ev.Type == syslog.EventISISAdj {
 		tr.Kind = trace.KindISISAdj
 		e.adj.add(tr, li)
-	case syslog.EventLink, syslog.EventLineProto:
-		tr.Kind = trace.KindPhysical
-		e.phys.add(tr, li)
-	default:
-		e.nonLink++
+		return
 	}
+	tr.Kind = trace.KindPhysical
+	e.phys.add(tr, li)
 }
 
 // Finish collapses everything added since the last Finish into st,

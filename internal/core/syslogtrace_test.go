@@ -45,9 +45,13 @@ func extractSyslog(n *topo.Network, msgs []*syslog.Message, mergeWindow time.Dur
 }
 
 func adjMsg(host, iface, peer string, sec int, up bool) *syslog.Message {
-	return syslog.AdjChange(syslog.DialectIOS, host, uint64(sec),
-		time.Unix(int64(sec), 0).UTC(), peer, iface, up, "test")
+	return msgPtr(syslog.AdjChange(syslog.DialectIOS, host, uint64(sec),
+		time.Unix(int64(sec), 0).UTC(), peer, iface, up, "test"))
 }
+
+// msgPtr returns a pointer to a message the syslog constructors built
+// by value.
+func msgPtr(m syslog.Message) *syslog.Message { return &m }
 
 func TestExtractSyslogResolvesAndSplits(t *testing.T) {
 	n, link := tinyNet(t)
@@ -55,7 +59,7 @@ func TestExtractSyslogResolvesAndSplits(t *testing.T) {
 		adjMsg("core-a", "Te0", "cpe-1", 100, false),
 		adjMsg("cpe-1", "Gi0", "core-a", 103, false), // counterpart: merged
 		adjMsg("core-a", "Te0", "cpe-1", 200, true),
-		syslog.LinkUpDown("core-a", 5, time.Unix(150, 0).UTC(), "Te0", false),
+		msgPtr(syslog.LinkUpDown("core-a", 5, time.Unix(150, 0).UTC(), "Te0", false)),
 		// Unresolvable: unknown interface.
 		adjMsg("core-a", "Te99", "cpe-1", 300, false),
 		// Unknown router.

@@ -155,9 +155,9 @@ func (d *Router) EncodeLSP() ([]byte, error) {
 	return wire, err
 }
 
-// AdjMessage formats the IS-IS adjacency-change syslog message for a
+// AdjMessage builds the IS-IS adjacency-change syslog message for a
 // transition on the interface.
-func (i *Interface) AdjMessage(ts time.Time, up bool, reason string) *syslog.Message {
+func (i *Interface) AdjMessage(ts time.Time, up bool, reason string) syslog.Message {
 	d := i.Router
 	d.logSeq++
 	// Collectors record millisecond resolution; quantize here so
@@ -166,13 +166,13 @@ func (i *Interface) AdjMessage(ts time.Time, up bool, reason string) *syslog.Mes
 	return syslog.AdjChange(d.Dialect, d.Info.Name, d.logSeq, ts, i.peerHost, i.port, up, reason)
 }
 
-// LinkMessages formats the physical-media syslog messages (%LINK and
+// LinkMessages builds the physical-media syslog messages (%LINK and
 // %LINEPROTO) for a physical transition on the interface.
-func (i *Interface) LinkMessages(ts time.Time, up bool) [2]*syslog.Message {
+func (i *Interface) LinkMessages(ts time.Time, up bool) [2]syslog.Message {
 	d := i.Router
 	ts = ts.Truncate(time.Millisecond)
 	d.logSeq += 2
-	return [2]*syslog.Message{
+	return [2]syslog.Message{
 		syslog.LinkUpDown(d.Info.Name, d.logSeq-1, ts, i.port, up),
 		syslog.LineProtoUpDown(d.Info.Name, d.logSeq, ts.Add(50*time.Millisecond), i.port, up),
 	}

@@ -131,12 +131,8 @@ func TestAdjMessageNamesPeerAndPort(t *testing.T) {
 	link := n.Links[1].ID
 	ts := time.Date(2011, 3, 1, 2, 3, 4, 0, time.UTC)
 	m := d.Interface(link).AdjMessage(ts, false, "hold time expired")
-	var ev syslog.LinkEvent
-	if err := syslog.ParseLinkEventInto(m, &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Router != "cpe-1" || ev.Neighbor != "core-a" || ev.Interface != "Gi0/0/0" || ev.Up {
-		t.Errorf("event = %+v", ev)
+	if ev := m.Link; m.Hostname != "cpe-1" || ev.Type != syslog.EventISISAdj || ev.Neighbor != "core-a" || ev.Interface != "Gi0/0/0" || ev.Up {
+		t.Errorf("message = %+v", m)
 	}
 	if m.Seq != 1 {
 		t.Errorf("seq = %d", m.Seq)
@@ -149,13 +145,7 @@ func TestLinkMessages(t *testing.T) {
 	link := n.Links[0].ID
 	ts := time.Date(2011, 3, 1, 2, 3, 4, 0, time.UTC)
 	msgs := d.Interface(link).LinkMessages(ts, false)
-	var ev0, ev1 syslog.LinkEvent
-	if err := syslog.ParseLinkEventInto(msgs[0], &ev0); err != nil {
-		t.Fatal(err)
-	}
-	if err := syslog.ParseLinkEventInto(msgs[1], &ev1); err != nil {
-		t.Fatal(err)
-	}
+	ev0, ev1 := msgs[0].Link, msgs[1].Link
 	if ev0.Type != syslog.EventLink || ev1.Type != syslog.EventLineProto {
 		t.Errorf("types = %v, %v", ev0.Type, ev1.Type)
 	}

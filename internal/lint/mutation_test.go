@@ -50,7 +50,8 @@ type mutation struct {
 // O and W the fast paths the retired reference copies checked (merge,
 // report grid, listener, IPv4, LSP origination, LSP encoding); B the
 // bootstrap's and Y the syslog tokenizer's, which their reference
-// copies still check; A the config archive's layout on disk.
+// copies still check; A the config archive's layout on disk; F the
+// syslog message as fields, rendered and parsed at the I/O edges.
 var mutations = []mutation{
 	{id: "D1", what: "`DefaultWindow` declared `time.Duration = 10`", pkgs: []string{"./internal/core", "./internal/match"},
 		file: "internal/match/match.go", anchor: "const DefaultWindow = 10 * time.Second", repl: "const DefaultWindow time.Duration = 10"},
@@ -127,6 +128,8 @@ var mutations = []mutation{
 		file: "internal/core/syslogtrace.go", anchor: "\tclear(seen)\n", repl: "\n"},
 	{id: "M4", what: "`linkStream.merge` reporter tie-break flipped", pkgs: []string{"./internal/core"},
 		file: "internal/core/syslogtrace.go", anchor: "dst[b-1].Reporter <= dst[b].Reporter", repl: "dst[b-1].Reporter >= dst[b].Reporter"},
+	{id: "M5", what: "Table 4 overlap merge passes an IS-IS failure that still overlaps a later syslog failure", pkgs: []string{"./internal/match", "./internal/core"},
+		file: "internal/match/match.go", anchor: "!fbs[next].End.After(fa.Start)", repl: "!fbs[next].End.After(fa.End)"},
 	{id: "R1", what: "Figure 1 grid keeps repeated x values", pkgs: []string{".", "./internal/report"},
 		file: "internal/report/paper.go", anchor: "if len(dedup) == 0 || v != dedup[len(dedup)-1] {", repl: "if true {"},
 	{id: "R2", what: "Figure 1 `cdfAt` reads the curve left of a step", pkgs: []string{".", "./internal/report"},
@@ -145,6 +148,12 @@ var mutations = []mutation{
 		file: "internal/syslog/tokenize.go", anchor: "colon := bytes.Index(rest, []byte(\": \"))", repl: "colon := bytes.IndexByte(rest, ':')"},
 	{id: "Y3", what: "tokenizer accepts a PRI up to 199", pkgs: []string{"./internal/syslog"},
 		file: "internal/syslog/tokenize.go", anchor: "pri > 191", repl: "pri > 199"},
+	{id: "F1", what: "`AppendRender` writes the XR adjacency template without `(L2) `", pkgs: []string{"./internal/syslog", "./internal/netsim"},
+		file: "internal/syslog/message.go", anchor: "dst = append(dst, \"(L2) \"...)", repl: "dst = append(dst, \"\"...)"},
+	{id: "F2", what: "`ParseBytes` keeps the text of a canonical link-state line", pkgs: []string{"./internal/syslog", "./internal/netsim"},
+		file: "internal/syslog/parse.go", anchor: "if bytes.Equal(tk.canon, text) {", repl: "if bytes.Equal(tk.canon, text[:0]) {"},
+	{id: "F3", what: "`Extractor.Add` ignores the link fields: every message counts as non-link", pkgs: []string{"./internal/core"},
+		file: "internal/core/syslogtrace.go", anchor: "if ev.Type == syslog.EventOther {", repl: "if ev != nil {"},
 	{id: "N1", what: "listener skips an LSP that changes one advertisement", pkgs: []string{"./internal/listener"},
 		file: "internal/listener/listener.go", anchor: "if len(was)+len(is) == 0 && !first {", repl: "if len(was)+len(is) <= 1 && !first {"},
 	{id: "N2", what: "listener baseline ignores link-ID adjacencies", pkgs: []string{"./internal/listener"},

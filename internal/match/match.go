@@ -240,18 +240,26 @@ func startOrder(fs []trace.Failure) []int {
 // IntersectionDowntime returns the total time during which both
 // sources agree a link was down, summed over links: the Overlap cell
 // of Table 4's downtime row. The second source comes grouped by
-// GroupByLink.
+// GroupByLink. Each link is one merge in start order: b's cursor passes
+// a failure that ends by a's current start, which no later a overlaps.
 func IntersectionDowntime(a []trace.Failure, byLinkB map[topo.LinkID][]trace.Failure) time.Duration {
 	var total time.Duration
-	for _, fa := range a {
-		for _, fb := range byLinkB[fa.Link] {
-			if fb.Start.After(fa.End) {
-				break
+	for link, order := range groupIndicesByLink(a) {
+		fbs, next := byLinkB[link], 0
+		for _, i := range order {
+			fa := &a[i]
+			for next < len(fbs) && !fbs[next].End.After(fa.Start) {
+				next++
 			}
-			lo := maxTime(fa.Start, fb.Start)
-			hi := minTime(fa.End, fb.End)
-			if hi.After(lo) {
-				total += hi.Sub(lo)
+			for _, fb := range fbs[next:] {
+				if fb.Start.After(fa.End) {
+					break
+				}
+				lo := maxTime(fa.Start, fb.Start)
+				hi := minTime(fa.End, fb.End)
+				if hi.After(lo) {
+					total += hi.Sub(lo)
+				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -161,6 +163,73 @@ func TestIntersectionDowntimeMultipleOverlaps(t *testing.T) {
 	b := []trace.Failure{fail(linkA, 100, 200), fail(linkA, 300, 400)}
 	if got := IntersectionDowntime(a, GroupByLink(b)); got != 200*time.Second {
 		t.Errorf("intersection = %v, want 200s", got)
+	}
+}
+
+// refIntersectionDowntime is the nested loop IntersectionDowntime's
+// merge replaced: every failure of a against its link's failures of b
+// from the first.
+func refIntersectionDowntime(a []trace.Failure, byLinkB map[topo.LinkID][]trace.Failure) time.Duration {
+	var total time.Duration
+	for _, fa := range a {
+		for _, fb := range byLinkB[fa.Link] {
+			if fb.Start.After(fa.End) {
+				break
+			}
+			lo := maxTime(fa.Start, fb.Start)
+			hi := minTime(fa.End, fb.End)
+			if hi.After(lo) {
+				total += hi.Sub(lo)
+			}
+		}
+	}
+	return total
+}
+
+// genFailures draws n failures on link in start order: gaps of zero
+// (equal starts), failures that end where the next starts (touching),
+// and long ones that nest several successors.
+func genFailures(rng *rand.Rand, link topo.LinkID, n int) []trace.Failure {
+	fs := make([]trace.Failure, 0, n)
+	start := rng.Intn(50)
+	for len(fs) < n {
+		dur := rng.Intn(40)
+		switch rng.Intn(4) {
+		case 0:
+			dur = 100 + rng.Intn(400) // nests what follows
+		case 1:
+			dur = 0
+		}
+		fs = append(fs, fail(link, start, start+dur))
+		switch rng.Intn(3) {
+		case 0: // equal start
+		case 1:
+			start += dur // touching
+		default:
+			start += rng.Intn(60)
+		}
+	}
+	return fs
+}
+
+// TestIntersectionDowntimeMatchesNestedLoop holds the merge to the
+// nested loop on generated lists: nested, touching and equal-start
+// failures on a few links, one of them with 1,000 failures in each
+// source, and the first source in no particular order across links.
+func TestIntersectionDowntimeMatchesNestedLoop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b []trace.Failure
+		for i, n := range []int{1000, 1 + rng.Intn(30), rng.Intn(30), 1 + rng.Intn(5)} {
+			link := topo.LinkID(fmt.Sprintf("r%d:p|s%d:p", i, i))
+			a = append(a, genFailures(rng, link, n)...)
+			b = append(b, genFailures(rng, link, rng.Intn(2*n+1))...)
+		}
+		rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+		byLinkB := GroupByLink(b)
+		if got, want := IntersectionDowntime(a, byLinkB), refIntersectionDowntime(a, byLinkB); got != want {
+			t.Fatalf("seed %d: merge %v, nested loop %v", seed, got, want)
+		}
 	}
 }
 

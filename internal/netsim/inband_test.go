@@ -61,11 +61,11 @@ func TestInBandSyslogBiasesAgainstCPEDowns(t *testing.T) {
 	// after connectivity returns.
 	var cpeDown, cpeUp int
 	for _, m := range with.Syslog {
-		var ev syslog.LinkEvent
-		if err := syslog.ParseLinkEventInto(m, &ev); err != nil || ev.Type != syslog.EventISISAdj {
+		ev := m.Link
+		if ev.Type != syslog.EventISISAdj {
 			continue
 		}
-		r, ok := with.Network.Routers[ev.Router]
+		r, ok := with.Network.Routers[m.Hostname]
 		if !ok || r.Class != topo.CPE {
 			continue
 		}

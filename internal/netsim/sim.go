@@ -385,7 +385,7 @@ func (s *simulation) deliverLSP(d *device.Router, content bool) {
 // emitSyslog sends a message through the lossy transport. Under the
 // in-band model a message from a router with no path to the collector
 // never arrives, regardless of the loss draw.
-func (s *simulation) emitSyslog(m *syslog.Message, lossProb float64) {
+func (s *simulation) emitSyslog(m syslog.Message, lossProb float64) {
 	s.camp.Counts.SyslogSent++
 	// Draw the loss regardless of reachability so the in-band model
 	// perturbs only delivery, never the random stream (identical
@@ -713,7 +713,7 @@ func (s *simulation) scheduleNoise() {
 			seq++
 			msgSeq := seq
 			s.sched.At(at, func() {
-				m := &syslog.Message{
+				m := syslog.Message{
 					Facility:  syslog.Local7,
 					Severity:  syslog.Informational,
 					Timestamp: s.sched.Now().Truncate(time.Millisecond),

@@ -21,7 +21,7 @@ type eventSink interface {
 	// plus a non-negative processing delay, so every future delivery
 	// is stamped at or after the floor of now's millisecond — the
 	// invariant that lets the spill sink bound its reorder buffer.
-	syslog(now time.Time, m *syslog.Message)
+	syslog(now time.Time, m syslog.Message)
 	// lsp receives one LSP's wire bytes captured at now. Captures
 	// arrive in scheduler order, i.e. non-decreasing time.
 	lsp(now time.Time, wire []byte)
@@ -33,10 +33,17 @@ type eventSink interface {
 // once at the end. The stable sorts keep delivery order among
 // equal-timestamp messages, which the spill sink reproduces with its
 // delivery-sequence tiebreak.
-type memorySink struct{ camp *Campaign }
+type memorySink struct {
+	camp *Campaign
+	slab []syslog.Message // what Syslog points into, 256 messages an allocation
+}
 
-func (ms *memorySink) syslog(_ time.Time, m *syslog.Message) {
-	ms.camp.Syslog = append(ms.camp.Syslog, m)
+func (ms *memorySink) syslog(_ time.Time, m syslog.Message) {
+	if len(ms.slab) == cap(ms.slab) {
+		ms.slab = make([]syslog.Message, 0, 256)
+	}
+	ms.slab = append(ms.slab, m)
+	ms.camp.Syslog = append(ms.camp.Syslog, &ms.slab[len(ms.slab)-1])
 }
 
 func (ms *memorySink) lsp(now time.Time, wire []byte) {
@@ -66,12 +73,12 @@ func (ms *memorySink) finish() error {
 // by that horizon's message volume, never the campaign's.
 type spillSink struct {
 	sw   *capture.ShardWriter
-	heap fifoHeap[*syslog.Message]
+	heap fifoHeap[syslog.Message]
 	buf  []byte // reused render buffer
 	err  error  // first write error; surfaced by finish
 }
 
-func (sp *spillSink) syslog(now time.Time, m *syslog.Message) {
+func (sp *spillSink) syslog(now time.Time, m syslog.Message) {
 	sp.heap.push(m.Timestamp.UnixMilli(), m)
 	sp.flush(now.UnixMilli())
 }

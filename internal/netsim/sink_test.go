@@ -24,20 +24,17 @@ func TestSpillSinkAllocBudget(t *testing.T) {
 	}
 	sp := &spillSink{sw: sw}
 	// Stamped horizon ahead of the clock, that many messages wait in the
-	// heap and each step pops one; the ring outlives a message's wait.
+	// heap and each step pops one.
 	const horizon = 64 * time.Millisecond
-	ring := make([]*syslog.Message, 128)
-	for i := range ring {
-		ring[i] = syslog.LinkUpDown("riv-core-01", uint64(i), time.Time{}, "POS1/0", false)
-	}
+	m := syslog.LinkUpDown("riv-core-01", 0, time.Time{}, "POS1/0", false)
 	wire := bytes.Repeat([]byte{0x42}, 120)
-	now, n := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC), 0
+	now := time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
 	step := func() {
-		m := ring[n%len(ring)]
+		m.Seq++
 		m.Timestamp = now.Add(horizon)
 		sp.syslog(now, m)
 		sp.lsp(now, wire)
-		now, n = now.Add(time.Millisecond), n+1
+		now = now.Add(time.Millisecond)
 	}
 	for i := 0; i < 256; i++ {
 		step()

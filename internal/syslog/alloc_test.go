@@ -10,14 +10,14 @@ import (
 // regression only to someone reading benchmark output, while these
 // fail `go test` outright. The hot paths are pinned at zero steady-
 // state allocations per record — the tokenizer keeps fields as
-// subslices, ParseBytes materializes them through warm intern tables,
-// and ParseLinkEventInto writes into a caller-owned event. Any new
-// allocation on a parse path is a test failure.
+// subslices, and ParseBytes reads the link event and materializes
+// every string through warm intern tables into a caller-owned
+// Message. Any new allocation on a parse path is a test failure.
 
 func allocTestLine() string {
-	return AdjChange(DialectIOSXR, "riv-core-01", 421,
+	return msgPtr(AdjChange(DialectIOSXR, "riv-core-01", 421,
 		time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC),
-		"cpe-001", "TenGigE0/1/0/3", false, "hold time expired").Render()
+		"cpe-001", "TenGigE0/1/0/3", false, "hold time expired")).Render()
 }
 
 func TestParseBytesAllocBudget(t *testing.T) {
@@ -59,24 +59,32 @@ func TestParseErrorAllocBudget(t *testing.T) {
 	}
 }
 
+// TestParseLinkEventAllocBudget: a warm parse of a link-state line
+// into a fresh Message, discarded, allocates nothing.
 func TestParseLinkEventAllocBudget(t *testing.T) {
-	m := AdjChange(DialectIOS, "riv-core-01", 1,
+	line := []byte(msgPtr(AdjChange(DialectIOS, "riv-core-01", 1,
 		time.Date(2011, 3, 3, 4, 5, 6, 0, time.UTC),
-		"cpe-001", "GigabitEthernet0/0/1", true, "new adjacency")
-	avg := testing.AllocsPerRun(100, func() {
-		var ev LinkEvent
-		if err := ParseLinkEventInto(m, &ev); err != nil {
-			t.Fatal(err)
+		"cpe-001", "GigabitEthernet0/0/1", true, "new adjacency")).Render())
+	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
+	tk := NewTokenizer()
+	parse := func() {
+		var m Message
+		if err := tk.ParseBytes(line, ref, &m); err != nil || m.Link.Type != EventISISAdj {
+			t.Fatalf("%+v, %v", m, err)
 		}
-	})
-	// Zero: a fresh event per message, discarded, never escapes.
-	if avg != 0 {
-		t.Errorf("ParseLinkEventInto into a fresh event allocates %.1f times per message, budget is 0", avg)
+	}
+	parse() // warm the intern tables
+	if avg := testing.AllocsPerRun(100, parse); avg != 0 {
+		t.Errorf("warm ParseBytes of a link-state line into a fresh Message allocates %.1f times per message, budget is 0", avg)
 	}
 }
 
+// TestParseLinkEventIntoAllocBudget: every template, and a link-state
+// line whose text is kept because it is not canonical, parse warm into
+// one reused Message without allocating.
 func TestParseLinkEventIntoAllocBudget(t *testing.T) {
-	msgs := []*Message{
+	var lines [][]byte
+	for _, m := range []Message{
 		AdjChange(DialectIOS, "riv-core-01", 1,
 			time.Date(2011, 3, 3, 4, 5, 6, 0, time.UTC),
 			"cpe-001", "GigabitEthernet0/0/1", true, "new adjacency"),
@@ -85,17 +93,23 @@ func TestParseLinkEventIntoAllocBudget(t *testing.T) {
 			"cpe-001", "TenGigE0/1/0/3", false, "hold time expired"),
 		LinkUpDown("riv-core-01", 3, time.Date(2011, 3, 3, 4, 5, 8, 0, time.UTC), "POS1/0", false),
 		LineProtoUpDown("riv-core-01", 4, time.Date(2011, 3, 3, 4, 5, 9, 0, time.UTC), "POS1/0", false),
+	} {
+		lines = append(lines, m.AppendRender(nil))
 	}
-	var ev LinkEvent
-	avg := testing.AllocsPerRun(100, func() {
-		for _, m := range msgs {
-			if err := ParseLinkEventInto(m, &ev); err != nil {
-				t.Fatal(err)
+	lines = append(lines, []byte("<189>Mar  3 04:05:10 riv-core-01 5: %CLNS-5-ADJCHANGE: Adjacency to cpe-001 (POS1/0) Up"))
+	ref := time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC)
+	tk := NewTokenizer()
+	var m Message
+	parseAll := func() {
+		for _, line := range lines {
+			if err := tk.ParseBytes(line, ref, &m); err != nil || m.Link.Type == EventOther {
+				t.Fatalf("%q: %+v, %v", line, m, err)
 			}
 		}
-	})
-	if avg != 0 {
-		t.Errorf("ParseLinkEventInto allocates %.1f times per batch, budget is 0", avg)
+	}
+	parseAll()
+	if avg := testing.AllocsPerRun(100, parseAll); avg != 0 {
+		t.Errorf("warm ParseBytes of the link-state lines allocates %.1f times per batch, budget is 0", avg)
 	}
 }
 
@@ -118,9 +132,9 @@ func TestAppendRenderAllocBudget(t *testing.T) {
 func TestWriteLogAllocBudget(t *testing.T) {
 	msgs := make([]*Message, 1000)
 	for i := range msgs {
-		msgs[i] = AdjChange(DialectIOSXR, "riv-core-01", uint64(i),
+		msgs[i] = msgPtr(AdjChange(DialectIOSXR, "riv-core-01", uint64(i),
 			time.Date(2011, 3, 3, 4, 5, i%60, 789e6, time.UTC),
-			"cpe-001", "TenGigE0/1/0/3", i%2 == 0, "hold time expired")
+			"cpe-001", "TenGigE0/1/0/3", i%2 == 0, "hold time expired"))
 	}
 	if avg := testing.AllocsPerRun(10, func() {
 		if err := WriteLog(io.Discard, msgs); err != nil {
@@ -132,24 +146,25 @@ func TestWriteLogAllocBudget(t *testing.T) {
 }
 
 // TestSyslogConstructorsAllocBudget: the simulator builds every
-// message through these three, so each is held to the two allocations
-// it cannot avoid — the Message and its concatenated Text.
+// message through these three, which fill fields, build no text and
+// return the Message by value for the caller to store, so none
+// allocates.
 func TestSyslogConstructorsAllocBudget(t *testing.T) {
 	ts := time.Date(2011, 3, 3, 4, 5, 6, 789e6, time.UTC)
-	var sink *Message
-	for name, build := range map[string]func() *Message{
-		"AdjChange/IOS": func() *Message {
+	var sink []Message
+	for name, build := range map[string]func() Message{
+		"AdjChange/IOS": func() Message {
 			return AdjChange(DialectIOS, "cpe-001", 7, ts, "riv-core-01", "GigabitEthernet0/0/1", true, "new adjacency")
 		},
-		"AdjChange/IOSXR": func() *Message {
+		"AdjChange/IOSXR": func() Message {
 			return AdjChange(DialectIOSXR, "riv-core-01", 7, ts, "cpe-001", "TenGigE0/1/0/3", false, "hold time expired")
 		},
-		"LinkUpDown":      func() *Message { return LinkUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", false) },
-		"LineProtoUpDown": func() *Message { return LineProtoUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", true) },
+		"LinkUpDown":      func() Message { return LinkUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", false) },
+		"LineProtoUpDown": func() Message { return LineProtoUpDown("riv-core-01", 7, ts, "TenGigE0/1/0/3", true) },
 	} {
-		if avg := testing.AllocsPerRun(100, func() { sink = build() }); avg > 2 {
-			t.Errorf("%s allocates %.1f times per message, budget is 2 (Message and Text)", name, avg)
+		sink = make([]Message, 1)
+		if avg := testing.AllocsPerRun(100, func() { sink[0] = build() }); avg != 0 {
+			t.Errorf("%s allocates %.1f times per message, budget is 0", name, avg)
 		}
 	}
-	_ = sink
 }

@@ -10,8 +10,8 @@ import (
 func TestWriteReadLogRoundTrip(t *testing.T) {
 	var messages []*Message
 	for i := 0; i < 50; i++ {
-		messages = append(messages, AdjChange(DialectIOS, "riv-core-01", uint64(i),
-			ts(time.April, 1+i%27, i%24, i%60, i%60, i%1000), "cpe-002", "Gi0/0/1", i%2 == 0, "test"))
+		messages = append(messages, msgPtr(AdjChange(DialectIOS, "riv-core-01", uint64(i),
+			ts(time.April, 1+i%27, i%24, i%60, i%60, i%1000), "cpe-002", "Gi0/0/1", i%2 == 0, "test")))
 	}
 	var buf bytes.Buffer
 	if err := WriteLog(&buf, messages); err != nil {
@@ -46,7 +46,7 @@ func TestReadLogRollingYearAcrossThirteenMonths(t *testing.T) {
 	var buf bytes.Buffer
 	var msgs []*Message
 	for i, ts := range times {
-		msgs = append(msgs, LinkUpDown("r", uint64(i), ts, "Gi0/0/0", i%2 == 0))
+		msgs = append(msgs, msgPtr(LinkUpDown("r", uint64(i), ts, "Gi0/0/0", i%2 == 0)))
 	}
 	if err := WriteLog(&buf, msgs); err != nil {
 		t.Fatal(err)
@@ -64,9 +64,9 @@ func TestReadLogRollingYearAcrossThirteenMonths(t *testing.T) {
 
 func TestReadLogSkipsBadLines(t *testing.T) {
 	log := strings.Join([]string{
-		LinkUpDown("r", 1, ts(time.May, 1, 0, 0, 0, 0), "Gi0/0/0", true).Render(),
+		msgPtr(LinkUpDown("r", 1, ts(time.May, 1, 0, 0, 0, 0), "Gi0/0/0", true)).Render(),
 		"this line is noise",
-		LinkUpDown("r", 2, ts(time.May, 1, 0, 0, 1, 0), "Gi0/0/0", false).Render(),
+		msgPtr(LinkUpDown("r", 2, ts(time.May, 1, 0, 0, 1, 0), "Gi0/0/0", false)).Render(),
 		"",
 	}, "\n")
 	got, bad, err := ReadLog(strings.NewReader(log), refTime)

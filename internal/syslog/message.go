@@ -30,9 +30,9 @@ const (
 	Local7 Facility = 23
 )
 
-// Message is a parsed RFC 3164 syslog message in the Cisco layout:
-// PRI, header timestamp, hostname, a per-process sequence tag, and the
-// %FACILITY-SEVERITY-MNEMONIC body.
+// Message is an RFC 3164 syslog message in the Cisco layout: PRI,
+// header timestamp, hostname, a per-process sequence tag, and the
+// %FACILITY-SEVERITY-MNEMONIC body, which for a link event is Link.
 type Message struct {
 	Facility Facility
 	Severity Severity
@@ -44,8 +44,14 @@ type Message struct {
 	// Seq is Cisco's per-device message sequence number.
 	Seq uint64
 	// Mnemonic is the %FAC-SEV-NAME token, e.g. "CLNS-5-ADJCHANGE".
+	// For a link event it names the template Link renders through.
 	Mnemonic string
-	// Text is the free text after the mnemonic.
+	// Link is the link-state event the message reports; the zero
+	// LinkEvent (Type EventOther) is none.
+	Link LinkEvent
+	// Text is the body when it is not Link's canonical rendering:
+	// another mnemonic's, or a link-state line's that does not parse
+	// or would not render back byte for byte.
 	Text string
 }
 
@@ -58,8 +64,9 @@ func (m *Message) Render() string {
 }
 
 // AppendRender appends the message's wire form to dst and returns the
-// extended slice. The spill writer renders every message through one
-// reused buffer, so a warm writer allocates nothing per line.
+// extended slice: the one place a message's fields become text. The
+// spill writer renders every message through one reused buffer, so a
+// warm writer allocates nothing per line.
 func (m *Message) AppendRender(dst []byte) []byte {
 	dst = append(dst, '<')
 	dst = strconv.AppendInt(dst, int64(m.PRI()), 10)
@@ -70,7 +77,7 @@ func (m *Message) AppendRender(dst []byte) []byte {
 	dst = append(dst, ' ')
 	dst = append(dst, m.Hostname...)
 	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(m.Seq), 10)
+	dst = strconv.AppendUint(dst, m.Seq, 10)
 	dst = append(dst, ':', ' ')
 	// The RFC 3164 stamp is formatted once and copied to its second place.
 	dst = append(dst, dst[stamp:stampEnd]...)
@@ -86,16 +93,52 @@ func (m *Message) AppendRender(dst []byte) []byte {
 	dst = append(dst, " UTC: %"...)
 	dst = append(dst, m.Mnemonic...)
 	dst = append(dst, ':', ' ')
-	dst = append(dst, m.Text...)
-	return dst
+	if m.Text != "" || m.Link.Type == EventOther {
+		return append(dst, m.Text...)
+	}
+	return m.Link.appendText(dst, m.Mnemonic)
+}
+
+// appendText appends the event's canonical text in the template its
+// mnemonic names.
+func (ev *LinkEvent) appendText(dst []byte, mnemonic string) []byte {
+	if ev.Type == EventISISAdj {
+		xr := mnemonic == mnemXRAdj
+		if !xr {
+			dst = append(dst, "ISIS: "...)
+		}
+		dst = append(dst, "Adjacency to "...)
+		dst = append(dst, ev.Neighbor...)
+		dst = append(dst, " ("...)
+		dst = append(dst, ev.Interface...)
+		dst = append(dst, ") "...)
+		if xr {
+			dst = append(dst, "(L2) "...)
+		}
+		if ev.Up {
+			dst = append(dst, "Up, "...)
+		} else {
+			dst = append(dst, "Down, "...)
+		}
+		return append(dst, ev.Reason...)
+	}
+	if ev.Type == EventLineProto {
+		dst = append(dst, "Line protocol on "...)
+	}
+	dst = append(dst, "Interface "...)
+	dst = append(dst, ev.Interface...)
+	if ev.Up {
+		return append(dst, ", changed state to up"...)
+	}
+	return append(dst, ", changed state to down"...)
 }
 
 // stampLayout is the RFC 3164 TIMESTAMP: "Mmm dd hh:mm:ss" with a
 // space-padded day.
 const stampLayout = "Jan _2 15:04:05"
 
-// The link-state mnemonics: the constructors below emit them and
-// LinkFamily maps them to their event types.
+// The link-state mnemonics: the constructors below emit them, and
+// ParseBytes reads a line's text as the template its mnemonic names.
 const (
 	mnemIOSAdj    = "CLNS-5-ADJCHANGE"
 	mnemXRAdj     = "ROUTING-ISIS-4-ADJCHANGE"
@@ -103,37 +146,24 @@ const (
 	mnemLineProto = "LINEPROTO-5-UPDOWN"
 )
 
-// EventType classifies the link-state-relevant message types.
+// EventType classifies the link-state-relevant message types. The
+// zero value is no link event.
 type EventType int
 
 const (
+	// EventOther is any message this analysis does not interpret.
+	EventOther EventType = iota
 	// EventISISAdj is an IS-IS adjacency state change
 	// (%CLNS-5-ADJCHANGE or %ROUTING-ISIS-4-ADJCHANGE): the "IS-IS"
 	// syslog rows of Table 2.
-	EventISISAdj EventType = iota
+	EventISISAdj
 	// EventLink is a physical interface state change
 	// (%LINK-3-UPDOWN): the "physical media" rows of Table 2.
 	EventLink
 	// EventLineProto is a line-protocol state change
 	// (%LINEPROTO-5-UPDOWN), also counted as physical media.
 	EventLineProto
-	// EventOther is any message this analysis does not interpret.
-	EventOther
 )
-
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EventISISAdj:
-		return "isis-adj"
-	case EventLink:
-		return "link"
-	case EventLineProto:
-		return "lineproto"
-	default:
-		return "other"
-	}
-}
 
 // Dialect selects which vendor OS message format a router emits.
 type Dialect int
@@ -145,12 +175,10 @@ const (
 	DialectIOSXR
 )
 
-// LinkEvent is the structured content of a link-state message: what
-// the analysis extracts from every relevant syslog line.
+// LinkEvent is the content of a link-state message beyond its
+// header: what the analysis reads from every relevant syslog line.
 type LinkEvent struct {
 	Type EventType
-	// Router is the reporting hostname.
-	Router string
 	// Interface is the local interface named in the message.
 	Interface string
 	// Neighbor is the adjacency peer (hostname or system ID string)
@@ -160,68 +188,49 @@ type LinkEvent struct {
 	Up bool
 	// Reason is the trailing explanation, e.g. "hold time expired".
 	Reason string
-	// Time is the message timestamp.
-	Time time.Time
-	// Seq is the device's message sequence number.
-	Seq uint64
 }
 
-// AdjChange formats an IS-IS adjacency change message in the given
-// dialect.
-func AdjChange(dialect Dialect, host string, seq uint64, ts time.Time, neighbor, iface string, up bool, reason string) *Message {
-	dir := "Down"
-	if up {
-		dir = "Up"
-	}
-	m := &Message{
+// AdjChange builds an IS-IS adjacency change message in the given
+// dialect. Like the two constructors below it fills fields and builds
+// no text, and returns a value for the caller to store.
+func AdjChange(dialect Dialect, host string, seq uint64, ts time.Time, neighbor, iface string, up bool, reason string) Message {
+	m := Message{
 		Facility:  Local7,
+		Severity:  Notice,
 		Timestamp: ts,
 		Hostname:  host,
 		Seq:       seq,
+		Mnemonic:  mnemIOSAdj,
+		Link:      LinkEvent{Type: EventISISAdj, Interface: iface, Neighbor: neighbor, Up: up, Reason: reason},
 	}
-	switch dialect {
-	case DialectIOSXR:
-		m.Severity = Warning
-		m.Mnemonic = mnemXRAdj
-		m.Text = "Adjacency to " + neighbor + " (" + iface + ") (L2) " + dir + ", " + reason
-	default:
-		m.Severity = Notice
-		m.Mnemonic = mnemIOSAdj
-		m.Text = "ISIS: Adjacency to " + neighbor + " (" + iface + ") " + dir + ", " + reason
+	if dialect == DialectIOSXR {
+		m.Severity, m.Mnemonic = Warning, mnemXRAdj
 	}
 	return m
 }
 
-// LinkUpDown formats a physical interface state change.
-func LinkUpDown(host string, seq uint64, ts time.Time, iface string, up bool) *Message {
-	dir := "down"
-	if up {
-		dir = "up"
-	}
-	return &Message{
+// LinkUpDown builds a physical interface state change.
+func LinkUpDown(host string, seq uint64, ts time.Time, iface string, up bool) Message {
+	return Message{
 		Facility:  Local7,
 		Severity:  Error,
 		Timestamp: ts,
 		Hostname:  host,
 		Seq:       seq,
 		Mnemonic:  mnemLink,
-		Text:      "Interface " + iface + ", changed state to " + dir,
+		Link:      LinkEvent{Type: EventLink, Interface: iface, Up: up},
 	}
 }
 
-// LineProtoUpDown formats a line-protocol state change.
-func LineProtoUpDown(host string, seq uint64, ts time.Time, iface string, up bool) *Message {
-	dir := "down"
-	if up {
-		dir = "up"
-	}
-	return &Message{
+// LineProtoUpDown builds a line-protocol state change.
+func LineProtoUpDown(host string, seq uint64, ts time.Time, iface string, up bool) Message {
+	return Message{
 		Facility:  Local7,
 		Severity:  Notice,
 		Timestamp: ts,
 		Hostname:  host,
 		Seq:       seq,
 		Mnemonic:  mnemLineProto,
-		Text:      "Line protocol on Interface " + iface + ", changed state to " + dir,
+		Link:      LinkEvent{Type: EventLineProto, Interface: iface, Up: up},
 	}
 }

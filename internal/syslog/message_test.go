@@ -1,7 +1,6 @@
 package syslog
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +16,10 @@ func parseLine(line string, ref time.Time) (*Message, error) {
 	}
 	return m, nil
 }
+
+// msgPtr returns a pointer to a message the constructors built by
+// value.
+func msgPtr(m Message) *Message { return &m }
 
 func ts(month time.Month, day, hour, min, sec, ms int) time.Time {
 	return time.Date(2011, month, day, hour, min, sec, ms*int(time.Millisecond), time.UTC)
@@ -37,13 +40,12 @@ func TestAdjChangeRenderParseRoundTrip(t *testing.T) {
 		if !m.Timestamp.Equal(orig.Timestamp) {
 			t.Errorf("timestamp = %v, want %v", m.Timestamp, orig.Timestamp)
 		}
-		var ev LinkEvent
-		if err := ParseLinkEventInto(m, &ev); err != nil {
-			t.Fatalf("ParseLinkEventInto: %v", err)
+		if ev := m.Link; ev.Type != EventISISAdj || ev.Up || ev.Neighbor != "cpe-001" ||
+			ev.Interface != "TenGigE0/1/0/3" || ev.Reason != "hold time expired" || m.Text != "" {
+			t.Errorf("message = %+v", m)
 		}
-		if ev.Type != EventISISAdj || ev.Up || ev.Neighbor != "cpe-001" ||
-			ev.Interface != "TenGigE0/1/0/3" || ev.Reason != "hold time expired" {
-			t.Errorf("event = %+v", ev)
+		if *m != orig {
+			t.Errorf("parsed %+v, built %+v", m, orig)
 		}
 	}
 }
@@ -54,12 +56,8 @@ func TestLinkUpDownRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev LinkEvent
-	if err := ParseLinkEventInto(m, &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Type != EventLink || !ev.Up || ev.Interface != "GigabitEthernet0/0/1" {
-		t.Errorf("event = %+v", ev)
+	if ev := m.Link; ev.Type != EventLink || !ev.Up || ev.Interface != "GigabitEthernet0/0/1" || m.Text != "" {
+		t.Errorf("message = %+v", m)
 	}
 }
 
@@ -69,12 +67,8 @@ func TestLineProtoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev LinkEvent
-	if err := ParseLinkEventInto(m, &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Type != EventLineProto || ev.Up {
-		t.Errorf("event = %+v", ev)
+	if ev := m.Link; ev.Type != EventLineProto || ev.Up || m.Text != "" {
+		t.Errorf("message = %+v", m)
 	}
 }
 
@@ -122,22 +116,63 @@ func TestParseMalformed(t *testing.T) {
 }
 
 func TestParseLinkEventRejectsOthers(t *testing.T) {
-	m := &Message{Mnemonic: "SYS-5-CONFIG_I", Text: "Configured from console"}
-	if err := ParseLinkEventInto(m, new(LinkEvent)); !errors.Is(err, ErrNotLink) {
-		t.Errorf("err = %v, want ErrNotLink", err)
+	const line = "<189>Mar  3 04:05:06 h 1: %SYS-5-CONFIG_I: Configured from console"
+	m, err := parseLine(line, refTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Link != (LinkEvent{}) || m.Text != "Configured from console" || m.Render() != line[:26]+"Mar  3 04:05:06.000 UTC: "+line[26:] {
+		t.Errorf("message = %+v, renders %q", m, m.Render())
 	}
 }
 
+// TestParseAdjTextMalformed: a link-state mnemonic whose text does not
+// read as its template is no link event, and its text is kept — also
+// over a Message that held an event from the line before.
 func TestParseAdjTextMalformed(t *testing.T) {
+	tk := NewTokenizer()
 	for _, text := range []string{
 		"Adjacency to neighbor-without-iface Up, ok",
 		"Adjacency to n (iface-unterminated Up",
 		"Adjacency to n (i) Sideways, reason",
 		"nonsense",
 	} {
-		m := &Message{Mnemonic: "ROUTING-ISIS-4-ADJCHANGE", Text: text}
-		if err := ParseLinkEventInto(m, new(LinkEvent)); err == nil {
-			t.Errorf("ParseLinkEventInto(%q) succeeded", text)
+		var m Message
+		good := msgPtr(AdjChange(DialectIOSXR, "h", 1, ts(time.May, 5, 5, 5, 5, 5), "n", "i", true, "r")).Render()
+		if err := tk.ParseBytes([]byte(good), refTime, &m); err != nil || m.Link.Type != EventISISAdj {
+			t.Fatalf("%+v, %v", m, err)
+		}
+		line := "<188>May  5 05:05:05 h 2: %ROUTING-ISIS-4-ADJCHANGE: " + text
+		if err := tk.ParseBytes([]byte(line), refTime, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Link != (LinkEvent{}) || m.Text != text {
+			t.Errorf("%q parsed to %+v", text, m)
+		}
+	}
+}
+
+// TestParseKeepsNonCanonicalLinkText: a link-state line that reads as
+// its template but would not render back byte for byte keeps its text
+// beside the event, so it renders as it arrived.
+func TestParseKeepsNonCanonicalLinkText(t *testing.T) {
+	for _, body := range []string{
+		"CLNS-5-ADJCHANGE: Adjacency to n (i) Up, new adjacency",            // no "ISIS: "
+		"CLNS-5-ADJCHANGE: ISIS: Adjacency to n (i) (L2) Up, new adjacency", // "(L2) " on IOS
+		"ROUTING-ISIS-4-ADJCHANGE: Adjacency to n (i) Up, new adjacency",    // no "(L2) " on XR
+		"ROUTING-ISIS-4-ADJCHANGE: Adjacency to n (i) (L2) Down",            // no reason clause
+	} {
+		line := "<189>Mar  3 04:05:06 h 1: Mar  3 04:05:06.000 UTC: %" + body
+		m, err := parseLine(line, refTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, text, _ := strings.Cut(body, ": ")
+		if m.Link.Type != EventISISAdj || m.Link.Neighbor != "n" || m.Link.Interface != "i" || m.Text != text {
+			t.Errorf("%q parsed to %+v", body, m)
+		}
+		if got := m.Render(); got != line {
+			t.Errorf("%q renders %q", line, got)
 		}
 	}
 }
@@ -161,11 +196,7 @@ func TestInterfaceNamesWithSpacesInDescription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev LinkEvent
-	if err := ParseLinkEventInto(m, &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Neighbor != "svl-core-02.cenic.net" || ev.Interface != "TenGigE0/1/0/3.100" {
+	if ev := m.Link; ev.Neighbor != "svl-core-02.cenic.net" || ev.Interface != "TenGigE0/1/0/3.100" {
 		t.Errorf("event = %+v", ev)
 	}
 }

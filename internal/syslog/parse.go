@@ -1,19 +1,16 @@
 package syslog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"netfail/internal/intern"
 )
 
-// Parsing errors.
-var (
-	ErrMalformed = errors.New("syslog: malformed message")
-	ErrNotLink   = errors.New("syslog: not a link-state message")
-)
+// ErrMalformed is the parsing error.
+var ErrMalformed = errors.New("syslog: malformed message")
 
 // The hot path returns preconstructed errors: corrupted captures make
 // parse failures routine (ReadLog counts them per line), and building
@@ -30,13 +27,6 @@ var (
 	errBadSeq          = fmt.Errorf("%w: bad sequence", ErrMalformed)
 	errMissingMnemonic = fmt.Errorf("%w: missing mnemonic", ErrMalformed)
 	errMissingMnemSep  = fmt.Errorf("%w: missing mnemonic separator", ErrMalformed)
-
-	errBadAdjPrefix      = fmt.Errorf("%w: not an adjacency message", ErrMalformed)
-	errMissingInterface  = fmt.Errorf("%w: missing interface", ErrMalformed)
-	errUntermInterface   = fmt.Errorf("%w: unterminated interface", ErrMalformed)
-	errBadDirection      = fmt.Errorf("%w: bad direction", ErrMalformed)
-	errBadIfacePrefix    = fmt.Errorf("%w: not an interface message", ErrMalformed)
-	errMissingStateWords = fmt.Errorf("%w: missing state clause", ErrMalformed)
 )
 
 // Tokenizer parses wire-format lines directly from byte buffers,
@@ -50,14 +40,16 @@ type Tokenizer struct {
 	// symbols interns the bounded vocabulary: hostnames and mnemonics.
 	// A month-scale campaign sees a few hundred of each.
 	symbols intern.Table
-	// texts interns the free-text field. Real captures repeat a small
-	// set of texts (the same adjacency flaps over and over), but
-	// corrupted or hostile input is unbounded, so this table carries a
-	// limit past which texts degrade to ordinary fresh strings.
+	// texts interns the body: a link event's fields, or the text.
+	// Real captures repeat a small set of them (the same adjacency
+	// flaps over and over), but corrupted or hostile input is
+	// unbounded, so this table carries a limit past which they
+	// degrade to ordinary fresh strings.
 	texts intern.Table
+	canon []byte // a parsed event rendered back, to compare with its text
 }
 
-// textInternLimit caps the free-text table: generous for the repeated
+// textInternLimit caps the body table: generous for the repeated
 // flap messages of a real capture, harmless when corrupted input
 // blows past it.
 const textInternLimit = 1 << 16
@@ -67,7 +59,10 @@ func NewTokenizer() *Tokenizer {
 	return &Tokenizer{texts: intern.Table{Limit: textInternLimit}}
 }
 
-// ParseBytes decodes one wire-format line from a byte buffer into m.
+// ParseBytes decodes one wire-format line from a byte buffer into m:
+// the one place text becomes fields. A link-state line whose text
+// reads as its template fills m.Link, keeping m.Text only when that
+// text is not the event's canonical rendering.
 // The buffer may be reused immediately: every retained string is
 // interned or freshly copied. On error m is partially overwritten and
 // must not be used. RFC 3164 timestamps carry no year, so ref supplies
@@ -81,8 +76,87 @@ func (tk *Tokenizer) ParseBytes(line []byte, ref time.Time, m *Message) error {
 	}
 	m.Hostname = tk.symbols.Intern(host)
 	m.Mnemonic = tk.symbols.Intern(mnem)
+	if tk.parseLink(m, text) {
+		tk.canon = m.Link.appendText(tk.canon[:0], m.Mnemonic)
+		if bytes.Equal(tk.canon, text) {
+			m.Text = ""
+			return nil
+		}
+	} else {
+		m.Link = LinkEvent{}
+	}
 	m.Text = tk.texts.Intern(text)
 	return nil
+}
+
+// parseLink reads text as the link-state template m.Mnemonic names
+// into m.Link, reporting whether it does. On false m.Link is partially
+// written.
+func (tk *Tokenizer) parseLink(m *Message, text []byte) bool {
+	ev := &m.Link
+	switch m.Mnemonic {
+	case mnemIOSAdj:
+		ev.Type = EventISISAdj
+		return tk.parseAdj(ev, bytes.TrimPrefix(text, []byte("ISIS: ")))
+	case mnemXRAdj:
+		ev.Type = EventISISAdj
+		return tk.parseAdj(ev, text)
+	case mnemLink:
+		ev.Type = EventLink
+		return tk.parseIface(ev, text, "Interface ")
+	case mnemLineProto:
+		ev.Type = EventLineProto
+		return tk.parseIface(ev, text, "Line protocol on Interface ")
+	}
+	return false
+}
+
+// parseAdj reads "Adjacency to NEIGHBOR (IFACE) [(L2) ]DIR[, REASON]".
+func (tk *Tokenizer) parseAdj(ev *LinkEvent, text []byte) bool {
+	text, ok := bytes.CutPrefix(text, []byte("Adjacency to "))
+	if !ok {
+		return false
+	}
+	neighbor, text, ok := bytes.Cut(text, []byte(" ("))
+	if !ok {
+		return false
+	}
+	iface, text, ok := bytes.Cut(text, []byte(") "))
+	if !ok {
+		return false
+	}
+	text = bytes.TrimPrefix(text, []byte("(L2) "))
+	dir, reason, _ := bytes.Cut(text, []byte(", "))
+	if ev.Up, ok = parseDir(dir, "Up", "Down"); !ok {
+		return false
+	}
+	ev.Neighbor = tk.texts.Intern(neighbor)
+	ev.Interface = tk.texts.Intern(iface)
+	ev.Reason = tk.texts.Intern(reason)
+	return true
+}
+
+// parseIface reads "PREFIX IFACE, changed state to DIR".
+func (tk *Tokenizer) parseIface(ev *LinkEvent, text []byte, prefix string) bool {
+	text, ok := bytes.CutPrefix(text, []byte(prefix))
+	if !ok {
+		return false
+	}
+	iface, dir, ok := bytes.Cut(text, []byte(", changed state to "))
+	if !ok {
+		return false
+	}
+	if ev.Up, ok = parseDir(dir, "up", "down"); !ok {
+		return false
+	}
+	ev.Interface = tk.texts.Intern(iface)
+	ev.Neighbor, ev.Reason = "", ""
+	return true
+}
+
+// parseDir reads a transition's direction word.
+func parseDir(dir []byte, up, down string) (isUp, ok bool) {
+	return string(dir) == up, string(dir) == up || string(dir) == down
 }
 
 // resolveYear places a year-less timestamp — t, in year 0 UTC — in the
@@ -112,114 +186,4 @@ func absDuration(d time.Duration) time.Duration {
 		return -d
 	}
 	return d
-}
-
-// LinkFamily returns the event type of a link-state mnemonic, or
-// EventOther for a mnemonic outside the three families the analysis
-// consumes.
-func LinkFamily(mnemonic string) EventType {
-	switch mnemonic {
-	case mnemIOSAdj, mnemXRAdj:
-		return EventISISAdj
-	case mnemLink:
-		return EventLink
-	case mnemLineProto:
-		return EventLineProto
-	}
-	return EventOther
-}
-
-// ParseLinkEventInto extracts the structured link event from a
-// message into a caller-owned LinkEvent, returning ErrNotLink for
-// mnemonics outside the link families; loops reuse one event across a
-// capture. The string fields are substrings of the message's fields,
-// so a successful extraction performs zero allocations. On error ev is
-// partially overwritten and must not be used.
-func ParseLinkEventInto(m *Message, ev *LinkEvent) error {
-	// Fields are assigned individually rather than via a struct
-	// literal: every success path below overwrites Interface, Up, and
-	// (for adjacency messages) Neighbor/Reason, so only the fields the
-	// path leaves untouched need explicit clearing. This keeps the
-	// extract loop from re-zeroing the whole 112-byte struct per
-	// message.
-	ev.Router = m.Hostname
-	ev.Time = m.Timestamp
-	ev.Seq = m.Seq
-	switch ev.Type = LinkFamily(m.Mnemonic); ev.Type {
-	case EventISISAdj:
-		text := m.Text
-		if m.Mnemonic == mnemIOSAdj {
-			text = strings.TrimPrefix(text, "ISIS: ")
-		}
-		return parseAdjText(ev, text)
-	case EventLink:
-		return parseIfaceText(ev, m.Text, "Interface ")
-	case EventLineProto:
-		return parseIfaceText(ev, m.Text, "Line protocol on Interface ")
-	default:
-		return ErrNotLink
-	}
-}
-
-// parseAdjText handles "Adjacency to NEIGHBOR (IFACE) [\(L2\) ]DIR, reason".
-func parseAdjText(ev *LinkEvent, text string) error {
-	const prefix = "Adjacency to "
-	if !strings.HasPrefix(text, prefix) {
-		return errBadAdjPrefix
-	}
-	text = text[len(prefix):]
-	open := strings.Index(text, " (")
-	if open < 0 {
-		return errMissingInterface
-	}
-	ev.Neighbor = text[:open]
-	text = text[open+2:]
-	closeP := strings.Index(text, ") ")
-	if closeP < 0 {
-		return errUntermInterface
-	}
-	ev.Interface = text[:closeP]
-	text = text[closeP+2:]
-	text = strings.TrimPrefix(text, "(L2) ")
-	comma := strings.Index(text, ", ")
-	dir := text
-	ev.Reason = ""
-	if comma >= 0 {
-		dir = text[:comma]
-		ev.Reason = text[comma+2:]
-	}
-	switch dir {
-	case "Up":
-		ev.Up = true
-	case "Down":
-		ev.Up = false
-	default:
-		return errBadDirection
-	}
-	return nil
-}
-
-// parseIfaceText handles "... IFACE, changed state to DIR".
-func parseIfaceText(ev *LinkEvent, text, prefix string) error {
-	if !strings.HasPrefix(text, prefix) {
-		return errBadIfacePrefix
-	}
-	text = text[len(prefix):]
-	const sep = ", changed state to "
-	i := strings.Index(text, sep)
-	if i < 0 {
-		return errMissingStateWords
-	}
-	ev.Interface = text[:i]
-	ev.Neighbor = ""
-	ev.Reason = ""
-	switch text[i+len(sep):] {
-	case "up":
-		ev.Up = true
-	case "down":
-		ev.Up = false
-	default:
-		return errBadDirection
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ package syslog
 // file; its fidelity to the old implementation is the point.
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -116,7 +117,7 @@ func refAbsDuration(d time.Duration) time.Duration {
 }
 
 func refParseLinkEvent(m *Message) (*LinkEvent, error) {
-	ev := &LinkEvent{Router: m.Hostname, Time: m.Timestamp, Seq: m.Seq}
+	ev := &LinkEvent{}
 	switch m.Mnemonic {
 	case "CLNS-5-ADJCHANGE":
 		ev.Type = EventISISAdj
@@ -132,7 +133,28 @@ func refParseLinkEvent(m *Message) (*LinkEvent, error) {
 		ev.Type = EventLineProto
 		return refParseIfaceText(ev, m.Text, "Line protocol on Interface ")
 	default:
-		return nil, ErrNotLink
+		return nil, errRefNotLink
+	}
+}
+
+var errRefNotLink = errors.New("syslog: not a link-state message")
+
+// refLinkText is the text the retired constructors concatenated for
+// an event in its mnemonic's template.
+func refLinkText(mnemonic string, ev *LinkEvent) string {
+	dir, adjDir := "down", "Down"
+	if ev.Up {
+		dir, adjDir = "up", "Up"
+	}
+	switch mnemonic {
+	case "CLNS-5-ADJCHANGE":
+		return "ISIS: Adjacency to " + ev.Neighbor + " (" + ev.Interface + ") " + adjDir + ", " + ev.Reason
+	case "ROUTING-ISIS-4-ADJCHANGE":
+		return "Adjacency to " + ev.Neighbor + " (" + ev.Interface + ") (L2) " + adjDir + ", " + ev.Reason
+	case "LINK-3-UPDOWN":
+		return "Interface " + ev.Interface + ", changed state to " + dir
+	default:
+		return "Line protocol on Interface " + ev.Interface + ", changed state to " + dir
 	}
 }
 
