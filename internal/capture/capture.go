@@ -128,28 +128,31 @@ func CreateSegmentFile(dir, seg, idx string) (*SegmentWriter, error) {
 	return s, nil
 }
 
-// Append frames one record. Records must arrive in non-decreasing
-// timestamp order — the index contract every segment reader relies on.
-func (s *SegmentWriter) Append(tsMs int64, rec []byte) error {
+// Append frames one record and returns the byte offset its frame
+// starts at, where SegmentReader.RecordAt reads it back. Records must
+// arrive in non-decreasing timestamp order — the index contract every
+// segment reader relies on.
+func (s *SegmentWriter) Append(tsMs int64, rec []byte) (off int64, err error) {
 	if s.records%indexEvery == 0 {
 		binary.LittleEndian.PutUint64(s.idxEntry[0:], uint64(tsMs))
 		binary.LittleEndian.PutUint64(s.idxEntry[8:], uint64(s.off))
 		binary.LittleEndian.PutUint32(s.idxEntry[16:], uint32(s.records))
 		if _, err := s.iw.Write(s.idxEntry[:]); err != nil {
-			return fmt.Errorf("capture: index: %w", err)
+			return 0, fmt.Errorf("capture: index: %w", err)
 		}
 	}
 	s.frame = appendRecord(s.frame[:0], tsMs, rec)
 	if _, err := s.w.Write(s.frame); err != nil {
-		return fmt.Errorf("capture: segment: %w", err)
+		return 0, fmt.Errorf("capture: segment: %w", err)
 	}
+	off = s.off
 	s.off += int64(len(s.frame))
 	if s.records == 0 {
 		s.firstMs = tsMs
 	}
 	s.lastMs = tsMs
 	s.records++
-	return nil
+	return off, nil
 }
 
 // Records returns how many records have been appended.
@@ -200,13 +203,15 @@ type ShardWriter struct {
 // AppendSyslog frames one rendered syslog line. Lines must arrive in
 // non-decreasing timestamp order.
 func (sw *ShardWriter) AppendSyslog(tsMs int64, line []byte) error {
-	return sw.syslog.Append(tsMs, line)
+	_, err := sw.syslog.Append(tsMs, line)
+	return err
 }
 
 // AppendLSP frames one LSP's wire bytes. Records must arrive in
 // non-decreasing timestamp order.
 func (sw *ShardWriter) AppendLSP(tsMs int64, wire []byte) error {
-	return sw.lsps.Append(tsMs, wire)
+	_, err := sw.lsps.Append(tsMs, wire)
+	return err
 }
 
 // Close flushes and syncs the shard's files and records its counts

@@ -441,9 +441,9 @@ func TestGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ts {
-		if err := sw.Append(ts[i], recs[i]); err != nil {
-			t.Fatal(err)
+	for i, want := range []int64{7, 33, 51} { // where each frame starts
+		if off, err := sw.Append(ts[i], recs[i]); err != nil || off != want {
+			t.Fatalf("record %d appended at offset %d (%v), want %d", i, off, err, want)
 		}
 	}
 	if err := sw.Finish(); err != nil {
@@ -487,12 +487,12 @@ func TestWriterAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := bytes.Repeat([]byte{0x42}, 120)
-	if err := sw.Append(1, rec); err != nil {
+	if _, err := sw.Append(1, rec); err != nil {
 		t.Fatal(err)
 	}
 	ts := int64(2)
 	avg := testing.AllocsPerRun(200, func() {
-		if err := sw.Append(ts, rec); err != nil {
+		if _, err := sw.Append(ts, rec); err != nil {
 			t.Fatal(err)
 		}
 		ts++
@@ -518,7 +518,7 @@ func BenchmarkSegmentAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sw.Append(int64(i), rec); err != nil {
+		if _, err := sw.Append(int64(i), rec); err != nil {
 			b.Fatal(err)
 		}
 	}

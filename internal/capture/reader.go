@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sync"
 
 	"netfail/internal/frame"
 	"netfail/internal/salvage"
@@ -22,10 +24,24 @@ import (
 // offset-accurate error; a lenient one skips damaged regions and
 // accounts every skip in its salvage report (see internal/frame).
 type SegmentReader struct {
-	fr *frame.Reader
-	f  *os.File // nil when the reader does not own a file
-	at []byte   // RecordAt's frame buffer
+	fr  *frame.Reader
+	f   *os.File // nil when the reader does not own a file
+	win *window  // pooled; nil when the reader does not own a file
+
+	// A Seek takes effect at the next Next, so a reader only ever
+	// asked for RecordAt reads nothing else and takes no stream window.
+	seeking bool
+	at      IndexEntry
+	span    int64
 }
+
+// A window is a file-backed reader's buffers: the frame stream's and
+// RecordAt's. Readers return theirs to the pool at Close, so a store
+// serving queries or a driver replaying shards allocates windows once,
+// not per read.
+type window struct{ stream, frame []byte }
+
+var windows = sync.Pool{New: func() any { return new(window) }}
 
 // newSegmentReader wraps r, positioned at the segment magic, as a
 // frame stream. name labels errors (typically the file path).
@@ -44,38 +60,50 @@ func OpenSegment(path string) (*SegmentReader, error) {
 }
 
 // OpenSegmentAt opens path and positions the reader with
-// Seek(e, span).
+// Seek(e, span). It reads nothing until the first Next.
 func OpenSegmentAt(path string, e IndexEntry, span int64, lenient bool) (*SegmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	sr := &SegmentReader{fr: frame.NewReader(f, path, tsLen, lenient, nil), f: f}
+	sr := &SegmentReader{fr: frame.NewReader(f, path, tsLen, lenient, nil), f: f, win: windows.Get().(*window)}
+	if sr.win.stream != nil {
+		sr.fr.Buffer(sr.win.stream)
+	}
 	if err := sr.Seek(e, span); err != nil {
-		f.Close()
+		sr.Close()
 		return nil, err
 	}
 	return sr, nil
 }
 
-// Seek repositions a file-backed reader at a frame boundary taken
-// from the segment's sparse index and reads from that record on; the
-// zero IndexEntry is the start of the segment, behind its verified
-// magic. Lenient, an entry pointing into a damaged region simply
-// resynchronizes on the next intact frame. span is the distance to the
-// next index entry when the caller will not read past it — a point
-// fetch then reads those bytes, through one window reused across
-// seeks — and zero for a bulk read, which keeps the default window.
+// Seek positions a file-backed reader at a frame boundary taken from
+// the segment's sparse index: the next Next reads from that record on.
+// The zero IndexEntry is the start of the segment, whose magic that
+// Next verifies first. Lenient, an entry pointing into a damaged
+// region simply resynchronizes on the next intact frame. span is the
+// distance to the next index entry when the caller will not read past
+// it, and zero for a bulk read, which keeps the default window.
 func (sr *SegmentReader) Seek(e IndexEntry, span int64) error {
-	fromStart := e == IndexEntry{}
-	if !fromStart && e.Offset < int64(len(segHeader)) {
+	if e != (IndexEntry{}) && e.Offset < int64(len(segHeader)) {
 		return fmt.Errorf("capture: %s: seek offset %d inside header", sr.f.Name(), e.Offset)
 	}
-	if _, err := sr.f.Seek(e.Offset, io.SeekStart); err != nil {
+	sr.seeking, sr.at, sr.span = true, e, span
+	return nil
+}
+
+// reposition carries out the pending Seek.
+func (sr *SegmentReader) reposition() error {
+	sr.seeking = false
+	if sr.win.stream == nil {
+		sr.win.stream = make([]byte, frame.Window)
+		sr.fr.Buffer(sr.win.stream)
+	}
+	if _, err := sr.f.Seek(sr.at.Offset, io.SeekStart); err != nil {
 		return fmt.Errorf("capture: %s: %w", sr.f.Name(), err)
 	}
-	sr.fr.StartAt(e.Offset, e.Record, int(span))
-	if fromStart {
+	sr.fr.StartAt(sr.at.Offset, sr.at.Record, int(sr.span))
+	if sr.at == (IndexEntry{}) {
 		if err := sr.fr.Header(segHeader); err != nil {
 			return fmt.Errorf("capture: %w", err)
 		}
@@ -83,43 +111,63 @@ func (sr *SegmentReader) Seek(e IndexEntry, span int64) error {
 	return nil
 }
 
-// RecordAt reads one record straight from a file-backed reader's
-// segment whose records are all recLen bytes long, as a store's
-// failures and transitions are: from e, the index entry at or before
-// it, the frame of ordinal record begins
-//
-//	e.Offset + (record − e.Record) × (frame.Overhead + 8 + recLen)
-//
-// It reads that frame alone, leaving the Next stream where it was, and
-// returns it when frame.Check passes it at exactly that length, kept
-// in the salvage report. ok is false for anything else — a damaged
-// frame, offsets the damage has shifted, the end of the file — and the
-// caller reads the stride instead (Seek, Next), which refuses or
-// salvages what is there.
-func (sr *SegmentReader) RecordAt(e IndexEntry, record int64, recLen int) (tsMs int64, rec []byte, ok bool) {
-	size := frame.Overhead + tsLen + recLen
-	if cap(sr.at) < size {
-		sr.at = make([]byte, size)
+// RecordAt reads the record whose frame starts at byte offset off —
+// where the segment's writer appended it — from a file-backed reader,
+// leaving the Next stream where it was. It reads the frame header and
+// recLen record bytes first, and the rest of a longer frame in one
+// more read. It returns the record and end, the offset past its frame,
+// when frame.Check passes the frame, kept in the salvage report; ok is
+// false for anything else — a damaged frame, an offset the damage has
+// shifted off a frame, the end of the file — and the caller scans
+// instead, which refuses or salvages what is there.
+func (sr *SegmentReader) RecordAt(off int64, recLen int) (tsMs int64, rec []byte, end int64, ok bool) {
+	b, err := sr.readAt(sr.win.frame[:0], off, frame.Overhead+tsLen+recLen)
+	n, reason := frame.Check(b, tsLen)
+	if reason != "" && n > 0 && err == nil {
+		// A longer frame, or a damaged length: read on only as far as
+		// the file goes, so a bogus length costs no memory.
+		if fi, serr := sr.f.Stat(); serr == nil && off+int64(frame.Overhead+n) <= fi.Size() {
+			b, _ = sr.readAt(b, off, frame.Overhead+n)
+			n, reason = frame.Check(b, tsLen)
+		}
 	}
-	b := sr.at[:size]
-	if _, err := sr.f.ReadAt(b, e.Offset+(record-e.Record)*int64(size)); err != nil {
-		return 0, nil, false
-	}
-	if n, reason := frame.Check(b, tsLen); reason != "" || n != tsLen+recLen {
-		return 0, nil, false
+	sr.win.frame = b
+	if reason != "" {
+		return 0, nil, 0, false
 	}
 	sr.fr.Report().Kept++
-	return int64(binary.LittleEndian.Uint64(b[frame.Overhead:])), b[frame.Overhead+tsLen:], true
+	return int64(binary.LittleEndian.Uint64(b[frame.Overhead:])), b[frame.Overhead+tsLen : frame.Overhead+n], off + int64(frame.Overhead+n), true
+}
+
+// readAt extends b, which holds the first len(b) bytes at off, to the
+// first size bytes at off, or as many as the file has; err is io.EOF
+// when it has fewer.
+func (sr *SegmentReader) readAt(b []byte, off int64, size int) ([]byte, error) {
+	have := len(b)
+	b = slices.Grow(b, size-have)[:size]
+	n, err := sr.f.ReadAt(b[have:], off+int64(have))
+	return b[:have+n], err
 }
 
 // Report returns the reader's salvage accounting: records kept, and
 // for a lenient reader the damaged regions skipped.
 func (sr *SegmentReader) Report() *salvage.Report { return sr.fr.Report() }
 
-// Close closes the underlying file when the reader owns one.
+// Offset returns the byte offset of the frame Next last returned.
+func (sr *SegmentReader) Offset() int64 { return sr.fr.Offset() }
+
+// Close closes the underlying file when the reader owns one, and
+// returns its windows to the pool.
 func (sr *SegmentReader) Close() error {
 	if sr.f == nil {
 		return nil
+	}
+	if sr.win != nil {
+		if cap(sr.win.frame) > frame.Window {
+			sr.win.frame = nil // a rare long frame is not worth keeping
+		}
+		windows.Put(sr.win)
+		sr.win = nil
 	}
 	return sr.f.Close()
 }
@@ -127,6 +175,11 @@ func (sr *SegmentReader) Close() error {
 // Next returns the next record. At the end of the segment it returns
 // io.EOF. The returned slice aliases the reader's window.
 func (sr *SegmentReader) Next() (tsMs int64, rec []byte, err error) {
+	if sr.seeking {
+		if err := sr.reposition(); err != nil {
+			return 0, nil, err
+		}
+	}
 	payload, err := sr.fr.Next()
 	if err == io.EOF {
 		return 0, nil, io.EOF

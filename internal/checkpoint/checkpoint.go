@@ -62,7 +62,6 @@ type Record struct {
 type options struct {
 	strict    bool
 	fsyncEach bool
-	tap       func(io.Writer) io.Writer
 }
 
 // Option configures Open.
@@ -75,12 +74,6 @@ func Strict() Option { return func(o *options) { o.strict = true } }
 // FsyncEach upgrades Append durability from kill-safe (flushed to the
 // kernel) to power-loss-safe (fsynced) at one fsync per write.
 func FsyncEach() Option { return func(o *options) { o.fsyncEach = true } }
-
-// SnapshotTap wraps the snapshot writer — the fault-injection hook
-// the chaos harness uses to tear a checkpoint write mid-stream.
-func SnapshotTap(fn func(io.Writer) io.Writer) Option {
-	return func(o *options) { o.tap = fn }
-}
 
 // Recovery describes what Open reconstructed from disk.
 type Recovery struct {
@@ -232,9 +225,6 @@ func (s *Store) Snapshot(records []Record) error {
 	}
 	covered := s.seq
 	err := atomicfile.Write(s.dir, fmt.Sprintf("snap-%016x.ckpt", covered), func(w io.Writer) error {
-		if s.opt.tap != nil {
-			w = s.opt.tap(w)
-		}
 		return writeSnapshot(w, covered, records)
 	})
 	if err != nil {
@@ -273,14 +263,6 @@ func (s *Store) retire(covered uint64) {
 			os.Remove(w.path)
 		}
 	}
-}
-
-// Sync fsyncs the active WAL segment.
-func (s *Store) Sync() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Sync()
 }
 
 // Close syncs and closes the active WAL segment.

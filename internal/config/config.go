@@ -83,16 +83,6 @@ func (a *Archive) FileCount() int {
 	return total
 }
 
-// Generate renders a configuration file for every router in the
-// network, captured at the given time, into a fresh archive.
-func Generate(n *topo.Network, captured time.Time) *Archive {
-	a := NewArchive()
-	for _, name := range n.RouterNames {
-		a.Add(name, Revision{Captured: captured, Text: Render(n, n.Routers[name])})
-	}
-	return a
-}
-
 // GenerateArchive renders periodic configuration snapshots for every
 // router over [start, end), one revision per interval — the shape of
 // an operational config archive pulled on a schedule (the paper mined

@@ -17,7 +17,13 @@ func generated(t *testing.T) (*topo.Network, *Archive) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, Generate(n, captureTime)
+	return n, pull(n)
+}
+
+// pull is one scheduled pull of every router's configuration, at
+// captureTime.
+func pull(n *topo.Network) *Archive {
+	return GenerateArchive(n, captureTime, captureTime.Add(time.Hour), time.Hour)
 }
 
 func TestGenerateProducesFilePerRouter(t *testing.T) {

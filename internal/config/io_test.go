@@ -18,7 +18,7 @@ func TestSaveLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Generate(n, captureTime)
+	a := pull(n)
 	// Add an older revision for one router to exercise multi-revision.
 	host := n.RouterNames[0]
 	a.Add(host, Revision{Captured: captureTime.Add(-48 * time.Hour), Text: "hostname " + host + "\nrouter isis cenic\n net 49.0001.0000.0000.9999.00\n"})
@@ -170,7 +170,7 @@ func TestSaveDirLayout(t *testing.T) {
 	}
 
 	once := t.TempDir()
-	if err := Generate(topoNet(t), captureTime).SaveDir(once); err != nil {
+	if err := pull(topoNet(t)).SaveDir(once); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(once, pullsName)); !os.IsNotExist(err) {

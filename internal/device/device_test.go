@@ -56,7 +56,7 @@ func TestOriginateLSPHealthy(t *testing.T) {
 		t.Errorf("first prefix should be the loopback: %+v", lsp.Prefixes[0])
 	}
 	// Wire round trip preserves everything.
-	wire, err := lsp.Encode()
+	wire, err := lsp.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func hubNet(t testing.TB, spokes int) *topo.Network {
 
 // TestLSPPathsMatchReference drives two views of one router through
 // 1,500 seeded adjacency/physical state changes: EncodeLSP (what the
-// simulator calls) and fill().Encode() must emit the same wire bytes
+// simulator calls) and fill().AppendEncode(nil) must emit the same wire bytes
 // at every step, with and without link identifiers, on a neighbor list
 // that splits across TLVs. The map-based origination both were once
 // compared with is retired: each row of the mutation
@@ -70,12 +70,12 @@ func TestLSPPathsMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			lsp := cold.fill()
-			owned, err := lsp.Encode()
+			owned, err := lsp.AppendEncode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, owned) {
-				t.Fatalf("linkIDs=%v step %d: EncodeLSP differs from fill().Encode()\n got %x\nwant %x", linkIDs, step, got, owned)
+				t.Fatalf("linkIDs=%v step %d: EncodeLSP differs from fill().AppendEncode(nil)\n got %x\nwant %x", linkIDs, step, got, owned)
 			}
 			split = split || len(lsp.Neighbors)*11 > 255
 		}

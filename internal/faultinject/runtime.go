@@ -1,15 +1,13 @@
 // Runtime faults: the corruptor in faultinject.go damages captures at
 // rest; the helpers here damage a *running* daemon deterministically.
 // They are the chaos vocabulary the serving path (internal/serve,
-// cmd/netfail-serve) is tested against: a checkpoint write torn
-// partway through, and a seeded choice of where to hard-kill the
-// process mid-ingest. Everything is driven by explicit seeds, so a
+// cmd/netfail-serve) is tested against: a seeded choice of where to
+// hard-kill the process mid-ingest, and seeded damage to the binary
+// files it leaves. Everything is driven by explicit seeds, so a
 // chaos run replays bit-for-bit.
 package faultinject
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 )
 
@@ -29,41 +27,6 @@ func (p RuntimePlan) KillAfter(total int) int {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	return 1 + rng.Intn(total-1)
-}
-
-// ErrTorn is the error a TornWriter returns once its budget is spent,
-// leaving the bytes written so far behind as a torn prefix.
-var ErrTorn = errors.New("faultinject: torn write")
-
-// TornWriter wraps w to pass through at most n bytes and then fail
-// every subsequent write with ErrTorn — a checkpoint write torn
-// mid-stream by a crash or a full disk. The prefix actually written
-// is exactly n bytes, so the tear lands at a byte-precise, replayable
-// offset.
-func TornWriter(w io.Writer, n int) io.Writer {
-	return &tornWriter{w: w, left: n}
-}
-
-type tornWriter struct {
-	w    io.Writer
-	left int
-}
-
-func (t *tornWriter) Write(p []byte) (int, error) {
-	if t.left <= 0 {
-		return 0, ErrTorn
-	}
-	if len(p) <= t.left {
-		n, err := t.w.Write(p)
-		t.left -= n
-		return n, err
-	}
-	n, err := t.w.Write(p[:t.left])
-	t.left -= n
-	if err != nil {
-		return n, err
-	}
-	return n, ErrTorn
 }
 
 // ByteFault records one corruption at a byte offset of a binary

@@ -2,28 +2,8 @@ package faultinject
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
-
-func TestTornWriterCutsAtExactOffset(t *testing.T) {
-	var buf bytes.Buffer
-	w := TornWriter(&buf, 10)
-	n, err := w.Write([]byte("0123456"))
-	if n != 7 || err != nil {
-		t.Fatalf("first write: n=%d err=%v", n, err)
-	}
-	n, err = w.Write([]byte("789abcdef"))
-	if n != 3 || !errors.Is(err, ErrTorn) {
-		t.Fatalf("tearing write: n=%d err=%v, want 3, ErrTorn", n, err)
-	}
-	if got := buf.String(); got != "0123456789" {
-		t.Errorf("torn prefix = %q, want the first 10 bytes exactly", got)
-	}
-	if n, err := w.Write([]byte("x")); n != 0 || !errors.Is(err, ErrTorn) {
-		t.Errorf("post-tear write: n=%d err=%v, want 0, ErrTorn", n, err)
-	}
-}
 
 func TestKillAfterIsSeededAndInterior(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {

@@ -127,9 +127,9 @@ func (r *Reader) Header(magic string) error {
 // at a frame boundary taken from an index: offset is that frame's
 // absolute file offset and record how many precede it. Anything still
 // buffered is dropped, so a caller may re-seek its source and call this
-// again. A positive span — the distance to the next index entry, all
-// the bytes a fetch inside that stride can need — sizes the window,
-// which is reused across calls; zero keeps the window the reader has.
+// again. A positive span — the bytes from offset a read will need, as
+// a sparse index bounds them — sizes the window, which is reused
+// across calls; zero keeps the window the reader has.
 func (r *Reader) StartAt(offset, record int64, span int) {
 	r.off, r.records, r.skipped = offset, record, 0
 	r.lo, r.hi, r.err, r.stalls = 0, 0, nil, 0
@@ -141,9 +141,19 @@ func (r *Reader) StartAt(offset, record int64, span int) {
 	}
 }
 
+// Buffer hands the reader buf, before its first read, as the window
+// to read through, as bufio.Scanner.Buffer does: a caller that pools
+// windows spares a reader the allocation. The reader outgrows buf
+// only for a frame longer than it.
+func (r *Reader) Buffer(buf []byte) { r.buf, r.lo, r.hi = buf[:cap(buf)], 0, 0 }
+
 // Report returns the salvage accounting so far: frames kept, damaged
 // regions skipped.
 func (r *Reader) Report() *salvage.Report { return r.rep }
+
+// Offset returns the absolute file offset of the frame Next last
+// returned.
+func (r *Reader) Offset() int64 { return r.last }
 
 // Next returns the next frame's payload, a view into the reader's
 // window valid until the next call, or io.EOF at the end of the file.
@@ -283,9 +293,10 @@ func (r *Reader) need(n int) []byte {
 				size = min(max(2*size, Window), Overhead+MaxLen)
 			}
 			buf := r.buf
-			if size != len(buf) {
+			if size > cap(buf) {
 				buf = make([]byte, size)
 			}
+			buf = buf[:size]
 			r.hi = copy(buf, r.buf[r.lo:r.hi])
 			r.buf, r.lo = buf, 0
 		}

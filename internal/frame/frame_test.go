@@ -22,7 +22,7 @@ var formats = []struct {
 }{
 	{"WAL", "NFWAL1\n", 8},
 	{"segment", "NFSEG1\n", 8},
-	{"postings", "NFPST1\n", 4},
+	{"postings", "NFPST2\n", 4},
 }
 
 // stream frames n records of size bytes each behind magic; record i
@@ -237,7 +237,8 @@ func TestStartAt(t *testing.T) {
 	}
 }
 
-// TestStartAtAgain pins the re-seek form a postings fetch uses: after
+// TestStartAtAgain pins the re-seek form a store read uses when its
+// fetch hands over to a scan: after
 // the source is repositioned, StartAt drops what was buffered and the
 // sticky end of file, keeps one window across calls, and sizes it to
 // the span it is given — reading past the span still works, a window

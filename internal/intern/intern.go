@@ -42,9 +42,3 @@ func (t *Table) Intern(b []byte) string {
 
 // Len returns the number of interned symbols.
 func (t *Table) Len() int { return len(t.m) }
-
-// Lookup reports the canonical string for b without inserting.
-func (t *Table) Lookup(b []byte) (string, bool) {
-	s, ok := t.m[string(b)]
-	return s, ok
-}

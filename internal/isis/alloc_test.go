@@ -16,7 +16,7 @@ import "testing"
 // (two allocations), the name's one copy, and the LSP itself, which
 // the table's owner pointer moves to the heap.
 func TestLSPDecodeAllocBudget(t *testing.T) {
-	wire, err := benchLSP().Encode()
+	wire, err := benchLSP().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLSPDecodeAllocBudget(t *testing.T) {
 // warm reused LSP — the arena sized, the slot arrays grown, the
 // hostname interned — must allocate nothing at all.
 func TestLSPDecodeReuseAllocBudget(t *testing.T) {
-	wire, err := benchLSP().Encode()
+	wire, err := benchLSP().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func benchLSP() *LSP {
 // into a reused one, the encoder alone.
 func BenchmarkLSPEncode(b *testing.B) {
 	l := benchLSP()
-	wire, err := l.Encode()
+	wire, err := l.AppendEncode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func BenchmarkLSPEncode(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(wire)))
 		for i := 0; i < b.N; i++ {
-			if _, err := l.Encode(); err != nil {
+			if _, err := l.AppendEncode(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func BenchmarkLSPEncode(b *testing.B) {
 // zero-allocation in-place walk.
 func BenchmarkLSPDecode(b *testing.B) {
 	b.ReportAllocs()
-	wire, err := benchLSP().Encode()
+	wire, err := benchLSP().AppendEncode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

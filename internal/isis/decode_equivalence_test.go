@@ -144,7 +144,7 @@ func equivalenceLSPs() []*LSP {
 func TestDecodeMatchesReferenceOnCorruptedCorpus(t *testing.T) {
 	var reused LSP
 	for _, l := range equivalenceLSPs() {
-		wire, err := l.Encode()
+		wire, err := l.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +168,12 @@ func TestDecodeMatchesReferenceOnCorruptedCorpus(t *testing.T) {
 // yields.
 func TestLSPDecodeReuseMatchesFresh(t *testing.T) {
 	lsps := equivalenceLSPs()
-	big, err := lsps[len(lsps)-1].Encode()
+	big, err := lsps[len(lsps)-1].AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range lsps {
-		wire, err := l.Encode()
+		wire, err := l.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestLSPDecodeReuseMatchesFresh(t *testing.T) {
 // when it installs decoded LSPs while the read buffer is recycled.
 func TestLSPDecodeDoesNotAliasInput(t *testing.T) {
 	l := equivalenceLSPs()[4] // unknown-TLV variant: exercises every copy path
-	wire, err := l.Encode()
+	wire, err := l.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestLSPDecodeDoesNotAliasInput(t *testing.T) {
 
 func FuzzLSPDecodeMatchesReference(f *testing.F) {
 	for _, l := range equivalenceLSPs() {
-		wire, err := l.Encode()
+		wire, err := l.AppendEncode(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func FuzzLSPDecodeMatchesReference(f *testing.F) {
 		corrupted, _ := faultinject.Corrupt(wire, faultinject.Plan{Seed: 3, Rate: 0.9})
 		f.Add(corrupted)
 	}
-	dirty, err := equivalenceLSPs()[2].Encode()
+	dirty, err := equivalenceLSPs()[2].AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}

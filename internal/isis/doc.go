@@ -7,9 +7,9 @@
 // and the ISO 8473 Fletcher checksum. Ordering successive issues of an
 // LSP is the listener's business.
 //
-// Encoding follows the gopacket convention: the LSP offers Encode
-// (serialize to wire bytes) and DecodeFromBytes; PeekType reads the
-// PDU type off the common header, so a caller names a hello, CSNP or
-// PSNP without parsing it: the package forms no adjacency and takes
-// part in no database exchange.
+// Encoding follows the gopacket convention: the LSP offers
+// AppendEncode (serialize to wire bytes) and DecodeFromBytes; PeekType
+// reads the PDU type off the common header, so a caller names a hello,
+// CSNP or PSNP without parsing it: the package forms no adjacency and
+// takes part in no database exchange.
 package isis

@@ -16,7 +16,7 @@ func ExampleLSP() {
 		[]isis.ISNeighbor{{System: topo.SystemIDFromIndex(2), Metric: 10}},
 		[]isis.IPPrefix{{Metric: 10, Addr: 137<<24 | 164<<16, Length: 31}},
 	)
-	wire, err := lsp.Encode()
+	wire, err := lsp.AppendEncode(nil)
 	if err != nil {
 		panic(err)
 	}

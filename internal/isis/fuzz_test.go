@@ -8,7 +8,7 @@ import "testing"
 func FuzzDecode(f *testing.F) {
 	// Seed with the one PDU type that has a decoder and the headers of
 	// the three a live circuit also carries, which have none.
-	if wire, err := sampleLSP().Encode(); err == nil {
+	if wire, err := sampleLSP().AppendEncode(nil); err == nil {
 		f.Add(wire)
 	}
 	for _, typ := range []PDUType{TypeP2PHello, TypeCSNPL2, TypePSNPL2} {
@@ -27,7 +27,7 @@ func FuzzDecode(f *testing.F) {
 		if err := lsp.DecodeFromBytes(data); err != nil {
 			return
 		}
-		if _, err := lsp.Encode(); err != nil {
+		if _, err := lsp.AppendEncode(nil); err != nil {
 			t.Fatalf("decoded LSP fails to re-encode: %v", err)
 		}
 	})
@@ -36,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzLSPRoundTrip: any LSP that decodes must decode identically
 // after a re-encode (idempotent normalization).
 func FuzzLSPRoundTrip(f *testing.F) {
-	if wire, err := sampleLSP().Encode(); err == nil {
+	if wire, err := sampleLSP().AppendEncode(nil); err == nil {
 		f.Add(wire)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,7 +44,7 @@ func FuzzLSPRoundTrip(f *testing.F) {
 		if err := a.DecodeFromBytes(data); err != nil {
 			return
 		}
-		wire2, err := a.Encode()
+		wire2, err := a.AppendEncode(nil)
 		if err != nil {
 			t.Skip() // some decodable inputs exceed encode limits
 		}

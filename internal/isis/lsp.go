@@ -19,7 +19,7 @@ type LSP struct {
 	// Lifetime is the remaining lifetime in seconds.
 	Lifetime uint16
 	// Checksum is the ISO 8473 checksum as carried on the wire;
-	// populated by Encode and verified by DecodeFromBytes.
+	// populated by AppendEncode and verified by DecodeFromBytes.
 	Checksum uint16
 	// Attached and Overload are the ATT and LSPDBOL header bits.
 	Attached bool
@@ -60,9 +60,6 @@ type LSP struct {
 // hostnameInternLimit bounds a decoder's hostname table against
 // corrupted captures: past it, unseen names are plain allocations.
 const hostnameInternLimit = 1 << 16
-
-// Encode serializes the LSP into a fresh buffer; see AppendEncode.
-func (l *LSP) Encode() ([]byte, error) { return l.AppendEncode(nil) }
 
 // AppendEncode appends the LSP's wire form to dst, computing the PDU
 // length and Fletcher checksum, and returns the extended slice. The

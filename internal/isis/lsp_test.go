@@ -38,7 +38,7 @@ func sampleLSP() *LSP {
 
 func TestLSPEncodeDecodeRoundTrip(t *testing.T) {
 	orig := sampleLSP()
-	wire, err := orig.Encode()
+	wire, err := orig.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestLSPEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestLSPChecksumValidation(t *testing.T) {
-	wire, err := sampleLSP().Encode()
+	wire, err := sampleLSP().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLSPChecksumValidation(t *testing.T) {
 }
 
 func TestLSPDecodeErrors(t *testing.T) {
-	wire, err := sampleLSP().Encode()
+	wire, err := sampleLSP().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLSPManyNeighborsSplitsTLVs(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		l.Prefixes = append(l.Prefixes, IPPrefix{Metric: uint32(i), Addr: uint32(i) << 8, Length: 24})
 	}
-	wire, err := l.Encode()
+	wire, err := l.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLSPManyNeighborsSplitsTLVs(t *testing.T) {
 func TestLSPUnknownTLVPreserved(t *testing.T) {
 	l := sampleLSP()
 	l.Unknown = []RawTLV{{Type: 222, Value: []byte{9, 9, 9}}}
-	wire, err := l.Encode()
+	wire, err := l.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLSPAdvKeys(t *testing.T) {
 func TestLSPDecodeFuzzNoPanic(t *testing.T) {
 	// Random garbage and truncations must return errors, not panic.
 	rng := rand.New(rand.NewSource(99))
-	wire, err := sampleLSP().Encode()
+	wire, err := sampleLSP().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 	split := 0
 	for trial := 0; trial < 2000; trial++ {
 		l := randomLSP(rng)
-		got, err := l.Encode()
+		got, err := l.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,12 +114,20 @@ var mutations = []mutation{
 		file: "internal/netsim/impair.go", anchor: "BlackoutFlap:      0.21,", repl: "BlackoutFlap:      0,"},
 	{id: "S2", what: "simulator `SpuriousDownProb` × 3", pkgs: []string{".", "./internal/netsim"},
 		file: "internal/netsim/impair.go", anchor: "SpuriousDownProb: 0.120,", repl: "SpuriousDownProb: 0.360,"},
-	{id: "X1", what: "store posts transition record `i` as `i+1`", pkgs: []string{".", "./internal/store", "./internal/api"},
-		file: "internal/store/writer.go", anchor: "func(i int, r *TransitionRecord) error {", repl: "func(i int, r *TransitionRecord) error {\n\t\ti++"},
+	{id: "X1", what: "store posts a transition under the neighbouring link", pkgs: []string{".", "./internal/store", "./internal/api"},
+		file: "internal/store/writer.go", anchor: "off, err := sw.Append(r.Time.UnixMilli(), w.rec)", repl: "off, err := sw.Append(r.Time.UnixMilli(), w.rec)\n\t\tlink ^= 1"},
 	{id: "X2", what: "store posts a failure under the neighbouring link", pkgs: []string{".", "./internal/store", "./internal/api"},
 		file: "internal/store/writer.go", anchor: "\t\t\tmaxSpanMs = span\n\t\t}\n\t\tpost[link] = ", repl: "\t\t\tmaxSpanMs = span\n\t\t}\n\t\tlink ^= 1\n\t\tpost[link] = "},
-	{id: "X3", what: "store posts message record `ord` as `ord+1`", pkgs: []string{".", "./internal/store", "./internal/api"},
-		file: "internal/store/writer.go", anchor: "w.msgPost[h] = append(w.msgPost[h], ord)", repl: "w.msgPost[h] = append(w.msgPost[h], ord+1)"},
+	{id: "X3", what: "store posts a message under the neighbouring host", pkgs: []string{".", "./internal/store", "./internal/api"},
+		file: "internal/store/writer.go", anchor: "w.msgPost[h] = append(w.msgPost[h], off)", repl: "w.msgPost[h^1] = append(w.msgPost[h^1], off)"},
+	{id: "X4", what: "a fetch keeps a posting's frame that fails `frame.Check`", pkgs: []string{".", "./internal/store", "./internal/capture"},
+		file: "internal/capture/reader.go", anchor: "\tsr.win.frame = b\n\tif reason != \"\" {", repl: "\tsr.win.frame = b\n\tif n = int(binary.LittleEndian.Uint32(b[2:])); len(b) < frame.Overhead+n {"},
+	{id: "X5", what: "a fetch's fallback scan resumes at the unverified posting's offset", pkgs: []string{".", "./internal/store"},
+		file: "internal/store/reader.go", anchor: "\t\tif !ok {\n\t\t\tbreak\n\t\t}\n\t\tend = next", repl: "\t\tif !ok {\n\t\t\tend = off\n\t\t\tbreak\n\t\t}\n\t\tend = next"},
+	{id: "X6", what: "segment writer reports the next frame's offset for the one it appended", pkgs: []string{".", "./internal/store", "./internal/capture"},
+		file: "internal/capture/capture.go", anchor: "\toff = s.off\n", repl: "\toff = s.off + int64(len(s.frame))\n"},
+	{id: "X7", what: "an `NFPST1` postings file read as offsets", pkgs: []string{".", "./internal/store"},
+		file: "internal/store/postings.go", anchor: "string(magic) == pstOrdinals {\n\t\treturn nil, nil, ErrNoPostings", repl: "string(magic) == pstOrdinals {\n\t\tmagic[5] = pstHeader[5]\n\t}\n\tif false {\n\t\treturn nil, nil, ErrNoPostings"},
 	{id: "M1", what: "`linkStream.merge` absorbs only strictly inside the window", pkgs: []string{"./internal/core"},
 		file: "internal/core/syslogtrace.go", anchor: "since >= 0 && since <= w", repl: "since >= 0 && since < w"},
 	{id: "M2", what: "`linkStream.merge` never sorts an out-of-order stream", pkgs: []string{"./internal/core"},

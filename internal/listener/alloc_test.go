@@ -48,9 +48,9 @@ func hubBed(t *testing.T) (*Listener, []isis.ISNeighbor, []isis.IPPrefix) {
 	return l, neighbors, prefixes
 }
 
-func encode(t *testing.T, pdu interface{ Encode() ([]byte, error) }) []byte {
+func encode(t *testing.T, lsp *isis.LSP) []byte {
 	t.Helper()
-	wire, err := pdu.Encode()
+	wire, err := lsp.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestFragmentedLSPsUnioned(t *testing.T) {
 	}
 	deliver := func(f *isis.LSP, after time.Duration) {
 		t.Helper()
-		wire, err := f.Encode()
+		wire, err := f.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

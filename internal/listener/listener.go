@@ -383,12 +383,3 @@ func (l *Listener) LSPCount() int { return l.lspCount }
 // ISTransitionCount returns the number of IS-reachability transitions
 // emitted so far.
 func (l *Listener) ISTransitionCount() int { return len(l.isTransitions) }
-
-// Hostname resolves a system ID to the hostname learned from TLV 137.
-func (l *Listener) Hostname(id topo.SystemID) (string, bool) {
-	o := l.origins[id]
-	if o == nil || o.hostname == "" {
-		return "", false
-	}
-	return o.hostname, true
-}

@@ -81,7 +81,7 @@ func (tb *testbed) sync(t *testing.T) {
 // deliver encodes lsp and hands it to the listener a second later.
 func (tb *testbed) deliver(t *testing.T, lsp *isis.LSP) {
 	t.Helper()
-	wire, err := lsp.Encode()
+	wire, err := lsp.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +215,10 @@ func TestMultiLinkAdjacencySkipped(t *testing.T) {
 func TestHostnameLearning(t *testing.T) {
 	tb := newTestbed(t, false)
 	tb.sync(t)
+	hostnames := tb.l.Results().Hostnames
 	for name, r := range tb.net.Routers {
-		if got, ok := tb.l.Hostname(r.SystemID); !ok || got != name {
-			t.Errorf("Hostname(%v) = %q, %v", r.SystemID, got, ok)
+		if got, ok := hostnames[r.SystemID]; !ok || got != name {
+			t.Errorf("Hostnames[%v] = %q, %v", r.SystemID, got, ok)
 		}
 	}
 }
@@ -256,11 +257,11 @@ func TestEqualSequenceIsStale(t *testing.T) {
 	coreA := tb.net.Routers["core-a"].SystemID
 	tb.deliver(t, isis.NewLSP(coreA, 5, "core-a", nil, nil))
 	tb.deliver(t, isis.NewLSP(coreA, 5, "renamed", nil, nil))
-	if got, _ := tb.l.Hostname(coreA); got != "core-a" || tb.l.Results().StaleLSPs != 1 {
+	if got := tb.l.Results().Hostnames[coreA]; got != "core-a" || tb.l.Results().StaleLSPs != 1 {
 		t.Errorf("equal sequence: hostname %q, stale %d; want core-a, 1", got, tb.l.Results().StaleLSPs)
 	}
 	tb.deliver(t, isis.NewLSP(coreA, 6, "renamed", nil, nil))
-	if got, _ := tb.l.Hostname(coreA); got != "renamed" || tb.l.Results().StaleLSPs != 1 {
+	if got := tb.l.Results().Hostnames[coreA]; got != "renamed" || tb.l.Results().StaleLSPs != 1 {
 		t.Errorf("higher sequence: hostname %q, stale %d; want renamed, 1", got, tb.l.Results().StaleLSPs)
 	}
 }
@@ -316,7 +317,7 @@ func TestUnknownOriginatorStaleCounted(t *testing.T) {
 	if res.UnknownOriginators != 1 || res.StaleLSPs != 1 {
 		t.Errorf("unknown %d, stale %d; want 1, 1", res.UnknownOriginators, res.StaleLSPs)
 	}
-	if got, _ := tb.l.Hostname(ghost.ID.System); got != "ghost" {
+	if got := res.Hostnames[ghost.ID.System]; got != "ghost" {
 		t.Errorf("unknown originator's hostname = %q", got)
 	}
 }

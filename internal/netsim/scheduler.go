@@ -110,14 +110,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) {
 	s.heap.push(s.now+int64(max(d, 0)), fn)
 }
 
-// Run executes events in order until the queue empties or the clock
-// passes end; events scheduled at or before end by running events are
-// also executed. It returns the number of events executed.
-func (s *Scheduler) Run(end time.Time) int {
-	n, _ := s.RunCtx(context.Background(), end)
-	return n
-}
-
 // cancelCheckInterval bounds cancellation latency without putting a
 // ctx.Err() call (two atomic loads) on every event: a month-scale
 // campaign executes hundreds of thousands of events in a few hundred
@@ -125,10 +117,12 @@ func (s *Scheduler) Run(end time.Time) int {
 // well under a millisecond of simulated work.
 const cancelCheckInterval = 4096
 
-// RunCtx is Run with cancellation: it stops between events when ctx
-// is canceled and returns ctx's error alongside the count executed so
-// far. A canceled run leaves the scheduler mid-campaign; the caller
-// discards the simulation.
+// RunCtx executes events in order until the queue empties or the
+// clock passes end; events scheduled at or before end by running
+// events are also executed. It returns the number of events executed.
+// It stops between events when ctx is canceled and returns ctx's error
+// alongside the count executed so far. A canceled run leaves the
+// scheduler mid-campaign; the caller discards the simulation.
 func (s *Scheduler) RunCtx(ctx context.Context, end time.Time) (int, error) {
 	endNs := int64(end.Sub(s.start))
 	executed := 0

@@ -2,10 +2,17 @@ package netsim
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"testing"
 	"time"
 )
+
+// runTo is RunCtx under a context that is never canceled.
+func runTo(s *Scheduler, end time.Time) int {
+	n, _ := s.RunCtx(context.Background(), end)
+	return n
+}
 
 func TestSchedulerOrdering(t *testing.T) {
 	start := time.Unix(0, 0)
@@ -14,7 +21,7 @@ func TestSchedulerOrdering(t *testing.T) {
 	s.At(start.Add(3*time.Second), func() { order = append(order, 3) })
 	s.At(start.Add(1*time.Second), func() { order = append(order, 1) })
 	s.At(start.Add(2*time.Second), func() { order = append(order, 2) })
-	n := s.Run(start.Add(time.Minute))
+	n := runTo(s, start.Add(time.Minute))
 	if n != 3 {
 		t.Errorf("executed = %d", n)
 	}
@@ -32,7 +39,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 		i := i
 		s.At(at, func() { order = append(order, i) })
 	}
-	s.Run(start.Add(time.Minute))
+	runTo(s, start.Add(time.Minute))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order = %v", order)
@@ -49,7 +56,7 @@ func TestSchedulerEventsScheduleEvents(t *testing.T) {
 			fired = append(fired, s.Now())
 		})
 	})
-	s.Run(start.Add(time.Minute))
+	runTo(s, start.Add(time.Minute))
 	if len(fired) != 1 || !fired[0].Equal(start.Add(2*time.Second)) {
 		t.Errorf("fired = %v", fired)
 	}
@@ -60,7 +67,7 @@ func TestSchedulerStopsAtEnd(t *testing.T) {
 	s := NewScheduler(start)
 	ran := false
 	s.At(start.Add(time.Hour), func() { ran = true })
-	s.Run(start.Add(time.Minute))
+	runTo(s, start.Add(time.Minute))
 	if ran {
 		t.Error("event beyond end executed")
 	}
@@ -77,7 +84,7 @@ func TestSchedulerPastClamped(t *testing.T) {
 	s := NewScheduler(start)
 	var at time.Time
 	s.At(start.Add(-time.Hour), func() { at = s.Now() })
-	s.Run(start.Add(time.Second))
+	runTo(s, start.Add(time.Second))
 	if !at.Equal(start) {
 		t.Errorf("past event ran at %v, want %v", at, start)
 	}
@@ -92,7 +99,7 @@ func TestSchedulerNowKeepsLocation(t *testing.T) {
 	s := NewScheduler(start)
 	var seen time.Time
 	s.At(start.Add(90*time.Minute+7*time.Nanosecond).UTC(), func() { seen = s.Now() })
-	s.Run(start.Add(24 * time.Hour))
+	runTo(s, start.Add(24*time.Hour))
 	if want := start.Add(90*time.Minute + 7*time.Nanosecond); seen != want {
 		t.Errorf("Now inside the event = %#v, want %#v", seen, want)
 	}
@@ -154,11 +161,11 @@ func TestSchedulerAllocBudget(t *testing.T) {
 		end = end.Add(time.Minute)
 		s.At(end.Add(50*time.Hour), fn)
 		s.After(time.Second, fn)
-		s.Run(end)
+		runTo(s, end)
 	}
 	step()
 	if avg := testing.AllocsPerRun(500, step); avg != 0 {
-		t.Errorf("At + After + Run on a warm queue allocate %.1f times per step, budget is 0", avg)
+		t.Errorf("At + After + RunCtx on a warm queue allocate %.1f times per step, budget is 0", avg)
 	}
 	if ran == 0 {
 		t.Fatal("no event ran")

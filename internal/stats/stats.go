@@ -67,16 +67,6 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{xs: xs}
 }
 
-// At returns F(x) = P[X ≤ x].
-func (e *ECDF) At(x float64) float64 {
-	if len(e.xs) == 0 {
-		return 0
-	}
-	// Count of values ≤ x.
-	n := sort.Search(len(e.xs), func(i int) bool { return e.xs[i] > x })
-	return float64(n) / float64(len(e.xs))
-}
-
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.xs) }
 
@@ -169,16 +159,4 @@ func ksQ(lambda float64) float64 {
 		sign = -sign
 	}
 	return 1 // failed to converge: no evidence against H0
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func Mean(sample []float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range sample {
-		sum += v
-	}
-	return sum / float64(len(sample))
 }

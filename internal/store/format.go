@@ -153,6 +153,10 @@ const (
 	failureRecLen    = 1 + 4 + 8 + 8         // source, link, startNs, endNs
 	transitionRecLen = 1 + 1 + 1 + 4 + 4 + 8 // stream, dir, kind, link, reporter, timeNs
 	messageRecMinLen = 4                     // host; the line follows
+	// messageRecLen is what a fetch reads of a message record before
+	// it knows the frame's length: a host and a line of up to 252
+	// bytes, longer than any the link-state templates render.
+	messageRecLen = messageRecMinLen + 252
 )
 
 // appendFailureRecord encodes a failure into dst.

@@ -12,13 +12,13 @@ import (
 // whose FuzzReader carries the framing invariants: the lenient reader
 // never errors on in-memory data, a stream the strict reader accepts
 // salvages to itself with a clean report, and nothing either reader
-// accepts holds a ragged or non-increasing ordinal list — CRC-valid
+// accepts holds a ragged or non-increasing offset list — CRC-valid
 // forgeries must not poison query plans.
 func FuzzReadPostings(f *testing.F) {
 	clean := []byte(pstHeader)
-	clean = appendPstFrame(clean, 0, []uint32{0, 3, 7})
-	clean = appendPstFrame(clean, 2, []uint32{1, 2})
-	clean = appendPstFrame(clean, 9, []uint32{4, 5, 6, 8})
+	clean = appendPstFrame(clean, 0, []int64{7, 112, 252})
+	clean = appendPstFrame(clean, 2, []int64{42, 77})
+	clean = appendPstFrame(clean, 9, []int64{147, 182, 217, 287})
 	f.Add(clean)
 	f.Add([]byte(pstHeader))
 	f.Add([]byte{})
@@ -43,10 +43,10 @@ func FuzzReadPostings(f *testing.F) {
 		if strictErr == nil && (!rep.Clean() || !reflect.DeepEqual(strictOut, lenOut)) {
 			t.Fatalf("strict accepted the stream but lenient parsed it differently (%s):\nstrict %v\nlenient %v", rep, strictOut, lenOut)
 		}
-		for k, ords := range lenOut {
-			for i := 1; i < len(ords); i++ {
-				if ords[i] <= ords[i-1] {
-					t.Fatalf("key %d: accepted non-increasing ordinals %v", k, ords)
+		for k, offs := range lenOut {
+			for i := 1; i < len(offs); i++ {
+				if offs[i] <= offs[i-1] {
+					t.Fatalf("key %d: accepted non-increasing offsets %v", k, offs)
 				}
 			}
 		}

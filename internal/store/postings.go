@@ -13,27 +13,31 @@ import (
 	"netfail/internal/salvage"
 )
 
-// Postings file format: the magic "NFPST1\n" followed by one frame
+// Postings file format: the magic "NFPST2\n" followed by one frame
 // (internal/frame) per key, in strictly increasing key order, whose
-// payload is the key (u32le) followed by that key's record ordinals
-// (u32le each, strictly increasing).
+// payload is the key (u32le) followed by the byte offsets of that
+// key's record frames in the segment (u64le each, strictly
+// increasing), as the segment writer appended them.
 //
 // Postings are advisory, like the sparse time index: a store whose
 // postings are missing or damaged still answers per-link and per-host
-// queries by scanning the segment.
+// queries by scanning the segment. A pre-offset store's postings
+// ("NFPST1\n", record ordinals) read as missing until the store is
+// rebuilt.
 const (
-	pstHeader = "NFPST1\n"
-	keyLen    = 4
+	pstHeader   = "NFPST2\n"
+	pstOrdinals = "NFPST1\n"
+	keyLen      = 4
 )
 
 // ErrNoPostings reports a missing postings file to callers that treat
 // postings as advisory.
 var ErrNoPostings = errors.New("store: no postings")
 
-// writePostings writes key → ordinal posting lists to path. Keys are
-// written in increasing order; each list is already increasing because
-// ordinals are appended in record order.
-func writePostings(path string, lists map[uint32][]uint32) error {
+// writePostings writes key → frame offset posting lists to path. Keys
+// are written in increasing order; each list is already increasing
+// because offsets are appended in record order.
+func writePostings(path string, lists map[uint32][]int64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -52,8 +56,8 @@ func writePostings(path string, lists map[uint32][]uint32) error {
 	for _, k := range keys {
 		buf = frame.Begin(buf[:0])
 		buf = binary.LittleEndian.AppendUint32(buf, k)
-		for _, o := range lists[k] {
-			buf = binary.LittleEndian.AppendUint32(buf, o)
+		for _, off := range lists[k] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
 		}
 		frame.End(buf, 0)
 		if _, err := w.Write(buf); err != nil {
@@ -77,12 +81,12 @@ func writePostings(path string, lists map[uint32][]uint32) error {
 // damaged frames are skipped and accounted in the returned report (see
 // internal/frame) — a key whose frame was lost simply falls back to a
 // segment scan at query time.
-func ReadPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, *salvage.Report, error) {
+func ReadPostings(r io.Reader, name string, lenient bool) (map[uint32][]int64, *salvage.Report, error) {
 	fr := frame.NewReader(r, name, keyLen, lenient, nil)
 	if err := fr.Header(pstHeader); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	out := make(map[uint32][]uint32)
+	out := make(map[uint32][]int64)
 	prevKey := int64(-1)
 	for {
 		payload, err := fr.Next()
@@ -93,7 +97,7 @@ func ReadPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, 
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 		key := binary.LittleEndian.Uint32(payload)
-		ords, ok := decodeOrdinals(payload[keyLen:])
+		offs, ok := decodeOffsets(payload[keyLen:])
 		if !ok || int64(key) <= prevKey {
 			if err := fr.Reject("implausible postings frame"); err != nil {
 				return nil, nil, fmt.Errorf("store: %w", err)
@@ -101,35 +105,34 @@ func ReadPostings(r io.Reader, name string, lenient bool) (map[uint32][]uint32, 
 			continue
 		}
 		prevKey = int64(key)
-		out[key] = ords
+		out[key] = offs
 	}
 }
 
-// decodeOrdinals decodes a strictly increasing u32 list; false means
+// decodeOffsets decodes a strictly increasing u64 list; false means
 // the bytes are rotten even though the CRC worked out (which only
 // happens when a writer bug or a deliberate forgery produced them —
 // the check keeps query plans safe regardless).
-func decodeOrdinals(b []byte) ([]uint32, bool) {
-	if len(b)%4 != 0 {
+func decodeOffsets(b []byte) ([]int64, bool) {
+	if len(b)%8 != 0 {
 		return nil, false
 	}
-	ords := make([]uint32, 0, len(b)/4)
+	offs := make([]int64, 0, len(b)/8)
 	prev := int64(-1)
-	for len(b) >= 4 {
-		o := binary.LittleEndian.Uint32(b)
-		if int64(o) <= prev {
+	for ; len(b) >= 8; b = b[8:] {
+		off := int64(binary.LittleEndian.Uint64(b))
+		if off <= prev {
 			return nil, false
 		}
-		prev = int64(o)
-		ords = append(ords, o)
-		b = b[4:]
+		prev = off
+		offs = append(offs, off)
 	}
-	return ords, true
+	return offs, true
 }
 
-// loadPostings reads a postings file, mapping a missing file to
-// ErrNoPostings.
-func loadPostings(path string, lenient bool) (map[uint32][]uint32, *salvage.Report, error) {
+// loadPostings reads a postings file, mapping a missing file, or a
+// pre-offset store's ordinal lists, to ErrNoPostings.
+func loadPostings(path string, lenient bool) (map[uint32][]int64, *salvage.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -138,5 +141,9 @@ func loadPostings(path string, lenient bool) (map[uint32][]uint32, *salvage.Repo
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	return ReadPostings(f, path, lenient)
+	br := bufio.NewReader(f)
+	if magic, _ := br.Peek(len(pstOrdinals)); string(magic) == pstOrdinals {
+		return nil, nil, ErrNoPostings
+	}
+	return ReadPostings(br, path, lenient)
 }

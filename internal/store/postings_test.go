@@ -15,19 +15,19 @@ import (
 	"netfail/internal/frame"
 )
 
-func samplePostings() map[uint32][]uint32 {
-	return map[uint32][]uint32{
-		0: {0, 3, 7, 9},
-		2: {1, 2, 4},
-		5: {5, 6, 8, 10, 11},
-		9: {12},
+func samplePostings() map[uint32][]int64 {
+	return map[uint32][]int64{
+		0: {7, 112, 252, 322},
+		2: {42, 77, 147},
+		5: {182, 217, 287, 357, 392},
+		9: {427},
 	}
 }
 
 // pstFrameStart computes the file offset where key's frame begins,
 // mirroring the writer's layout: header, then one frame per key in
 // increasing key order.
-func pstFrameStart(lists map[uint32][]uint32, key uint32) int64 {
+func pstFrameStart(lists map[uint32][]int64, key uint32) int64 {
 	keys := make([]uint32, 0, len(lists))
 	for k := range lists {
 		keys = append(keys, k)
@@ -44,12 +44,12 @@ func pstFrameStart(lists map[uint32][]uint32, key uint32) int64 {
 		if k == key {
 			return off
 		}
-		off += int64(frame.Overhead + 4 + 4*len(lists[k]))
+		off += int64(frame.Overhead + 4 + 8*len(lists[k]))
 	}
 	panic("key not in lists")
 }
 
-func writeSamplePostings(t *testing.T) (string, map[uint32][]uint32) {
+func writeSamplePostings(t *testing.T) (string, map[uint32][]int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sample.pst")
 	lists := samplePostings()
@@ -171,9 +171,9 @@ func TestPostingsLenientResyncsAfterBadSync(t *testing.T) {
 	}
 	// Whatever resync recovered must agree with the clean file: a
 	// salvaged postings list may lose keys, never invent them.
-	for k, ords := range got {
-		if !reflect.DeepEqual(ords, lists[k]) {
-			t.Errorf("key %d: got %v, want %v", k, ords, lists[k])
+	for k, offs := range got {
+		if !reflect.DeepEqual(offs, lists[k]) {
+			t.Errorf("key %d: got %v, want %v", k, offs, lists[k])
 		}
 	}
 	if !reflect.DeepEqual(got[0], lists[0]) {
@@ -211,29 +211,29 @@ func TestPostingsTruncatedTail(t *testing.T) {
 
 // appendPstFrame frames one posting list with a valid CRC — the tool
 // for forging streams the writer would never produce.
-func appendPstFrame(b []byte, key uint32, ords []uint32) []byte {
+func appendPstFrame(b []byte, key uint32, offs []int64) []byte {
 	start := len(b)
 	b = binary.LittleEndian.AppendUint32(frame.Begin(b), key)
-	for _, o := range ords {
-		b = binary.LittleEndian.AppendUint32(b, o)
+	for _, off := range offs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(off))
 	}
 	frame.End(b, start)
 	return b
 }
 
 func TestPostingsRejectsNonMonotoneFrames(t *testing.T) {
-	// Valid CRCs, rotten semantics: keys out of order, then ordinals
+	// Valid CRCs, rotten semantics: keys out of order, then offsets
 	// out of order. Both must fail strict and be skipped lenient —
 	// CRC-valid forgeries must not poison query plans.
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"decreasing keys", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []uint32{1, 2}), 3, []uint32{4})},
-		{"decreasing ordinals", appendPstFrame([]byte(pstHeader), 1, []uint32{3, 1})},
-		{"duplicate key", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []uint32{1}), 5, []uint32{2})},
+		{"decreasing keys", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []int64{7, 42}), 3, []int64{77})},
+		{"decreasing offsets", appendPstFrame([]byte(pstHeader), 1, []int64{77, 7})},
+		{"duplicate key", appendPstFrame(appendPstFrame([]byte(pstHeader), 5, []int64{7}), 5, []int64{42})},
 		{"ragged list", func() []byte {
-			b := append(appendPstFrame([]byte(pstHeader), 5, []uint32{1}), 0xEE, 0xEE)
+			b := append(appendPstFrame([]byte(pstHeader), 5, []int64{7}), 0xEE, 0xEE, 0xEE, 0xEE)
 			frame.End(b, len(pstHeader))
 			return b
 		}()},
@@ -279,7 +279,7 @@ func TestPostingsLengthFlipCostsOneKey(t *testing.T) {
 	var offs []int
 	for k := uint32(0); k < 1000; k++ {
 		offs = append(offs, len(data))
-		data = appendPstFrame(data, k, []uint32{k, k + 1, k + 2000})
+		data = appendPstFrame(data, k, []int64{int64(k), int64(k) + 1, int64(k) + 2000})
 	}
 	data[offs[9]+3] ^= 0x40 // key 9, bit 14 of len
 	got, rep, err := ReadPostings(bytes.NewReader(data), "t.pst", true)
@@ -291,15 +291,17 @@ func TestPostingsLengthFlipCostsOneKey(t *testing.T) {
 	}
 }
 
-// TestPostingsGoldenBytes pins the NFPST1 format to bytes written at
-// the commit before internal/frame existed: today's writer must
-// produce them and today's reader must decode them.
+// TestPostingsGoldenBytes pins the NFPST2 format: today's writer must
+// produce these bytes and today's reader must decode them. The NFPST1
+// bytes a pre-offset store holds (record ordinals, pinned at the
+// commit before internal/frame existed) read as no postings at all, in
+// both modes, so such a store answers by scanning.
 func TestPostingsGoldenBytes(t *testing.T) {
-	want, _ := hex.DecodeString("4e46505354310a" +
-		"a55a0c00000081696069" + "00000000" + "0000000003000000" +
-		"a55a0800000071bfbb9f" + "02000000" + "01000000" +
+	want, _ := hex.DecodeString("4e46505354320a" +
+		"a55a140000005425e4ec" + "00000000" + "07000000000000003d00000000000000" +
+		"a55a0c000000db3dbd2c" + "02000000" + "2200000000000000" +
 		"a55a04000000a5e793bc" + "07000000")
-	lists := map[uint32][]uint32{0: {0, 3}, 2: {1}, 7: {}}
+	lists := map[uint32][]int64{0: {7, 61}, 2: {34}, 7: {}}
 	path := filepath.Join(t.TempDir(), "a.pst")
 	if err := writePostings(path, lists); err != nil {
 		t.Fatal(err)
@@ -307,10 +309,21 @@ func TestPostingsGoldenBytes(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("postings bytes\n got %x\nwant %x (%v)", got, want, err)
 	}
+	ordinals, _ := hex.DecodeString("4e46505354310a" +
+		"a55a0c00000081696069" + "00000000" + "0000000003000000" +
+		"a55a0800000071bfbb9f" + "02000000" + "01000000" +
+		"a55a04000000a5e793bc" + "07000000")
+	old := filepath.Join(t.TempDir(), "old.pst")
+	if err := os.WriteFile(old, ordinals, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, lenient := range []bool{false, true} {
-		got, rep, err := ReadPostings(bytes.NewReader(want), "golden", lenient)
+		got, rep, err := loadPostings(path, lenient)
 		if err != nil || !rep.Clean() || !reflect.DeepEqual(got, lists) {
 			t.Errorf("lenient=%v: %v, %s, %v", lenient, got, rep, err)
+		}
+		if got, rep, err := loadPostings(old, lenient); !errors.Is(err, ErrNoPostings) {
+			t.Errorf("lenient=%v: NFPST1 postings read as %v, %s, %v; want ErrNoPostings", lenient, got, rep, err)
 		}
 	}
 }

@@ -84,29 +84,29 @@ func (q *Query) full(n int) bool { return q.limit > 0 && n >= q.limit }
 // the window until its end).
 func (q *Query) seekMs(slackMs int64) int64 { return q.from.UnixMilli() - slackMs - 1 }
 
-// clip narrows an ascending posting list to the ordinals the sparse
-// time index says the query's window can hold: [lo, hi), where lo is
-// the record of the entry a scan would seek to and hi the record of
+// clip narrows an ascending posting list to the frame offsets the
+// sparse time index says the query's window can hold: [lo, hi), where
+// lo is the offset of the entry a scan would seek to and hi that of
 // the first entry stamped after the window's end. Records are in time
-// order, so everything before lo is stamped at or before seekMs and
-// everything from hi on after to. It is conservative by construction:
+// order, so every frame before lo is stamped at or before seekMs and
+// every frame from hi on after to. It is conservative by construction:
 // a missing, empty or leniently truncated index clips less or nothing,
 // and callers re-verify every record they decode.
-func (q *Query) clip(ords []uint32, idx []capture.IndexEntry, slackMs int64) []uint32 {
+func (q *Query) clip(post []int64, idx []capture.IndexEntry, slackMs int64) []int64 {
 	if !q.window {
-		return ords
+		return post
 	}
 	atOrAfter := func(e capture.IndexEntry) int {
-		return sort.Search(len(ords), func(i int) bool { return int64(ords[i]) >= e.Record })
+		return sort.Search(len(post), func(i int) bool { return post[i] >= e.Offset })
 	}
 	if e, ok := capture.Locate(idx, q.seekMs(slackMs)); ok {
-		ords = ords[atOrAfter(e):]
+		post = post[atOrAfter(e):]
 	}
 	toMs := q.to.UnixMilli()
 	if i := sort.Search(len(idx), func(i int) bool { return idx[i].TsMs > toMs }); i < len(idx) {
-		ords = ords[:atOrAfter(idx[i])]
+		post = post[:atOrAfter(idx[i])]
 	}
-	return ords
+	return post
 }
 
 // Links returns the link catalog — the analysis namespace the stored
@@ -156,12 +156,12 @@ func (s *Store) Failures(ctx context.Context, opts ...Option) ([]FailureRecord, 
 // in canonical store order, and returns the first error fn returns. fn
 // is handed the record, valid only until it returns, and the link's
 // catalog ordinal (an index into the manifest's Links). A
-// link filter uses the posting lists; a window uses the sparse time
-// index (seeking to from minus the longest stored failure span, so
-// failures that started before the window but overlap it are found);
-// both together fetch only the link's postings inside the ordinal
-// range the index allows the window. Filters are always re-verified
-// against the decoded records.
+// link filter fetches the link's postings; a window uses the sparse
+// time index (seeking to from minus the longest stored failure span,
+// so failures that started before the window but overlap it are
+// found); both together fetch only the link's postings inside the
+// offset range the index allows the window. Filters are always
+// re-verified against the decoded records.
 func (s *Store) EachFailure(ctx context.Context, fn func(r *FailureRecord, link uint32) error, opts ...Option) error {
 	q := resolveQuery(opts)
 	n := 0
@@ -176,15 +176,14 @@ func (s *Store) EachFailure(ctx context.Context, fn func(r *FailureRecord, link 
 		}
 		return q.yield(&n, fn(&r, link))
 	}
+	var post []int64
 	if q.link != nil && s.failPost != nil {
 		ord, ok := s.linkOrd[*q.link]
-		if !ok {
+		if post = q.clip(s.failPost[ord], s.failIdx, s.man.Failures.MaxSpanMs); !ok || len(post) == 0 {
 			return nil
 		}
-		ords := q.clip(s.failPost[ord], s.failIdx, s.man.Failures.MaxSpanMs)
-		return s.fetchOrdinals(ctx, FailuresSegment, s.failIdx, ords, failureRecLen, visit)
 	}
-	return s.scan(ctx, FailuresSegment, s.failIdx, &q, s.man.Failures.MaxSpanMs, visit)
+	return s.read(ctx, FailuresSegment, s.failIdx, post, failureRecLen, &q, s.man.Failures.MaxSpanMs, visit)
 }
 
 // decodeFailure maps one failures.seg record back through the
@@ -241,15 +240,14 @@ func (s *Store) EachTransition(ctx context.Context, fn func(r *TransitionRecord,
 		}
 		return q.yield(&n, fn(&r, link, reporter))
 	}
+	var post []int64
 	if q.link != nil && s.tranPost != nil {
 		ord, ok := s.linkOrd[*q.link]
-		if !ok {
+		if post = q.clip(s.tranPost[ord], s.tranIdx, 0); !ok || len(post) == 0 {
 			return nil
 		}
-		ords := q.clip(s.tranPost[ord], s.tranIdx, 0)
-		return s.fetchOrdinals(ctx, TransitionsSegment, s.tranIdx, ords, transitionRecLen, visit)
 	}
-	return s.scan(ctx, TransitionsSegment, s.tranIdx, &q, 0, visit)
+	return s.read(ctx, TransitionsSegment, s.tranIdx, post, transitionRecLen, &q, 0, visit)
 }
 
 // decodeTransition maps one transitions.seg record back through the
@@ -342,17 +340,17 @@ func (s *Store) EachMessage(ctx context.Context, fn func(r *MessageRecord, host 
 			r = MessageRecord{Time: t, Host: name, Line: string(line)}
 			return q.yield(&n, fn(&r, host))
 		}
-		var err error
+		var post []int64
 		if q.host != nil && s.msgPost[i] != nil {
 			ord, ok := s.hostOrd[*q.host]
 			if !ok {
 				return nil
 			}
-			err = s.fetchOrdinals(ctx, meta.Name, s.msgIdx[i], q.clip(s.msgPost[i][ord], s.msgIdx[i], 0), 0, visit)
-		} else {
-			err = s.scan(ctx, meta.Name, s.msgIdx[i], &q, 0, visit)
+			if post = q.clip(s.msgPost[i][ord], s.msgIdx[i], 0); len(post) == 0 {
+				continue
+			}
 		}
-		if err != nil {
+		if err := s.read(ctx, meta.Name, s.msgIdx[i], post, messageRecLen, &q, 0, visit); err != nil {
 			return err
 		}
 	}

@@ -43,9 +43,9 @@ type Store struct {
 	failIdx  []capture.IndexEntry
 	tranIdx  []capture.IndexEntry
 	msgIdx   [][]capture.IndexEntry
-	failPost map[uint32][]uint32
-	tranPost map[uint32][]uint32
-	msgPost  []map[uint32][]uint32
+	failPost map[uint32][]int64
+	tranPost map[uint32][]int64
+	msgPost  []map[uint32][]int64
 
 	mu        sync.Mutex
 	salv      map[string]*salvage.Report
@@ -115,7 +115,7 @@ func open(dir string, lenient bool) (*Store, error) {
 		return nil, err
 	}
 	s.msgIdx = make([][]capture.IndexEntry, len(s.man.Messages))
-	s.msgPost = make([]map[uint32][]uint32, len(s.man.Messages))
+	s.msgPost = make([]map[uint32][]int64, len(s.man.Messages))
 	for i := range s.man.Messages {
 		if s.msgIdx[i], err = s.loadIndex(MessageIndexName(i)); err != nil {
 			return nil, err
@@ -189,8 +189,10 @@ func (s *Store) loadIndex(name string) ([]capture.IndexEntry, error) {
 }
 
 // loadPostings loads one advisory postings file: a missing file is
-// nil, a damaged one fails strictly or salvages leniently.
-func (s *Store) loadPostings(name string) (map[uint32][]uint32, error) {
+// nil, a damaged one fails strictly, and leniently is accounted and
+// read as missing, since a key whose frame was lost would otherwise
+// answer with nothing instead of a scan.
+func (s *Store) loadPostings(name string) (map[uint32][]int64, error) {
 	post, rep, err := loadPostings(filepath.Join(s.dir, name), s.lenient)
 	if errors.Is(err, ErrNoPostings) {
 		return nil, nil
@@ -199,31 +201,38 @@ func (s *Store) loadPostings(name string) (map[uint32][]uint32, error) {
 		return nil, err
 	}
 	s.addSalvage(name, rep)
+	if !rep.Clean() {
+		return nil, nil
+	}
 	return post, nil
 }
 
-// cancelStride bounds how many records scan between context checks —
-// the same cadence as the capture replay path.
+// cancelStride bounds how many records a read takes between context
+// checks — the same cadence as the capture replay path.
 const cancelStride = 1024
 
-// errStopScan ends a scan early (limit reached).
+// errStopScan ends a read early (limit reached).
 var errStopScan = errors.New("store: stop scan")
 
-// scan streams a segment's records through fn. With a window it seeks
-// through the sparse index to q.seekMs(slackMs) and stops at the first
-// record stamped after the window's end. fn returns errStopScan to end
-// the scan early. Salvage accounting for the pass is merged into the
-// component's cumulative report.
-func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry, q *Query, slackMs int64, fn func(tsMs int64, rec []byte) error) error {
+// read streams through fn the records of segment name a query q can
+// match, in segment order; fn re-verifies q against each record, and
+// returns errStopScan to end the read early. It is every store read.
+//
+// With postings — post, the query key's frame offsets, clipped to the
+// window (nil for a query the postings do not serve) — it reads each
+// posting's frame alone (RecordAt; recLen is the record's length, or a
+// message line's usual bound) and nothing else. From the first posting
+// whose frame does not verify, and without postings from the start, it
+// scans: from the sparse-index entry at or before the end of the last
+// frame fetched, yielding only the frames past that end, or, if none
+// was fetched, from q.seekMs(slackMs) — up to the first record stamped
+// after the window. So a strict store refuses a damaged frame with the
+// scan's record- and offset-accurate error, a lenient one answers
+// exactly what the scan salvages, and no record is read twice. Salvage
+// accounting for the pass is merged into the component's report.
+func (s *Store) read(ctx context.Context, name string, idx []capture.IndexEntry, post []int64, recLen int, q *Query, slackMs int64, fn func(tsMs int64, rec []byte) error) error {
 	path := filepath.Join(s.dir, name)
-	var e capture.IndexEntry // zero: from the first record
-	var span int64           // zero: the bulk window
-	toMs := q.to.UnixMilli()
-	if q.window {
-		e, _ = capture.Locate(idx, q.seekMs(slackMs))
-		span = scanSpan(path, idx, e, toMs)
-	}
-	sr, err := capture.OpenSegmentAt(path, e, span, s.lenient)
+	sr, err := capture.OpenSegmentAt(path, capture.IndexEntry{}, 0, s.lenient)
 	if err != nil {
 		return err
 	}
@@ -231,29 +240,76 @@ func (s *Store) scan(ctx context.Context, name string, idx []capture.IndexEntry,
 		s.addSalvage(name, sr.Report())
 		sr.Close()
 	}()
+	end := int64(-1) // past the last frame fetched
+	for i, off := range post {
+		if i%cancelStride == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+		}
+		if off < end { // inside the frame just fetched: no frame of its own
+			break
+		}
+		tsMs, rec, next, ok := sr.RecordAt(off, recLen)
+		if !ok {
+			break
+		}
+		end = next
+		if err := fn(tsMs, rec); err != nil {
+			return ignoreStop(err)
+		}
+		if i == len(post)-1 {
+			return nil
+		}
+	}
+
+	var e capture.IndexEntry // zero: from the first record
+	if end >= 0 {
+		if i := sort.Search(len(idx), func(i int) bool { return idx[i].Offset > end }); i > 0 {
+			e = idx[i-1]
+		}
+	} else if q.window {
+		e, _ = capture.Locate(idx, q.seekMs(slackMs))
+	}
+	toMs := q.to.UnixMilli()
+	var span int64 // zero: the bulk window
+	if q.window {
+		span = scanSpan(path, idx, e, toMs)
+	}
+	if err := sr.Seek(e, span); err != nil {
+		return err
+	}
 	for n := 0; ; n++ {
 		if n%cancelStride == 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		tsMs, rec, nerr := sr.Next()
-		if errors.Is(nerr, io.EOF) {
+		tsMs, rec, err := sr.Next()
+		if errors.Is(err, io.EOF) {
 			return nil
 		}
-		if nerr != nil {
-			return nerr
+		if err != nil {
+			return err
 		}
 		if q.window && tsMs > toMs {
 			return nil
 		}
-		if ferr := fn(tsMs, rec); ferr != nil {
-			if errors.Is(ferr, errStopScan) {
-				return nil
-			}
-			return ferr
+		if sr.Offset() < end {
+			continue
+		}
+		if err := fn(tsMs, rec); err != nil {
+			return ignoreStop(err)
 		}
 	}
+}
+
+// ignoreStop is err, less the errStopScan that ends a read early.
+func ignoreStop(err error) error {
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
 }
 
 // scanSpan is what a window scan from index entry e reads, when that
@@ -273,121 +329,4 @@ func scanSpan(path string, idx []capture.IndexEntry, e capture.IndexEntry, toMs 
 		return span
 	}
 	return 0
-}
-
-// hop returns the latest index entry at or before the target record
-// ordinal and the bytes from it to the next entry — all a fetch inside
-// that stride can read. Both are zero (the first record, the default
-// window) when no entry precedes the target, and the span is zero at
-// the index's last entry, whose stride ends with the file.
-func hop(idx []capture.IndexEntry, target int64) (e capture.IndexEntry, span int64) {
-	i := sort.Search(len(idx), func(i int) bool { return idx[i].Record > target })
-	if i == 0 {
-		return capture.IndexEntry{}, 0
-	}
-	if i < len(idx) {
-		span = idx[i].Offset - idx[i-1].Offset
-	}
-	return idx[i-1], span
-}
-
-// fetchOrdinals streams the records at the given (ascending) written
-// ordinals through fn over one descriptor. In a segment whose records
-// are all recLen bytes long (failures and transitions; 0 for a message
-// segment) it reads each posting's frame alone, at the offset its
-// stride's index entry and its ordinal give (RecordAt), and nothing
-// else. The first frame that does not verify hands its ordinal and
-// every later one to the stride walk a message segment always takes:
-// read from the latest index entry at or before the next ordinal,
-// re-seeked whenever the next lies in a later stride, so a damaged
-// stride is refused or salvaged frame by frame. On a clean segment the
-// ordinals map exactly to records; on a damaged lenient segment the
-// walk's mapping can drift past the damage, so callers always
-// re-verify their predicate against the decoded record — postings are
-// an accelerator, never an authority.
-func (s *Store) fetchOrdinals(ctx context.Context, name string, idx []capture.IndexEntry, ords []uint32, recLen int, fn func(tsMs int64, rec []byte) error) error {
-	if len(ords) == 0 {
-		return nil
-	}
-	e, span := hop(idx, int64(ords[0]))
-	// Before the first index entry it is the walk that checks the
-	// segment's magic.
-	direct := recLen > 0 && e != (capture.IndexEntry{})
-	if direct {
-		span = 0 // no window until the walk needs one
-	}
-	sr, err := capture.OpenSegmentAt(filepath.Join(s.dir, name), e, span, s.lenient)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		s.addSalvage(name, sr.Report())
-		sr.Close()
-	}()
-	if direct {
-		i := 0
-		for ; i < len(ords); i++ {
-			if i%cancelStride == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			e, _ = hop(idx, int64(ords[i]))
-			tsMs, rec, ok := sr.RecordAt(e, int64(ords[i]), recLen)
-			if !ok {
-				break
-			}
-			if ferr := fn(tsMs, rec); ferr != nil {
-				if errors.Is(ferr, errStopScan) {
-					return nil
-				}
-				return ferr
-			}
-		}
-		if i == len(ords) {
-			return nil
-		}
-		ords = ords[i:]
-		e, span = hop(idx, int64(ords[0]))
-		if err := sr.Seek(e, span); err != nil {
-			return err
-		}
-	}
-	// cur is the written ordinal the next Next() call should return
-	// (exact on clean segments; see the doc comment for damaged ones).
-	cur := e.Record
-	n := 0
-	for _, o := range ords {
-		target := int64(o)
-		if e, span = hop(idx, target); e.Record > cur {
-			if err := sr.Seek(e, span); err != nil {
-				return err
-			}
-			cur = e.Record
-		}
-		for cur <= target {
-			if n++; n%cancelStride == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			tsMs, rec, nerr := sr.Next()
-			if errors.Is(nerr, io.EOF) {
-				return nil
-			}
-			if nerr != nil {
-				return nerr
-			}
-			cur++
-			if cur-1 == target {
-				if ferr := fn(tsMs, rec); ferr != nil {
-					if errors.Is(ferr, errStopScan) {
-						return nil
-					}
-					return ferr
-				}
-			}
-		}
-	}
-	return nil
 }

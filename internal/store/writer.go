@@ -39,7 +39,7 @@ type Writer struct {
 	hostIdx map[string]uint32
 
 	msg      *capture.SegmentWriter
-	msgPost  map[uint32][]uint32
+	msgPost  map[uint32][]int64
 	msgMaxMs int64
 	rec      []byte // reused record-encode buffer
 	err      error  // sticky: the first message the store refused
@@ -72,7 +72,7 @@ func (w *Writer) StartMessageSegment() error {
 		return err
 	}
 	w.msg = sw
-	w.msgPost = make(map[uint32][]uint32)
+	w.msgPost = make(map[uint32][]int64)
 	w.man.Messages = append(w.man.Messages, MessageSegmentMeta{Name: MessageSegmentName(n)})
 	return nil
 }
@@ -97,12 +97,12 @@ func (w *Writer) AppendMessage(tsMs int64, host string, line []byte) error {
 		w.hosts = append(w.hosts, host)
 		w.hostIdx[host] = h
 	}
-	ord := uint32(w.msg.Records())
 	w.rec = appendMessageRecord(w.rec[:0], h, line)
-	if w.err = w.msg.Append(tsMs, w.rec); w.err != nil {
-		return w.err
+	off, err := w.msg.Append(tsMs, w.rec)
+	if w.err = err; err != nil {
+		return err
 	}
-	w.msgPost[h] = append(w.msgPost[h], ord)
+	w.msgPost[h] = append(w.msgPost[h], off)
 	return nil
 }
 
@@ -222,21 +222,22 @@ func (w *Writer) writeFailures(runs [][]FailureRecord, linkOrd map[string]uint32
 	if err != nil {
 		return SegmentMeta{}, err
 	}
-	post := make(map[uint32][]uint32)
+	post := make(map[uint32][]int64)
 	var maxSpanMs int64
-	err = mergeRuns(runs, compareFailureRecords, func(i int, r *FailureRecord) error {
+	err = mergeRuns(runs, compareFailureRecords, func(r *FailureRecord) error {
 		link, ok := linkOrd[string(r.Link)]
 		if !ok {
 			return fmt.Errorf("store: failure on uncataloged link %q", r.Link)
 		}
 		w.rec = appendFailureRecord(w.rec[:0], r.Source, link, r.Start.UnixNano(), r.End.UnixNano())
-		if err := sw.Append(r.Start.UnixMilli(), w.rec); err != nil {
+		off, err := sw.Append(r.Start.UnixMilli(), w.rec)
+		if err != nil {
 			return err
 		}
 		if span := r.End.UnixMilli() - r.Start.UnixMilli(); span > maxSpanMs {
 			maxSpanMs = span
 		}
-		post[link] = append(post[link], uint32(i))
+		post[link] = append(post[link], off)
 		return nil
 	})
 	if err != nil {
@@ -261,9 +262,9 @@ func (w *Writer) writeTransitions(runs [][]TransitionRecord, linkOrd map[string]
 	if err != nil {
 		return SegmentMeta{}, err
 	}
-	post := make(map[uint32][]uint32)
+	post := make(map[uint32][]int64)
 	repOrd := make(map[string]uint32)
-	err = mergeRuns(runs, compareTransitionRecords, func(i int, r *TransitionRecord) error {
+	err = mergeRuns(runs, compareTransitionRecords, func(r *TransitionRecord) error {
 		link, ok := linkOrd[string(r.Link)]
 		if !ok {
 			return fmt.Errorf("store: transition on uncataloged link %q", r.Link)
@@ -275,10 +276,11 @@ func (w *Writer) writeTransitions(runs [][]TransitionRecord, linkOrd map[string]
 			repOrd[r.Reporter] = rep
 		}
 		w.rec = appendTransitionRecord(w.rec[:0], r.Stream, r.Dir, r.Kind, link, rep, r.Time.UnixNano())
-		if err := sw.Append(r.Time.UnixMilli(), w.rec); err != nil {
+		off, err := sw.Append(r.Time.UnixMilli(), w.rec)
+		if err != nil {
 			return err
 		}
-		post[link] = append(post[link], uint32(i))
+		post[link] = append(post[link], off)
 		return nil
 	})
 	if err != nil {
@@ -295,19 +297,18 @@ func (w *Writer) writeTransitions(runs [][]TransitionRecord, linkOrd map[string]
 	return meta, nil
 }
 
-// mergeRuns hands emit the records of runs in cmp order, numbering
-// them from 0. Each run is sorted in place only if it is not already
+// mergeRuns hands emit the records of runs in cmp order. Each run is sorted in place only if it is not already
 // in order — the analysis's streams normally are — so the cost is a
 // check and a merge rather than a sort. The store's comparators order
 // on every stored field, so records that tie are identical and the
 // merge emits exactly what sorting the concatenation would.
-func mergeRuns[T any](runs [][]T, cmp func(a, b T) int, emit func(i int, r *T) error) error {
+func mergeRuns[T any](runs [][]T, cmp func(a, b T) int, emit func(r *T) error) error {
 	for _, run := range runs {
 		if !slices.IsSortedFunc(run, cmp) {
 			slices.SortFunc(run, cmp)
 		}
 	}
-	for i := 0; ; i++ {
+	for {
 		best := -1
 		for j, run := range runs {
 			if len(run) > 0 && (best < 0 || cmp(run[0], runs[best][0]) < 0) {
@@ -317,7 +318,7 @@ func mergeRuns[T any](runs [][]T, cmp func(a, b T) int, emit func(i int, r *T) e
 		if best < 0 {
 			return nil
 		}
-		if err := emit(i, &runs[best][0]); err != nil {
+		if err := emit(&runs[best][0]); err != nil {
 			return err
 		}
 		runs[best] = runs[best][1:]

@@ -141,7 +141,7 @@ func TestWriterMergeMatchesSort(t *testing.T) {
 			SortTransitionRecords(tref)
 
 			var fgot []FailureRecord
-			if err := mergeRuns(cloneRuns(fruns), compareFailureRecords, func(i int, r *FailureRecord) error {
+			if err := mergeRuns(cloneRuns(fruns), compareFailureRecords, func(r *FailureRecord) error {
 				fgot = append(fgot, *r)
 				return nil
 			}); err != nil {

@@ -37,26 +37,25 @@ var (
 // to one reader (a Driver, a ReadLog call) and is not safe for
 // concurrent use.
 type Tokenizer struct {
-	// symbols interns the bounded vocabulary: hostnames and mnemonics.
-	// A month-scale campaign sees a few hundred of each.
+	// symbols interns the vocabulary: hostnames and mnemonics. A
+	// month-scale campaign sees a few hundred of each.
 	symbols intern.Table
 	// texts interns the body: a link event's fields, or the text.
 	// Real captures repeat a small set of them (the same adjacency
-	// flaps over and over), but corrupted or hostile input is
-	// unbounded, so this table carries a limit past which they
-	// degrade to ordinary fresh strings.
+	// flaps over and over).
 	texts intern.Table
 	canon []byte // a parsed event rendered back, to compare with its text
 }
 
-// textInternLimit caps the body table: generous for the repeated
-// flap messages of a real capture, harmless when corrupted input
-// blows past it.
-const textInternLimit = 1 << 16
+// internLimit caps each intern table, since corrupted or hostile input
+// is unbounded: generous for the hosts, mnemonics and repeated flap
+// messages of a real capture, and past it new strings degrade to
+// ordinary fresh ones, which downstream maps key by value all the same.
+const internLimit = 1 << 16
 
 // NewTokenizer returns a Tokenizer with empty intern tables.
 func NewTokenizer() *Tokenizer {
-	return &Tokenizer{texts: intern.Table{Limit: textInternLimit}}
+	return &Tokenizer{symbols: intern.Table{Limit: internLimit}, texts: intern.Table{Limit: internLimit}}
 }
 
 // ParseBytes decodes one wire-format line from a byte buffer into m:

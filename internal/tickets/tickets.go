@@ -125,21 +125,6 @@ func (ix *Index) Verify(f trace.Failure) bool {
 	return false
 }
 
-// Search returns tickets on a link intersecting [start, end].
-func (ix *Index) Search(link topo.LinkID, start, end time.Time) []Ticket {
-	var out []Ticket
-	for _, t := range ix.byLink[link] {
-		if t.Opened.After(end) {
-			break
-		}
-		if t.Closed.Before(start) {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 func minTime(a, b time.Time) time.Time {
 	if a.Before(b) {
 		return a

@@ -99,17 +99,19 @@ func TestVerifyWrongLink(t *testing.T) {
 	}
 }
 
+// TestSearch: the index finds a link's ticket by time — a failure
+// inside a ticketed outage verifies, one between tickets does not.
 func TestSearch(t *testing.T) {
 	ts := Generate(1, []trace.Failure{truth(0, 48), truth(200, 210)}, Params{
 		MinDuration: time.Minute, CoverageLong: 1, CoverageMedium: 1,
 		OpenDelayMax: time.Minute, CloseSlackMax: time.Minute,
 	})
 	ix := NewIndex(ts)
-	if got := ix.Search(link, at(10), at(20)); len(got) != 1 {
-		t.Errorf("Search hit = %d, want 1", len(got))
+	if !ix.Verify(trace.Failure{Link: link, Start: at(10), End: at(20)}) {
+		t.Error("a failure inside a ticketed outage did not verify")
 	}
-	if got := ix.Search(link, at(100), at(150)); len(got) != 0 {
-		t.Errorf("Search miss = %d, want 0", len(got))
+	if ix.Verify(trace.Failure{Link: link, Start: at(100), End: at(150)}) {
+		t.Error("a failure between tickets verified")
 	}
 	if ix.Len() != 2 {
 		t.Errorf("Len = %d", ix.Len())

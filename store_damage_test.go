@@ -14,6 +14,7 @@ import (
 	"netfail/internal/capture"
 	"netfail/internal/frame"
 	"netfail/internal/store"
+	"netfail/internal/topo"
 )
 
 // Damage drills for the store: every component (segment, sparse
@@ -139,21 +140,25 @@ func TestStoreSegmentDamage(t *testing.T) {
 
 	cases := []struct {
 		file  string
-		query func(s *store.Store) ([]string, error)
+		query func(s *store.Store, opts ...store.Option) ([]string, error)
 		clean []string
+		keys  []store.Option // a keyed query on each of the first three keys
 	}{
-		{store.FailuresSegment, func(s *store.Store) ([]string, error) {
-			rs, err := s.Failures(ctx)
+		{store.FailuresSegment, func(s *store.Store, opts ...store.Option) ([]string, error) {
+			rs, err := s.Failures(ctx, opts...)
 			return jsonLines(t, rs), err
-		}, jsonLines(t, cleanFails)},
-		{store.TransitionsSegment, func(s *store.Store) ([]string, error) {
-			rs, err := s.Transitions(ctx)
+		}, jsonLines(t, cleanFails), []store.Option{
+			store.WithLink(cleanFails[0].Link), store.WithLink(cleanFails[1].Link), store.WithLink(cleanFails[2].Link)}},
+		{store.TransitionsSegment, func(s *store.Store, opts ...store.Option) ([]string, error) {
+			rs, err := s.Transitions(ctx, opts...)
 			return jsonLines(t, rs), err
-		}, jsonLines(t, cleanTrans)},
-		{store.MessageSegmentName(0), func(s *store.Store) ([]string, error) {
-			rs, err := s.Messages(ctx)
+		}, jsonLines(t, cleanTrans), []store.Option{
+			store.WithLink(cleanTrans[0].Link), store.WithLink(cleanTrans[1].Link), store.WithLink(cleanTrans[2].Link)}},
+		{store.MessageSegmentName(0), func(s *store.Store, opts ...store.Option) ([]string, error) {
+			rs, err := s.Messages(ctx, opts...)
 			return jsonLines(t, rs), err
-		}, jsonLines(t, cleanMsgs)},
+		}, jsonLines(t, cleanMsgs), []store.Option{
+			store.WithHost(cleanMsgs[0].Host), store.WithHost(cleanMsgs[1].Host), store.WithHost(cleanMsgs[2].Host)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -184,6 +189,9 @@ func TestStoreSegmentDamage(t *testing.T) {
 				t.Errorf("salvage accounting for %s missing or empty: %+v", tc.file, sv)
 			} else if sv.Report.Kept == 0 {
 				t.Errorf("salvage kept nothing from %s: %s", tc.file, sv.Report)
+			}
+			for _, key := range tc.keys {
+				sameAsScan(t, dir, func(s *store.Store) ([]string, error) { return tc.query(s, key) })
 			}
 		})
 	}
@@ -244,6 +252,19 @@ func TestStoreAdvisoryFileDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareJSON(t, "failures with damaged "+file, all, cleanFails)
+			// Every link's answer, the one whose postings frame the tear
+			// took included: a lost key scans, it does not answer empty.
+			for _, l := range cs.Manifest().Links {
+				got, err := sal.Failures(ctx, store.WithLink(l.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := cs.Failures(ctx, store.WithLink(l.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareJSON(t, "failures on "+string(l.ID)+" with damaged "+file, got, want)
+			}
 		})
 	}
 
@@ -351,90 +372,201 @@ func TestStoreManifestDamage(t *testing.T) {
 	})
 }
 
-// fetchDrill aims damage at the frames a per-link transitions query
-// fetches. Every transitions.seg record has one length, so a posting's
-// frame sits at its stride's index offset plus whole frames.
-type fetchDrill struct {
-	clean string
-	recs  []store.TransitionRecord // the clean store's, in ordinal order
-	idx   []capture.IndexEntry
-	post  map[uint32][]uint32 // link catalog ordinal → transition ordinals
-	keys  []uint32            // post's keys, ascending
-	links []store.LinkEntry
-	size  int64 // bytes per frame
+// withoutPostings copies the store at dir with its postings files
+// removed: the scanning store every keyed answer is held to.
+func withoutPostings(t *testing.T, dir string) string {
+	t.Helper()
+	bare := copyStore(t, dir)
+	entries, err := os.ReadDir(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".pst") {
+			if err := os.Remove(filepath.Join(bare, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return bare
 }
 
-func newFetchDrill(t *testing.T) *fetchDrill {
+// sameAsScan holds a keyed query on the store at dir to the same query
+// on its copy without postings, which scans: leniently the answers are
+// equal record for record and in order, and strictly the query fails,
+// when it does, with the scan's error. It returns the strict error.
+func sameAsScan(t *testing.T, dir string, ask func(s *store.Store) ([]string, error)) error {
 	t.Helper()
-	d := &fetchDrill{clean: buildDamageStore(t)}
+	bare := withoutPostings(t, dir)
+	answer := func(dir string, open func(string) (*store.Store, error)) ([]string, error) {
+		t.Helper()
+		s, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ask(s)
+	}
+	got, err := answer(dir, store.OpenLenient)
+	if err != nil {
+		t.Fatalf("lenient keyed query: %v", err)
+	}
+	want, err := answer(bare, store.OpenLenient)
+	if err != nil {
+		t.Fatalf("lenient scan: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("lenient keyed query answers %d records, the scan %d", len(got), len(want))
+		compareJSON(t, "lenient keyed query against the scan", got, want)
+	}
+	_, strictErr := answer(dir, store.Open)
+	if strictErr != nil {
+		if _, scanErr := answer(bare, store.Open); scanErr == nil || strings.ReplaceAll(scanErr.Error(), bare, dir) != strictErr.Error() {
+			t.Errorf("strict keyed query says %q, the scan %v", strictErr, scanErr)
+		}
+	}
+	return strictErr
+}
+
+// fetchDrill aims damage at the frames a keyed query fetches: one
+// link's transitions in transitions.seg, or one host's lines in a
+// message segment.
+type fetchDrill struct {
+	clean string
+	seg   string
+	recs  []string // the clean segment's records as JSON, in frame order
+	keys  []string // each record's link or host
+	offs  []int64  // each record's frame offset
+	idx   []capture.IndexEntry
+	post  map[uint32][]int64 // key catalog ordinal → frame offsets
+	ks    []uint32           // post's keys, ascending
+	names []string           // the key catalog
+	ask   func(s *store.Store, key string) ([]string, error)
+}
+
+// newFetchDrill reads the clean store's segment seg: transitions.seg
+// or the first message segment.
+func newFetchDrill(t *testing.T, clean, seg string) *fetchDrill {
+	t.Helper()
+	ctx := context.Background()
+	d := &fetchDrill{clean: clean, seg: seg}
 	s, err := store.Open(d.clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.recs, err = s.Transitions(context.Background()); err != nil {
+	pst, idx := store.TransitionsPostings, store.TransitionsIndex
+	if seg == store.TransitionsSegment {
+		recs, err := s.Transitions(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			d.recs, d.keys = append(d.recs, mustJSON(t, r)), append(d.keys, string(r.Link))
+		}
+		for _, l := range s.Manifest().Links {
+			d.names = append(d.names, string(l.ID))
+		}
+		d.ask = func(s *store.Store, key string) ([]string, error) {
+			rs, err := s.Transitions(ctx, store.WithLink(topo.LinkID(key)))
+			return jsonLines(t, rs), err
+		}
+	} else {
+		pst, idx = store.MessagePostingsName(0), store.MessageIndexName(0)
+		recs, err := s.Messages(ctx, store.WithLimit(int(s.Manifest().Messages[0].Records)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			d.recs, d.keys = append(d.recs, mustJSON(t, r)), append(d.keys, r.Host)
+		}
+		d.names = s.Manifest().Hosts
+		// One segment's lines: the store's only segment in these drills.
+		d.ask = func(s *store.Store, key string) ([]string, error) {
+			rs, err := s.Messages(ctx, store.WithHost(key))
+			return jsonLines(t, rs), err
+		}
+	}
+	if n := len(s.Manifest().Messages); seg != store.TransitionsSegment && n != 1 {
+		t.Fatalf("the store has %d message segments; the drill reads one", n)
+	}
+	sr, err := capture.OpenSegment(filepath.Join(d.clean, seg))
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.links = s.Manifest().Links
-	if d.idx, _, err = capture.LoadIndex(filepath.Join(d.clean, store.TransitionsIndex), false); err != nil {
+	defer sr.Close()
+	for {
+		if _, _, err := sr.Next(); err != nil {
+			break
+		}
+		d.offs = append(d.offs, sr.Offset())
+	}
+	if len(d.offs) != len(d.recs) {
+		t.Fatalf("%s holds %d frames, the store answers %d records", seg, len(d.offs), len(d.recs))
+	}
+	if d.idx, _, err = capture.LoadIndex(filepath.Join(d.clean, idx), false); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(d.clean, store.TransitionsPostings))
+	f, err := os.Open(filepath.Join(d.clean, pst))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if d.post, _, err = store.ReadPostings(f, store.TransitionsPostings, false); err != nil {
+	if d.post, _, err = store.ReadPostings(f, pst, false); err != nil {
 		t.Fatal(err)
 	}
 	for k := range d.post {
-		d.keys = append(d.keys, k)
+		d.ks = append(d.ks, k)
 	}
-	sort.Slice(d.keys, func(i, j int) bool { return d.keys[i] < d.keys[j] })
+	slices.Sort(d.ks)
 	if len(d.idx) < 3 {
-		t.Fatalf("%d transitions fill %d index strides; the drills need 3", len(d.recs), len(d.idx))
+		t.Fatalf("%d records fill %d index strides of %s; the drills need 3", len(d.recs), len(d.idx), seg)
 	}
-	d.size = (d.idx[1].Offset - d.idx[0].Offset) / (d.idx[1].Record - d.idx[0].Record)
 	return d
+}
+
+// ord is the ordinal of the record whose frame starts at off.
+func (d *fetchDrill) ord(off int64) int {
+	i, ok := slices.BinarySearch(d.offs, off)
+	if !ok {
+		panic(fmt.Sprintf("no frame starts at offset %d", off))
+	}
+	return i
 }
 
 // stride returns the index entry at or before ordinal o and the first
 // ordinal of the next stride.
-func (d *fetchDrill) stride(o uint32) (e capture.IndexEntry, end int64) {
+func (d *fetchDrill) stride(o int) (e capture.IndexEntry, end int) {
 	i := sort.Search(len(d.idx), func(i int) bool { return d.idx[i].Record > int64(o) })
-	end = int64(len(d.recs))
+	end = len(d.recs)
 	if i < len(d.idx) {
-		end = d.idx[i].Record
+		end = int(d.idx[i].Record)
 	}
 	return d.idx[i-1], end
 }
 
-// offset is ordinal o's frame offset in the clean segment.
-func (d *fetchDrill) offset(o uint32) int64 {
-	e, _ := d.stride(o)
-	return e.Offset + (int64(o)-e.Record)*d.size
-}
-
-// pick returns the first posting o that ok accepts, given its link's
-// other postings, and the link's catalog ordinal.
-func (d *fetchDrill) pick(t *testing.T, what string, ok func(o uint32, others []uint32) bool) (link, o uint32) {
+// pick returns the first posting's ordinal o that ok accepts, given
+// the ordinals of its key's other postings, and the key.
+func (d *fetchDrill) pick(t *testing.T, what string, ok func(o int, others []int) bool) (key string, o int) {
 	t.Helper()
-	for _, k := range d.keys {
-		for i, o := range d.post[k] {
-			others := append(append([]uint32(nil), d.post[k][:i]...), d.post[k][i+1:]...)
-			if ok(o, others) {
-				return k, o
+	for _, k := range d.ks {
+		var ords []int
+		for _, off := range d.post[k] {
+			ords = append(ords, d.ord(off))
+		}
+		for i, o := range ords {
+			if ok(o, slices.Delete(slices.Clone(ords), i, i+1)) {
+				return d.names[k], o
 			}
 		}
 	}
 	t.Fatalf("no posting is %s", what)
-	return 0, 0
+	return "", 0
 }
 
-// damaged copies the clean store with edit applied to transitions.seg.
+// damaged copies the clean store with edit applied to the segment.
 func (d *fetchDrill) damaged(t *testing.T, edit func([]byte) []byte) string {
 	t.Helper()
 	dir := copyStore(t, d.clean)
-	path := filepath.Join(dir, store.TransitionsSegment)
+	path := filepath.Join(dir, d.seg)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -445,19 +577,20 @@ func (d *fetchDrill) damaged(t *testing.T, edit func([]byte) []byte) string {
 	return dir
 }
 
-// byLink is the clean per-link answer, less the records at drop.
-func (d *fetchDrill) byLink(link uint32, drop ...uint32) []store.TransitionRecord {
-	var out []store.TransitionRecord
-	for _, o := range d.post[link] {
-		if !slices.Contains(drop, o) {
-			out = append(out, d.recs[o])
+// byKey is the clean keyed answer, less the record at ordinal drop
+// (none when negative).
+func (d *fetchDrill) byKey(key string, drop int) []string {
+	var out []string
+	for i, k := range d.keys {
+		if k == key && i != drop {
+			out = append(out, d.recs[i])
 		}
 	}
 	return out
 }
 
-// query asks a store at dir for link's transitions, strict or lenient.
-func (d *fetchDrill) query(t *testing.T, dir string, lenient bool, link uint32) (*store.Store, []store.TransitionRecord, error) {
+// query asks a store at dir for key's records, strict or lenient.
+func (d *fetchDrill) query(t *testing.T, dir string, lenient bool, key string) (*store.Store, []string, error) {
 	t.Helper()
 	open := store.Open
 	if lenient {
@@ -467,69 +600,52 @@ func (d *fetchDrill) query(t *testing.T, dir string, lenient bool, link uint32) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Transitions(context.Background(), store.WithLink(d.links[link].ID))
+	got, err := d.ask(s, key)
 	return s, got, err
 }
 
-// scanError is what a strict whole-segment scan of dir says about its
-// first damaged frame: the error the stride walk gives for that frame.
-func scanError(t *testing.T, dir string) error {
-	t.Helper()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Transitions(context.Background())
-	if err == nil {
-		t.Fatal("a strict scan read the damaged segment without failing")
-	}
-	return err
+// flip flips a payload byte of the frame at off, past its timestamp.
+func flipAt(off int64) func([]byte) []byte {
+	return func(b []byte) []byte { b[off+frame.Overhead+8+2] ^= 0xFF; return b }
 }
 
-// TestStoreFetchReadsOnlyPostings: a per-link transitions query reads its
-// postings' frames alone, at offsets computed from the sparse index,
-// and hands the rest to the stride walk at the first frame that does
-// not verify — so damage in a posting's frame is refused or salvaged
-// as the walk refuses or salvages it, damage beside it is not read,
-// and bytes that shift the offsets send the query down the walk.
+// TestStoreFetchReadsOnlyPostings: a keyed query — a link's
+// transitions, a host's lines — reads its postings' frames alone, at
+// the offsets the postings name, and scans from the first frame that
+// does not verify: so damage in a posting's frame is refused or
+// salvaged as a scan refuses or salvages it, damage beside it is not
+// read, and bytes that shift the offsets send the query to the scan.
+// In every drill the lenient answer is the answer of the same store
+// without postings, and a strict failure is that scan's error.
 func TestStoreFetchReadsOnlyPostings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign simulation in -short mode")
 	}
-	d := newFetchDrill(t)
+	clean := buildDamageStore(t)
+	drills := []*fetchDrill{newFetchDrill(t, clean, store.TransitionsSegment), newFetchDrill(t, clean, store.MessageSegmentName(0))}
 
-	// A flipped payload byte in the posting's own frame. Its link has no
-	// other posting left in the stride, so the lenient walk's drift past
-	// the skipped frame costs only the damaged record.
+	// A flipped payload byte in a posting's own frame, with more of its
+	// key's postings after it: the scan that takes over skips the
+	// damaged record and keeps every later one.
 	t.Run("posting frame", func(t *testing.T) {
-		link, o := d.pick(t, "alone in the rest of its stride", func(o uint32, others []uint32) bool {
-			_, end := d.stride(o)
-			for _, x := range others {
-				if int64(x) > int64(o) && int64(x) <= end {
-					return false
-				}
+		for _, d := range drills {
+			key, o := d.pick(t, "followed by another of its key", func(o int, others []int) bool {
+				return slices.ContainsFunc(others, func(x int) bool { return x > o })
+			})
+			dir := d.damaged(t, flipAt(d.offs[o]))
+			err := sameAsScan(t, dir, func(s *store.Store) ([]string, error) { return d.ask(s, key) })
+			want := fmt.Sprintf("record %d at offset %d: crc mismatch", o+1, d.offs[o])
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: strict keyed query: %v, want an error naming %q", d.seg, err, want)
 			}
-			return int64(o)+1 < end
-		})
-		off := d.offset(o)
-		dir := d.damaged(t, func(b []byte) []byte { b[off+frame.Overhead+8+2] ^= 0xFF; return b })
-
-		_, _, err := d.query(t, dir, false, link)
-		want := fmt.Sprintf("record %d at offset %d: crc mismatch", o+1, off)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("strict per-link query: %v, want an error naming %q", err, want)
-		}
-		if scan := scanError(t, dir); err.Error() != scan.Error() {
-			t.Errorf("strict per-link query says %q, a scan says %q", err, scan)
-		}
-
-		sal, got, err := d.query(t, dir, true, link)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareJSON(t, "lenient per-link transitions", got, d.byLink(link, o))
-		if sv := salvageFor(sal, store.TransitionsSegment); sv == nil || sv.Report.Skipped != 1 {
-			t.Errorf("the damaged frame is not accounted as one skip: %+v", sv)
+			sal, got, err := d.query(t, dir, true, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareJSON(t, d.seg+": lenient keyed answer", got, d.byKey(key, o))
+			if sv := salvageFor(sal, d.seg); sv == nil || sv.Report.Skipped != 1 {
+				t.Errorf("%s: the damaged frame is not accounted as one skip: %+v", d.seg, sv)
+			}
 		}
 	})
 
@@ -537,71 +653,54 @@ func TestStoreFetchReadsOnlyPostings(t *testing.T) {
 	// stride: a walk from the stride's start would read it, the fetch
 	// does not.
 	t.Run("neighbour frame", func(t *testing.T) {
-		link, o := d.pick(t, "behind another link's frame in its stride", func(o uint32, others []uint32) bool {
-			e, _ := d.stride(o)
-			return int64(o) > e.Record && !slices.Contains(others, o-1)
-		})
-		off := d.offset(o - 1)
-		dir := d.damaged(t, func(b []byte) []byte { b[off+frame.Overhead+8+2] ^= 0xFF; return b })
-		scanError(t, dir) // the damage is real
-
-		for _, lenient := range []bool{false, true} {
-			s, got, err := d.query(t, dir, lenient, link)
-			if err != nil {
-				t.Fatalf("lenient %v: %v", lenient, err)
+		for _, d := range drills {
+			key, o := d.pick(t, "behind another key's frame in its stride", func(o int, others []int) bool {
+				e, _ := d.stride(o)
+				return int64(o) > e.Record && !slices.Contains(others, o-1)
+			})
+			dir := d.damaged(t, flipAt(d.offs[o-1]))
+			if err := sameAsScan(t, dir, func(s *store.Store) ([]string, error) { return d.ask(s, key) }); err != nil {
+				t.Errorf("%s: strict keyed query read a frame it does not post: %v", d.seg, err)
 			}
-			compareJSON(t, fmt.Sprintf("lenient %v per-link transitions", lenient), got, d.byLink(link))
-			if sv := salvageFor(s, store.TransitionsSegment); sv != nil && sv.Report.Skipped != 0 {
-				t.Errorf("lenient %v: a frame the query never read is accounted: %s", lenient, sv.Report)
+			for _, lenient := range []bool{false, true} {
+				s, got, err := d.query(t, dir, lenient, key)
+				if err != nil {
+					t.Fatalf("%s: lenient %v: %v", d.seg, lenient, err)
+				}
+				compareJSON(t, fmt.Sprintf("%s: lenient %v keyed answer", d.seg, lenient), got, d.byKey(key, -1))
+				if sv := salvageFor(s, d.seg); sv != nil && sv.Report.Skipped != 0 {
+					t.Errorf("%s: lenient %v: a frame the query never read is accounted: %s", d.seg, lenient, sv.Report)
+				}
 			}
 		}
 	})
 
 	// A byte deleted from the first frame of a posting's stride: every
-	// later frame moves, the computed offset no longer holds a frame,
-	// and the walk from the stride's start refuses the first frame
-	// (strict) or skips it (lenient), as it did before any fetch read
-	// frames by offset. Past the skip the lenient walk is one frame
-	// ahead of its count: each later target yields its successor, kept
-	// when re-verification finds it on the link.
+	// later frame moves, the posting's offset no longer holds a frame,
+	// and the scan from the stride's start refuses the first frame
+	// (strict) or skips it and keeps every record after it (lenient).
 	t.Run("shifted offsets", func(t *testing.T) {
-		link, o := d.pick(t, "first of its link in its stride, not the stride's first", func(o uint32, others []uint32) bool {
+		for _, d := range drills {
+			key, o := d.pick(t, "first of its key in its stride, not the stride's first", func(o int, others []int) bool {
+				e, _ := d.stride(o)
+				return int64(o) > e.Record && !slices.ContainsFunc(others, func(x int) bool { return int64(x) >= e.Record && x < o })
+			})
 			e, _ := d.stride(o)
-			for _, x := range others {
-				if int64(x) >= e.Record && x < o {
-					return false
-				}
+			cut := e.Offset + frame.Overhead + 8 + 1
+			dir := d.damaged(t, func(b []byte) []byte { return append(b[:cut:cut], b[cut+1:]...) })
+			err := sameAsScan(t, dir, func(s *store.Store) ([]string, error) { return d.ask(s, key) })
+			want := fmt.Sprintf("record %d at offset %d: crc mismatch", e.Record+1, e.Offset)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: strict keyed query: %v, want an error naming %q", d.seg, err, want)
 			}
-			return int64(o) > e.Record
-		})
-		e, _ := d.stride(o)
-		cut := e.Offset + frame.Overhead + 8 + 1
-		dir := d.damaged(t, func(b []byte) []byte { return append(b[:cut:cut], b[cut+1:]...) })
-		_, _, err := d.query(t, dir, false, link)
-		want := fmt.Sprintf("record %d at offset %d: crc mismatch", e.Record+1, e.Offset)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("strict per-link query: %v, want an error naming %q", err, want)
-		}
-		if scan := scanError(t, dir); err.Error() != scan.Error() {
-			t.Errorf("strict per-link query says %q, a scan says %q", err, scan)
-		}
-
-		sal, got, err := d.query(t, dir, true, link)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var walked []store.TransitionRecord
-		for _, x := range d.post[link] {
-			switch {
-			case x < o:
-				walked = append(walked, d.recs[x])
-			case int(x)+1 < len(d.recs) && d.recs[x+1].Link == d.links[link].ID:
-				walked = append(walked, d.recs[x+1])
+			sal, got, err := d.query(t, dir, true, key)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		compareJSON(t, "lenient per-link transitions", got, walked)
-		if sv := salvageFor(sal, store.TransitionsSegment); sv == nil || sv.Report.Skipped == 0 {
-			t.Errorf("the damaged frame is not accounted: %+v", sv)
+			compareJSON(t, d.seg+": lenient keyed answer", got, d.byKey(key, -1))
+			if sv := salvageFor(sal, d.seg); sv == nil || sv.Report.Skipped == 0 {
+				t.Errorf("%s: the damaged frame is not accounted: %+v", d.seg, sv)
+			}
 		}
 	})
 }
